@@ -102,21 +102,14 @@ def cmd_evolve(args) -> int:
     a = _load_effect(args.a_file, args.tol)
     b = _load_effect(args.b_file, args.tol)
     times = np.linspace(args.t0, args.t1, args.steps + 1)
-    matrices, deviations, dnorms = [], [], []
     if args.mode == "evolution":
-        for t in times:
-            evolved = evolution.effect_evolution(b, a, t)
-            matrices.append(evolved.matrix)
-            deviations.append(linalg.operator_norm(evolved.matrix - b.matrix))
-            dnorms.append(linalg.operator_norm(evolution.evolution_derivative(b, a, t)))
+        frame = evolution.EigenFrame.evolution(a, b)
     else:
-        base = evolution.time_seq_product(a, b, 0.0).matrix
-        for t in times:
-            product = evolution.time_seq_product(a, b, t)
-            matrices.append(product.matrix)
-            deviations.append(linalg.operator_norm(product.matrix - base))
-            dnorms.append(linalg.operator_norm(evolution.seq_product_derivative(a, b, t)))
-    sys.stdout.write(serialization.trajectory_csv(times, matrices, deviations, dnorms))
+        frame = evolution.EigenFrame.product(a, b)
+    csv = serialization.trajectory_csv(
+        times, frame.matrices(times), frame.deviation_norms(times), frame.derivative_norms(times)
+    )
+    sys.stdout.write(csv)
     return EXIT_OK
 
 

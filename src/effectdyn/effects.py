@@ -60,13 +60,18 @@ class Effect:
     def decomposition(self) -> linalg.SpectralDecomposition:
         return linalg.eigh(self.matrix)
 
+    @property
+    def sqrt_eigenvalues(self) -> np.ndarray:
+        """Square roots of ``decomposition.eigenvalues``, noise-level ones zeroed."""
+        w = np.clip(self.decomposition.eigenvalues, 0.0, None)
+        w[w <= SQRT_ZERO_CUTOFF * max(1.0, self.eig_max)] = 0.0
+        return np.sqrt(w)
+
     @cached_property
     def sqrt(self) -> np.ndarray:
-        """The unique positive square root, with noise-level eigenvalues zeroed."""
+        """The unique positive square root, diagonal in ``decomposition``."""
         d = self.decomposition
-        w = np.clip(d.eigenvalues, 0.0, None)
-        w[w <= SQRT_ZERO_CUTOFF * max(1.0, self.eig_max)] = 0.0
-        return (d.vectors * np.sqrt(w)) @ d.vectors.conj().T
+        return (d.vectors * self.sqrt_eigenvalues) @ d.vectors.conj().T
 
     def clamped_range(self) -> tuple[float, float]:
         """Extremal eigenvalues with sub-tolerance overshoot snapped to [0, 1].

@@ -8,6 +8,12 @@ equivalently when [a, b] = 0 or a is a scaled projection; the classifier
 decides this algebraically and the bruteforce grid check serves as its
 independent oracle.
 
+Both go through one kernel, :class:`EigenFrame`: in the eigenbasis V of a,
+e^{-ita} m e^{ita} = V (E_t ⊙ V†mV) V† with E_t(j,k) = e^{-it(w_j - w_k)},
+so a frame is built once per pair and each t costs only the phases. A frame
+of a[t]b validates a∘b and cross-checks its two routes once, when it is
+built; the public time_seq_product checks its one t against the dense form.
+
 Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 """
 
@@ -22,6 +28,7 @@ from .effects import DECISION_TOL, Effect, sequential_product, commutes, validat
 from .errors import (
     ClassifierInconsistencyError,
     ConsistencyError,
+    DimensionMismatchError,
     EmptyGridError,
     InvalidOrderError,
     NotAProjectionError,
@@ -61,13 +68,80 @@ class ConstancyReport:
     decomposition: ScaledProjectionDecomposition | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class EigenFrame:
+    """e^{-ita} m e^{ita} at any t, as V (E_t ⊙ X) V† with X = V† m V.
+
+    ``vectors`` is the eigenbasis V of a and ``freq`` holds the frequencies
+    w_j - w_k, so E_t = exp(-it freq).
+    """
+
+    vectors: np.ndarray
+    freq: np.ndarray
+    x: np.ndarray
+
+    @classmethod
+    def evolution(cls, a: Effect, b: Effect) -> EigenFrame:
+        """Frame of b(t|a), that is m = b."""
+        if a.dim != b.dim:
+            raise DimensionMismatchError(f"dimensions {a.dim} and {b.dim} differ")
+        v, w = a.decomposition.vectors, a.decomposition.eigenvalues
+        return cls(v, w[:, None] - w[None, :], v.conj().T @ b.matrix @ v)
+
+    @classmethod
+    def product(cls, a: Effect, b: Effect) -> EigenFrame:
+        """Frame of a[t]b, that is m = a∘b (validated), cross-checked once.
+
+        a^{1/2} is diag(√w) in V, so the second route a^{1/2} b(t|a) a^{1/2}
+        is V (E_t ⊙ (√w_j B_jk √w_k)) V† with B = V†bV: comparing X with
+        √w_j B_jk √w_k covers every t. Raises ConsistencyError beyond
+        CROSS_CHECK_TOL.
+        """
+        frame = cls.evolution(a, sequential_product(a, b))
+        v, root = frame.vectors, a.sqrt_eigenvalues
+        _cross_check(frame.x, root[:, None] * (v.conj().T @ b.matrix @ v) * root)
+        return frame
+
+    def at(self, t: float) -> np.ndarray:
+        """The operator at one time t."""
+        return self.vectors @ (np.exp(-1j * t * self.freq) * self.x) @ self.vectors.conj().T
+
+    def matrices(self, times) -> np.ndarray:
+        """The operator at every t in ``times``, stacked on axis 0."""
+        return self.vectors @ self._rotated(times) @ self.vectors.conj().T
+
+    def deviation_norms(self, times) -> np.ndarray:
+        """||M(t) - M(0)|| for every t in ``times``."""
+        return linalg.operator_norms(self._rotated(times) - self.x)
+
+    def derivative_norms(self, times) -> np.ndarray:
+        """||d/dt M(t)|| = ||i[M(t), a]||; in V, [., a] scales entry jk by -freq_jk."""
+        return linalg.operator_norms(-1j * self.freq * self._rotated(times))
+
+    def _rotated(self, times) -> np.ndarray:
+        """E_t ⊙ X for every t, stacked; the one empty-grid check."""
+        ts = np.asarray(times, dtype=float).ravel()
+        if ts.size == 0:
+            raise EmptyGridError("time grid is empty")
+        return np.exp(-1j * ts[:, None, None] * self.freq) * self.x
+
+
+def _cross_check(value: np.ndarray, second_route: np.ndarray) -> None:
+    residual = linalg.spectral_norm(value - second_route)
+    if residual > CROSS_CHECK_TOL:
+        raise ConsistencyError(
+            f"the two forms of a[t]b disagree by {residual:.3e} (bound "
+            f"{CROSS_CHECK_TOL:g}); this indicates a numerical defect, not a "
+            "property of the inputs"
+        )
+
+
 def effect_evolution(b: Effect, a: Effect, t: float) -> Effect:
     """b(t|a) = e^{-ita} b e^{ita}, the a-evolution of b.
 
     Unitary conjugation, so the spectrum (and trace) of b is preserved.
     """
-    u = linalg.unitary_from_decomposition(a.decomposition, t)
-    return validate_effect(u @ b.matrix @ u.conj().T)
+    return validate_effect(EigenFrame.evolution(a, b).at(t))
 
 
 def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarray:
@@ -93,21 +167,16 @@ def deviation_norm(b: Effect, a: Effect, t: float) -> float:
 def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
     """a[t]b = a o b(t|a): measure a, wait time t, then measure b.
 
-    Because e^{-ita} commutes with a^{1/2}, this equals the conjugated
-    product e^{-ita}(a o b)e^{ita}; both forms are computed and
-    cross-checked, and the conjugated one (which preserves the spectrum of
-    a o b exactly) is returned.
+    Since e^{-ita} commutes with a^{1/2}, this is (a o b)(t|a), the value of
+    the frame of a o b. For one t, that value is checked directly against
+    the dense form a^{1/2} b(t|a) a^{1/2} (ConsistencyError beyond
+    CROSS_CHECK_TOL) instead of through EigenFrame.product's check for every
+    t, and returned validated.
     """
+    value = EigenFrame.evolution(a, sequential_product(a, b)).at(t)
     u = linalg.unitary_from_decomposition(a.decomposition, t)
-    conjugated = u @ sequential_product(a, b).matrix @ u.conj().T
-    s = a.sqrt
-    direct = s @ (u @ b.matrix @ u.conj().T) @ s
-    if linalg.spectral_norm(conjugated - direct) > CROSS_CHECK_TOL:
-        raise ConsistencyError(
-            "the two forms of a[t]b disagree beyond tolerance; "
-            "this indicates a numerical defect, not a property of the inputs"
-        )
-    return validate_effect(conjugated)
+    _cross_check(value, a.sqrt @ (u @ b.matrix @ u.conj().T) @ a.sqrt)
+    return validate_effect(value)
 
 
 def seq_product_derivative(a: Effect, b: Effect, t: float) -> np.ndarray:
@@ -145,23 +214,12 @@ def projection_evolution_closed_form(
 
 
 def seq_deviation_profile(a: Effect, b: Effect, times) -> np.ndarray:
-    """||a[t]b - a o b|| for every t in ``times`` (batched in a's eigenbasis).
+    """||a[t]b - a o b|| for every t in ``times``, from the pair's EigenFrame.
 
-    a[t]b - a o b is unitarily equivalent to X_jk (e^{-it(w_j - w_k)} - 1)
-    where X is a o b expressed in the eigenbasis of a and w its eigenvalues,
-    so each time slice costs one small Hermitian eigensolve and no
-    back-transform.
+    Each time slice costs one small Hermitian eigensolve and no
+    back-transform. Raises EmptyGridError on an empty grid.
     """
-    ts = np.asarray(times, dtype=float).ravel()
-    if ts.size == 0:
-        raise EmptyGridError("time grid is empty")
-    d = a.decomposition
-    x = d.vectors.conj().T @ sequential_product(a, b).matrix @ d.vectors
-    freq = d.eigenvalues[:, None] - d.eigenvalues[None, :]
-    phases = np.exp(-1j * ts[:, None, None] * freq[None, :, :])
-    stack = x[None, :, :] * (phases - 1.0)
-    stack = (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2.0
-    return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+    return EigenFrame.product(a, b).deviation_norms(times)
 
 
 def max_seq_deviation(a: Effect, b: Effect, times) -> float:

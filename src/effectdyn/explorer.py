@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .effects import Effect, validate_effect, sequential_product
-from .errors import CommutingPairError, DimensionMismatchError
-from .evolution import time_seq_product
+from .effects import Effect, validate_effect
+from .errors import CommutingPairError
+from .evolution import EigenFrame, time_seq_product
 
 # Pairs with ||[a,b]|| below the floor are uninformative (near-commuting
 # pairs have near-zero gap for trivial reasons) and are redrawn.
@@ -119,31 +119,25 @@ def symmetry_gap(a: Effect, b: Effect, t: float) -> float:
 
 
 def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:
-    """``symmetry_gap`` over a whole grid, batched in the two eigenbases.
+    """``symmetry_gap`` over a whole grid, through the pair's two eigenframes."""
+    return _gap_profile(_frames(a, b), times)
 
-    a[t]b = V_a (E_t ⊙ X_a) V_a† with X_a = V_a†(a∘b)V_a and phase matrix
-    E_t(j,k) = e^{-it(w_j - w_k)} (same for b[t]a); the grid is processed in
-    chunks to bound memory.
+
+def _frames(a: Effect, b: Effect) -> tuple[EigenFrame, EigenFrame]:
+    return EigenFrame.product(a, b), EigenFrame.product(b, a)
+
+
+def _gap_profile(frames: tuple[EigenFrame, EigenFrame], times) -> np.ndarray:
+    """Gap at every t, in chunks to bound memory.
+
+    An empty grid becomes one empty chunk, which the frames reject.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions {a.dim} and {b.dim} differ")
+    fa, fb = frames
     ts = np.asarray(times, dtype=float).ravel()
-    da, db = a.decomposition, b.decomposition
-    xa = da.vectors.conj().T @ sequential_product(a, b).matrix @ da.vectors
-    xb = db.vectors.conj().T @ sequential_product(b, a).matrix @ db.vectors
-    freq_a = da.eigenvalues[:, None] - da.eigenvalues[None, :]
-    freq_b = db.eigenvalues[:, None] - db.eigenvalues[None, :]
-    out = np.empty(ts.shape, dtype=float)
-    for start in range(0, ts.size, _EVAL_CHUNK):
-        chunk = ts[start : start + _EVAL_CHUNK, None, None]
-        ma = da.vectors @ (np.exp(-1j * chunk * freq_a) * xa) @ da.vectors.conj().T
-        mb = db.vectors @ (np.exp(-1j * chunk * freq_b) * xb) @ db.vectors.conj().T
-        delta = ma - mb
-        delta = (delta + np.conj(np.swapaxes(delta, -1, -2))) / 2.0
-        out[start : start + _EVAL_CHUNK] = np.max(
-            np.abs(np.linalg.eigvalsh(delta)), axis=-1
-        )
-    return out
+    chunks = np.array_split(ts, max(1, math.ceil(ts.size / _EVAL_CHUNK)))
+    return np.concatenate(
+        [linalg.operator_norms(fa.matrices(c) - fb.matrices(c)) for c in chunks]
+    )
 
 
 def _golden_refine(gap, lo: float, hi: float, iters: int) -> tuple[float, float]:
@@ -164,16 +158,20 @@ def _golden_refine(gap, lo: float, hi: float, iters: int) -> tuple[float, float]
 
 
 def _minimize_on_window(
-    a: Effect, b: Effect, lo: float, hi: float, grid_points: int, refine_iters: int
+    frames: tuple[EigenFrame, EigenFrame], lo: float, hi: float, cfg: ScanConfig
 ) -> tuple[float, float]:
     """Grid scan plus golden-section refinement around the best grid point."""
-    grid = np.linspace(lo, hi, grid_points)
-    gaps = symmetry_gap_profile(a, b, grid)
+    grid = np.linspace(lo, hi, cfg.grid_points)
+    gaps = _gap_profile(frames, grid)
     best = int(np.argmin(gaps))
     bracket_lo = grid[max(best - 1, 0)]
-    bracket_hi = grid[min(best + 1, grid_points - 1)]
+    bracket_hi = grid[min(best + 1, cfg.grid_points - 1)]
+    fa, fb = frames
     t_ref, gap_ref = _golden_refine(
-        lambda t: symmetry_gap(a, b, t), float(bracket_lo), float(bracket_hi), refine_iters
+        lambda t: float(linalg.operator_norms(fa.at(t) - fb.at(t))),
+        float(bracket_lo),
+        float(bracket_hi),
+        cfg.refine_iters,
     )
     if gap_ref <= gaps[best]:
         return t_ref, gap_ref
@@ -191,8 +189,7 @@ def minimize_gap(a: Effect, b: Effect, cfg: ScanConfig) -> tuple[float, float]:
         raise CommutingPairError(
             f"pair commutes within floor {cfg.commutator_floor}; gap search is uninformative"
         )
-    lo, hi = cfg.t_window
-    return _minimize_on_window(a, b, lo, hi, cfg.grid_points, cfg.refine_iters)
+    return _minimize_on_window(_frames(a, b), *cfg.t_window, cfg)
 
 
 def commutator_norm(a: Effect, b: Effect) -> float:
@@ -201,14 +198,14 @@ def commutator_norm(a: Effect, b: Effect) -> float:
 
 
 def _punctured_minimum(
-    a: Effect, b: Effect, cfg: ScanConfig
+    frames: tuple[EigenFrame, EigenFrame], cfg: ScanConfig
 ) -> tuple[float, float] | None:
     lo, hi = cfg.t_window
     best: tuple[float, float] | None = None
     for sub_lo, sub_hi in ((lo, min(hi, -PUNCTURED_RADIUS)), (max(lo, PUNCTURED_RADIUS), hi)):
         if sub_lo >= sub_hi:
             continue
-        t, gap = _minimize_on_window(a, b, sub_lo, sub_hi, cfg.grid_points, cfg.refine_iters)
+        t, gap = _minimize_on_window(frames, sub_lo, sub_hi, cfg)
         if best is None or gap < best[1]:
             best = (t, gap)
     return best
@@ -243,10 +240,10 @@ def conjecture_scan(cfg: ScanConfig) -> ScanResult:
     """Scan random noncommuting pairs for small symmetry gaps.
 
     Per trial: draw a pair (redrawing while ||[a,b]|| is under the floor,
-    bounded attempts), minimize the gap over the window, and record it along
-    with the punctured-window minimum. The summary ranks trials by min_gap
-    and flags sub-threshold minima as verification candidates — it never
-    claims a counterexample.
+    bounded attempts), build its two eigenframes, and minimize the gap with
+    them over the window and over the punctured window. The summary ranks
+    trials by min_gap and flags sub-threshold minima as verification
+    candidates — it never claims a counterexample.
     """
     records: list[ScanRecord] = []
     skipped = 0
@@ -256,8 +253,9 @@ def conjecture_scan(cfg: ScanConfig) -> ScanResult:
             skipped += 1
             continue
         a, b, norm = drawn
-        t_star, min_gap = minimize_gap(a, b, cfg)
-        punctured = _punctured_minimum(a, b, cfg)
+        frames = _frames(a, b)
+        t_star, min_gap = _minimize_on_window(frames, *cfg.t_window, cfg)
+        punctured = _punctured_minimum(frames, cfg)
         records.append(
             ScanRecord(
                 trial=trial,

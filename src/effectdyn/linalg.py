@@ -1,15 +1,14 @@
 """Dense complex linear algebra for Hermitian operators.
 
-Spectral decompositions, Hermitian matrix functions, unitary propagators
-and commutators on small dense matrices. Everything here is pure and
-operates on immutable inputs; returned arrays are new allocations.
+Spectral decompositions, unitary propagators, commutators and norms on
+small dense matrices. Everything here is pure and operates on immutable
+inputs; returned arrays are new allocations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,11 +94,6 @@ class SpectralDecomposition:
             out.append(cols @ cols.conj().T)
         return out
 
-    def apply(self, f: Callable[[float], complex]) -> np.ndarray:
-        """U diag(f(lambda_i)) U^dagger."""
-        vals = np.array([f(float(lam)) for lam in self.eigenvalues], dtype=complex)
-        return (self.vectors * vals) @ self.vectors.conj().T
-
 
 def _cluster_indices(eigenvalues: np.ndarray, gap: float) -> tuple[tuple[int, ...], ...]:
     clusters: list[tuple[int, ...]] = []
@@ -128,23 +122,11 @@ def eigh(m, rtol: float = HERMITICITY_RTOL) -> SpectralDecomposition:
     return SpectralDecomposition(_readonly(w), _readonly(v), clusters)
 
 
-def matrix_function(m, f: Callable[[float], complex]) -> np.ndarray:
-    """f(M) = U diag(f(lambda_i)) U^dagger for Hermitian M."""
-    return eigh(m).apply(f)
-
-
-def unitary_exp(a, t: float) -> np.ndarray:
-    """Propagator exp(-i t a) for Hermitian a.
-
-    Computed spectrally (exact for Hermitian arguments). Returns the
-    identity exactly at t = 0.
-    """
-    d = eigh(a)
-    return unitary_from_decomposition(d, t)
-
-
 def unitary_from_decomposition(d: SpectralDecomposition, t: float) -> np.ndarray:
-    """exp(-i t a) from a precomputed decomposition of a."""
+    """exp(-i t a) from a precomputed decomposition of a.
+
+    Exact for Hermitian a; returns the identity exactly at t = 0.
+    """
     if t == 0:
         return np.eye(d.dim, dtype=complex)
     phase = np.exp(-1j * t * d.eigenvalues)
@@ -166,6 +148,16 @@ def operator_norm(m) -> float:
     if h.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest absolute eigenvalue of each matrix in a stack (or of one matrix).
+
+    The slices are Hermitian up to round-off from batched arithmetic; each is
+    symmetrized, without a Hermiticity check, before its eigensolve.
+    """
+    h = (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2.0
+    return np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
 
 
 def spectral_norm(m) -> float:

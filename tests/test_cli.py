@@ -166,6 +166,14 @@ def test_evolve_seqprod_deviation(files, capsys):
     assert abs(float(rows[1][-2]) - 0.5) < 1e-12
 
 
+def test_evolve_dimension_mismatch_is_invalid_input(files, capsys, tmp_path):
+    b3 = write_op(tmp_path / "b3.json", np.full((3, 3), 1.0 / 3.0))
+    for mode in ("evolution", "seqprod"):
+        code, _, err = run(capsys, ["evolve", files["a"], b3, "--mode", mode])
+        assert code == 2
+        assert "error:" in err
+
+
 def test_evolve_negative_steps_is_invalid_input(files, capsys):
     code, _, err = run(capsys, ["evolve", files["a"], files["b"], "--steps", "-3"])
     assert code == 2

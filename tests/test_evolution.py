@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from effectdyn import (
+    ConsistencyError,
     classify_scaled_projection,
     closed_forms,
     commuting_witness,
@@ -14,6 +15,7 @@ from effectdyn import (
     effect_evolution,
     evolution_derivative,
     identity_effect,
+    linalg,
     max_seq_deviation,
     projection_evolution_closed_form,
     seq_deviation_profile,
@@ -25,12 +27,14 @@ from effectdyn import (
     zero_effect,
 )
 from effectdyn.errors import EmptyGridError, InvalidOrderError, NotAProjectionError
+from effectdyn.evolution import EigenFrame
 
 from support import (
     random_commuting_pair,
     random_effect,
     random_projection,
     random_scaled_projection,
+    random_unitary,
 )
 
 GRID = np.linspace(0.0, 4.0 * math.pi, 33)
@@ -351,3 +355,88 @@ def test_witness_transport_spot_check(rng):
     assert verify_coexistence_witness(
         time_seq_product(c, a, t), time_seq_product(c, b, t), seq
     )
+
+
+# -- EigenFrame ----------------------------------------------------------------
+
+
+def _dense_conjugation(a: np.ndarray, m: np.ndarray, t: float) -> np.ndarray:
+    """e^{-ita} m e^{ita} with the unitary formed explicitly from np.linalg.eigh."""
+    w, v = np.linalg.eigh(a)
+    u = (v * np.exp(-1j * t * w)) @ v.conj().T
+    return u @ m @ u.conj().T
+
+
+def _dense_sqrt(a: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(a)
+    w = np.where(w <= 1e-12, 0.0, w)  # rounding noise of an exact zero
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def _frame_cases(rng):
+    """(a, b) pairs: generic and rank-deficient a at dims 2-8, plus a spectrum
+    {0, .5, .5 + 1e-9} with a near-degenerate pair."""
+    cases = []
+    for dim in range(2, 9):
+        u = random_unitary(dim, rng)
+        generic = rng.uniform(0.0, 1.0, dim)
+        deficient = np.where(np.arange(dim) < dim // 2, 0.0, generic)
+        for w in (generic, deficient):
+            cases.append((validate_effect((u * w) @ u.conj().T), random_effect(dim, rng)))
+    u = random_unitary(3, rng)
+    near = np.array([0.0, 0.5, 0.5 + 1e-9])
+    cases.append((validate_effect((u * near) @ u.conj().T), random_effect(3, rng)))
+    return cases
+
+
+def test_eigen_frame_matches_dense_reference(rng):
+    times = np.array([0.0, 0.7, -2.3, 25.0])
+    for a, b in _frame_cases(rng):
+        s = _dense_sqrt(a.matrix)
+        for frame, m in (
+            (EigenFrame.evolution(a, b), b.matrix),
+            (EigenFrame.product(a, b), s @ b.matrix @ s),
+        ):
+            want = np.array([_dense_conjugation(a.matrix, m, t) for t in times])
+            assert np.max(np.abs(frame.matrices(times) - want)) < 1e-12
+            for t, w in zip(times, want):
+                assert np.max(np.abs(frame.at(t) - w)) < 1e-12
+            deviation = [np.max(np.abs(np.linalg.eigvalsh(w - m))) for w in want]
+            assert np.max(np.abs(frame.deviation_norms(times) - deviation)) < 1e-12
+            derivative = [
+                np.max(np.abs(np.linalg.eigvalsh(1j * (w @ a.matrix - a.matrix @ w))))
+                for w in want
+            ]
+            assert np.max(np.abs(frame.derivative_norms(times) - derivative)) < 1e-12
+
+
+def test_eigen_frame_rejects_empty_grid(rng):
+    frame = EigenFrame.evolution(random_effect(2, rng), random_effect(2, rng))
+    with pytest.raises(EmptyGridError):
+        frame.matrices([])
+
+
+def _with_broken_sqrt(a, rng):
+    """A copy of a whose cached square root is off by a non-commuting 1e-6."""
+    copy = validate_effect(a.matrix)
+    g = rng.standard_normal(a.matrix.shape)
+    vars(copy)["sqrt"] = a.sqrt + 1e-6 * (g + g.T)
+    return copy
+
+
+def test_consistency_error_when_routes_disagree_at_construction(rng):
+    a, b = random_effect(3, rng), random_effect(3, rng)
+    broken = _with_broken_sqrt(a, rng)
+    with pytest.raises(ConsistencyError):
+        EigenFrame.product(broken, b)
+    with pytest.raises(ConsistencyError):
+        time_seq_product(broken, b, 1.0)
+
+
+def test_consistency_error_at_the_public_boundary(rng, monkeypatch):
+    a, b = random_effect(3, rng), random_effect(3, rng)
+    unitary = linalg.unitary_from_decomposition
+    monkeypatch.setattr(linalg, "unitary_from_decomposition", lambda d, t: unitary(d, 2.0 * t))
+    EigenFrame.product(a, b)  # the frame alone never forms the dense unitary
+    with pytest.raises(ConsistencyError):
+        time_seq_product(a, b, 1.0)

@@ -5,15 +5,19 @@ import pytest
 
 from effectdyn import (
     ScanConfig,
+    evolution,
+    explorer,
     closed_forms,
     conjecture_scan,
     minimize_gap,
+    seq_deviation_profile,
     sequential_product,
     symmetry_gap,
     symmetry_gap_profile,
     validate_effect,
 )
-from effectdyn.errors import CommutingPairError, DimensionMismatchError
+from effectdyn.errors import CommutingPairError, DimensionMismatchError, EmptyGridError
+from effectdyn.evolution import EigenFrame
 from effectdyn.explorer import (
     CANDIDATE_LABEL,
     CANDIDATE_THRESHOLD,
@@ -91,6 +95,35 @@ def test_symmetry_gap_profile_matches_pointwise(rng):
         assert value == pytest.approx(symmetry_gap(a, b, t), abs=1e-12)
     with pytest.raises(DimensionMismatchError):
         symmetry_gap_profile(a, random_effect(2, np.random.default_rng(7)), ts)
+
+
+def test_gap_profiles_reject_empty_grid():
+    a = random_effect(2, np.random.default_rng(5))
+    b = random_effect(2, np.random.default_rng(6))
+    for profile in (symmetry_gap_profile, seq_deviation_profile):
+        with pytest.raises(EmptyGridError):
+            profile(a, b, [])
+
+
+def test_conjecture_scan_uses_only_eigenframes(monkeypatch):
+    # the refinement must not fall back to the cross-checked scalar route
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scan evaluated a gap outside its eigenframes")
+
+    monkeypatch.setattr(explorer, "symmetry_gap", forbidden)
+    monkeypatch.setattr(explorer, "time_seq_product", forbidden)
+    monkeypatch.setattr(evolution, "time_seq_product", forbidden)
+    built = []
+    product = EigenFrame.product.__func__
+
+    def counting_product(cls, a, b):
+        built.append((a, b))
+        return product(cls, a, b)
+
+    monkeypatch.setattr(EigenFrame, "product", classmethod(counting_product))
+    result = conjecture_scan(ScanConfig(dim=3, trials=2, seed=4))
+    assert len(result.records) == 2
+    assert len(built) == 4  # (a, b) and (b, a) once per trial
 
 
 def test_scan_config_validation():
