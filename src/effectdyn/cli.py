@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_forms, evolution, linalg, serialization
-from .effects import DECISION_TOL, Effect, validate_effect, validate_state
+from .effects import DECISION_TOL, Effect, State, validate_effect, validate_state
 from .errors import EffectdynError, SchemaError
 from .explorer import ScanConfig, conjecture_scan, random_effect
 from .observables import (
@@ -46,6 +46,10 @@ def _read_text(path: str) -> str:
 
 def _load_effect(path: str, tol: float) -> Effect:
     return validate_effect(serialization.parse_operator_json(_read_text(path)), tol)
+
+
+def _load_state(path: str, tol: float) -> State:
+    return validate_state(serialization.parse_operator_json(_read_text(path)), tol)
 
 
 def _load_observable(path: str, tol: float) -> Observable:
@@ -133,8 +137,7 @@ def _maybe_distribution(args, obs: Observable) -> int:
     """Emit the observable document, wrapping in a distribution when asked."""
     doc = serialization.observable_to_document(obs)
     if args.state is not None:
-        rho = validate_state(serialization.parse_operator_json(_read_text(args.state)))
-        dist = distribution(obs, rho)
+        dist = distribution(obs, _load_state(args.state, args.tol))
         doc = {"observable": doc, "distribution": dist.as_dict()}
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
@@ -144,7 +147,7 @@ def cmd_observable(args) -> int:
     tol = args.tol
     if args.obs_cmd == "dist":
         obs = _load_observable(args.observable, tol)
-        rho = validate_state(serialization.parse_operator_json(_read_text(args.state)))
+        rho = _load_state(args.state, tol)
         sys.stdout.write(serialization.distribution_json(distribution(obs, rho)))
         return EXIT_OK
     if args.obs_cmd == "seqprod":
@@ -265,7 +268,7 @@ def _examples_report(inject_fault: bool = False):
 def cmd_examples(args) -> int:
     failures = 0
     for name, target, residual in _examples_report(args.inject_fault):
-        ok = residual <= 1e-10
+        ok = residual <= evolution.CROSS_CHECK_TOL
         failures += 0 if ok else 1
         print(f"{name}: {'PASS' if ok else 'FAIL'}  max residual {residual:.3e}")
         print(f"  target: {target}")

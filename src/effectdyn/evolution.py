@@ -10,9 +10,12 @@ independent oracle.
 
 Both go through one kernel, :class:`EigenFrame`: in the eigenbasis V of a,
 e^{-ita} m e^{ita} = V (E_t ⊙ V†mV) V† with E_t(j,k) = e^{-it(w_j - w_k)},
-so a frame is built once per pair and each t costs only the phases. A frame
-of a[t]b validates a∘b and cross-checks its two routes once, when it is
-built; the public time_seq_product checks its one t against the dense form.
+so a frame is built once per pair and each t costs only the phases. In V,
+[·, a] scales entry jk by -(w_j - w_k), so time derivatives and deviations
+are frame reads as well. A frame of a[t]b validates a∘b and cross-checks
+its two routes once, when it is built; the public time_seq_product checks
+its one t against the dense form. Only classify_scaled_projection groups
+coincident eigenvalues (CLUSTER_GAP_RTOL).
 
 Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 """
@@ -39,6 +42,11 @@ from .errors import (
 BRUTEFORCE_TOL = 1e-8
 # Agreement required between the two computed forms of a[t]b.
 CROSS_CHECK_TOL = 1e-10
+# Gap threshold (relative to the operator norm) for grouping eigenvalues
+# into distinct-eigenvalue clusters, and the level below which a cluster
+# counts as zero; deliberately looser than the eigensolver residual so
+# spectral projections stay stable.
+CLUSTER_GAP_RTOL = 1e-8
 
 REASON_COMMUTING = "Commuting"
 REASON_SCALED_PROJECTION = "ScaledProjection"
@@ -106,24 +114,29 @@ class EigenFrame:
         """The operator at one time t."""
         return self.vectors @ (np.exp(-1j * t * self.freq) * self.x) @ self.vectors.conj().T
 
-    def matrices(self, times) -> np.ndarray:
-        """The operator at every t in ``times``, stacked on axis 0."""
-        return self.vectors @ self._rotated(times) @ self.vectors.conj().T
+    def matrices(self, times, order: int = 0) -> np.ndarray:
+        """The order-th time derivative (order 0: the operator) at every t, stacked."""
+        return self.vectors @ self._rotated(times, order) @ self.vectors.conj().T
 
     def deviation_norms(self, times) -> np.ndarray:
         """||M(t) - M(0)|| for every t in ``times``."""
         return linalg.operator_norms(self._rotated(times) - self.x)
 
     def derivative_norms(self, times) -> np.ndarray:
-        """||d/dt M(t)|| = ||i[M(t), a]||; in V, [., a] scales entry jk by -freq_jk."""
-        return linalg.operator_norms(-1j * self.freq * self._rotated(times))
+        """||d/dt M(t)|| = ||i[M(t), a]|| for every t in ``times``."""
+        return linalg.operator_norms(self._rotated(times, 1))
 
-    def _rotated(self, times) -> np.ndarray:
-        """E_t ⊙ X for every t, stacked; the one empty-grid check."""
+    def _rotated(self, times, order: int = 0) -> np.ndarray:
+        """(-i freq)^order ⊙ E_t ⊙ X for every t, stacked; the one empty-grid check.
+
+        In V, [., a] scales entry jk by -freq_jk, so this is the order-th
+        derivative i^order [...[M(t), a]..., a] in the frame's basis.
+        """
         ts = np.asarray(times, dtype=float).ravel()
         if ts.size == 0:
             raise EmptyGridError("time grid is empty")
-        return np.exp(-1j * ts[:, None, None] * self.freq) * self.x
+        rotated = np.exp(-1j * ts[:, None, None] * self.freq) * self.x
+        return rotated * (-1j * self.freq) ** order if order else rotated
 
 
 def _cross_check(value: np.ndarray, second_route: np.ndarray) -> None:
@@ -147,21 +160,19 @@ def effect_evolution(b: Effect, a: Effect, t: float) -> Effect:
 def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarray:
     """n-th time derivative of b(t|a): i^n [ ... [[b(t|a), a], a] ..., a].
 
-    Each bracket is [x, y] = xy - yx; the result is Hermitian for every n
-    (round-off skew is symmetrized away). Raises InvalidOrderError for n < 1.
+    Each bracket is [x, y] = xy - yx; read from the frame of b(t|a). The
+    result is Hermitian for every n (round-off skew is symmetrized away).
+    Raises InvalidOrderError for n < 1.
     """
     if int(n) != n or n < 1:
         raise InvalidOrderError(f"derivative order must be a positive integer, got {n!r}")
-    m = effect_evolution(b, a, t).matrix
-    for _ in range(int(n)):
-        m = 1j * linalg.commutator(m, a.matrix)
+    m = EigenFrame.evolution(a, b).matrices([t], int(n))[0]
     return (m + m.conj().T) / 2.0
 
 
 def deviation_norm(b: Effect, a: Effect, t: float) -> float:
     """||b(t|a) - b||: how far the a-evolution has moved b at time t."""
-    delta = effect_evolution(b, a, t).matrix - b.matrix
-    return linalg.operator_norm(delta)
+    return float(EigenFrame.evolution(a, b).deviation_norms([t])[0])
 
 
 def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
@@ -199,7 +210,7 @@ def projection_evolution_closed_form(
     Raises NotAProjectionError when p fails p^2 = p or p = 0.
     """
     pm = p.matrix
-    if linalg.projection_defect(pm) > 1e-9 or p.norm <= 1e-9:
+    if linalg.projection_defect(pm) > DECISION_TOL or p.norm <= DECISION_TOL:
         raise NotAProjectionError("closed form requires a nonzero projection")
     phase = np.exp(-1j * scale * t)
     bp = b.matrix @ pm
@@ -240,20 +251,24 @@ def constancy_bruteforce(a: Effect, b: Effect, grid, tol: float = BRUTEFORCE_TOL
 def classify_scaled_projection(a: Effect) -> ScaledProjectionDecomposition | None:
     """Decompose a = lambda * p if a's spectrum is {0, lambda} (or {lambda}).
 
-    Eigenvalues are grouped into numerical clusters; the decomposition exists
-    iff at most one cluster value is nonzero (and at least one is). Returns
-    None otherwise — in particular for a = 0.
+    This is the one place that groups eigenvalues. Ascending eigenvalues
+    whose neighbours lie within CLUSTER_GAP_RTOL * max(1, ||a||) of each
+    other form one cluster, valued at its mean; a cluster counts as zero when
+    its mean is within that same level of 0. The decomposition exists iff
+    exactly one cluster is nonzero: lambda is its value (capped at 1) and p
+    the projection onto its eigenvectors. Returns None otherwise — in
+    particular for a = 0.
     """
     d = a.decomposition
-    zero_tol = linalg.CLUSTER_GAP_RTOL * max(1.0, a.norm)
-    values = d.cluster_values
-    nonzero = [i for i, v in enumerate(values) if abs(v) > zero_tol]
+    tol = CLUSTER_GAP_RTOL * max(1.0, a.norm)
+    clusters = np.split(np.arange(a.dim), np.flatnonzero(np.diff(d.eigenvalues) > tol) + 1)
+    nonzero = [c for c in clusters if abs(np.mean(d.eigenvalues[c])) > tol]
     if len(nonzero) != 1:
         return None
-    idx = nonzero[0]
-    scale = min(float(values[idx]), 1.0)
-    projection = validate_effect(d.projections()[idx])
-    return ScaledProjectionDecomposition(scale, projection)
+    cluster = nonzero[0]
+    scale = min(float(np.mean(d.eigenvalues[cluster])), 1.0)
+    cols = d.vectors[:, cluster]
+    return ScaledProjectionDecomposition(scale, validate_effect(cols @ cols.conj().T))
 
 
 def constancy_classifier(a: Effect, b: Effect, tol: float = DECISION_TOL) -> ConstancyReport:

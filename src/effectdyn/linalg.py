@@ -8,18 +8,13 @@ inputs; returned arrays are new allocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianError
 
-# Max-entry deviation of M from M-dagger, relative to the max entry magnitude.
+# Max-entry deviation of M from M†, relative to the max entry magnitude.
 HERMITICITY_RTOL = 1e-10
-# Gap threshold (relative to the operator norm) for grouping eigenvalues
-# into distinct-eigenvalue clusters; deliberately looser than the
-# eigensolver residual so spectral projections stay stable.
-CLUSTER_GAP_RTOL = 1e-8
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -32,19 +27,15 @@ def as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry magnitude of M - M^dagger."""
+    """Largest entry magnitude of M - M†."""
     if m.size == 0:
         return 0.0
     return float(np.max(np.abs(m - m.conj().T)))
 
 
 def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Check Hermiticity and return the symmetrized matrix (M + M^dagger)/2.
+    """Check Hermiticity and return the symmetrized matrix (M + M†)/2.
 
     Symmetrizing after the check removes round-off asymmetry before any
     eigendecomposition.
@@ -66,46 +57,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix, eigenvalues grouped into clusters.
+    """Eigensystem of a Hermitian matrix.
 
     ``eigenvalues`` is real and ascending; column j of ``vectors`` is the
-    eigenvector for eigenvalue j; ``clusters`` partitions the indices into
-    groups of numerically coincident eigenvalues.
+    eigenvector for eigenvalue j.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @cached_property
-    def cluster_values(self) -> np.ndarray:
-        """Representative (mean) eigenvalue of each cluster."""
-        return np.array([float(np.mean(self.eigenvalues[list(c)])) for c in self.clusters])
-
-    def projections(self) -> list[np.ndarray]:
-        """Spectral projection onto each cluster's eigenspace."""
-        out = []
-        for c in self.clusters:
-            cols = self.vectors[:, list(c)]
-            out.append(cols @ cols.conj().T)
-        return out
-
-
-def _cluster_indices(eigenvalues: np.ndarray, gap: float) -> tuple[tuple[int, ...], ...]:
-    clusters: list[tuple[int, ...]] = []
-    current = [0]
-    for i in range(1, eigenvalues.shape[0]):
-        if eigenvalues[i] - eigenvalues[i - 1] > gap:
-            clusters.append(tuple(current))
-            current = [i]
-        else:
-            current.append(i)
-    clusters.append(tuple(current))
-    return tuple(clusters)
 
 
 def eigh(m, rtol: float = HERMITICITY_RTOL) -> SpectralDecomposition:
@@ -116,10 +79,7 @@ def eigh(m, rtol: float = HERMITICITY_RTOL) -> SpectralDecomposition:
     """
     h = require_hermitian(m, rtol)
     w, v = np.linalg.eigh(h)
-    norm = float(np.max(np.abs(w))) if w.size else 0.0
-    gap = CLUSTER_GAP_RTOL * max(1.0, norm)
-    clusters = _cluster_indices(w, gap) if w.size else ()
-    return SpectralDecomposition(_readonly(w), _readonly(v), clusters)
+    return SpectralDecomposition(_readonly(w), _readonly(v))
 
 
 def unitary_from_decomposition(d: SpectralDecomposition, t: float) -> np.ndarray:

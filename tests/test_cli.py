@@ -118,7 +118,15 @@ def test_tol_override_loosens_validation(files, capsys):
     assert "valid: true" in out
 
 
-# -- evolve -----------------------------------------------------------------
+def test_tol_override_reaches_state_files(files, capsys):
+    rho = write_op(files["root"] / "rho_hot.json", np.diag([1.0 + 1e-7, -1e-7]))
+    dist = ["observable", "dist", files["obs_b"], "--state", rho]
+    wrapped = ["observable", "seqprod", files["obs_a"], files["obs_b"], "--state", rho]
+    for argv in (["validate", rho, "--kind", "state"], dist, wrapped):
+        assert run(capsys, argv)[0] == 2
+        code, out, err = run(capsys, ["--tol", "1e-6", *argv])
+        assert (code, err) == (0, "")
+    assert json.loads(run(capsys, ["--tol", "1e-6", *dist])[1]) == {"u": 0.5, "v": 0.5}
 
 
 def test_evolve_rows_and_header(files, capsys):

@@ -408,6 +408,10 @@ def test_eigen_frame_matches_dense_reference(rng):
                 for w in want
             ]
             assert np.max(np.abs(frame.derivative_norms(times) - derivative)) < 1e-12
+            nested = want
+            for n in (1, 2, 3):
+                nested = 1j * (nested @ a.matrix - a.matrix @ nested)
+                assert np.max(np.abs(frame.matrices(times, n) - nested)) < 1e-12
 
 
 def test_eigen_frame_rejects_empty_grid(rng):

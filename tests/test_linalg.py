@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectdyn import linalg
+from effectdyn import classify_scaled_projection, linalg, validate_effect
 from effectdyn.errors import DimensionMismatchError, NonHermitianError
 
 from support import random_hermitian
@@ -43,13 +43,12 @@ def test_eigh_known_values():
 
 
 def test_clustering_groups_degenerate_eigenvalues():
-    d = linalg.eigh(np.diag([0.5, 0.5 + 1e-12, 1.0]))
-    assert d.clusters == ((0, 1), (2,))
-    assert len(d.cluster_values) == 2
-    projections = d.projections()
-    assert np.allclose(sum(projections), np.eye(3), atol=1e-12)
-    for p in projections:
-        assert linalg.projection_defect(p) < 1e-12
+    # eigenvalues within the cluster gap count as one; the classifier owns the grouping
+    out = classify_scaled_projection(validate_effect(np.diag([0.0, 0.5, 0.5 + 1e-12])))
+    assert out.scale == pytest.approx(0.5, abs=1e-12)
+    assert linalg.projection_defect(out.projection.matrix) < 1e-12
+    assert np.trace(out.projection.matrix).real == pytest.approx(2.0, abs=1e-12)
+    assert classify_scaled_projection(validate_effect(np.diag([0.5, 0.5 + 1e-12, 1.0]))) is None
 
 
 def unitary_exp(a, t: float) -> np.ndarray:
@@ -107,15 +106,6 @@ def test_unitary_group_law(dim, seed, t):
 def test_projection_defect():
     assert linalg.projection_defect(np.diag([1.0, 0.0])) == 0.0
     assert linalg.projection_defect(np.diag([0.5, 0.0])) == pytest.approx(0.25)
-
-
-def test_spectral_projection_known_case():
-    # the 0.3-eigenspace of diag(0.3, 0.3, 0) is spanned by e0, e1
-    d = linalg.eigh(np.diag([0.3, 0.3, 0.0]))
-    values = d.cluster_values
-    idx = int(np.argmax(values))
-    assert values[idx] == pytest.approx(0.3, abs=1e-15)
-    assert np.allclose(d.projections()[idx], np.diag([1.0, 1.0, 0.0]), atol=1e-14)
 
 
 def test_half_angle_identity_for_deviation_scale():
