@@ -10,7 +10,6 @@ search over the symmetry gap ||a[t]b - b[t]a||.
 from . import closed_forms, linalg, serialization
 from .effects import (
     DECISION_TOL,
-    EFFECT_SPECTRUM_TOL,
     CoexistenceWitness,
     Effect,
     State,
@@ -28,7 +27,6 @@ from .effects import (
     zero_effect,
 )
 from .errors import (
-    ClassifierInconsistencyError,
     CommutingPairError,
     ConsistencyError,
     DimensionMismatchError,

@@ -40,6 +40,17 @@ EXIT_INVALID = 2
 EXIT_PARSE = 3
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _floats(text: str) -> list[float]:
+    return [float(w) for w in text.split(",") if w != ""]
+
+
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -120,7 +131,7 @@ def cmd_evolve(args) -> int:
 def cmd_classify(args) -> int:
     a = _load_effect(args.a_file, args.tol)
     b = _load_effect(args.b_file, args.tol)
-    report = evolution.constancy_classifier(a, b, args.tol)
+    report = evolution.constancy_classifier(a, b)
     print(f"constant: {'true' if report.constant else 'false'}")
     print(f"reason: {report.reason}")
     print(f"residual: {report.residual:.17g}")
@@ -173,9 +184,8 @@ def cmd_observable(args) -> int:
             _load_observable(args.b_file, tol), _load_observable(args.a_file, tol), args.t
         )
     elif args.obs_cmd == "convex":
-        weights = [float(w) for w in args.weights.split(",") if w != ""]
         result = convex_combination(
-            weights, [_load_observable(f, tol) for f in args.files]
+            args.weights, [_load_observable(f, tol) for f in args.files]
         )
     else:  # pragma: no cover - argparse enforces choices
         raise SchemaError(f"unknown observable subcommand {args.obs_cmd!r}")
@@ -311,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help="override the yes/no decision tolerance (validation spectra, "
-        f"commutation, constancy; default {DECISION_TOL:g})",
+        default=DECISION_TOL,
+        help="admission tolerance of every input and everything derived from it, "
+        f"and of every yes/no decision (commutation, constancy; default {DECISION_TOL:g})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -325,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="emit a trajectory CSV on stdout")
     p.add_argument("a_file", help="effect generating the evolution")
     p.add_argument("b_file", help="effect being evolved")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=2.0 * math.pi)
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t1", type=_finite, default=2.0 * math.pi)
     p.add_argument("--steps", type=int, default=64, help="rows = steps + 1 (inclusive grid)")
     p.add_argument(
         "--mode",
@@ -357,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("a_file")
         q.add_argument("b_file")
         if name == "tseq":
-            q.add_argument("--t", type=float, default=0.0)
+            q.add_argument("--t", type=_finite, default=0.0)
         q.add_argument("--state", default=None, help="also emit the distribution in this state")
         q.set_defaults(func=cmd_observable)
 
@@ -369,19 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("a_file", help="conditioning observable A")
         q.add_argument("b_file", help="conditioned observable B")
         if name == "tcond":
-            q.add_argument("--t", type=float, default=0.0)
+            q.add_argument("--t", type=_finite, default=0.0)
         q.add_argument("--state", default=None, help="also emit the distribution in this state")
         q.set_defaults(func=cmd_observable)
 
     q = obs_sub.add_parser("evolve", help="a-evolution B(t|a) of an observable")
     q.add_argument("observable")
     q.add_argument("effect", help="operator file for the evolving effect a")
-    q.add_argument("--t", type=float, default=0.0)
+    q.add_argument("--t", type=_finite, default=0.0)
     q.add_argument("--state", default=None, help="also emit the distribution in this state")
     q.set_defaults(func=cmd_observable)
 
     q = obs_sub.add_parser("convex", help="convex combination of observables")
-    q.add_argument("--weights", required=True, help="comma-separated, summing to 1")
+    q.add_argument("--weights", type=_floats, required=True, help="comma-separated, summing to 1")
     q.add_argument("files", nargs="+")
     q.add_argument("--state", default=None, help="also emit the distribution in this state")
     q.set_defaults(func=cmd_observable)
@@ -394,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tmin", type=float, default=-4.0 * math.pi)
-    p.add_argument("--tmax", type=float, default=4.0 * math.pi)
+    p.add_argument("--tmin", type=_finite, default=-4.0 * math.pi)
+    p.add_argument("--tmax", type=_finite, default=4.0 * math.pi)
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--refine", type=int, default=60)
     p.add_argument("--floor", type=float, default=1e-3)
@@ -407,11 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol is not None and args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_INVALID
-    if args.tol is None:
-        args.tol = DECISION_TOL
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -21,10 +21,10 @@ from .errors import (
     TraceNotOneError,
 )
 
-# Admissible eigenvalue overshoot for effects: spectrum in [-TOL, 1 + TOL].
-EFFECT_SPECTRUM_TOL = 1e-9
-# Yes/no decisions (commutation, constancy, witness residuals).
+# Default admission tolerance. Each Effect/State keeps the one it was admitted
+# at; derived values and yes/no decisions use the loosest operand's.
 DECISION_TOL = 1e-9
+# Fixed numerical bound, not a user decision: it does not follow --tol.
 STATE_TRACE_TOL = 1e-10
 # Eigenvalues at or below this (relative) scale are treated as exact zeros
 # when taking the square root. sqrt is non-Lipschitz at 0: an exact zero the
@@ -40,12 +40,13 @@ class Effect:
     Instances are produced by :func:`validate_effect`; the stored matrix is
     symmetrized and read-only, so effects are safe to share across threads.
     ``eig_min``/``eig_max`` are the raw extremal eigenvalues found at
-    validation time.
+    validation time, and ``tol`` is the tolerance they were admitted at.
     """
 
     matrix: np.ndarray
     eig_min: float
     eig_max: float
+    tol: float = DECISION_TOL
 
     @property
     def dim(self) -> int:
@@ -79,10 +80,10 @@ class Effect:
         Raw values stay available as ``eig_min``/``eig_max``; the clamped
         view is for user-facing reporting only.
         """
-        return clamp_unit(self.eig_min), clamp_unit(self.eig_max)
+        return clamp_unit(self.eig_min, self.tol), clamp_unit(self.eig_max, self.tol)
 
 
-def clamp_unit(value: float, tol: float = EFFECT_SPECTRUM_TOL) -> float:
+def clamp_unit(value: float, tol: float) -> float:
     """Snap values within ``tol`` of 0 or 1 onto the boundary."""
     if -tol <= value < 0.0:
         return 0.0
@@ -91,8 +92,8 @@ def clamp_unit(value: float, tol: float = EFFECT_SPECTRUM_TOL) -> float:
     return value
 
 
-def validate_effect(matrix, tol: float = EFFECT_SPECTRUM_TOL) -> Effect:
-    """Validate 0 <= M <= I and build an :class:`Effect`.
+def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
+    """Validate 0 <= M <= I and build an :class:`Effect` that keeps ``tol``.
 
     Raises NonHermitianError when M is not Hermitian and
     SpectrumOutOfRangeError (carrying the offending eigenvalue) when the
@@ -102,11 +103,11 @@ def validate_effect(matrix, tol: float = EFFECT_SPECTRUM_TOL) -> Effect:
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
     if lo < -tol:
-        raise SpectrumOutOfRangeError(f"eigenvalue {lo:.6g} below 0", lo)
+        raise SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
     if hi > 1.0 + tol:
-        raise SpectrumOutOfRangeError(f"eigenvalue {hi:.6g} above 1", hi)
+        raise SpectrumOutOfRangeError(f"eigenvalue {hi!r} above 1 + {tol!r}", hi)
     h.setflags(write=False)
-    return Effect(h, lo, hi)
+    return Effect(h, lo, hi, tol)
 
 
 def identity_effect(dim: int) -> Effect:
@@ -119,28 +120,29 @@ def zero_effect(dim: int) -> Effect:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Positive operator with unit trace; produced by :func:`validate_state`."""
+    """Positive unit-trace operator admitted at ``tol``; made by :func:`validate_state`."""
 
     matrix: np.ndarray
     eig_min: float
+    tol: float = DECISION_TOL
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def validate_state(matrix, tol: float = EFFECT_SPECTRUM_TOL) -> State:
-    """Validate positivity and unit trace and build a :class:`State`."""
+def validate_state(matrix, tol: float = DECISION_TOL) -> State:
+    """Validate positivity and unit trace and build a :class:`State` that keeps ``tol``."""
     h = linalg.require_hermitian(matrix)
     w = np.linalg.eigvalsh(h)
     lo = float(w[0]) if w.size else 0.0
     if lo < -tol:
-        raise SpectrumOutOfRangeError(f"eigenvalue {lo:.6g} below 0", lo)
+        raise SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
     tr = float(np.trace(h).real)
     if abs(tr - 1.0) > STATE_TRACE_TOL:
         raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {STATE_TRACE_TOL}")
     h.setflags(write=False)
-    return State(h, lo)
+    return State(h, lo, tol)
 
 
 def maximally_mixed_state(dim: int) -> State:
@@ -155,11 +157,11 @@ def _check_dims(*dims: int) -> None:
 def probability(rho: State, a: Effect) -> float:
     """tr(rho a): probability that the effect occurs in the given state.
 
-    Values within tolerance of 0 or 1 are clamped onto the boundary.
+    Values within the operands' tolerance of 0 or 1 are clamped onto the boundary.
     """
     _check_dims(rho.dim, a.dim)
     p = float(linalg.trace_inner(rho.matrix, a.matrix).real)
-    return clamp_unit(p)
+    return clamp_unit(p, max(rho.tol, a.tol))
 
 
 def sequential_product(a: Effect, b: Effect) -> Effect:
@@ -170,14 +172,14 @@ def sequential_product(a: Effect, b: Effect) -> Effect:
     """
     _check_dims(a.dim, b.dim)
     s = a.sqrt
-    return validate_effect(s @ b.matrix @ s)
+    return validate_effect(s @ b.matrix @ s, max(a.tol, b.tol))
 
 
-def commutes(a: Effect, b: Effect, tol: float = DECISION_TOL) -> bool:
-    """True iff ||ab - ba|| <= tol * max(1, ||a|| ||b||)."""
+def commutes(a: Effect, b: Effect) -> bool:
+    """True iff ||ab - ba|| <= tol * max(1, ||a|| ||b||), tol the operands'."""
     _check_dims(a.dim, b.dim)
     c = linalg.commutator(a.matrix, b.matrix)
-    return linalg.spectral_norm(c) <= tol * max(1.0, a.norm * b.norm)
+    return linalg.spectral_norm(c) <= max(a.tol, b.tol) * max(1.0, a.norm * b.norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,26 +201,26 @@ class CoexistenceWitness:
         """d = I - a1 - b1 - c, the fourth observable member."""
         dim = self.a1.dim
         return validate_effect(
-            np.eye(dim) - self.a1.matrix - self.b1.matrix - self.c.matrix
+            np.eye(dim) - self.a1.matrix - self.b1.matrix - self.c.matrix,
+            max(self.a1.tol, self.b1.tol, self.c.tol),
         )
 
 
-def verify_coexistence_witness(
-    a: Effect, b: Effect, witness: CoexistenceWitness, tol: float = DECISION_TOL
-) -> bool:
+def verify_coexistence_witness(a: Effect, b: Effect, witness: CoexistenceWitness) -> bool:
     """Check that a witness actually decomposes the pair (a, b).
 
     True iff all three members are valid effects, a1 + b1 + c <= I, and
-    a = a1 + c, b = b1 + c within tolerance.
+    a = a1 + c, b = b1 + c, all within the loosest operand's tolerance.
     """
     _check_dims(a.dim, b.dim, witness.a1.dim, witness.b1.dim, witness.c.dim)
+    tol = max(x.tol for x in (a, b, witness.a1, witness.b1, witness.c))
     try:
         for member in (witness.a1, witness.b1, witness.c):
-            validate_effect(member.matrix)
+            validate_effect(member.matrix, tol)
     except (SpectrumOutOfRangeError, ValueError):
         return False
     total = witness.a1.matrix + witness.b1.matrix + witness.c.matrix
-    if float(np.max(np.linalg.eigvalsh(total))) > 1.0 + EFFECT_SPECTRUM_TOL:
+    if float(np.max(np.linalg.eigvalsh(total))) > 1.0 + tol:
         return False
     res_a = linalg.operator_norm(a.matrix - witness.a1.matrix - witness.c.matrix)
     res_b = linalg.operator_norm(b.matrix - witness.b1.matrix - witness.c.matrix)
@@ -234,10 +236,11 @@ def commuting_witness(a: Effect, b: Effect) -> CoexistenceWitness:
         raise NotCommutingError("commuting_witness requires a commuting pair")
     prod = a.matrix @ b.matrix
     prod = (prod + prod.conj().T) / 2.0  # exact product is Hermitian; drop round-off skew
+    tol = max(a.tol, b.tol)
     return CoexistenceWitness(
-        a1=validate_effect(a.matrix - prod),
-        b1=validate_effect(b.matrix - prod),
-        c=validate_effect(prod),
+        a1=validate_effect(a.matrix - prod, tol),
+        b1=validate_effect(b.matrix - prod, tol),
+        c=validate_effect(prod, tol),
     )
 
 
@@ -245,4 +248,4 @@ def evolve_state(rho: State, a: Effect, t: float) -> State:
     """exp(ita) rho exp(-ita): the state after the unitary a-channel runs for time t."""
     _check_dims(rho.dim, a.dim)
     u = linalg.unitary_from_decomposition(a.decomposition, t)
-    return validate_state(u.conj().T @ rho.matrix @ u)
+    return validate_state(u.conj().T @ rho.matrix @ u, max(rho.tol, a.tol))

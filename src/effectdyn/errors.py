@@ -33,14 +33,6 @@ class InvalidOrderError(EffectdynError):
     """Derivative order must be a positive integer."""
 
 
-class ClassifierInconsistencyError(EffectdynError):
-    """Constancy holds but neither reason branch matches.
-
-    Signals a tolerance bug in the classifier, not a mathematical
-    possibility.
-    """
-
-
 class ConsistencyError(EffectdynError):
     """Two algebraically equal computation routes disagree numerically."""
 

@@ -3,10 +3,11 @@
 The a-evolution of an effect b is b(t|a) = e^{-ita} b e^{ita}: the influence
 on b of an effect a that occurred time t ago but was never recorded. The
 time-dependent sequential product a[t]b = a o b(t|a) models "measure a, wait
-t, then measure b". a[t]b is constant in t exactly when [a o b, a] = 0,
-equivalently when [a, b] = 0 or a is a scaled projection; the classifier
-decides this algebraically and the bruteforce grid check serves as its
-independent oracle.
+t, then measure b". a[t]b is constant in t exactly when [a o b, a] =
+-a^{1/2}[a, b]a^{1/2} vanishes, i.e. when [a, PbP] = 0 for the support
+projection P of a. Only for invertible a, or a with one distinct nonzero
+eigenvalue, is that "[a, b] = 0 or a = lambda p". The classifier decides
+this algebraically and the bruteforce grid check is its independent oracle.
 
 Both go through one kernel, :class:`EigenFrame`: in the eigenbasis V of a,
 e^{-ita} m e^{ita} = V (E_t ⊙ V†mV) V† with E_t(j,k) = e^{-it(w_j - w_k)},
@@ -15,7 +16,8 @@ so a frame is built once per pair and each t costs only the phases. In V,
 are frame reads as well. A frame of a[t]b validates a∘b and cross-checks
 its two routes once, when it is built; the public time_seq_product checks
 its one t against the dense form. Only classify_scaled_projection groups
-coincident eigenvalues (CLUSTER_GAP_RTOL).
+coincident eigenvalues. Derived effects and decisions use the loosest
+operand's admission tolerance, Effect.tol.
 
 Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 """
@@ -27,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .effects import DECISION_TOL, Effect, sequential_product, commutes, validate_effect
+from .effects import Effect, commutes, sequential_product, validate_effect
 from .errors import (
-    ClassifierInconsistencyError,
     ConsistencyError,
     DimensionMismatchError,
     EmptyGridError,
@@ -37,19 +38,16 @@ from .errors import (
     NotAProjectionError,
 )
 
+# Fixed numerical bounds, not user decisions: neither follows --tol.
 # Grid-sampled constancy decisions (one order looser than the algebraic one:
 # the grid maximum underestimates the true supremum).
 BRUTEFORCE_TOL = 1e-8
 # Agreement required between the two computed forms of a[t]b.
 CROSS_CHECK_TOL = 1e-10
-# Gap threshold (relative to the operator norm) for grouping eigenvalues
-# into distinct-eigenvalue clusters, and the level below which a cluster
-# counts as zero; deliberately looser than the eigensolver residual so
-# spectral projections stay stable.
-CLUSTER_GAP_RTOL = 1e-8
 
 REASON_COMMUTING = "Commuting"
 REASON_SCALED_PROJECTION = "ScaledProjection"
+REASON_COMMUTING_ON_SUPPORT = "CommutingOnSupport"
 REASON_NEITHER = "Neither"
 
 
@@ -65,9 +63,10 @@ class ScaledProjectionDecomposition:
 class ConstancyReport:
     """Outcome of the constancy decision for a pair (a, b).
 
-    ``residual`` is ||[a o b, a]||; ``constant`` holds iff it is below the
-    decision tolerance. ``reason`` is "Commuting", "ScaledProjection" or
-    "Neither"; the decomposition is attached for the scaled-projection case.
+    ``residual`` is ||[a o b, a]||; ``constant`` holds iff it is at most the
+    operands' tolerance. ``reason`` is "Commuting", "ScaledProjection",
+    "CommutingOnSupport" (see constancy_classifier) or "Neither"; the
+    decomposition is attached for the scaled-projection case.
     """
 
     constant: bool
@@ -154,7 +153,7 @@ def effect_evolution(b: Effect, a: Effect, t: float) -> Effect:
 
     Unitary conjugation, so the spectrum (and trace) of b is preserved.
     """
-    return validate_effect(EigenFrame.evolution(a, b).at(t))
+    return validate_effect(EigenFrame.evolution(a, b).at(t), max(a.tol, b.tol))
 
 
 def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarray:
@@ -187,7 +186,7 @@ def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
     value = EigenFrame.evolution(a, sequential_product(a, b)).at(t)
     u = linalg.unitary_from_decomposition(a.decomposition, t)
     _cross_check(value, a.sqrt @ (u @ b.matrix @ u.conj().T) @ a.sqrt)
-    return validate_effect(value)
+    return validate_effect(value, max(a.tol, b.tol))
 
 
 def seq_product_derivative(a: Effect, b: Effect, t: float) -> np.ndarray:
@@ -207,10 +206,10 @@ def projection_evolution_closed_form(
           + (e^{i lambda t} - 1) bp.
 
     Serves as the module's cross-check against effect_evolution(b, scale*p, t).
-    Raises NotAProjectionError when p fails p^2 = p or p = 0.
+    Raises NotAProjectionError when p fails p^2 = p or p = 0 within p.tol.
     """
     pm = p.matrix
-    if linalg.projection_defect(pm) > DECISION_TOL or p.norm <= DECISION_TOL:
+    if linalg.projection_defect(pm) > p.tol or p.norm <= p.tol:
         raise NotAProjectionError("closed form requires a nonzero projection")
     phase = np.exp(-1j * scale * t)
     bp = b.matrix @ pm
@@ -221,7 +220,7 @@ def projection_evolution_closed_form(
         + (phase - 1.0) * pb
         + (np.conj(phase) - 1.0) * bp
     )
-    return validate_effect(out)
+    return validate_effect(out, max(b.tol, p.tol))
 
 
 def seq_deviation_profile(a: Effect, b: Effect, times) -> np.ndarray:
@@ -249,51 +248,43 @@ def constancy_bruteforce(a: Effect, b: Effect, grid, tol: float = BRUTEFORCE_TOL
 
 
 def classify_scaled_projection(a: Effect) -> ScaledProjectionDecomposition | None:
-    """Decompose a = lambda * p if a's spectrum is {0, lambda} (or {lambda}).
+    """Decompose a = lambda * p, within a.tol, if a's spectrum is {0, lambda} or {lambda}.
 
-    This is the one place that groups eigenvalues. Ascending eigenvalues
-    whose neighbours lie within CLUSTER_GAP_RTOL * max(1, ||a||) of each
-    other form one cluster, valued at its mean; a cluster counts as zero when
-    its mean is within that same level of 0. The decomposition exists iff
-    exactly one cluster is nonzero: lambda is its value (capped at 1) and p
-    the projection onto its eigenvectors. Returns None otherwise — in
-    particular for a = 0.
+    This is the one place that groups eigenvalues: those with |w| <= a.tol
+    count as zero, and the rest must exist and span at most 2 * a.tol. Then
+    lambda is their midpoint (capped at 1) and p the projection onto their
+    eigenvectors, so ||a - lambda p|| <= a.tol. Returns None otherwise.
     """
     d = a.decomposition
-    tol = CLUSTER_GAP_RTOL * max(1.0, a.norm)
-    clusters = np.split(np.arange(a.dim), np.flatnonzero(np.diff(d.eigenvalues) > tol) + 1)
-    nonzero = [c for c in clusters if abs(np.mean(d.eigenvalues[c])) > tol]
-    if len(nonzero) != 1:
+    nonzero = np.abs(d.eigenvalues) > a.tol
+    w = d.eigenvalues[nonzero]
+    if w.size == 0 or w[-1] - w[0] > 2.0 * a.tol:
         return None
-    cluster = nonzero[0]
-    scale = min(float(np.mean(d.eigenvalues[cluster])), 1.0)
-    cols = d.vectors[:, cluster]
-    return ScaledProjectionDecomposition(scale, validate_effect(cols @ cols.conj().T))
+    cols = d.vectors[:, nonzero]
+    scale = min(float(w[0] + w[-1]) / 2.0, 1.0)
+    return ScaledProjectionDecomposition(scale, validate_effect(cols @ cols.conj().T, a.tol))
 
 
-def constancy_classifier(a: Effect, b: Effect, tol: float = DECISION_TOL) -> ConstancyReport:
+def constancy_classifier(a: Effect, b: Effect) -> ConstancyReport:
     """Decide whether a[t]b is constant in t, and why.
 
-    Constancy is equivalent to [a o b, a] = 0, which holds exactly when
-    [a, b] = 0 or a is a scaled projection; the decision is therefore purely
-    algebraic (no time sampling). When both reasons apply (e.g. a = lambda*I)
-    the report says Commuting. Raises ClassifierInconsistencyError if the
-    residual is below tolerance but neither reason matches — a tolerance bug,
-    not a mathematical possibility.
+    Constancy is [a o b, a] = -a^{1/2}[a, b]a^{1/2} = 0 within the operands'
+    tolerance, decided algebraically (no time sampling). The reason is the
+    first that applies: Commuting, ScaledProjection (so a = lambda*I reports
+    Commuting), else CommutingOnSupport; exactly, the last is [a, PbP] = 0
+    for the support projection P of a singular a with two or more distinct
+    nonzero eigenvalues.
     """
     residual = float(
         linalg.spectral_norm(
             linalg.commutator(sequential_product(a, b).matrix, a.matrix)
         )
     )
-    if residual > tol:
+    if residual > max(a.tol, b.tol):
         return ConstancyReport(False, REASON_NEITHER, residual)
-    if commutes(a, b, tol):
+    if commutes(a, b):
         return ConstancyReport(True, REASON_COMMUTING, residual)
     decomposition = classify_scaled_projection(a)
     if decomposition is not None:
         return ConstancyReport(True, REASON_SCALED_PROJECTION, residual, decomposition)
-    raise ClassifierInconsistencyError(
-        f"[a o b, a] vanishes (residual {residual:.3g}) but the pair neither "
-        "commutes nor has a scaled-projection decomposition within tolerance"
-    )
+    return ConstancyReport(True, REASON_COMMUTING_ON_SUPPORT, residual)

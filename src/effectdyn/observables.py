@@ -5,7 +5,7 @@ Covers outcome distributions, the sequential product A o B, conditioning
 time-dependent conditional observable (B|A)(t|A), and convex combinations.
 Every operation funnels its output through validate_observable, so the
 normalization arguments behind each construction are re-checked numerically
-on every call.
+on every call, at the loosest admission tolerance of the members involved.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .effects import Effect, State, clamp_unit, sequential_product, validate_effect
+from .effects import STATE_TRACE_TOL, Effect, State, clamp_unit, sequential_product, validate_effect
 from .errors import (
     ConsistencyError,
     DimensionMismatchError,
@@ -28,9 +28,7 @@ from .errors import (
 )
 from .evolution import effect_evolution, time_seq_product
 
-# ||sum of effects - I|| admitted for a valid observable.
-OBSERVABLE_SUM_TOL = 1e-9
-DISTRIBUTION_SUM_TOL = 1e-10
+# Convex weights must sum to 1 this closely; a fixed bound that does not follow --tol.
 WEIGHT_SUM_TOL = 1e-12
 
 # Joins outcome labels of product observables: (x, y) -> "x⊗y".
@@ -42,7 +40,8 @@ class Observable:
     """Ordered family of effects summing to the identity.
 
     ``outcomes`` are unique string labels parallel to ``effects``; both are
-    stored in declaration order and all iteration is order-stable.
+    stored in declaration order and all iteration is order-stable. ``tol``
+    is the loosest admission tolerance among the members.
     """
 
     outcomes: tuple[str, ...]
@@ -51,6 +50,10 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.effects[0].dim
+
+    @property
+    def tol(self) -> float:
+        return max(e.tol for e in self.effects)
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -75,9 +78,10 @@ def validate_observable(effects, outcomes=None) -> Observable:
     """Check that the effects form an observable and build it.
 
     Members may be Effect instances or raw matrices; raw members are
-    validated (MemberNotEffectError on failure). The sum must be I within
-    OBSERVABLE_SUM_TOL (SumNotIdentityError, carrying the residual, on
-    failure). Labels default to "0", "1", ...; duplicates are rejected.
+    validated at the default tolerance (MemberNotEffectError on failure).
+    The sum must be I within the loosest member's tolerance
+    (SumNotIdentityError, carrying the residual, on failure). Labels default
+    to "0", "1", ...; duplicates are rejected.
     """
     members: list[Effect] = []
     for i, m in enumerate(effects):
@@ -105,30 +109,31 @@ def validate_observable(effects, outcomes=None) -> Observable:
     for m in members:
         total += m.matrix
     residual = linalg.operator_norm(total - np.eye(dim))
-    if residual > OBSERVABLE_SUM_TOL:
+    obs = Observable(labels, tuple(members))
+    if residual > obs.tol:
         raise SumNotIdentityError(
-            f"effects sum to I only within {residual:.3g} (> {OBSERVABLE_SUM_TOL})",
-            residual,
+            f"effects sum to I only within {residual:.3g} (> {obs.tol!r})", residual
         )
-    return Observable(labels, tuple(members))
+    return obs
 
 
 def distribution(a: Observable, rho: State) -> OutcomeDistribution:
-    """The probability measure x -> tr(rho A_x) of A in the state rho."""
+    """The probability measure x -> tr(rho A_x) of A in the state rho.
+
+    The raw sum must be 1 within what the inputs allow, the observable's
+    tolerance plus STATE_TRACE_TOL (ConsistencyError beyond it); then each
+    probability within the operands' tolerance of 0 or 1 is clamped onto it.
+    """
     if rho.dim != a.dim:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} vs observable dimension {a.dim}"
         )
-    probs = tuple(
-        clamp_unit(float(linalg.trace_inner(rho.matrix, m.matrix).real))
-        for m in a.effects
-    )
-    total = sum(probs)
-    if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
-        raise ConsistencyError(
-            f"distribution sums to {total!r}, off 1 beyond {DISTRIBUTION_SUM_TOL}"
-        )
-    return OutcomeDistribution(a.outcomes, probs)
+    raw = [float(linalg.trace_inner(rho.matrix, m.matrix).real) for m in a.effects]
+    bound = a.tol + STATE_TRACE_TOL
+    if abs(sum(raw) - 1.0) > bound:
+        raise ConsistencyError(f"distribution sums to {sum(raw)!r}, off 1 beyond {bound!r}")
+    tol = max(a.tol, rho.tol)
+    return OutcomeDistribution(a.outcomes, tuple(clamp_unit(p, tol) for p in raw))
 
 
 def product_label(x: str, y: str) -> str:
@@ -153,7 +158,7 @@ def conditioned_observable(b: Observable, a: Observable) -> Observable:
         total = np.zeros((b.dim, b.dim), dtype=complex)
         for ax in a.effects:
             total += sequential_product(ax, by).matrix
-        members.append(total)
+        members.append(validate_effect(total, max(a.tol, b.tol)))
     return validate_observable(members, b.outcomes)
 
 
@@ -182,7 +187,7 @@ def time_conditional_observable(b: Observable, a: Observable, t: float) -> Obser
         total = np.zeros((b.dim, b.dim), dtype=complex)
         for ax in a.effects:
             total += time_seq_product(ax, by, t).matrix
-        members.append(total)
+        members.append(validate_effect(total, max(a.tol, b.tol)))
     return validate_observable(members, b.outcomes)
 
 
@@ -196,7 +201,7 @@ def convex_combination(weights, observables) -> Observable:
     obs = list(observables)
     if len(ws) != len(obs) or not obs:
         raise SchemaError(f"{len(ws)} weights for {len(obs)} observables")
-    if any(w < 0.0 or w > 1.0 for w in ws) or abs(sum(ws) - 1.0) > WEIGHT_SUM_TOL:
+    if not all(0.0 <= w <= 1.0 for w in ws) or abs(sum(ws) - 1.0) > WEIGHT_SUM_TOL:
         raise WeightsNotNormalizedError(
             f"weights must lie in [0,1] and sum to 1, got {ws}"
         )
@@ -207,9 +212,10 @@ def convex_combination(weights, observables) -> Observable:
                 f"outcome sets differ: {first.outcomes} vs {o.outcomes}"
             )
     members = []
+    tol = max(o.tol for o in obs)
     for y in range(len(first)):
         total = np.zeros((first.dim, first.dim), dtype=complex)
         for w, o in zip(ws, obs):
             total += w * o.effects[y].matrix
-        members.append(total)
+        members.append(validate_effect(total, tol))
     return validate_observable(members, first.outcomes)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
@@ -59,9 +60,9 @@ def document_to_matrix(doc) -> np.ndarray:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
+                or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in pair)
             ):
-                raise SchemaError(f"entry ({i},{j}) must be an [re, im] pair of numbers")
+                raise SchemaError(f"entry ({i},{j}) must be an [re, im] pair of finite numbers")
             out[i, j] = complex(pair[0], pair[1])
     return out
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from effectdyn import cli, serialization, validate_effect
+from effectdyn.serialization import operator_to_document
 from effectdyn.observables import validate_observable
 
 
@@ -49,6 +50,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def exit_code(capsys, argv):
+    """The exit status of argv, whether returned or raised by argparse."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 # -- validate ---------------------------------------------------------------
 
 
@@ -65,6 +75,12 @@ def test_validate_effect_out_of_range(files, capsys):
     assert code == 2
     assert "valid: false" in out
     assert "reason:" in out
+
+
+def test_validate_overshoot_reports_value_and_bound(files, capsys):
+    code, out, _ = run(capsys, ["validate", files["hot"]])
+    assert code == 2
+    assert "reason: eigenvalue 1.0000005 above 1 + 1e-09" in out
 
 
 def test_validate_state(files, capsys):
@@ -90,6 +106,15 @@ def test_validate_parse_failure(files, capsys):
     assert code == 3
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_entry_is_parse_failure(files, capsys, value):
+    path = files["root"] / f"entry_{value}.json"
+    path.write_text(f'{{"dim": 1, "entries": [[[{value}, 0]]]}}', encoding="utf-8")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (3, "")
+    assert "finite" in err
 
 
 def test_missing_file_is_invalid_input(files, capsys):
@@ -127,6 +152,36 @@ def test_tol_override_reaches_state_files(files, capsys):
         code, out, err = run(capsys, ["--tol", "1e-6", *argv])
         assert (code, err) == (0, "")
     assert json.loads(run(capsys, ["--tol", "1e-6", *dist])[1]) == {"u": 0.5, "v": 0.5}
+    # the probabilities are clamped at --tol too, not at the default tolerance
+    dist = ["--tol", "1e-6", "observable", "dist", files["obs_a"], "--state", rho]
+    assert json.loads(run(capsys, dist)[1]) == {"p": 1.0, "q": 0.0}
+
+
+def test_tol_override_reaches_everything_derived(files, capsys):
+    # a passes `--tol 1e-6 validate`, so every value derived from it must be
+    # admitted, summed and clamped at that tolerance too, not at the default
+    root = files["root"]
+    a = np.diag([1.0 + 5e-7, 0.3])
+    hot = write_op(root / "hot_a.json", a)
+    doc = {"outcomes": ["x", "y"], "effects": [operator_to_document(a), operator_to_document(np.eye(2) - a)]}
+    (root / "obs_hot.json").write_text(json.dumps(doc), encoding="utf-8")
+    obs, pure = str(root / "obs_hot.json"), write_op(root / "pure.json", np.diag([1.0, 0.0]))
+    assert run(capsys, ["--tol", "1e-6", "validate", hot])[0] == 0
+    code, out, err = run(capsys, ["--tol", "1e-6", "classify", hot, write_op(root / "eye.json", np.eye(2))])
+    assert (code, err) == (0, "") and "constant: true" in out
+    for argv in (
+        ["seqprod", obs, files["obs_a"]],
+        ["tseq", obs, files["obs_a"], "--t", "1.3"],
+        ["cond", obs, files["obs_a"]],
+        ["tcond", obs, files["obs_a"], "--t", "1.3"],
+        ["convex", "--weights", "0.5,0.5", obs, obs],
+        ["dist", obs],
+    ):
+        code, out, err = run(capsys, ["--tol", "1e-6", "observable", *argv, "--state", pure])
+        assert (code, err) == (0, ""), argv
+        doc = json.loads(out)
+        probabilities = list(doc.get("distribution", doc).values())
+        assert all(0.0 <= p <= 1.0 for p in probabilities), (argv, probabilities)
 
 
 def test_evolve_rows_and_header(files, capsys):
@@ -321,6 +376,28 @@ def test_observable_convex_outcome_mismatch(files, capsys):
         ["observable", "convex", "--weights", "0.5,0.5", files["obs_a"], files["obs_b"]],
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["observable", "convex", "--weights", "x,1", "@obs_a", "@obs_a"],
+        ["observable", "convex", "--weights", "nan,1", "@obs_a", "@obs_a"],
+        ["observable", "tseq", "@obs_a", "@obs_a", "--t", "nan"],
+        ["observable", "tcond", "@obs_a", "@obs_a", "--t", "inf"],
+        ["evolve", "@a", "@b", "--t1", "nan"],
+        ["evolve", "@a", "@b", "--t1", "inf"],
+        ["evolve", "@a", "@b", "--t0", "nan", "--mode", "seqprod"],
+        ["scan", "--trials", "1", "--tmax", "inf", "--out", "@root"],
+        ["--tol", "nan", "evolve", "@a", "@b"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_or_malformed_flags_are_invalid_input(files, capsys, argv):
+    # "@key" stands for the fixture file files[key]
+    code, err = exit_code(capsys, [str(files[x[1:]]) if x[0] == "@" else x for x in argv])
+    assert code == 2
+    assert "error:" in err
 
 
 # -- examples ---------------------------------------------------------------

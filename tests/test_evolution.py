@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectdyn import (
     ConsistencyError,
@@ -244,10 +246,50 @@ def test_classifier_commuting_reason_and_precedence(rng):
 
 
 def test_classifier_tolerance_override():
-    a, b = example1()
-    # residual 2^(-5/2) ~ 0.177 is below an absurdly loose tolerance
-    report = constancy_classifier(a, b, tol=1.0)
+    a, b = (validate_effect(e.matrix, tol=1.0) for e in example1())
+    # residual 2^(-5/2) ~ 0.177 is below the absurdly loose tolerance both operands carry
+    report = constancy_classifier(a, b)
     assert report.constant and report.reason == "Commuting"
+
+
+def test_classifier_constant_on_support_of_singular_a():
+    # [a, b] != 0 and a = diag(0, .3, .6) is no scaled projection, but b's
+    # compression to the support of a is diagonal, so a[t]b is constant.
+    a = validate_effect(np.diag([0.0, 0.3, 0.6]))
+    b = validate_effect(np.array([[0.5, 0.2, 0.0], [0.2, 0.5, 0.0], [0.0, 0.0, 0.5]]))
+    report = constancy_classifier(a, b)
+    assert report.constant and report.reason == "CommutingOnSupport"
+    assert report.residual == 0.0 and max_seq_deviation(a, b, GRID) == 0.0
+    assert constancy_bruteforce(a, b, GRID)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    log_tol=st.floats(-12.0, -3.0),
+    kernel=st.integers(0, 2),
+    splits=st.lists(st.floats(0.0, 10.0), min_size=0, max_size=2),
+    scale=st.floats(0.05, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classifier_near_degenerate_spectra(log_tol, kernel, splits, scale, seed):
+    # a has `kernel` eigenvalues within tol of 0 and a cluster scale + split * tol
+    # with splits up to 10 * tol, in a random eigenbasis; both operands admitted at tol.
+    tol = 10.0**log_tol
+    rng = np.random.default_rng(seed)
+    spectrum = [*rng.uniform(-tol, tol, kernel), scale, *(scale + x * tol for x in splits)]
+    dim = max(len(spectrum), 2)
+    spectrum += [0.0] * (dim - len(spectrum))
+    u = random_unitary(dim, rng)
+    a = validate_effect((u * spectrum) @ u.conj().T, tol)
+    b = validate_effect(random_effect(dim, rng).matrix, tol)
+    report = constancy_classifier(a, b)
+    assert report.constant == (report.residual <= tol)
+    if report.reason == "Commuting":
+        commutator = linalg.spectral_norm(linalg.commutator(a.matrix, b.matrix))
+        assert commutator <= tol * max(1.0, a.norm * b.norm)
+    if report.reason == "ScaledProjection":
+        d = report.decomposition
+        assert linalg.spectral_norm(a.matrix - d.scale * d.projection.matrix) <= tol + 1e-12
 
 
 def test_bruteforce_grid_cases():

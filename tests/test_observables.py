@@ -105,6 +105,19 @@ def test_distribution_dimension_check(rng):
         distribution(random_observable(2, 2, rng), random_state(3, rng))
 
 
+def test_distribution_checks_the_raw_sum_then_clamps():
+    # both sets of inputs are admitted at the default tolerance; the clamped
+    # probabilities used to be summed against a tighter 1e-10 bound and raised
+    hot = validate_observable([np.diag([0.5 + 5e-10, 0.5]), np.diag([0.5, 0.5])])
+    dist = distribution(hot, validate_state(np.diag([1.0, 0.0])))
+    assert dist.probabilities == pytest.approx((0.5, 0.5), abs=1e-9)
+    split = validate_observable([np.diag([0.0, 1.0]), np.diag([0.5, 0.0]), np.diag([0.5, 0.0])])
+    dist = distribution(split, validate_state(np.diag([1.0 + 5e-10, -5e-10])))
+    assert dist.probabilities[0] == 0.0
+    assert all(0.0 <= p <= 1.0 for p in dist.probabilities)
+    assert sum(dist.probabilities) == pytest.approx(1.0, abs=2e-9)
+
+
 def test_obs_seq_product_labels_and_identity_cases(rng):
     a_obs = random_observable(2, 2, rng)
     eye = validate_observable([np.eye(2)], ["i"])
