@@ -22,7 +22,8 @@ from .errors import (
 )
 
 # Default admission tolerance. Each Effect/State keeps the one it was admitted
-# at; derived values and yes/no decisions use the loosest operand's.
+# at; derived values (compounded for products, see product_tol) and yes/no
+# decisions use the loosest operand's.
 DECISION_TOL = 1e-9
 # Fixed numerical bound, not a user decision: it does not follow --tol.
 STATE_TRACE_TOL = 1e-10
@@ -164,15 +165,24 @@ def probability(rho: State, a: Effect) -> float:
     return clamp_unit(p, max(rho.tol, a.tol))
 
 
+def product_tol(tol_a: float, tol_b: float) -> float:
+    """Admission tolerance of a product of operands admitted at tol_a and tol_b.
+
+    With -t <= x <= 1 + t for both, a^{1/2} b a^{1/2} (and its sum over a's
+    in an observable) lies in [-t_b(1 + t_a), (1 + t_a)(1 + t_b)].
+    """
+    return (1.0 + tol_a) * (1.0 + tol_b) - 1.0
+
+
 def sequential_product(a: Effect, b: Effect) -> Effect:
     """a o b = a^(1/2) b a^(1/2): measure a, then b immediately after.
 
-    The result is re-validated as an effect rather than trusted; it always
-    satisfies a o b <= a, and equals ab when a and b commute.
+    The result is re-validated as an effect, at product_tol, rather than
+    trusted; it always satisfies a o b <= a, and equals ab when a and b commute.
     """
     _check_dims(a.dim, b.dim)
     s = a.sqrt
-    return validate_effect(s @ b.matrix @ s, max(a.tol, b.tol))
+    return validate_effect(s @ b.matrix @ s, product_tol(a.tol, b.tol))
 
 
 def commutes(a: Effect, b: Effect) -> bool:

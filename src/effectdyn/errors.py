@@ -62,7 +62,7 @@ class MemberNotEffectError(EffectdynError):
 
 
 class WeightsNotNormalizedError(EffectdynError):
-    """Convex weights must lie in [0, 1] and sum to one."""
+    """Convex weights must be one per observable, lie in [0, 1] and sum to one."""
 
 
 class OutcomeSetMismatchError(EffectdynError):

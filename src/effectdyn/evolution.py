@@ -17,7 +17,7 @@ are frame reads as well. A frame of a[t]b validates a∘b and cross-checks
 its two routes once, when it is built; the public time_seq_product checks
 its one t against the dense form. Only classify_scaled_projection groups
 coincident eigenvalues. Derived effects and decisions use the loosest
-operand's admission tolerance, Effect.tol.
+operand's admission tolerance, Effect.tol; products compound it (product_tol).
 
 Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .effects import Effect, commutes, sequential_product, validate_effect
+from .effects import Effect, commutes, product_tol, sequential_product, validate_effect
 from .errors import (
     ConsistencyError,
     DimensionMismatchError,
@@ -165,7 +165,11 @@ def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarr
     """
     if int(n) != n or n < 1:
         raise InvalidOrderError(f"derivative order must be a positive integer, got {n!r}")
-    m = EigenFrame.evolution(a, b).matrices([t], int(n))[0]
+    return _hermitian_derivative(EigenFrame.evolution(a, b), t, int(n))
+
+
+def _hermitian_derivative(frame: EigenFrame, t: float, n: int) -> np.ndarray:
+    m = frame.matrices([t], n)[0]
     return (m + m.conj().T) / 2.0
 
 
@@ -181,18 +185,17 @@ def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
     the frame of a o b. For one t, that value is checked directly against
     the dense form a^{1/2} b(t|a) a^{1/2} (ConsistencyError beyond
     CROSS_CHECK_TOL) instead of through EigenFrame.product's check for every
-    t, and returned validated.
+    t, and returned validated at product_tol of the operands.
     """
     value = EigenFrame.evolution(a, sequential_product(a, b)).at(t)
     u = linalg.unitary_from_decomposition(a.decomposition, t)
     _cross_check(value, a.sqrt @ (u @ b.matrix @ u.conj().T) @ a.sqrt)
-    return validate_effect(value, max(a.tol, b.tol))
+    return validate_effect(value, product_tol(a.tol, b.tol))
 
 
 def seq_product_derivative(a: Effect, b: Effect, t: float) -> np.ndarray:
-    """d/dt a[t]b = i[a[t]b, a]; Hermitian, and zero for all t iff constant."""
-    m = 1j * linalg.commutator(time_seq_product(a, b, t).matrix, a.matrix)
-    return (m + m.conj().T) / 2.0
+    """d/dt a[t]b = i[a[t]b, a] from its checked frame; Hermitian, zero for all t iff constant."""
+    return _hermitian_derivative(EigenFrame.product(a, b), t, 1)
 
 
 def projection_evolution_closed_form(
@@ -237,14 +240,14 @@ def max_seq_deviation(a: Effect, b: Effect, times) -> float:
     return float(np.max(seq_deviation_profile(a, b, times)))
 
 
-def constancy_bruteforce(a: Effect, b: Effect, grid, tol: float = BRUTEFORCE_TOL) -> bool:
-    """Grid-sampled constancy: true iff max_t ||a[t]b - a o b|| <= tol.
+def constancy_bruteforce(a: Effect, b: Effect, grid) -> bool:
+    """Grid-sampled constancy: true iff max_t ||a[t]b - a o b|| <= BRUTEFORCE_TOL.
 
     Independent oracle for the classifier. A degenerate grid such as {0}
     trivially returns true — callers choose grids that actually probe the
     dynamics. Raises EmptyGridError on an empty grid.
     """
-    return max_seq_deviation(a, b, grid) <= tol
+    return max_seq_deviation(a, b, grid) <= BRUTEFORCE_TOL
 
 
 def classify_scaled_projection(a: Effect) -> ScaledProjectionDecomposition | None:

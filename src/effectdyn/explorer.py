@@ -223,12 +223,7 @@ def _draw_pair(cfg: ScanConfig, trial: int) -> tuple[Effect, Effect, float] | No
 
 
 def _histogram(gaps: list[float]) -> dict:
-    counts = [0] * (len(_HISTOGRAM_EDGES) - 1)
-    for g in gaps:
-        for i in range(len(counts)):
-            if _HISTOGRAM_EDGES[i] <= g < _HISTOGRAM_EDGES[i + 1]:
-                counts[i] += 1
-                break
+    counts = np.histogram(gaps, bins=_HISTOGRAM_EDGES)[0].tolist()
     labels = [
         f"[{_HISTOGRAM_EDGES[i]:g}, {_HISTOGRAM_EDGES[i + 1]:g})"
         for i in range(len(counts))

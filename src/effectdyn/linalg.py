@@ -34,7 +34,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Check Hermiticity and return the symmetrized matrix (M + M†)/2.
 
     Symmetrizing after the check removes round-off asymmetry before any
@@ -43,9 +43,9 @@ def require_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     m = as_complex_matrix(m)
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     defect = hermiticity_defect(m)
-    if defect > rtol * scale:
+    if defect > HERMITICITY_RTOL * scale:
         raise NonHermitianError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {rtol * scale:.3e}"
+            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_RTOL * scale:.3e}"
         )
     return (m + m.conj().T) / 2.0
 
@@ -71,13 +71,13 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def eigh(m, rtol: float = HERMITICITY_RTOL) -> SpectralDecomposition:
+def eigh(m) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
     Raises NonHermitianError when the input fails the Hermiticity check;
     eigenvalues come back ascending and real.
     """
-    h = require_hermitian(m, rtol)
+    h = require_hermitian(m)
     w, v = np.linalg.eigh(h)
     return SpectralDecomposition(_readonly(w), _readonly(v))
 
@@ -104,10 +104,7 @@ def commutator(a, b) -> np.ndarray:
 
 def operator_norm(m) -> float:
     """Largest absolute eigenvalue of a Hermitian matrix."""
-    h = require_hermitian(m)
-    if h.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    return float(operator_norms(require_hermitian(m)))
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:

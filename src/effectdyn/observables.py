@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .effects import STATE_TRACE_TOL, Effect, State, clamp_unit, sequential_product, validate_effect
+from .effects import (
+    STATE_TRACE_TOL, Effect, State, clamp_unit, product_tol, sequential_product, validate_effect
+)
 from .errors import (
     ConsistencyError,
     DimensionMismatchError,
@@ -122,7 +124,12 @@ def distribution(a: Observable, rho: State) -> OutcomeDistribution:
 
     The raw sum must be 1 within what the inputs allow, the observable's
     tolerance plus STATE_TRACE_TOL (ConsistencyError beyond it); then each
-    probability within the operands' tolerance of 0 or 1 is clamped onto it.
+    probability is clamped onto [0, 1] within the bound its operands allow.
+
+    The bound: rho = rho+ - rho- with rho+, rho- >= 0; at most d - 1 eigenvalues of
+    rho are negative, each >= -t_rho, so tr(rho-) <= n = (d - 1) t_rho and
+    tr(rho+) <= 1 + tau + n (tau = STATE_TRACE_TOL). As -t_A <= A_x <= 1 + t_A,
+    -(n + e) <= tr(rho A_x) <= 1 + n + tau + e, e = t_A (1 + tau + 2n).
     """
     if rho.dim != a.dim:
         raise DimensionMismatchError(
@@ -132,7 +139,8 @@ def distribution(a: Observable, rho: State) -> OutcomeDistribution:
     bound = a.tol + STATE_TRACE_TOL
     if abs(sum(raw) - 1.0) > bound:
         raise ConsistencyError(f"distribution sums to {sum(raw)!r}, off 1 beyond {bound!r}")
-    tol = max(a.tol, rho.tol)
+    n = (rho.dim - 1) * rho.tol
+    tol = n + STATE_TRACE_TOL + a.tol * (1.0 + STATE_TRACE_TOL + 2.0 * n)
     return OutcomeDistribution(a.outcomes, tuple(clamp_unit(p, tol) for p in raw))
 
 
@@ -140,26 +148,38 @@ def product_label(x: str, y: str) -> str:
     return f"{x}{PRODUCT_LABEL_SEP}{y}"
 
 
-def obs_seq_product(a: Observable, b: Observable) -> Observable:
-    """A o B: effects A_x o B_y over the product outcome set, input order."""
+def _pairwise(product, a: Observable, b: Observable, *args) -> Observable:
+    """Effects product(A_x, B_y, *args) over the product outcome set, input order."""
     labels = []
     members = []
     for x, ax in zip(a.outcomes, a.effects):
         for y, by in zip(b.outcomes, b.effects):
             labels.append(product_label(x, y))
-            members.append(sequential_product(ax, by))
+            members.append(product(ax, by, *args))
     return validate_observable(members, labels)
+
+
+def _outcome_sums(outcomes, columns, tol: float) -> Observable:
+    """Effect y is the sum of columns[y], added in order, admitted at tol; checks dimensions."""
+    members = []
+    for column in columns:
+        terms = list(column)
+        dims = {len(m) for m in terms}
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"summed effects have mixed dimensions: {sorted(dims)}")
+        members.append(validate_effect(sum(terms, np.zeros_like(terms[0], dtype=complex)), tol))
+    return validate_observable(members, outcomes)
+
+
+def obs_seq_product(a: Observable, b: Observable) -> Observable:
+    """A o B: effects A_x o B_y over the product outcome set, input order."""
+    return _pairwise(sequential_product, a, b)
 
 
 def conditioned_observable(b: Observable, a: Observable) -> Observable:
     """(B|A): effects sum_x A_x o B_y — B after a nonselective A measurement."""
-    members = []
-    for by in b.effects:
-        total = np.zeros((b.dim, b.dim), dtype=complex)
-        for ax in a.effects:
-            total += sequential_product(ax, by).matrix
-        members.append(validate_effect(total, max(a.tol, b.tol)))
-    return validate_observable(members, b.outcomes)
+    columns = ((sequential_product(ax, by).matrix for ax in a.effects) for by in b.effects)
+    return _outcome_sums(b.outcomes, columns, product_tol(a.tol, b.tol))
 
 
 def obs_evolution(b: Observable, a: Effect, t: float) -> Observable:
@@ -171,36 +191,26 @@ def obs_evolution(b: Observable, a: Effect, t: float) -> Observable:
 
 def obs_time_seq_product(a: Observable, b: Observable, t: float) -> Observable:
     """A[t]B: effects A_x[t]B_y = A_x o (B_y evolved by A_x for time t)."""
-    labels = []
-    members = []
-    for x, ax in zip(a.outcomes, a.effects):
-        for y, by in zip(b.outcomes, b.effects):
-            labels.append(product_label(x, y))
-            members.append(time_seq_product(ax, by, t))
-    return validate_observable(members, labels)
+    return _pairwise(time_seq_product, a, b, t)
 
 
 def time_conditional_observable(b: Observable, a: Observable, t: float) -> Observable:
     """(B|A)(t|A): effects sum_x A_x[t]B_y; reduces to (B|A) at t = 0."""
-    members = []
-    for by in b.effects:
-        total = np.zeros((b.dim, b.dim), dtype=complex)
-        for ax in a.effects:
-            total += time_seq_product(ax, by, t).matrix
-        members.append(validate_effect(total, max(a.tol, b.tol)))
-    return validate_observable(members, b.outcomes)
+    columns = ((time_seq_product(ax, by, t).matrix for ax in a.effects) for by in b.effects)
+    return _outcome_sums(b.outcomes, columns, product_tol(a.tol, b.tol))
 
 
 def convex_combination(weights, observables) -> Observable:
     """sum_i w_i B_i over a shared outcome set, weights on the simplex.
 
     Raises WeightsNotNormalizedError when the weights do not sum to 1 (or
-    leave [0, 1]) and OutcomeSetMismatchError when the outcome sets differ.
+    leave [0, 1], or are not one per observable), and OutcomeSetMismatchError
+    or DimensionMismatchError when the outcome sets or dimensions differ.
     """
     ws = [float(w) for w in weights]
     obs = list(observables)
     if len(ws) != len(obs) or not obs:
-        raise SchemaError(f"{len(ws)} weights for {len(obs)} observables")
+        raise WeightsNotNormalizedError(f"{len(ws)} weights for {len(obs)} observables")
     if not all(0.0 <= w <= 1.0 for w in ws) or abs(sum(ws) - 1.0) > WEIGHT_SUM_TOL:
         raise WeightsNotNormalizedError(
             f"weights must lie in [0,1] and sum to 1, got {ws}"
@@ -211,11 +221,5 @@ def convex_combination(weights, observables) -> Observable:
             raise OutcomeSetMismatchError(
                 f"outcome sets differ: {first.outcomes} vs {o.outcomes}"
             )
-    members = []
-    tol = max(o.tol for o in obs)
-    for y in range(len(first)):
-        total = np.zeros((first.dim, first.dim), dtype=complex)
-        for w, o in zip(ws, obs):
-            total += w * o.effects[y].matrix
-        members.append(validate_effect(total, tol))
-    return validate_observable(members, first.outcomes)
+    columns = ((w * o.effects[y].matrix for w, o in zip(ws, obs)) for y in range(len(first)))
+    return _outcome_sums(first.outcomes, columns, max(o.tol for o in obs))

@@ -11,8 +11,6 @@ deterministic byte-for-byte.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 
@@ -23,10 +21,6 @@ from .explorer import ScanConfig, ScanResult
 from .observables import Observable, OutcomeDistribution
 
 _FLOAT_FMT = ".17g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT_FMT)
 
 
 def operator_to_document(matrix: np.ndarray) -> dict:
@@ -48,7 +42,7 @@ def document_to_matrix(doc) -> np.ndarray:
         raise SchemaError(f"operator document missing fields: {sorted(missing)}")
     dim = doc["dim"]
     entries = doc["entries"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim:
         raise SchemaError(f"entries must be a list of {dim} rows")
@@ -57,14 +51,21 @@ def document_to_matrix(doc) -> np.ndarray:
         if not isinstance(row, list) or len(row) != dim:
             raise SchemaError(f"row {i} must be a list of {dim} [re, im] pairs")
         for j, pair in enumerate(row):
-            if (
+            if (  # type(), as JSON true/false load as bool, a subclass of int
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in pair)
+                or not all(type(v) in (int, float) and math.isfinite(v) for v in pair)
             ):
                 raise SchemaError(f"entry ({i},{j}) must be an [re, im] pair of finite numbers")
             out[i, j] = complex(pair[0], pair[1])
     return out
+
+
+def _decode(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
 def operator_json(matrix: np.ndarray) -> str:
@@ -72,11 +73,7 @@ def operator_json(matrix: np.ndarray) -> str:
 
 
 def parse_operator_json(text: str) -> np.ndarray:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return document_to_matrix(doc)
+    return document_to_matrix(_decode(text))
 
 
 def observable_to_document(obs: Observable) -> dict:
@@ -107,11 +104,7 @@ def parse_observable_document(doc) -> tuple[tuple[str, ...], list[np.ndarray]]:
 
 
 def parse_observable_json(text: str) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return parse_observable_document(doc)
+    return parse_observable_document(_decode(text))
 
 
 def distribution_json(dist: OutcomeDistribution) -> str:
@@ -128,34 +121,27 @@ def trajectory_header(dim: int) -> list[str]:
     return cols
 
 
+def _csv(header: list[str], table) -> str:
+    """The header line, then one line per row of a numeric table, each value in _FLOAT_FMT."""
+    rows = np.asarray(table, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%" + _FLOAT_FMT] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows.tolist())
+
+
 def trajectory_csv(times, matrices, deviations, derivative_norms) -> str:
     """Render evolution samples as CSV, one row per time, 17-digit floats."""
-    times = list(times)
-    if not times:
+    times = np.asarray(times, dtype=float).ravel()
+    if not times.size:
         raise SchemaError("trajectory needs at least one sample")
-    dim = matrices[0].shape[0]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(trajectory_header(dim))
-    for t, m, dev, dnorm in zip(times, matrices, deviations, derivative_norms):
-        row = [_fmt(t)]
-        for i in range(dim):
-            for j in range(dim):
-                row.append(_fmt(m[i, j].real))
-                row.append(_fmt(m[i, j].imag))
-        row.append(_fmt(dev))
-        row.append(_fmt(dnorm))
-        writer.writerow(row)
-    return buf.getvalue()
+    m = np.asarray(matrices, dtype=complex)
+    entries = np.stack([m.real, m.imag], axis=-1).reshape(times.size, -1)
+    table = np.column_stack([times, entries, deviations, derivative_norms])
+    return _csv(trajectory_header(m.shape[1]), table)
 
 
 def scan_csv(result: ScanResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "commutator_norm", "t_star", "min_gap"])
-    for r in result.records:
-        writer.writerow([r.trial, _fmt(r.commutator_norm), _fmt(r.t_star), _fmt(r.min_gap)])
-    return buf.getvalue()
+    table = [(r.trial, r.commutator_norm, r.t_star, r.min_gap) for r in result.records]
+    return _csv(["trial", "commutator_norm", "t_star", "min_gap"], table)
 
 
 def scan_json(cfg: ScanConfig, result: ScanResult) -> str:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from effectdyn import cli, serialization, validate_effect
+from effectdyn import cli, closed_forms, identity_effect, serialization, validate_effect
 from effectdyn.serialization import operator_to_document
 from effectdyn.observables import validate_observable
 
@@ -117,6 +117,19 @@ def test_non_finite_entry_is_parse_failure(files, capsys, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "document",
+    ['{"dim": true, "entries": [[[1, 0]]]}', '{"dim": 1, "entries": [[[true, false]]]}'],
+    ids=["dim", "entries"],
+)
+def test_boolean_in_operator_is_parse_failure(files, capsys, document):
+    path = files["root"] / "boolean.json"
+    path.write_text(document, encoding="utf-8")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (3, "")
+    assert "error:" in err
+
+
 def test_missing_file_is_invalid_input(files, capsys):
     code, _, err = run(capsys, ["validate", str(files["root"] / "nope.json")])
     assert code == 2
@@ -182,6 +195,25 @@ def test_tol_override_reaches_everything_derived(files, capsys):
         doc = json.loads(out)
         probabilities = list(doc.get("distribution", doc).values())
         assert all(0.0 <= p <= 1.0 for p in probabilities), (argv, probabilities)
+
+
+def test_tol_compounds_for_products(files, capsys):
+    # each operand overshoots 1 by 0.6 tol, within --tol 1e-6, so products of
+    # two of them overshoot by 1.2 tol and must still be admitted
+    root = files["root"]
+    a = write_op(root / "over_a.json", np.diag([1.0 + 6e-7, 0.3]))
+    b = write_op(root / "over_b.json", np.diag([1.0 + 6e-7, 0.2]))
+    code, out, err = run(capsys, ["--tol", "1e-6", "classify", a, b])
+    assert (code, err) == (0, "") and "constant: true" in out
+    half = np.diag([0.5, 0.5])
+    doc = {"outcomes": ["x", "y"], "effects": [operator_to_document(half + np.diag([6e-7, 0.0])),
+                                               operator_to_document(half)]}
+    (root / "obs_over.json").write_text(json.dumps(doc), encoding="utf-8")
+    obs = str(root / "obs_over.json")
+    for argv in (["seqprod", obs, obs], ["tseq", obs, obs, "--t", "0.4"], ["cond", obs, obs],
+                 ["tcond", obs, obs, "--t", "0.4"]):
+        code, _, err = run(capsys, ["--tol", "1e-6", "observable", *argv])
+        assert (code, err) == (0, ""), argv
 
 
 def test_evolve_rows_and_header(files, capsys):
@@ -378,6 +410,16 @@ def test_observable_convex_outcome_mismatch(files, capsys):
     assert code == 2
 
 
+def test_observable_convex_count_and_dimension_mismatch(files, capsys):
+    p3 = np.diag([1.0, 0.0, 0.0])
+    obs_a3 = write_obs(files["root"] / "obs_a3.json", [p3, np.eye(3) - p3], ["p", "q"])
+    for weights, second in (("0.5,0.5", obs_a3), ("0.5,0.25,0.25", files["obs_a"])):
+        argv = ["observable", "convex", "--weights", weights, files["obs_a"], second]
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error:"), argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -415,8 +457,16 @@ def test_examples_pass(capsys):
     assert "λpbp" in out
 
 
-def test_examples_fault_injection(capsys):
-    code, out, _ = run(capsys, ["examples", "--inject-fault"])
+def test_examples_fault_injection(capsys, monkeypatch):
+    # one wrong closed form per worked example must fail that example's check
+    evolution, deviation = closed_forms.example1_evolution, closed_forms.example2_deviation
+    product = closed_forms.example3_constant_product
+    monkeypatch.setattr(closed_forms, "example1_evolution", lambda t: evolution(t) + 1.0)
+    monkeypatch.setattr(closed_forms, "example2_deviation", lambda *a: deviation(*a) + 1.0)
+    monkeypatch.setattr(
+        closed_forms, "example3_constant_product", lambda *a: identity_effect(product(*a).dim)
+    )
+    code, out, _ = run(capsys, ["examples"])
     assert code == 1
     assert out.count("FAIL") == 3
 

@@ -454,6 +454,11 @@ def test_eigen_frame_matches_dense_reference(rng):
             for n in (1, 2, 3):
                 nested = 1j * (nested @ a.matrix - a.matrix @ nested)
                 assert np.max(np.abs(frame.matrices(times, n) - nested)) < 1e-12
+        # d/dt a[t]b against the dense i[a[t]b, a] it replaced
+        for t in times:
+            a_t_b = _dense_conjugation(a.matrix, s @ b.matrix @ s, t)
+            dense = 1j * (a_t_b @ a.matrix - a.matrix @ a_t_b)
+            assert np.max(np.abs(seq_product_derivative(a, b, t) - dense)) < 1e-12
 
 
 def test_eigen_frame_rejects_empty_grid(rng):

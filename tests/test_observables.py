@@ -116,6 +116,11 @@ def test_distribution_checks_the_raw_sum_then_clamps():
     assert dist.probabilities[0] == 0.0
     assert all(0.0 <= p <= 1.0 for p in dist.probabilities)
     assert sum(dist.probabilities) == pytest.approx(1.0, abs=2e-9)
+    # a state admitted at tol may have d - 1 eigenvalues near -tol, so a
+    # probability can reach -(d - 1) tol; it is clamped, not left negative
+    spread = validate_observable([np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 0.0])])
+    dist = distribution(spread, validate_state(np.diag([1.0 + 1.6e-9, -0.8e-9, -0.8e-9])))
+    assert dist.probabilities == (0.0, 1.0)
 
 
 def test_obs_seq_product_labels_and_identity_cases(rng):
@@ -286,8 +291,11 @@ def test_convex_combination_errors(rng):
     relabeled = validate_observable([e.matrix for e in b2.effects], ["x", "y"])
     with pytest.raises(OutcomeSetMismatchError):
         convex_combination([0.5, 0.5], [b1, relabeled])
-    with pytest.raises(SchemaError):
+    with pytest.raises(WeightsNotNormalizedError):
         convex_combination([0.5, 0.5], [b1])
+    wider = validate_observable([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+    with pytest.raises(DimensionMismatchError):
+        convex_combination([0.5, 0.5], [b1, wider])
 
 
 def test_convex_linearity_under_time_seq_product(rng):
