@@ -4,7 +4,8 @@ Effects (0 <= a <= I), states, the sequential product a∘b = a^{1/2}ba^{1/2},
 the a-evolution b(t|a) = e^{-ita}be^{ita}, the time-dependent sequential
 product a[t]b with its constancy classification, the matching observable
 calculus, closed-form worked examples used as oracles, and a randomized
-search over the symmetry gap ||a[t]b - b[t]a||.
+search over the symmetry gap ||a[t]b - b[t]a|| that certifies a lower bound
+for each minimum on its time window.
 """
 
 from . import closed_forms, linalg, serialization

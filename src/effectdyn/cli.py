@@ -3,9 +3,9 @@
 Subcommands: validate (operator/observable files), evolve (trajectory CSV),
 classify (constancy report), observable (distributions and the observable
 calculus), examples (built-in worked-example cross-checks), scan (randomized
-symmetry-gap search). Data goes to stdout (or to files for scan); all
-diagnostics go to stderr. Exit codes: 0 success, 1 examples failure,
-2 invalid inputs or flags, 3 parse failure.
+symmetry-gap search with certified lower bounds). Data goes to stdout (or to
+files for scan); all diagnostics go to stderr. Exit codes: 0 success,
+1 examples failure, 2 invalid inputs or flags, 3 parse failure.
 """
 
 from __future__ import annotations
@@ -306,7 +306,10 @@ def cmd_scan(args) -> int:
     json_path.write_text(serialization.scan_json(cfg, result), encoding="utf-8")
     csv_path.write_text(serialization.scan_csv(result), encoding="utf-8")
     gmin = result.summary["global_min"]
-    gap_note = "no records" if gmin is None else f"global min gap {gmin['min_gap']:.3e}"
+    gap_note = "no records" if gmin is None else (
+        f"global min gap {gmin['min_gap']:.3e}, "
+        f"{result.summary['certified_positive']} certified positive on the window"
+    )
     print(
         f"wrote {json_path} and {csv_path} ({len(result.records)} records, {gap_note})",
         file=sys.stderr,
@@ -373,8 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tmin", type=_finite, default=-4.0 * math.pi)
     p.add_argument("--tmax", type=_finite, default=4.0 * math.pi)
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--refine", type=int, default=60)
+    p.add_argument("--grid", type=int, default=64, help="initial knots of the certified gap search")
+    p.add_argument(
+        "--refine",
+        type=int,
+        default=60,
+        help="golden-section iterations around each window's best knot",
+    )
     p.add_argument("--floor", type=float, default=1e-3)
     p.add_argument("--out", default="scan", help="output prefix for .json/.csv")
     p.set_defaults(func=cmd_scan)

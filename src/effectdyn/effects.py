@@ -240,13 +240,17 @@ def verify_coexistence_witness(a: Effect, b: Effect, witness: CoexistenceWitness
 def commuting_witness(a: Effect, b: Effect) -> CoexistenceWitness:
     """Standard coexistence witness (a - ab, b - ab, ab) for a commuting pair.
 
+    All three are admitted at product_tol: in a joint eigenbasis their
+    eigenvalues are x*y, x*(1 - y) and (1 - x)*y with x and 1 - x in
+    [-t_a, 1 + t_a] and y and 1 - y in [-t_b, 1 + t_b], so each lies in
+    [-max(t_a(1 + t_b), t_b(1 + t_a)), (1 + t_a)(1 + t_b)].
     Raises NotCommutingError when the pair does not commute.
     """
     if not commutes(a, b):
         raise NotCommutingError("commuting_witness requires a commuting pair")
     prod = a.matrix @ b.matrix
     prod = (prod + prod.conj().T) / 2.0  # exact product is Hermitian; drop round-off skew
-    tol = max(a.tol, b.tol)
+    tol = product_tol(a.tol, b.tol)
     return CoexistenceWitness(
         a1=validate_effect(a.matrix - prod, tol),
         b1=validate_effect(b.matrix - prod, tol),

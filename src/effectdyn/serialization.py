@@ -47,17 +47,21 @@ def document_to_matrix(doc) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim:
         raise SchemaError(f"entries must be a list of {dim} rows")
     out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(f"row {i} must be a list of {dim} [re, im] pairs")
-        for j, pair in enumerate(row):
-            if (  # type(), as JSON true/false load as bool, a subclass of int
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(type(v) in (int, float) and math.isfinite(v) for v in pair)
-            ):
-                raise SchemaError(f"entry ({i},{j}) must be an [re, im] pair of finite numbers")
-            out[i, j] = complex(pair[0], pair[1])
+    bad_entry = "entry ({},{}) must be an [re, im] pair of finite numbers"
+    try:
+        for i, row in enumerate(entries):
+            if not isinstance(row, list) or len(row) != dim:
+                raise SchemaError(f"row {i} must be a list of {dim} [re, im] pairs")
+            for j, pair in enumerate(row):
+                if (  # type(), as JSON true/false load as bool, a subclass of int
+                    not isinstance(pair, list)
+                    or len(pair) != 2
+                    or not all(type(v) in (int, float) and math.isfinite(v) for v in pair)
+                ):
+                    raise SchemaError(bad_entry.format(i, j))
+                out[i, j] = complex(pair[0], pair[1])
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(bad_entry.format(i, j)) from None
     return out
 
 
@@ -162,8 +166,10 @@ def scan_json(cfg: ScanConfig, result: ScanResult) -> str:
                 "commutator_norm": r.commutator_norm,
                 "t_star": r.t_star,
                 "min_gap": r.min_gap,
+                "min_gap_lower": r.min_gap_lower,
                 "punctured_t_star": r.punctured_t_star,
                 "punctured_min_gap": r.punctured_min_gap,
+                "punctured_min_gap_lower": r.punctured_min_gap_lower,
                 "a": operator_to_document(r.a.matrix),
                 "b": operator_to_document(r.b.matrix),
             }

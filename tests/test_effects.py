@@ -139,6 +139,16 @@ def test_commuting_witness_random_pairs(rng):
         assert verify_coexistence_witness(a, b, commuting_witness(a, b))
 
 
+def test_commuting_witness_admits_compound_product():
+    # each operand overshoots 1 by 6e-7 within its tolerance 1e-6, so ab
+    # reaches 1 + 1.2e-6: inside product_tol, outside the operands' own tolerance
+    a = validate_effect(np.diag([1.0 + 6e-7, 0.3]), 1e-6)
+    b = validate_effect(np.diag([1.0 + 6e-7, 0.2]), 1e-6)
+    w = commuting_witness(a, b)
+    assert w.c.tol == pytest.approx(2e-6, rel=1e-5)
+    assert verify_coexistence_witness(a, b, w)
+
+
 def test_commuting_witness_requires_commutation():
     a = validate_effect(np.diag([1.0, 0.5]))
     b = validate_effect(np.full((2, 2), 0.5))

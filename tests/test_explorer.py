@@ -21,6 +21,7 @@ from effectdyn.evolution import EigenFrame
 from effectdyn.explorer import (
     CANDIDATE_LABEL,
     CANDIDATE_THRESHOLD,
+    CERTIFY_RTOL,
     PUNCTURED_RADIUS,
     random_effect,
 )
@@ -246,3 +247,95 @@ def test_scan_candidates_empty_for_generic_draws():
     result = conjecture_scan(ScanConfig(dim=2, trials=8, seed=2, grid_points=64, refine_iters=20))
     # generic random pairs sit far above the candidate threshold
     assert result.summary["candidates"] == []
+
+
+# -- certified search ---------------------------------------------------------
+
+
+def _dense_minima(a, b, lo, hi):
+    """The gap's minima over 10⁵ + 1 evenly spaced times in [lo, hi] ∋ 0: all, and |t| >= R.
+
+    Exact without evaluating every time: d/dt a[t]b = i[a[t]b, a] with both
+    norms at most 1, so each product moves at most 2 per unit t and the gap
+    at most 4 (5 leaves room for the admission tolerance). A block of times
+    whose first gap exceeds the smallest first gap by more than 5 times the
+    block's width cannot hold the minimum.
+    """
+    ts = np.linspace(lo, hi, 100_001)
+    outer = np.abs(ts) >= PUNCTURED_RADIUS
+    blocks = np.array_split(ts[outer], 3125)
+    heads = symmetry_gap_profile(a, b, [block[0] for block in blocks])
+    reach = np.array([5.0 * (block[-1] - block[0]) for block in blocks])
+    kept = [block for block, k in zip(blocks, heads - reach <= heads.min()) if k]
+    punctured = float(np.min(symmetry_gap_profile(a, b, np.concatenate(kept))))
+    return min(punctured, float(np.min(symmetry_gap_profile(a, b, ts[~outer])))), punctured
+
+
+def test_certified_lower_bounds_hold_against_dense_minima():
+    # 54 pairs at dims 2-8; h is the initial knot spacing
+    exercised = 0
+    for dim in range(2, 9):
+        cfg = ScanConfig(dim=dim, trials=10 - dim // 2, seed=dim)
+        lo, hi = cfg.t_window
+        h = (hi - lo) / (cfg.grid_points - 1)
+        for r in conjecture_scan(cfg).records:
+            dense, punctured = _dense_minima(r.a, r.b, lo, hi)
+            assert 0.0 <= r.min_gap_lower <= min(dense, r.min_gap)
+            assert 0.0 <= r.punctured_min_gap_lower <= min(punctured, r.punctured_min_gap)
+            # certified to CERTIFY_RTOL of the reported minimum
+            assert r.min_gap_lower >= (1.0 - CERTIFY_RTOL) * r.min_gap
+            assert r.punctured_min_gap_lower >= (1.0 - CERTIFY_RTOL) * r.punctured_min_gap
+            if dense > explorer._lipschitz(explorer._frames(r.a, r.b)) * h:
+                exercised += 1
+                assert r.min_gap_lower > 0.0
+    assert exercised >= 10
+
+
+def test_lipschitz_constant_bounds_the_gap_slope():
+    # |gap(t) - gap(s)| <= L |t - s| between neighbors of a fine grid, up to rounding
+    ts = np.linspace(-4.0 * math.pi, 4.0 * math.pi, 4001)
+    for dim in range(2, 9):
+        cfg = ScanConfig(dim=dim, trials=3, seed=30 + dim)
+        for r in conjecture_scan(cfg).records:
+            frames = explorer._frames(r.a, r.b)
+            steps = np.abs(np.diff(explorer._gap_profile(frames, ts)))
+            assert np.all(steps <= explorer._lipschitz(frames) * (ts[1] - ts[0]) + 1e-14)
+
+
+def test_search_finds_the_basin_at_zero():
+    # dim 2, seed 5, trial 59: the fixed 512-point grid of earlier releases had
+    # no point at t = 0 and settled for 0.1086565 at t = -7.5675
+    records = conjecture_scan(ScanConfig(dim=2, trials=60, seed=5)).records
+    r = next(r for r in records if r.trial == 59)
+    assert r.min_gap <= 0.1086054
+    assert abs(r.t_star) < 1e-6
+    assert r.min_gap_lower > 0.0
+
+
+def _scaled_projection(dim, rank, scale, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return validate_effect(scale * q[:, :rank] @ q[:, :rank].conj().T)
+
+
+def test_constant_gap_bound_stays_below_minimum():
+    # both operands are scaled projections, so a[t]b and b[t]a are constant:
+    # L is rounding noise and only the slack keeps the bound under the gap
+    rng = np.random.default_rng(21)
+    for dim in (2, 3, 4, 6):
+        for rank in range(1, dim):
+            a = _scaled_projection(dim, rank, 0.7, rng)
+            b = _scaled_projection(dim, dim - rank, 0.4, rng)
+            frames = explorer._frames(a, b)
+            assert explorer._lipschitz(frames) < 1e-12
+            full, punctured = explorer._certified_search(frames, ScanConfig(dim=dim))
+            for window in (full, punctured):
+                assert 0.0 < window.lower <= window.min_gap
+
+
+def test_scan_reports_certified_brackets(monkeypatch):
+    # a threshold above every gap makes each trial a candidate
+    monkeypatch.setattr(explorer, "CANDIDATE_THRESHOLD", 1.0)
+    result = conjecture_scan(ScanConfig(dim=3, trials=6, seed=5))
+    assert result.summary["certified_positive"] == 6
+    brackets = {c["trial"]: c["bracket"] for c in result.summary["candidates"]}
+    assert brackets == {r.trial: [r.min_gap_lower, r.min_gap] for r in result.records}
