@@ -229,13 +229,13 @@ def _certified_search(
 
     slack = _SLACK_UNITS * eps * (||X_a||_F + ||X_b||_F) covering the rounding
     of each evaluated gap (against a 34-digit evaluation of the same frames,
-    float64 was off by at most 1.7 such units at dims 2-8). Each round
-    evaluates, in one batch, the midpoints of every interval whose bound is
-    below (1 - CERTIFY_RTOL) times the best knot gap of a window containing
-    it, unless L h is already within the slack or the midpoint is no longer
-    a new float. Each window's minimum is then refined by golden section
-    between the neighbors of its best knot; the two windows share that work
-    when their brackets coincide.
+    float64 was off by at most 1.7 such units at dims 2, 3, 4, 6 and 8). Each
+    round evaluates, in one batch, the midpoints of every interval whose bound
+    is below (1 - CERTIFY_RTOL) times the best knot gap of a window containing
+    it, unless L h is already within twice the slack or the midpoint is no
+    longer a new float. Each window's minimum is then refined by golden
+    section between the neighbors of its best knot; the two windows share that
+    work when their brackets coincide.
 
     What is certified is the gap as the frames compute it. The frames hold
     the eigenvalues of a and b as computed in float64; at an eigenvalue
