@@ -293,7 +293,6 @@ def cmd_scan(args) -> int:
             trials=args.trials,
             t_window=(args.tmin, args.tmax),
             grid_points=args.grid,
-            refine_iters=args.refine,
             seed=args.seed,
             commutator_floor=args.floor,
         )
@@ -377,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=_finite, default=-4.0 * math.pi)
     p.add_argument("--tmax", type=_finite, default=4.0 * math.pi)
     p.add_argument("--grid", type=int, default=64, help="initial knots of the certified gap search")
-    p.add_argument(
-        "--refine",
-        type=int,
-        default=60,
-        help="golden-section iterations around each window's best knot",
-    )
     p.add_argument("--floor", type=float, default=1e-3)
     p.add_argument("--out", default="scan", help="output prefix for .json/.csv")
     p.set_defaults(func=cmd_scan)

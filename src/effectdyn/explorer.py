@@ -6,13 +6,16 @@ small gaps. Every minimum comes with a certified lower bound on its window:
 the pair's two eigenframes give a global Lipschitz constant L of the gap in
 t, so two knots h apart bound the gap between them from below, and an
 adaptive interval search (Piyavskii–Shubert style) splits intervals until
-each window's bound is within CERTIFY_RTOL of its best gap. A positive
-``min_gap_lower`` proves a[t]b != b[t]a for every t in the window, and only
-there: the gap is almost periodic in t, so the window says nothing about t
-outside it. What exactly is certified, and to what rounding, is stated in
-_certified_search. A minimum below CANDIDATE_THRESHOLD is never reported as
-a counterexample, only as a candidate for independent high-precision
-verification.
+each window's bound is within CERTIFY_RTOL of its best gap; golden section
+then refines each window's best knot until that bound leaves only rounding.
+One kernel, in the eigenbasis of a, evaluates every gap of the search; its
+reference is symmetry_gap, through the dense cross-checked time_seq_product.
+A positive ``min_gap_lower`` proves a[t]b != b[t]a for every t in the
+window, and only there: the gap is almost periodic in t, so the window says
+nothing about t outside it. What exactly is certified, and to what
+rounding, is stated in _certified_search. A minimum below
+CANDIDATE_THRESHOLD is never reported as a counterexample, only as a
+candidate for independent high-precision verification.
 
 Determinism contract: trial k draws from a fresh generator seeded with
 (seed, k), so results are byte-identical for a fixed config regardless of
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .effects import Effect, validate_effect
-from .errors import CommutingPairError
+from .errors import CommutingPairError, EmptyGridError
 from .evolution import EigenFrame, time_seq_product
 
 # Pairs with ||[a,b]|| below the floor are uninformative (near-commuting
@@ -60,15 +63,13 @@ class ScanConfig:
     """Parameters of a conjecture scan; validated at construction.
 
     ``grid_points`` is the number of evenly spaced initial knots of the
-    certified search, and ``refine_iters`` the number of golden-section
-    iterations around each window's best knot.
+    certified search; the search decides everything else (_certified_search).
     """
 
     dim: int = 2
     trials: int = 100
     t_window: tuple[float, float] = (-4.0 * math.pi, 4.0 * math.pi)
     grid_points: int = 64
-    refine_iters: int = 60
     seed: int = 0
     commutator_floor: float = DEFAULT_COMMUTATOR_FLOOR
 
@@ -78,12 +79,10 @@ class ScanConfig:
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         lo, hi = self.t_window
-        if not lo < hi:
-            raise ValueError(f"t_window must satisfy t_min < t_max, got {self.t_window}")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"t_window must be finite with t_min < t_max, got {self.t_window}")
         if self.grid_points < 8:
             raise ValueError("grid_points must be at least 8")
-        if self.refine_iters < 1:
-            raise ValueError("refine_iters must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not self.commutator_floor > 0.0:
@@ -150,50 +149,53 @@ def symmetry_gap(a: Effect, b: Effect, t: float) -> float:
 
 def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:
     """``symmetry_gap`` over a whole grid, through the pair's two eigenframes."""
-    return _gap_profile(_frames(a, b), times)
+    return _profile(_gap_kernel(_frames(a, b)), times)
 
 
 def _frames(a: Effect, b: Effect) -> tuple[EigenFrame, EigenFrame]:
     return EigenFrame.product(a, b), EigenFrame.product(b, a)
 
 
-def _gap_profile(frames: tuple[EigenFrame, EigenFrame], times) -> np.ndarray:
-    """Gap at every t, in chunks to bound memory.
+def _gap_kernel(frames: tuple[EigenFrame, EigenFrame]):
+    """The pair's gap at one t (a float) or at every t of an array, in the eigenbasis of a.
 
-    An empty grid becomes one empty chunk, which the frames reject.
-    """
-    fa, fb = frames
-    ts = np.asarray(times, dtype=float).ravel()
-    chunks = np.array_split(ts, max(1, math.ceil(ts.size / _EVAL_CHUNK)))
-    return np.concatenate(
-        [linalg.operator_norms(fa.matrices(c) - fb.matrices(c)) for c in chunks]
-    )
-
-
-def _gap_at(frames: tuple[EigenFrame, EigenFrame]):
-    """The gap at one t, as golden refinement needs it, in the eigenbasis of a.
-
-    With W = V_a† V_b, V_a† (a[t]b - b[t]a) V_a = E^a_t ⊙ X_a - W (E^b_t ⊙ X_b) W†:
-    the same spectrum for two matrix products instead of four.
+    With W = V_a† V_b, V_a† (a[t]b - b[t]a) V_a = E^a_t ⊙ X_a - W (E^b_t ⊙ X_b) W†,
+    so each time costs two matrix products and one eigensolve, and the gap is
+    max(-λ_min, λ_max) of that Hermitian matrix.
     """
     fa, fb = frames
     w = fa.vectors.conj().T @ fb.vectors
     w_inv = w.conj().T
     rate_a, rate_b = -1j * fa.freq, -1j * fb.freq
 
-    def gap(t: float) -> float:
-        e = np.linalg.eigvalsh(np.exp(t * rate_a) * fa.x - w @ (np.exp(t * rate_b) * fb.x) @ w_inv)
-        return float(max(-e[0], e[-1]))
+    def gap(t):
+        phase = np.asarray(t, dtype=float)[..., None, None]
+        m = np.exp(phase * rate_a) * fa.x - w @ (np.exp(phase * rate_b) * fb.x) @ w_inv
+        e = np.linalg.eigvalsh(m).T  # eigenvalue index first: e[0], e[-1] per time
+        return np.maximum(-e[0], e[-1])
 
     return gap
 
 
-def _golden_refine(gap, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section minimization of ``gap`` on [lo, hi]."""
+def _profile(gap, times) -> np.ndarray:
+    """``gap`` at every t of a nonempty grid, in chunks to bound memory."""
+    ts = np.asarray(times, dtype=float).ravel()
+    if ts.size == 0:
+        raise EmptyGridError("time grid is empty")
+    return np.concatenate([gap(ts[i : i + _EVAL_CHUNK]) for i in range(0, ts.size, _EVAL_CHUNK)])
+
+
+def _golden_refine(gap, lo: float, hi: float, lip: float, slack: float) -> tuple[float, float]:
+    """Golden-section minimization of ``gap`` on [lo, hi], stopped by the search's split rule.
+
+    It ends once L (hi - lo) <= 2 slack, where no time of the bracket can
+    differ from its evaluated points by more than the rounding of a gap, or
+    once the points are no longer distinct floats.
+    """
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = gap(x1), gap(x2)
-    for _ in range(iters):
+    while lip * (hi - lo) > 2.0 * slack and lo < x1 < x2 < hi:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -202,7 +204,7 @@ def _golden_refine(gap, lo: float, hi: float, iters: int) -> tuple[float, float]
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = gap(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+    return (x1, float(f1)) if f1 <= f2 else (x2, float(f2))
 
 
 def _lipschitz(frames: tuple[EigenFrame, EigenFrame]) -> float:
@@ -229,13 +231,16 @@ def _certified_search(
 
     slack = _SLACK_UNITS * eps * (||X_a||_F + ||X_b||_F) covering the rounding
     of each evaluated gap (against a 34-digit evaluation of the same frames,
-    float64 was off by at most 1.7 such units at dims 2, 3, 4, 6 and 8). Each
-    round evaluates, in one batch, the midpoints of every interval whose bound
-    is below (1 - CERTIFY_RTOL) times the best knot gap of a window containing
-    it, unless L h is already within twice the slack or the midpoint is no
-    longer a new float. Each window's minimum is then refined by golden
-    section between the neighbors of its best knot; the two windows share that
-    work when their brackets coincide.
+    _gap_kernel was off by at most 3.0 such units on 170 pairs, dims 2-8).
+    Each round evaluates, in one batch, the midpoints of every interval whose
+    bound is below (1 - CERTIFY_RTOL) times the best knot gap of a window
+    containing it, unless L h is already within twice the slack or the
+    midpoint is no longer a new float. Each window's minimum is then refined
+    by golden section between the neighbors of its best knot, under the same
+    rule: it stops once L times the bracket width is within twice the slack,
+    so a constant gap is evaluated only at the two starting points. The two
+    windows share that work when their brackets coincide. Knots, midpoints
+    and golden points all go through one kernel, _gap_kernel.
 
     What is certified is the gap as the frames compute it. The frames hold
     the eigenvalues of a and b as computed in float64; at an eigenvalue
@@ -247,7 +252,8 @@ def _certified_search(
     ts = np.linspace(lo, hi, cfg.grid_points)
     extra = [x for x in (-radius, radius) if lo < x < hi and x not in ts]
     ts = np.insert(ts, np.searchsorted(ts, extra), extra)
-    gs = _gap_profile(frames, ts)
+    gap = _gap_kernel(frames)
+    gs = _profile(gap, ts)
     lip = _lipschitz(frames)
     slack = _SLACK_UNITS * np.finfo(float).eps * float(sum(np.linalg.norm(f.x) for f in frames))
     while True:
@@ -265,9 +271,8 @@ def _certified_search(
         if split.size == 0:
             break
         ts = np.insert(ts, split + 1, mids[split])
-        gs = np.insert(gs, split + 1, _gap_profile(frames, mids[split]))
+        gs = np.insert(gs, split + 1, _profile(gap, mids[split]))
 
-    gap_at = _gap_at(frames)
     refined: dict[tuple[float, float], tuple[float, float]] = {}
 
     def window_minimum(inside: np.ndarray) -> _WindowMinimum:
@@ -277,7 +282,7 @@ def _certified_search(
             float(ts[k + 1] if k < inside.size and inside[k] else ts[k]),
         )
         if bracket not in refined:
-            refined[bracket] = _golden_refine(gap_at, *bracket, cfg.refine_iters)
+            refined[bracket] = _golden_refine(gap, *bracket, lip, slack)
         t_ref, gap_ref = refined[bracket]
         if gap_ref > gs[k]:
             t_ref, gap_ref = float(ts[k]), float(gs[k])

@@ -155,7 +155,6 @@ def scan_json(cfg: ScanConfig, result: ScanResult) -> str:
             "trials": cfg.trials,
             "t_window": list(cfg.t_window),
             "grid_points": cfg.grid_points,
-            "refine_iters": cfg.refine_iters,
             "seed": cfg.seed,
             "commutator_floor": cfg.commutator_floor,
         },

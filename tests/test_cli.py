@@ -433,6 +433,7 @@ def test_observable_convex_count_and_dimension_mismatch(files, capsys):
         ["evolve", "@a", "@b", "--t1", "inf"],
         ["evolve", "@a", "@b", "--t0", "nan", "--mode", "seqprod"],
         ["scan", "--trials", "1", "--tmax", "inf", "--out", "@root"],
+        ["scan", "--trials", "1", "--tmin=-1e308", "--tmax=1e308", "--out", "@root"],
         ["--tol", "nan", "evolve", "@a", "@b"],
     ],
     ids=" ".join,
@@ -477,7 +478,7 @@ def test_examples_fault_injection(capsys, monkeypatch):
 
 
 def test_scan_deterministic_outputs(tmp_path, capsys):
-    base = ["scan", "--dim", "2", "--trials", "4", "--seed", "11", "--grid", "64", "--refine", "20"]
+    base = ["scan", "--dim", "2", "--trials", "4", "--seed", "11", "--grid", "64"]
     code, out, err = run(capsys, base + ["--out", str(tmp_path / "one")])
     assert code == 0
     assert out == ""

@@ -88,12 +88,21 @@ def test_symmetry_gap_at_zero_is_product_asymmetry():
 
 
 def test_symmetry_gap_profile_matches_pointwise(rng):
-    a = random_effect(3, np.random.default_rng(5))
-    b = random_effect(3, np.random.default_rng(6))
+    # the search's kernel, batched and at one time, against the dense
+    # cross-checked route; the last a of each dim has a zero eigenvalue
     ts = np.linspace(-3.0, 3.0, 41)
-    profile = symmetry_gap_profile(a, b, ts)
-    for t, value in zip(ts, profile):
-        assert value == pytest.approx(symmetry_gap(a, b, t), abs=1e-12)
+    for dim in range(2, 9):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        singular = validate_effect(q @ np.diag([0.0, *rng.uniform(0.1, 1.0, dim - 1)]) @ q.conj().T)
+        b = random_effect(dim, rng)
+        for a in (random_effect(dim, rng), singular):
+            profile = symmetry_gap_profile(a, b, ts)
+            gap = explorer._gap_kernel(explorer._frames(a, b))
+            for t, value in zip(ts, profile):
+                dense = symmetry_gap(a, b, t)
+                assert value == pytest.approx(dense, abs=1e-12)
+                assert gap(t) == pytest.approx(dense, abs=1e-12)
+    a = random_effect(3, np.random.default_rng(5))
     with pytest.raises(DimensionMismatchError):
         symmetry_gap_profile(a, random_effect(2, np.random.default_rng(7)), ts)
 
@@ -137,11 +146,11 @@ def test_scan_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(t_window=(1.0, 1.0))
     with pytest.raises(ValueError):
+        ScanConfig(t_window=(0.0, math.inf))
+    with pytest.raises(ValueError):
         ScanConfig(grid_points=4)
     with pytest.raises(ValueError):
         ScanConfig(commutator_floor=0.0)
-    with pytest.raises(ValueError):
-        ScanConfig(refine_iters=0)
     with pytest.raises(ValueError):
         ScanConfig(seed=-1)
 
@@ -153,7 +162,7 @@ def test_minimize_gap_rejects_commuting_pair(rng):
 
 
 def test_minimize_gap_below_grid_and_matches_dense_scan():
-    cfg = ScanConfig(dim=2, trials=1, grid_points=256, refine_iters=60)
+    cfg = ScanConfig(dim=2, trials=1, grid_points=256)
     rng = np.random.default_rng(11)
     for _ in range(3):
         a, b = random_effect(2, rng), random_effect(2, rng)
@@ -184,7 +193,7 @@ def test_conjecture_scan_empty():
 
 
 def test_conjecture_scan_deterministic():
-    cfg = ScanConfig(dim=2, trials=8, seed=123, grid_points=64, refine_iters=30)
+    cfg = ScanConfig(dim=2, trials=8, seed=123, grid_points=64)
     first = conjecture_scan(cfg)
     second = conjecture_scan(cfg)
     assert first.summary == second.summary
@@ -194,7 +203,7 @@ def test_conjecture_scan_deterministic():
 
 
 def test_conjecture_scan_filter_soundness_and_ranking():
-    cfg = ScanConfig(dim=3, trials=6, seed=5, grid_points=64, refine_iters=20)
+    cfg = ScanConfig(dim=3, trials=6, seed=5, grid_points=64)
     result = conjecture_scan(cfg)
     assert len(result.records) == 6
     for r in result.records:
@@ -230,7 +239,6 @@ def test_punctured_window_semantics():
         trials=1,
         t_window=(-PUNCTURED_RADIUS / 2, PUNCTURED_RADIUS / 2),
         grid_points=32,
-        refine_iters=20,
         seed=17,
     )
     result = conjecture_scan(tight)
@@ -244,7 +252,7 @@ def test_candidate_label_is_cautious():
 
 
 def test_scan_candidates_empty_for_generic_draws():
-    result = conjecture_scan(ScanConfig(dim=2, trials=8, seed=2, grid_points=64, refine_iters=20))
+    result = conjecture_scan(ScanConfig(dim=2, trials=8, seed=2, grid_points=64))
     # generic random pairs sit far above the candidate threshold
     assert result.summary["candidates"] == []
 
@@ -297,9 +305,9 @@ def test_lipschitz_constant_bounds_the_gap_slope():
     for dim in range(2, 9):
         cfg = ScanConfig(dim=dim, trials=3, seed=30 + dim)
         for r in conjecture_scan(cfg).records:
-            frames = explorer._frames(r.a, r.b)
-            steps = np.abs(np.diff(explorer._gap_profile(frames, ts)))
-            assert np.all(steps <= explorer._lipschitz(frames) * (ts[1] - ts[0]) + 1e-14)
+            steps = np.abs(np.diff(symmetry_gap_profile(r.a, r.b, ts)))
+            lip = explorer._lipschitz(explorer._frames(r.a, r.b))
+            assert np.all(steps <= lip * (ts[1] - ts[0]) + 1e-14)
 
 
 def test_search_finds_the_basin_at_zero():
@@ -317,9 +325,24 @@ def _scaled_projection(dim, rank, scale, rng):
     return validate_effect(scale * q[:, :rank] @ q[:, :rank].conj().T)
 
 
-def test_constant_gap_bound_stays_below_minimum():
+def test_constant_gap_bound_stays_below_minimum(monkeypatch):
     # both operands are scaled projections, so a[t]b and b[t]a are constant:
-    # L is rounding noise and only the slack keeps the bound under the gap
+    # L is rounding noise and only the slack keeps the bound under the gap,
+    # and golden refinement stops at its two starting points in each window
+    single_calls = []
+    kernel = explorer._gap_kernel
+
+    def counting_kernel(frames):
+        gap = kernel(frames)
+
+        def counted(t):
+            if np.ndim(t) == 0:
+                single_calls.append(t)
+            return gap(t)
+
+        return counted
+
+    monkeypatch.setattr(explorer, "_gap_kernel", counting_kernel)
     rng = np.random.default_rng(21)
     for dim in (2, 3, 4, 6):
         for rank in range(1, dim):
@@ -327,9 +350,11 @@ def test_constant_gap_bound_stays_below_minimum():
             b = _scaled_projection(dim, dim - rank, 0.4, rng)
             frames = explorer._frames(a, b)
             assert explorer._lipschitz(frames) < 1e-12
+            single_calls.clear()
             full, punctured = explorer._certified_search(frames, ScanConfig(dim=dim))
             for window in (full, punctured):
                 assert 0.0 < window.lower <= window.min_gap
+            assert len(single_calls) in (2, 4)  # two per distinct bracket
 
 
 def test_scan_reports_certified_brackets(monkeypatch):

@@ -88,7 +88,7 @@ def test_trajectory_csv_rejects_empty():
 
 
 def test_scan_serialization_shapes():
-    cfg = ScanConfig(dim=2, trials=3, seed=9, grid_points=64, refine_iters=20)
+    cfg = ScanConfig(dim=2, trials=3, seed=9, grid_points=64)
     result = conjecture_scan(cfg)
     csv_text = serialization.scan_csv(result)
     lines = csv_text.strip().split("\n")
