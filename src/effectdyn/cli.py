@@ -6,11 +6,16 @@ calculus), examples (built-in worked-example cross-checks), scan (randomized
 symmetry-gap search with certified lower bounds). Data goes to stdout (or to
 files for scan); all diagnostics go to stderr. Exit codes: 0 success,
 1 examples failure, 2 invalid inputs or flags, 3 parse failure.
+
+``main(argv)`` may be called repeatedly in one process (from scripts,
+notebooks or tests): the parser is built on the first call and reused, and
+each call parses its argv into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -316,7 +321,14 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The effectdyn argument parser, built once per process and shared.
+
+    Every call returns the same parser, so callers must not mutate it (no
+    add_argument, set_defaults or similar). Parsing does not mutate it:
+    parse_args builds a fresh namespace, with fresh lists, on each call.
+    """
     parser = argparse.ArgumentParser(
         prog="effectdyn",
         description="Quantum effect calculus under unitary time evolution.",

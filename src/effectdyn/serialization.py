@@ -29,7 +29,7 @@ def operator_to_document(matrix: np.ndarray) -> dict:
         raise SchemaError(f"operator must be square, got shape {m.shape}")
     return {
         "dim": int(m.shape[0]),
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in m],
+        "entries": np.stack([m.real, m.imag], axis=-1).tolist(),
     }
 
 

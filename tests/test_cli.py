@@ -59,6 +59,51 @@ def exit_code(capsys, argv):
     return code, capsys.readouterr().err
 
 
+# -- parser reuse -----------------------------------------------------------
+
+
+def test_reused_parser_leaks_no_state(files, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    # a flag given once is not remembered by the next call
+    assert run(capsys, ["--tol", "1e-6", "validate", files["hot"]])[0] == 0
+    assert run(capsys, ["validate", files["hot"]])[0] == 2
+    tcond = ["observable", "tcond", files["obs_a"], files["obs_b"], "--t", "0.4"]
+    code, out, _ = run(capsys, [*tcond, "--state", files["rho"]])
+    assert code == 0 and "distribution" in json.loads(out)
+    code, out, _ = run(capsys, tcond)
+    assert code == 0 and "distribution" not in json.loads(out)
+    # nargs="+" and --weights lists are built afresh on every call
+    alone = run(capsys, ["observable", "convex", "--weights", "1", files["obs_a"]])
+    assert alone[0] == 0
+    convex = ["observable", "convex", "--weights", ".5,.5", files["obs_a"], files["obs_a"]]
+    assert run(capsys, convex)[0] == 0
+    assert run(capsys, ["observable", "convex", "--weights", "1", files["obs_a"]]) == alone
+    # an omitted --t falls back to its default, not to the last value given
+    soft = np.diag([1.0, 0.5])  # not a scaled projection, so A[t]B moves with t
+    obs_soft = write_obs(files["root"] / "obs_soft.json", [soft, np.eye(2) - soft], ["s", "r"])
+    tseq = ["observable", "tseq", obs_soft, files["obs_b"]]
+    at_one, at_zero = run(capsys, [*tseq, "--t", "1"]), run(capsys, [*tseq, "--t", "0"])
+    assert at_one[1] != at_zero[1]
+    assert run(capsys, tseq) == at_zero
+    assert cli.build_parser() is parser
+
+
+def test_argparse_exits_do_not_break_the_cached_parser(files, capsys):
+    argv = ["observable", "tseq", files["obs_a"], files["obs_b"], "--t", "0.7",
+            "--state", files["rho"]]
+    before = run(capsys, argv)
+    assert before[0] == 0
+    for interruption, status in ((["observable", "tseq", "--bogus"], 2), (["--help"], 0),
+                                 ([*argv, "--bogus"], 2), (["observable", "tseq", "--help"], 0)):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(interruption)
+        assert excinfo.value.code == status, interruption
+        capsys.readouterr()
+        assert run(capsys, argv) == before, interruption
+
+
 # -- validate ---------------------------------------------------------------
 
 

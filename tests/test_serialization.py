@@ -21,6 +21,27 @@ def test_operator_document_field_order():
     assert list(doc.keys()) == ["dim", "entries"]
 
 
+def test_operator_document_matches_per_entry_reference(rng):
+    # the writer's bytes are pinned to a per-entry loop, signed zeros and
+    # subnormals included, for complex and real input at every dimension
+    def reference(m):
+        m = np.asarray(m, dtype=complex)
+        entries = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        return {"dim": int(m.shape[0]), "entries": entries}
+
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0 / 3.0, 1e308])
+    for k in range(160):
+        dim = 1 + k % 8
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for part in (m.real, m.imag):
+            mask = rng.random((dim, dim)) < 0.4
+            part[mask] = rng.choice(special, mask.sum())
+        if k % 4 == 0:
+            m = m.real
+        expected = json.dumps(reference(m), indent=2)
+        assert json.dumps(serialization.operator_to_document(m), indent=2) == expected
+
+
 @pytest.mark.parametrize(
     "doc",
     [
