@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_forms, evolution, linalg, serialization
-from .effects import DECISION_TOL, Effect, State, validate_effect, validate_state
+from .effects import DECISION_TOL, Effect, State, validate_effect, validate_effects, validate_state
 from .errors import EffectdynError, SchemaError
 from .explorer import ScanConfig, conjecture_scan, random_effect
 from .observables import (
@@ -70,9 +69,7 @@ def _load_state(path: str, tol: float) -> State:
 
 def _load_observable(path: str, tol: float) -> Observable:
     outcomes, matrices = serialization.parse_observable_json(_read_text(path))
-    return validate_observable(
-        [validate_effect(m, tol) for m in matrices], outcomes
-    )
+    return validate_observable(validate_effects(matrices, tol), outcomes)
 
 
 def _fmt_eigs(values) -> str:
@@ -84,9 +81,7 @@ def cmd_validate(args) -> int:
     if args.kind == "observable":
         outcomes, matrices = serialization.parse_observable_json(text)
         try:
-            obs = validate_observable(
-                [validate_effect(m, args.tol) for m in matrices], outcomes
-            )
+            obs = validate_observable(validate_effects(matrices, args.tol), outcomes)
         except EffectdynError as exc:
             print("valid: false")
             print(f"reason: {exc}")
@@ -97,7 +92,7 @@ def cmd_validate(args) -> int:
         print(f"sum_residual: {linalg.operator_norm(total - np.eye(obs.dim)):.3e}")
         return EXIT_OK
     matrix = serialization.parse_operator_json(text)
-    residual = linalg.hermiticity_defect(matrix)
+    residual = linalg.hermitian_parts(matrix[None])[1][0]
     try:
         if args.kind == "state":
             obj = validate_state(matrix, args.tol)
@@ -197,7 +192,7 @@ def cmd_observable(args) -> int:
     if args.state is not None:
         dist = distribution(result, _load_state(args.state, args.tol))
         doc = {"observable": doc, "distribution": dist.as_dict()}
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(serialization.to_json(doc) + "\n")
     return EXIT_OK
 
 

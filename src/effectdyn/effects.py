@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    EffectdynError,
     NotCommutingError,
     SpectrumOutOfRangeError,
     TraceNotOneError,
@@ -65,15 +67,12 @@ class Effect:
     @property
     def sqrt_eigenvalues(self) -> np.ndarray:
         """Square roots of ``decomposition.eigenvalues``, noise-level ones zeroed."""
-        w = np.clip(self.decomposition.eigenvalues, 0.0, None)
-        w[w <= SQRT_ZERO_CUTOFF * max(1.0, self.eig_max)] = 0.0
-        return np.sqrt(w)
+        return _sqrt_eigenvalues(self.decomposition.eigenvalues, self.eig_max)
 
     @cached_property
     def sqrt(self) -> np.ndarray:
         """The unique positive square root, diagonal in ``decomposition``."""
-        d = self.decomposition
-        return (d.vectors * self.sqrt_eigenvalues) @ d.vectors.conj().T
+        return _root(self.decomposition.vectors, self.sqrt_eigenvalues)
 
     def clamped_range(self) -> tuple[float, float]:
         """Extremal eigenvalues with sub-tolerance overshoot snapped to [0, 1].
@@ -93,22 +92,138 @@ def clamp_unit(value: float, tol: float) -> float:
     return value
 
 
+def _sqrt_eigenvalues(w: np.ndarray, eig_max) -> np.ndarray:
+    """Square roots of the eigenvalues w, noise-level ones zeroed.
+
+    For a stack, w has one row per effect and eig_max one entry per row, as a column.
+    """
+    w = np.clip(w, 0.0, None)
+    w[w <= SQRT_ZERO_CUTOFF * np.maximum(1.0, eig_max)] = 0.0
+    return np.sqrt(w)
+
+
+def _root(vectors: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """V diag(roots) V†, for one eigenbasis or a stack of them."""
+    return (vectors * roots[..., None, :]) @ linalg.adjoint(vectors)
+
+
+def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray]:
+    """The decomposition and square root of each effect in a sequence, stacked.
+
+    Each value is the effect's cached ``decomposition`` or ``sqrt``; the
+    missing ones are computed for the distinct effects in one stacked pass
+    each and stored where cached_property keeps them (the instance dict), so
+    they equal what the properties would compute, bit for bit. Effect
+    matrices are exactly Hermitian, so the eigensolve skips linalg.eigh's
+    symmetrization, which would change no bit. Effects repeat in observable
+    products: each distinct one is decomposed once.
+    """
+    distinct = list(dict.fromkeys(effects))  # Effect hashes by identity (eq=False)
+    missing = [e for e in distinct if "decomposition" not in vars(e)]
+    if missing:
+        w, v = np.linalg.eigh(np.array([e.matrix for e in missing]))
+        w.setflags(write=False)
+        v.setflags(write=False)
+        for e, we, ve in zip(missing, w, v):
+            vars(e)["decomposition"] = linalg.SpectralDecomposition(we, ve)
+    missing = [e for e in distinct if "sqrt" not in vars(e)]
+    if missing:
+        d = [e.decomposition for e in missing]
+        roots = _root(
+            np.array([x.vectors for x in d]),
+            _sqrt_eigenvalues(
+                np.array([x.eigenvalues for x in d]), np.array([[e.eig_max] for e in missing])
+            ),
+        )
+        for e, root in zip(missing, roots):
+            vars(e)["sqrt"] = root
+    d = [e.decomposition for e in effects]
+    decomposition = linalg.SpectralDecomposition(
+        np.array([x.eigenvalues for x in d]), np.array([x.vectors for x in d])
+    )
+    return decomposition, np.array([e.sqrt for e in effects])
+
+
+# (key, error) of the first check that failed; keys order the checks as they
+# would run one matrix at a time, and the smallest key is the one raised.
+Failure = tuple[tuple[int, int], EffectdynError]
+
+
+def first_failure(*failures: Failure | None) -> Failure | None:
+    present = [f for f in failures if f is not None]
+    return min(present, key=lambda f: f[0]) if present else None
+
+
+class AdmittedStack(NamedTuple):
+    """A (k, d, d) stack checked slice by slice as effects, see admit_effects.
+
+    ``matrices`` are the symmetrized slices, ``eig_min`` and ``eig_max`` the
+    extremal eigenvalues of each and ``tols`` the tolerance each was checked
+    at. ``failure`` is the first failing check, or None.
+    """
+
+    matrices: np.ndarray
+    eig_min: list[float]
+    eig_max: list[float]
+    tols: tuple
+    failure: Failure | None
+
+    def effects(self) -> tuple[Effect, ...]:
+        """One Effect per slice; raises the failure's error if there is one."""
+        if self.failure is not None:
+            raise self.failure[1]
+        self.matrices.setflags(write=False)
+        return tuple(map(Effect, self.matrices, self.eig_min, self.eig_max, self.tols))
+
+
+def admit_effects(stack: np.ndarray, tols, step: int = 0) -> AdmittedStack:
+    """The checks of validate_effect on every slice of a (k, d, d) stack, slice i at tols[i].
+
+    One Hermiticity pass and one eigensolve cover the whole stack, and
+    nothing is raised here: the failure, if any, is the first failing
+    slice's, keyed (i, step), with its Hermiticity checked before its lowest
+    and then its highest eigenvalue, exactly as validate_effect would raise.
+    """
+    h, defect, bound = linalg.hermitian_parts(stack)
+    w = np.linalg.eigvalsh(h)
+    lo, hi = w[:, 0].tolist(), w[:, -1].tolist()
+    failure = None
+    for i, (d, b, low, high, tol) in enumerate(zip(defect, bound, lo, hi, tols)):
+        if d > b or low < -tol or high > 1.0 + tol:
+            failure = ((i, step), _admission_error(d, b, low, high, tol))
+            break
+    return AdmittedStack(h, lo, hi, tuple(tols), failure)
+
+
+def _admission_error(defect: float, bound: float, lo: float, hi: float, tol) -> EffectdynError:
+    if defect > bound:
+        return linalg.non_hermitian_error(defect, bound)
+    if lo < -tol:
+        return SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
+    return SpectrumOutOfRangeError(f"eigenvalue {hi!r} above 1 + {tol!r}", hi)
+
+
 def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
     """Validate 0 <= M <= I and build an :class:`Effect` that keeps ``tol``.
 
-    Raises NonHermitianError when M is not Hermitian and
-    SpectrumOutOfRangeError (carrying the offending eigenvalue) when the
-    spectrum leaves [-tol, 1 + tol].
+    The one-matrix case of admit_effects. Raises NonHermitianError when M is
+    not Hermitian and SpectrumOutOfRangeError (carrying the offending
+    eigenvalue) when the spectrum leaves [-tol, 1 + tol].
     """
-    h = linalg.require_hermitian(matrix)
-    w = np.linalg.eigvalsh(h)
-    lo, hi = float(w[0]), float(w[-1])
-    if lo < -tol:
-        raise SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
-    if hi > 1.0 + tol:
-        raise SpectrumOutOfRangeError(f"eigenvalue {hi!r} above 1 + {tol!r}", hi)
-    h.setflags(write=False)
-    return Effect(h, lo, hi, tol)
+    return admit_effects(linalg.as_complex_matrix(matrix)[None], (tol,)).effects()[0]
+
+
+def validate_effects(matrices, tol: float = DECISION_TOL) -> tuple[Effect, ...]:
+    """validate_effect on each matrix, as one stacked pass when they share a shape.
+
+    Raises what validate_effect raises for the first failing matrix. Matrices
+    of mixed dimensions are admitted one at a time, so that each one's
+    checks still run before a caller such as validate_observable rejects the mix.
+    """
+    ms = [linalg.as_complex_matrix(m) for m in matrices]
+    if len({m.shape for m in ms}) != 1:
+        return tuple(validate_effect(m, tol) for m in ms)
+    return admit_effects(np.array(ms), (tol,) * len(ms)).effects()
 
 
 def identity_effect(dim: int) -> Effect:
@@ -178,11 +293,24 @@ def sequential_product(a: Effect, b: Effect) -> Effect:
     """a o b = a^(1/2) b a^(1/2): measure a, then b immediately after.
 
     The result is re-validated as an effect, at product_tol, rather than
-    trusted; it always satisfies a o b <= a, and equals ab when a and b commute.
+    trusted; it always satisfies a o b <= a, and equals ab when a and b
+    commute. The one-pair case of sequential_products.
     """
-    _check_dims(a.dim, b.dim)
-    s = a.sqrt
-    return validate_effect(s @ b.matrix @ s, product_tol(a.tol, b.tol))
+    return sequential_products([a], [b]).effects()[0]
+
+
+def sequential_products(lefts, rights) -> AdmittedStack:
+    """a o b for every aligned pair (lefts[k], rights[k]) of one dimension, in one stacked pass.
+
+    Pair k is admitted at product_tol of its own operands' tolerances, with
+    its failure keyed (k, 0). DimensionMismatchError, checked pair by pair,
+    is the one error raised here.
+    """
+    for a, b in zip(lefts, rights):
+        _check_dims(a.dim, b.dim)
+    _, s = stacked_roots(lefts)
+    stack = s @ np.array([e.matrix for e in rights]) @ s
+    return admit_effects(stack, [product_tol(a.tol, b.tol) for a, b in zip(lefts, rights)])
 
 
 def commutes(a: Effect, b: Effect) -> bool:

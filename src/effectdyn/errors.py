@@ -69,5 +69,9 @@ class OutcomeSetMismatchError(EffectdynError):
     """Observables do not share a common outcome set."""
 
 
+class LabelCollisionError(EffectdynError):
+    """Two outcome pairs (x, y) of a product observable join to the same label x⊗y."""
+
+
 class SchemaError(EffectdynError):
     """JSON document does not match the expected schema."""

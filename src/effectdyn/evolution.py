@@ -29,7 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .effects import Effect, commutes, product_tol, sequential_product, validate_effect
+from .effects import (
+    AdmittedStack,
+    Effect,
+    admit_effects,
+    commutes,
+    first_failure,
+    sequential_product,
+    sequential_products,
+    stacked_roots,
+    validate_effect,
+)
 from .errors import (
     ConsistencyError,
     DimensionMismatchError,
@@ -141,11 +151,15 @@ class EigenFrame:
 def _cross_check(value: np.ndarray, second_route: np.ndarray) -> None:
     residual = linalg.spectral_norm(value - second_route)
     if residual > CROSS_CHECK_TOL:
-        raise ConsistencyError(
-            f"the two forms of a[t]b disagree by {residual:.3e} (bound "
-            f"{CROSS_CHECK_TOL:g}); this indicates a numerical defect, not a "
-            "property of the inputs"
-        )
+        raise _consistency_error(residual)
+
+
+def _consistency_error(residual: float) -> ConsistencyError:
+    return ConsistencyError(
+        f"the two forms of a[t]b disagree by {residual:.3e} (bound "
+        f"{CROSS_CHECK_TOL:g}); this indicates a numerical defect, not a "
+        "property of the inputs"
+    )
 
 
 def effect_evolution(b: Effect, a: Effect, t: float) -> Effect:
@@ -185,12 +199,35 @@ def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
     the frame of a o b. For one t, that value is checked directly against
     the dense form a^{1/2} b(t|a) a^{1/2} (ConsistencyError beyond
     CROSS_CHECK_TOL) instead of through EigenFrame.product's check for every
-    t, and returned validated at product_tol of the operands.
+    t, and returned validated at product_tol of the operands. The one-pair
+    case of time_seq_products.
     """
-    value = EigenFrame.evolution(a, sequential_product(a, b)).at(t)
-    u = linalg.unitary_from_decomposition(a.decomposition, t)
-    _cross_check(value, a.sqrt @ (u @ b.matrix @ u.conj().T) @ a.sqrt)
-    return validate_effect(value, product_tol(a.tol, b.tol))
+    return time_seq_products([a], [b], t).effects()[0]
+
+
+def time_seq_products(lefts, rights, t: float) -> AdmittedStack:
+    """a[t]b for every aligned pair (lefts[k], rights[k]) of one dimension, in one stacked pass.
+
+    Pair k takes the steps of time_seq_product: a o b admitted at its
+    product_tol (sequential_products), its frame value V (E_t ⊙ V†(a o b)V) V†,
+    the dense cross-check against a^{1/2} (u b u†) a^{1/2} with u = e^{-ita}
+    (exactly I at t = 0), and the value's admission at that product_tol.
+    Every check runs over the whole stack; the failure is the first failing
+    pair's first failing step, keyed (k, step).
+    """
+    ab = sequential_products(lefts, rights)
+    d, s = stacked_roots(lefts)  # cached by sequential_products
+    v, vh = d.vectors, linalg.adjoint(d.vectors)
+    freq = d.eigenvalues[:, :, None] - d.eigenvalues[:, None, :]
+    value = v @ (np.exp(-1j * t * freq) * (vh @ ab.matrices @ v)) @ vh
+    u = linalg.unitary_from_decomposition(d, t)
+    b = np.array([e.matrix for e in rights])
+    residuals = np.linalg.norm(value - s @ (u @ b @ linalg.adjoint(u)) @ s, 2, axis=(-2, -1))
+    failing = (k for k, r in enumerate(residuals.tolist()) if r > CROSS_CHECK_TOL)
+    k = next(failing, None)
+    cross = None if k is None else ((k, 1), _consistency_error(residuals[k]))
+    out = admit_effects(value, ab.tols, step=2)
+    return out._replace(failure=first_failure(ab.failure, cross, out.failure))
 
 
 def seq_product_derivative(a: Effect, b: Effect, t: float) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for Hermitian operators.
 
 Spectral decompositions, unitary propagators, commutators and norms on
-small dense matrices. Everything here is pure and operates on immutable
-inputs; returned arrays are new allocations.
+small dense matrices; the Hermiticity check, adjoints, unitaries and norms
+also take (k, d, d) stacks. Everything here is pure and operates on
+immutable inputs; returned arrays are new allocations.
 """
 
 from __future__ import annotations
@@ -27,27 +28,38 @@ def as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry magnitude of M - M†."""
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(m - m.conj().T)))
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """M† of a matrix, or of each slice of a stack."""
+    return m.swapaxes(-1, -2).conj()
+
+
+def hermitian_parts(stack: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
+    """Check every slice of a (k, d, d) stack for Hermiticity, without raising.
+
+    Returns the symmetrized slices (M + M†)/2, each slice's defect
+    max|M - M†| and the bound it must not exceed, HERMITICITY_RTOL times
+    max(1, max|M|). Symmetrizing removes round-off asymmetry before any
+    eigendecomposition.
+    """
+    adj = adjoint(stack)
+    defect = np.maximum.reduce(np.abs(stack - adj), axis=(-2, -1), initial=0.0).tolist()
+    scale = np.maximum.reduce(np.abs(stack), axis=(-2, -1), initial=0.0).tolist()
+    return (stack + adj) / 2.0, defect, [HERMITICITY_RTOL * max(1.0, x) for x in scale]
+
+
+def non_hermitian_error(defect: float, bound: float) -> NonHermitianError:
+    return NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance {bound:.3e}")
 
 
 def require_hermitian(m) -> np.ndarray:
     """Check Hermiticity and return the symmetrized matrix (M + M†)/2.
 
-    Symmetrizing after the check removes round-off asymmetry before any
-    eigendecomposition.
+    The one-matrix case of hermitian_parts; raises NonHermitianError.
     """
-    m = as_complex_matrix(m)
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_RTOL * scale:
-        raise NonHermitianError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITICITY_RTOL * scale:.3e}"
-        )
-    return (m + m.conj().T) / 2.0
+    h, defect, bound = hermitian_parts(as_complex_matrix(m)[None])
+    if defect[0] > bound[0]:
+        raise non_hermitian_error(defect[0], bound[0])
+    return h[0]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -68,7 +80,7 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 def eigh(m) -> SpectralDecomposition:
@@ -83,14 +95,14 @@ def eigh(m) -> SpectralDecomposition:
 
 
 def unitary_from_decomposition(d: SpectralDecomposition, t: float) -> np.ndarray:
-    """exp(-i t a) from a precomputed decomposition of a.
+    """exp(-i t a) from a precomputed decomposition of a, or of each slice of a stacked one.
 
     Exact for Hermitian a; returns the identity exactly at t = 0.
     """
     if t == 0:
-        return np.eye(d.dim, dtype=complex)
+        return np.broadcast_to(np.eye(d.dim, dtype=complex), d.vectors.shape).copy()
     phase = np.exp(-1j * t * d.eigenvalues)
-    return (d.vectors * phase) @ d.vectors.conj().T
+    return (d.vectors * phase[..., None, :]) @ adjoint(d.vectors)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -113,7 +125,7 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     The slices are Hermitian up to round-off from batched arithmetic; each is
     symmetrized, without a Hermiticity check, before its eigensolve.
     """
-    h = (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2.0
+    h = (stack + adjoint(stack)) / 2.0
     return np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
 
 

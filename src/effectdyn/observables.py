@@ -6,6 +6,16 @@ time-dependent conditional observable (B|A)(t|A), and convex combinations.
 Every operation funnels its output through validate_observable, so the
 normalization arguments behind each construction are re-checked numerically
 on every call, at the loosest admission tolerance of the members involved.
+
+A o B, A[t]B, (B|A) and (B|A)(t|A) each run their n·m pairs (A_x, B_y) as
+one stacked pass of the pair kernels (effects.sequential_products,
+evolution.time_seq_products): a fixed number of numpy calls on (n·m, d, d)
+stacks, whatever n and m, with every per-pair step and check of the
+one-pair sequential_product and time_seq_product kept. Where numpy's stacked
+calls equal its per-matrix ones bit for bit (they do in numpy 2.4.6), so do
+the results; the outcome sums add in x order from zero, as a loop would.
+When a check fails, the error raised is the one a pair-by-pair loop would
+have met first.
 """
 
 from __future__ import annotations
@@ -16,19 +26,31 @@ import numpy as np
 
 from . import linalg
 from .effects import (
-    STATE_TRACE_TOL, Effect, State, clamp_unit, product_tol, sequential_product, validate_effect
+    STATE_TRACE_TOL,
+    Effect,
+    State,
+    admit_effects,
+    clamp_unit,
+    first_failure,
+    product_tol,
+    sequential_products,
+    validate_effect,
 )
 from .errors import (
     ConsistencyError,
     DimensionMismatchError,
     EffectdynError,
+    LabelCollisionError,
     MemberNotEffectError,
     OutcomeSetMismatchError,
     SchemaError,
     SumNotIdentityError,
     WeightsNotNormalizedError,
 )
-from .evolution import effect_evolution, time_seq_product
+# time_seq_product (the one-pair case of time_seq_products) is not called here
+# but stays importable from this module: bench/tracer.py wraps every import
+# site of it, and the tracer's self-test names this one.
+from .evolution import effect_evolution, time_seq_product, time_seq_products  # noqa: F401
 
 # Convex weights must sum to 1 this closely; a fixed bound that does not follow --tol.
 WEIGHT_SUM_TOL = 1e-12
@@ -148,38 +170,73 @@ def product_label(x: str, y: str) -> str:
     return f"{x}{PRODUCT_LABEL_SEP}{y}"
 
 
-def _pairwise(product, a: Observable, b: Observable, *args) -> Observable:
-    """Effects product(A_x, B_y, *args) over the product outcome set, input order."""
-    labels = []
-    members = []
-    for x, ax in zip(a.outcomes, a.effects):
-        for y, by in zip(b.outcomes, b.effects):
-            labels.append(product_label(x, y))
-            members.append(product(ax, by, *args))
-    return validate_observable(members, labels)
+def _product_labels(a: Observable, b: Observable) -> list[str]:
+    """Labels x⊗y in input order; LabelCollisionError if two pairs (x, y) join to one label."""
+    pairs: dict[str, tuple[str, str]] = {}
+    for x in a.outcomes:
+        for y in b.outcomes:
+            label = product_label(x, y)
+            if label in pairs:
+                raise LabelCollisionError(
+                    f"outcome pairs {pairs[label]!r} and {(x, y)!r} both give the "
+                    f"product label {label!r}"
+                )
+            pairs[label] = (x, y)
+    return list(pairs)
 
 
-def _outcome_sums(outcomes, columns, tol: float) -> Observable:
-    """Effect y is the sum of columns[y], added in order, admitted at tol; checks dimensions."""
-    members = []
-    for column in columns:
-        terms = list(column)
-        dims = {len(m) for m in terms}
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"summed effects have mixed dimensions: {sorted(dims)}")
-        members.append(validate_effect(sum(terms, np.zeros_like(terms[0], dtype=complex)), tol))
-    return validate_observable(members, outcomes)
+def _pairwise(products, a: Observable, b: Observable, *args) -> Observable:
+    """Effects products(A_x, B_y, *args) over the product outcome set, input order.
+
+    The labels are checked before any product is computed; then all n·m
+    pairs go through the stacked kernel in one pass.
+    """
+    labels = _product_labels(a, b)
+    lefts = [ax for ax in a.effects for _ in b.effects]
+    rights = [by for _ in a.effects for by in b.effects]
+    return validate_observable(products(lefts, rights, *args).effects(), labels)
+
+
+def _conditioned(products, b: Observable, a: Observable, *args) -> Observable:
+    """Effect y is sum_x products(A_x, B_y, *args), all n·m pairs in one stacked pass.
+
+    The pairs run column by column (y outer), each column's sum after its
+    pairs, so the first failing check is the one a pair-by-pair loop meets.
+    """
+    n = len(a)
+    lefts = [ax for _ in b.effects for ax in a.effects]
+    rights = [by for by in b.effects for _ in a.effects]
+    stack = products(lefts, rights, *args)
+    terms = stack.matrices.reshape(len(b), n, a.dim, a.dim)
+    return _outcome_sums(b.outcomes, terms, product_tol(a.tol, b.tol), stack.failure)
+
+
+def _outcome_sums(outcomes, terms: np.ndarray, tol: float, failure=None) -> Observable:
+    """Effect y is the sum of terms[y, :], added in order from zero and admitted at tol.
+
+    ``failure`` is that of the pairs behind ``terms`` (column y's pairs keyed
+    from y·n), so that the sum of a column is checked after its own pairs
+    and before the next column's.
+    """
+    m, n = terms.shape[:2]
+    total = np.zeros((m,) + terms.shape[2:], dtype=complex)
+    for x in range(n):
+        total = total + terms[:, x]
+    sums = admit_effects(total, (tol,) * m)
+    if sums.failure is not None:
+        (y, _), error = sums.failure
+        failure = first_failure(failure, ((y * n + n - 1, 3), error))
+    return validate_observable(sums._replace(failure=failure).effects(), outcomes)
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
     """A o B: effects A_x o B_y over the product outcome set, input order."""
-    return _pairwise(sequential_product, a, b)
+    return _pairwise(sequential_products, a, b)
 
 
 def conditioned_observable(b: Observable, a: Observable) -> Observable:
     """(B|A): effects sum_x A_x o B_y — B after a nonselective A measurement."""
-    columns = ((sequential_product(ax, by).matrix for ax in a.effects) for by in b.effects)
-    return _outcome_sums(b.outcomes, columns, product_tol(a.tol, b.tol))
+    return _conditioned(sequential_products, b, a)
 
 
 def obs_evolution(b: Observable, a: Effect, t: float) -> Observable:
@@ -191,13 +248,12 @@ def obs_evolution(b: Observable, a: Effect, t: float) -> Observable:
 
 def obs_time_seq_product(a: Observable, b: Observable, t: float) -> Observable:
     """A[t]B: effects A_x[t]B_y = A_x o (B_y evolved by A_x for time t)."""
-    return _pairwise(time_seq_product, a, b, t)
+    return _pairwise(time_seq_products, a, b, t)
 
 
 def time_conditional_observable(b: Observable, a: Observable, t: float) -> Observable:
     """(B|A)(t|A): effects sum_x A_x[t]B_y; reduces to (B|A) at t = 0."""
-    columns = ((time_seq_product(ax, by, t).matrix for ax in a.effects) for by in b.effects)
-    return _outcome_sums(b.outcomes, columns, product_tol(a.tol, b.tol))
+    return _conditioned(time_seq_products, b, a, t)
 
 
 def convex_combination(weights, observables) -> Observable:
@@ -221,5 +277,8 @@ def convex_combination(weights, observables) -> Observable:
             raise OutcomeSetMismatchError(
                 f"outcome sets differ: {first.outcomes} vs {o.outcomes}"
             )
-    columns = ((w * o.effects[y].matrix for w, o in zip(ws, obs)) for y in range(len(first)))
-    return _outcome_sums(first.outcomes, columns, max(o.tol for o in obs))
+    dims = sorted({o.dim for o in obs})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"summed effects have mixed dimensions: {dims}")
+    terms = [w * np.stack([e.matrix for e in o.effects]) for w, o in zip(ws, obs)]
+    return _outcome_sums(first.outcomes, np.stack(terms, axis=1), max(o.tol for o in obs))

@@ -7,12 +7,21 @@ t, e_00_re, e_00_im, ..., deviation, derivative_norm. Scan CSV columns:
 trial, commutator_norm, t_star, min_gap. All floats in CSV are written with
 17 significant digits so residuals survive a round trip; writers are
 deterministic byte-for-byte.
+
+Every JSON document is written by to_json, whose text is exactly that of
+json.dumps(doc, indent=2): floats through float.__repr__ (NaN and
+±Infinity as json spells them), strings with json's ASCII escaping. The
+stdlib writes indented JSON with its pure-Python encoder, at a Python call
+per value; to_json fills each operator document, the bulk of every
+document, into a layout cached per (dim, depth) instead.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -65,6 +74,87 @@ def document_to_matrix(doc) -> np.ndarray:
     return out
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def to_json(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte; dict keys must be strings."""
+    out: list[str] = []
+    _encode(doc, 0, out)
+    return "".join(out)
+
+
+def _encode(o, depth: int, out: list[str]) -> None:
+    """Append the text of o at nesting depth ``depth``, dispatching as json's encoder does."""
+    if isinstance(o, str):
+        out.append(_ESCAPE(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        indent = "\n" + "  " * (depth + 1)
+        for i, item in enumerate(o):
+            out.append(("[" if i == 0 else ",") + indent)
+            _encode(item, depth + 1, out)
+        out.append("\n" + "  " * depth + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        if len(o) == 2 and next(iter(o)) == "dim" and "entries" in o:
+            text = _operator_text(o["dim"], o["entries"], depth)
+            if text is not None:
+                out.append(text)
+                return
+        indent = "\n" + "  " * (depth + 1)
+        for i, (key, value) in enumerate(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(("{" if i == 0 else ",") + indent + _ESCAPE(key) + ": ")
+            _encode(value, depth + 1, out)
+        out.append("\n" + "  " * depth + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _operator_text(dim, entries, depth: int) -> str | None:
+    """An operator document's text from its cached layout; None unless it has the exact shape."""
+    if type(dim) is not int or type(entries) is not list or len(entries) != dim:
+        return None
+    if not all(type(row) is list and len(row) == dim for row in entries):
+        return None
+    pairs = list(chain.from_iterable(entries))
+    if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
+        return None
+    try:  # floats only: any other value takes the general route
+        texts = list(map(float.__repr__, chain.from_iterable(pairs)))
+    except TypeError:
+        return None
+    if not _NON_FINITE.keys().isdisjoint(texts):
+        texts = [_NON_FINITE.get(x, x) for x in texts]
+    return _operator_layout(dim, depth) % tuple(texts)
+
+
+@functools.lru_cache(maxsize=64)
+def _operator_layout(dim: int, depth: int) -> str:
+    """The text of a dim×dim operator document at ``depth``, with %s for each number."""
+    slots = {"dim": dim, "entries": [[["%s", "%s"]] * dim] * dim}
+    text = json.dumps(slots, indent=2).replace('"%s"', "%s")
+    return text.replace("\n", "\n" + "  " * depth)
+
+
 def _decode(text: str):
     try:
         return json.loads(text)
@@ -73,7 +163,7 @@ def _decode(text: str):
 
 
 def operator_json(matrix: np.ndarray) -> str:
-    return json.dumps(operator_to_document(matrix), indent=2) + "\n"
+    return to_json(operator_to_document(matrix)) + "\n"
 
 
 def parse_operator_json(text: str) -> np.ndarray:
@@ -88,7 +178,7 @@ def observable_to_document(obs: Observable) -> dict:
 
 
 def observable_json(obs: Observable) -> str:
-    return json.dumps(observable_to_document(obs), indent=2) + "\n"
+    return to_json(observable_to_document(obs)) + "\n"
 
 
 def parse_observable_document(doc) -> tuple[tuple[str, ...], list[np.ndarray]]:
@@ -112,7 +202,7 @@ def parse_observable_json(text: str) -> tuple[tuple[str, ...], list[np.ndarray]]
 
 
 def distribution_json(dist: OutcomeDistribution) -> str:
-    return json.dumps(dist.as_dict(), indent=2) + "\n"
+    return to_json(dist.as_dict()) + "\n"
 
 
 def trajectory_header(dim: int) -> list[str]:
@@ -175,4 +265,4 @@ def scan_json(cfg: ScanConfig, result: ScanResult) -> str:
             for r in result.records
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc) + "\n"

@@ -467,6 +467,61 @@ def test_observable_convex_count_and_dimension_mismatch(files, capsys):
         assert err.startswith("error:"), argv
 
 
+def test_colliding_product_labels_are_invalid_input(files, capsys):
+    # both files are valid; only their product labels collide: a⊗b ⊗ c = a ⊗ b⊗c
+    p = np.diag([1.0, 0.0])
+    a = write_obs(files["root"] / "collide_a.json", [p, np.eye(2) - p], ["a⊗b", "a"])
+    b = write_obs(files["root"] / "collide_b.json", [p, np.eye(2) - p], ["c", "b⊗c"])
+    for argv in (["seqprod", a, b], ["tseq", a, b, "--t", "0.5"]):
+        code, out, err = run(capsys, ["observable", *argv])
+        assert code == 2, argv
+        assert out == ""
+        assert "'a⊗b⊗c'" in err
+    # (B|A) keeps B's labels, so the same files are fine there
+    assert run(capsys, ["observable", "cond", a, b])[0] == 0
+
+
+def _write_raw_observable(path, matrices, outcomes):
+    """An observable file whose members are written as given, unvalidated."""
+    doc = {"outcomes": outcomes, "effects": [operator_to_document(np.asarray(m, complex)) for m in matrices]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_observable_file_errors_come_member_by_member(files, capsys):
+    low = np.diag([1.5, -0.5])  # out of range below and above: below is reported
+    skew = np.array([[0.5, 1.0], [0.0, 0.5]])  # not Hermitian, spectrum in range
+    skew_high = np.array([[1.5, 1.0], [0.0, 0.5]])  # not Hermitian and out of range
+    in_range = np.diag([0.5, 0.25])
+    root = files["root"]
+    cases = [
+        ([low, skew], "eigenvalue -0.5 below -1e-09"),
+        ([skew, low], "hermiticity defect 1.000e+00 exceeds tolerance 1.000e-10"),
+        ([in_range, skew_high], "hermiticity defect 1.000e+00 exceeds tolerance 1.500e-10"),
+        ([in_range, 4 * in_range, skew], "eigenvalue 2.0 above 1 + 1e-09"),
+    ]
+    for k, (members, message) in enumerate(cases):
+        labels = [f"m{i}" for i in range(len(members))]
+        path = _write_raw_observable(root / f"raw{k}.json", members, labels)
+        code, _, err = run(capsys, ["observable", "cond", path, files["obs_a"]])
+        assert (code, err) == (2, f"error: {message}\n"), members
+        code, out, _ = run(capsys, ["validate", "--kind", "observable", path])
+        assert (code, out) == (2, f"valid: false\nreason: {message}\n"), members
+
+
+def test_observable_file_of_mixed_dimensions_is_invalid_input(files, capsys):
+    root = files["root"]
+    mixed = _write_raw_observable(root / "mixed.json", [np.eye(2) / 2, np.eye(3) / 2], ["x", "y"])
+    code, _, err = run(capsys, ["observable", "tseq", mixed, mixed])
+    assert (code, err) == (2, "error: members have mixed dimensions: [2, 3]\n")
+    # each member is admitted before the dimensions are compared
+    bad = _write_raw_observable(root / "mixed_bad.json", [np.eye(2) / 2, 2 * np.eye(3)], ["x", "y"])
+    code, _, err = run(capsys, ["validate", "--kind", "observable", bad])
+    assert code == 2
+    code, _, err = run(capsys, ["observable", "tcond", files["obs_a"], bad])
+    assert (code, err) == (2, "error: eigenvalue 2.0 above 1 + 1e-09\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -324,3 +324,96 @@ def test_every_output_passes_validation(rng):
         obs_evolution(b_obs, a, t)
         obs_time_seq_product(a_obs, b_obs, t)
         time_conditional_observable(b_obs, a_obs, t)
+
+
+def _observable_with_rank_deficient_member(dim, n, rng):
+    """n members S^{-1/2} G_x S^{-1/2}; G_0 has rank dim - 1 (when n > 1 and dim > 1)."""
+    grams = []
+    for x in range(n):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if x == 0 and n > 1 and dim > 1:
+            g[:, 0] = 0.0
+        grams.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(grams))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    return validate_observable([inv_root @ g @ inv_root for g in grams])
+
+
+def _dense_time_seq_product(a, b, t):
+    """a^{1/2} e^{-ita} b e^{ita} a^{1/2} from two eigendecompositions, eigenvalues below 1e-12 as 0."""
+    w, v = np.linalg.eigh(a)
+    root = (v * np.sqrt(np.where(w > 1e-12, w, 0.0))) @ v.conj().T
+    u = (v * np.exp(-1j * t * w)) @ v.conj().T
+    return root @ u @ b @ u.conj().T @ root
+
+
+def test_stacked_products_match_a_dense_reference(rng):
+    # every member of A o B, A[t]B, (B|A) and (B|A)(t|A) against a per-pair
+    # dense reference written here, at dims 1-8 with 1-4 outcomes
+    for dim in range(1, 9):
+        for n in range(1, 5):
+            a_obs = _observable_with_rank_deficient_member(dim, n, rng)
+            b_obs = _observable_with_rank_deficient_member(dim, 5 - n, rng)
+            if n > 1 and dim > 1:
+                assert np.linalg.matrix_rank(a_obs.effects[0].matrix, tol=1e-10) == dim - 1
+            for t in (0.0, 1.3, -40.0):
+                want = [
+                    [_dense_time_seq_product(ax.matrix, by.matrix, t) for by in b_obs.effects]
+                    for ax in a_obs.effects
+                ]
+                got = [obs_time_seq_product(a_obs, b_obs, t)]
+                if t == 0.0:
+                    got.append(obs_seq_product(a_obs, b_obs))
+                for product in got:
+                    for k, member in enumerate(product.effects):
+                        x, y = divmod(k, len(b_obs))
+                        assert np.max(np.abs(member.matrix - want[x][y])) < 1e-12
+                got = [time_conditional_observable(b_obs, a_obs, t)]
+                if t == 0.0:
+                    got.append(conditioned_observable(b_obs, a_obs))
+                for cond in got:
+                    for y, member in enumerate(cond.effects):
+                        total = sum(want[x][y] for x in range(len(a_obs)))
+                        assert np.max(np.abs(member.matrix - total)) < 1e-12
+
+
+def test_stacked_products_admit_each_pair_at_its_own_tolerance(rng):
+    from effectdyn.effects import product_tol
+
+    a_obs = random_observable(3, 3, rng)
+    b_obs = random_observable(3, 2, rng)
+    a_obs = validate_observable(
+        [validate_effect(e.matrix, tol) for e, tol in zip(a_obs.effects, (1e-9, 3e-7, 2e-8))]
+    )
+    b_obs = validate_observable(
+        [validate_effect(e.matrix, tol) for e, tol in zip(b_obs.effects, (5e-6, 1e-9))]
+    )
+    for product in (obs_seq_product(a_obs, b_obs), obs_time_seq_product(a_obs, b_obs, 0.8)):
+        tols = [member.tol for member in product.effects]
+        assert tols == [product_tol(ax.tol, by.tol) for ax in a_obs.effects for by in b_obs.effects]
+    for cond in (conditioned_observable(b_obs, a_obs), time_conditional_observable(b_obs, a_obs, 0.8)):
+        assert all(member.tol == product_tol(a_obs.tol, b_obs.tol) for member in cond.effects)
+
+
+def test_consistency_error_names_the_first_pair(rng, monkeypatch):
+    from effectdyn import evolution
+    from effectdyn.errors import ConsistencyError
+
+    a_obs = random_observable(3, 3, rng)
+    b_obs = random_observable(3, 2, rng)
+    monkeypatch.setattr(evolution, "CROSS_CHECK_TOL", 0.0)
+    messages = []
+    for ax in a_obs.effects:
+        for by in b_obs.effects:
+            with pytest.raises(ConsistencyError) as info:
+                time_seq_product(ax, by, 0.7)
+            messages.append(str(info.value))
+    first = messages[0]
+    assert messages.count(first) == 1  # the residual in the message tells the pairs apart
+    for call in (
+        lambda: obs_time_seq_product(a_obs, b_obs, 0.7),
+        lambda: time_conditional_observable(b_obs, a_obs, 0.7),
+    ):
+        with pytest.raises(ConsistencyError) as info:
+            call()
+        assert str(info.value) == first

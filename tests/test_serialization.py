@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,3 +127,103 @@ def test_scan_serialization_shapes():
     # round-trip the recorded pair
     back = serialization.document_to_matrix(rec["a"])
     assert back.shape == (2, 2)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]
+LABELS = ['say "yes"', "back\\slash", "tab\tnew\nline\x00\x1f", "x⊗y", "\U0001d11e clef", "", "plain"]
+
+
+def _scalar(rng):
+    pick = rng.integers(8)
+    if pick == 0:
+        return float(rng.choice(SPECIAL_FLOATS))
+    if pick == 1:
+        return np.float64(rng.choice([*SPECIAL_FLOATS, rng.standard_normal()]))
+    if pick == 2:
+        return int(rng.integers(-10**18, 10**18))
+    if pick == 3:
+        return bool(rng.integers(2))
+    if pick == 4:
+        return None
+    if pick == 5:
+        return str(rng.choice(LABELS))
+    return [[], {}][pick - 6]
+
+
+def _spiced_operator(rng, dim):
+    """An operator document with special values, np.float64 and other scalars mixed into its entries."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    doc = serialization.operator_to_document(m)
+    for row in doc["entries"]:
+        for pair in row:
+            for k in range(2):
+                roll = rng.random()
+                if roll < 0.15:
+                    pair[k] = float(rng.choice(SPECIAL_FLOATS))
+                elif roll < 0.25:
+                    pair[k] = np.float64(pair[k])
+                elif roll < 0.27:
+                    pair[k] = _scalar(rng)
+    return doc
+
+
+def _random_document(rng, depth=0):
+    kind = rng.integers(4 if depth < 3 else 1)
+    if kind == 0:
+        return _scalar(rng)
+    if kind == 1:
+        return [_random_document(rng, depth + 1) for _ in range(rng.integers(4))]
+    if kind == 2:
+        return {
+            f"{rng.choice(LABELS)}{i}": _random_document(rng, depth + 1)
+            for i in range(rng.integers(4))
+        }
+    return _spiced_operator(rng, int(rng.integers(4)))
+
+
+def test_writer_matches_json_dumps_on_random_documents(rng):
+    for _ in range(400):
+        doc = _random_document(rng)
+        assert serialization.to_json(doc) == json.dumps(doc, indent=2)
+    for dim in range(1, 9):
+        doc = {"observable": {"outcomes": LABELS, "effects": [_spiced_operator(rng, dim)] * 2}}
+        assert serialization.to_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_matches_json_dumps_on_every_output(rng, monkeypatch, tmp_path, capsys):
+    # every JSON output of the package, captured as the document handed to the
+    # writer, must come out exactly as json.dumps(doc, indent=2) would write it
+    from effectdyn import cli, distribution
+    from support import random_observable, random_state
+
+    obs_a = validate_observable([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ['"p"', "q⊗"])
+    b = np.full((2, 2), 0.5)
+    obs_b = validate_observable([b, np.eye(2) - b], ["\\u⊗", "v\n\U0001d11e"])
+    files = {
+        "a": serialization.observable_json(obs_a),
+        "b": serialization.observable_json(obs_b),
+        "rho": serialization.operator_json(np.eye(2) / 2),
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+
+    documents = []
+    writer = serialization.to_json
+    monkeypatch.setattr(serialization, "to_json", lambda doc: documents.append(doc) or writer(doc))
+    texts = []
+    for dim in (1, 2, 5, 8):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m.real[rng.random((dim, dim)) < 0.3] = -0.0
+        m.imag[0, 0] = 5e-324
+        texts.append(serialization.operator_json(m))
+        obs = random_observable(dim, 3, rng)
+        obs = validate_observable([e.matrix for e in obs.effects], LABELS[2:5])
+        texts.append(serialization.observable_json(obs))
+        texts.append(serialization.distribution_json(distribution(obs, random_state(dim, rng))))
+    cfg = ScanConfig(dim=2, trials=3, seed=4)
+    texts.append(serialization.scan_json(cfg, conjecture_scan(cfg)))
+    argv = ["observable", "tcond", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    assert cli.main([*argv, "--t", "0.7", "--state", str(tmp_path / "rho.json")]) == 0
+    texts.append(capsys.readouterr().out)
+    for doc, text in zip(documents, texts, strict=True):
+        assert text == json.dumps(doc, indent=2) + "\n"
