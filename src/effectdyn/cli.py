@@ -146,17 +146,24 @@ def cmd_classify(args) -> int:
 
 # Each observable subcommand, declared once for the parser and the dispatch:
 # its help, its operands (see _OPERAND_FLAGS and _load_operand) in the order
-# its library call takes them, and that call. Only "dist" emits a distribution.
+# its library call takes them, and that call. The calls are lambdas, so each
+# library name is looked up in this module when the command runs and sees any
+# rebinding of it (such as a tracing wrapper). Only "dist" emits a distribution.
 OBSERVABLE_COMMANDS = {
-    "dist": ("distribution of an observable in a state", ("observable", "state"), distribution),
-    "seqprod": ("sequential product A∘B", ("a_file", "b_file"), obs_seq_product),
-    "tseq": ("time-dependent product A[t]B", ("a_file", "b_file", "t"), obs_time_seq_product),
+    "dist": ("distribution of an observable in a state", ("observable", "state"),
+             lambda obs, rho: distribution(obs, rho)),
+    "seqprod": ("sequential product A∘B", ("a_file", "b_file"),
+                lambda a, b: obs_seq_product(a, b)),
+    "tseq": ("time-dependent product A[t]B", ("a_file", "b_file", "t"),
+             lambda a, b, t: obs_time_seq_product(a, b, t)),
     "cond": ("conditioned observable (B|A): B after a nonselective A", ("a_file", "b_file"),
              lambda a, b: conditioned_observable(b, a)),
     "tcond": ("time-dependent conditional observable (B|A)(t|A)", ("a_file", "b_file", "t"),
               lambda a, b, t: time_conditional_observable(b, a, t)),
-    "evolve": ("a-evolution B(t|a) of an observable", ("observable", "effect", "t"), obs_evolution),
-    "convex": ("convex combination of observables", ("weights", "files"), convex_combination),
+    "evolve": ("a-evolution B(t|a) of an observable", ("observable", "effect", "t"),
+               lambda b, a, t: obs_evolution(b, a, t)),
+    "convex": ("convex combination of observables", ("weights", "files"),
+               lambda weights, files: convex_combination(weights, files)),
 }
 # How each operand is declared to argparse; any other name is a positional file.
 _OPERAND_FLAGS = {

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import (
     DimensionMismatchError,
-    EffectdynError,
     NotCommutingError,
     SpectrumOutOfRangeError,
     TraceNotOneError,
@@ -144,63 +142,27 @@ def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray]:
     return decomposition, np.array([e.sqrt for e in effects])
 
 
-# (key, error) of the first check that failed; keys order the checks as they
-# would run one matrix at a time, and the smallest key is the one raised.
-Failure = tuple[tuple[int, int], EffectdynError]
-
-
-def first_failure(*failures: Failure | None) -> Failure | None:
-    present = [f for f in failures if f is not None]
-    return min(present, key=lambda f: f[0]) if present else None
-
-
-class AdmittedStack(NamedTuple):
-    """A (k, d, d) stack checked slice by slice as effects, see admit_effects.
-
-    ``matrices`` are the symmetrized slices, ``eig_min`` and ``eig_max`` the
-    extremal eigenvalues of each and ``tols`` the tolerance each was checked
-    at. ``failure`` is the first failing check, or None.
-    """
-
-    matrices: np.ndarray
-    eig_min: list[float]
-    eig_max: list[float]
-    tols: tuple
-    failure: Failure | None
-
-    def effects(self) -> tuple[Effect, ...]:
-        """One Effect per slice; raises the failure's error if there is one."""
-        if self.failure is not None:
-            raise self.failure[1]
-        self.matrices.setflags(write=False)
-        return tuple(map(Effect, self.matrices, self.eig_min, self.eig_max, self.tols))
-
-
-def admit_effects(stack: np.ndarray, tols, step: int = 0) -> AdmittedStack:
+def admit_effects(stack: np.ndarray, tols) -> tuple[Effect, ...]:
     """The checks of validate_effect on every slice of a (k, d, d) stack, slice i at tols[i].
 
-    One Hermiticity pass and one eigensolve cover the whole stack, and
-    nothing is raised here: the failure, if any, is the first failing
-    slice's, keyed (i, step), with its Hermiticity checked before its lowest
-    and then its highest eigenvalue, exactly as validate_effect would raise.
+    One Hermiticity pass and one eigensolve cover the whole stack. Each check
+    runs over the whole stack before the next; its first failing pair raises.
+    Here admission is that one check: the first failing slice raises what
+    validate_effect would, its Hermiticity checked before its lowest and then
+    its highest eigenvalue. Returns one Effect per slice.
     """
     h, defect, bound = linalg.hermitian_parts(stack)
     w = np.linalg.eigvalsh(h)
     lo, hi = w[:, 0].tolist(), w[:, -1].tolist()
-    failure = None
-    for i, (d, b, low, high, tol) in enumerate(zip(defect, bound, lo, hi, tols)):
-        if d > b or low < -tol or high > 1.0 + tol:
-            failure = ((i, step), _admission_error(d, b, low, high, tol))
-            break
-    return AdmittedStack(h, lo, hi, tuple(tols), failure)
-
-
-def _admission_error(defect: float, bound: float, lo: float, hi: float, tol) -> EffectdynError:
-    if defect > bound:
-        return linalg.non_hermitian_error(defect, bound)
-    if lo < -tol:
-        return SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
-    return SpectrumOutOfRangeError(f"eigenvalue {hi!r} above 1 + {tol!r}", hi)
+    for d, b, low, high, tol in zip(defect, bound, lo, hi, tols):
+        if d > b:
+            raise linalg.non_hermitian_error(d, b)
+        if low < -tol:
+            raise SpectrumOutOfRangeError(f"eigenvalue {low!r} below -{tol!r}", low)
+        if high > 1.0 + tol:
+            raise SpectrumOutOfRangeError(f"eigenvalue {high!r} above 1 + {tol!r}", high)
+    h.setflags(write=False)
+    return tuple(map(Effect, h, lo, hi, tols))
 
 
 def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
@@ -210,7 +172,7 @@ def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
     not Hermitian and SpectrumOutOfRangeError (carrying the offending
     eigenvalue) when the spectrum leaves [-tol, 1 + tol].
     """
-    return admit_effects(linalg.as_complex_matrix(matrix)[None], (tol,)).effects()[0]
+    return admit_effects(linalg.as_complex_matrix(matrix)[None], (tol,))[0]
 
 
 def validate_effects(matrices, tol: float = DECISION_TOL) -> tuple[Effect, ...]:
@@ -223,7 +185,7 @@ def validate_effects(matrices, tol: float = DECISION_TOL) -> tuple[Effect, ...]:
     ms = [linalg.as_complex_matrix(m) for m in matrices]
     if len({m.shape for m in ms}) != 1:
         return tuple(validate_effect(m, tol) for m in ms)
-    return admit_effects(np.array(ms), (tol,) * len(ms)).effects()
+    return admit_effects(np.array(ms), (tol,) * len(ms))
 
 
 def identity_effect(dim: int) -> Effect:
@@ -284,9 +246,11 @@ def product_tol(tol_a: float, tol_b: float) -> float:
     """Admission tolerance of a product of operands admitted at tol_a and tol_b.
 
     With -t <= x <= 1 + t for both, a^{1/2} b a^{1/2} (and its sum over a's
-    in an observable) lies in [-t_b(1 + t_a), (1 + t_a)(1 + t_b)].
+    in an observable) lies in [-t_b(1 + t_a), (1 + t_a)(1 + t_b)]. The bound
+    is written t_a + t_b + t_a t_b: (1 + t_a)(1 + t_b) - 1 cancels to 0
+    when both tolerances are below eps.
     """
-    return (1.0 + tol_a) * (1.0 + tol_b) - 1.0
+    return tol_a + tol_b + tol_a * tol_b
 
 
 def sequential_product(a: Effect, b: Effect) -> Effect:
@@ -296,15 +260,14 @@ def sequential_product(a: Effect, b: Effect) -> Effect:
     trusted; it always satisfies a o b <= a, and equals ab when a and b
     commute. The one-pair case of sequential_products.
     """
-    return sequential_products([a], [b]).effects()[0]
+    return sequential_products([a], [b])[0]
 
 
-def sequential_products(lefts, rights) -> AdmittedStack:
+def sequential_products(lefts, rights) -> tuple[Effect, ...]:
     """a o b for every aligned pair (lefts[k], rights[k]) of one dimension, in one stacked pass.
 
-    Pair k is admitted at product_tol of its own operands' tolerances, with
-    its failure keyed (k, 0). DimensionMismatchError, checked pair by pair,
-    is the one error raised here.
+    Pair k is admitted at product_tol of its own operands' tolerances, after
+    DimensionMismatchError is checked pair by pair.
     """
     for a, b in zip(lefts, rights):
         _check_dims(a.dim, b.dim)

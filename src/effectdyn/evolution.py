@@ -30,11 +30,9 @@ import numpy as np
 
 from . import linalg
 from .effects import (
-    AdmittedStack,
     Effect,
     admit_effects,
     commutes,
-    first_failure,
     sequential_product,
     sequential_products,
     stacked_roots,
@@ -90,7 +88,8 @@ class EigenFrame:
     """e^{-ita} m e^{ita} at any t, as V (E_t ⊙ X) V† with X = V† m V.
 
     ``vectors`` is the eigenbasis V of a and ``freq`` holds the frequencies
-    w_j - w_k, so E_t = exp(-it freq).
+    w_j - w_k, so E_t = exp(-it freq). A frame serves one pair or, with each
+    field stacked along a leading axis, a stack of pairs (see at).
     """
 
     vectors: np.ndarray
@@ -102,8 +101,13 @@ class EigenFrame:
         """Frame of b(t|a), that is m = b."""
         if a.dim != b.dim:
             raise DimensionMismatchError(f"dimensions {a.dim} and {b.dim} differ")
-        v, w = a.decomposition.vectors, a.decomposition.eigenvalues
-        return cls(v, w[:, None] - w[None, :], v.conj().T @ b.matrix @ v)
+        return cls._from_decomposition(a.decomposition, b.matrix)
+
+    @classmethod
+    def _from_decomposition(cls, d: linalg.SpectralDecomposition, m: np.ndarray) -> EigenFrame:
+        """Frame of e^{-ita} m e^{ita} from the decomposition d of a; d and m may be stacked."""
+        v, w = d.vectors, d.eigenvalues
+        return cls(v, w[..., :, None] - w[..., None, :], linalg.adjoint(v) @ m @ v)
 
     @classmethod
     def product(cls, a: Effect, b: Effect) -> EigenFrame:
@@ -120,8 +124,8 @@ class EigenFrame:
         return frame
 
     def at(self, t: float) -> np.ndarray:
-        """The operator at one time t."""
-        return self.vectors @ (np.exp(-1j * t * self.freq) * self.x) @ self.vectors.conj().T
+        """The operator at one time t, or each operator of a stacked frame."""
+        return self.vectors @ (np.exp(-1j * t * self.freq) * self.x) @ linalg.adjoint(self.vectors)
 
     def matrices(self, times, order: int = 0) -> np.ndarray:
         """The order-th time derivative (order 0: the operator) at every t, stacked."""
@@ -149,17 +153,17 @@ class EigenFrame:
 
 
 def _cross_check(value: np.ndarray, second_route: np.ndarray) -> None:
-    residual = linalg.spectral_norm(value - second_route)
-    if residual > CROSS_CHECK_TOL:
-        raise _consistency_error(residual)
+    """Raise ConsistencyError where the two routes differ beyond CROSS_CHECK_TOL.
 
-
-def _consistency_error(residual: float) -> ConsistencyError:
-    return ConsistencyError(
-        f"the two forms of a[t]b disagree by {residual:.3e} (bound "
-        f"{CROSS_CHECK_TOL:g}); this indicates a numerical defect, not a "
-        "property of the inputs"
-    )
+    Takes one matrix or a stack; the first failing slice raises.
+    """
+    for residual in np.atleast_1d(np.linalg.norm(value - second_route, 2, axis=(-2, -1))):
+        if residual > CROSS_CHECK_TOL:
+            raise ConsistencyError(
+                f"the two forms of a[t]b disagree by {residual:.3e} (bound "
+                f"{CROSS_CHECK_TOL:g}); this indicates a numerical defect, not a "
+                "property of the inputs"
+            )
 
 
 def effect_evolution(b: Effect, a: Effect, t: float) -> Effect:
@@ -202,32 +206,26 @@ def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
     t, and returned validated at product_tol of the operands. The one-pair
     case of time_seq_products.
     """
-    return time_seq_products([a], [b], t).effects()[0]
+    return time_seq_products([a], [b], t)[0]
 
 
-def time_seq_products(lefts, rights, t: float) -> AdmittedStack:
+def time_seq_products(lefts, rights, t: float) -> tuple[Effect, ...]:
     """a[t]b for every aligned pair (lefts[k], rights[k]) of one dimension, in one stacked pass.
 
     Pair k takes the steps of time_seq_product: a o b admitted at its
-    product_tol (sequential_products), its frame value V (E_t ⊙ V†(a o b)V) V†,
-    the dense cross-check against a^{1/2} (u b u†) a^{1/2} with u = e^{-ita}
-    (exactly I at t = 0), and the value's admission at that product_tol.
-    Every check runs over the whole stack; the failure is the first failing
-    pair's first failing step, keyed (k, step).
+    product_tol (sequential_products), its value from the stacked frame of
+    a o b, the dense cross-check against a^{1/2} (u b u†) a^{1/2} with
+    u = e^{-ita} (exactly I at t = 0), and the value's admission at that
+    product_tol. Each check runs over the whole stack before the next; its
+    first failing pair raises.
     """
     ab = sequential_products(lefts, rights)
     d, s = stacked_roots(lefts)  # cached by sequential_products
-    v, vh = d.vectors, linalg.adjoint(d.vectors)
-    freq = d.eigenvalues[:, :, None] - d.eigenvalues[:, None, :]
-    value = v @ (np.exp(-1j * t * freq) * (vh @ ab.matrices @ v)) @ vh
+    value = EigenFrame._from_decomposition(d, np.array([e.matrix for e in ab])).at(t)
     u = linalg.unitary_from_decomposition(d, t)
     b = np.array([e.matrix for e in rights])
-    residuals = np.linalg.norm(value - s @ (u @ b @ linalg.adjoint(u)) @ s, 2, axis=(-2, -1))
-    failing = (k for k, r in enumerate(residuals.tolist()) if r > CROSS_CHECK_TOL)
-    k = next(failing, None)
-    cross = None if k is None else ((k, 1), _consistency_error(residuals[k]))
-    out = admit_effects(value, ab.tols, step=2)
-    return out._replace(failure=first_failure(ab.failure, cross, out.failure))
+    _cross_check(value, s @ (u @ b @ linalg.adjoint(u)) @ s)
+    return admit_effects(value, [e.tol for e in ab])
 
 
 def seq_product_derivative(a: Effect, b: Effect, t: float) -> np.ndarray:

@@ -14,8 +14,9 @@ stacks, whatever n and m, with every per-pair step and check of the
 one-pair sequential_product and time_seq_product kept. Where numpy's stacked
 calls equal its per-matrix ones bit for bit (they do in numpy 2.4.6), so do
 the results; the outcome sums add in x order from zero, as a loop would.
-When a check fails, the error raised is the one a pair-by-pair loop would
-have met first.
+Each check runs over the whole stack before the next; its first failing
+pair raises. The pairs run x-major, (A_0, B_0), (A_0, B_1), ..., in every
+operation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .effects import (
     State,
     admit_effects,
     clamp_unit,
-    first_failure,
     product_tol,
     sequential_products,
     validate_effect,
@@ -185,48 +185,35 @@ def _product_labels(a: Observable, b: Observable) -> list[str]:
     return list(pairs)
 
 
+def _pairs(products, a: Observable, b: Observable, *args) -> tuple[Effect, ...]:
+    """products(A_x, B_y, *args) for all n·m pairs in one stacked pass, x-major."""
+    lefts = [ax for ax in a.effects for _ in b.effects]
+    rights = [by for _ in a.effects for by in b.effects]
+    return products(lefts, rights, *args)
+
+
 def _pairwise(products, a: Observable, b: Observable, *args) -> Observable:
     """Effects products(A_x, B_y, *args) over the product outcome set, input order.
 
-    The labels are checked before any product is computed; then all n·m
-    pairs go through the stacked kernel in one pass.
+    The labels are checked before any product is computed.
     """
     labels = _product_labels(a, b)
-    lefts = [ax for ax in a.effects for _ in b.effects]
-    rights = [by for _ in a.effects for by in b.effects]
-    return validate_observable(products(lefts, rights, *args).effects(), labels)
+    return validate_observable(_pairs(products, a, b, *args), labels)
 
 
 def _conditioned(products, b: Observable, a: Observable, *args) -> Observable:
-    """Effect y is sum_x products(A_x, B_y, *args), all n·m pairs in one stacked pass.
-
-    The pairs run column by column (y outer), each column's sum after its
-    pairs, so the first failing check is the one a pair-by-pair loop meets.
-    """
-    n = len(a)
-    lefts = [ax for _ in b.effects for ax in a.effects]
-    rights = [by for by in b.effects for _ in a.effects]
-    stack = products(lefts, rights, *args)
-    terms = stack.matrices.reshape(len(b), n, a.dim, a.dim)
-    return _outcome_sums(b.outcomes, terms, product_tol(a.tol, b.tol), stack.failure)
+    """Effect y is sum_x products(A_x, B_y, *args), summed once every pair is admitted."""
+    terms = np.array([e.matrix for e in _pairs(products, a, b, *args)])
+    terms = terms.reshape(len(a), len(b), a.dim, a.dim)
+    return _outcome_sums(b.outcomes, terms, product_tol(a.tol, b.tol))
 
 
-def _outcome_sums(outcomes, terms: np.ndarray, tol: float, failure=None) -> Observable:
-    """Effect y is the sum of terms[y, :], added in order from zero and admitted at tol.
-
-    ``failure`` is that of the pairs behind ``terms`` (column y's pairs keyed
-    from y·n), so that the sum of a column is checked after its own pairs
-    and before the next column's.
-    """
-    m, n = terms.shape[:2]
-    total = np.zeros((m,) + terms.shape[2:], dtype=complex)
-    for x in range(n):
-        total = total + terms[:, x]
-    sums = admit_effects(total, (tol,) * m)
-    if sums.failure is not None:
-        (y, _), error = sums.failure
-        failure = first_failure(failure, ((y * n + n - 1, 3), error))
-    return validate_observable(sums._replace(failure=failure).effects(), outcomes)
+def _outcome_sums(outcomes, terms: np.ndarray, tol: float) -> Observable:
+    """Effect y is the sum of terms[:, y], added in order from zero and admitted at tol."""
+    total = np.zeros(terms.shape[1:], dtype=complex)
+    for term in terms:
+        total = total + term
+    return validate_observable(admit_effects(total, (tol,) * len(total)), outcomes)
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
@@ -281,4 +268,4 @@ def convex_combination(weights, observables) -> Observable:
     if len(dims) > 1:
         raise DimensionMismatchError(f"summed effects have mixed dimensions: {dims}")
     terms = [w * np.stack([e.matrix for e in o.effects]) for w, o in zip(ws, obs)]
-    return _outcome_sums(first.outcomes, np.stack(terms, axis=1), max(o.tol for o in obs))
+    return _outcome_sums(first.outcomes, np.stack(terms), max(o.tol for o in obs))

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -34,6 +35,7 @@ def files(tmp_path_factory):
         "rho": write_op(root / "rho.json", np.eye(2) / 2.0),
         "bad_entry": write_op(root / "bad_entry.json", np.diag([2.0, 0.0])),
         "hot": write_op(root / "hot.json", np.diag([1.0 + 5e-7, 0.5])),
+        "third": write_op(root / "third.json", np.full((3, 3), 1.0 / 3.0)),
         "obs_a": write_obs(root / "obs_a.json", [p, np.eye(2) - p], ["p", "q"]),
         "obs_b": write_obs(root / "obs_b.json", [b, np.eye(2) - b], ["u", "v"]),
     }
@@ -356,6 +358,15 @@ def test_classify_tol_override(files, capsys):
     assert "constant: true" in out
 
 
+def test_classify_at_a_tolerance_below_eps(files, capsys):
+    # every entry 1/3: admitted at --tol 1e-16, its product with itself has an
+    # eigenvalue near -6e-17, inside the compound tolerance of about 2e-16
+    third = files["third"]
+    assert run(capsys, ["--tol", "1e-16", "validate", third])[0] == 0
+    code, _, err = run(capsys, ["--tol", "1e-16", "classify", third, third])
+    assert code == 0, err
+
+
 # -- observable -------------------------------------------------------------
 
 
@@ -364,6 +375,24 @@ def test_observable_dist(files, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"p": 0.5, "q": 0.5}
+
+
+def test_observable_calls_are_looked_up_when_the_command_runs(files, capsys, monkeypatch):
+    # a rebinding of a library call in effectdyn.cli, as a tracing wrapper makes,
+    # is what the observable subcommands call
+    calls = collections.Counter()
+    for name in ("obs_time_seq_product", "distribution"):
+
+        def counting(*args, _call=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    tseq = ["observable", "tseq", files["obs_a"], files["obs_b"], "--t", "0.4"]
+    assert run(capsys, tseq)[0] == 0
+    assert calls == {"obs_time_seq_product": 1}
+    assert run(capsys, ["observable", "dist", files["obs_a"], "--state", files["rho"]])[0] == 0
+    assert calls == {"obs_time_seq_product": 1, "distribution": 1}
 
 
 def test_observable_seqprod_labels(files, capsys):

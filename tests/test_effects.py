@@ -16,6 +16,7 @@ from effectdyn import (
     verify_coexistence_witness,
     zero_effect,
 )
+from effectdyn.effects import product_tol
 from effectdyn.errors import (
     DimensionMismatchError,
     NonHermitianError,
@@ -147,6 +148,12 @@ def test_commuting_witness_admits_compound_product():
     w = commuting_witness(a, b)
     assert w.c.tol == pytest.approx(2e-6, rel=1e-5)
     assert verify_coexistence_witness(a, b, w)
+
+
+def test_product_tol_does_not_cancel_below_eps():
+    # (1 + t)(1 + t) - 1 rounds to 0 for t = 1e-16, which would admit the
+    # product at a tolerance tighter than either operand's
+    assert product_tol(1e-16, 1e-16) >= 2e-16
 
 
 def test_commuting_witness_requires_commutation():

@@ -21,6 +21,7 @@ from effectdyn import (
     validate_observable,
     validate_state,
 )
+from effectdyn.effects import stacked_roots
 from effectdyn.errors import (
     DimensionMismatchError,
     MemberNotEffectError,
@@ -29,6 +30,8 @@ from effectdyn.errors import (
     SumNotIdentityError,
     WeightsNotNormalizedError,
 )
+
+from effectdyn.evolution import EigenFrame
 
 from support import random_effect, random_observable, random_state
 
@@ -349,14 +352,23 @@ def _dense_time_seq_product(a, b, t):
 
 def test_stacked_products_match_a_dense_reference(rng):
     # every member of A o B, A[t]B, (B|A) and (B|A)(t|A) against a per-pair
-    # dense reference written here, at dims 1-8 with 1-4 outcomes
+    # dense reference written here, at dims 1-8 with 1-4 outcomes; and the
+    # frame of a stacked decomposition against each pair's own frame
     for dim in range(1, 9):
         for n in range(1, 5):
             a_obs = _observable_with_rank_deficient_member(dim, n, rng)
             b_obs = _observable_with_rank_deficient_member(dim, 5 - n, rng)
             if n > 1 and dim > 1:
                 assert np.linalg.matrix_rank(a_obs.effects[0].matrix, tol=1e-10) == dim - 1
+            pairs = [(ax, by) for ax in a_obs.effects for by in b_obs.effects]
+            decomposition, _ = stacked_roots([ax for ax, _ in pairs])
+            stacked = EigenFrame._from_decomposition(
+                decomposition, np.array([by.matrix for _, by in pairs])
+            )
             for t in (0.0, 1.3, -40.0):
+                for (ax, by), slice_ in zip(pairs, stacked.at(t)):
+                    one = EigenFrame.evolution(ax, by).at(t)
+                    assert np.max(np.abs(slice_ - one)) < 1e-14
                 want = [
                     [_dense_time_seq_product(ax.matrix, by.matrix, t) for by in b_obs.effects]
                     for ax in a_obs.effects
