@@ -114,6 +114,8 @@ def cmd_validate(args) -> int:
 def cmd_evolve(args) -> int:
     if args.steps < 0:
         raise EffectdynError(f"--steps must be nonnegative, got {args.steps}")
+    if not math.isfinite(args.t1 - args.t0):
+        raise EffectdynError(f"time window must have finite width, got {(args.t0, args.t1)}")
     a = _load_effect(args.a_file, args.tol)
     b = _load_effect(args.b_file, args.tol)
     times = np.linspace(args.t0, args.t1, args.steps + 1)
@@ -294,18 +296,14 @@ def cmd_examples(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    try:
-        cfg = ScanConfig(
-            dim=args.dim,
-            trials=args.trials,
-            t_window=(args.tmin, args.tmax),
-            grid_points=args.grid,
-            seed=args.seed,
-            commutator_floor=args.floor,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    cfg = ScanConfig(
+        dim=args.dim,
+        trials=args.trials,
+        t_window=(args.tmin, args.tmax),
+        grid_points=args.grid,
+        seed=args.seed,
+        commutator_floor=args.floor,
+    )
     result = conjecture_scan(cfg)
     json_path = Path(f"{args.out}.json")
     csv_path = Path(f"{args.out}.csv")
@@ -384,13 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("scan", help="randomized symmetry-gap search (writes JSON + CSV)")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tmin", type=_finite, default=-4.0 * math.pi)
-    p.add_argument("--tmax", type=_finite, default=4.0 * math.pi)
-    p.add_argument("--grid", type=int, default=64, help="initial knots of the certified gap search")
-    p.add_argument("--floor", type=float, default=1e-3)
+    d = ScanConfig()  # the one home of every scan default
+    p.add_argument("--dim", type=int, default=d.dim)
+    p.add_argument("--trials", type=int, default=d.trials)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--tmin", type=_finite, default=d.t_window[0])
+    p.add_argument("--tmax", type=_finite, default=d.t_window[1])
+    p.add_argument(
+        "--grid", type=int, default=d.grid_points, help="initial knots of the certified gap search"
+    )
+    p.add_argument("--floor", type=float, default=d.commutator_floor)
     p.add_argument("--out", default="scan", help="output prefix for .json/.csv")
     p.set_defaults(func=cmd_scan)
 
@@ -407,10 +408,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except EffectdynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (EffectdynError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

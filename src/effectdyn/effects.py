@@ -213,7 +213,7 @@ def validate_state(matrix, tol: float = DECISION_TOL) -> State:
     """Validate positivity and unit trace and build a :class:`State` that keeps ``tol``."""
     h = linalg.require_hermitian(matrix)
     w = np.linalg.eigvalsh(h)
-    lo = float(w[0]) if w.size else 0.0
+    lo = float(w[0])
     if lo < -tol:
         raise SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
     tr = float(np.trace(h).real)

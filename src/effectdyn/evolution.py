@@ -24,6 +24,7 @@ Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .effects import (
 from .errors import (
     ConsistencyError,
     DimensionMismatchError,
+    EffectdynError,
     EmptyGridError,
     InvalidOrderError,
     NotAProjectionError,
@@ -125,7 +127,19 @@ class EigenFrame:
 
     def at(self, t: float) -> np.ndarray:
         """The operator at one time t, or each operator of a stacked frame."""
-        return self.vectors @ (np.exp(-1j * t * self.freq) * self.x) @ linalg.adjoint(self.vectors)
+        return self.vectors @ (self._phases(t) * self.x) @ linalg.adjoint(self.vectors)
+
+    def _phases(self, t) -> np.ndarray:
+        """E_t = exp(-it freq) at t, a time or an array of times that broadcasts against freq.
+
+        Raises EffectdynError where t * freq is not finite: an admitted effect
+        may reach 1 + tol, so a finite t can overflow a phase into NaN. The
+        largest |t * freq| is the product of the largest |t| and |freq|.
+        """
+        t_max = float(np.abs(t).max())
+        if not math.isfinite(t_max * float(np.abs(self.freq).max())):
+            raise EffectdynError(f"phase t*(w_j - w_k) must be finite, got |t| = {t_max!r}")
+        return np.exp(-1j * t * self.freq)
 
     def matrices(self, times, order: int = 0) -> np.ndarray:
         """The order-th time derivative (order 0: the operator) at every t, stacked."""
@@ -148,7 +162,7 @@ class EigenFrame:
         ts = np.asarray(times, dtype=float).ravel()
         if ts.size == 0:
             raise EmptyGridError("time grid is empty")
-        rotated = np.exp(-1j * ts[:, None, None] * self.freq) * self.x
+        rotated = self._phases(ts[:, None, None]) * self.x
         return rotated * (-1j * self.freq) ** order if order else rotated
 
 

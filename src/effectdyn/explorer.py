@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .effects import Effect, validate_effect
-from .errors import CommutingPairError, EmptyGridError
+from .errors import CommutingPairError, EffectdynError, EmptyGridError
 from .evolution import EigenFrame, time_seq_product
 
 # Pairs with ||[a,b]|| below the floor are uninformative (near-commuting
@@ -60,10 +60,11 @@ _HISTOGRAM_EDGES = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, math.inf)
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Parameters of a conjecture scan; validated at construction.
+    """Parameters of a conjecture scan, validated at construction (EffectdynError).
 
-    ``grid_points`` is the number of evenly spaced initial knots of the
-    certified search; the search decides everything else (_certified_search).
+    The defaults are those of the ``scan`` command. ``grid_points`` is the
+    number of evenly spaced initial knots of the certified search; the search
+    decides everything else (_certified_search).
     """
 
     dim: int = 2
@@ -75,18 +76,18 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         if not 2 <= self.dim <= 8:
-            raise ValueError(f"dim must be in [2, 8], got {self.dim}")
+            raise EffectdynError(f"dim must be in [2, 8], got {self.dim}")
         if self.trials < 0:
-            raise ValueError("trials must be nonnegative")
+            raise EffectdynError("trials must be nonnegative")
         lo, hi = self.t_window
         if not (lo < hi and math.isfinite(hi - lo)):
-            raise ValueError(f"t_window must be finite with t_min < t_max, got {self.t_window}")
+            raise EffectdynError(f"t_window must be finite with t_min < t_max, got {self.t_window}")
         if self.grid_points < 8:
-            raise ValueError("grid_points must be at least 8")
+            raise EffectdynError("grid_points must be at least 8")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise EffectdynError("seed must fit in 64 unsigned bits")
         if not self.commutator_floor > 0.0:
-            raise ValueError("commutator_floor must be positive")
+            raise EffectdynError("commutator_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,8 @@ class ScanRecord:
     ``min_gap_lower`` is a certified lower bound of the gap over the whole
     window, so the window minimum lies in [min_gap_lower, min_gap].
     ``punctured_*`` carry the same over the window with |t| < 0.1 removed
-    (None when the window lies inside the removed neighborhood).
+    (None when the window lies inside the removed neighborhood). The fields
+    are in the order of the scan JSON record.
     """
 
     trial: int
@@ -104,11 +106,11 @@ class ScanRecord:
     t_star: float
     min_gap: float
     min_gap_lower: float
-    a: Effect
-    b: Effect
     punctured_t_star: float | None
     punctured_min_gap: float | None
     punctured_min_gap_lower: float | None
+    a: Effect
+    b: Effect
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,6 @@ def random_effect(dim: int, rng: np.random.Generator) -> Effect:
     dividing by the operator norm puts the spectrum of H/||H|| in [-1, 1],
     so the result is a valid effect by construction.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
     norm = linalg.operator_norm(h)
@@ -218,13 +218,13 @@ def _lipschitz(frames: tuple[EigenFrame, EigenFrame]) -> float:
 
 
 def _certified_search(
-    frames: tuple[EigenFrame, EigenFrame], cfg: ScanConfig, radius: float = PUNCTURED_RADIUS
+    frames: tuple[EigenFrame, EigenFrame], cfg: ScanConfig
 ) -> tuple[_WindowMinimum, _WindowMinimum | None]:
     """Gap minimum and certified lower bound over the window and the punctured window.
 
-    The punctured window removes |t| < radius (none is left for an infinite
-    radius). Knots start as ``grid_points`` evenly spaced times plus ±radius,
-    so each interval lies wholly inside or outside the removed neighborhood.
+    The punctured window removes |t| < PUNCTURED_RADIUS. Knots start as
+    ``grid_points`` evenly spaced times plus ±PUNCTURED_RADIUS, so each
+    interval lies wholly inside or outside the removed neighborhood.
     On an interval of length h between knots with gaps g_i and g_{i+1},
 
         gap >= (g_i + g_{i+1} - L h)/2 - slack,   L = _lipschitz(frames),
@@ -250,7 +250,7 @@ def _certified_search(
     """
     lo, hi = cfg.t_window
     ts = np.linspace(lo, hi, cfg.grid_points)
-    extra = [x for x in (-radius, radius) if lo < x < hi and x not in ts]
+    extra = [x for x in (-PUNCTURED_RADIUS, PUNCTURED_RADIUS) if lo < x < hi and x not in ts]
     ts = np.insert(ts, np.searchsorted(ts, extra), extra)
     gap = _gap_kernel(frames)
     gs = _profile(gap, ts)
@@ -259,7 +259,7 @@ def _certified_search(
     while True:
         h = np.diff(ts)
         bounds = (gs[:-1] + gs[1:] - lip * h) / 2.0 - slack
-        punctured = (ts[1:] <= -radius) | (ts[:-1] >= radius)
+        punctured = (ts[1:] <= -PUNCTURED_RADIUS) | (ts[:-1] >= PUNCTURED_RADIUS)
         best = np.where(punctured, np.min(gs, where=_knots(punctured), initial=np.inf), gs.min())
         mids = (ts[:-1] + ts[1:]) / 2.0
         split = np.flatnonzero(
@@ -303,8 +303,9 @@ def _knots(intervals: np.ndarray) -> np.ndarray:
 def minimize_gap(a: Effect, b: Effect, cfg: ScanConfig) -> tuple[float, float]:
     """Smallest symmetry gap of a noncommuting pair over the config window.
 
-    Returns (t_star, min_gap) of the certified search over the window alone
-    (no punctured window), never above the gap at any of its knots.
+    Returns (t_star, min_gap) of the window minimum of the certified search
+    that conjecture_scan runs, so it reproduces each scan record's pair
+    exactly; it is never above the gap at any of the search's knots.
     Raises CommutingPairError when ||[a,b]|| is below the commutator floor
     (near-commuting pairs have trivially small gaps).
     """
@@ -312,7 +313,7 @@ def minimize_gap(a: Effect, b: Effect, cfg: ScanConfig) -> tuple[float, float]:
         raise CommutingPairError(
             f"pair commutes within floor {cfg.commutator_floor}; gap search is uninformative"
         )
-    full, _ = _certified_search(_frames(a, b), cfg, radius=math.inf)
+    full, _ = _certified_search(_frames(a, b), cfg)
     return full.t_star, full.min_gap
 
 
@@ -334,10 +335,7 @@ def _draw_pair(cfg: ScanConfig, trial: int) -> tuple[Effect, Effect, float] | No
 
 def _histogram(gaps: list[float]) -> dict:
     counts = np.histogram(gaps, bins=_HISTOGRAM_EDGES)[0].tolist()
-    labels = [
-        f"[{_HISTOGRAM_EDGES[i]:g}, {_HISTOGRAM_EDGES[i + 1]:g})"
-        for i in range(len(counts))
-    ]
+    labels = [f"[{lo:g}, {hi:g})" for lo, hi in zip(_HISTOGRAM_EDGES, _HISTOGRAM_EDGES[1:])]
     return {"bins": labels, "counts": counts}
 
 
@@ -368,11 +366,11 @@ def conjecture_scan(cfg: ScanConfig) -> ScanResult:
                 t_star=full.t_star,
                 min_gap=full.min_gap,
                 min_gap_lower=full.lower,
-                a=a,
-                b=b,
                 punctured_t_star=None if punctured is None else punctured.t_star,
                 punctured_min_gap=None if punctured is None else punctured.min_gap,
                 punctured_min_gap_lower=None if punctured is None else punctured.lower,
+                a=a,
+                b=b,
             )
         )
     ranking = sorted(records, key=lambda r: (r.min_gap, r.trial))

@@ -8,22 +8,23 @@ immutable inputs; returned arrays are new allocations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError
+from .errors import DimensionMismatchError, EffectdynError, NonHermitianError
 
 # Max-entry deviation of M from M†, relative to the max entry magnitude.
 HERMITICITY_RTOL = 1e-10
 
 
 def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce input to a square complex matrix with finite entries."""
+    """Coerce input to a nonempty square complex matrix with finite entries."""
     m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -97,10 +98,14 @@ def eigh(m) -> SpectralDecomposition:
 def unitary_from_decomposition(d: SpectralDecomposition, t: float) -> np.ndarray:
     """exp(-i t a) from a precomputed decomposition of a, or of each slice of a stacked one.
 
-    Exact for Hermitian a; returns the identity exactly at t = 0.
+    Exact for Hermitian a; returns the identity exactly at t = 0. Raises
+    EffectdynError where t * w is not finite (it overflows for an eigenvalue w
+    beyond 1 at a finite t near the float limit).
     """
     if t == 0:
         return np.broadcast_to(np.eye(d.dim, dtype=complex), d.vectors.shape).copy()
+    if not math.isfinite(abs(float(t)) * float(np.abs(d.eigenvalues).max())):
+        raise EffectdynError(f"phase t*w must be finite, got t = {float(t)!r}")
     phase = np.exp(-1j * t * d.eigenvalues)
     return (d.vectors * phase[..., None, :]) @ adjoint(d.vectors)
 
@@ -131,10 +136,7 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
 
 def spectral_norm(m) -> float:
     """Largest singular value; valid for arbitrary (non-Hermitian) matrices."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
 
 
 def projection_defect(m: np.ndarray) -> float:

@@ -18,6 +18,7 @@ document, into a layout cached per (dim, depth) instead.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -25,6 +26,7 @@ from itertools import chain
 
 import numpy as np
 
+from .effects import Effect
 from .errors import SchemaError
 from .explorer import ScanConfig, ScanResult
 from .observables import Observable, OutcomeDistribution
@@ -239,30 +241,15 @@ def scan_csv(result: ScanResult) -> str:
 
 
 def scan_json(cfg: ScanConfig, result: ScanResult) -> str:
-    doc = {
-        "config": {
-            "dim": cfg.dim,
-            "trials": cfg.trials,
-            "t_window": list(cfg.t_window),
-            "grid_points": cfg.grid_points,
-            "seed": cfg.seed,
-            "commutator_floor": cfg.commutator_floor,
-        },
-        "summary": result.summary,
-        "records": [
-            {
-                "trial": r.trial,
-                "commutator_norm": r.commutator_norm,
-                "t_star": r.t_star,
-                "min_gap": r.min_gap,
-                "min_gap_lower": r.min_gap_lower,
-                "punctured_t_star": r.punctured_t_star,
-                "punctured_min_gap": r.punctured_min_gap,
-                "punctured_min_gap_lower": r.punctured_min_gap_lower,
-                "a": operator_to_document(r.a.matrix),
-                "b": operator_to_document(r.b.matrix),
-            }
-            for r in result.records
-        ],
-    }
+    """The config, the summary and the records; config and record keys in dataclass field order."""
+    records = [_fields_document(r) for r in result.records]
+    doc = {"config": _fields_document(cfg), "summary": result.summary, "records": records}
     return to_json(doc) + "\n"
+
+
+def _fields_document(obj) -> dict:
+    """A dataclass as a JSON object: keys in field order, each Effect as its operator document."""
+    doc = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {
+        k: operator_to_document(v.matrix) if isinstance(v, Effect) else v for k, v in doc.items()
+    }

@@ -22,6 +22,12 @@ def write_obs(path, matrices, outcomes):
     return str(path)
 
 
+# Admitted at the default --tol; its eigenvalue gap 1 + 1.8e-9 times the
+# largest float overflows, so every phase of a frame of it is out of range there.
+EDGE = np.diag([-0.9e-9, 1.0 + 0.9e-9])
+MAX_FLOAT = "1.7976931348623157e308"
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("ops")
@@ -36,7 +42,9 @@ def files(tmp_path_factory):
         "bad_entry": write_op(root / "bad_entry.json", np.diag([2.0, 0.0])),
         "hot": write_op(root / "hot.json", np.diag([1.0 + 5e-7, 0.5])),
         "third": write_op(root / "third.json", np.full((3, 3), 1.0 / 3.0)),
+        "edge": write_op(root / "edge.json", EDGE),
         "obs_a": write_obs(root / "obs_a.json", [p, np.eye(2) - p], ["p", "q"]),
+        "obs_edge": write_obs(root / "obs_edge.json", [EDGE, np.eye(2) - EDGE], ["e", "f"]),
         "obs_b": write_obs(root / "obs_b.json", [b, np.eye(2) - b], ["u", "v"]),
     }
     bad = root / "bad.json"
@@ -324,6 +332,22 @@ def test_evolve_negative_steps_is_invalid_input(files, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "@edge", "@b", "--t0", "0", "--t1", MAX_FLOAT, "--steps", "1"],
+        ["observable", "evolve", "@obs_b", "@edge", "--t", MAX_FLOAT],
+        ["observable", "tseq", "@obs_edge", "@obs_b", "--t", MAX_FLOAT],
+        ["observable", "tcond", "@obs_edge", "@obs_b", "--t", MAX_FLOAT],
+    ],
+    ids=["evolve", "observable evolve", "observable tseq", "observable tcond"],
+)
+def test_finite_time_whose_phase_overflows_is_invalid_input(files, capsys, argv):
+    code, out, err = run(capsys, [str(files[x[1:]]) if x[0] == "@" else x for x in argv])
+    assert (code, out) == (2, "")
+    assert err == "error: phase t*(w_j - w_k) must be finite, got |t| = 1.7976931348623157e+308\n"
+
+
 # -- classify ---------------------------------------------------------------
 
 
@@ -561,6 +585,7 @@ def test_observable_file_of_mixed_dimensions_is_invalid_input(files, capsys):
         ["evolve", "@a", "@b", "--t1", "nan"],
         ["evolve", "@a", "@b", "--t1", "inf"],
         ["evolve", "@a", "@b", "--t0", "nan", "--mode", "seqprod"],
+        ["evolve", "@a", "@b", "--t0=-1e308", "--t1=1e308", "--steps", "2"],
         ["scan", "--trials", "1", "--tmax", "inf", "--out", "@root"],
         ["scan", "--trials", "1", "--tmin=-1e308", "--tmax=1e308", "--out", "@root"],
         ["--tol", "nan", "evolve", "@a", "@b"],

@@ -7,6 +7,7 @@ from effectdyn import (
     commutes,
     commuting_witness,
     evolve_state,
+    explorer,
     identity_effect,
     maximally_mixed_state,
     probability,
@@ -26,6 +27,22 @@ from effectdyn.errors import (
 )
 
 from support import random_effect, random_state
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: validate_effect(np.zeros((0, 0))),
+        lambda: identity_effect(0),
+        lambda: zero_effect(0),
+        lambda: validate_state(np.zeros((0, 0))),
+        lambda: explorer.random_effect(0, np.random.default_rng(0)),
+    ],
+    ids=["validate_effect", "identity_effect", "zero_effect", "validate_state", "random_effect"],
+)
+def test_empty_matrix_is_a_dimension_mismatch(make):
+    with pytest.raises(DimensionMismatchError, match="nonempty square matrix"):
+        make()
 
 
 def test_validate_effect_accepts_boundaries():

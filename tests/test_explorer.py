@@ -16,7 +16,12 @@ from effectdyn import (
     symmetry_gap_profile,
     validate_effect,
 )
-from effectdyn.errors import CommutingPairError, DimensionMismatchError, EmptyGridError
+from effectdyn.errors import (
+    CommutingPairError,
+    DimensionMismatchError,
+    EffectdynError,
+    EmptyGridError,
+)
 from effectdyn.evolution import EigenFrame
 from effectdyn.explorer import (
     CANDIDATE_LABEL,
@@ -137,21 +142,21 @@ def test_conjecture_scan_uses_only_eigenframes(monkeypatch):
 
 
 def test_scan_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(EffectdynError):
         ScanConfig(dim=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(EffectdynError):
         ScanConfig(dim=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(EffectdynError):
         ScanConfig(trials=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(EffectdynError):
         ScanConfig(t_window=(1.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(EffectdynError):
         ScanConfig(t_window=(0.0, math.inf))
-    with pytest.raises(ValueError):
+    with pytest.raises(EffectdynError):
         ScanConfig(grid_points=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(EffectdynError):
         ScanConfig(commutator_floor=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(EffectdynError):
         ScanConfig(seed=-1)
 
 
@@ -175,6 +180,16 @@ def test_minimize_gap_below_grid_and_matches_dense_scan():
         dense = symmetry_gap_profile(a, b, np.linspace(lo, hi, 100_001))
         assert min_gap <= np.min(dense) + 1e-8
         assert abs(min_gap - np.min(dense)) < 1e-6  # dense grid is itself coarse
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_minimize_gap_reproduces_each_scan_record(dim):
+    # one search per pair: the scan's window minimum, to the last bit
+    cfg = ScanConfig(dim=dim, trials=40, seed=11)
+    records = conjecture_scan(cfg).records
+    assert len(records) == 40
+    for r in records:
+        assert minimize_gap(r.a, r.b, cfg) == (r.t_star, r.min_gap)
 
 
 def test_minimize_gap_window_excluding_zero():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectdyn import classify_scaled_projection, linalg, validate_effect
-from effectdyn.errors import DimensionMismatchError, NonHermitianError
+from effectdyn.errors import DimensionMismatchError, EffectdynError, NonHermitianError
 
 from support import random_hermitian
 
@@ -71,6 +71,13 @@ def test_unitary_exp_is_unitary(rng):
     a = random_hermitian(4, rng)
     u = unitary_exp(a, -2.3)
     assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-13
+
+
+def test_unitary_exp_rejects_a_phase_that_overflows():
+    # an eigenvalue admitted just above 1 times the largest float is not finite
+    d = linalg.eigh(np.diag([-0.9e-9, 1.0 + 0.9e-9]))
+    with pytest.raises(EffectdynError, match="phase t\\*w must be finite"):
+        linalg.unitary_from_decomposition(d, np.finfo(float).max)
 
 
 def test_commutator_convention_and_dimension_check():

@@ -129,6 +129,21 @@ def test_scan_serialization_shapes():
     assert back.shape == (2, 2)
 
 
+def test_scan_json_key_order():
+    cfg = ScanConfig(dim=2, trials=3, seed=9)
+    doc = json.loads(serialization.scan_json(cfg, conjecture_scan(cfg)))
+    assert list(doc) == ["config", "summary", "records"]
+    assert list(doc["config"]) == [
+        "dim", "trials", "t_window", "grid_points", "seed", "commutator_floor"
+    ]
+    assert [list(rec) for rec in doc["records"]] == [
+        [
+            "trial", "commutator_norm", "t_star", "min_gap", "min_gap_lower",
+            "punctured_t_star", "punctured_min_gap", "punctured_min_gap_lower", "a", "b",
+        ]
+    ] * 3
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]
 LABELS = ['say "yes"', "back\\slash", "tab\tnew\nline\x00\x1f", "x⊗y", "\U0001d11e clef", "", "plain"]
 
