@@ -47,6 +47,10 @@ PUNCTURED_RADIUS = 0.1
 # The search splits an interval until its certified lower bound is within
 # this fraction of the best gap found in each window that contains it.
 CERTIFY_RTOL = 1e-3
+# Most knots one search may hold. Its work grows linearly with the window's
+# width (about 12 knots per unit of t for some dim-2 pairs), so a search that
+# needs more raises EffectdynError instead of running out of time or memory.
+MAX_KNOTS = 1 << 20
 
 _REDRAW_LIMIT = 64
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -82,8 +86,8 @@ class ScanConfig:
         lo, hi = self.t_window
         if not (lo < hi and math.isfinite(hi - lo)):
             raise EffectdynError(f"t_window must be finite with t_min < t_max, got {self.t_window}")
-        if self.grid_points < 8:
-            raise EffectdynError("grid_points must be at least 8")
+        if not 8 <= self.grid_points <= MAX_KNOTS:
+            raise EffectdynError(f"grid_points must be in [8, {MAX_KNOTS}], got {self.grid_points}")
         if not 0 <= self.seed < 2**64:
             raise EffectdynError("seed must fit in 64 unsigned bits")
         if not self.commutator_floor > 0.0:
@@ -235,7 +239,8 @@ def _certified_search(
     Each round evaluates, in one batch, the midpoints of every interval whose
     bound is below (1 - CERTIFY_RTOL) times the best knot gap of a window
     containing it, unless L h is already within twice the slack or the
-    midpoint is no longer a new float. Each window's minimum is then refined
+    midpoint is no longer a new float; a search that would hold more than
+    MAX_KNOTS knots raises EffectdynError. Each window's minimum is then refined
     by golden section between the neighbors of its best knot, under the same
     rule: it stops once L times the bracket width is within twice the slack,
     so a constant gap is evaluated only at the two starting points. The two
@@ -270,6 +275,11 @@ def _certified_search(
         )
         if split.size == 0:
             break
+        if ts.size + split.size > MAX_KNOTS:
+            raise EffectdynError(
+                f"the certified search over a window of width {hi - lo!r} needs more than "
+                f"{MAX_KNOTS} knots; narrow the window"
+            )
         ts = np.insert(ts, split + 1, mids[split])
         gs = np.insert(gs, split + 1, _profile(gap, mids[split]))
 

@@ -5,7 +5,9 @@ Covers outcome distributions, the sequential product A o B, conditioning
 time-dependent conditional observable (B|A)(t|A), and convex combinations.
 Every operation funnels its output through validate_observable, so the
 normalization arguments behind each construction are re-checked numerically
-on every call, at the loosest admission tolerance of the members involved.
+on every call, at the loosest admission tolerance of the members involved;
+the sum check of a product observable adds an allowance for the rounding of
+its n·m products (_product_rounding).
 
 A o B, A[t]B, (B|A) and (B|A)(t|A) each run their n·m pairs (A_x, B_y) as
 one stacked pass of the pair kernels (effects.sequential_products,
@@ -58,6 +60,10 @@ WEIGHT_SUM_TOL = 1e-12
 # Joins outcome labels of product observables: (x, y) -> "x⊗y".
 PRODUCT_LABEL_SEP = "⊗"
 
+# Rounding allowance of a product observable's sum check, in units of
+# d·eps per pair (A_x, B_y); see _product_rounding.
+PRODUCT_ROUNDING_UNITS = 4.0
+
 
 @dataclass(frozen=True, eq=False)
 class Observable:
@@ -98,12 +104,13 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
-def validate_observable(effects, outcomes=None) -> Observable:
+def validate_observable(effects, outcomes=None, *, rounding: float = 0.0) -> Observable:
     """Check that the effects form an observable and build it.
 
     Members may be Effect instances or raw matrices; raw members are
     validated at the default tolerance (MemberNotEffectError on failure).
-    The sum must be I within the loosest member's tolerance
+    The sum must be I within the loosest member's tolerance plus
+    ``rounding``, the allowance for the rounding of computed members
     (SumNotIdentityError, carrying the residual, on failure). Labels default
     to "0", "1", ...; duplicates are rejected.
     """
@@ -134,9 +141,10 @@ def validate_observable(effects, outcomes=None) -> Observable:
         total += m.matrix
     residual = linalg.operator_norm(total - np.eye(dim))
     obs = Observable(labels, tuple(members))
-    if residual > obs.tol:
+    bound = obs.tol + rounding
+    if residual > bound:
         raise SumNotIdentityError(
-            f"effects sum to I only within {residual:.3g} (> {obs.tol!r})", residual
+            f"effects sum to I only within {residual:.3g} (> {bound!r})", residual
         )
     return obs
 
@@ -192,28 +200,54 @@ def _pairs(products, a: Observable, b: Observable, *args) -> tuple[Effect, ...]:
     return products(lefts, rights, *args)
 
 
+def _product_rounding(a: Observable, b: Observable) -> float:
+    """Rounding allowance of the sum check on a product of a and b: 4 n m d eps.
+
+    The sum of the n·m exact products is I within product_tol of the
+    operands' tolerances, but each computed product A_x o B_y or A_x[t]B_y
+    (two d×d matrix products after an eigendecomposition) is off by a few
+    d·eps, and the sum check adds up all n·m of them. On about 1,400 random
+    pairs of 2-4 outcome observables at dims 2, 4 and 8, the computed sums
+    of A o B, A[t]B, (B|A) and (B|A)(t|A) were off from I by at most
+    2.06 n m d eps more than the operands' own sums, so the allowance is
+    PRODUCT_ROUNDING_UNITS = 4 such units: 7.1e-15 for two 2-outcome qubit
+    observables, 1.1e-13 for two 4-outcome ones at dim 8.
+    """
+    return PRODUCT_ROUNDING_UNITS * len(a) * len(b) * a.dim * np.finfo(float).eps
+
+
 def _pairwise(products, a: Observable, b: Observable, *args) -> Observable:
     """Effects products(A_x, B_y, *args) over the product outcome set, input order.
 
-    The labels are checked before any product is computed.
+    The labels are checked before any product is computed; the sum check
+    allows for the products' rounding (_product_rounding).
     """
     labels = _product_labels(a, b)
-    return validate_observable(_pairs(products, a, b, *args), labels)
+    members = _pairs(products, a, b, *args)
+    return validate_observable(members, labels, rounding=_product_rounding(a, b))
 
 
 def _conditioned(products, b: Observable, a: Observable, *args) -> Observable:
-    """Effect y is sum_x products(A_x, B_y, *args), summed once every pair is admitted."""
+    """Effect y is sum_x products(A_x, B_y, *args), summed once every pair is admitted.
+
+    The sum check allows for the products' rounding (_product_rounding).
+    """
     terms = np.array([e.matrix for e in _pairs(products, a, b, *args)])
     terms = terms.reshape(len(a), len(b), a.dim, a.dim)
-    return _outcome_sums(b.outcomes, terms, product_tol(a.tol, b.tol))
+    tol = product_tol(a.tol, b.tol)
+    return _outcome_sums(b.outcomes, terms, tol, _product_rounding(a, b))
 
 
-def _outcome_sums(outcomes, terms: np.ndarray, tol: float) -> Observable:
-    """Effect y is the sum of terms[:, y], added in order from zero and admitted at tol."""
+def _outcome_sums(outcomes, terms: np.ndarray, tol: float, rounding: float = 0.0) -> Observable:
+    """Effect y is the sum of terms[:, y], added in order from zero and admitted at tol.
+
+    ``rounding`` is the sum check's allowance (validate_observable).
+    """
     total = np.zeros(terms.shape[1:], dtype=complex)
     for term in terms:
         total = total + term
-    return validate_observable(admit_effects(total, (tol,) * len(total)), outcomes)
+    members = admit_effects(total, (tol,) * len(total))
+    return validate_observable(members, outcomes, rounding=rounding)
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:

@@ -3,7 +3,8 @@
 Operator document: {"dim": n, "entries": [[[re, im], ...], ...]} with
 canonical field order dim -> entries. Observable document:
 {"outcomes": [...], "effects": [operator documents]}. Trajectory CSV columns:
-t, e_00_re, e_00_im, ..., deviation, derivative_norm. Scan CSV columns:
+t, e_00_re, e_00_im, ..., deviation, derivative_norm; each matrix is
+written as its Hermitian part (see trajectory_csv). Scan CSV columns:
 trial, commutator_norm, t_star, min_gap. All floats in CSV are written with
 17 significant digits so residuals survive a round trip; writers are
 deterministic byte-for-byte.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
+import operator
 from itertools import chain
 
 import numpy as np
@@ -57,23 +58,41 @@ def document_to_matrix(doc) -> np.ndarray:
         raise SchemaError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim:
         raise SchemaError(f"entries must be a list of {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
-    bad_entry = "entry ({},{}) must be an [re, im] pair of finite numbers"
+    values = _entry_values(entries, dim)
+    if values is None:
+        raise _malformed_entries(entries, dim)
+    return values.view(complex).reshape(dim, dim)
+
+
+def _entry_values(entries: list, dim: int) -> np.ndarray | None:
+    """Every re and im of dim rows of dim [re, im] pairs as one float array; None if malformed."""
+    if not all(isinstance(row, list) and len(row) == dim for row in entries):
+        return None
+    pairs = list(chain.from_iterable(entries))
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:  # type(): JSON true/false load as bool
+        return None
     try:
-        for i, row in enumerate(entries):
-            if not isinstance(row, list) or len(row) != dim:
-                raise SchemaError(f"row {i} must be a list of {dim} [re, im] pairs")
-            for j, pair in enumerate(row):
-                if (  # type(), as JSON true/false load as bool, a subclass of int
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(type(v) in (int, float) and math.isfinite(v) for v in pair)
-                ):
-                    raise SchemaError(bad_entry.format(i, j))
-                out[i, j] = complex(pair[0], pair[1])
+        values = np.array(flat, dtype=float)
     except OverflowError:  # an integer beyond the float range
-        raise SchemaError(bad_entry.format(i, j)) from None
-    return out
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+_BAD_ENTRY = "entry ({},{}) must be an [re, im] pair of finite numbers"
+
+
+def _malformed_entries(entries: list, dim: int) -> SchemaError:
+    """The error for the first malformed row or entry, in row-major order."""
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != dim:
+            return SchemaError(f"row {i} must be a list of {dim} [re, im] pairs")
+        for j, pair in enumerate(row):
+            if _entry_values([[pair]], 1) is None:
+                return SchemaError(_BAD_ENTRY.format(i, j))
+    raise AssertionError("entries are well formed")
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -225,14 +244,59 @@ def _csv(header: list[str], table) -> str:
 
 
 def trajectory_csv(times, matrices, deviations, derivative_norms) -> str:
-    """Render evolution samples as CSV, one row per time, 17-digit floats."""
+    """Render evolution samples as CSV, one row per time, 17-digit floats.
+
+    Each matrix M is written as the Hermitian matrix H whose upper triangle,
+    diagonal included, is that of (M + M†)/2 (the normalization every
+    Effect gets) and whose lower triangle is the conjugate of that upper
+    triangle. Only t, the upper triangle, deviation and derivative_norm are
+    formatted, in one % pass: a strict-lower real part reuses the text of
+    its upper mirror, and a strict-lower imaginary part is that text with
+    its sign flipped (a leading '-' toggled, 'nan' kept). The lower triangle
+    of (M + M†)/2 itself would not match those texts: where Im M_ij equals
+    Im M_ji, both (x - y)/2 and (y - x)/2 are +0, while the conjugate of +0
+    is -0.
+    """
     times = np.asarray(times, dtype=float).ravel()
     if not times.size:
         raise SchemaError("trajectory needs at least one sample")
     m = np.asarray(matrices, dtype=complex)
-    entries = np.stack([m.real, m.imag], axis=-1).reshape(times.size, -1)
+    rows, cols, width, flipped, order = _hermitian_layout(m.shape[1])
+    upper = (m[:, rows, cols] + m[:, cols, rows].conj()) / 2.0
+    entries = np.stack([upper.real, upper.imag], axis=-1).reshape(times.size, -1)
     table = np.column_stack([times, entries, deviations, derivative_norms])
-    return _csv(trajectory_header(m.shape[1]), table)
+    texts = (",".join(["%" + _FLOAT_FMT] * table.size) % tuple(table.ravel().tolist())).split(",")
+    lines = []
+    for k in range(0, len(texts), width):
+        row = texts[k : k + width]
+        upper_imag = map(row.__getitem__, flipped)
+        row += [x[1:] if x[0] == "-" else x if x == "nan" else "-" + x for x in upper_imag]
+        lines.append(",".join(order(row)))
+    return ",".join(trajectory_header(m.shape[1])) + "\n" + "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=16)
+def _hermitian_layout(dim: int):
+    """How trajectory_csv lays out a row of a dim×dim matrix from its upper triangle.
+
+    Returns the upper triangle's row and column indices, the number of
+    formatted fields per row (t, re and im of each upper entry, deviation,
+    derivative_norm), the fields of the strict-upper imaginary parts, whose
+    flipped texts follow the formatted ones in a row's list, and a getter
+    that picks a full row, in header order, from that list.
+    """
+    rows, cols = np.triu_indices(dim)
+    upper = {(i, j): 1 + 2 * p for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
+    width = 2 * len(upper) + 3
+    flipped = [f + 1 for (i, j), f in upper.items() if i != j]
+    after = {f: width + q for q, f in enumerate(flipped)}
+    order = [0]
+    for i in range(dim):
+        for j in range(dim):
+            f = upper[min(i, j), max(i, j)]
+            order += [f, f + 1 if i <= j else after[f + 1]]
+    order += [width - 2, width - 1]
+    return rows, cols, width, flipped, operator.itemgetter(*order)
 
 
 def scan_csv(result: ScanResult) -> str:

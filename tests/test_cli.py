@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from effectdyn import cli, closed_forms, identity_effect, serialization, validate_effect
+from effectdyn import cli, closed_forms, evolution, identity_effect, serialization, validate_effect
 from effectdyn.serialization import operator_to_document
 from effectdyn.observables import validate_observable
+
+from support import random_effect
 
 
 def write_op(path, matrix):
@@ -316,6 +318,33 @@ def test_evolve_seqprod_deviation(files, capsys):
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     assert float(rows[0][-2]) == 0.0
     assert abs(float(rows[1][-2]) - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["evolution", "seqprod"])
+def test_evolve_rows_mirror_their_upper_triangle(capsys, tmp_path, rng, mode):
+    # below the diagonal each row repeats the texts above it, the imaginary
+    # ones negated, and every entry stays within 2.2e-16 of the frame's
+    def negated(text):
+        return text[1:] if text.startswith("-") else text if text == "nan" else "-" + text
+
+    for dim in (1, 2, 3, 5, 8):
+        a, b = random_effect(dim, rng), random_effect(dim, rng)
+        paths = [write_op(tmp_path / f"{x}.json", e.matrix) for x, e in (("a", a), ("b", b))]
+        code, out, _ = run(capsys, ["evolve", *paths, "--steps", "16", "--mode", mode])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 17
+        texts = np.array([row[1:-2] for row in rows]).reshape(17, dim, dim, 2)
+        for i in range(dim):
+            for j in range(i):
+                assert (texts[:, i, j, 0] == texts[:, j, i, 0]).all()
+                assert list(texts[:, i, j, 1]) == [negated(x) for x in texts[:, j, i, 1]]
+        values = texts.astype(float)
+        times = np.array([float(row[0]) for row in rows])
+        frames = {"evolution": evolution.EigenFrame.evolution, "seqprod": evolution.EigenFrame.product}
+        m = frames[mode](a, b).matrices(times)
+        assert np.abs(values[..., 0] - m.real).max() <= 2.2e-16
+        assert np.abs(values[..., 1] - m.imag).max() <= 2.2e-16
 
 
 def test_evolve_dimension_mismatch_is_invalid_input(files, capsys, tmp_path):
@@ -655,6 +684,16 @@ def test_scan_zero_trials(tmp_path, capsys):
     doc = json.loads((tmp_path / "empty.json").read_text())
     assert doc["summary"]["global_min"] is None
     assert doc["records"] == []
+
+
+def test_scan_window_beyond_the_knot_cap_is_invalid_input(tmp_path, capsys):
+    # the search's work grows with the window's width: at this one it would
+    # need about 10^10 knots, so it stops at MAX_KNOTS and names the width
+    argv = ["scan", "--trials", "1", "--tmin", "0", "--tmax", "1e9", "--out", str(tmp_path / "x")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "window of width 1000000000.0" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_bad_dim(tmp_path, capsys):

@@ -155,6 +155,8 @@ def test_scan_config_validation():
     with pytest.raises(EffectdynError):
         ScanConfig(grid_points=4)
     with pytest.raises(EffectdynError):
+        ScanConfig(grid_points=explorer.MAX_KNOTS + 1)
+    with pytest.raises(EffectdynError):
         ScanConfig(commutator_floor=0.0)
     with pytest.raises(EffectdynError):
         ScanConfig(seed=-1)

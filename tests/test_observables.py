@@ -21,7 +21,7 @@ from effectdyn import (
     validate_observable,
     validate_state,
 )
-from effectdyn.effects import stacked_roots
+from effectdyn.effects import stacked_roots, validate_effects
 from effectdyn.errors import (
     DimensionMismatchError,
     MemberNotEffectError,
@@ -429,3 +429,54 @@ def test_consistency_error_names_the_first_pair(rng, monkeypatch):
         with pytest.raises(ConsistencyError) as info:
             call()
         assert str(info.value) == first
+
+
+def gram_observable(dim, n, rng):
+    """n members S^{-1/2} G_x S^{-1/2}, S = sum G_x, each symmetrized: I up to rounding."""
+    grams = []
+    for _ in range(n):
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        grams.append(x @ x.conj().T)
+    w, v = np.linalg.eigh(sum(grams))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return [(m + m.conj().T) / 2.0 for m in (inv_sqrt @ g @ inv_sqrt for g in grams)]
+
+
+def test_products_admitted_near_eps_allow_for_their_rounding():
+    # admitted at 1e-15, the exact products sum to I within 2e-15, but the
+    # computed sums are off by up to about 4e-15: the sum check allows for it
+    checked = 0
+    for i in range(120):
+        rng = np.random.default_rng([5, i])
+        n = 2 + i % 3
+        t = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
+        try:
+            a, b = (
+                validate_observable(validate_effects(gram_observable(2, n, rng), 1e-15))
+                for _ in range(2)
+            )
+        except SumNotIdentityError:
+            continue  # an input whose own sum is off by more than 1e-15
+        obs_time_seq_product(a, b, t)
+        time_conditional_observable(b, a, t)
+        checked += 1
+    assert checked >= 90
+
+
+@pytest.mark.parametrize("op", ["tseq", "tcond"])
+def test_product_sum_off_by_1e_12_still_raises(monkeypatch, op):
+    from effectdyn import observables
+
+    a = validate_observable(validate_effects([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 1e-15))
+    half = np.full((2, 2), 0.5)
+    b = validate_observable(validate_effects([half, np.eye(2) - half], 1e-15))
+    exact = observables.time_seq_products
+
+    def skewed(lefts, rights, t):
+        first, *rest = exact(lefts, rights, t)
+        return (validate_effect(first.matrix + 1e-12 * np.eye(2), first.tol), *rest)
+
+    monkeypatch.setattr(observables, "time_seq_products", skewed)
+    with pytest.raises(SumNotIdentityError) as info:
+        obs_time_seq_product(a, b, 0.7) if op == "tseq" else time_conditional_observable(b, a, 0.7)
+    assert info.value.residual == pytest.approx(1e-12, rel=1e-3)

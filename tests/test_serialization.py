@@ -62,6 +62,57 @@ def test_document_to_matrix_rejects_malformed(doc):
         serialization.document_to_matrix(doc)
 
 
+def test_document_to_matrix_matches_per_entry_reference(rng):
+    # values, signed zeros included, and the first bad row or (i, j) in each
+    # error message are pinned to a per-entry loop
+    def reference(doc):
+        dim, entries = doc["dim"], doc["entries"]
+        out = np.empty((dim, dim), dtype=complex)
+        for i, row in enumerate(entries):
+            if not isinstance(row, list) or len(row) != dim:
+                raise SchemaError(f"row {i} must be a list of {dim} [re, im] pairs")
+            for j, pair in enumerate(row):
+                try:
+                    ok = (
+                        isinstance(pair, list)
+                        and len(pair) == 2
+                        and all(type(v) in (int, float) and math.isfinite(v) for v in pair)
+                    )
+                except OverflowError:
+                    ok = False
+                if not ok:
+                    raise SchemaError(f"entry ({i},{j}) must be an [re, im] pair of finite numbers")
+                out[i, j] = complex(pair[0], pair[1])
+        return out
+
+    bad = [True, None, "1", 10**400, math.inf, math.nan, [0.0], [0.0, 0.0, 0.0], (0.0, 0.0), 0.5]
+    for k in range(300):
+        dim = 1 + k % 5
+        values = rng.choice([0.0, -0.0, 1.5, -2.0, 5e-324, 1e308], (dim, dim, 2)).tolist()
+        entries = [[[re, int(im)] if k % 7 == 0 else [re, im] for re, im in row] for row in values]
+        for _ in range(k % 3):
+            i, j = rng.integers(dim, size=2)
+            spot = rng.integers(3)
+            choice = bad[rng.integers(len(bad))]
+            if spot == 2:
+                entries[i][j] = choice
+            elif isinstance(entries[i][j], list):
+                entries[i][j][spot] = choice
+        if k % 11 == 0:
+            entries[rng.integers(dim)] = entries[0][:-1]
+        doc = {"dim": dim, "entries": entries}
+        try:
+            expected = reference(doc)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as got:
+                serialization.document_to_matrix(doc)
+            assert str(got.value) == str(exc)
+        else:
+            m = serialization.document_to_matrix(doc)
+            assert m.dtype == complex and m.shape == (dim, dim)
+            assert m.tobytes() == expected.tobytes()
+
+
 def test_parse_operator_json_rejects_bad_json():
     with pytest.raises(SchemaError):
         serialization.parse_operator_json("{nope")
@@ -102,6 +153,32 @@ def test_trajectory_csv_header_and_precision():
     second = lines[2].split(",")
     assert float(second[0]) == 1.0 / 3.0
     assert float(second[1]) == 1.0 / 7.0
+
+
+def test_trajectory_csv_writes_the_hermitian_part_of_each_matrix(rng):
+    # the bytes are pinned to the generic writer's %.17g of H: upper triangle
+    # that of (M + M†)/2, lower triangle its conjugate, signed zeros,
+    # subnormals, overflow and non-finite values included
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan])
+
+    def sprinkle(x):
+        mask = rng.random(x.shape) < 0.3
+        x[mask] = rng.choice(special, mask.sum())
+        return x
+
+    for k in range(96):
+        dim, n = 1 + k % 8, 1 + k % 5
+        m = sprinkle(rng.standard_normal((n, dim, dim))).astype(complex)
+        m.imag = sprinkle(rng.standard_normal((n, dim, dim)))
+        times, deviations, norms = (sprinkle(rng.standard_normal(n)) for _ in range(3))
+        with np.errstate(invalid="ignore", over="ignore"):
+            h = (m + m.conj().swapaxes(-1, -2)) / 2.0
+            text = serialization.trajectory_csv(times, m, deviations, norms)
+        lower = np.tril_indices(dim, -1)
+        h[:, lower[0], lower[1]] = h[:, lower[1], lower[0]].conj()
+        entries = np.stack([h.real, h.imag], axis=-1).reshape(n, -1)
+        table = np.column_stack([times, entries, deviations, norms])
+        assert text == serialization._csv(serialization.trajectory_header(dim), table)
 
 
 def test_trajectory_csv_rejects_empty():
