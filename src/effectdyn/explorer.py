@@ -240,7 +240,8 @@ def _certified_search(
     bound is below (1 - CERTIFY_RTOL) times the best knot gap of a window
     containing it, unless L h is already within twice the slack or the
     midpoint is no longer a new float; a search that would hold more than
-    MAX_KNOTS knots raises EffectdynError. Each window's minimum is then refined
+    MAX_KNOTS knots raises EffectdynError, before any gap is evaluated when
+    the window alone implies it (below). Each window's minimum is then refined
     by golden section between the neighbors of its best knot, under the same
     rule: it stops once L times the bracket width is within twice the slack,
     so a constant gap is evaluated only at the two starting points. The two
@@ -252,15 +253,36 @@ def _certified_search(
     within rounding of 0 the square root moves by about sqrt(eps), so the
     exact gap of the stored matrices may differ from the frames' by about
     1e-8, and a lower bound that small proves nothing about them.
+
+    The refusal up front: with S = ||X_a||_F + ||X_b||_F, every gap is at
+    most S, since a[t]b = V (E_t ⊙ X) V† with |E_t| = 1 entrywise has
+    spectral norm at most ||X||_F; a computed gap exceeds S by at most the
+    slack. So an interval left unsplit because its bound reached
+    (1 - CERTIFY_RTOL) best >= 0 has L h <= g_i + g_{i+1} - 2 slack <= 2 S,
+    one left unsplit by the slack rule has L h <= 2 slack < 2 S, and one
+    whose midpoint is no longer a new float has h <= u, T = max |t| over
+    the window and u = T - nextafter(T, 0), since the floats in [-T, T] are
+    at most u apart. (The midpoint sum overflows only for |t| >= 2^1023,
+    where u = 2^971 and the rule refuses any window wider than about
+    4e298.) Every final interval is at most max(2 S / L, 2 u) wide, so a
+    search that ends holds more than width / max(2 S / L, 2 u) knots, and
+    when that exceeds MAX_KNOTS the window is refused at once. For the
+    default 8π window that count stayed below 6 on 800 random pairs at dims
+    2, 3, 4 and 8.
     """
     lo, hi = cfg.t_window
+    lip = _lipschitz(frames)
+    scale = float(sum(np.linalg.norm(f.x) for f in frames))
+    slack = _SLACK_UNITS * np.finfo(float).eps * scale
+    top = max(abs(lo), abs(hi))
+    ulp = top - math.nextafter(top, 0.0)
+    if (hi - lo) * lip > MAX_KNOTS * 2.0 * scale and hi - lo > MAX_KNOTS * 2.0 * ulp:
+        raise _too_wide(lo, hi)
     ts = np.linspace(lo, hi, cfg.grid_points)
     extra = [x for x in (-PUNCTURED_RADIUS, PUNCTURED_RADIUS) if lo < x < hi and x not in ts]
     ts = np.insert(ts, np.searchsorted(ts, extra), extra)
     gap = _gap_kernel(frames)
     gs = _profile(gap, ts)
-    lip = _lipschitz(frames)
-    slack = _SLACK_UNITS * np.finfo(float).eps * float(sum(np.linalg.norm(f.x) for f in frames))
     while True:
         h = np.diff(ts)
         bounds = (gs[:-1] + gs[1:] - lip * h) / 2.0 - slack
@@ -276,10 +298,7 @@ def _certified_search(
         if split.size == 0:
             break
         if ts.size + split.size > MAX_KNOTS:
-            raise EffectdynError(
-                f"the certified search over a window of width {hi - lo!r} needs more than "
-                f"{MAX_KNOTS} knots; narrow the window"
-            )
+            raise _too_wide(lo, hi)
         ts = np.insert(ts, split + 1, mids[split])
         gs = np.insert(gs, split + 1, _profile(gap, mids[split]))
 
@@ -300,6 +319,13 @@ def _certified_search(
 
     full = window_minimum(np.ones(h.size, dtype=bool))
     return full, window_minimum(punctured) if punctured.any() else None
+
+
+def _too_wide(lo: float, hi: float) -> EffectdynError:
+    return EffectdynError(
+        f"the certified search over a window of width {hi - lo!r} needs more than "
+        f"{MAX_KNOTS} knots; narrow the window"
+    )
 
 
 def _knots(intervals: np.ndarray) -> np.ndarray:

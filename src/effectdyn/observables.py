@@ -6,8 +6,9 @@ time-dependent conditional observable (B|A)(t|A), and convex combinations.
 Every operation funnels its output through validate_observable, so the
 normalization arguments behind each construction are re-checked numerically
 on every call, at the loosest admission tolerance of the members involved;
-the sum check of a product observable adds an allowance for the rounding of
-its n·m products (_product_rounding).
+the sum check of a product observable or an evolved one adds an allowance
+for the rounding of its computed terms, the n·m products or the n evolved
+members (_rounding).
 
 A o B, A[t]B, (B|A) and (B|A)(t|A) each run their n·m pairs (A_x, B_y) as
 one stacked pass of the pair kernels (effects.sequential_products,
@@ -60,9 +61,9 @@ WEIGHT_SUM_TOL = 1e-12
 # Joins outcome labels of product observables: (x, y) -> "x⊗y".
 PRODUCT_LABEL_SEP = "⊗"
 
-# Rounding allowance of a product observable's sum check, in units of
-# d·eps per pair (A_x, B_y); see _product_rounding.
-PRODUCT_ROUNDING_UNITS = 4.0
+# Rounding allowance of a derived observable's sum check, in units of d·eps
+# per computed term (a pair (A_x, B_y) or an evolved member); see _rounding.
+ROUNDING_UNITS = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,42 +201,45 @@ def _pairs(products, a: Observable, b: Observable, *args) -> tuple[Effect, ...]:
     return products(lefts, rights, *args)
 
 
-def _product_rounding(a: Observable, b: Observable) -> float:
-    """Rounding allowance of the sum check on a product of a and b: 4 n m d eps.
+def _rounding(terms: int, dim: int) -> float:
+    """Rounding allowance of a sum check over ``terms`` computed d×d terms: 4 terms d eps.
 
-    The sum of the n·m exact products is I within product_tol of the
-    operands' tolerances, but each computed product A_x o B_y or A_x[t]B_y
-    (two d×d matrix products after an eigendecomposition) is off by a few
-    d·eps, and the sum check adds up all n·m of them. On about 1,400 random
-    pairs of 2-4 outcome observables at dims 2, 4 and 8, the computed sums
-    of A o B, A[t]B, (B|A) and (B|A)(t|A) were off from I by at most
-    2.06 n m d eps more than the operands' own sums, so the allowance is
-    PRODUCT_ROUNDING_UNITS = 4 such units: 7.1e-15 for two 2-outcome qubit
-    observables, 1.1e-13 for two 4-outcome ones at dim 8.
+    The exact terms sum to I within the admission tolerance, but each
+    computed term, a product A_x o B_y or A_x[t]B_y or an evolved member
+    e^{-ita} B_y e^{ita} (matrix products after an eigendecomposition), is
+    off by a few d·eps, and the sum check adds up all of them. On about
+    1,400 random pairs of 2-4 outcome observables at dims 2, 4 and 8, the
+    computed sums of A o B, A[t]B, (B|A) and (B|A)(t|A) were off from I by
+    at most 2.06 n m d eps more than the operands' own sums; on 13,500
+    random 2-4 outcome observables B at dims 2, 4 and 8 and t in [-10, 10],
+    the sums of B(t|a) were off by at most 2.68 n d eps more than B's own.
+    So the allowance is ROUNDING_UNITS = 4 such units per term: 7.1e-15 for
+    two 2-outcome qubit observables, 1.1e-13 for two 4-outcome ones at dim
+    8, 3.6e-15 for one evolved 2-outcome qubit observable.
     """
-    return PRODUCT_ROUNDING_UNITS * len(a) * len(b) * a.dim * np.finfo(float).eps
+    return ROUNDING_UNITS * terms * dim * np.finfo(float).eps
 
 
 def _pairwise(products, a: Observable, b: Observable, *args) -> Observable:
     """Effects products(A_x, B_y, *args) over the product outcome set, input order.
 
     The labels are checked before any product is computed; the sum check
-    allows for the products' rounding (_product_rounding).
+    allows for the products' rounding (_rounding).
     """
     labels = _product_labels(a, b)
     members = _pairs(products, a, b, *args)
-    return validate_observable(members, labels, rounding=_product_rounding(a, b))
+    return validate_observable(members, labels, rounding=_rounding(len(a) * len(b), a.dim))
 
 
 def _conditioned(products, b: Observable, a: Observable, *args) -> Observable:
     """Effect y is sum_x products(A_x, B_y, *args), summed once every pair is admitted.
 
-    The sum check allows for the products' rounding (_product_rounding).
+    The sum check allows for the products' rounding (_rounding).
     """
     terms = np.array([e.matrix for e in _pairs(products, a, b, *args)])
     terms = terms.reshape(len(a), len(b), a.dim, a.dim)
     tol = product_tol(a.tol, b.tol)
-    return _outcome_sums(b.outcomes, terms, tol, _product_rounding(a, b))
+    return _outcome_sums(b.outcomes, terms, tol, _rounding(len(a) * len(b), a.dim))
 
 
 def _outcome_sums(outcomes, terms: np.ndarray, tol: float, rounding: float = 0.0) -> Observable:
@@ -261,10 +265,12 @@ def conditioned_observable(b: Observable, a: Observable) -> Observable:
 
 
 def obs_evolution(b: Observable, a: Effect, t: float) -> Observable:
-    """B(t|a): each member evolved, e^{-ita} B_y e^{ita}; outcomes unchanged."""
-    return validate_observable(
-        [effect_evolution(by, a, t) for by in b.effects], b.outcomes
-    )
+    """B(t|a): each member evolved, e^{-ita} B_y e^{ita}; outcomes unchanged.
+
+    The sum check allows for the rounding of the n evolved members (_rounding).
+    """
+    members = [effect_evolution(by, a, t) for by in b.effects]
+    return validate_observable(members, b.outcomes, rounding=_rounding(len(b), b.dim))
 
 
 def obs_time_seq_product(a: Observable, b: Observable, t: float) -> Observable:

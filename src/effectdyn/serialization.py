@@ -10,11 +10,12 @@ trial, commutator_norm, t_star, min_gap. All floats in CSV are written with
 deterministic byte-for-byte.
 
 Every JSON document is written by to_json, whose text is exactly that of
-json.dumps(doc, indent=2): floats through float.__repr__ (NaN and
-±Infinity as json spells them), strings with json's ASCII escaping. The
-stdlib writes indented JSON with its pure-Python encoder, at a Python call
-per value; to_json fills each operator document, the bulk of every
-document, into a layout cached per (dim, depth) instead.
+json.dumps(doc, indent=2) with each operator as its operator document:
+floats through float.__repr__ (NaN and ±Infinity as json spells them),
+strings with json's ASCII escaping. Documents hold operators as their
+matrices, and to_json writes each matrix, the bulk of every document, by
+filling a layout cached per (dim, depth) with its entries; the stdlib's
+pure-Python indented encoder would spend a Python call per value.
 """
 
 from __future__ import annotations
@@ -36,13 +37,21 @@ _FLOAT_FMT = ".17g"
 
 
 def operator_to_document(matrix: np.ndarray) -> dict:
+    """The plain-JSON form of a matrix, the one to_json writes for it (and parses back)."""
+    m = _square(matrix)
+    return {"dim": int(m.shape[0]), "entries": _interleaved(m).tolist()}
+
+
+def _square(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SchemaError(f"operator must be square, got shape {m.shape}")
-    return {
-        "dim": int(m.shape[0]),
-        "entries": np.stack([m.real, m.imag], axis=-1).tolist(),
-    }
+    return m
+
+
+def _interleaved(m: np.ndarray) -> np.ndarray:
+    """[re, im] of every entry of a complex matrix, along a new last axis."""
+    return np.stack([m.real, m.imag], axis=-1)
 
 
 def document_to_matrix(doc) -> np.ndarray:
@@ -100,7 +109,10 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def to_json(doc) -> str:
-    """json.dumps(doc, indent=2), byte for byte; dict keys must be strings."""
+    """json.dumps(doc, indent=2), byte for byte, each complex ndarray as its operator document.
+
+    Dict keys must be strings; an ndarray must be a square complex matrix.
+    """
     out: list[str] = []
     _encode(doc, 0, out)
     return "".join(out)
@@ -121,6 +133,11 @@ def _encode(o, depth: int, out: list[str]) -> None:
     elif isinstance(o, float):
         text = float.__repr__(o)
         out.append(_NON_FINITE.get(text, text))
+    elif isinstance(o, np.ndarray):
+        texts = list(map(float.__repr__, _interleaved(o).ravel().tolist()))
+        if not _NON_FINITE.keys().isdisjoint(texts):
+            texts = [_NON_FINITE.get(x, x) for x in texts]
+        out.append(_operator_layout(len(o), depth) % tuple(texts))
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -134,11 +151,6 @@ def _encode(o, depth: int, out: list[str]) -> None:
         if not o:
             out.append("{}")
             return
-        if len(o) == 2 and next(iter(o)) == "dim" and "entries" in o:
-            text = _operator_text(o["dim"], o["entries"], depth)
-            if text is not None:
-                out.append(text)
-                return
         indent = "\n" + "  " * (depth + 1)
         for i, (key, value) in enumerate(o.items()):
             if not isinstance(key, str):
@@ -148,24 +160,6 @@ def _encode(o, depth: int, out: list[str]) -> None:
         out.append("\n" + "  " * depth + "}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _operator_text(dim, entries, depth: int) -> str | None:
-    """An operator document's text from its cached layout; None unless it has the exact shape."""
-    if type(dim) is not int or type(entries) is not list or len(entries) != dim:
-        return None
-    if not all(type(row) is list and len(row) == dim for row in entries):
-        return None
-    pairs = list(chain.from_iterable(entries))
-    if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
-        return None
-    try:  # floats only: any other value takes the general route
-        texts = list(map(float.__repr__, chain.from_iterable(pairs)))
-    except TypeError:
-        return None
-    if not _NON_FINITE.keys().isdisjoint(texts):
-        texts = [_NON_FINITE.get(x, x) for x in texts]
-    return _operator_layout(dim, depth) % tuple(texts)
 
 
 @functools.lru_cache(maxsize=64)
@@ -184,7 +178,7 @@ def _decode(text: str):
 
 
 def operator_json(matrix: np.ndarray) -> str:
-    return to_json(operator_to_document(matrix)) + "\n"
+    return to_json(_square(matrix)) + "\n"
 
 
 def parse_operator_json(text: str) -> np.ndarray:
@@ -194,7 +188,7 @@ def parse_operator_json(text: str) -> np.ndarray:
 def observable_to_document(obs: Observable) -> dict:
     return {
         "outcomes": list(obs.outcomes),
-        "effects": [operator_to_document(e.matrix) for e in obs.effects],
+        "effects": [e.matrix for e in obs.effects],
     }
 
 
@@ -312,8 +306,6 @@ def scan_json(cfg: ScanConfig, result: ScanResult) -> str:
 
 
 def _fields_document(obj) -> dict:
-    """A dataclass as a JSON object: keys in field order, each Effect as its operator document."""
+    """A dataclass as a to_json document: keys in field order, each Effect as its matrix."""
     doc = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    return {
-        k: operator_to_document(v.matrix) if isinstance(v, Effect) else v for k, v in doc.items()
-    }
+    return {k: v.matrix if isinstance(v, Effect) else v for k, v in doc.items()}

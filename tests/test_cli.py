@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from effectdyn import cli, closed_forms, evolution, identity_effect, serialization, validate_effect
+from effectdyn import (
+    cli,
+    closed_forms,
+    evolution,
+    explorer,
+    identity_effect,
+    serialization,
+    validate_effect,
+)
 from effectdyn.serialization import operator_to_document
 from effectdyn.observables import validate_observable
 
@@ -693,6 +701,30 @@ def test_scan_window_beyond_the_knot_cap_is_invalid_input(tmp_path, capsys):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert "window of width 1000000000.0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        ["--dim", "8", "--trials", "1", "--tmin", "0", "--tmax", "1e9"],
+        ["--trials", "3", "--tmin", "1e308", "--tmax", MAX_FLOAT],
+    ],
+)
+def test_hopeless_scan_window_is_refused_before_any_gap(window, monkeypatch, tmp_path, capsys):
+    # the window alone proves the search would need more than MAX_KNOTS knots:
+    # by L·width at 1e9, by the spacing of the floats near the largest one
+    times = []
+    kernel = explorer._gap_kernel
+
+    def counting_kernel(frames):
+        gap = kernel(frames)
+        return lambda t: times.append(t) or gap(t)
+
+    monkeypatch.setattr(explorer, "_gap_kernel", counting_kernel)
+    code, out, err = run(capsys, ["scan", *window, "--out", str(tmp_path / "x")])
+    assert (code, out, times) == (2, "", [])
+    assert f"needs more than {explorer.MAX_KNOTS} knots" in err
     assert list(tmp_path.iterdir()) == []
 
 

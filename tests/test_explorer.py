@@ -374,6 +374,21 @@ def test_constant_gap_bound_stays_below_minimum(monkeypatch):
             assert len(single_calls) in (2, 4)  # two per distinct bracket
 
 
+def test_constant_gap_is_certified_on_a_huge_window():
+    # L is rounding noise, so 2 S / L dwarfs a window of width 1e9 and the
+    # up-front knot bound does not refuse it; the bound is still certified
+    rng = np.random.default_rng(22)
+    for dim in (2, 3, 4, 6):
+        for rank in range(1, dim):
+            a = _scaled_projection(dim, rank, 0.7, rng)
+            b = _scaled_projection(dim, dim - rank, 0.4, rng)
+            cfg = ScanConfig(dim=dim, t_window=(0.0, 1e9))
+            full, punctured = explorer._certified_search(explorer._frames(a, b), cfg)
+            for window in (full, punctured):
+                assert 0.0 < window.lower <= window.min_gap
+                assert window.min_gap == pytest.approx(symmetry_gap(a, b, 0.0), rel=1e-12)
+
+
 def test_scan_reports_certified_brackets(monkeypatch):
     # a threshold above every gap makes each trial a candidate
     monkeypatch.setattr(explorer, "CANDIDATE_THRESHOLD", 1.0)

@@ -480,3 +480,45 @@ def test_product_sum_off_by_1e_12_still_raises(monkeypatch, op):
     with pytest.raises(SumNotIdentityError) as info:
         obs_time_seq_product(a, b, 0.7) if op == "tseq" else time_conditional_observable(b, a, 0.7)
     assert info.value.residual == pytest.approx(1e-12, rel=1e-3)
+
+
+def test_evolution_admitted_near_eps_allows_for_its_rounding():
+    # admitted at 1e-15, the evolved members sum to I within 1e-15 exactly,
+    # but their computed sum is off by up to about 1.6e-15: the check allows for it
+    from support import random_unitary
+
+    checked = {2: 0, 4: 0}
+    for dim, draws in ((2, 150), (4, 600)):  # few dim-4 draws sum to I within 1e-15
+        for i in range(draws):
+            rng = np.random.default_rng([6, dim, i])
+            members = gram_observable(dim, 2 + i % 3, rng)
+            try:
+                b = validate_observable(validate_effects(members, 1e-15))
+            except SumNotIdentityError:
+                continue  # an input whose own sum is off by more than 1e-15
+            for _ in range(4):
+                u = random_unitary(dim, rng)
+                a = validate_effect((u * rng.uniform(0.0, 1.0, dim)) @ u.conj().T, 1e-15)
+                obs_evolution(b, a, float(rng.uniform(-10.0, 10.0)))
+                checked[dim] += 1
+    assert checked[2] >= 400 and checked[4] >= 20
+
+
+def test_evolution_sum_off_by_1e_12_still_raises(monkeypatch):
+    from effectdyn import observables
+
+    m = np.array([[0.5, 0.2], [0.2, 0.3]])
+    b = validate_observable(validate_effects([m, np.eye(2) - m], 1e-15))
+    a = validate_effect(np.diag([0.9, 0.2]), 1e-15)
+    exact = observables.effect_evolution
+
+    def skewed(by, a, t):
+        moved = exact(by, a, t)
+        if by is not b.effects[0]:
+            return moved
+        return validate_effect(moved.matrix + 1e-12 * np.eye(2), moved.tol)
+
+    monkeypatch.setattr(observables, "effect_evolution", skewed)
+    with pytest.raises(SumNotIdentityError) as info:
+        obs_evolution(b, a, 0.7)
+    assert info.value.residual == pytest.approx(1e-12, rel=1e-3)

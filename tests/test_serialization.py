@@ -282,9 +282,47 @@ def test_writer_matches_json_dumps_on_random_documents(rng):
         assert serialization.to_json(doc) == json.dumps(doc, indent=2)
 
 
+def _plain(doc):
+    """doc with every matrix in it replaced by its operator document."""
+    if isinstance(doc, np.ndarray):
+        return serialization.operator_to_document(doc)
+    if isinstance(doc, dict):
+        return {k: _plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(v) for v in doc]
+    return doc
+
+
+def _special_matrix(rng, dim):
+    """A complex matrix with signed zeros, subnormals, huge values, nan and ±inf in both parts."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for part in (m.real, m.imag):
+        mask = rng.random((dim, dim)) < 0.4
+        part[mask] = rng.choice(SPECIAL_FLOATS, mask.sum())
+    return m
+
+
+def test_writer_pins_matrices_to_their_operator_documents(rng):
+    # a matrix anywhere in a document is written as json.dumps writes its
+    # operator document there, non-finite entries as NaN and ±Infinity
+    for k in range(64):
+        dim = 1 + k % 8
+        m = _special_matrix(rng, dim)
+        dist = {label: float(rng.choice(SPECIAL_FLOATS)) for label in LABELS[:3]}
+        for doc in (
+            m,
+            [m, 0.5, m],
+            {"a": m, "b": None},
+            {"observable": {"outcomes": LABELS[:2], "effects": [m, m]}, "distribution": dist},
+        ):
+            assert serialization.to_json(doc) == json.dumps(_plain(doc), indent=2)
+        assert serialization.operator_json(m) == json.dumps(_plain(m), indent=2) + "\n"
+
+
 def test_writer_matches_json_dumps_on_every_output(rng, monkeypatch, tmp_path, capsys):
     # every JSON output of the package, captured as the document handed to the
     # writer, must come out exactly as json.dumps(doc, indent=2) would write it
+    # with each matrix in it as its operator document
     from effectdyn import cli, distribution
     from support import random_observable, random_state
 
@@ -318,4 +356,4 @@ def test_writer_matches_json_dumps_on_every_output(rng, monkeypatch, tmp_path, c
     assert cli.main([*argv, "--t", "0.7", "--state", str(tmp_path / "rho.json")]) == 0
     texts.append(capsys.readouterr().out)
     for doc, text in zip(documents, texts, strict=True):
-        assert text == json.dumps(doc, indent=2) + "\n"
+        assert text == json.dumps(_plain(doc), indent=2) + "\n"
