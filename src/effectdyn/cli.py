@@ -124,7 +124,7 @@ def cmd_evolve(args) -> int:
     else:
         frame = evolution.EigenFrame.product(a, b)
     csv = serialization.trajectory_csv(
-        times, frame.matrices(times), frame.deviation_norms(times), frame.derivative_norms(times)
+        times, frame.at(times), frame.deviation_norms(times), frame.derivative_norms(times)
     )
     sys.stdout.write(csv)
     return EXIT_OK

@@ -65,12 +65,15 @@ class Effect:
     @property
     def sqrt_eigenvalues(self) -> np.ndarray:
         """Square roots of ``decomposition.eigenvalues``, noise-level ones zeroed."""
-        return _sqrt_eigenvalues(self.decomposition.eigenvalues, self.eig_max)
+        w = np.clip(self.decomposition.eigenvalues, 0.0, None)
+        w[w <= SQRT_ZERO_CUTOFF * max(1.0, self.eig_max)] = 0.0
+        return np.sqrt(w)
 
     @cached_property
     def sqrt(self) -> np.ndarray:
         """The unique positive square root, diagonal in ``decomposition``."""
-        return _root(self.decomposition.vectors, self.sqrt_eigenvalues)
+        v = self.decomposition.vectors
+        return (v * self.sqrt_eigenvalues) @ linalg.adjoint(v)
 
     def clamped_range(self) -> tuple[float, float]:
         """Extremal eigenvalues with sub-tolerance overshoot snapped to [0, 1].
@@ -90,51 +93,8 @@ def clamp_unit(value: float, tol: float) -> float:
     return value
 
 
-def _sqrt_eigenvalues(w: np.ndarray, eig_max) -> np.ndarray:
-    """Square roots of the eigenvalues w, noise-level ones zeroed.
-
-    For a stack, w has one row per effect and eig_max one entry per row, as a column.
-    """
-    w = np.clip(w, 0.0, None)
-    w[w <= SQRT_ZERO_CUTOFF * np.maximum(1.0, eig_max)] = 0.0
-    return np.sqrt(w)
-
-
-def _root(vectors: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """V diag(roots) V†, for one eigenbasis or a stack of them."""
-    return (vectors * roots[..., None, :]) @ linalg.adjoint(vectors)
-
-
 def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray]:
-    """The decomposition and square root of each effect in a sequence, stacked.
-
-    Each value is the effect's cached ``decomposition`` or ``sqrt``; the
-    missing ones are computed for the distinct effects in one stacked pass
-    each and stored where cached_property keeps them (the instance dict), so
-    they equal what the properties would compute, bit for bit. Effect
-    matrices are exactly Hermitian, so the eigensolve skips linalg.eigh's
-    symmetrization, which would change no bit. Effects repeat in observable
-    products: each distinct one is decomposed once.
-    """
-    distinct = list(dict.fromkeys(effects))  # Effect hashes by identity (eq=False)
-    missing = [e for e in distinct if "decomposition" not in vars(e)]
-    if missing:
-        w, v = np.linalg.eigh(np.array([e.matrix for e in missing]))
-        w.setflags(write=False)
-        v.setflags(write=False)
-        for e, we, ve in zip(missing, w, v):
-            vars(e)["decomposition"] = linalg.SpectralDecomposition(we, ve)
-    missing = [e for e in distinct if "sqrt" not in vars(e)]
-    if missing:
-        d = [e.decomposition for e in missing]
-        roots = _root(
-            np.array([x.vectors for x in d]),
-            _sqrt_eigenvalues(
-                np.array([x.eigenvalues for x in d]), np.array([[e.eig_max] for e in missing])
-            ),
-        )
-        for e, root in zip(missing, roots):
-            vars(e)["sqrt"] = root
+    """Each effect's cached ``decomposition`` and ``sqrt``, stacked along a leading axis."""
     d = [e.decomposition for e in effects]
     decomposition = linalg.SpectralDecomposition(
         np.array([x.eigenvalues for x in d]), np.array([x.vectors for x in d])

@@ -11,13 +11,16 @@ this algebraically and the bruteforce grid check is its independent oracle.
 
 Both go through one kernel, :class:`EigenFrame`: in the eigenbasis V of a,
 e^{-ita} m e^{ita} = V (E_t ⊙ V†mV) V† with E_t(j,k) = e^{-it(w_j - w_k)},
-so a frame is built once per pair and each t costs only the phases. In V,
-[·, a] scales entry jk by -(w_j - w_k), so time derivatives and deviations
-are frame reads as well. A frame of a[t]b validates a∘b and cross-checks
-its two routes once, when it is built; the public time_seq_product checks
-its one t against the dense form. Only classify_scaled_projection groups
-coincident eigenvalues. Derived effects and decisions use the loosest
-operand's admission tolerance, Effect.tol; products compound it (product_tol).
+so a frame is built once per pair, from a's cached Effect.decomposition,
+and each t costs only the phases. In V, [·, a] scales entry jk by
+-(w_j - w_k), so time derivatives and deviations are frame reads as well.
+One reader, EigenFrame.at(t, order), serves one time or a grid of times,
+and every phase it forms passes EigenFrame.check_phases. A frame of a[t]b
+validates a∘b and cross-checks its two routes once, when it is built; the
+public time_seq_product checks its one t against the dense form. Only
+classify_scaled_projection groups coincident eigenvalues. Derived effects
+and decisions use the loosest operand's admission tolerance, Effect.tol;
+products compound it (product_tol).
 
 Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 """
@@ -125,25 +128,22 @@ class EigenFrame:
         _cross_check(frame.x, root[:, None] * (v.conj().T @ b.matrix @ v) * root)
         return frame
 
-    def at(self, t: float) -> np.ndarray:
-        """The operator at one time t, or each operator of a stacked frame."""
-        return self.vectors @ (self._phases(t) * self.x) @ linalg.adjoint(self.vectors)
+    def at(self, t, order: int = 0) -> np.ndarray:
+        """The order-th time derivative (order 0: the operator) at t.
 
-    def _phases(self, t) -> np.ndarray:
-        """E_t = exp(-it freq) at t, a time or an array of times that broadcasts against freq.
-
-        Raises EffectdynError where t * freq is not finite: an admitted effect
-        may reach 1 + tol, so a finite t can overflow a phase into NaN. The
-        largest |t * freq| is the product of the largest |t| and |freq|.
+        t is one time, for one frame or each frame of a stack, or an array
+        of times for one frame, which gives one matrix per time, stacked.
         """
-        t_max = float(np.abs(t).max())
+        return self.vectors @ self._rotated(t, order) @ linalg.adjoint(self.vectors)
+
+    def check_phases(self, t_max: float) -> None:
+        """Raise EffectdynError unless t * freq is finite for every |t| <= t_max.
+
+        An admitted effect may reach 1 + tol, so a finite t can overflow a
+        phase into NaN. The largest |t * freq| is t_max times the largest |freq|.
+        """
         if not math.isfinite(t_max * float(np.abs(self.freq).max())):
             raise EffectdynError(f"phase t*(w_j - w_k) must be finite, got |t| = {t_max!r}")
-        return np.exp(-1j * t * self.freq)
-
-    def matrices(self, times, order: int = 0) -> np.ndarray:
-        """The order-th time derivative (order 0: the operator) at every t, stacked."""
-        return self.vectors @ self._rotated(times, order) @ self.vectors.conj().T
 
     def deviation_norms(self, times) -> np.ndarray:
         """||M(t) - M(0)|| for every t in ``times``."""
@@ -153,16 +153,18 @@ class EigenFrame:
         """||d/dt M(t)|| = ||i[M(t), a]|| for every t in ``times``."""
         return linalg.operator_norms(self._rotated(times, 1))
 
-    def _rotated(self, times, order: int = 0) -> np.ndarray:
-        """(-i freq)^order ⊙ E_t ⊙ X for every t, stacked; the one empty-grid check.
+    def _rotated(self, t, order: int = 0) -> np.ndarray:
+        """(-i freq)^order ⊙ E_t ⊙ X at t, with E_t = exp(-it freq); the one empty-grid check.
 
         In V, [., a] scales entry jk by -freq_jk, so this is the order-th
-        derivative i^order [...[M(t), a]..., a] in the frame's basis.
+        derivative i^order [...[M(t), a]..., a] in the frame's basis. An
+        array of times gives one slice per time; check_phases guards them all.
         """
-        ts = np.asarray(times, dtype=float).ravel()
+        ts = np.asarray(t, dtype=float)
         if ts.size == 0:
             raise EmptyGridError("time grid is empty")
-        rotated = self._phases(ts[:, None, None]) * self.x
+        self.check_phases(float(np.abs(ts).max()))
+        rotated = np.exp(-1j * ts[..., None, None] * self.freq) * self.x
         return rotated * (-1j * self.freq) ** order if order else rotated
 
 
@@ -201,7 +203,7 @@ def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarr
 
 
 def _hermitian_derivative(frame: EigenFrame, t: float, n: int) -> np.ndarray:
-    m = frame.matrices([t], n)[0]
+    m = frame.at(t, n)
     return (m + m.conj().T) / 2.0
 
 

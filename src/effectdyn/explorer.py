@@ -153,7 +153,12 @@ def symmetry_gap(a: Effect, b: Effect, t: float) -> float:
 
 def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:
     """``symmetry_gap`` over a whole grid, through the pair's two eigenframes."""
-    return _profile(_gap_kernel(_frames(a, b)), times)
+    frames = _frames(a, b)
+    ts = np.asarray(times, dtype=float).ravel()
+    t_max = float(np.max(np.abs(ts), initial=0.0))  # an empty grid raises in _profile
+    for f in frames:
+        f.check_phases(t_max)
+    return _profile(_gap_kernel(frames), ts)
 
 
 def _frames(a: Effect, b: Effect) -> tuple[EigenFrame, EigenFrame]:
@@ -165,7 +170,9 @@ def _gap_kernel(frames: tuple[EigenFrame, EigenFrame]):
 
     With W = V_a† V_b, V_a† (a[t]b - b[t]a) V_a = E^a_t ⊙ X_a - W (E^b_t ⊙ X_b) W†,
     so each time costs two matrix products and one eigensolve, and the gap is
-    max(-λ_min, λ_max) of that Hermitian matrix.
+    max(-λ_min, λ_max) of that Hermitian matrix. The kernel does not check
+    its phases: each caller runs EigenFrame.check_phases on both frames
+    once, at the largest |t| it will ask for.
     """
     fa, fb = frames
     w = fa.vectors.conj().T @ fb.vectors
@@ -262,13 +269,15 @@ def _certified_search(
     one left unsplit by the slack rule has L h <= 2 slack < 2 S, and one
     whose midpoint is no longer a new float has h <= u, T = max |t| over
     the window and u = T - nextafter(T, 0), since the floats in [-T, T] are
-    at most u apart. (The midpoint sum overflows only for |t| >= 2^1023,
-    where u = 2^971 and the rule refuses any window wider than about
-    4e298.) Every final interval is at most max(2 S / L, 2 u) wide, so a
-    search that ends holds more than width / max(2 S / L, 2 u) knots, and
-    when that exceeds MAX_KNOTS the window is refused at once. For the
-    default 8π window that count stayed below 6 on 800 random pairs at dims
-    2, 3, 4 and 8.
+    at most u apart. (Midpoints are t_i/2 + t_{i+1}/2, which cannot
+    overflow, even for |t| >= 2^1023, where u = 2^971 and the rule refuses
+    any window wider than about 4e298.) Every final interval is at most
+    max(2 S / L, 2 u) wide, so a search that ends holds more than
+    width / max(2 S / L, 2 u) knots, and when that exceeds MAX_KNOTS the
+    window is refused at once. For the default 8π window that count stayed
+    below 6 on 800 random pairs at dims 2, 3, 4 and 8. After that refusal,
+    and still before any gap is evaluated, the phases of both frames are
+    checked at T (EigenFrame.check_phases).
     """
     lo, hi = cfg.t_window
     lip = _lipschitz(frames)
@@ -281,6 +290,8 @@ def _certified_search(
     ts = np.linspace(lo, hi, cfg.grid_points)
     extra = [x for x in (-PUNCTURED_RADIUS, PUNCTURED_RADIUS) if lo < x < hi and x not in ts]
     ts = np.insert(ts, np.searchsorted(ts, extra), extra)
+    for f in frames:
+        f.check_phases(top)
     gap = _gap_kernel(frames)
     gs = _profile(gap, ts)
     while True:
@@ -288,7 +299,7 @@ def _certified_search(
         bounds = (gs[:-1] + gs[1:] - lip * h) / 2.0 - slack
         punctured = (ts[1:] <= -PUNCTURED_RADIUS) | (ts[:-1] >= PUNCTURED_RADIUS)
         best = np.where(punctured, np.min(gs, where=_knots(punctured), initial=np.inf), gs.min())
-        mids = (ts[:-1] + ts[1:]) / 2.0
+        mids = ts[:-1] / 2.0 + ts[1:] / 2.0
         split = np.flatnonzero(
             (bounds < (1.0 - CERTIFY_RTOL) * best)
             & (lip * h > 2.0 * slack)

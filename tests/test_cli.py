@@ -350,7 +350,7 @@ def test_evolve_rows_mirror_their_upper_triangle(capsys, tmp_path, rng, mode):
         values = texts.astype(float)
         times = np.array([float(row[0]) for row in rows])
         frames = {"evolution": evolution.EigenFrame.evolution, "seqprod": evolution.EigenFrame.product}
-        m = frames[mode](a, b).matrices(times)
+        m = frames[mode](a, b).at(times)
         assert np.abs(values[..., 0] - m.real).max() <= 2.2e-16
         assert np.abs(values[..., 1] - m.imag).max() <= 2.2e-16
 

@@ -440,7 +440,7 @@ def test_eigen_frame_matches_dense_reference(rng):
             (EigenFrame.product(a, b), s @ b.matrix @ s),
         ):
             want = np.array([_dense_conjugation(a.matrix, m, t) for t in times])
-            assert np.max(np.abs(frame.matrices(times) - want)) < 1e-12
+            assert np.max(np.abs(frame.at(times) - want)) < 1e-12
             for t, w in zip(times, want):
                 assert np.max(np.abs(frame.at(t) - w)) < 1e-12
             deviation = [np.max(np.abs(np.linalg.eigvalsh(w - m))) for w in want]
@@ -453,7 +453,7 @@ def test_eigen_frame_matches_dense_reference(rng):
             nested = want
             for n in (1, 2, 3):
                 nested = 1j * (nested @ a.matrix - a.matrix @ nested)
-                assert np.max(np.abs(frame.matrices(times, n) - nested)) < 1e-12
+                assert np.max(np.abs(frame.at(times, n) - nested)) < 1e-12
         # d/dt a[t]b against the dense i[a[t]b, a] it replaced
         for t in times:
             a_t_b = _dense_conjugation(a.matrix, s @ b.matrix @ s, t)
@@ -463,8 +463,27 @@ def test_eigen_frame_matches_dense_reference(rng):
 
 def test_eigen_frame_rejects_empty_grid(rng):
     frame = EigenFrame.evolution(random_effect(2, rng), random_effect(2, rng))
-    with pytest.raises(EmptyGridError):
-        frame.matrices([])
+    for empty in ([], np.empty((0,))):
+        with pytest.raises(EmptyGridError):
+            frame.at(empty)
+
+
+def test_eigen_frame_reads_a_grid_as_its_times_one_by_one(rng):
+    # at(times, order) stacks at(t, order) for each t, bit for bit: both kinds
+    # of frame, orders 0-2, dims 1-8, for a generic and a rank-deficient a
+    times = np.array([0.0, 0.7, -2.3, 25.0, -1e3])
+    for dim in range(1, 9):
+        u = random_unitary(dim, rng)
+        generic = rng.uniform(0.0, 1.0, dim)
+        for w in (generic, np.where(np.arange(dim) < (dim + 1) // 2, 0.0, generic)):
+            a = validate_effect((u * w) @ u.conj().T)
+            b = random_effect(dim, rng)
+            for frame in (EigenFrame.evolution(a, b), EigenFrame.product(a, b)):
+                for order in (0, 1, 2):
+                    grid = frame.at(times, order)
+                    assert grid.shape == (times.size, dim, dim)
+                    for t, m in zip(times.tolist(), grid):
+                        assert np.array_equal(frame.at(t, order), m)
 
 
 def _with_broken_sqrt(a, rng):

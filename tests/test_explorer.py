@@ -396,3 +396,53 @@ def test_scan_reports_certified_brackets(monkeypatch):
     assert result.summary["certified_positive"] == 6
     brackets = {c["trial"]: c["bracket"] for c in result.summary["candidates"]}
     assert brackets == {r.trial: [r.min_gap_lower, r.min_gap] for r in result.records}
+
+
+LARGEST = 1.7976931348623157e308
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_midpoints_near_the_largest_float_do_not_overflow():
+    # knots a few floats below the largest one: each midpoint adds two
+    # halves, so no sum overflows and the scan warns of nothing
+    result = conjecture_scan(ScanConfig(trials=2, t_window=(1.797693134862315e308, LARGEST)))
+    assert len(result.records) == 2
+    assert all(0.0 <= r.min_gap_lower <= r.min_gap for r in result.records)
+
+
+def _overflowing_pair():
+    """a reaches 1 + 5e-10 (admitted at the default tol), so t * freq overflows near 1.8e308."""
+    return validate_effect(np.diag([1.0 + 5e-10, 0.0])), validate_effect(np.full((2, 2), 0.5))
+
+
+def test_gap_search_checks_its_phases_once_before_any_gap(monkeypatch):
+    times, checks = [], []
+    kernel, check = explorer._gap_kernel, EigenFrame.check_phases
+
+    def counting_kernel(frames):
+        gap = kernel(frames)
+        return lambda t: times.append(t) or gap(t)
+
+    def counting_check(frame, t_max):
+        checks.append(t_max)
+        return check(frame, t_max)
+
+    monkeypatch.setattr(explorer, "_gap_kernel", counting_kernel)
+    monkeypatch.setattr(EigenFrame, "check_phases", counting_check)
+    a, b = _overflowing_pair()
+    with pytest.raises(EffectdynError, match="phase"):
+        minimize_gap(a, b, ScanConfig(t_window=(1.7976931348623155e308, LARGEST)))
+    assert times == []
+    # a search that runs checks each frame once, at the window's largest |t|
+    checks.clear()
+    minimize_gap(a, b, ScanConfig(t_window=(-3.0, 5.0)))
+    assert checks == [5.0, 5.0]
+    assert len(times) > 2
+
+
+def test_gap_profile_checks_its_phases():
+    a, b = _overflowing_pair()
+    for t in (math.nan, math.inf, -math.inf, LARGEST):
+        with pytest.raises(EffectdynError, match="phase"):
+            symmetry_gap_profile(a, b, [0.0, t])
+    assert np.all(np.isfinite(symmetry_gap_profile(a, b, [0.0, 1e300])))
