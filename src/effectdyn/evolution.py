@@ -150,20 +150,30 @@ class EigenFrame:
         return linalg.operator_norms(self._rotated(times) - self.x)
 
     def derivative_norms(self, times) -> np.ndarray:
-        """||d/dt M(t)|| = ||i[M(t), a]|| for every t in ``times``."""
-        return linalg.operator_norms(self._rotated(times, 1))
+        """||d/dt M(t)|| = ||i[M(t), a]|| for every t in ``times``, the same at every t.
 
-    def _rotated(self, t, order: int = 0) -> np.ndarray:
-        """(-i freq)^order ⊙ E_t ⊙ X at t, with E_t = exp(-it freq); the one empty-grid check.
-
-        In V, [., a] scales entry jk by -freq_jk, so this is the order-th
-        derivative i^order [...[M(t), a]..., a] in the frame's basis. An
-        array of times gives one slice per time; check_phases guards them all.
+        i[M(t), a] = e^{-ita} i[M, a] e^{ita} is a unitary conjugate of its
+        value at t = 0, so one eigensolve, of (-i freq) ⊙ X, serves every t.
         """
+        ts = self._checked(times)
+        return np.full(ts.shape, linalg.operator_norms(self.x * (-1j * self.freq)))
+
+    def _checked(self, t) -> np.ndarray:
+        """t as an array of times; the one empty-grid check, then check_phases."""
         ts = np.asarray(t, dtype=float)
         if ts.size == 0:
             raise EmptyGridError("time grid is empty")
         self.check_phases(float(np.abs(ts).max()))
+        return ts
+
+    def _rotated(self, t, order: int = 0) -> np.ndarray:
+        """(-i freq)^order ⊙ E_t ⊙ X at t, with E_t = exp(-it freq), after _checked.
+
+        In V, [., a] scales entry jk by -freq_jk, so this is the order-th
+        derivative i^order [...[M(t), a]..., a] in the frame's basis. An
+        array of times gives one slice per time.
+        """
+        ts = self._checked(t)
         rotated = np.exp(-1j * ts[..., None, None] * self.freq) * self.x
         return rotated * (-1j * self.freq) ** order if order else rotated
 

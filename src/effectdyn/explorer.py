@@ -6,14 +6,21 @@ small gaps. Every minimum comes with a certified lower bound on its window:
 the pair's two eigenframes give a global Lipschitz constant L of the gap in
 t, so two knots h apart bound the gap between them from below, and an
 adaptive interval search (Piyavskii–Shubert style) splits intervals until
-each window's bound is within CERTIFY_RTOL of its best gap; golden section
-then refines each window's best knot until that bound leaves only rounding.
-One kernel, in the eigenbasis of a, evaluates every gap of the search; its
-reference is symmetry_gap, through the dense cross-checked time_seq_product.
-A positive ``min_gap_lower`` proves a[t]b != b[t]a for every t in the
-window, and only there: the gap is almost periodic in t, so the window says
-nothing about t outside it. What exactly is certified, and to what
-rounding, is stated in _certified_search. A minimum below
+each window's bound is within CERTIFY_RTOL of its best gap; Brent's method
+then refines each window's best knot, and a polish finds the crossing of
+the gap's two branches where the minimum sits on a kink (_refine). Brent's
+tolerance is absolute in t: at a smooth minimum with curvature g'', a
+position error d costs about g'' d^2 / 2, which is at rounding level once d
+is about sqrt(eps), whatever |t| is, so the tolerance is sqrt(eps) plus the
+float spacing 4 eps |t|, not Brent's usual sqrt(eps) |t|. At a kink the gap
+grows linearly away from the crossing, so the polish's root of the branch
+difference stops by the Lipschitz rule instead. One kernel, in the
+eigenbasis of a, evaluates every gap of the search; its reference is
+symmetry_gap, through the dense cross-checked time_seq_product. A positive
+``min_gap_lower`` proves a[t]b != b[t]a for every t in the window, and only
+there: the gap is almost periodic in t, so the window says nothing about t
+outside it. What exactly is certified, and to what rounding, is stated in
+_certified_search. A minimum below
 CANDIDATE_THRESHOLD is never reported as a counterexample, only as a
 candidate for independent high-precision verification.
 
@@ -25,6 +32,7 @@ execution order or thread count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +61,9 @@ CERTIFY_RTOL = 1e-3
 MAX_KNOTS = 1 << 20
 
 _REDRAW_LIMIT = 64
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
+# Brent's golden-section step: the smaller golden fraction of a bracket.
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 # Rounding slack of one evaluated gap, in units of eps * (||X_a||_F + ||X_b||_F);
 # see _certified_search.
 _SLACK_UNITS = 8.0
@@ -79,6 +89,10 @@ class ScanConfig:
     commutator_floor: float = DEFAULT_COMMUTATOR_FLOOR
 
     def __post_init__(self) -> None:
+        for name in ("dim", "trials", "grid_points", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise EffectdynError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.dim <= 8:
             raise EffectdynError(f"dim must be in [2, 8], got {self.dim}")
         if self.trials < 0:
@@ -166,56 +180,146 @@ def _frames(a: Effect, b: Effect) -> tuple[EigenFrame, EigenFrame]:
 
 
 def _gap_kernel(frames: tuple[EigenFrame, EigenFrame]):
-    """The pair's gap at one t (a float) or at every t of an array, in the eigenbasis of a.
+    """The gap's two branches at one t (a float) or at every t of an array, in the eigenbasis of a.
 
     With W = V_a† V_b, V_a† (a[t]b - b[t]a) V_a = E^a_t ⊙ X_a - W (E^b_t ⊙ X_b) W†,
-    so each time costs two matrix products and one eigensolve, and the gap is
-    max(-λ_min, λ_max) of that Hermitian matrix. The kernel does not check
-    its phases: each caller runs EigenFrame.check_phases on both frames
-    once, at the largest |t| it will ask for.
+    so each time costs two matrix products and one eigensolve. The kernel
+    returns the branches (-λ_min, λ_max) of that Hermitian matrix: the gap
+    is their maximum, and they cross where h = λ_max + λ_min changes sign.
+    It does not check its phases: each caller runs EigenFrame.check_phases
+    on both frames once, at the largest |t| it will ask for.
     """
     fa, fb = frames
     w = fa.vectors.conj().T @ fb.vectors
     w_inv = w.conj().T
     rate_a, rate_b = -1j * fa.freq, -1j * fb.freq
 
-    def gap(t):
+    def branches(t):
         phase = np.asarray(t, dtype=float)[..., None, None]
         m = np.exp(phase * rate_a) * fa.x - w @ (np.exp(phase * rate_b) * fb.x) @ w_inv
         e = np.linalg.eigvalsh(m).T  # eigenvalue index first: e[0], e[-1] per time
-        return np.maximum(-e[0], e[-1])
+        return -e[0], e[-1]
 
-    return gap
+    return branches
 
 
-def _profile(gap, times) -> np.ndarray:
-    """``gap`` at every t of a nonempty grid, in chunks to bound memory."""
+def _profile(branches, times) -> np.ndarray:
+    """The gap, the larger of the two ``branches``, at every t of a nonempty grid, in chunks."""
     ts = np.asarray(times, dtype=float).ravel()
     if ts.size == 0:
         raise EmptyGridError("time grid is empty")
-    return np.concatenate([gap(ts[i : i + _EVAL_CHUNK]) for i in range(0, ts.size, _EVAL_CHUNK)])
+    chunks = (branches(ts[i : i + _EVAL_CHUNK]) for i in range(0, ts.size, _EVAL_CHUNK))
+    return np.concatenate([np.maximum(*pair) for pair in chunks])
 
 
-def _golden_refine(gap, lo: float, hi: float, lip: float, slack: float) -> tuple[float, float]:
-    """Golden-section minimization of ``gap`` on [lo, hi], stopped by the search's split rule.
+def _refine(branches, lo: float, hi: float, lip: float, slack: float) -> tuple[float, float]:
+    """Brent minimization of the gap on [lo, hi], then a kink polish; the lowest gap and its t.
 
-    It ends once L (hi - lo) <= 2 slack, where no time of the bracket can
-    differ from its evaluated points by more than the rounding of a gap, or
-    once the points are no longer distinct floats.
+    Brent's method (parabolic steps with a golden-section fallback; Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5) keeps its
+    best point x inside a shrinking bracket [lo, hi] and takes no step
+    shorter than tol = sqrt(eps) + 4 eps |x| + slack / L. It stops once the
+    bracket lies within 2 tol of x, or once L (hi - lo) <= 2 slack, the
+    search's split rule, so a constant gap costs one evaluation; the choice
+    of tol is derived in _certified_search. The minimum may sit on a kink,
+    where the two branches cross and parabolas converge slowly;
+    _polish_kink then solves for the crossing.
     """
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = gap(x1), gap(x2)
-    while lip * (hi - lo) > 2.0 * slack and lo < x1 < x2 < hi:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = gap(x1)
+    atol = math.sqrt(_EPS) + slack / lip if lip > 0.0 else math.inf
+    seen: list[tuple[float, float]] = []  # (t, λ_max + λ_min) of every evaluation
+
+    def evaluate(t: float) -> float:
+        low, high = branches(t)
+        seen.append((t, float(high - low)))
+        return float(max(low, high))
+
+    x = w = v = lo + _CGOLD * (hi - lo)
+    fx = fw = fv = evaluate(x)
+    d = e = 0.0
+    while lip * (hi - lo) > 2.0 * slack:
+        tol = atol + 4.0 * _EPS * abs(x)
+        mid = lo / 2.0 + hi / 2.0
+        if abs(x - mid) <= 2.0 * tol - (hi - lo) / 2.0:
+            break
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x):
+                golden = False
+                d = p / q
+                if x + d - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if golden:
+            e = (lo if x >= mid else hi) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = evaluate(u)
+        if fu <= fx:
+            if u >= x:
+                lo = x
+            else:
+                hi = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = gap(x2)
-    return (x1, float(f1)) if f1 <= f2 else (x2, float(f2))
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return _polish_kink(branches, seen, x, fx, lip, slack)
+
+
+def _polish_kink(
+    branches, seen, x: float, fx: float, lip: float, slack: float
+) -> tuple[float, float]:
+    """The lowest gap evaluated, after solving h = λ_max + λ_min = 0 where h changes sign at x.
+
+    ``seen`` holds (t, h) of every evaluation, x among them. Where h
+    changes sign between x and its nearest evaluated neighbour on either
+    side, with |h| > slack at both (so never at dim 2, where a[t]b - b[t]a
+    is traceless and h is rounding noise), the branches cross in between and
+    the gap has a kink there. Illinois regula falsi on h shrinks that
+    bracket until L times its width is within twice the slack, or its next
+    point is no longer a new float inside it.
+    """
+    best = (x, fx)
+    h_x = next(h for t, h in seen if t == x)
+    if abs(h_x) <= slack:
+        return best
+    for side in (-1.0, 1.0):
+        near = [(abs(t - x), t, h) for t, h in seen if (t - x) * side > 0.0]
+        if not near:
+            continue
+        _, t1, h1 = min(near)
+        if abs(h1) <= slack or (h1 > 0.0) == (h_x > 0.0):
+            continue
+        t0, h0 = x, h_x
+        while lip * abs(t1 - t0) > 2.0 * slack:
+            t = t1 - h1 * ((t1 - t0) / (h1 - h0))
+            if not min(t0, t1) < t < max(t0, t1):
+                break
+            low, high = branches(t)
+            gap, h = float(max(low, high)), float(high - low)
+            if gap < best[1]:
+                best = (t, gap)
+            if h == 0.0:
+                break
+            if (h > 0.0) == (h1 > 0.0):
+                h0 /= 2.0
+            else:
+                t0, h0 = t1, h1
+            t1, h1 = t, h
+    return best
 
 
 def _lipschitz(frames: tuple[EigenFrame, EigenFrame]) -> float:
@@ -249,11 +353,23 @@ def _certified_search(
     midpoint is no longer a new float; a search that would hold more than
     MAX_KNOTS knots raises EffectdynError, before any gap is evaluated when
     the window alone implies it (below). Each window's minimum is then refined
-    by golden section between the neighbors of its best knot, under the same
-    rule: it stops once L times the bracket width is within twice the slack,
-    so a constant gap is evaluated only at the two starting points. The two
-    windows share that work when their brackets coincide. Knots, midpoints
-    and golden points all go through one kernel, _gap_kernel.
+    between the neighbors of its best knot (_refine): Brent's method stops
+    once its bracket lies within 2 tol of its best point, or under the same
+    rule as the splitting, once L times the bracket width is within twice the
+    slack, so a constant gap is evaluated once. Its tolerance is absolute in
+    t, tol = sqrt(eps) + 4 eps |t| + slack / L: near a smooth minimum t* the
+    gap is about g* + g'' (t - t*)^2 / 2, so a position error of sqrt(eps)
+    costs about g'' eps / 2, rounding level, at any |t|, while Brent's usual
+    sqrt(eps) |t| would cost g'' eps t^2 / 2, about 1e-9 at |t| = 1e4. The
+    4 eps |t| keeps every step a new float, and a step of slack / L cannot
+    move the gap by more than its rounding. Where the minimum is a kink, a
+    crossing of the branches λ_max and -λ_min of a[t]b - b[t]a, the gap is
+    not smooth and a position error d costs about |slope| d; the polish
+    (_polish_kink) solves λ_max + λ_min = 0 by regula falsi until the
+    bracket meets the Lipschitz rule. The two windows share that work when
+    their brackets coincide, and a window keeps its best knot if the
+    refinement ends above it. Knots, midpoints and refinement points all go
+    through one kernel, _gap_kernel.
 
     What is certified is the gap as the frames compute it. The frames hold
     the eigenvalues of a and b as computed in float64; at an eigenvalue
@@ -282,7 +398,7 @@ def _certified_search(
     lo, hi = cfg.t_window
     lip = _lipschitz(frames)
     scale = float(sum(np.linalg.norm(f.x) for f in frames))
-    slack = _SLACK_UNITS * np.finfo(float).eps * scale
+    slack = _SLACK_UNITS * _EPS * scale
     top = max(abs(lo), abs(hi))
     ulp = top - math.nextafter(top, 0.0)
     if (hi - lo) * lip > MAX_KNOTS * 2.0 * scale and hi - lo > MAX_KNOTS * 2.0 * ulp:
@@ -292,8 +408,8 @@ def _certified_search(
     ts = np.insert(ts, np.searchsorted(ts, extra), extra)
     for f in frames:
         f.check_phases(top)
-    gap = _gap_kernel(frames)
-    gs = _profile(gap, ts)
+    branches = _gap_kernel(frames)
+    gs = _profile(branches, ts)
     while True:
         h = np.diff(ts)
         bounds = (gs[:-1] + gs[1:] - lip * h) / 2.0 - slack
@@ -311,7 +427,7 @@ def _certified_search(
         if ts.size + split.size > MAX_KNOTS:
             raise _too_wide(lo, hi)
         ts = np.insert(ts, split + 1, mids[split])
-        gs = np.insert(gs, split + 1, _profile(gap, mids[split]))
+        gs = np.insert(gs, split + 1, _profile(branches, mids[split]))
 
     refined: dict[tuple[float, float], tuple[float, float]] = {}
 
@@ -322,7 +438,7 @@ def _certified_search(
             float(ts[k + 1] if k < inside.size and inside[k] else ts[k]),
         )
         if bracket not in refined:
-            refined[bracket] = _golden_refine(gap, *bracket, lip, slack)
+            refined[bracket] = _refine(branches, *bracket, lip, slack)
         t_ref, gap_ref = refined[bracket]
         if gap_ref > gs[k]:
             t_ref, gap_ref = float(ts[k]), float(gs[k])

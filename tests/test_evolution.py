@@ -28,7 +28,7 @@ from effectdyn import (
     verify_coexistence_witness,
     zero_effect,
 )
-from effectdyn.errors import EmptyGridError, InvalidOrderError, NotAProjectionError
+from effectdyn.errors import EffectdynError, EmptyGridError, InvalidOrderError, NotAProjectionError
 from effectdyn.evolution import EigenFrame
 
 from support import (
@@ -459,6 +459,40 @@ def test_eigen_frame_matches_dense_reference(rng):
             a_t_b = _dense_conjugation(a.matrix, s @ b.matrix @ s, t)
             dense = 1j * (a_t_b @ a.matrix - a.matrix @ a_t_b)
             assert np.max(np.abs(seq_product_derivative(a, b, t) - dense)) < 1e-12
+
+
+def test_derivative_norms_take_one_eigensolve_for_a_grid(rng, monkeypatch):
+    # ||i[M(t), a]|| is the norm of a unitary conjugate of i[M, a], so a
+    # 129-point grid costs one eigensolve and the value holds at every t
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        m = np.asarray(m)
+        solved.append(m.size // (m.shape[-1] * m.shape[-1]))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    times = np.linspace(-3.0, 25.0, 129)
+    for a, b in _frame_cases(rng):
+        s = _dense_sqrt(a.matrix)
+        for frame, m in (
+            (EigenFrame.evolution(a, b), b.matrix),
+            (EigenFrame.product(a, b), s @ b.matrix @ s),
+        ):
+            solved.clear()
+            norms = frame.derivative_norms(times)
+            assert sum(solved) == 1 and norms.shape == times.shape
+            for t, value in zip(times, norms):
+                w = _dense_conjugation(a.matrix, m, t)
+                dense = np.linalg.norm(1j * (w @ a.matrix - a.matrix @ w), 2)
+                assert value == pytest.approx(dense, abs=1e-12)
+    with pytest.raises(EmptyGridError):
+        frame.derivative_norms([])
+    # a reaches 1 + 5e-10 (admitted at the default tol), so t * freq overflows
+    edge = EigenFrame.evolution(validate_effect(np.diag([1.0 + 5e-10, 0.0])), random_effect(2, rng))
+    with pytest.raises(EffectdynError, match="phase"):
+        edge.derivative_norms([0.0, 1.7976931348623157e308])
 
 
 def test_eigen_frame_rejects_empty_grid(rng):

@@ -102,11 +102,11 @@ def test_symmetry_gap_profile_matches_pointwise(rng):
         b = random_effect(dim, rng)
         for a in (random_effect(dim, rng), singular):
             profile = symmetry_gap_profile(a, b, ts)
-            gap = explorer._gap_kernel(explorer._frames(a, b))
+            branches = explorer._gap_kernel(explorer._frames(a, b))
             for t, value in zip(ts, profile):
                 dense = symmetry_gap(a, b, t)
                 assert value == pytest.approx(dense, abs=1e-12)
-                assert gap(t) == pytest.approx(dense, abs=1e-12)
+                assert max(branches(t)) == pytest.approx(dense, abs=1e-12)
     a = random_effect(3, np.random.default_rng(5))
     with pytest.raises(DimensionMismatchError):
         symmetry_gap_profile(a, random_effect(2, np.random.default_rng(7)), ts)
@@ -160,6 +160,15 @@ def test_scan_config_validation():
         ScanConfig(commutator_floor=0.0)
     with pytest.raises(EffectdynError):
         ScanConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field", ["dim", "trials", "grid_points", "seed"])
+def test_scan_config_rejects_non_integers(field):
+    # a float count used to construct and then fail deep in the scan with TypeError
+    for value in (2.5, 16.0, "8", None, True):
+        with pytest.raises(EffectdynError, match=f"{field} must be an integer"):
+            ScanConfig(**{field: value})
+    assert getattr(ScanConfig(**{field: np.int64(8)}), field) == 8
 
 
 def test_minimize_gap_rejects_commuting_pair(rng):
@@ -342,24 +351,30 @@ def _scaled_projection(dim, rank, scale, rng):
     return validate_effect(scale * q[:, :rank] @ q[:, :rank].conj().T)
 
 
-def test_constant_gap_bound_stays_below_minimum(monkeypatch):
-    # both operands are scaled projections, so a[t]b and b[t]a are constant:
-    # L is rounding noise and only the slack keeps the bound under the gap,
-    # and golden refinement stops at its two starting points in each window
+def _count_single_calls(monkeypatch) -> list:
+    """Record every time at which the gap kernel is called for one t (a refinement point)."""
     single_calls = []
     kernel = explorer._gap_kernel
 
     def counting_kernel(frames):
-        gap = kernel(frames)
+        branches = kernel(frames)
 
         def counted(t):
             if np.ndim(t) == 0:
                 single_calls.append(t)
-            return gap(t)
+            return branches(t)
 
         return counted
 
     monkeypatch.setattr(explorer, "_gap_kernel", counting_kernel)
+    return single_calls
+
+
+def test_constant_gap_bound_stays_below_minimum(monkeypatch):
+    # both operands are scaled projections, so a[t]b and b[t]a are constant:
+    # L is rounding noise and only the slack keeps the bound under the gap,
+    # and the refinement stops at its first point in each window
+    single_calls = _count_single_calls(monkeypatch)
     rng = np.random.default_rng(21)
     for dim in (2, 3, 4, 6):
         for rank in range(1, dim):
@@ -371,7 +386,7 @@ def test_constant_gap_bound_stays_below_minimum(monkeypatch):
             full, punctured = explorer._certified_search(frames, ScanConfig(dim=dim))
             for window in (full, punctured):
                 assert 0.0 < window.lower <= window.min_gap
-            assert len(single_calls) in (2, 4)  # two per distinct bracket
+            assert len(single_calls) in (1, 2)  # one per distinct bracket
 
 
 def test_constant_gap_is_certified_on_a_huge_window():
@@ -387,6 +402,67 @@ def test_constant_gap_is_certified_on_a_huge_window():
             for window in (full, punctured):
                 assert 0.0 < window.lower <= window.min_gap
                 assert window.min_gap == pytest.approx(symmetry_gap(a, b, 0.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_refinement_needs_few_evaluations(monkeypatch, dim):
+    # Brent's parabolic steps converge superlinearly; golden section needs
+    # 73-105 evaluations per trial on these scans
+    single_calls = _count_single_calls(monkeypatch)
+    for seed in range(30):
+        assert len(conjecture_scan(ScanConfig(dim=dim, trials=1, seed=seed)).records) == 1
+    assert len(single_calls) / 30 <= 45
+
+
+def _check_no_lower_gap_nearby(r, cfg):
+    """No time of the window within 1e-6 of a refined minimum has a lower gap beyond rounding.
+
+    Two evaluated gaps may differ by twice the slack, plus the rounding of
+    their phases t * freq: each is off by at most eps |t| |freq| / 2, which
+    moves the gap by at most eps |t| L / 2, about 3e-13 at |t| = 1e4.
+    """
+    eps = np.finfo(float).eps
+    frames = explorer._frames(r.a, r.b)
+    slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(f.x) for f in frames)
+    lip = explorer._lipschitz(frames)
+    lo, hi = cfg.t_window
+    for t_star, min_gap, punctured in (
+        (r.t_star, r.min_gap, False),
+        (r.punctured_t_star, r.punctured_min_gap, True),
+    ):
+        ts = np.linspace(t_star - 1e-6, t_star + 1e-6, 2001)
+        ts = ts[(lo <= ts) & (ts <= hi)]
+        if punctured:
+            ts = ts[np.abs(ts) >= PUNCTURED_RADIUS]
+        rounding = 2.0 * slack + eps * abs(t_star) * lip
+        gaps = symmetry_gap_profile(r.a, r.b, ts)
+        assert np.min(gaps) >= min_gap - rounding, (r.trial, t_star, min_gap - np.min(gaps))
+
+
+@pytest.mark.parametrize(
+    "dim, window",
+    [(2, None), (3, None), (4, None), (8, None), (3, (1e4, 1e4 + 8.0 * math.pi))],
+)
+def test_refined_minima_are_local_minima_to_rounding(dim, window):
+    # Brent's smooth steps stop within sqrt(eps) of the minimizer in absolute
+    # t, which leaves rounding only, also at |t| = 1e4 where a tolerance
+    # relative to |t| would not; at a kink the polish finds the crossing
+    cfg = ScanConfig(dim=dim, trials=24, seed=5, **({} if window is None else {"t_window": window}))
+    records = conjecture_scan(cfg).records
+    assert len(records) == 24
+    for r in records:
+        _check_no_lower_gap_nearby(r, cfg)
+
+
+def test_kink_polish_reaches_the_branch_crossing():
+    # at dim 4 many window minima sit where λ_max and -λ_min of
+    # a[t]b - b[t]a cross; the polish solves λ_max + λ_min = 0 there
+    records = conjecture_scan(ScanConfig(dim=4, trials=40, seed=5)).records
+    on_kink = 0
+    for r in records:
+        low, high = explorer._gap_kernel(explorer._frames(r.a, r.b))(r.t_star)
+        on_kink += abs(high - low) < 1e-12
+    assert on_kink >= len(records) / 4
 
 
 def test_scan_reports_certified_brackets(monkeypatch):
@@ -437,7 +513,9 @@ def test_gap_search_checks_its_phases_once_before_any_gap(monkeypatch):
     checks.clear()
     minimize_gap(a, b, ScanConfig(t_window=(-3.0, 5.0)))
     assert checks == [5.0, 5.0]
-    assert len(times) > 2
+    # the knots in one batch, then the refinement's points one by one
+    assert np.ndim(times[0]) == 1 and len(times[0]) > 2
+    assert any(np.ndim(t) == 0 for t in times[1:])
 
 
 def test_gap_profile_checks_its_phases():
