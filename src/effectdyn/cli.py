@@ -56,7 +56,10 @@ def _floats(text: str) -> list[float]:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_effect(path: str, tol: float) -> Effect:
@@ -300,7 +303,6 @@ def cmd_scan(args) -> int:
         dim=args.dim,
         trials=args.trials,
         t_window=(args.tmin, args.tmax),
-        grid_points=args.grid,
         seed=args.seed,
         commutator_floor=args.floor,
     )
@@ -388,9 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--tmin", type=_finite, default=d.t_window[0])
     p.add_argument("--tmax", type=_finite, default=d.t_window[1])
-    p.add_argument(
-        "--grid", type=int, default=d.grid_points, help="initial knots of the certified gap search"
-    )
     p.add_argument("--floor", type=float, default=d.commutator_floor)
     p.add_argument("--out", default="scan", help="output prefix for .json/.csv")
     p.set_defaults(func=cmd_scan)

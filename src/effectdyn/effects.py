@@ -75,14 +75,6 @@ class Effect:
         v = self.decomposition.vectors
         return (v * self.sqrt_eigenvalues) @ linalg.adjoint(v)
 
-    def clamped_range(self) -> tuple[float, float]:
-        """Extremal eigenvalues with sub-tolerance overshoot snapped to [0, 1].
-
-        Raw values stay available as ``eig_min``/``eig_max``; the clamped
-        view is for user-facing reporting only.
-        """
-        return clamp_unit(self.eig_min, self.tol), clamp_unit(self.eig_max, self.tol)
-
 
 def clamp_unit(value: float, tol: float) -> float:
     """Snap values within ``tol`` of 0 or 1 onto the boundary."""
@@ -161,7 +153,6 @@ class State:
     """Positive unit-trace operator admitted at ``tol``; made by :func:`validate_state`."""
 
     matrix: np.ndarray
-    eig_min: float
     tol: float = DECISION_TOL
 
     @property
@@ -180,7 +171,7 @@ def validate_state(matrix, tol: float = DECISION_TOL) -> State:
     if abs(tr - 1.0) > STATE_TRACE_TOL:
         raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {STATE_TRACE_TOL}")
     h.setflags(write=False)
-    return State(h, lo, tol)
+    return State(h, tol)
 
 
 def maximally_mixed_state(dim: int) -> State:

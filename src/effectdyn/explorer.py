@@ -5,8 +5,9 @@ Whether a[t]b = b[t]a at a single time t can hold for a noncommuting pair
 small gaps. Every minimum comes with a certified lower bound on its window:
 the pair's two eigenframes give a global Lipschitz constant L of the gap in
 t, so two knots h apart bound the gap between them from below, and an
-adaptive interval search (Piyavskii–Shubert style) splits intervals until
-each window's bound is within CERTIFY_RTOL of its best gap; Brent's method
+adaptive interval search (Piyavskii–Shubert style) starts from
+INITIAL_KNOTS evenly spaced knots and splits intervals until each window's
+bound is within CERTIFY_RTOL of its best gap; Brent's method
 then refines each window's best knot, and a polish finds the crossing of
 the gap's two branches where the minimum sits on a kink (_refine). Brent's
 tolerance is absolute in t: at a smooth minimum with curvature g'', a
@@ -52,6 +53,8 @@ CANDIDATE_LABEL = "candidate — requires independent high-precision verificatio
 # t=0 the gap is ||a∘b - b∘a||, already governed by commutation, so minima
 # away from 0 are reported separately.
 PUNCTURED_RADIUS = 0.1
+# Evenly spaced knots the search starts from, before it places the rest itself.
+INITIAL_KNOTS = 64
 # The search splits an interval until its certified lower bound is within
 # this fraction of the best gap found in each window that contains it.
 CERTIFY_RTOL = 1e-3
@@ -76,20 +79,19 @@ _HISTOGRAM_EDGES = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, math.inf)
 class ScanConfig:
     """Parameters of a conjecture scan, validated at construction (EffectdynError).
 
-    The defaults are those of the ``scan`` command. ``grid_points`` is the
-    number of evenly spaced initial knots of the certified search; the search
-    decides everything else (_certified_search).
+    The defaults are those of the ``scan`` command. The certified search
+    starts from INITIAL_KNOTS evenly spaced knots and places the rest itself
+    (_certified_search).
     """
 
     dim: int = 2
     trials: int = 100
     t_window: tuple[float, float] = (-4.0 * math.pi, 4.0 * math.pi)
-    grid_points: int = 64
     seed: int = 0
     commutator_floor: float = DEFAULT_COMMUTATOR_FLOOR
 
     def __post_init__(self) -> None:
-        for name in ("dim", "trials", "grid_points", "seed"):
+        for name in ("dim", "trials", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise EffectdynError(f"{name} must be an integer, got {value!r}")
@@ -100,8 +102,6 @@ class ScanConfig:
         lo, hi = self.t_window
         if not (lo < hi and math.isfinite(hi - lo)):
             raise EffectdynError(f"t_window must be finite with t_min < t_max, got {self.t_window}")
-        if not 8 <= self.grid_points <= MAX_KNOTS:
-            raise EffectdynError(f"grid_points must be in [8, {MAX_KNOTS}], got {self.grid_points}")
         if not 0 <= self.seed < 2**64:
             raise EffectdynError("seed must fit in 64 unsigned bits")
         if not self.commutator_floor > 0.0:
@@ -338,7 +338,7 @@ def _certified_search(
     """Gap minimum and certified lower bound over the window and the punctured window.
 
     The punctured window removes |t| < PUNCTURED_RADIUS. Knots start as
-    ``grid_points`` evenly spaced times plus ±PUNCTURED_RADIUS, so each
+    INITIAL_KNOTS evenly spaced times plus ±PUNCTURED_RADIUS, so each
     interval lies wholly inside or outside the removed neighborhood.
     On an interval of length h between knots with gaps g_i and g_{i+1},
 
@@ -403,7 +403,7 @@ def _certified_search(
     ulp = top - math.nextafter(top, 0.0)
     if (hi - lo) * lip > MAX_KNOTS * 2.0 * scale and hi - lo > MAX_KNOTS * 2.0 * ulp:
         raise _too_wide(lo, hi)
-    ts = np.linspace(lo, hi, cfg.grid_points)
+    ts = np.linspace(lo, hi, INITIAL_KNOTS)
     extra = [x for x in (-PUNCTURED_RADIUS, PUNCTURED_RADIUS) if lo < x < hi and x not in ts]
     ts = np.insert(ts, np.searchsorted(ts, extra), extra)
     for f in frames:
@@ -538,12 +538,9 @@ def conjecture_scan(cfg: ScanConfig) -> ScanResult:
         )
     ranking = sorted(records, key=lambda r: (r.min_gap, r.trial))
     summary: dict = {
-        "dim": cfg.dim,
-        "trials": cfg.trials,
         "recorded": len(records),
         "skipped": skipped,
         "certified_positive": sum(r.min_gap_lower > 0.0 for r in records),
-        "commutator_floor": cfg.commutator_floor,
         "global_min": None,
         "punctured_global_min": None,
         "histogram": _histogram([r.min_gap for r in records]),

@@ -173,7 +173,9 @@ def _operator_layout(dim: int, depth: int) -> str:
 def _decode(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed JSON (JSONDecodeError) or an integer literal beyond
+    # int's digit limit; RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 

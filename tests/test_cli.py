@@ -197,6 +197,30 @@ def test_boolean_in_operator_is_parse_failure(files, capsys, document):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+        ("non_utf8.json", b"\xff\xfe"),
+        ("long_int.json", b'{"dim": 1, "entries": [[[' + b"1" * 5000 + b", 0]]]}"),
+    ],
+    ids=["nested_too_deeply", "non_utf8", "integer_beyond_digit_limit"],
+)
+@pytest.mark.parametrize("command", ["validate", "observable"])
+def test_unreadable_json_is_parse_failure(files, capsys, name, data, command):
+    path = files["root"] / name
+    path.write_bytes(data)
+    if command == "validate":
+        argv = ["validate", str(path)]
+    else:
+        argv = ["observable", "seqprod", files["obs_a"], str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    if name == "non_utf8.json":
+        assert str(path) in err
+
+
 def test_missing_file_is_invalid_input(files, capsys):
     code, _, err = run(capsys, ["validate", str(files["root"] / "nope.json")])
     assert code == 2
@@ -669,7 +693,7 @@ def test_examples_fault_injection(capsys, monkeypatch):
 
 
 def test_scan_deterministic_outputs(tmp_path, capsys):
-    base = ["scan", "--dim", "2", "--trials", "4", "--seed", "11", "--grid", "64"]
+    base = ["scan", "--dim", "2", "--trials", "4", "--seed", "11"]
     code, out, err = run(capsys, base + ["--out", str(tmp_path / "one")])
     assert code == 0
     assert out == ""

@@ -68,10 +68,9 @@ def test_validate_effect_spectrum_bounds_carry_eigenvalue():
 
 def test_validate_effect_tolerates_roundoff_overshoot():
     e = validate_effect(np.diag([1.0 + 5e-10, -5e-10]))
-    # raw extremes preserved, clamped view snaps to [0, 1]
+    # raw extremes preserved
     assert e.eig_max > 1.0
     assert e.eig_min < 0.0
-    assert e.clamped_range() == (0.0, 1.0)
 
 
 def test_effect_sqrt_known_value():

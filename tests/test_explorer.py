@@ -153,16 +153,12 @@ def test_scan_config_validation():
     with pytest.raises(EffectdynError):
         ScanConfig(t_window=(0.0, math.inf))
     with pytest.raises(EffectdynError):
-        ScanConfig(grid_points=4)
-    with pytest.raises(EffectdynError):
-        ScanConfig(grid_points=explorer.MAX_KNOTS + 1)
-    with pytest.raises(EffectdynError):
         ScanConfig(commutator_floor=0.0)
     with pytest.raises(EffectdynError):
         ScanConfig(seed=-1)
 
 
-@pytest.mark.parametrize("field", ["dim", "trials", "grid_points", "seed"])
+@pytest.mark.parametrize("field", ["dim", "trials", "seed"])
 def test_scan_config_rejects_non_integers(field):
     # a float count used to construct and then fail deep in the scan with TypeError
     for value in (2.5, 16.0, "8", None, True):
@@ -178,16 +174,16 @@ def test_minimize_gap_rejects_commuting_pair(rng):
 
 
 def test_minimize_gap_below_grid_and_matches_dense_scan():
-    cfg = ScanConfig(dim=2, trials=1, grid_points=256)
+    cfg = ScanConfig(dim=2, trials=1)
     rng = np.random.default_rng(11)
     for _ in range(3):
         a, b = random_effect(2, rng), random_effect(2, rng)
         t_star, min_gap = minimize_gap(a, b, cfg)
         lo, hi = cfg.t_window
         assert lo <= t_star <= hi
-        grid = np.linspace(lo, hi, cfg.grid_points)
-        gaps = symmetry_gap_profile(a, b, grid)
-        assert min_gap <= np.min(gaps) + 1e-15
+        # the initial knots: the search never reports a minimum above a knot
+        knots = np.linspace(lo, hi, explorer.INITIAL_KNOTS)
+        assert min_gap <= np.min(symmetry_gap_profile(a, b, knots)) + 1e-15
         dense = symmetry_gap_profile(a, b, np.linspace(lo, hi, 100_001))
         assert min_gap <= np.min(dense) + 1e-8
         assert abs(min_gap - np.min(dense)) < 1e-6  # dense grid is itself coarse
@@ -206,7 +202,7 @@ def test_minimize_gap_reproduces_each_scan_record(dim):
 def test_minimize_gap_window_excluding_zero():
     rng = np.random.default_rng(13)
     a, b = random_effect(2, rng), random_effect(2, rng)
-    cfg = ScanConfig(dim=2, t_window=(2.0, 3.0), grid_points=64)
+    cfg = ScanConfig(dim=2, t_window=(2.0, 3.0))
     t_star, min_gap = minimize_gap(a, b, cfg)
     assert 2.0 <= t_star <= 3.0
 
@@ -219,7 +215,7 @@ def test_conjecture_scan_empty():
 
 
 def test_conjecture_scan_deterministic():
-    cfg = ScanConfig(dim=2, trials=8, seed=123, grid_points=64)
+    cfg = ScanConfig(dim=2, trials=8, seed=123)
     first = conjecture_scan(cfg)
     second = conjecture_scan(cfg)
     assert first.summary == second.summary
@@ -229,7 +225,7 @@ def test_conjecture_scan_deterministic():
 
 
 def test_conjecture_scan_filter_soundness_and_ranking():
-    cfg = ScanConfig(dim=3, trials=6, seed=5, grid_points=64)
+    cfg = ScanConfig(dim=3, trials=6, seed=5)
     result = conjecture_scan(cfg)
     assert len(result.records) == 6
     for r in result.records:
@@ -250,7 +246,7 @@ def test_conjecture_scan_filter_soundness_and_ranking():
 def test_conjecture_scan_high_floor_skips_all():
     # ||[a,b]|| <= 2||a|| ||b|| <= 2, so a floor of 3 filters every draw and
     # exercises the bounded-redraw path
-    cfg = ScanConfig(dim=2, trials=3, seed=1, commutator_floor=3.0, grid_points=64)
+    cfg = ScanConfig(dim=2, trials=3, seed=1, commutator_floor=3.0)
     result = conjecture_scan(cfg)
     assert result.records == ()
     assert result.summary["skipped"] == 3
@@ -264,7 +260,6 @@ def test_punctured_window_semantics():
         dim=2,
         trials=1,
         t_window=(-PUNCTURED_RADIUS / 2, PUNCTURED_RADIUS / 2),
-        grid_points=32,
         seed=17,
     )
     result = conjecture_scan(tight)
@@ -278,7 +273,7 @@ def test_candidate_label_is_cautious():
 
 
 def test_scan_candidates_empty_for_generic_draws():
-    result = conjecture_scan(ScanConfig(dim=2, trials=8, seed=2, grid_points=64))
+    result = conjecture_scan(ScanConfig(dim=2, trials=8, seed=2))
     # generic random pairs sit far above the candidate threshold
     assert result.summary["candidates"] == []
 
@@ -311,7 +306,7 @@ def test_certified_lower_bounds_hold_against_dense_minima():
     for dim in range(2, 9):
         cfg = ScanConfig(dim=dim, trials=10 - dim // 2, seed=dim)
         lo, hi = cfg.t_window
-        h = (hi - lo) / (cfg.grid_points - 1)
+        h = (hi - lo) / (explorer.INITIAL_KNOTS - 1)
         for r in conjecture_scan(cfg).records:
             dense, punctured = _dense_minima(r.a, r.b, lo, hi)
             assert 0.0 <= r.min_gap_lower <= min(dense, r.min_gap)

@@ -187,7 +187,7 @@ def test_trajectory_csv_rejects_empty():
 
 
 def test_scan_serialization_shapes():
-    cfg = ScanConfig(dim=2, trials=3, seed=9, grid_points=64)
+    cfg = ScanConfig(dim=2, trials=3, seed=9)
     result = conjecture_scan(cfg)
     csv_text = serialization.scan_csv(result)
     lines = csv_text.strip().split("\n")
@@ -210,9 +210,9 @@ def test_scan_json_key_order():
     cfg = ScanConfig(dim=2, trials=3, seed=9)
     doc = json.loads(serialization.scan_json(cfg, conjecture_scan(cfg)))
     assert list(doc) == ["config", "summary", "records"]
-    assert list(doc["config"]) == [
-        "dim", "trials", "t_window", "grid_points", "seed", "commutator_floor"
-    ]
+    assert list(doc["config"]) == ["dim", "trials", "t_window", "seed", "commutator_floor"]
+    # each setting is written once, in config
+    assert not {"dim", "trials", "commutator_floor"} & doc["summary"].keys()
     assert [list(rec) for rec in doc["records"]] == [
         [
             "trial", "commutator_norm", "t_star", "min_gap", "min_gap_lower",
