@@ -311,9 +311,8 @@ def cmd_scan(args) -> int:
     csv_path = Path(f"{args.out}.csv")
     json_path.write_text(serialization.scan_json(cfg, result), encoding="utf-8")
     csv_path.write_text(serialization.scan_csv(result), encoding="utf-8")
-    gmin = result.summary["global_min"]
-    gap_note = "no records" if gmin is None else (
-        f"global min gap {gmin['min_gap']:.3e}, "
+    gap_note = "no records" if not result.records else (
+        f"global min gap {min(r.min_gap for r in result.records):.3e}, "
         f"{result.summary['certified_positive']} certified positive on the window"
     )
     print(

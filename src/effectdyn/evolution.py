@@ -55,8 +55,10 @@ from .errors import (
 # Grid-sampled constancy decisions (one order looser than the algebraic one:
 # the grid maximum underestimates the true supremum).
 BRUTEFORCE_TOL = 1e-8
-# Agreement required between the two computed forms of a[t]b.
+# Agreement required between the two computed forms of a[t]b; the one-time
+# check of time_seq_products adds the rounding of its phases t*w.
 CROSS_CHECK_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 REASON_COMMUTING = "Commuting"
 REASON_SCALED_PROJECTION = "ScaledProjection"
@@ -178,16 +180,17 @@ class EigenFrame:
         return rotated * (-1j * self.freq) ** order if order else rotated
 
 
-def _cross_check(value: np.ndarray, second_route: np.ndarray) -> None:
-    """Raise ConsistencyError where the two routes differ beyond CROSS_CHECK_TOL.
+def _cross_check(value: np.ndarray, second_route: np.ndarray, allowance=0.0) -> None:
+    """Raise ConsistencyError where the two routes differ beyond CROSS_CHECK_TOL + allowance.
 
-    Takes one matrix or a stack; the first failing slice raises.
+    Takes one matrix or a stack, and one allowance or one per slice; the first failing slice raises.
     """
-    for residual in np.atleast_1d(np.linalg.norm(value - second_route, 2, axis=(-2, -1))):
-        if residual > CROSS_CHECK_TOL:
+    residuals = np.atleast_1d(np.linalg.norm(value - second_route, 2, axis=(-2, -1)))
+    for residual, bound in zip(*np.broadcast_arrays(residuals, CROSS_CHECK_TOL + allowance)):
+        if residual > bound:
             raise ConsistencyError(
                 f"the two forms of a[t]b disagree by {residual:.3e} (bound "
-                f"{CROSS_CHECK_TOL:g}); this indicates a numerical defect, not a "
+                f"{bound:g}); this indicates a numerical defect, not a "
                 "property of the inputs"
             )
 
@@ -244,13 +247,27 @@ def time_seq_products(lefts, rights, t: float) -> tuple[Effect, ...]:
     u = e^{-ita} (exactly I at t = 0), and the value's admission at that
     product_tol. Each check runs over the whole stack before the next; its
     first failing pair raises.
+
+    The cross-check allows CROSS_CHECK_TOL plus the rounding of the phases,
+    which grows with |t|. In a's eigenbasis both routes are E ⊙ X up to
+    rounding, X = V†(a o b)V. The frame's phase t (w_j - w_k) rounds twice,
+    by at most eps |t| |w_j - w_k| in all; the dense route's t w_j and t w_k
+    round by eps |t| / 2 times |w_j| and |w_k|, their difference by at most
+    eps |t| max|w|.
+    A phase error d_jk moves E ⊙ X by at most max|d| ||X||_F in norm, so the
+    routes part by eps |t| (w_max - w_min + max|w|) ||X||_F beyond the rest
+    of their rounding: at most 2 eps |t| max|w| ||X||_F for a spectrum >= 0.
     """
     ab = sequential_products(lefts, rights)
     d, s = stacked_roots(lefts)  # cached by sequential_products
-    value = EigenFrame._from_decomposition(d, np.array([e.matrix for e in ab])).at(t)
+    m = np.array([e.matrix for e in ab])
+    value = EigenFrame._from_decomposition(d, m).at(t)
     u = linalg.unitary_from_decomposition(d, t)
     b = np.array([e.matrix for e in rights])
-    _cross_check(value, s @ (u @ b @ linalg.adjoint(u)) @ s)
+    w = d.eigenvalues  # ascending
+    spread = w[..., -1] - w[..., 0] + np.abs(w).max(axis=-1)
+    allowance = _EPS * abs(t) * spread * np.linalg.norm(m, axis=(-2, -1))
+    _cross_check(value, s @ (u @ b @ linalg.adjoint(u)) @ s, allowance)
     return admit_effects(value, [e.tol for e in ab])
 
 

@@ -23,7 +23,8 @@ there: the gap is almost periodic in t, so the window says nothing about t
 outside it. What exactly is certified, and to what rounding, is stated in
 _certified_search. A minimum below
 CANDIDATE_THRESHOLD is never reported as a counterexample, only as a
-candidate for independent high-precision verification.
+candidate for independent high-precision verification, flagged by trial:
+its bracket is its record's [min_gap_lower, min_gap].
 
 Determinism contract: trial k draws from a fresh generator seeded with
 (seed, k), so results are byte-identical for a fixed config regardless of
@@ -67,8 +68,9 @@ _REDRAW_LIMIT = 64
 _EPS = float(np.finfo(float).eps)
 # Brent's golden-section step: the smaller golden fraction of a bracket.
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
-# Rounding slack of one evaluated gap, in units of eps * (||X_a||_F + ||X_b||_F);
-# see _certified_search.
+# Rounding slack of one evaluated gap's arithmetic, in units of
+# eps * (||X_a||_F + ||X_b||_F); the search adds that of its phases (see
+# _certified_search).
 _SLACK_UNITS = 8.0
 _EVAL_CHUNK = 16384
 
@@ -113,10 +115,11 @@ class ScanRecord:
     """One scanned pair: where its symmetry gap is smallest and how small.
 
     ``min_gap_lower`` is a certified lower bound of the gap over the whole
-    window, so the window minimum lies in [min_gap_lower, min_gap].
+    window, so the window minimum lies in [min_gap_lower, min_gap], the
+    bracket of a scan candidate.
     ``punctured_*`` carry the same over the window with |t| < 0.1 removed
     (None when the window lies inside the removed neighborhood). The fields
-    are in the order of the scan JSON record.
+    are in the order of the scan JSON record, the one place each result is written.
     """
 
     trial: int
@@ -344,9 +347,13 @@ def _certified_search(
 
         gap >= (g_i + g_{i+1} - L h)/2 - slack,   L = _lipschitz(frames),
 
-    slack = _SLACK_UNITS * eps * (||X_a||_F + ||X_b||_F) covering the rounding
-    of each evaluated gap (against a 34-digit evaluation of the same frames,
-    _gap_kernel was off by at most 3.0 such units on 170 pairs, dims 2-8).
+    slack = _SLACK_UNITS * eps * (||X_a||_F + ||X_b||_F) + eps T L / 2 covering
+    the rounding of each evaluated gap, T = max |t| over the window. The first
+    term covers the kernel's arithmetic (against a 34-digit evaluation of the
+    same frames, _gap_kernel was off by at most 3.0 such units on 170 pairs,
+    dims 2-8). The second covers its phases: t freq_jk rounds by at most
+    eps |t freq_jk| / 2, which moves E_t ⊙ X by at most eps |t| ||freq ⊙ X||_F / 2
+    in norm, so the gap by at most eps |t| L / 2 <= eps T L / 2.
     Each round evaluates, in one batch, the midpoints of every interval whose
     bound is below (1 - CERTIFY_RTOL) times the best knot gap of a window
     containing it, unless L h is already within twice the slack or the
@@ -382,14 +389,16 @@ def _certified_search(
     spectral norm at most ||X||_F; a computed gap exceeds S by at most the
     slack. So an interval left unsplit because its bound reached
     (1 - CERTIFY_RTOL) best >= 0 has L h <= g_i + g_{i+1} - 2 slack <= 2 S,
-    one left unsplit by the slack rule has L h <= 2 slack < 2 S, and one
-    whose midpoint is no longer a new float has h <= u, T = max |t| over
-    the window and u = T - nextafter(T, 0), since the floats in [-T, T] are
-    at most u apart. (Midpoints are t_i/2 + t_{i+1}/2, which cannot
+    and one whose midpoint is no longer a new float has h <= u, with
+    u = T - nextafter(T, 0), since the floats in [-T, T] are at most u apart.
+    One left unsplit by the slack rule has L h <= 2 slack, so
+    h <= 8 eps (2 S / L) + eps T <= (1 + 8 eps) max(2 S / L, 2 u), as
+    u >= eps T / 2. (Midpoints are t_i/2 + t_{i+1}/2, which cannot
     overflow, even for |t| >= 2^1023, where u = 2^971 and the rule refuses
     any window wider than about 4e298.) Every final interval is at most
-    max(2 S / L, 2 u) wide, so a search that ends holds more than
-    width / max(2 S / L, 2 u) knots, and when that exceeds MAX_KNOTS the
+    (1 + 8 eps) max(2 S / L, 2 u) wide, so a search that ends holds at least
+    1 + width / ((1 + 8 eps) max(2 S / L, 2 u)) knots, more than MAX_KNOTS
+    whenever width / max(2 S / L, 2 u) exceeds MAX_KNOTS, and then the
     window is refused at once. For the default 8π window that count stayed
     below 6 on 800 random pairs at dims 2, 3, 4 and 8. After that refusal,
     and still before any gap is evaluated, the phases of both frames are
@@ -398,8 +407,8 @@ def _certified_search(
     lo, hi = cfg.t_window
     lip = _lipschitz(frames)
     scale = float(sum(np.linalg.norm(f.x) for f in frames))
-    slack = _SLACK_UNITS * _EPS * scale
     top = max(abs(lo), abs(hi))
+    slack = _SLACK_UNITS * _EPS * scale + _EPS * top * lip / 2.0
     ulp = top - math.nextafter(top, 0.0)
     if (hi - lo) * lip > MAX_KNOTS * 2.0 * scale and hi - lo > MAX_KNOTS * 2.0 * ulp:
         raise _too_wide(lo, hi)
@@ -508,10 +517,11 @@ def conjecture_scan(cfg: ScanConfig) -> ScanResult:
     Per trial: draw a pair (redrawing while ||[a,b]|| is under the floor,
     bounded attempts), build its two eigenframes, and run the certified
     search with them over the window and the punctured window. The summary
-    ranks trials by min_gap, counts the trials whose window lower bound is
-    positive, and flags sub-threshold minima, each with its bracket
-    [lower, min_gap], as verification candidates — it never claims a
-    counterexample.
+    holds only what no record does: the counts of recorded and skipped
+    trials and of trials whose window lower bound is positive, the histogram
+    of min_gap, and, in trial order, each trial with min_gap below
+    CANDIDATE_THRESHOLD as {"trial", "label"}: a verification candidate with
+    its record's bracket [min_gap_lower, min_gap], never a counterexample.
     """
     records: list[ScanRecord] = []
     skipped = 0
@@ -536,44 +546,15 @@ def conjecture_scan(cfg: ScanConfig) -> ScanResult:
                 b=b,
             )
         )
-    ranking = sorted(records, key=lambda r: (r.min_gap, r.trial))
     summary: dict = {
         "recorded": len(records),
         "skipped": skipped,
         "certified_positive": sum(r.min_gap_lower > 0.0 for r in records),
-        "global_min": None,
-        "punctured_global_min": None,
         "histogram": _histogram([r.min_gap for r in records]),
         "candidates": [
-            {
-                "trial": r.trial,
-                "t_star": r.t_star,
-                "min_gap": r.min_gap,
-                "bracket": [r.min_gap_lower, r.min_gap],
-                "label": CANDIDATE_LABEL,
-            }
-            for r in ranking
+            {"trial": r.trial, "label": CANDIDATE_LABEL}
+            for r in records
             if r.min_gap < CANDIDATE_THRESHOLD
         ],
-        "ranking": [
-            {"trial": r.trial, "t_star": r.t_star, "min_gap": r.min_gap}
-            for r in ranking
-        ],
     }
-    if records:
-        top = ranking[0]
-        summary["global_min"] = {
-            "trial": top.trial,
-            "commutator_norm": top.commutator_norm,
-            "t_star": top.t_star,
-            "min_gap": top.min_gap,
-        }
-        punctured_ranked = [r for r in records if r.punctured_min_gap is not None]
-        if punctured_ranked:
-            ptop = min(punctured_ranked, key=lambda r: (r.punctured_min_gap, r.trial))
-            summary["punctured_global_min"] = {
-                "trial": ptop.trial,
-                "t_star": ptop.punctured_t_star,
-                "min_gap": ptop.punctured_min_gap,
-            }
     return ScanResult(tuple(records), summary)

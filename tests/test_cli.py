@@ -498,6 +498,20 @@ def test_observable_tseq_at_zero_matches_seqprod(files, capsys):
     assert out_tseq == out_seq
 
 
+@pytest.mark.parametrize("sub", ["tseq", "tcond"])
+def test_observable_products_at_large_t(sub, tmp_path, capsys):
+    # at t = 1e8 the rounding of the phases t*w parts the two forms of each
+    # a[t]b by about 1e-9, which the cross-check allows for
+    rng = np.random.default_rng(3)
+    paths = []
+    for name in ("obs_a", "obs_b"):
+        m = explorer.random_effect(4, rng).matrix
+        paths.append(write_obs(tmp_path / f"{name}.json", [m, np.eye(4) - m], ["y", "n"]))
+    code, out, err = run(capsys, ["observable", sub, *paths, "--t", "1e8"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["effects"]
+
+
 def test_observable_tcond_at_zero_matches_cond(files, capsys):
     code, out_cond, _ = run(capsys, ["observable", "cond", files["obs_a"], files["obs_b"]])
     assert code == 0
@@ -714,8 +728,23 @@ def test_scan_zero_trials(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads((tmp_path / "empty.json").read_text())
-    assert doc["summary"]["global_min"] is None
+    assert doc["summary"]["recorded"] == 0
     assert doc["records"] == []
+    assert "(0 records, no records)" in err
+
+
+def test_scan_stderr_names_the_smallest_record_gap(tmp_path, capsys):
+    out = tmp_path / "scan"
+    argv = ["scan", "--dim", "3", "--trials", "5", "--seed", "7", "--out", str(out)]
+    code, _, err = run(capsys, argv)
+    assert code == 0
+    records = json.loads((tmp_path / "scan.json").read_text())["records"]
+    smallest = min(r["min_gap"] for r in records)
+    certified = sum(r["min_gap_lower"] > 0 for r in records)
+    assert err == (
+        f"wrote {out}.json and {out}.csv (5 records, global min gap {smallest:.3e}, "
+        f"{certified} certified positive on the window)\n"
+    )
 
 
 def test_scan_window_beyond_the_knot_cap_is_invalid_input(tmp_path, capsys):

@@ -16,6 +16,7 @@ from effectdyn import (
     deviation_norm,
     effect_evolution,
     evolution_derivative,
+    explorer,
     identity_effect,
     linalg,
     max_seq_deviation,
@@ -544,3 +545,19 @@ def test_consistency_error_at_the_public_boundary(rng, monkeypatch):
     EigenFrame.product(a, b)  # the frame alone never forms the dense unitary
     with pytest.raises(ConsistencyError):
         time_seq_product(a, b, 1.0)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_cross_check_allows_for_phase_rounding_at_large_t(dim, monkeypatch):
+    # each route rounds its phases by about eps |t|, so at t = 1e8 the two
+    # forms of a[t]b part by about 1e-9 with neither at fault
+    rng = np.random.default_rng(3)
+    a, b = explorer.random_effect(dim, rng), explorer.random_effect(dim, rng)
+    for t in (1e7, 1e8, -1e8, 1e9, 1e10):
+        for x, y in ((a, b), (b, a)):
+            time_seq_product(x, y, t)
+    # the allowance still leaves a defect of the dense route in plain view
+    unitary = linalg.unitary_from_decomposition
+    monkeypatch.setattr(linalg, "unitary_from_decomposition", lambda d, t: unitary(d, t + 1e-6))
+    with pytest.raises(ConsistencyError):
+        time_seq_product(a, b, 1e8)

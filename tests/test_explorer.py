@@ -210,7 +210,7 @@ def test_minimize_gap_window_excluding_zero():
 def test_conjecture_scan_empty():
     result = conjecture_scan(ScanConfig(dim=2, trials=0))
     assert result.records == ()
-    assert result.summary["global_min"] is None
+    assert result.summary["recorded"] == 0
     assert result.summary["candidates"] == []
 
 
@@ -236,10 +236,17 @@ def test_conjecture_scan_filter_soundness_and_ranking():
         # minima, so they may cross at convergence-tolerance level when the
         # minimizer sits just outside the removed neighborhood
         assert r.punctured_min_gap >= r.min_gap - 1e-8
-    ranked = result.summary["ranking"]
-    gaps = [entry["min_gap"] for entry in ranked]
-    assert gaps == sorted(gaps)
-    assert result.summary["global_min"]["min_gap"] == gaps[0]
+    # the records are the one place each result is written, in trial order;
+    # the summary only counts and flags them
+    assert [r.trial for r in result.records] == list(range(6))
+    assert result.summary["recorded"] == len(result.records)
+    certified = sum(r.min_gap_lower > 0.0 for r in result.records)
+    assert result.summary["certified_positive"] == certified
+    assert result.summary["candidates"] == [
+        {"trial": r.trial, "label": CANDIDATE_LABEL}
+        for r in result.records
+        if r.min_gap < CANDIDATE_THRESHOLD
+    ]
     assert sum(result.summary["histogram"]["counts"]) == len(result.records)
 
 
@@ -463,10 +470,38 @@ def test_kink_polish_reaches_the_branch_crossing():
 def test_scan_reports_certified_brackets(monkeypatch):
     # a threshold above every gap makes each trial a candidate
     monkeypatch.setattr(explorer, "CANDIDATE_THRESHOLD", 1.0)
+    # and its bracket is its record's [min_gap_lower, min_gap]
     result = conjecture_scan(ScanConfig(dim=3, trials=6, seed=5))
     assert result.summary["certified_positive"] == 6
-    brackets = {c["trial"]: c["bracket"] for c in result.summary["candidates"]}
-    assert brackets == {r.trial: [r.min_gap_lower, r.min_gap] for r in result.records}
+    assert result.summary["candidates"] == [
+        {"trial": r.trial, "label": CANDIDATE_LABEL} for r in result.records
+    ]
+    assert all(0.0 < r.min_gap_lower <= r.min_gap for r in result.records)
+
+
+def test_certified_bound_allows_for_phase_rounding(monkeypatch):
+    # a fake kernel whose true gap L |t - t0| reaches 0 at t0 and whose
+    # readings are high by eps |t| L / 2, as far as rounded phases t*freq
+    # can move a gap: the window's lower bound must not rise above 0
+    eps = np.finfo(float).eps
+    a = random_effect(3, np.random.default_rng(5))
+    b = random_effect(3, np.random.default_rng(6))
+    frames = explorer._frames(a, b)
+    lip = explorer._lipschitz(frames)
+    t0 = 1e4 + 1.2345
+
+    def fake_kernel(_frames):
+        def branches(t):
+            t = np.asarray(t, dtype=float)
+            reading = lip * np.abs(t - t0) + eps * np.abs(t) * lip / 2.0
+            return reading, reading
+
+        return branches
+
+    monkeypatch.setattr(explorer, "_gap_kernel", fake_kernel)
+    cfg = ScanConfig(dim=3, t_window=(1e4, 1e4 + 8.0 * math.pi))
+    full, _ = explorer._certified_search(frames, cfg)
+    assert full.lower == 0.0
 
 
 LARGEST = 1.7976931348623157e308

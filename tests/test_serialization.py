@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from effectdyn import ScanConfig, conjecture_scan, serialization, validate_effect
+from effectdyn import ScanConfig, conjecture_scan, explorer, serialization, validate_effect
 from effectdyn.errors import SchemaError
 from effectdyn.observables import validate_observable
 
@@ -206,13 +206,19 @@ def test_scan_serialization_shapes():
     assert back.shape == (2, 2)
 
 
-def test_scan_json_key_order():
+def test_scan_json_key_order(monkeypatch):
+    # a threshold above every gap makes each trial a candidate
+    monkeypatch.setattr(explorer, "CANDIDATE_THRESHOLD", 1.0)
     cfg = ScanConfig(dim=2, trials=3, seed=9)
     doc = json.loads(serialization.scan_json(cfg, conjecture_scan(cfg)))
     assert list(doc) == ["config", "summary", "records"]
     assert list(doc["config"]) == ["dim", "trials", "t_window", "seed", "commutator_floor"]
-    # each setting is written once, in config
-    assert not {"dim", "trials", "commutator_floor"} & doc["summary"].keys()
+    # each setting is written once, in config, and each result once, in its
+    # record: the summary holds only counts, the histogram and candidate flags
+    assert list(doc["summary"]) == [
+        "recorded", "skipped", "certified_positive", "histogram", "candidates",
+    ]
+    assert [list(c) for c in doc["summary"]["candidates"]] == [["trial", "label"]] * 3
     assert [list(rec) for rec in doc["records"]] == [
         [
             "trial", "commutator_norm", "t_star", "min_gap", "min_gap_lower",
