@@ -173,10 +173,15 @@ class EigenFrame:
 
         In V, [., a] scales entry jk by -freq_jk, so this is the order-th
         derivative i^order [...[M(t), a]..., a] in the frame's basis. An
-        array of times gives one slice per time.
+        array of times gives one slice per time. E_t is formed as e ⊗ ē with
+        e_j = exp(-it freq_j0), so E_t ⊙ X = D X D† for the diagonal unitary
+        D = diag(e) even where the phases t freq_j0 round: the spectrum of X
+        is kept at every t. E_t is exactly 1 where freq is 0.
         """
         ts = self._checked(t)
-        rotated = np.exp(-1j * ts[..., None, None] * self.freq) * self.x
+        e = np.exp(-1j * ts[..., None] * self.freq[..., :, 0])
+        rotated = e[..., :, None] * self.x * e.conj()[..., None, :]
+        rotated = np.where(self.freq == 0.0, self.x, rotated)
         return rotated * (-1j * self.freq) ** order if order else rotated
 
 
@@ -249,14 +254,16 @@ def time_seq_products(lefts, rights, t: float) -> tuple[Effect, ...]:
     first failing pair raises.
 
     The cross-check allows CROSS_CHECK_TOL plus the rounding of the phases,
-    which grows with |t|. In a's eigenbasis both routes are E ⊙ X up to
-    rounding, X = V†(a o b)V. The frame's phase t (w_j - w_k) rounds twice,
-    by at most eps |t| |w_j - w_k| in all; the dense route's t w_j and t w_k
-    round by eps |t| / 2 times |w_j| and |w_k|, their difference by at most
-    eps |t| max|w|.
-    A phase error d_jk moves E ⊙ X by at most max|d| ||X||_F in norm, so the
-    routes part by eps |t| (w_max - w_min + max|w|) ||X||_F beyond the rest
-    of their rounding: at most 2 eps |t| max|w| ||X||_F for a spectrum >= 0.
+    which grows with |t|. In a's eigenbasis both routes are D X D† up to
+    rounding, X = V†(a o b)V and D = diag(exp(-it w_j)) (see
+    EigenFrame._rotated). The frame's phase t (w_j - w_0) of D_jj rounds
+    twice, by at most eps |t| (w_max - w_min) in all; the dense route's
+    t w_j rounds by at most eps |t| |w_j| / 2. So the routes' D differ by
+    phases r_j with |r_j| <= eps |t| (w_max - w_min + max|w| / 2), which
+    move entry jk by at most |r_j - r_k| |X_jk|, the whole by at most
+    2 max|r| ||X||_F in norm: the routes part by
+    eps |t| (2 (w_max - w_min) + max|w|) ||X||_F beyond the rest of their
+    rounding, at most 3 eps |t| max|w| ||X||_F for a spectrum >= 0.
     """
     ab = sequential_products(lefts, rights)
     d, s = stacked_roots(lefts)  # cached by sequential_products
@@ -265,7 +272,7 @@ def time_seq_products(lefts, rights, t: float) -> tuple[Effect, ...]:
     u = linalg.unitary_from_decomposition(d, t)
     b = np.array([e.matrix for e in rights])
     w = d.eigenvalues  # ascending
-    spread = w[..., -1] - w[..., 0] + np.abs(w).max(axis=-1)
+    spread = 2.0 * (w[..., -1] - w[..., 0]) + np.abs(w).max(axis=-1)
     allowance = _EPS * abs(t) * spread * np.linalg.norm(m, axis=(-2, -1))
     _cross_check(value, s @ (u @ b @ linalg.adjoint(u)) @ s, allowance)
     return admit_effects(value, [e.tol for e in ab])

@@ -2,12 +2,17 @@
 
 Whether a[t]b = b[t]a at a single time t can hold for a noncommuting pair
 (a, b) is an open question; this module scans random noncommuting pairs for
-small gaps. Every minimum comes with a certified lower bound on its window:
-the pair's two eigenframes give a global Lipschitz constant L of the gap in
-t, so two knots h apart bound the gap between them from below, and an
-adaptive interval search (Piyavskii–Shubert style) starts from
-INITIAL_KNOTS evenly spaced knots and splits intervals until each window's
-bound is within CERTIFY_RTOL of its best gap; Brent's method
+small gaps. Every minimum comes with a certified lower bound on its window.
+The pair's two eigenframes give a global Lipschitz constant L of the gap in
+t, so two knots h apart bound the gap between them from below (a cone,
+Piyavskii–Shubert style), and a bound K on the second derivative of
+a[t]b - b[t]a, so the gap plus K t^2 / 2 is convex and the secants of an
+interval's neighbours, extended over it, bound it from below to within
+K h^2 / 8: near a smooth minimum that second-order bound is within
+CERTIFY_RTOL at a spacing the cones reach only after 6-10 more halvings.
+An adaptive interval search starts from INITIAL_KNOTS evenly spaced knots
+and splits intervals until each window's bound, the better of the two, is
+within CERTIFY_RTOL of its best gap; Brent's method
 then refines each window's best knot, and a polish finds the crossing of
 the gap's two branches where the minimum sits on a kink (_refine). Brent's
 tolerance is absolute in t: at a smooth minimum with curvature g'', a
@@ -60,7 +65,7 @@ INITIAL_KNOTS = 64
 # this fraction of the best gap found in each window that contains it.
 CERTIFY_RTOL = 1e-3
 # Most knots one search may hold. Its work grows linearly with the window's
-# width (about 12 knots per unit of t for some dim-2 pairs), so a search that
+# width (up to about 3 knots per unit of t for dim-2 pairs), so a search that
 # needs more raises EffectdynError instead of running out of time or memory.
 MAX_KNOTS = 1 << 20
 
@@ -325,6 +330,70 @@ def _polish_kink(
     return best
 
 
+def _curvature(frames: tuple[EigenFrame, EigenFrame]) -> float:
+    """K >= ||M''(t)||_2 at every t, for M(t) = a[t]b - b[t]a: the gap plus K t^2 / 2 is convex.
+
+    d^2/dt^2 of a frame's value is V((-freq^2) ⊙ E_t ⊙ X)V†, and E_t ⊙ Y is
+    a diagonal unitary conjugate of Y, so its norm is ||freq^2 ⊙ X||_2 at
+    every t; freq^2 ⊙ X is Hermitian. eigvalsh returns each of its
+    eigenvalues within a small multiple of d eps times that norm, which the
+    factor 1 + _SLACK_UNITS d eps covers.
+    """
+    dim = frames[0].x.shape[-1]
+    norms = sum(float(linalg.operator_norms(f.freq**2 * f.x)) for f in frames)
+    return (1.0 + _SLACK_UNITS * dim * _EPS) * norms
+
+
+def _secant_bounds(gs: np.ndarray, h: np.ndarray, curv: float, slack: float) -> np.ndarray:
+    """A lower bound of the gap on each interval from its neighbours' secants, or -inf.
+
+    g + K (t - c)^2 / 2 is convex for any c (_curvature), so on an interval
+    I of width h with midpoint c the secant of that function through a
+    neighbouring interval, extended over I, lies below it. Written for the
+    gap, the left neighbour (width h', secant slope d of g) gives the line
+    g_i + s (d - K (h' + h) / 2) over s in [0, h], after the K h^2 / 8 that
+    (t - c)^2 <= h^2 / 4 costs; the right neighbour gives its mirror image
+    from g_{i+1}. The gap on I is at least the larger of the two lines, and
+    the smallest value of that maximum over I is the largest, over weights
+    w in [0, 1], of the smaller end of w * left + (1 - w) * right. The
+    candidates w = 1 (the left line alone), w = 0 (the right one) and the w
+    at which that mix is flat reach it; the edge intervals have one line.
+
+    Each knot's gap is off by at most ``slack``, so an extended line is off
+    by at most slack (1 + 2 h / h'), and its arithmetic, a few roundings of
+    at most eps / 2 each, by at most 8 eps (g + h |d| + K (h' + h) h / 2).
+    Each line's allowance is their sum, e; a mix is off by at most the
+    larger e, and its own rounding by 2 eps times the two lines' sizes, at
+    most a quarter of e_left + e_right. Where a bound is not finite (huge h,
+    or a neighbour far narrower than I), the interval keeps its cone.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rise = np.diff(gs)
+        slope = rise / h
+        # knot k (interior) starts two lines: row 0 continues the secant of
+        # interval k - 1 over interval k, row 1 that of interval k over k - 1
+        own = np.stack((h[1:], h[:-1]))
+        near = own[::-1]
+        run = own * np.stack((slope[:-1], -slope[1:]))
+        bend = (near + own) * own * (curv / 2.0)
+        line_drop = run - bend
+        line_err = slack + 2.0 * slack * own / near + 8.0 * _EPS * (gs[1:-1] + np.abs(run) + bend)
+        # per interval, its left and right line; an edge's missing line has allowance inf
+        drop, err = np.zeros((2, h.size)), np.full((2, h.size), np.inf)
+        drop[0, 1:], err[0, 1:] = line_drop[0], line_err[0]
+        drop[1, :-1], err[1, :-1] = line_drop[1], line_err[1]
+        (dl, dr), (el, er) = drop, err
+        # the weight at which the mix w * left + (1 - w) * right is flat
+        w = np.minimum(np.maximum(dr / (dl + dr), 0.0), 1.0)
+        g_r = gs[1:]
+        mixed = np.minimum(g_r + dr - w * (rise + dr), g_r - w * (rise - dl))
+        lower = np.fmax(
+            np.maximum(gs[:-1] + np.minimum(dl, 0.0) - el, g_r + np.minimum(dr, 0.0) - er),
+            mixed - (np.maximum(el, er) + (el + er) / 4.0),
+        )
+    return np.where(np.isfinite(lower), lower, -np.inf)
+
+
 def _lipschitz(frames: tuple[EigenFrame, EigenFrame]) -> float:
     """L = ||freq ⊙ X||_F of a[t]b plus that of b[t]a: the gap moves at most L per unit t.
 
@@ -354,6 +423,13 @@ def _certified_search(
     dims 2-8). The second covers its phases: t freq_jk rounds by at most
     eps |t freq_jk| / 2, which moves E_t ⊙ X by at most eps |t| ||freq ⊙ X||_F / 2
     in norm, so the gap by at most eps |t| L / 2 <= eps T L / 2.
+    Near a smooth minimum that cone is off by about L h / 2, so on its own it
+    certifies only once h is about 2 CERTIFY_RTOL gap / L. The interval's
+    bound is therefore the larger of the cone and the second-order bound of
+    _secant_bounds, which extends the secants of its neighbours over it and
+    takes off K h^2 / 8 and a little more, K = _curvature(frames): its error
+    shrinks like K h^2 rather than L h. Where that bound is not finite the
+    cone stands alone.
     Each round evaluates, in one batch, the midpoints of every interval whose
     bound is below (1 - CERTIFY_RTOL) times the best knot gap of a window
     containing it, unless L h is already within twice the slack or the
@@ -387,30 +463,44 @@ def _certified_search(
     The refusal up front: with S = ||X_a||_F + ||X_b||_F, every gap is at
     most S, since a[t]b = V (E_t ⊙ X) V† with |E_t| = 1 entrywise has
     spectral norm at most ||X||_F; a computed gap exceeds S by at most the
-    slack. So an interval left unsplit because its bound reached
-    (1 - CERTIFY_RTOL) best >= 0 has L h <= g_i + g_{i+1} - 2 slack <= 2 S,
-    and one whose midpoint is no longer a new float has h <= u, with
+    slack. An interval left unsplit because its bound reached
+    (1 - CERTIFY_RTOL) best >= 0 has a cone >= 0 or a second-order bound
+    >= 0. A cone >= 0 means L h <= g_i + g_{i+1} - 2 slack <= 2 S. The
+    second-order bound is at most the larger of its two lines' means over
+    the interval less their allowances, and a neighbour's computed secant
+    slope is at most L + 2 slack / h', which that allowance covers, so a
+    bound >= 0 means K h^2 / 4 - L h / 2 <= S, that is h <= H with
+    H = (L + sqrt(L^2 + 4 K S)) / K (no limit when K = 0): wider than
+    2 S / L for some pairs, so the cones' limit alone no longer holds. An
+    interval whose midpoint is no longer a new float has h <= u, with
     u = T - nextafter(T, 0), since the floats in [-T, T] are at most u apart.
     One left unsplit by the slack rule has L h <= 2 slack, so
     h <= 8 eps (2 S / L) + eps T <= (1 + 8 eps) max(2 S / L, 2 u), as
     u >= eps T / 2. (Midpoints are t_i/2 + t_{i+1}/2, which cannot
     overflow, even for |t| >= 2^1023, where u = 2^971 and the rule refuses
     any window wider than about 4e298.) Every final interval is at most
-    (1 + 8 eps) max(2 S / L, 2 u) wide, so a search that ends holds at least
-    1 + width / ((1 + 8 eps) max(2 S / L, 2 u)) knots, more than MAX_KNOTS
-    whenever width / max(2 S / L, 2 u) exceeds MAX_KNOTS, and then the
-    window is refused at once. For the default 8π window that count stayed
-    below 6 on 800 random pairs at dims 2, 3, 4 and 8. After that refusal,
-    and still before any gap is evaluated, the phases of both frames are
-    checked at T (EigenFrame.check_phases).
+    (1 + 8 eps) max(2 S / L, H, 2 u) wide, so a search that ends holds at
+    least 1 + width / ((1 + 8 eps) max(2 S / L, H, 2 u)) knots, more than
+    MAX_KNOTS whenever width / max(2 S / L, H, 2 u) exceeds MAX_KNOTS, and
+    then the window is refused at once: the refusal still never turns away a
+    window that a search could finish. It promises no more: the search may
+    still reach MAX_KNOTS on a narrower window and raise then. For the
+    default 8π window that count stayed below 6 on 800 random pairs at
+    dims 2, 3, 4 and 8. After that refusal, and still before any gap is
+    evaluated, the phases of both frames are checked at T
+    (EigenFrame.check_phases).
     """
     lo, hi = cfg.t_window
-    lip = _lipschitz(frames)
+    lip, curv = _lipschitz(frames), _curvature(frames)
     scale = float(sum(np.linalg.norm(f.x) for f in frames))
     top = max(abs(lo), abs(hi))
     slack = _SLACK_UNITS * _EPS * scale + _EPS * top * lip / 2.0
     ulp = top - math.nextafter(top, 0.0)
-    if (hi - lo) * lip > MAX_KNOTS * 2.0 * scale and hi - lo > MAX_KNOTS * 2.0 * ulp:
+    if (
+        (hi - lo) * lip > MAX_KNOTS * 2.0 * scale
+        and (hi - lo) * curv > MAX_KNOTS * (lip + math.sqrt(lip * lip + 4.0 * curv * scale))
+        and hi - lo > MAX_KNOTS * 2.0 * ulp
+    ):
         raise _too_wide(lo, hi)
     ts = np.linspace(lo, hi, INITIAL_KNOTS)
     extra = [x for x in (-PUNCTURED_RADIUS, PUNCTURED_RADIUS) if lo < x < hi and x not in ts]
@@ -421,7 +511,8 @@ def _certified_search(
     gs = _profile(branches, ts)
     while True:
         h = np.diff(ts)
-        bounds = (gs[:-1] + gs[1:] - lip * h) / 2.0 - slack
+        cone = (gs[:-1] + gs[1:] - lip * h) / 2.0 - slack
+        bounds = np.maximum(cone, _secant_bounds(gs, h, curv, slack))
         punctured = (ts[1:] <= -PUNCTURED_RADIUS) | (ts[:-1] >= PUNCTURED_RADIUS)
         best = np.where(punctured, np.min(gs, where=_knots(punctured), initial=np.inf), gs.min())
         mids = ts[:-1] / 2.0 + ts[1:] / 2.0

@@ -512,6 +512,20 @@ def test_observable_products_at_large_t(sub, tmp_path, capsys):
     assert json.loads(out)["effects"]
 
 
+@pytest.mark.parametrize("sub", ["tseq", "tcond"])
+def test_observable_products_at_huge_t(sub, tmp_path, capsys):
+    # at t = 1e11 each a[t]b keeps the spectrum of a∘b: phases rounded entry
+    # by entry used to push one below -tol, "eigenvalue -2.87e-09 below ...", exit 2
+    rng = np.random.default_rng(3)
+    paths = []
+    for name in ("obs_a", "obs_b"):
+        m = explorer.random_effect(6, rng).matrix
+        paths.append(write_obs(tmp_path / f"{name}.json", [m, np.eye(6) - m], ["y", "n"]))
+    code, out, err = run(capsys, ["observable", sub, *paths, "--t", "1e11"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["effects"]
+
+
 def test_observable_tcond_at_zero_matches_cond(files, capsys):
     code, out_cond, _ = run(capsys, ["observable", "cond", files["obs_a"], files["obs_b"]])
     assert code == 0

@@ -561,3 +561,19 @@ def test_cross_check_allows_for_phase_rounding_at_large_t(dim, monkeypatch):
     monkeypatch.setattr(linalg, "unitary_from_decomposition", lambda d, t: unitary(d, t + 1e-6))
     with pytest.raises(ConsistencyError):
         time_seq_product(a, b, 1e8)
+
+
+def test_products_keep_their_spectrum_at_huge_t():
+    # the frame's phases t (w_j - w_0) round by about eps |t|, but E_t ⊙ X is
+    # D X D† for a diagonal unitary D, so a[t]b keeps the spectrum of a∘b;
+    # phases t (w_j - w_k) rounded entry by entry used to push it out of
+    # [-tol, 1 + tol] (SpectrumOutOfRangeError) at |t| >= 7.7e9
+    for seed in range(15):
+        for dim in range(3, 9):
+            rng = np.random.default_rng(seed)
+            a, b = explorer.random_effect(dim, rng), explorer.random_effect(dim, rng)
+            for x, y in ((a, b), (b, a)):
+                spectrum = np.linalg.eigvalsh(sequential_product(x, y).matrix)
+                for t in np.geomspace(7.7e9, 1e12, 5):
+                    value = time_seq_product(x, y, t).matrix
+                    assert np.max(np.abs(np.linalg.eigvalsh(value) - spectrum)) < 1e-13

@@ -289,42 +289,129 @@ def test_scan_candidates_empty_for_generic_draws():
 
 
 def _dense_minima(a, b, lo, hi):
-    """The gap's minima over 10⁵ + 1 evenly spaced times in [lo, hi] ∋ 0: all, and |t| >= R.
-
-    Exact without evaluating every time: d/dt a[t]b = i[a[t]b, a] with both
-    norms at most 1, so each product moves at most 2 per unit t and the gap
-    at most 4 (5 leaves room for the admission tolerance). A block of times
-    whose first gap exceeds the smallest first gap by more than 5 times the
-    block's width cannot hold the minimum.
-    """
+    """The gap's minima over 10⁵ + 1 evenly spaced times in [lo, hi]: all, and |t| >= R."""
     ts = np.linspace(lo, hi, 100_001)
     outer = np.abs(ts) >= PUNCTURED_RADIUS
-    blocks = np.array_split(ts[outer], 3125)
-    heads = symmetry_gap_profile(a, b, [block[0] for block in blocks])
-    reach = np.array([5.0 * (block[-1] - block[0]) for block in blocks])
-    kept = [block for block, k in zip(blocks, heads - reach <= heads.min()) if k]
-    punctured = float(np.min(symmetry_gap_profile(a, b, np.concatenate(kept))))
-    return min(punctured, float(np.min(symmetry_gap_profile(a, b, ts[~outer])))), punctured
+    punctured = _dense_minimum(a, b, ts[outer])
+    return min(punctured, _dense_minimum(a, b, ts[~outer])), punctured
+
+
+def _dense_minimum(a, b, ts):
+    """The smallest gap at the sorted times ts (inf if none), without evaluating every time.
+
+    d/dt a[t]b = i[a[t]b, a] with both norms at most 1, so each product moves
+    at most 2 per unit t and the gap at most 4 (5 leaves room for the
+    admission tolerance). A block of times whose first gap exceeds the
+    smallest gap seen by more than 5 times the block's span cannot hold the
+    minimum; the others are halved until each holds one time.
+    """
+    if ts.size == 0:
+        return math.inf
+    starts, size = np.arange(0, ts.size, 128), 128
+    heads = symmetry_gap_profile(a, b, ts[starts])
+    best = float(heads.min())
+    while size > 1:
+        span = ts[np.minimum(starts + size - 1, ts.size - 1)] - ts[starts]
+        kept = heads - 5.0 * span <= best
+        starts, heads, size = starts[kept], heads[kept], size // 2
+        halves = starts[starts + size < ts.size] + size
+        if halves.size:
+            half_heads = symmetry_gap_profile(a, b, ts[halves])
+            best = min(best, float(half_heads.min()))
+            starts, heads = np.concatenate([starts, halves]), np.concatenate([heads, half_heads])
+    return best
 
 
 def test_certified_lower_bounds_hold_against_dense_minima():
-    # 54 pairs at dims 2-8; h is the initial knot spacing
+    # 54 pairs at dims 2-8 on the default window and 54 on one far from t = 0,
+    # where the phases t*freq round by about eps |t|; h is the initial knot spacing
     exercised = 0
-    for dim in range(2, 9):
-        cfg = ScanConfig(dim=dim, trials=10 - dim // 2, seed=dim)
-        lo, hi = cfg.t_window
-        h = (hi - lo) / (explorer.INITIAL_KNOTS - 1)
-        for r in conjecture_scan(cfg).records:
-            dense, punctured = _dense_minima(r.a, r.b, lo, hi)
-            assert 0.0 <= r.min_gap_lower <= min(dense, r.min_gap)
-            assert 0.0 <= r.punctured_min_gap_lower <= min(punctured, r.punctured_min_gap)
-            # certified to CERTIFY_RTOL of the reported minimum
-            assert r.min_gap_lower >= (1.0 - CERTIFY_RTOL) * r.min_gap
-            assert r.punctured_min_gap_lower >= (1.0 - CERTIFY_RTOL) * r.punctured_min_gap
-            if dense > explorer._lipschitz(explorer._frames(r.a, r.b)) * h:
-                exercised += 1
-                assert r.min_gap_lower > 0.0
-    assert exercised >= 10
+    for window in ((-4.0 * math.pi, 4.0 * math.pi), (1e4, 1e4 + 8.0 * math.pi)):
+        for dim in range(2, 9):
+            cfg = ScanConfig(dim=dim, trials=10 - dim // 2, seed=dim, t_window=window)
+            lo, hi = cfg.t_window
+            h = (hi - lo) / (explorer.INITIAL_KNOTS - 1)
+            for r in conjecture_scan(cfg).records:
+                dense, punctured = _dense_minima(r.a, r.b, lo, hi)
+                assert 0.0 <= r.min_gap_lower <= min(dense, r.min_gap)
+                assert 0.0 <= r.punctured_min_gap_lower <= min(punctured, r.punctured_min_gap)
+                # certified to CERTIFY_RTOL of the reported minimum
+                assert r.min_gap_lower >= (1.0 - CERTIFY_RTOL) * r.min_gap
+                assert r.punctured_min_gap_lower >= (1.0 - CERTIFY_RTOL) * r.punctured_min_gap
+                if dense > explorer._lipschitz(explorer._frames(r.a, r.b)) * h:
+                    exercised += 1
+                    assert r.min_gap_lower > 0.0
+    assert exercised >= 20
+
+
+def test_secant_bound_is_exact_on_a_concave_cap(monkeypatch):
+    # a fake gap with g'' = -K everywhere, K the pair's curvature bound
+    # computed here from the frames: each neighbour's secant, extended over an
+    # interval, overshoots the gap by exactly what K takes off, so the
+    # certified bound meets the minimum, at the window's edge, to rounding; a
+    # smaller K would put it above. Its slope stays below L, so the cones hold.
+    a = random_effect(3, np.random.default_rng(5))
+    b = random_effect(3, np.random.default_rng(6))
+    frames = explorer._frames(a, b)
+    curv = sum(np.linalg.norm(f.freq**2 * f.x, 2) for f in frames)
+    hi = explorer._lipschitz(frames) / curv
+    mid, top = 0.6 * hi, 0.05 + curv * (0.6 * hi) ** 2 / 2.0
+
+    def gap(t):
+        return top - curv * (np.asarray(t, dtype=float) - mid) ** 2 / 2.0
+
+    monkeypatch.setattr(explorer, "_gap_kernel", lambda _frames: lambda t: (gap(t), gap(t)))
+    assert hi > 2.0 * PUNCTURED_RADIUS
+    full, punctured = explorer._certified_search(frames, ScanConfig(dim=3, t_window=(0.0, hi)))
+    for window, lowest in ((full, gap(0.0)), (punctured, min(gap(PUNCTURED_RADIUS), gap(hi)))):
+        assert lowest - 1e-12 <= window.lower <= lowest
+        assert window.min_gap == lowest
+
+
+def _record_knots(monkeypatch) -> list:
+    """Record every batch of knots that the search hands to _profile."""
+    batches = []
+    profile = explorer._profile
+
+    def recording_profile(branches, times):
+        batches.append(np.array(times))
+        return profile(branches, times)
+
+    monkeypatch.setattr(explorer, "_profile", recording_profile)
+    return batches
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_search_needs_few_knots(monkeypatch, dim):
+    # near a smooth minimum the neighbouring secants certify at a spacing the
+    # cones reach only 6-10 halvings later: cones alone placed 188-315 knots
+    # per trial on average on these scans, the 66 initial ones included
+    batches = _record_knots(monkeypatch)
+    for seed in range(30):
+        assert len(conjecture_scan(ScanConfig(dim=dim, trials=1, seed=seed)).records) == 1
+    assert sum(batch.size for batch in batches) / 30 <= 100
+
+
+def test_final_intervals_fit_the_up_front_refusal(monkeypatch):
+    # every interval a finished search leaves is at most max(2 S / L, H, 2 u)
+    # wide, H = (L + sqrt(L^2 + 4 K S)) / K, which is what lets the search
+    # refuse a window before any gap: here the first knots are twice that
+    # far apart, and the search must split them
+    eps = np.finfo(float).eps
+    batches = _record_knots(monkeypatch)
+    for dim in (2, 3, 4, 8):
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            frames = explorer._frames(random_effect(dim, rng), random_effect(dim, rng))
+            lip, curv = explorer._lipschitz(frames), explorer._curvature(frames)
+            scale = sum(np.linalg.norm(f.x) for f in frames)
+            widest = max(2.0 * scale / lip, (lip + math.sqrt(lip**2 + 4.0 * curv * scale)) / curv)
+            batches.clear()
+            hi = 2.0 * (explorer.INITIAL_KNOTS - 1) * widest
+            explorer._certified_search(frames, ScanConfig(dim=dim, t_window=(0.0, hi)))
+            ts = np.unique(np.concatenate(batches))
+            assert ts[0] == 0.0 and ts[-1] == hi
+            assert np.diff(ts).max() <= (1.0 + 8.0 * eps) * widest
 
 
 def test_lipschitz_constant_bounds_the_gap_slope():
