@@ -12,15 +12,14 @@ K h^2 / 8: near a smooth minimum that second-order bound is within
 CERTIFY_RTOL at a spacing the cones reach only after 6-10 more halvings.
 An adaptive interval search starts from INITIAL_KNOTS evenly spaced knots
 and splits intervals until each window's bound, the better of the two, is
-within CERTIFY_RTOL of its best gap; Brent's method
-then refines each window's best knot, and a polish finds the crossing of
-the gap's two branches where the minimum sits on a kink (_refine). Brent's
-tolerance is absolute in t: at a smooth minimum with curvature g'', a
-position error d costs about g'' d^2 / 2, which is at rounding level once d
-is about sqrt(eps), whatever |t| is, so the tolerance is sqrt(eps) plus the
-float spacing 4 eps |t|, not Brent's usual sqrt(eps) |t|. At a kink the gap
-grows linearly away from the crossing, so the polish's root of the branch
-difference stops by the Lipschitz rule instead. One kernel, in the
+within CERTIFY_RTOL of its best gap. A model search then refines each
+window's best knot (_refine): each round evaluates three times in one batch
+and fits a parabola to each of the gap's two branches, so a smooth minimum
+sits at a vertex and a kink where the branches cross. Its tolerance is
+absolute in t: at a smooth minimum with curvature g'', a position error d
+costs about g'' d^2 / 2, which is at rounding level once d is about
+sqrt(eps), whatever |t| is, so the tolerance is sqrt(eps) plus the float
+spacing 4 eps |t|, not the usual sqrt(eps) |t|. One kernel, in the
 eigenbasis of a, evaluates every gap of the search; its reference is
 symmetry_gap, through the dense cross-checked time_seq_product. A positive
 ``min_gap_lower`` proves a[t]b != b[t]a for every t in the window, and only
@@ -71,8 +70,6 @@ MAX_KNOTS = 1 << 20
 
 _REDRAW_LIMIT = 64
 _EPS = float(np.finfo(float).eps)
-# Brent's golden-section step: the smaller golden fraction of a bracket.
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 # Rounding slack of one evaluated gap's arithmetic, in units of
 # eps * (||X_a||_F + ||X_b||_F); the search adds that of its phases (see
 # _certified_search).
@@ -221,112 +218,56 @@ def _profile(branches, times) -> np.ndarray:
 
 
 def _refine(branches, lo: float, hi: float, lip: float, slack: float) -> tuple[float, float]:
-    """Brent minimization of the gap on [lo, hi], then a kink polish; the lowest gap and its t.
+    """The lowest gap evaluated on [lo, hi] by a two-branch model search, and its t.
 
-    Brent's method (parabolic steps with a golden-section fallback; Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 5) keeps its
-    best point x inside a shrinking bracket [lo, hi] and takes no step
-    shorter than tol = sqrt(eps) + 4 eps |x| + slack / L. It stops once the
-    bracket lies within 2 tol of x, or once L (hi - lo) <= 2 slack, the
-    search's split rule, so a constant gap costs one evaluation; the choice
-    of tol is derived in _certified_search. The minimum may sit on a kink,
-    where the two branches cross and parabolas converge slowly;
-    _polish_kink then solves for the crossing.
+    Each round evaluates the stencil c - r, c, c + r, clipped to [lo, hi],
+    in one batch and fits a parabola through it to each branch, -λ_min and
+    λ_max of a[t]b - b[t]a. The gap is the larger branch, so the model's
+    minimum on the stencil lies at one of its points, at a convex branch's
+    vertex or where the branches cross (a kink): c moves to the one of them
+    with the lowest model maximum, and r to min(r / 2, max(|step|, r / 64)).
+    The model is never extrapolated: at small r its curvature is mostly
+    rounding. The search stops once L r <= 2 slack, the search's split rule
+    (so a constant gap costs no evaluation), once the stencil's points are
+    no longer distinct floats (so also once c is an edge of [lo, hi], whose
+    gap is then known), or once the model predicts no gain beyond the slack
+    and r is within tol = sqrt(eps) + 4 eps |c| + slack / L, derived in
+    _certified_search. Returns (lo, inf) when it evaluates nothing.
     """
     atol = math.sqrt(_EPS) + slack / lip if lip > 0.0 else math.inf
-    seen: list[tuple[float, float]] = []  # (t, λ_max + λ_min) of every evaluation
-
-    def evaluate(t: float) -> float:
-        low, high = branches(t)
-        seen.append((t, float(high - low)))
-        return float(max(low, high))
-
-    x = w = v = lo + _CGOLD * (hi - lo)
-    fx = fw = fv = evaluate(x)
-    d = e = 0.0
-    while lip * (hi - lo) > 2.0 * slack:
-        tol = atol + 4.0 * _EPS * abs(x)
-        mid = lo / 2.0 + hi / 2.0
-        if abs(x - mid) <= 2.0 * tol - (hi - lo) / 2.0:
+    best = (lo, math.inf)
+    c, r = lo / 2.0 + hi / 2.0, hi / 2.0 - lo / 2.0
+    while lip * r > 2.0 * slack:
+        ts = [max(lo, c - r), c, min(hi, c + r)]
+        if not ts[0] < c < ts[2]:
             break
-        golden = True
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x):
-                golden = False
-                d = p / q
-                if x + d - lo < 2.0 * tol or hi - (x + d) < 2.0 * tol:
-                    d = math.copysign(tol, mid - x)
-        if golden:
-            e = (lo if x >= mid else hi) - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = evaluate(u)
-        if fu <= fx:
-            if u >= x:
-                lo = x
-            else:
-                hi = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return _polish_kink(branches, seen, x, fx, lip, slack)
-
-
-def _polish_kink(
-    branches, seen, x: float, fx: float, lip: float, slack: float
-) -> tuple[float, float]:
-    """The lowest gap evaluated, after solving h = λ_max + λ_min = 0 where h changes sign at x.
-
-    ``seen`` holds (t, h) of every evaluation, x among them. Where h
-    changes sign between x and its nearest evaluated neighbour on either
-    side, with |h| > slack at both (so never at dim 2, where a[t]b - b[t]a
-    is traceless and h is rounding noise), the branches cross in between and
-    the gap has a kink there. Illinois regula falsi on h shrinks that
-    bracket until L times its width is within twice the slack, or its next
-    point is no longer a new float inside it.
-    """
-    best = (x, fx)
-    h_x = next(h for t, h in seen if t == x)
-    if abs(h_x) <= slack:
-        return best
-    for side in (-1.0, 1.0):
-        near = [(abs(t - x), t, h) for t, h in seen if (t - x) * side > 0.0]
-        if not near:
-            continue
-        _, t1, h1 = min(near)
-        if abs(h1) <= slack or (h1 > 0.0) == (h_x > 0.0):
-            continue
-        t0, h0 = x, h_x
-        while lip * abs(t1 - t0) > 2.0 * slack:
-            t = t1 - h1 * ((t1 - t0) / (h1 - h0))
-            if not min(t0, t1) < t < max(t0, t1):
-                break
-            low, high = branches(t)
-            gap, h = float(max(low, high)), float(high - low)
+        low, high = (y.tolist() for y in branches(np.array(ts)))
+        for t, gap in zip(ts, map(max, low, high)):
             if gap < best[1]:
                 best = (t, gap)
-            if h == 0.0:
-                break
-            if (h > 0.0) == (h1 > 0.0):
-                h0 /= 2.0
-            else:
-                t0, h0 = t1, h1
-            t1, h1 = t, h
+        # each branch's parabola y_1 + slope s + curv s^2 in s = t - c
+        left, right = ts[0] - c, ts[2] - c
+        models = []
+        for y0, y1, y2 in (low, high):
+            rise = (y2 - y1) / right
+            curv = (rise - (y0 - y1) / left) / (right - left)
+            models.append((y1, rise - curv * right, curv))
+        steps = [left, 0.0, right] + [-b / (2.0 * k) for _, b, k in models if k > 0.0]
+        # the parabolas cross where p s^2 + q s + w = 0, solved without cancellation
+        w, q, p = (u - v for u, v in zip(*models))
+        disc = q * q - 4.0 * p * w
+        if disc >= 0.0:
+            z = -(q + math.copysign(math.sqrt(disc), q)) / 2.0
+            steps += [z / p] if p else []
+            steps += [w / z] if z else []
+
+        def model(s: float) -> float:
+            return max(y + s * (b + s * k) for y, b, k in models)
+
+        step = min((min(max(s, left), right) for s in steps), key=model)
+        if model(step) >= best[1] - slack and r <= atol + 4.0 * _EPS * abs(c):
+            break
+        c, r = min(max(c + step, lo), hi), min(r / 2.0, max(abs(step), r / 64.0))
     return best
 
 
@@ -436,23 +377,23 @@ def _certified_search(
     midpoint is no longer a new float; a search that would hold more than
     MAX_KNOTS knots raises EffectdynError, before any gap is evaluated when
     the window alone implies it (below). Each window's minimum is then refined
-    between the neighbors of its best knot (_refine): Brent's method stops
-    once its bracket lies within 2 tol of its best point, or under the same
-    rule as the splitting, once L times the bracket width is within twice the
-    slack, so a constant gap is evaluated once. Its tolerance is absolute in
-    t, tol = sqrt(eps) + 4 eps |t| + slack / L: near a smooth minimum t* the
-    gap is about g* + g'' (t - t*)^2 / 2, so a position error of sqrt(eps)
-    costs about g'' eps / 2, rounding level, at any |t|, while Brent's usual
-    sqrt(eps) |t| would cost g'' eps t^2 / 2, about 1e-9 at |t| = 1e4. The
-    4 eps |t| keeps every step a new float, and a step of slack / L cannot
-    move the gap by more than its rounding. Where the minimum is a kink, a
-    crossing of the branches λ_max and -λ_min of a[t]b - b[t]a, the gap is
-    not smooth and a position error d costs about |slope| d; the polish
-    (_polish_kink) solves λ_max + λ_min = 0 by regula falsi until the
-    bracket meets the Lipschitz rule. The two windows share that work when
-    their brackets coincide, and a window keeps its best knot if the
-    refinement ends above it. Knots, midpoints and refinement points all go
-    through one kernel, _gap_kernel.
+    between the neighbors of its best knot (_refine), on a stencil of radius
+    r that shrinks every round. It stops under the same rule as the
+    splitting, once L r is within twice the slack, so a constant gap is not
+    evaluated again, or once its model predicts no gain beyond the slack and
+    r is within the absolute tolerance tol = sqrt(eps) + 4 eps |t| + slack / L:
+    near a smooth minimum t* the gap is about g* + g'' (t - t*)^2 / 2, so a
+    position error of sqrt(eps) costs about g'' eps / 2, rounding level, at
+    any |t|, while the usual sqrt(eps) |t| would cost g'' eps t^2 / 2, about
+    1e-9 at |t| = 1e4. The 4 eps |t| keeps that radius above the float
+    spacing at t, and a step of slack / L cannot move the gap by more than
+    its rounding. Where the minimum is a kink, a crossing of the branches
+    λ_max and -λ_min of a[t]b - b[t]a, the gap is not smooth and a position
+    error d costs about |slope| d; there the model's minimum is the crossing
+    of its two parabolas, each within O(r^3) of its branch. The two windows
+    share that work when their brackets coincide, and a window keeps its
+    best knot if the refinement ends above it. Knots, midpoints and
+    refinement points all go through one kernel, _gap_kernel.
 
     What is certified is the gap as the frames compute it. The frames hold
     the eigenvalues of a and b as computed in float64; at an eigenvalue

@@ -440,30 +440,25 @@ def _scaled_projection(dim, rank, scale, rng):
     return validate_effect(scale * q[:, :rank] @ q[:, :rank].conj().T)
 
 
-def _count_single_calls(monkeypatch) -> list:
-    """Record every time at which the gap kernel is called for one t (a refinement point)."""
-    single_calls = []
-    kernel = explorer._gap_kernel
+def _record_refinements(monkeypatch) -> list:
+    """Record, per call of _refine, the times of each of its gap kernel calls."""
+    refinements = []
+    refine = explorer._refine
 
-    def counting_kernel(frames):
-        branches = kernel(frames)
+    def recording_refine(branches, *args):
+        calls = []
+        refinements.append(calls)
+        return refine(lambda t: calls.append(np.array(t)) or branches(t), *args)
 
-        def counted(t):
-            if np.ndim(t) == 0:
-                single_calls.append(t)
-            return branches(t)
-
-        return counted
-
-    monkeypatch.setattr(explorer, "_gap_kernel", counting_kernel)
-    return single_calls
+    monkeypatch.setattr(explorer, "_refine", recording_refine)
+    return refinements
 
 
 def test_constant_gap_bound_stays_below_minimum(monkeypatch):
     # both operands are scaled projections, so a[t]b and b[t]a are constant:
     # L is rounding noise and only the slack keeps the bound under the gap,
-    # and the refinement stops at its first point in each window
-    single_calls = _count_single_calls(monkeypatch)
+    # and the refinement of each distinct bracket stops by its first round
+    refinements = _record_refinements(monkeypatch)
     rng = np.random.default_rng(21)
     for dim in (2, 3, 4, 6):
         for rank in range(1, dim):
@@ -471,11 +466,12 @@ def test_constant_gap_bound_stays_below_minimum(monkeypatch):
             b = _scaled_projection(dim, dim - rank, 0.4, rng)
             frames = explorer._frames(a, b)
             assert explorer._lipschitz(frames) < 1e-12
-            single_calls.clear()
+            refinements.clear()
             full, punctured = explorer._certified_search(frames, ScanConfig(dim=dim))
             for window in (full, punctured):
                 assert 0.0 < window.lower <= window.min_gap
-            assert len(single_calls) in (1, 2)  # one per distinct bracket
+            assert len(refinements) in (1, 2)  # one per distinct bracket
+            assert all(len(calls) <= 1 for calls in refinements)
 
 
 def test_constant_gap_is_certified_on_a_huge_window():
@@ -495,12 +491,70 @@ def test_constant_gap_is_certified_on_a_huge_window():
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
 def test_refinement_needs_few_evaluations(monkeypatch, dim):
-    # Brent's parabolic steps converge superlinearly; golden section needs
-    # 73-105 evaluations per trial on these scans
-    single_calls = _count_single_calls(monkeypatch)
+    # each round evaluates a stencil of three times in one batch; Brent's
+    # method with a kink polish, one time per call, made 15-43 calls per trial
+    # on these scans, and golden section alone 73-105
+    refinements = _record_refinements(monkeypatch)
     for seed in range(30):
         assert len(conjecture_scan(ScanConfig(dim=dim, trials=1, seed=seed)).records) == 1
-    assert len(single_calls) / 30 <= 45
+    calls = [t for r in refinements for t in r]
+    assert all(np.ndim(t) == 1 for t in calls)
+    assert len(calls) / 30 <= 12
+    assert sum(t.size for t in calls) / 30 <= 45
+
+
+def _search_fake_branches(monkeypatch, frames, low, high):
+    """The certified search on the window (1, 2) by a fake kernel with the branches low and
+    high, and the times of each of its refinement's kernel calls."""
+
+    def branches(t):
+        t = np.asarray(t, dtype=float)
+        return low(t), high(t)
+
+    monkeypatch.setattr(explorer, "_gap_kernel", lambda _frames: branches)
+    refinements = _record_refinements(monkeypatch)
+    full, punctured = explorer._certified_search(frames, ScanConfig(dim=3, t_window=(1.0, 2.0)))
+    assert punctured == full  # the window lies outside |t| < PUNCTURED_RADIUS
+    return full, refinements
+
+
+def test_refinement_finds_a_kink_between_unequal_slopes(monkeypatch):
+    # branches that are lines of slopes -0.3 L and 0.7 L, crossing at t0
+    # between knots: the gap is a V with its minimum g0 on the kink, and the
+    # crossing of the two fitted branches lands on it within rounding
+    eps = np.finfo(float).eps
+    frames = explorer._frames(
+        random_effect(3, np.random.default_rng(5)), random_effect(3, np.random.default_rng(6))
+    )
+    lip = explorer._lipschitz(frames)
+    t0, g0 = 1.2345678, 0.05
+    full, refinements = _search_fake_branches(
+        monkeypatch, frames, lambda t: g0 + 0.3 * lip * (t0 - t), lambda t: g0 + 0.7 * lip * (t - t0)
+    )
+    slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(f.x) for f in frames)
+    slack += eps * 2.0 * lip / 2.0  # the phases' share at |t| <= 2
+    assert g0 <= full.min_gap <= g0 + 2.0 * slack
+    [calls] = refinements
+    assert all(np.ndim(t) == 1 for t in calls) and len(calls) <= 6
+
+
+@pytest.mark.parametrize("rise", [1.0, -1.0])
+def test_refinement_stops_at_once_on_a_monotone_gap(monkeypatch, rise):
+    # a gap rising (or falling) at L / 2 across the window: the best knot is
+    # an edge, its bracket's first stencil puts the model minimum on that
+    # edge, already evaluated, and the refinement ends after that one call
+    frames = explorer._frames(
+        random_effect(3, np.random.default_rng(5)), random_effect(3, np.random.default_rng(6))
+    )
+    lip = explorer._lipschitz(frames)
+
+    def gap(t):
+        return 0.05 + lip * (0.25 + rise * (t - 1.5) / 2.0)
+
+    full, refinements = _search_fake_branches(monkeypatch, frames, gap, gap)
+    edge = 1.0 if rise > 0.0 else 2.0
+    assert (full.t_star, full.min_gap) == (edge, gap(edge))
+    assert [len(calls) for calls in refinements] == [1]
 
 
 def _check_no_lower_gap_nearby(r, cfg):
@@ -533,9 +587,9 @@ def _check_no_lower_gap_nearby(r, cfg):
     [(2, None), (3, None), (4, None), (8, None), (3, (1e4, 1e4 + 8.0 * math.pi))],
 )
 def test_refined_minima_are_local_minima_to_rounding(dim, window):
-    # Brent's smooth steps stop within sqrt(eps) of the minimizer in absolute
-    # t, which leaves rounding only, also at |t| = 1e4 where a tolerance
-    # relative to |t| would not; at a kink the polish finds the crossing
+    # the refinement stops within sqrt(eps) of the minimizer in absolute t,
+    # which leaves rounding only, also at |t| = 1e4 where a tolerance
+    # relative to |t| would not; at a kink its model finds the crossing
     cfg = ScanConfig(dim=dim, trials=24, seed=5, **({} if window is None else {"t_window": window}))
     records = conjecture_scan(cfg).records
     assert len(records) == 24
@@ -545,7 +599,7 @@ def test_refined_minima_are_local_minima_to_rounding(dim, window):
 
 def test_kink_polish_reaches_the_branch_crossing():
     # at dim 4 many window minima sit where λ_max and -λ_min of
-    # a[t]b - b[t]a cross; the polish solves λ_max + λ_min = 0 there
+    # a[t]b - b[t]a cross; the refinement's two fitted branches cross there too
     records = conjecture_scan(ScanConfig(dim=4, trials=40, seed=5)).records
     on_kink = 0
     for r in records:
@@ -630,9 +684,11 @@ def test_gap_search_checks_its_phases_once_before_any_gap(monkeypatch):
     checks.clear()
     minimize_gap(a, b, ScanConfig(t_window=(-3.0, 5.0)))
     assert checks == [5.0, 5.0]
-    # the knots in one batch, then the refinement's points one by one
-    assert np.ndim(times[0]) == 1 and len(times[0]) > 2
-    assert any(np.ndim(t) == 0 for t in times[1:])
+    # the knots in one batch first; every later call is a batch of at most
+    # three times, a refinement's stencil (a is nearly a projection, so its
+    # near-constant gap may need none)
+    assert np.ndim(times[0]) == 1 and len(times[0]) > 3
+    assert all(np.ndim(t) == 1 and len(t) <= 3 for t in times[1:])
 
 
 def test_gap_profile_checks_its_phases():
