@@ -9,7 +9,14 @@ files for scan); all diagnostics go to stderr. Exit codes: 0 success,
 
 ``main(argv)`` may be called repeatedly in one process (from scripts,
 notebooks or tests): the parser is built on the first call and reused, and
-each call parses its argv into a fresh namespace.
+each call parses its argv into a fresh namespace. A word that is a negative
+number, such as -1e-05, is always a value (``--t -1e-05``), never an option.
+
+scan rewrites its two output files in place (_rewrite): it writes over an
+existing file from its start and then cuts it to the new length, with the
+bytes of a fresh write. Truncating a file to zero and writing it again makes
+ext4 (auto_da_alloc) flush it on close, which cost a rerun of scan into the
+same prefix more than the write itself.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import re
+import stat
 import sys
 from pathlib import Path
 
@@ -43,6 +53,23 @@ EXIT_EXAMPLES_FAILED = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 
+# A word that is a negative decimal number, exponent form included: -1, -.5, -1.5e-05.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative number word as a value, not as an option.
+
+    argparse takes a word starting with "-" for a value only if its
+    _negative_number_matcher, -N or -N.N, matches, so ``--t -1e-05`` failed
+    with "expected one argument". No option here looks like a number, so
+    every such word is a value. The subparsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
 
 def _finite(text: str) -> float:
     value = float(text)
@@ -53,6 +80,25 @@ def _finite(text: str) -> float:
 
 def _floats(text: str) -> list[float]:
     return [float(w) for w in text.split(",") if w != ""]
+
+
+def _rewrite(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 in place: no truncation before the write.
+
+    The file is opened without O_TRUNC (created with mode 0o666 less the
+    umask if missing), written from its start, and then, if it is a regular
+    file, cut to the new length. OSError propagates (exit 2 in main).
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _read_text(path: str) -> str:
@@ -309,8 +355,8 @@ def cmd_scan(args) -> int:
     result = conjecture_scan(cfg)
     json_path = Path(f"{args.out}.json")
     csv_path = Path(f"{args.out}.csv")
-    json_path.write_text(serialization.scan_json(cfg, result), encoding="utf-8")
-    csv_path.write_text(serialization.scan_csv(result), encoding="utf-8")
+    _rewrite(json_path, serialization.scan_json(cfg, result))
+    _rewrite(csv_path, serialization.scan_csv(result))
     gap_note = "no records" if not result.records else (
         f"global min gap {min(r.min_gap for r in result.records):.3e}, "
         f"{result.summary['certified_positive']} certified positive on the window"
@@ -330,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_argument, set_defaults or similar). Parsing does not mutate it:
     parse_args builds a fresh namespace, with fresh lists, on each call.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="effectdyn",
         description="Quantum effect calculus under unitary time evolution.",
     )

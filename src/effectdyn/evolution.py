@@ -120,15 +120,28 @@ class EigenFrame:
     def product(cls, a: Effect, b: Effect) -> EigenFrame:
         """Frame of a[t]b, that is m = a∘b (validated), cross-checked once.
 
-        a^{1/2} is diag(√w) in V, so the second route a^{1/2} b(t|a) a^{1/2}
-        is V (E_t ⊙ (√w_j B_jk √w_k)) V† with B = V†bV: comparing X with
-        √w_j B_jk √w_k covers every t. Raises ConsistencyError beyond
-        CROSS_CHECK_TOL.
+        The one-pair case of products.
         """
-        frame = cls.evolution(a, sequential_product(a, b))
-        v, root = frame.vectors, a.sqrt_eigenvalues
-        _cross_check(frame.x, root[:, None] * (v.conj().T @ b.matrix @ v) * root)
-        return frame
+        return cls.products([a], [b])[0]
+
+    @classmethod
+    def products(cls, lefts, rights) -> tuple[EigenFrame, ...]:
+        """The frame of a[t]b for every aligned pair (lefts[k], rights[k]) of one dimension.
+
+        One stacked pass: a∘b of every pair admitted at its product_tol
+        (sequential_products), then one stacked cross-check. a^{1/2} is
+        diag(√w) in V, so the second route a^{1/2} b(t|a) a^{1/2} is
+        V (E_t ⊙ (√w_j B_jk √w_k)) V† with B = V†bV: comparing X with
+        √w_j B_jk √w_k covers every t. The first pair beyond CROSS_CHECK_TOL
+        raises ConsistencyError. Returns one frame per pair.
+        """
+        ab = sequential_products(lefts, rights)
+        d, _ = stacked_roots(lefts)  # cached by sequential_products
+        frame = cls._from_decomposition(d, np.array([e.matrix for e in ab]))
+        v, b = frame.vectors, np.array([e.matrix for e in rights])
+        root = np.array([a.sqrt_eigenvalues for a in lefts])
+        _cross_check(frame.x, root[:, :, None] * (linalg.adjoint(v) @ b @ v) * root[:, None, :])
+        return tuple(map(cls, frame.vectors, frame.freq, frame.x))
 
     def at(self, t, order: int = 0) -> np.ndarray:
         """The order-th time derivative (order 0: the operator) at t.

@@ -157,8 +157,8 @@ def random_effect(dim: int, rng: np.random.Generator) -> Effect:
     so the result is a valid effect by construction.
     """
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2.0
-    norm = linalg.operator_norm(h)
+    h = (g + g.conj().T) / 2.0  # Hermitian exactly: entry kj is the conjugate of entry jk
+    norm = float(linalg.operator_norms(h)) if h.size else 0.0  # validate_effect refuses dim 0
     if norm == 0.0:
         return validate_effect(np.eye(dim) / 2.0)
     return validate_effect((np.eye(dim) + h / norm) / 2.0)
@@ -180,8 +180,9 @@ def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:
     return _profile(_gap_kernel(frames), ts)
 
 
-def _frames(a: Effect, b: Effect) -> tuple[EigenFrame, EigenFrame]:
-    return EigenFrame.product(a, b), EigenFrame.product(b, a)
+def _frames(a: Effect, b: Effect) -> tuple[EigenFrame, ...]:
+    """The frames of a[t]b and b[t]a, built in one stacked pass."""
+    return EigenFrame.products((a, b), (b, a))
 
 
 def _gap_kernel(frames: tuple[EigenFrame, EigenFrame]):
@@ -217,58 +218,82 @@ def _profile(branches, times) -> np.ndarray:
     return np.concatenate([np.maximum(*pair) for pair in chunks])
 
 
-def _refine(branches, lo: float, hi: float, lip: float, slack: float) -> tuple[float, float]:
-    """The lowest gap evaluated on [lo, hi] by a two-branch model search, and its t.
+def _refine(branches, brackets, lip: float, slack: float) -> list[tuple[float, float]]:
+    """The lowest gap evaluated on each bracket [lo, hi] by a two-branch model search, and its t.
 
-    Each round evaluates the stencil c - r, c, c + r, clipped to [lo, hi],
-    in one batch and fits a parabola through it to each branch, -λ_min and
+    Each bracket's search keeps a stencil c - r, c, c + r, clipped to
+    [lo, hi], and fits a parabola through it to each branch, -λ_min and
     λ_max of a[t]b - b[t]a. The gap is the larger branch, so the model's
     minimum on the stencil lies at one of its points, at a convex branch's
     vertex or where the branches cross (a kink): c moves to the one of them
     with the lowest model maximum, and r to min(r / 2, max(|step|, r / 64)).
     The model is never extrapolated: at small r its curvature is mostly
-    rounding. The search stops once L r <= 2 slack, the search's split rule
-    (so a constant gap costs no evaluation), once the stencil's points are
+    rounding. A search stops once L r <= 2 slack, the search's split rule
+    (so a constant gap costs no evaluation), once its stencil's points are
     no longer distinct floats (so also once c is an edge of [lo, hi], whose
-    gap is then known), or once the model predicts no gain beyond the slack
+    gap is then known), or once its model predicts no gain beyond the slack
     and r is within tol = sqrt(eps) + 4 eps |c| + slack / L, derived in
-    _certified_search. Returns (lo, inf) when it evaluates nothing.
+    _certified_search. The searches run in lockstep: each round evaluates
+    the stencils of every search still running in one kernel call, and each
+    search stops on its own. Returns (lo, inf) for a bracket on which it
+    evaluates nothing.
     """
     atol = math.sqrt(_EPS) + slack / lip if lip > 0.0 else math.inf
-    best = (lo, math.inf)
-    c, r = lo / 2.0 + hi / 2.0, hi / 2.0 - lo / 2.0
-    while lip * r > 2.0 * slack:
-        ts = [max(lo, c - r), c, min(hi, c + r)]
-        if not ts[0] < c < ts[2]:
-            break
-        low, high = (y.tolist() for y in branches(np.array(ts)))
-        for t, gap in zip(ts, map(max, low, high)):
-            if gap < best[1]:
-                best = (t, gap)
-        # each branch's parabola y_1 + slope s + curv s^2 in s = t - c
-        left, right = ts[0] - c, ts[2] - c
-        models = []
-        for y0, y1, y2 in (low, high):
-            rise = (y2 - y1) / right
-            curv = (rise - (y0 - y1) / left) / (right - left)
-            models.append((y1, rise - curv * right, curv))
-        steps = [left, 0.0, right] + [-b / (2.0 * k) for _, b, k in models if k > 0.0]
-        # the parabolas cross where p s^2 + q s + w = 0, solved without cancellation
-        w, q, p = (u - v for u, v in zip(*models))
-        disc = q * q - 4.0 * p * w
-        if disc >= 0.0:
-            z = -(q + math.copysign(math.sqrt(disc), q)) / 2.0
-            steps += [z / p] if p else []
-            steps += [w / z] if z else []
+    best = [(lo, math.inf) for lo, _ in brackets]
+    stencils = [(lo / 2.0 + hi / 2.0, hi / 2.0 - lo / 2.0) for lo, hi in brackets]  # (c, r)
+    running = range(len(brackets))
+    while True:
+        batch = []
+        for k in running:
+            (lo, hi), (c, r) = brackets[k], stencils[k]
+            ts = [max(lo, c - r), c, min(hi, c + r)]
+            if lip * r > 2.0 * slack and ts[0] < c < ts[2]:
+                batch.append((k, ts, r))
+        if not batch:
+            return best
+        low, high = (y.tolist() for y in branches(np.array([t for _, ts, _ in batch for t in ts])))
+        running = []
+        for j, (k, ts, r) in enumerate(batch):
+            ys = low[3 * j : 3 * j + 3], high[3 * j : 3 * j + 3]
+            for t, gap in zip(ts, map(max, *ys)):
+                if gap < best[k][1]:
+                    best[k] = (t, gap)
+            step, predicted = _model_step(ts, ys)
+            c, (lo, hi) = ts[1], brackets[k]
+            if predicted >= best[k][1] - slack and r <= atol + 4.0 * _EPS * abs(c):
+                continue
+            stencils[k] = min(max(c + step, lo), hi), min(r / 2.0, max(abs(step), r / 64.0))
+            running.append(k)
 
-        def model(s: float) -> float:
-            return max(y + s * (b + s * k) for y, b, k in models)
 
-        step = min((min(max(s, left), right) for s in steps), key=model)
-        if model(step) >= best[1] - slack and r <= atol + 4.0 * _EPS * abs(c):
-            break
-        c, r = min(max(c + step, lo), hi), min(r / 2.0, max(abs(step), r / 64.0))
-    return best
+def _model_step(ts: list[float], branch_values) -> tuple[float, float]:
+    """The step from ts[1] to the two-branch model's minimum on the stencil ts, and that minimum.
+
+    Each branch's three values give its parabola y_1 + slope s + curv s^2 in
+    s = t - ts[1]; the model is the larger parabola, and its minimum on the
+    stencil lies at an end, at a convex parabola's vertex or where the two cross.
+    """
+    c = ts[1]
+    left, right = ts[0] - c, ts[2] - c
+    models = []
+    for y0, y1, y2 in branch_values:
+        rise = (y2 - y1) / right
+        curv = (rise - (y0 - y1) / left) / (right - left)
+        models.append((y1, rise - curv * right, curv))
+    steps = [left, 0.0, right] + [-b / (2.0 * k) for _, b, k in models if k > 0.0]
+    # the parabolas cross where p s^2 + q s + w = 0, solved without cancellation
+    w, q, p = (u - v for u, v in zip(*models))
+    disc = q * q - 4.0 * p * w
+    if disc >= 0.0:
+        z = -(q + math.copysign(math.sqrt(disc), q)) / 2.0
+        steps += [z / p] if p else []
+        steps += [w / z] if z else []
+
+    def model(s: float) -> float:
+        return max(y + s * (b + s * k) for y, b, k in models)
+
+    step = min((min(max(s, left), right) for s in steps), key=model)
+    return step, model(step)
 
 
 def _curvature(frames: tuple[EigenFrame, EigenFrame]) -> float:
@@ -281,7 +306,7 @@ def _curvature(frames: tuple[EigenFrame, EigenFrame]) -> float:
     factor 1 + _SLACK_UNITS d eps covers.
     """
     dim = frames[0].x.shape[-1]
-    norms = sum(float(linalg.operator_norms(f.freq**2 * f.x)) for f in frames)
+    norms = sum(linalg.operator_norms(np.array([f.freq**2 * f.x for f in frames])).tolist())
     return (1.0 + _SLACK_UNITS * dim * _EPS) * norms
 
 
@@ -390,10 +415,11 @@ def _certified_search(
     its rounding. Where the minimum is a kink, a crossing of the branches
     λ_max and -λ_min of a[t]b - b[t]a, the gap is not smooth and a position
     error d costs about |slope| d; there the model's minimum is the crossing
-    of its two parabolas, each within O(r^3) of its branch. The two windows
-    share that work when their brackets coincide, and a window keeps its
-    best knot if the refinement ends above it. Knots, midpoints and
-    refinement points all go through one kernel, _gap_kernel.
+    of its two parabolas, each within O(r^3) of its branch. The two windows'
+    refinements run in lockstep rounds, one kernel call per round for the
+    stencils of both; a bracket the two windows share is refined once, and
+    a window keeps its best knot if the refinement ends above it. Knots,
+    midpoints and refinement points all go through one kernel, _gap_kernel.
 
     What is certified is the gap as the frames compute it. The frames hold
     the eigenvalues of a and b as computed in float64; at an eigenvalue
@@ -449,8 +475,9 @@ def _certified_search(
     for f in frames:
         f.check_phases(top)
     branches = _gap_kernel(frames)
-    gs = _profile(branches, ts)
+    samples = np.stack((ts, _profile(branches, ts)))  # the knots and their gaps
     while True:
+        ts, gs = samples
         h = np.diff(ts)
         cone = (gs[:-1] + gs[1:] - lip * h) / 2.0 - slack
         bounds = np.maximum(cone, _secant_bounds(gs, h, curv, slack))
@@ -467,26 +494,28 @@ def _certified_search(
             break
         if ts.size + split.size > MAX_KNOTS:
             raise _too_wide(lo, hi)
-        ts = np.insert(ts, split + 1, mids[split])
-        gs = np.insert(gs, split + 1, _profile(branches, mids[split]))
+        new = mids[split]
+        samples = np.insert(samples, split + 1, (new, _profile(branches, new)), axis=1)
 
-    refined: dict[tuple[float, float], tuple[float, float]] = {}
-
-    def window_minimum(inside: np.ndarray) -> _WindowMinimum:
+    def bracket(inside: np.ndarray) -> tuple[int, tuple[float, float]]:
+        """The window's best knot k and the neighbours of k inside the window."""
         k = int(np.argmin(np.where(_knots(inside), gs, np.inf)))
-        bracket = (
+        return k, (
             float(ts[k - 1] if k > 0 and inside[k - 1] else ts[k]),
             float(ts[k + 1] if k < inside.size and inside[k] else ts[k]),
         )
-        if bracket not in refined:
-            refined[bracket] = _refine(branches, *bracket, lip, slack)
-        t_ref, gap_ref = refined[bracket]
+
+    windows = [np.ones(h.size, dtype=bool)] + ([punctured] if punctured.any() else [])
+    picks = [bracket(inside) for inside in windows]
+    distinct = list(dict.fromkeys(b for _, b in picks))
+    refined = dict(zip(distinct, _refine(branches, distinct, lip, slack)))
+    minima = []
+    for inside, (k, b) in zip(windows, picks):
+        t_ref, gap_ref = refined[b]
         if gap_ref > gs[k]:
             t_ref, gap_ref = float(ts[k]), float(gs[k])
-        return _WindowMinimum(t_ref, gap_ref, max(0.0, float(np.min(bounds[inside]))))
-
-    full = window_minimum(np.ones(h.size, dtype=bool))
-    return full, window_minimum(punctured) if punctured.any() else None
+        minima.append(_WindowMinimum(t_ref, gap_ref, max(0.0, float(np.min(bounds[inside])))))
+    return minima[0], minima[1] if len(minima) > 1 else None
 
 
 def _too_wide(lo: float, hi: float) -> EffectdynError:

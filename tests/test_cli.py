@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -688,6 +689,32 @@ def test_non_finite_or_malformed_flags_are_invalid_input(files, capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["observable", "tseq", "@obs_a", "@obs_b", "--t", "-1e-05"],
+        ["evolve", "@a", "@b", "--steps", "3", "--t0", "-1e-05"],
+        ["evolve", "@a", "@b", "--steps", "3", "--t1", "-2.5E+1"],
+        ["scan", "--trials", "1", "--tmin", "-1e-05"],
+        ["scan", "--trials", "1", "--tmin=-1", "--tmax", "-1e-05"],
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_negative_exponent_form_time_follows_its_flag(files, tmp_path, capsys, argv):
+    # a negative time in exponent form, written as the word after its flag,
+    # is that flag's value: the same output as the one word --flag=value
+    argv = [str(files[x[1:]]) if x[0] == "@" else x for x in argv]
+    outputs = []
+    for i, words in enumerate((argv, argv[:-2] + [f"{argv[-2]}={argv[-1]}"])):
+        scan = words[0] == "scan"
+        prefix = tmp_path / f"scan{i}"
+        code, out, _ = run(capsys, words + (["--out", str(prefix)] if scan else []))
+        assert code == 0
+        written = [prefix.with_suffix(ext).read_bytes() for ext in (".json", ".csv")] if scan else []
+        outputs.append((out, written))
+    assert outputs[0] == outputs[1]
+
+
 # -- examples ---------------------------------------------------------------
 
 
@@ -799,3 +826,47 @@ def test_scan_bad_dim(tmp_path, capsys):
     code, _, err = run(capsys, ["scan", "--dim", "1", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("stale", ["x" * 100_000, "y"], ids=["longer", "shorter"])
+def test_scan_rewrites_existing_outputs_in_place(tmp_path, capsys, stale):
+    # a rerun into the same prefix writes over the old files without first
+    # truncating them; whether they were longer or shorter than the new
+    # output, it leaves exactly the bytes of a fresh prefix
+    argv = ["scan", "--dim", "3", "--trials", "3", "--seed", "7", "--out"]
+    assert run(capsys, argv + [str(tmp_path / "fresh")])[0] == 0
+    for ext in (".json", ".csv"):
+        (tmp_path / f"stale{ext}").write_text(stale)
+    assert run(capsys, argv + [str(tmp_path / "stale")])[0] == 0
+    for ext in (".json", ".csv"):
+        assert (tmp_path / f"stale{ext}").read_bytes() == (tmp_path / f"fresh{ext}").read_bytes()
+
+
+def test_scan_output_modes_are_those_of_a_plain_write(tmp_path, capsys):
+    # a new file gets 0o666 less the umask, an existing one keeps its mode,
+    # and a path that is not a regular file is written but not cut
+    old_umask = os.umask(0o027)
+    try:
+        assert run(capsys, ["scan", "--trials", "1", "--out", str(tmp_path / "new")])[0] == 0
+    finally:
+        os.umask(old_umask)
+    assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o640
+    (tmp_path / "kept.json").write_text("{}")
+    (tmp_path / "kept.json").chmod(0o604)
+    assert run(capsys, ["scan", "--trials", "1", "--out", str(tmp_path / "kept")])[0] == 0
+    assert (tmp_path / "kept.json").stat().st_mode & 0o777 == 0o604
+    for ext in (".json", ".csv"):
+        (tmp_path / f"null{ext}").symlink_to(os.devnull)
+    assert run(capsys, ["scan", "--trials", "1", "--out", str(tmp_path / "null")])[0] == 0
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory_in_the_way"])
+def test_scan_into_an_unwritable_prefix_is_invalid_input(tmp_path, capsys, where):
+    if where == "directory_in_the_way":
+        (tmp_path / "scan.json").mkdir()
+        prefix = tmp_path / "scan"
+    else:
+        prefix = tmp_path / "missing" / "scan"
+    code, out, err = run(capsys, ["scan", "--trials", "1", "--out", str(prefix)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1

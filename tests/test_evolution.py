@@ -538,6 +538,37 @@ def test_consistency_error_when_routes_disagree_at_construction(rng):
         time_seq_product(broken, b, 1.0)
 
 
+def test_eigen_frame_products_stack_product_bit_for_bit(rng):
+    # each frame of one stacked pass is the one-pair frame of its pair, and
+    # the frame of a∘b built alone, every field bit for bit: dims 1-8, a
+    # generic and a rank-deficient a, and the swapped pairs of a scan
+    for dim in range(1, 9):
+        u = random_unitary(dim, rng)
+        w = np.where(np.arange(dim) < dim // 2, 0.0, rng.uniform(0.0, 1.0, dim))
+        deficient = validate_effect((u * w) @ u.conj().T)
+        a, b = random_effect(dim, rng), random_effect(dim, rng)
+        lefts, rights = [a, b, deficient], [b, a, random_effect(dim, rng)]
+        frames = EigenFrame.products(lefts, rights)
+        assert len(frames) == 3
+        for frame, left, right in zip(frames, lefts, rights):
+            for single in (
+                EigenFrame.product(left, right),
+                EigenFrame.evolution(left, sequential_product(left, right)),
+            ):
+                for field in ("vectors", "freq", "x"):
+                    assert np.array_equal(getattr(frame, field), getattr(single, field)), field
+
+
+def test_eigen_frame_products_check_every_slice(rng):
+    # one corrupted pair anywhere in the stack fails the one stacked cross-check
+    a, b, c = (random_effect(3, rng) for _ in range(3))
+    broken = _with_broken_sqrt(a, rng)
+    EigenFrame.products([a, b, c], [b, c, a])
+    for lefts in ([broken, b, c], [a, b, broken]):
+        with pytest.raises(ConsistencyError):
+            EigenFrame.products(lefts, [b, c, a])
+
+
 def test_consistency_error_at_the_public_boundary(rng, monkeypatch):
     a, b = random_effect(3, rng), random_effect(3, rng)
     unitary = linalg.unitary_from_decomposition

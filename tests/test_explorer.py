@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -129,16 +130,18 @@ def test_conjecture_scan_uses_only_eigenframes(monkeypatch):
     monkeypatch.setattr(explorer, "time_seq_product", forbidden)
     monkeypatch.setattr(evolution, "time_seq_product", forbidden)
     built = []
-    product = EigenFrame.product.__func__
+    products = EigenFrame.products.__func__
 
-    def counting_product(cls, a, b):
-        built.append((a, b))
-        return product(cls, a, b)
+    def counting_products(cls, lefts, rights):
+        built.append(list(zip(lefts, rights)))
+        return products(cls, lefts, rights)
 
-    monkeypatch.setattr(EigenFrame, "product", classmethod(counting_product))
+    monkeypatch.setattr(EigenFrame, "products", classmethod(counting_products))
     result = conjecture_scan(ScanConfig(dim=3, trials=2, seed=4))
     assert len(result.records) == 2
-    assert len(built) == 4  # (a, b) and (b, a) once per trial
+    assert sum(map(len, built)) == 4  # (a, b) and (b, a) once per trial
+    # both in one stacked pass per trial
+    assert built == [[(r.a, r.b), (r.b, r.a)] for r in result.records]
 
 
 def test_scan_config_validation():
@@ -440,15 +443,35 @@ def _scaled_projection(dim, rank, scale, rng):
     return validate_effect(scale * q[:, :rank] @ q[:, :rank].conj().T)
 
 
-def _record_refinements(monkeypatch) -> list:
-    """Record, per call of _refine, the times of each of its gap kernel calls."""
-    refinements = []
-    refine = explorer._refine
+_REFINE = explorer._refine
 
-    def recording_refine(branches, *args):
-        calls = []
-        refinements.append(calls)
-        return refine(lambda t: calls.append(np.array(t)) or branches(t), *args)
+
+@dataclass
+class _Refinement:
+    """One call of _refine: its arguments, its result and the times of each of its kernel calls."""
+
+    branches: object
+    brackets: list
+    lip: float
+    slack: float
+    result: list
+    calls: list
+
+
+def _refine_recorded(branches, brackets, lip, slack) -> _Refinement:
+    """_refine on the brackets, with the times of each of its gap kernel calls recorded."""
+    calls = []
+    result = _REFINE(lambda t: calls.append(np.array(t)) or branches(t), brackets, lip, slack)
+    return _Refinement(branches, list(brackets), lip, slack, result, calls)
+
+
+def _record_refinements(monkeypatch) -> list:
+    """Record each call of _refine, as a _Refinement."""
+    refinements = []
+
+    def recording_refine(*args):
+        refinements.append(_refine_recorded(*args))
+        return refinements[-1].result
 
     monkeypatch.setattr(explorer, "_refine", recording_refine)
     return refinements
@@ -457,7 +480,7 @@ def _record_refinements(monkeypatch) -> list:
 def test_constant_gap_bound_stays_below_minimum(monkeypatch):
     # both operands are scaled projections, so a[t]b and b[t]a are constant:
     # L is rounding noise and only the slack keeps the bound under the gap,
-    # and the refinement of each distinct bracket stops by its first round
+    # and the refinement of the distinct brackets stops by its first round
     refinements = _record_refinements(monkeypatch)
     rng = np.random.default_rng(21)
     for dim in (2, 3, 4, 6):
@@ -470,8 +493,9 @@ def test_constant_gap_bound_stays_below_minimum(monkeypatch):
             full, punctured = explorer._certified_search(frames, ScanConfig(dim=dim))
             for window in (full, punctured):
                 assert 0.0 < window.lower <= window.min_gap
-            assert len(refinements) in (1, 2)  # one per distinct bracket
-            assert all(len(calls) <= 1 for calls in refinements)
+            [refinement] = refinements  # one per search, over its distinct brackets
+            assert len(set(refinement.brackets)) == len(refinement.brackets) in (1, 2)
+            assert len(refinement.calls) <= 1
 
 
 def test_constant_gap_is_certified_on_a_huge_window():
@@ -491,16 +515,27 @@ def test_constant_gap_is_certified_on_a_huge_window():
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
 def test_refinement_needs_few_evaluations(monkeypatch, dim):
-    # each round evaluates a stencil of three times in one batch; Brent's
-    # method with a kink polish, one time per call, made 15-43 calls per trial
-    # on these scans, and golden section alone 73-105
+    # each round evaluates a stencil of three times per bracket in one batch;
+    # Brent's method with a kink polish, one time per call, made 15-43 calls
+    # per trial on these scans, and golden section alone 73-105
     refinements = _record_refinements(monkeypatch)
     for seed in range(30):
         assert len(conjecture_scan(ScanConfig(dim=dim, trials=1, seed=seed)).records) == 1
-    calls = [t for r in refinements for t in r]
+    calls = [t for r in refinements for t in r.calls]
     assert all(np.ndim(t) == 1 for t in calls)
     assert len(calls) / 30 <= 12
     assert sum(t.size for t in calls) / 30 <= 45
+    # two distinct brackets are refined in lockstep: round i makes one kernel
+    # call, on the stencils of round i of each bracket's search run alone
+    lockstep = [r for r in refinements if len(r.brackets) == 2]
+    assert lockstep
+    for r in lockstep:
+        alone = [_refine_recorded(r.branches, [b], r.lip, r.slack) for b in r.brackets]
+        assert r.result == [s.result[0] for s in alone]
+        assert len(r.calls) == max(len(s.calls) for s in alone)
+        for i, ts in enumerate(r.calls):
+            stencils = [s.calls[i] for s in alone if i < len(s.calls)]
+            assert np.array_equal(ts, np.concatenate(stencils))
 
 
 def _search_fake_branches(monkeypatch, frames, low, high):
@@ -534,7 +569,8 @@ def test_refinement_finds_a_kink_between_unequal_slopes(monkeypatch):
     slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(f.x) for f in frames)
     slack += eps * 2.0 * lip / 2.0  # the phases' share at |t| <= 2
     assert g0 <= full.min_gap <= g0 + 2.0 * slack
-    [calls] = refinements
+    [refinement] = refinements
+    calls = refinement.calls
     assert all(np.ndim(t) == 1 for t in calls) and len(calls) <= 6
 
 
@@ -554,7 +590,7 @@ def test_refinement_stops_at_once_on_a_monotone_gap(monkeypatch, rise):
     full, refinements = _search_fake_branches(monkeypatch, frames, gap, gap)
     edge = 1.0 if rise > 0.0 else 2.0
     assert (full.t_star, full.min_gap) == (edge, gap(edge))
-    assert [len(calls) for calls in refinements] == [1]
+    assert [len(r.calls) for r in refinements] == [1]
 
 
 def _check_no_lower_gap_nearby(r, cfg):
