@@ -39,7 +39,9 @@ class Effect:
     """Hermitian operator with spectrum inside [0, 1] (within tolerance).
 
     Instances are produced by :func:`validate_effect`; the stored matrix is
-    symmetrized and read-only, so effects are safe to share across threads.
+    read-only, so effects are safe to share across threads, and symmetrized:
+    it is (M + M†)/2 of the input M, which is Hermitian bit for bit, so
+    ``decomposition`` eigensolves it as it is, with no second check.
     ``eig_min``/``eig_max`` are the raw extremal eigenvalues found at
     validation time, and ``tol`` is the tolerance they were admitted at.
     """
@@ -60,14 +62,16 @@ class Effect:
 
     @cached_property
     def decomposition(self) -> linalg.SpectralDecomposition:
-        return linalg.eigh(self.matrix)
+        return linalg.hermitian_eigh(self.matrix)
 
-    @property
+    @cached_property
     def sqrt_eigenvalues(self) -> np.ndarray:
-        """Square roots of ``decomposition.eigenvalues``, noise-level ones zeroed."""
+        """Square roots of ``decomposition.eigenvalues``, noise-level ones zeroed; read-only."""
         w = np.clip(self.decomposition.eigenvalues, 0.0, None)
         w[w <= SQRT_ZERO_CUTOFF * max(1.0, self.eig_max)] = 0.0
-        return np.sqrt(w)
+        root = np.sqrt(w)
+        root.setflags(write=False)
+        return root
 
     @cached_property
     def sqrt(self) -> np.ndarray:

@@ -12,10 +12,12 @@ K h^2 / 8: near a smooth minimum that second-order bound is within
 CERTIFY_RTOL at a spacing the cones reach only after 6-10 more halvings.
 An adaptive interval search starts from INITIAL_KNOTS evenly spaced knots
 and splits intervals until each window's bound, the better of the two, is
-within CERTIFY_RTOL of its best gap. A model search then refines each
-window's best knot (_refine): each round evaluates three times in one batch
-and fits a parabola to each of the gap's two branches, so a smooth minimum
-sits at a vertex and a kink where the branches cross. Its tolerance is
+within CERTIFY_RTOL of its best gap; after its first pass it re-bounds only
+the intervals whose knots a split changed, one scalar bound at a time. A
+model search then refines each window's best knot (_refine): each round
+evaluates three times in one batch and fits a parabola to each of the gap's
+two branches, so a smooth minimum sits at a vertex and a kink where the
+branches cross. Its tolerance is
 absolute in t: at a smooth minimum with curvature g'', a position error d
 costs about g'' d^2 / 2, which is at rounding level once d is about
 sqrt(eps), whatever |t| is, so the tolerance is sqrt(eps) plus the float
@@ -70,6 +72,7 @@ MAX_KNOTS = 1 << 20
 
 _REDRAW_LIMIT = 64
 _EPS = float(np.finfo(float).eps)
+_INF, _NAN = math.inf, math.nan
 # Rounding slack of one evaluated gap's arithmetic, in units of
 # eps * (||X_a||_F + ||X_b||_F); the search adds that of its phases (see
 # _certified_search).
@@ -77,6 +80,9 @@ _SLACK_UNITS = 8.0
 _EVAL_CHUNK = 16384
 
 _HISTOGRAM_EDGES = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, math.inf)
+_HISTOGRAM_LABELS = tuple(
+    f"[{lo:g}, {hi:g})" for lo, hi in zip(_HISTOGRAM_EDGES, _HISTOGRAM_EDGES[1:])
+)
 
 
 @dataclass(frozen=True)
@@ -310,54 +316,76 @@ def _curvature(frames: tuple[EigenFrame, EigenFrame]) -> float:
     return (1.0 + _SLACK_UNITS * dim * _EPS) * norms
 
 
-def _secant_bounds(gs: np.ndarray, h: np.ndarray, curv: float, slack: float) -> np.ndarray:
-    """A lower bound of the gap on each interval from its neighbours' secants, or -inf.
+def _interval_bound(ts: list, gs: list, i: int, lip: float, curv: float, slack: float) -> float:
+    """A lower bound of the gap on [ts[i], ts[i + 1]]: the larger of its cone and its secant bound.
 
-    g + K (t - c)^2 / 2 is convex for any c (_curvature), so on an interval
-    I of width h with midpoint c the secant of that function through a
-    neighbouring interval, extended over I, lies below it. Written for the
-    gap, the left neighbour (width h', secant slope d of g) gives the line
-    g_i + s (d - K (h' + h) / 2) over s in [0, h], after the K h^2 / 8 that
-    (t - c)^2 <= h^2 / 4 costs; the right neighbour gives its mirror image
-    from g_{i+1}. The gap on I is at least the larger of the two lines, and
-    the smallest value of that maximum over I is the largest, over weights
-    w in [0, 1], of the smaller end of w * left + (1 - w) * right. The
-    candidates w = 1 (the left line alone), w = 0 (the right one) and the w
-    at which that mix is flat reach it; the edge intervals have one line.
+    The cone is (g_i + g_{i+1} - L h) / 2 - slack (_certified_search). The
+    secant bound: g + K (t - c)^2 / 2 is convex for any c (_curvature), so on
+    an interval I of width h with midpoint c the secant of that function
+    through a neighbouring interval, extended over I, lies below it. Written
+    for the gap, the left neighbour (width h', secant slope d of g) gives the
+    line g_i + s (d - K (h' + h) / 2) over s in [0, h], after the K h^2 / 8
+    that (t - c)^2 <= h^2 / 4 costs; the right neighbour gives its mirror
+    image from g_{i+1}. The gap on I is at least the larger of the two lines,
+    and the smallest value of that maximum over I is the largest, over
+    weights w in [0, 1], of the smaller end of w * left + (1 - w) * right.
+    The candidates w = 1 (the left line alone), w = 0 (the right one) and the
+    w at which that mix is flat reach it; the edge intervals have one line.
+    So the bound reads the knots i - 1 to i + 2 and nothing else.
 
     Each knot's gap is off by at most ``slack``, so an extended line is off
     by at most slack (1 + 2 h / h'), and its arithmetic, a few roundings of
     at most eps / 2 each, by at most 8 eps (g + h |d| + K (h' + h) h / 2).
     Each line's allowance is their sum, e; a mix is off by at most the
     larger e, and its own rounding by 2 eps times the two lines' sizes, at
-    most a quarter of e_left + e_right. Where a bound is not finite (huge h,
-    or a neighbour far narrower than I), the interval keeps its cone.
+    most a quarter of e_left + e_right. Where the secant bound is not finite
+    (huge h, or a neighbour far narrower than I), the interval keeps its cone.
+
+    The arithmetic is that of numpy's elementwise rules, on Python floats:
+    maxima and minima propagate NaN except the one fmax, which skips it; a
+    division by zero gives NaN or a signed infinity instead of raising; and
+    nothing is raised to a power, which can raise OverflowError.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rise = np.diff(gs)
-        slope = rise / h
-        # knot k (interior) starts two lines: row 0 continues the secant of
-        # interval k - 1 over interval k, row 1 that of interval k over k - 1
-        own = np.stack((h[1:], h[:-1]))
-        near = own[::-1]
-        run = own * np.stack((slope[:-1], -slope[1:]))
-        bend = (near + own) * own * (curv / 2.0)
-        line_drop = run - bend
-        line_err = slack + 2.0 * slack * own / near + 8.0 * _EPS * (gs[1:-1] + np.abs(run) + bend)
-        # per interval, its left and right line; an edge's missing line has allowance inf
-        drop, err = np.zeros((2, h.size)), np.full((2, h.size), np.inf)
-        drop[0, 1:], err[0, 1:] = line_drop[0], line_err[0]
-        drop[1, :-1], err[1, :-1] = line_drop[1], line_err[1]
-        (dl, dr), (el, er) = drop, err
-        # the weight at which the mix w * left + (1 - w) * right is flat
-        w = np.minimum(np.maximum(dr / (dl + dr), 0.0), 1.0)
-        g_r = gs[1:]
-        mixed = np.minimum(g_r + dr - w * (rise + dr), g_r - w * (rise - dl))
-        lower = np.fmax(
-            np.maximum(gs[:-1] + np.minimum(dl, 0.0) - el, g_r + np.minimum(dr, 0.0) - er),
-            mixed - (np.maximum(el, er) + (el + er) / 4.0),
-        )
-    return np.where(np.isfinite(lower), lower, -np.inf)
+    t0, t1, g0, g1 = ts[i], ts[i + 1], gs[i], gs[i + 1]
+    h = t1 - t0
+    half = curv / 2.0
+    dl, el, dr, er = 0.0, _INF, 0.0, _INF  # an edge's missing line has allowance inf
+    if i:  # the secant of interval i - 1, continued over i
+        near = t0 - ts[i - 1]
+        run = h * _divide(g0 - gs[i - 1], near)
+        bend = (near + h) * h * half
+        dl = run - bend
+        el = slack + _divide(2.0 * slack * h, near) + 8.0 * _EPS * (g0 + abs(run) + bend)
+    if i + 2 < len(ts):  # that of interval i + 1, continued back over i
+        near = ts[i + 2] - t1
+        run = h * -_divide(gs[i + 2] - g1, near)
+        bend = (near + h) * h * half
+        dr = run - bend
+        er = slack + _divide(2.0 * slack * h, near) + 8.0 * _EPS * (g1 + abs(run) + bend)
+    # the weight at which the mix w * left + (1 - w) * right is flat
+    w = _divide(dr, dl + dr)
+    if w < 0.0:
+        w = 0.0
+    elif w > 1.0:
+        w = 1.0
+    rise = g1 - g0
+    x, y = g1 + dr - w * (rise + dr), g1 - w * (rise - dl)
+    mixed = y if y < x or y != y else x
+    x, y = g0 + (0.0 if dl >= 0.0 else dl) - el, g1 + (0.0 if dr >= 0.0 else dr) - er
+    single = y if y > x or y != y else x
+    mixed -= (er if er > el or er != er else el) + (el + er) / 4.0
+    lower = mixed if mixed > single or single != single else single
+    if not -_INF < lower < _INF:
+        lower = -_INF
+    cone = (g0 + g1 - lip * h) / 2.0 - slack
+    return lower if lower > cone else cone
+
+
+def _divide(x: float, y: float) -> float:
+    """x / y; at y = 0 (knots may repeat), numpy's NaN for x = 0 or NaN, else a signed inf."""
+    if y:
+        return x / y
+    return _NAN if x == 0.0 or x != x else math.copysign(_INF, x) * math.copysign(1.0, y)
 
 
 def _lipschitz(frames: tuple[EigenFrame, EigenFrame]) -> float:
@@ -391,15 +419,25 @@ def _certified_search(
     in norm, so the gap by at most eps |t| L / 2 <= eps T L / 2.
     Near a smooth minimum that cone is off by about L h / 2, so on its own it
     certifies only once h is about 2 CERTIFY_RTOL gap / L. The interval's
-    bound is therefore the larger of the cone and the second-order bound of
-    _secant_bounds, which extends the secants of its neighbours over it and
-    takes off K h^2 / 8 and a little more, K = _curvature(frames): its error
-    shrinks like K h^2 rather than L h. Where that bound is not finite the
-    cone stands alone.
+    bound (_interval_bound) is therefore the larger of the cone and a
+    second-order bound, which extends the secants of its neighbours over it
+    and takes off K h^2 / 8 and a little more, K = _curvature(frames): its
+    error shrinks like K h^2 rather than L h. Where that bound is not finite
+    the cone stands alone.
     Each round evaluates, in one batch, the midpoints of every interval whose
     bound is below (1 - CERTIFY_RTOL) times the best knot gap of a window
     containing it, unless L h is already within twice the slack or the
-    midpoint is no longer a new float; a search that would hold more than
+    midpoint is no longer a new float. The first pass bounds every interval;
+    after it, a round re-bounds only the two halves of each interval it split
+    and the interval on each side of that one, since an interval's bound
+    reads its knots i - 1 to i + 2 and nothing else, and applies the split
+    rule to those alone (Shubert's sequential method likewise bounds only the
+    intervals a new evaluation creates). An untouched interval cannot become
+    splittable: its bound, width and midpoint are unchanged, and each
+    window's best gap only falls as knots are added, so its threshold only
+    falls. So every round splits exactly the intervals the full rule would,
+    and the knots, bounds and results are those of bounding every interval
+    every round. A search that would hold more than
     MAX_KNOTS knots raises EffectdynError, before any gap is evaluated when
     the window alone implies it (below). Each window's minimum is then refined
     between the neighbors of its best knot (_refine), on a stencil of radius
@@ -475,37 +513,52 @@ def _certified_search(
     for f in frames:
         f.check_phases(top)
     branches = _gap_kernel(frames)
-    samples = np.stack((ts, _profile(branches, ts)))  # the knots and their gaps
+    gs, ts = _profile(branches, ts).tolist(), ts.tolist()
+    punctured = [t1 <= -PUNCTURED_RADIUS or t0 >= PUNCTURED_RADIUS for t0, t1 in zip(ts, ts[1:])]
+    # the best knot gap of the window, then of the punctured one, indexed by `punctured`
+    best = [min(gs), min((g for g, k in zip(gs, _knots(punctured)) if k), default=math.inf)]
+    bounds = [_interval_bound(ts, gs, i, lip, curv, slack) for i in range(len(punctured))]
+    touched = range(len(bounds))
     while True:
-        ts, gs = samples
-        h = np.diff(ts)
-        cone = (gs[:-1] + gs[1:] - lip * h) / 2.0 - slack
-        bounds = np.maximum(cone, _secant_bounds(gs, h, curv, slack))
-        punctured = (ts[1:] <= -PUNCTURED_RADIUS) | (ts[:-1] >= PUNCTURED_RADIUS)
-        best = np.where(punctured, np.min(gs, where=_knots(punctured), initial=np.inf), gs.min())
-        mids = ts[:-1] / 2.0 + ts[1:] / 2.0
-        split = np.flatnonzero(
-            (bounds < (1.0 - CERTIFY_RTOL) * best)
-            & (lip * h > 2.0 * slack)
-            & (ts[:-1] < mids)
-            & (mids < ts[1:])
-        )
-        if split.size == 0:
+        split, mids = [], []
+        for i in touched:
+            t0, t1 = ts[i], ts[i + 1]
+            mid = t0 / 2.0 + t1 / 2.0
+            if (
+                bounds[i] < (1.0 - CERTIFY_RTOL) * best[punctured[i]]
+                and lip * (t1 - t0) > 2.0 * slack
+                and t0 < mid < t1
+            ):
+                split.append(i)
+                mids.append(mid)
+        if not split:
             break
-        if ts.size + split.size > MAX_KNOTS:
+        if len(ts) + len(split) > MAX_KNOTS:
             raise _too_wide(lo, hi)
-        new = mids[split]
-        samples = np.insert(samples, split + 1, (new, _profile(branches, new)), axis=1)
+        gaps = _profile(branches, mids).tolist()
+        for i, t, g in zip(reversed(split), reversed(mids), reversed(gaps)):
+            ts.insert(i + 1, t)
+            gs.insert(i + 1, g)
+            punctured.insert(i, punctured[i])  # no interval has ±PUNCTURED_RADIUS inside
+            bounds.insert(i, -math.inf)
+            best[0] = min(best[0], g)
+            best[punctured[i]] = min(best[punctured[i]], g)
+        # the halves of split interval i, now i + r and i + r + 1 after the r
+        # splits before it, and the interval on each side read changed knots
+        changed = {j for r, i in enumerate(split) for j in range(i + r - 1, i + r + 3)}
+        touched = sorted(changed - {-1, len(bounds)})
+        for j in touched:
+            bounds[j] = _interval_bound(ts, gs, j, lip, curv, slack)
 
-    def bracket(inside: np.ndarray) -> tuple[int, tuple[float, float]]:
+    def bracket(inside: list[bool]) -> tuple[int, tuple[float, float]]:
         """The window's best knot k and the neighbours of k inside the window."""
-        k = int(np.argmin(np.where(_knots(inside), gs, np.inf)))
+        k = min((k for k, knot in enumerate(_knots(inside)) if knot), key=gs.__getitem__)
         return k, (
-            float(ts[k - 1] if k > 0 and inside[k - 1] else ts[k]),
-            float(ts[k + 1] if k < inside.size and inside[k] else ts[k]),
+            ts[k - 1] if k > 0 and inside[k - 1] else ts[k],
+            ts[k + 1] if k < len(inside) and inside[k] else ts[k],
         )
 
-    windows = [np.ones(h.size, dtype=bool)] + ([punctured] if punctured.any() else [])
+    windows = [[True] * len(bounds)] + ([punctured] if any(punctured) else [])
     picks = [bracket(inside) for inside in windows]
     distinct = list(dict.fromkeys(b for _, b in picks))
     refined = dict(zip(distinct, _refine(branches, distinct, lip, slack)))
@@ -513,8 +566,9 @@ def _certified_search(
     for inside, (k, b) in zip(windows, picks):
         t_ref, gap_ref = refined[b]
         if gap_ref > gs[k]:
-            t_ref, gap_ref = float(ts[k]), float(gs[k])
-        minima.append(_WindowMinimum(t_ref, gap_ref, max(0.0, float(np.min(bounds[inside])))))
+            t_ref, gap_ref = ts[k], gs[k]
+        lower = min(bound for bound, keep in zip(bounds, inside) if keep)
+        minima.append(_WindowMinimum(t_ref, gap_ref, max(0.0, lower)))
     return minima[0], minima[1] if len(minima) > 1 else None
 
 
@@ -525,12 +579,9 @@ def _too_wide(lo: float, hi: float) -> EffectdynError:
     )
 
 
-def _knots(intervals: np.ndarray) -> np.ndarray:
+def _knots(intervals: list[bool]) -> list[bool]:
     """Mask of the knots that bound at least one interval in the mask ``intervals``."""
-    knots = np.zeros(intervals.size + 1, dtype=bool)
-    knots[:-1] |= intervals
-    knots[1:] |= intervals
-    return knots
+    return [left or right for left, right in zip([False, *intervals], [*intervals, False])]
 
 
 def minimize_gap(a: Effect, b: Effect, cfg: ScanConfig) -> tuple[float, float]:
@@ -567,9 +618,17 @@ def _draw_pair(cfg: ScanConfig, trial: int) -> tuple[Effect, Effect, float] | No
 
 
 def _histogram(gaps: list[float]) -> dict:
-    counts = np.histogram(gaps, bins=_HISTOGRAM_EDGES)[0].tolist()
-    labels = [f"[{lo:g}, {hi:g})" for lo, hi in zip(_HISTOGRAM_EDGES, _HISTOGRAM_EDGES[1:])]
-    return {"bins": labels, "counts": counts}
+    """Counts of ``gaps`` per bin of _HISTOGRAM_EDGES, as np.histogram counts them.
+
+    The bins are half-open but the last, [1, inf], which is closed; a value
+    outside [0, inf] (or NaN) counts nowhere.
+    """
+    edges = _HISTOGRAM_EDGES
+    x = np.asarray(gaps, dtype=float)
+    slot = np.searchsorted(edges, x, side="right")  # bin j holds slot j + 1
+    slot[x == edges[-1]] = len(edges) - 1
+    counts = np.bincount(slot, minlength=len(edges) + 1)[1 : len(edges)].tolist()
+    return {"bins": list(_HISTOGRAM_LABELS), "counts": counts}
 
 
 def conjecture_scan(cfg: ScanConfig) -> ScanResult:

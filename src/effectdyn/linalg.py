@@ -90,7 +90,16 @@ def eigh(m) -> SpectralDecomposition:
     Raises NonHermitianError when the input fails the Hermiticity check;
     eigenvalues come back ascending and real.
     """
-    h = require_hermitian(m)
+    return hermitian_eigh(require_hermitian(m))
+
+
+def hermitian_eigh(h: np.ndarray) -> SpectralDecomposition:
+    """Spectral decomposition of a matrix that is already Hermitian bit for bit, unchecked.
+
+    For a matrix that has been through require_hermitian or an admission,
+    (H + H†)/2 is H itself, so eigh's check and symmetrization would only
+    repeat work. The arrays returned are read-only.
+    """
     w, v = np.linalg.eigh(h)
     return SpectralDecomposition(_readonly(w), _readonly(v))
 

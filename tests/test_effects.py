@@ -9,6 +9,7 @@ from effectdyn import (
     evolve_state,
     explorer,
     identity_effect,
+    linalg,
     maximally_mixed_state,
     probability,
     sequential_product,
@@ -17,7 +18,7 @@ from effectdyn import (
     verify_coexistence_witness,
     zero_effect,
 )
-from effectdyn.effects import product_tol
+from effectdyn.effects import SQRT_ZERO_CUTOFF, product_tol
 from effectdyn.errors import (
     DimensionMismatchError,
     NonHermitianError,
@@ -76,6 +77,38 @@ def test_validate_effect_tolerates_roundoff_overshoot():
 def test_effect_sqrt_known_value():
     e = validate_effect(np.diag([1.0, 0.5]))
     assert np.allclose(e.sqrt, np.diag([1.0, 2.0 ** -0.5]), atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_decomposition_eigensolves_the_stored_matrix_as_is(monkeypatch, dim):
+    # admission stores (M + M†)/2, which is Hermitian bit for bit, so the
+    # cached decomposition is linalg.eigh's without its check: here M has a
+    # round-off asymmetry that admission removes
+    rng = np.random.default_rng(dim)
+    effects = [random_effect(dim, rng), explorer.random_effect(dim, rng)]
+    skewed = random_effect(dim, rng).matrix.copy()
+    skewed[0, -1] += 1e-13j
+    effects.append(validate_effect(skewed))
+    for e in effects:
+        assert np.array_equal(linalg.require_hermitian(e.matrix), e.matrix)
+    expected = [linalg.eigh(e.matrix) for e in effects]
+
+    def refuse(m):
+        raise AssertionError("an admitted matrix is checked again")
+
+    monkeypatch.setattr(linalg, "require_hermitian", refuse)
+    monkeypatch.setattr(linalg, "hermitian_parts", refuse)
+    for e, d in zip(effects, expected):
+        got = e.decomposition
+        assert got.eigenvalues.tobytes() == d.eigenvalues.tobytes()
+        assert got.vectors.tobytes() == d.vectors.tobytes()
+        assert not got.eigenvalues.flags.writeable and not got.vectors.flags.writeable
+        roots = e.sqrt_eigenvalues
+        assert roots is e.sqrt_eigenvalues  # cached: one array per effect
+        assert not roots.flags.writeable
+        w = np.clip(d.eigenvalues, 0.0, None)
+        w[w <= SQRT_ZERO_CUTOFF * max(1.0, e.eig_max)] = 0.0
+        assert np.array_equal(roots, np.sqrt(w))
 
 
 def test_effect_norm():

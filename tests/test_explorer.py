@@ -32,7 +32,7 @@ from effectdyn.explorer import (
     random_effect,
 )
 
-from support import random_commuting_pair
+from support import random_commuting_pair, reference_bounds
 
 # frozen at first build: random_effect(2, default_rng(42))
 SEED42_DIM2 = np.array(
@@ -253,6 +253,25 @@ def test_conjecture_scan_filter_soundness_and_ranking():
     assert sum(result.summary["histogram"]["counts"]) == len(result.records)
 
 
+def test_histogram_counts_as_np_histogram():
+    # half-open bins and a closed last one, [1, inf]: every edge, its float
+    # neighbours, inf, values outside [0, inf] and NaN, and random gaps
+    edges = np.array(explorer._HISTOGRAM_EDGES)
+    rng = np.random.default_rng(0)
+    cases = [
+        [],
+        edges.tolist(),
+        np.nextafter(edges, -np.inf).tolist(),
+        np.nextafter(edges, np.inf).tolist(),
+        [math.inf, math.inf, -0.0, -1e-300, math.nan, 2.0],
+    ]
+    cases += [(10.0 ** rng.uniform(-14.0, 1.0, n)).tolist() for n in (1, 7, 300)]
+    for gaps in cases:
+        histogram = explorer._histogram(gaps)
+        assert histogram["counts"] == np.histogram(gaps, bins=edges)[0].tolist(), gaps
+        assert histogram["bins"][0] == "[0, 1e-12)" and histogram["bins"][-1] == "[1, inf)"
+
+
 def test_conjecture_scan_high_floor_skips_all():
     # ||[a,b]|| <= 2||a|| ||b|| <= 2, so a floor of 3 filters every draw and
     # exercises the bounded-redraw path
@@ -415,6 +434,93 @@ def test_final_intervals_fit_the_up_front_refusal(monkeypatch):
             ts = np.unique(np.concatenate(batches))
             assert ts[0] == 0.0 and ts[-1] == hi
             assert np.diff(ts).max() <= (1.0 + 8.0 * eps) * widest
+
+
+def _search_slack(frames, window) -> float:
+    """The search's slack on ``window`` (_certified_search)."""
+    eps = np.finfo(float).eps
+    scale = sum(np.linalg.norm(f.x) for f in frames)
+    top = max(abs(x) for x in window)
+    return explorer._SLACK_UNITS * eps * scale + eps * top * explorer._lipschitz(frames) / 2.0
+
+
+@pytest.mark.parametrize("window", [(-4.0 * math.pi, 4.0 * math.pi), (1e4, 1e4 + 8.0 * math.pi)])
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_finished_search_is_a_fixed_point_of_the_full_rule(monkeypatch, dim, window):
+    # the search re-bounds only the intervals a split changes; bounding every
+    # final interval afresh with the vectorized reference must give the same
+    # window bounds bit for bit and leave no interval that the rule would split
+    profile = explorer._profile
+    batches = _record_knots(monkeypatch)
+    cfg = ScanConfig(dim=dim, t_window=window)
+    rebounded = 0
+    for seed in range(4):
+        rng = np.random.default_rng([dim, seed])
+        frames = explorer._frames(random_effect(dim, rng), random_effect(dim, rng))
+        batches.clear()
+        full, punctured = explorer._certified_search(frames, cfg)
+        ts = np.sort(np.concatenate(batches))
+        gs = profile(explorer._gap_kernel(frames), ts)
+        lip, slack = explorer._lipschitz(frames), _search_slack(frames, window)
+        bounds = reference_bounds(ts, gs, lip, explorer._curvature(frames), slack)
+        outer = (ts[1:] <= -PUNCTURED_RADIUS) | (ts[:-1] >= PUNCTURED_RADIUS)
+        assert full.lower == max(0.0, float(np.min(bounds)))
+        assert punctured.lower == max(0.0, float(np.min(bounds[outer])))
+        knots = np.zeros(ts.size, dtype=bool)
+        knots[:-1] |= outer
+        knots[1:] |= outer
+        best = np.where(outer, np.min(gs[knots]), np.min(gs))
+        mids = ts[:-1] / 2.0 + ts[1:] / 2.0
+        split = (
+            (bounds < (1.0 - CERTIFY_RTOL) * best)
+            & (lip * np.diff(ts) > 2.0 * slack)
+            & (ts[:-1] < mids)
+            & (mids < ts[1:])
+        )
+        assert not split.any()
+        rebounded += len(batches) > 1
+    assert rebounded >= 3  # most searches split intervals after their first pass
+
+
+def _degenerate_stencils():
+    """(ts, gs, lip, curv, slack) cases on which the bound's arithmetic divides by zero or overflows."""
+    rng = np.random.default_rng(0)
+    ts = np.linspace(0.0, 3.0, 7)
+    yield ts, np.full(7, 0.25), 1.0, 0.0, 1e-16  # curv = 0, constant gap: 0 / 0
+    yield ts, np.zeros(7), 0.0, 0.0, 0.0  # all zero, slack = 0
+    yield ts, rng.uniform(0.0, 1.0, 7), 2.0, 3.0, 0.0  # slack = 0
+    narrow = np.array([0.0, 1.0, 1.0 + 1e-6, 2.0 + 1e-6, 3.0, 3.0 + 1e-6, 4.0])
+    yield narrow, rng.uniform(0.0, 1.0, 7), 1.5, 2.0, 1e-16  # neighbours 10^6 times narrower
+    yield narrow, np.full(7, 0.5), 1.5, 0.0, 0.0
+    repeated = np.array([5.0, 5.0, 5.0, 6.0, 6.0, 7.0])  # knots repeat on a window a few floats wide
+    yield repeated, np.array([0.3, 0.3, 0.3, 0.2, 0.2, 0.4]), 1.0, 1.0, 1e-16
+    yield repeated, np.array([0.3, 0.3, 0.4, 0.2, 0.25, 0.4]), 1.0, 0.0, 0.0
+    for curv in (0.0, 1e-300, 1.0):
+        for gs in (np.full(4, 0.5), rng.uniform(0.0, 2.0, 4)):
+            for lip, slack in ((0.5, 0.0), (0.5, 1e-16), (4.0, 1e-16)):
+                # widths near 1e308, where the lines overflow (and with L = 4, the cones)
+                yield np.array([-1.7e308, -0.6e308, 0.5e308, 1.6e308]), gs, lip, curv, slack
+                yield np.array([-1.7e308, -1e-300, 0.0, 1.6e308]), gs, lip, curv, slack
+
+
+def test_interval_bound_matches_the_vectorized_reference():
+    # the scalar bound reproduces numpy's arithmetic: NaN-propagating maxima
+    # and minima, fmax, and x / 0, which Python would raise on; zeros are
+    # compared as values, since numpy itself signs them by the array's length
+    rng = np.random.default_rng(1)
+    cases = list(_degenerate_stencils())
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        ts = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, n))))
+        cases.append((ts, rng.uniform(0.0, 2.0, n + 1), *rng.uniform(0.0, 5.0, 2), 1e-15))
+    lowest = 0
+    for ts, gs, lip, curv, slack in cases:
+        ref = reference_bounds(ts, gs, lip, curv, slack)
+        tl, gl = ts.tolist(), gs.tolist()
+        got = [explorer._interval_bound(tl, gl, i, lip, curv, slack) for i in range(ts.size - 1)]
+        assert np.array_equal(got, ref), (ts, gs, lip, curv, slack)
+        lowest += int(np.sum(np.isneginf(ref)))
+    assert lowest > 0  # the overflowing widths reach -inf
 
 
 def test_lipschitz_constant_bounds_the_gap_slope():
