@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--tmin", type=_finite, default=d.t_window[0])
     p.add_argument("--tmax", type=_finite, default=d.t_window[1])
-    p.add_argument("--floor", type=float, default=d.commutator_floor)
+    p.add_argument("--floor", type=_finite, default=d.commutator_floor)
     p.add_argument("--out", default="scan", help="output prefix for .json/.csv")
     p.set_defaults(func=cmd_scan)
 

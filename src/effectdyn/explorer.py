@@ -11,10 +11,10 @@ interval's neighbours, extended over it, bound it from below to within
 K h^2 / 8: near a smooth minimum that second-order bound is within
 CERTIFY_RTOL at a spacing the cones reach only after 6-10 more halvings.
 An adaptive interval search starts from INITIAL_KNOTS evenly spaced knots
-and splits intervals until each window's bound, the better of the two, is
+and splits intervals until the window's bound, the better of the two, is
 within CERTIFY_RTOL of its best gap; after its first pass it re-bounds only
 the intervals whose knots a split changed, one scalar bound at a time. A
-model search then refines each window's best knot (_refine): each round
+model search then refines the best knot (_refine): each round
 evaluates three times in one batch and fits a parabola to each of the gap's
 two branches, so a smooth minimum sits at a vertex and a kink where the
 branches cross. Its tolerance is
@@ -27,7 +27,10 @@ symmetry_gap, through the dense cross-checked time_seq_product. A positive
 ``min_gap_lower`` proves a[t]b != b[t]a for every t in the window, and only
 there: the gap is almost periodic in t, so the window says nothing about t
 outside it. What exactly is certified, and to what rounding, is stated in
-_certified_search. A minimum below
+_certified_search. The window is searched whole, t = 0 included: a scanned
+pair does not commute, and a∘b = b∘a only if ab = ba (Gudder and Nagy,
+J. Math. Phys. 42, 2001), so its gap at t = 0, ||a∘b - b∘a||, is positive
+and no trivial zero there can hide a small gap elsewhere. A minimum below
 CANDIDATE_THRESHOLD is never reported as a counterexample, only as a
 candidate for independent high-precision verification, flagged by trial:
 its bracket is its record's [min_gap_lower, min_gap].
@@ -56,14 +59,10 @@ DEFAULT_COMMUTATOR_FLOOR = 1e-3
 # Grid minima below this are flagged for follow-up, never asserted.
 CANDIDATE_THRESHOLD = 1e-8
 CANDIDATE_LABEL = "candidate — requires independent high-precision verification"
-# Radius of the excluded neighborhood of t=0 for the punctured minima: at
-# t=0 the gap is ||a∘b - b∘a||, already governed by commutation, so minima
-# away from 0 are reported separately.
-PUNCTURED_RADIUS = 0.1
 # Evenly spaced knots the search starts from, before it places the rest itself.
 INITIAL_KNOTS = 64
 # The search splits an interval until its certified lower bound is within
-# this fraction of the best gap found in each window that contains it.
+# this fraction of the best gap found in the window.
 CERTIFY_RTOL = 1e-3
 # Most knots one search may hold. Its work grows linearly with the window's
 # width (up to about 3 knots per unit of t for dim-2 pairs), so a search that
@@ -114,8 +113,10 @@ class ScanConfig:
             raise EffectdynError(f"t_window must be finite with t_min < t_max, got {self.t_window}")
         if not 0 <= self.seed < 2**64:
             raise EffectdynError("seed must fit in 64 unsigned bits")
-        if not self.commutator_floor > 0.0:
-            raise EffectdynError("commutator_floor must be positive")
+        if not 0.0 < self.commutator_floor < math.inf:
+            raise EffectdynError(
+                f"commutator_floor must be positive and finite, got {self.commutator_floor!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,8 @@ class ScanRecord:
 
     ``min_gap_lower`` is a certified lower bound of the gap over the whole
     window, so the window minimum lies in [min_gap_lower, min_gap], the
-    bracket of a scan candidate.
-    ``punctured_*`` carry the same over the window with |t| < 0.1 removed
-    (None when the window lies inside the removed neighborhood). The fields
-    are in the order of the scan JSON record, the one place each result is written.
+    bracket of a scan candidate. The fields are in the order of the scan
+    JSON record, the one place each result is written.
     """
 
     trial: int
@@ -135,9 +134,6 @@ class ScanRecord:
     t_star: float
     min_gap: float
     min_gap_lower: float
-    punctured_t_star: float | None
-    punctured_min_gap: float | None
-    punctured_min_gap_lower: float | None
     a: Effect
     b: Effect
 
@@ -382,7 +378,7 @@ def _interval_bound(ts: list, gs: list, i: int, lip: float, curv: float, slack: 
 
 
 def _divide(x: float, y: float) -> float:
-    """x / y; at y = 0 (knots may repeat), numpy's NaN for x = 0 or NaN, else a signed inf."""
+    """x / y; at y = 0, numpy's NaN for x = 0 or NaN, else a signed inf."""
     if y:
         return x / y
     return _NAN if x == 0.0 or x != x else math.copysign(_INF, x) * math.copysign(1.0, y)
@@ -400,13 +396,13 @@ def _lipschitz(frames: tuple[EigenFrame, EigenFrame]) -> float:
 
 def _certified_search(
     frames: tuple[EigenFrame, EigenFrame], cfg: ScanConfig
-) -> tuple[_WindowMinimum, _WindowMinimum | None]:
-    """Gap minimum and certified lower bound over the window and the punctured window.
+) -> _WindowMinimum:
+    """Gap minimum and certified lower bound over the config window.
 
-    The punctured window removes |t| < PUNCTURED_RADIUS. Knots start as
-    INITIAL_KNOTS evenly spaced times plus ±PUNCTURED_RADIUS, so each
-    interval lies wholly inside or outside the removed neighborhood.
-    On an interval of length h between knots with gaps g_i and g_{i+1},
+    Knots start as INITIAL_KNOTS evenly spaced times, each distinct float
+    once (a window fewer than INITIAL_KNOTS floats wide has fewer), so no
+    interval has width 0. On an interval of length h between knots with
+    gaps g_i and g_{i+1},
 
         gap >= (g_i + g_{i+1} - L h)/2 - slack,   L = _lipschitz(frames),
 
@@ -425,26 +421,26 @@ def _certified_search(
     error shrinks like K h^2 rather than L h. Where that bound is not finite
     the cone stands alone.
     Each round evaluates, in one batch, the midpoints of every interval whose
-    bound is below (1 - CERTIFY_RTOL) times the best knot gap of a window
-    containing it, unless L h is already within twice the slack or the
-    midpoint is no longer a new float. The first pass bounds every interval;
-    after it, a round re-bounds only the two halves of each interval it split
-    and the interval on each side of that one, since an interval's bound
-    reads its knots i - 1 to i + 2 and nothing else, and applies the split
-    rule to those alone (Shubert's sequential method likewise bounds only the
-    intervals a new evaluation creates). An untouched interval cannot become
-    splittable: its bound, width and midpoint are unchanged, and each
-    window's best gap only falls as knots are added, so its threshold only
-    falls. So every round splits exactly the intervals the full rule would,
-    and the knots, bounds and results are those of bounding every interval
-    every round. A search that would hold more than
-    MAX_KNOTS knots raises EffectdynError, before any gap is evaluated when
-    the window alone implies it (below). Each window's minimum is then refined
-    between the neighbors of its best knot (_refine), on a stencil of radius
-    r that shrinks every round. It stops under the same rule as the
-    splitting, once L r is within twice the slack, so a constant gap is not
-    evaluated again, or once its model predicts no gain beyond the slack and
-    r is within the absolute tolerance tol = sqrt(eps) + 4 eps |t| + slack / L:
+    bound is below (1 - CERTIFY_RTOL) times the best knot gap, unless L h is
+    already within twice the slack or the midpoint is no longer a new float.
+    The first pass bounds every interval; after it, a round re-bounds only
+    the two halves of each interval it split and the interval on each side
+    of that one, since an interval's bound reads its knots i - 1 to i + 2
+    and nothing else, and applies the split rule to those alone (Shubert's
+    sequential method likewise bounds only the intervals a new evaluation
+    creates). An untouched interval cannot become
+    splittable: its bound, width and midpoint are unchanged, and the best
+    gap only falls as knots are added, so its threshold only falls. So every
+    round splits exactly the intervals the full rule would, and the knots,
+    bounds and results are those of bounding every interval every round. A
+    search that would hold more than MAX_KNOTS knots raises EffectdynError,
+    before any gap is evaluated when the window alone implies it (below).
+    The minimum is then refined between the neighbors of the best knot
+    (_refine), on a stencil of radius r that shrinks every round. It stops
+    under the same rule as the splitting, once L r is within twice the
+    slack, so a constant gap is not evaluated again, or once its model
+    predicts no gain beyond the slack and r is within the absolute
+    tolerance tol = sqrt(eps) + 4 eps |t| + slack / L:
     near a smooth minimum t* the gap is about g* + g'' (t - t*)^2 / 2, so a
     position error of sqrt(eps) costs about g'' eps / 2, rounding level, at
     any |t|, while the usual sqrt(eps) |t| would cost g'' eps t^2 / 2, about
@@ -453,11 +449,9 @@ def _certified_search(
     its rounding. Where the minimum is a kink, a crossing of the branches
     λ_max and -λ_min of a[t]b - b[t]a, the gap is not smooth and a position
     error d costs about |slope| d; there the model's minimum is the crossing
-    of its two parabolas, each within O(r^3) of its branch. The two windows'
-    refinements run in lockstep rounds, one kernel call per round for the
-    stencils of both; a bracket the two windows share is refined once, and
-    a window keeps its best knot if the refinement ends above it. Knots,
-    midpoints and refinement points all go through one kernel, _gap_kernel.
+    of its two parabolas, each within O(r^3) of its branch. The search keeps
+    its best knot if the refinement ends above it. Knots, midpoints and
+    refinement points all go through one kernel, _gap_kernel.
 
     What is certified is the gap as the frames compute it. The frames hold
     the eigenvalues of a and b as computed in float64; at an eigenvalue
@@ -507,17 +501,13 @@ def _certified_search(
         and hi - lo > MAX_KNOTS * 2.0 * ulp
     ):
         raise _too_wide(lo, hi)
-    ts = np.linspace(lo, hi, INITIAL_KNOTS)
-    extra = [x for x in (-PUNCTURED_RADIUS, PUNCTURED_RADIUS) if lo < x < hi and x not in ts]
-    ts = np.insert(ts, np.searchsorted(ts, extra), extra)
+    ts = np.unique(np.linspace(lo, hi, INITIAL_KNOTS))  # linspace repeats floats on a narrow window
     for f in frames:
         f.check_phases(top)
     branches = _gap_kernel(frames)
     gs, ts = _profile(branches, ts).tolist(), ts.tolist()
-    punctured = [t1 <= -PUNCTURED_RADIUS or t0 >= PUNCTURED_RADIUS for t0, t1 in zip(ts, ts[1:])]
-    # the best knot gap of the window, then of the punctured one, indexed by `punctured`
-    best = [min(gs), min((g for g, k in zip(gs, _knots(punctured)) if k), default=math.inf)]
-    bounds = [_interval_bound(ts, gs, i, lip, curv, slack) for i in range(len(punctured))]
+    best = min(gs)
+    bounds = [_interval_bound(ts, gs, i, lip, curv, slack) for i in range(len(ts) - 1)]
     touched = range(len(bounds))
     while True:
         split, mids = [], []
@@ -525,7 +515,7 @@ def _certified_search(
             t0, t1 = ts[i], ts[i + 1]
             mid = t0 / 2.0 + t1 / 2.0
             if (
-                bounds[i] < (1.0 - CERTIFY_RTOL) * best[punctured[i]]
+                bounds[i] < (1.0 - CERTIFY_RTOL) * best
                 and lip * (t1 - t0) > 2.0 * slack
                 and t0 < mid < t1
             ):
@@ -539,10 +529,8 @@ def _certified_search(
         for i, t, g in zip(reversed(split), reversed(mids), reversed(gaps)):
             ts.insert(i + 1, t)
             gs.insert(i + 1, g)
-            punctured.insert(i, punctured[i])  # no interval has ±PUNCTURED_RADIUS inside
             bounds.insert(i, -math.inf)
-            best[0] = min(best[0], g)
-            best[punctured[i]] = min(best[punctured[i]], g)
+        best = min(best, *gaps)
         # the halves of split interval i, now i + r and i + r + 1 after the r
         # splits before it, and the interval on each side read changed knots
         changed = {j for r, i in enumerate(split) for j in range(i + r - 1, i + r + 3)}
@@ -550,26 +538,12 @@ def _certified_search(
         for j in touched:
             bounds[j] = _interval_bound(ts, gs, j, lip, curv, slack)
 
-    def bracket(inside: list[bool]) -> tuple[int, tuple[float, float]]:
-        """The window's best knot k and the neighbours of k inside the window."""
-        k = min((k for k, knot in enumerate(_knots(inside)) if knot), key=gs.__getitem__)
-        return k, (
-            ts[k - 1] if k > 0 and inside[k - 1] else ts[k],
-            ts[k + 1] if k < len(inside) and inside[k] else ts[k],
-        )
-
-    windows = [[True] * len(bounds)] + ([punctured] if any(punctured) else [])
-    picks = [bracket(inside) for inside in windows]
-    distinct = list(dict.fromkeys(b for _, b in picks))
-    refined = dict(zip(distinct, _refine(branches, distinct, lip, slack)))
-    minima = []
-    for inside, (k, b) in zip(windows, picks):
-        t_ref, gap_ref = refined[b]
-        if gap_ref > gs[k]:
-            t_ref, gap_ref = ts[k], gs[k]
-        lower = min(bound for bound, keep in zip(bounds, inside) if keep)
-        minima.append(_WindowMinimum(t_ref, gap_ref, max(0.0, lower)))
-    return minima[0], minima[1] if len(minima) > 1 else None
+    k = gs.index(best)
+    bracket = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+    [(t_ref, gap_ref)] = _refine(branches, [bracket], lip, slack)
+    if gap_ref > gs[k]:
+        t_ref, gap_ref = ts[k], gs[k]
+    return _WindowMinimum(t_ref, gap_ref, max(0.0, min(bounds)))
 
 
 def _too_wide(lo: float, hi: float) -> EffectdynError:
@@ -577,11 +551,6 @@ def _too_wide(lo: float, hi: float) -> EffectdynError:
         f"the certified search over a window of width {hi - lo!r} needs more than "
         f"{MAX_KNOTS} knots; narrow the window"
     )
-
-
-def _knots(intervals: list[bool]) -> list[bool]:
-    """Mask of the knots that bound at least one interval in the mask ``intervals``."""
-    return [left or right for left, right in zip([False, *intervals], [*intervals, False])]
 
 
 def minimize_gap(a: Effect, b: Effect, cfg: ScanConfig) -> tuple[float, float]:
@@ -597,8 +566,8 @@ def minimize_gap(a: Effect, b: Effect, cfg: ScanConfig) -> tuple[float, float]:
         raise CommutingPairError(
             f"pair commutes within floor {cfg.commutator_floor}; gap search is uninformative"
         )
-    full, _ = _certified_search(_frames(a, b), cfg)
-    return full.t_star, full.min_gap
+    found = _certified_search(_frames(a, b), cfg)
+    return found.t_star, found.min_gap
 
 
 def commutator_norm(a: Effect, b: Effect) -> float:
@@ -636,7 +605,7 @@ def conjecture_scan(cfg: ScanConfig) -> ScanResult:
 
     Per trial: draw a pair (redrawing while ||[a,b]|| is under the floor,
     bounded attempts), build its two eigenframes, and run the certified
-    search with them over the window and the punctured window. The summary
+    search with them over the window. The summary
     holds only what no record does: the counts of recorded and skipped
     trials and of trials whose window lower bound is positive, the histogram
     of min_gap, and, in trial order, each trial with min_gap below
@@ -651,17 +620,14 @@ def conjecture_scan(cfg: ScanConfig) -> ScanResult:
             skipped += 1
             continue
         a, b, norm = drawn
-        full, punctured = _certified_search(_frames(a, b), cfg)
+        found = _certified_search(_frames(a, b), cfg)
         records.append(
             ScanRecord(
                 trial=trial,
                 commutator_norm=norm,
-                t_star=full.t_star,
-                min_gap=full.min_gap,
-                min_gap_lower=full.lower,
-                punctured_t_star=None if punctured is None else punctured.t_star,
-                punctured_min_gap=None if punctured is None else punctured.min_gap,
-                punctured_min_gap_lower=None if punctured is None else punctured.lower,
+                t_star=found.t_star,
+                min_gap=found.min_gap,
+                min_gap_lower=found.lower,
                 a=a,
                 b=b,
             )

@@ -300,9 +300,22 @@ def scan_csv(result: ScanResult) -> str:
     return _csv(["trial", "commutator_norm", "t_star", "min_gap"], table)
 
 
+# Keys of the retired punctured window (|t| >= 0.1), still written before
+# "a" in every record, always null ("no punctured window"), so that readers of
+# the older schema, bench/reference.py's check_scan among them, keep working.
+_NULL_PUNCTURED = dict.fromkeys(("punctured_t_star", "punctured_min_gap", "punctured_min_gap_lower"))
+
+
 def scan_json(cfg: ScanConfig, result: ScanResult) -> str:
-    """The config, the summary and the records; config and record keys in dataclass field order."""
-    records = [_fields_document(r) for r in result.records]
+    """The config, the summary and the records; config and record keys in dataclass field order.
+
+    Each record also holds the _NULL_PUNCTURED keys, all null, before its pair.
+    """
+    records = []
+    for r in result.records:
+        doc = _fields_document(r)
+        pair = {"a": doc.pop("a"), "b": doc.pop("b")}
+        records.append({**doc, **_NULL_PUNCTURED, **pair})
     doc = {"config": _fields_document(cfg), "summary": result.summary, "records": records}
     return to_json(doc) + "\n"
 

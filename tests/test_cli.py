@@ -678,6 +678,8 @@ def test_observable_file_of_mixed_dimensions_is_invalid_input(files, capsys):
         ["evolve", "@a", "@b", "--t0=-1e308", "--t1=1e308", "--steps", "2"],
         ["scan", "--trials", "1", "--tmax", "inf", "--out", "@root"],
         ["scan", "--trials", "1", "--tmin=-1e308", "--tmax=1e308", "--out", "@root"],
+        ["scan", "--trials", "3", "--floor", "inf", "--out", "@root"],
+        ["scan", "--trials", "3", "--floor", "nan", "--out", "@root"],
         ["--tol", "nan", "evolve", "@a", "@b"],
     ],
     ids=" ".join,

@@ -28,7 +28,6 @@ from effectdyn.explorer import (
     CANDIDATE_LABEL,
     CANDIDATE_THRESHOLD,
     CERTIFY_RTOL,
-    PUNCTURED_RADIUS,
     random_effect,
 )
 
@@ -159,6 +158,10 @@ def test_scan_config_validation():
         ScanConfig(commutator_floor=0.0)
     with pytest.raises(EffectdynError):
         ScanConfig(seed=-1)
+    # an infinite floor would redraw every pair and write Infinity, which is not JSON
+    for floor in (math.inf, math.nan):
+        with pytest.raises(EffectdynError, match="commutator_floor must be positive and finite"):
+            ScanConfig(commutator_floor=floor)
 
 
 @pytest.mark.parametrize("field", ["dim", "trials", "seed"])
@@ -234,11 +237,6 @@ def test_conjecture_scan_filter_soundness_and_ranking():
     for r in result.records:
         assert r.commutator_norm >= cfg.commutator_floor
         assert r.min_gap >= 0.0
-        assert r.punctured_min_gap is not None
-        # both values are refinement-limited upper bounds of their window
-        # minima, so they may cross at convergence-tolerance level when the
-        # minimizer sits just outside the removed neighborhood
-        assert r.punctured_min_gap >= r.min_gap - 1e-8
     # the records are the one place each result is written, in trial order;
     # the summary only counts and flags them
     assert [r.trial for r in result.records] == list(range(6))
@@ -281,20 +279,6 @@ def test_conjecture_scan_high_floor_skips_all():
     assert result.summary["skipped"] == 3
 
 
-def test_punctured_window_semantics():
-    rng = np.random.default_rng(17)
-    a, b = random_effect(2, rng), random_effect(2, rng)
-    # window strictly inside the removed neighborhood: no punctured minimum
-    tight = ScanConfig(
-        dim=2,
-        trials=1,
-        t_window=(-PUNCTURED_RADIUS / 2, PUNCTURED_RADIUS / 2),
-        seed=17,
-    )
-    result = conjecture_scan(tight)
-    assert all(r.punctured_min_gap is None for r in result.records)
-
-
 def test_candidate_label_is_cautious():
     assert "candidate" in CANDIDATE_LABEL
     assert "counterexample" not in CANDIDATE_LABEL
@@ -308,14 +292,6 @@ def test_scan_candidates_empty_for_generic_draws():
 
 
 # -- certified search ---------------------------------------------------------
-
-
-def _dense_minima(a, b, lo, hi):
-    """The gap's minima over 10⁵ + 1 evenly spaced times in [lo, hi]: all, and |t| >= R."""
-    ts = np.linspace(lo, hi, 100_001)
-    outer = np.abs(ts) >= PUNCTURED_RADIUS
-    punctured = _dense_minimum(a, b, ts[outer])
-    return min(punctured, _dense_minimum(a, b, ts[~outer])), punctured
 
 
 def _dense_minimum(a, b, ts):
@@ -354,12 +330,10 @@ def test_certified_lower_bounds_hold_against_dense_minima():
             lo, hi = cfg.t_window
             h = (hi - lo) / (explorer.INITIAL_KNOTS - 1)
             for r in conjecture_scan(cfg).records:
-                dense, punctured = _dense_minima(r.a, r.b, lo, hi)
+                dense = _dense_minimum(r.a, r.b, np.linspace(lo, hi, 100_001))
                 assert 0.0 <= r.min_gap_lower <= min(dense, r.min_gap)
-                assert 0.0 <= r.punctured_min_gap_lower <= min(punctured, r.punctured_min_gap)
                 # certified to CERTIFY_RTOL of the reported minimum
                 assert r.min_gap_lower >= (1.0 - CERTIFY_RTOL) * r.min_gap
-                assert r.punctured_min_gap_lower >= (1.0 - CERTIFY_RTOL) * r.punctured_min_gap
                 if dense > explorer._lipschitz(explorer._frames(r.a, r.b)) * h:
                     exercised += 1
                     assert r.min_gap_lower > 0.0
@@ -383,11 +357,10 @@ def test_secant_bound_is_exact_on_a_concave_cap(monkeypatch):
         return top - curv * (np.asarray(t, dtype=float) - mid) ** 2 / 2.0
 
     monkeypatch.setattr(explorer, "_gap_kernel", lambda _frames: lambda t: (gap(t), gap(t)))
-    assert hi > 2.0 * PUNCTURED_RADIUS
-    full, punctured = explorer._certified_search(frames, ScanConfig(dim=3, t_window=(0.0, hi)))
-    for window, lowest in ((full, gap(0.0)), (punctured, min(gap(PUNCTURED_RADIUS), gap(hi)))):
-        assert lowest - 1e-12 <= window.lower <= lowest
-        assert window.min_gap == lowest
+    found = explorer._certified_search(frames, ScanConfig(dim=3, t_window=(0.0, hi)))
+    lowest = gap(0.0)
+    assert lowest - 1e-12 <= found.lower <= lowest
+    assert found.min_gap == lowest
 
 
 def _record_knots(monkeypatch) -> list:
@@ -458,21 +431,15 @@ def test_finished_search_is_a_fixed_point_of_the_full_rule(monkeypatch, dim, win
         rng = np.random.default_rng([dim, seed])
         frames = explorer._frames(random_effect(dim, rng), random_effect(dim, rng))
         batches.clear()
-        full, punctured = explorer._certified_search(frames, cfg)
+        found = explorer._certified_search(frames, cfg)
         ts = np.sort(np.concatenate(batches))
         gs = profile(explorer._gap_kernel(frames), ts)
         lip, slack = explorer._lipschitz(frames), _search_slack(frames, window)
         bounds = reference_bounds(ts, gs, lip, explorer._curvature(frames), slack)
-        outer = (ts[1:] <= -PUNCTURED_RADIUS) | (ts[:-1] >= PUNCTURED_RADIUS)
-        assert full.lower == max(0.0, float(np.min(bounds)))
-        assert punctured.lower == max(0.0, float(np.min(bounds[outer])))
-        knots = np.zeros(ts.size, dtype=bool)
-        knots[:-1] |= outer
-        knots[1:] |= outer
-        best = np.where(outer, np.min(gs[knots]), np.min(gs))
+        assert found.lower == max(0.0, float(np.min(bounds)))
         mids = ts[:-1] / 2.0 + ts[1:] / 2.0
         split = (
-            (bounds < (1.0 - CERTIFY_RTOL) * best)
+            (bounds < (1.0 - CERTIFY_RTOL) * np.min(gs))
             & (lip * np.diff(ts) > 2.0 * slack)
             & (ts[:-1] < mids)
             & (mids < ts[1:])
@@ -492,7 +459,7 @@ def _degenerate_stencils():
     narrow = np.array([0.0, 1.0, 1.0 + 1e-6, 2.0 + 1e-6, 3.0, 3.0 + 1e-6, 4.0])
     yield narrow, rng.uniform(0.0, 1.0, 7), 1.5, 2.0, 1e-16  # neighbours 10^6 times narrower
     yield narrow, np.full(7, 0.5), 1.5, 0.0, 0.0
-    repeated = np.array([5.0, 5.0, 5.0, 6.0, 6.0, 7.0])  # knots repeat on a window a few floats wide
+    repeated = np.array([5.0, 5.0, 5.0, 6.0, 6.0, 7.0])  # zero-width intervals
     yield repeated, np.array([0.3, 0.3, 0.3, 0.2, 0.2, 0.4]), 1.0, 1.0, 1e-16
     yield repeated, np.array([0.3, 0.3, 0.4, 0.2, 0.25, 0.4]), 1.0, 0.0, 0.0
     for curv in (0.0, 1e-300, 1.0):
@@ -586,7 +553,7 @@ def _record_refinements(monkeypatch) -> list:
 def test_constant_gap_bound_stays_below_minimum(monkeypatch):
     # both operands are scaled projections, so a[t]b and b[t]a are constant:
     # L is rounding noise and only the slack keeps the bound under the gap,
-    # and the refinement of the distinct brackets stops by its first round
+    # and the refinement of the best knot's bracket stops by its first round
     refinements = _record_refinements(monkeypatch)
     rng = np.random.default_rng(21)
     for dim in (2, 3, 4, 6):
@@ -596,11 +563,10 @@ def test_constant_gap_bound_stays_below_minimum(monkeypatch):
             frames = explorer._frames(a, b)
             assert explorer._lipschitz(frames) < 1e-12
             refinements.clear()
-            full, punctured = explorer._certified_search(frames, ScanConfig(dim=dim))
-            for window in (full, punctured):
-                assert 0.0 < window.lower <= window.min_gap
-            [refinement] = refinements  # one per search, over its distinct brackets
-            assert len(set(refinement.brackets)) == len(refinement.brackets) in (1, 2)
+            found = explorer._certified_search(frames, ScanConfig(dim=dim))
+            assert 0.0 < found.lower <= found.min_gap
+            [refinement] = refinements  # one per search, of one bracket
+            assert len(refinement.brackets) == 1
             assert len(refinement.calls) <= 1
 
 
@@ -613,10 +579,9 @@ def test_constant_gap_is_certified_on_a_huge_window():
             a = _scaled_projection(dim, rank, 0.7, rng)
             b = _scaled_projection(dim, dim - rank, 0.4, rng)
             cfg = ScanConfig(dim=dim, t_window=(0.0, 1e9))
-            full, punctured = explorer._certified_search(explorer._frames(a, b), cfg)
-            for window in (full, punctured):
-                assert 0.0 < window.lower <= window.min_gap
-                assert window.min_gap == pytest.approx(symmetry_gap(a, b, 0.0), rel=1e-12)
+            found = explorer._certified_search(explorer._frames(a, b), cfg)
+            assert 0.0 < found.lower <= found.min_gap
+            assert found.min_gap == pytest.approx(symmetry_gap(a, b, 0.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
@@ -631,17 +596,35 @@ def test_refinement_needs_few_evaluations(monkeypatch, dim):
     assert all(np.ndim(t) == 1 for t in calls)
     assert len(calls) / 30 <= 12
     assert sum(t.size for t in calls) / 30 <= 45
-    # two distinct brackets are refined in lockstep: round i makes one kernel
-    # call, on the stencils of round i of each bracket's search run alone
-    lockstep = [r for r in refinements if len(r.brackets) == 2]
-    assert lockstep
-    for r in lockstep:
-        alone = [_refine_recorded(r.branches, [b], r.lip, r.slack) for b in r.brackets]
-        assert r.result == [s.result[0] for s in alone]
-        assert len(r.calls) == max(len(s.calls) for s in alone)
-        for i, ts in enumerate(r.calls):
-            stencils = [s.calls[i] for s in alone if i < len(s.calls)]
-            assert np.array_equal(ts, np.concatenate(stencils))
+
+
+def test_refine_steps_its_brackets_in_lockstep():
+    # two brackets are refined in lockstep: round i makes one kernel call, on
+    # the stencils of round i of each bracket's search run alone, and each
+    # search stops on its own; the brackets are the neighbours of the lowest
+    # inner knot of each half of a 64-knot profile
+    window = (-4.0 * math.pi, 4.0 * math.pi)
+    ts = np.linspace(*window, explorer.INITIAL_KNOTS)
+    uneven = 0
+    for dim in (2, 3, 4, 8):
+        for seed in range(3):
+            rng = np.random.default_rng([dim, seed])
+            frames = explorer._frames(random_effect(dim, rng), random_effect(dim, rng))
+            branches = explorer._gap_kernel(frames)
+            gs = explorer._profile(branches, ts)
+            half = ts.size // 2
+            lows = 1 + np.argmin(gs[1:half]), half + np.argmin(gs[half:-1])
+            brackets = [(float(ts[i - 1]), float(ts[i + 1])) for i in lows]
+            lip, slack = explorer._lipschitz(frames), _search_slack(frames, window)
+            both = _refine_recorded(branches, brackets, lip, slack)
+            alone = [_refine_recorded(branches, [b], lip, slack) for b in both.brackets]
+            assert both.result == [s.result[0] for s in alone]
+            assert len(both.calls) == max(len(s.calls) for s in alone)
+            for i, times in enumerate(both.calls):
+                stencils = [s.calls[i] for s in alone if i < len(s.calls)]
+                assert np.array_equal(times, np.concatenate(stencils))
+            uneven += len(alone[0].calls) != len(alone[1].calls)
+    assert uneven  # one search ran on after the other stopped
 
 
 def _search_fake_branches(monkeypatch, frames, low, high):
@@ -654,9 +637,7 @@ def _search_fake_branches(monkeypatch, frames, low, high):
 
     monkeypatch.setattr(explorer, "_gap_kernel", lambda _frames: branches)
     refinements = _record_refinements(monkeypatch)
-    full, punctured = explorer._certified_search(frames, ScanConfig(dim=3, t_window=(1.0, 2.0)))
-    assert punctured == full  # the window lies outside |t| < PUNCTURED_RADIUS
-    return full, refinements
+    return explorer._certified_search(frames, ScanConfig(dim=3, t_window=(1.0, 2.0))), refinements
 
 
 def test_refinement_finds_a_kink_between_unequal_slopes(monkeypatch):
@@ -669,12 +650,12 @@ def test_refinement_finds_a_kink_between_unequal_slopes(monkeypatch):
     )
     lip = explorer._lipschitz(frames)
     t0, g0 = 1.2345678, 0.05
-    full, refinements = _search_fake_branches(
+    found, refinements = _search_fake_branches(
         monkeypatch, frames, lambda t: g0 + 0.3 * lip * (t0 - t), lambda t: g0 + 0.7 * lip * (t - t0)
     )
     slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(f.x) for f in frames)
     slack += eps * 2.0 * lip / 2.0  # the phases' share at |t| <= 2
-    assert g0 <= full.min_gap <= g0 + 2.0 * slack
+    assert g0 <= found.min_gap <= g0 + 2.0 * slack
     [refinement] = refinements
     calls = refinement.calls
     assert all(np.ndim(t) == 1 for t in calls) and len(calls) <= 6
@@ -693,9 +674,9 @@ def test_refinement_stops_at_once_on_a_monotone_gap(monkeypatch, rise):
     def gap(t):
         return 0.05 + lip * (0.25 + rise * (t - 1.5) / 2.0)
 
-    full, refinements = _search_fake_branches(monkeypatch, frames, gap, gap)
+    found, refinements = _search_fake_branches(monkeypatch, frames, gap, gap)
     edge = 1.0 if rise > 0.0 else 2.0
-    assert (full.t_star, full.min_gap) == (edge, gap(edge))
+    assert (found.t_star, found.min_gap) == (edge, gap(edge))
     assert [len(r.calls) for r in refinements] == [1]
 
 
@@ -711,17 +692,11 @@ def _check_no_lower_gap_nearby(r, cfg):
     slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(f.x) for f in frames)
     lip = explorer._lipschitz(frames)
     lo, hi = cfg.t_window
-    for t_star, min_gap, punctured in (
-        (r.t_star, r.min_gap, False),
-        (r.punctured_t_star, r.punctured_min_gap, True),
-    ):
-        ts = np.linspace(t_star - 1e-6, t_star + 1e-6, 2001)
-        ts = ts[(lo <= ts) & (ts <= hi)]
-        if punctured:
-            ts = ts[np.abs(ts) >= PUNCTURED_RADIUS]
-        rounding = 2.0 * slack + eps * abs(t_star) * lip
-        gaps = symmetry_gap_profile(r.a, r.b, ts)
-        assert np.min(gaps) >= min_gap - rounding, (r.trial, t_star, min_gap - np.min(gaps))
+    ts = np.linspace(r.t_star - 1e-6, r.t_star + 1e-6, 2001)
+    ts = ts[(lo <= ts) & (ts <= hi)]
+    rounding = 2.0 * slack + eps * abs(r.t_star) * lip
+    gaps = symmetry_gap_profile(r.a, r.b, ts)
+    assert np.min(gaps) >= r.min_gap - rounding, (r.trial, r.t_star, r.min_gap - np.min(gaps))
 
 
 @pytest.mark.parametrize(
@@ -783,11 +758,29 @@ def test_certified_bound_allows_for_phase_rounding(monkeypatch):
 
     monkeypatch.setattr(explorer, "_gap_kernel", fake_kernel)
     cfg = ScanConfig(dim=3, t_window=(1e4, 1e4 + 8.0 * math.pi))
-    full, _ = explorer._certified_search(frames, cfg)
-    assert full.lower == 0.0
+    assert explorer._certified_search(frames, cfg).lower == 0.0
 
 
 LARGEST = 1.7976931348623157e308
+
+
+def test_first_pass_evaluates_each_distinct_knot_once(monkeypatch):
+    # np.linspace(lo, hi, INITIAL_KNOTS) on a window 4 floats wide repeats
+    # its floats: the first pass evaluates each of the 5 once, and no later
+    # round evaluates a knot again
+    batches = _record_knots(monkeypatch)
+    rng = np.random.default_rng(0)
+    frames = explorer._frames(random_effect(2, rng), random_effect(2, rng))
+    lo = 1.797693134862315e308
+    explorer._certified_search(frames, ScanConfig(t_window=(lo, LARGEST)))
+    assert len(batches[0]) == 5
+    assert batches[0].tolist() == sorted(set(np.linspace(lo, LARGEST, explorer.INITIAL_KNOTS)))
+    knots = np.concatenate(batches)
+    assert np.unique(knots).size == knots.size
+    # a window wider than 63 float spacings keeps all INITIAL_KNOTS knots
+    batches.clear()
+    explorer._certified_search(frames, ScanConfig(t_window=(-1.0, 1.0)))
+    assert np.array_equal(batches[0], np.linspace(-1.0, 1.0, explorer.INITIAL_KNOTS))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

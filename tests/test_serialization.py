@@ -200,7 +200,6 @@ def test_scan_serialization_shapes():
     assert len(doc["records"]) == 3
     rec = doc["records"][0]
     assert rec["a"]["dim"] == 2
-    assert "punctured_min_gap" in rec
     # round-trip the recorded pair
     back = serialization.document_to_matrix(rec["a"])
     assert back.shape == (2, 2)
@@ -225,6 +224,17 @@ def test_scan_json_key_order(monkeypatch):
             "punctured_t_star", "punctured_min_gap", "punctured_min_gap_lower", "a", "b",
         ]
     ] * 3
+
+
+def test_scan_json_writes_null_punctured_keys():
+    # the search has one window; the retired punctured window's keys stay in
+    # each record, all null, on the default window and on one inside |t| < 0.1
+    keys = ("punctured_t_star", "punctured_min_gap", "punctured_min_gap_lower")
+    for window in ((-4.0 * math.pi, 4.0 * math.pi), (-0.05, 0.05)):
+        cfg = ScanConfig(dim=2, trials=3, seed=17, t_window=window)
+        records = json.loads(serialization.scan_json(cfg, conjecture_scan(cfg)))["records"]
+        assert len(records) == 3
+        assert all(rec[k] is None for rec in records for k in keys)
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]
