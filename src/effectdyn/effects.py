@@ -67,11 +67,7 @@ class Effect:
     @cached_property
     def sqrt_eigenvalues(self) -> np.ndarray:
         """Square roots of ``decomposition.eigenvalues``, noise-level ones zeroed; read-only."""
-        w = np.clip(self.decomposition.eigenvalues, 0.0, None)
-        w[w <= SQRT_ZERO_CUTOFF * max(1.0, self.eig_max)] = 0.0
-        root = np.sqrt(w)
-        root.setflags(write=False)
-        return root
+        return _sqrt_eigenvalues(self.decomposition.eigenvalues, np.array(self.eig_max))
 
     @cached_property
     def sqrt(self) -> np.ndarray:
@@ -89,13 +85,45 @@ def clamp_unit(value: float, tol: float) -> float:
     return value
 
 
-def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray]:
-    """Each effect's cached ``decomposition`` and ``sqrt``, stacked along a leading axis."""
+def _sqrt_eigenvalues(w: np.ndarray, eig_max: np.ndarray) -> np.ndarray:
+    """Effect.sqrt_eigenvalues from an effect's eigenvalues w and eig_max, or stacks of them."""
+    w = np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) computes
+    w[w <= SQRT_ZERO_CUTOFF * np.maximum(1.0, eig_max)[..., None]] = 0.0
+    root = np.sqrt(w)
+    root.setflags(write=False)
+    return root
+
+
+def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np.ndarray]:
+    """Each effect's cached ``decomposition``, ``sqrt_eigenvalues`` and ``sqrt``, stacked.
+
+    The effects that have not cached their decomposition yet get it, their
+    ``sqrt_eigenvalues`` and their ``sqrt`` from one stacked pass: one eigh
+    of their matrices, which numpy solves slice by slice with the LAPACK call
+    it makes for one matrix, and the same elementwise steps and matrix
+    products as each property, slice by slice, so to the same bits. A value
+    an effect has cached already is kept.
+    """
+    fresh = list({id(e): e for e in effects if "decomposition" not in vars(e)}.values())
+    if fresh:
+        d = linalg.hermitian_eigh(np.array([e.matrix for e in fresh]))
+        root = _sqrt_eigenvalues(d.eigenvalues, np.array([e.eig_max for e in fresh]))
+        sqrt = (d.vectors * root[:, None, :]) @ linalg.adjoint(d.vectors)
+        whole = len(fresh) == len(effects)  # the stacks are the effects', in order
+        for e, w, v, r, s in zip(fresh, d.eigenvalues, d.vectors, root, sqrt):
+            cache = vars(e)  # where each cached_property keeps its value
+            whole &= "sqrt_eigenvalues" not in cache and "sqrt" not in cache
+            cache["decomposition"] = linalg.SpectralDecomposition(w, v)
+            cache.setdefault("sqrt_eigenvalues", r)
+            cache.setdefault("sqrt", s)
+        if whole:
+            return d, root, sqrt
     d = [e.decomposition for e in effects]
     decomposition = linalg.SpectralDecomposition(
         np.array([x.eigenvalues for x in d]), np.array([x.vectors for x in d])
     )
-    return decomposition, np.array([e.sqrt for e in effects])
+    root = np.array([e.sqrt_eigenvalues for e in effects])
+    return decomposition, root, np.array([e.sqrt for e in effects])
 
 
 def admit_effects(stack: np.ndarray, tols) -> tuple[Effect, ...]:
@@ -224,11 +252,17 @@ def sequential_products(lefts, rights) -> tuple[Effect, ...]:
     Pair k is admitted at product_tol of its own operands' tolerances, after
     DimensionMismatchError is checked pair by pair.
     """
+    return products_and_roots(lefts, rights)[0]
+
+
+def products_and_roots(lefts, rights):
+    """sequential_products and the stacked_roots(lefts) it multiplied by, for callers using both."""
     for a, b in zip(lefts, rights):
         _check_dims(a.dim, b.dim)
-    _, s = stacked_roots(lefts)
-    stack = s @ np.array([e.matrix for e in rights]) @ s
-    return admit_effects(stack, [product_tol(a.tol, b.tol) for a, b in zip(lefts, rights)])
+    roots = stacked_roots(lefts)
+    stack = roots[2] @ np.array([e.matrix for e in rights]) @ roots[2]
+    tols = [product_tol(a.tol, b.tol) for a, b in zip(lefts, rights)]
+    return admit_effects(stack, tols), roots
 
 
 def commutes(a: Effect, b: Effect) -> bool:

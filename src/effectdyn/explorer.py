@@ -14,10 +14,13 @@ An adaptive interval search starts from INITIAL_KNOTS evenly spaced knots
 and splits intervals until the window's bound, the better of the two, is
 within CERTIFY_RTOL of its best gap; after its first pass it re-bounds only
 the intervals whose knots a split changed, one scalar bound at a time. A
-model search then refines the best knot (_refine): each round
-evaluates three times in one batch and fits a parabola to each of the gap's
-two branches, so a smooth minimum sits at a vertex and a kink where the
-branches cross. Its tolerance is
+model search then refines the best knot (_refine): each round reads a
+stencil of three times, evaluating in one batch those not yet known, and
+fits a parabola to each of the gap's two branches, so a smooth minimum sits
+at a vertex and a kink where the branches cross. The search keeps both
+branches of every knot, so the refinement reads its bracket's three knots
+instead of evaluating them again, and no time is evaluated twice. Its
+tolerance is
 absolute in t: at a smooth minimum with curvature g'', a position error d
 costs about g'' d^2 / 2, which is at rounding level once d is about
 sqrt(eps), whatever |t| is, so the tolerance is sqrt(eps) plus the float
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .effects import Effect, validate_effect
+from .effects import DECISION_TOL, Effect, admit_effects
 from .errors import CommutingPairError, EffectdynError, EmptyGridError
 from .evolution import EigenFrame, time_seq_product
 
@@ -59,8 +62,10 @@ DEFAULT_COMMUTATOR_FLOOR = 1e-3
 # Grid minima below this are flagged for follow-up, never asserted.
 CANDIDATE_THRESHOLD = 1e-8
 CANDIDATE_LABEL = "candidate — requires independent high-precision verification"
-# Evenly spaced knots the search starts from, before it places the rest itself.
-INITIAL_KNOTS = 64
+# Evenly spaced knots the search starts from, before it places the rest itself
+# where the bound needs them; on the default window 16 cost less per trial
+# than 64, 32 or 8 (each fewer start knots costs more split rounds).
+INITIAL_KNOTS = 16
 # The search splits an interval until its certified lower bound is within
 # this fraction of the best gap found in the window.
 CERTIFY_RTOL = 1e-3
@@ -71,7 +76,7 @@ MAX_KNOTS = 1 << 20
 
 _REDRAW_LIMIT = 64
 _EPS = float(np.finfo(float).eps)
-_INF, _NAN = math.inf, math.nan
+_INF = math.inf
 # Rounding slack of one evaluated gap's arithmetic, in units of
 # eps * (||X_a||_F + ||X_b||_F); the search adds that of its phases (see
 # _certified_search).
@@ -156,14 +161,28 @@ def random_effect(dim: int, rng: np.random.Generator) -> Effect:
 
     G has independent standard complex Gaussian entries, H = (G + G†)/2;
     dividing by the operator norm puts the spectrum of H/||H|| in [-1, 1],
-    so the result is a valid effect by construction.
+    so the result is a valid effect by construction. The one-effect case of
+    _random_effects.
     """
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2.0  # Hermitian exactly: entry kj is the conjugate of entry jk
-    norm = float(linalg.operator_norms(h)) if h.size else 0.0  # validate_effect refuses dim 0
-    if norm == 0.0:
-        return validate_effect(np.eye(dim) / 2.0)
-    return validate_effect((np.eye(dim) + h / norm) / 2.0)
+    return _random_effects(dim, 1, rng)[0]
+
+
+def _random_effects(dim: int, count: int, rng: np.random.Generator) -> tuple[Effect, ...]:
+    """``count`` effects drawn, normed and admitted as one (count, dim, dim) stack.
+
+    Effect k is the one the k-th of ``count`` random_effect calls in a row
+    would draw, to the last bit: the generator fills the stack in the order
+    of those calls, and numpy solves a stack of eigenproblems slice by slice
+    with the LAPACK call it makes for one matrix. An H of norm 0 gives I/2.
+    """
+    if dim < 1:
+        linalg.as_complex_matrix(np.zeros((dim, dim)))  # refuses dim 0 as validate_effect does
+    x = rng.standard_normal((count, 2, dim, dim))
+    g = x[:, 0] + 1j * x[:, 1]
+    h = (g + linalg.adjoint(g)) / 2.0  # Hermitian exactly: entry kj is the conjugate of entry jk
+    norms = linalg.operator_norms(h)
+    norms[norms == 0.0] = math.inf  # then H = 0 and H / inf = 0
+    return admit_effects((np.eye(dim) + h / norms[:, None, None]) / 2.0, (DECISION_TOL,) * count)
 
 
 def symmetry_gap(a: Effect, b: Effect, t: float) -> float:
@@ -176,18 +195,16 @@ def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:
     """``symmetry_gap`` over a whole grid, through the pair's two eigenframes."""
     frames = _frames(a, b)
     ts = np.asarray(times, dtype=float).ravel()
-    t_max = float(np.max(np.abs(ts), initial=0.0))  # an empty grid raises in _profile
-    for f in frames:
-        f.check_phases(t_max)
-    return _profile(_gap_kernel(frames), ts)
+    frames.check_phases(float(np.max(np.abs(ts), initial=0.0)))  # an empty grid raises in _profile
+    return np.maximum(*_profile(_gap_kernel(frames), ts))
 
 
-def _frames(a: Effect, b: Effect) -> tuple[EigenFrame, ...]:
-    """The frames of a[t]b and b[t]a, built in one stacked pass."""
-    return EigenFrame.products((a, b), (b, a))
+def _frames(a: Effect, b: Effect) -> EigenFrame:
+    """The frames of a[t]b and b[t]a, built in one stacked pass as slices 0 and 1 of one frame."""
+    return EigenFrame.stacked_products((a, b), (b, a))
 
 
-def _gap_kernel(frames: tuple[EigenFrame, EigenFrame]):
+def _gap_kernel(frames: EigenFrame):
     """The gap's two branches at one t (a float) or at every t of an array, in the eigenbasis of a.
 
     With W = V_a† V_b, V_a† (a[t]b - b[t]a) V_a = E^a_t ⊙ X_a - W (E^b_t ⊙ X_b) W†,
@@ -195,33 +212,42 @@ def _gap_kernel(frames: tuple[EigenFrame, EigenFrame]):
     returns the branches (-λ_min, λ_max) of that Hermitian matrix: the gap
     is their maximum, and they cross where h = λ_max + λ_min changes sign.
     It does not check its phases: each caller runs EigenFrame.check_phases
-    on both frames once, at the largest |t| it will ask for.
+    on the stacked frames once, at the largest |t| it will ask for.
     """
-    fa, fb = frames
-    w = fa.vectors.conj().T @ fb.vectors
+    (va, vb), (xa, xb) = frames.vectors, frames.x
+    w = va.conj().T @ vb
     w_inv = w.conj().T
-    rate_a, rate_b = -1j * fa.freq, -1j * fb.freq
+    rate_a, rate_b = -1j * frames.freq
 
     def branches(t):
         phase = np.asarray(t, dtype=float)[..., None, None]
-        m = np.exp(phase * rate_a) * fa.x - w @ (np.exp(phase * rate_b) * fb.x) @ w_inv
+        m = np.exp(phase * rate_a) * xa - w @ (np.exp(phase * rate_b) * xb) @ w_inv
         e = np.linalg.eigvalsh(m).T  # eigenvalue index first: e[0], e[-1] per time
         return -e[0], e[-1]
 
     return branches
 
 
-def _profile(branches, times) -> np.ndarray:
-    """The gap, the larger of the two ``branches``, at every t of a nonempty grid, in chunks."""
+def _profile(branches, times) -> tuple[np.ndarray, np.ndarray]:
+    """The two ``branches`` at every t of a nonempty grid, in chunks; the gap is their maximum."""
     ts = np.asarray(times, dtype=float).ravel()
     if ts.size == 0:
         raise EmptyGridError("time grid is empty")
-    chunks = (branches(ts[i : i + _EVAL_CHUNK]) for i in range(0, ts.size, _EVAL_CHUNK))
-    return np.concatenate([np.maximum(*pair) for pair in chunks])
+    chunks = [branches(ts[i : i + _EVAL_CHUNK]) for i in range(0, ts.size, _EVAL_CHUNK)]
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate([c[0] for c in chunks]), np.concatenate([c[1] for c in chunks])
 
 
-def _refine(branches, brackets, lip: float, slack: float) -> list[tuple[float, float]]:
-    """The lowest gap evaluated on each bracket [lo, hi] by a two-branch model search, and its t.
+def _gaps(branches, times: list, known: dict) -> list:
+    """The gap at each of ``times``, none of them in ``known``, which gains each one's branches."""
+    low, high = _profile(branches, times)
+    known.update(zip(times, zip(low.tolist(), high.tolist())))
+    return np.maximum(low, high).tolist()
+
+
+def _refine(branches, brackets, known: dict, lip: float, slack: float) -> list[tuple[float, float]]:
+    """The lowest gap on each bracket [lo, hi] that a two-branch model search reads, and its t.
 
     Each bracket's search keeps a stencil c - r, c, c + r, clipped to
     [lo, hi], and fits a parabola through it to each branch, -λ_min and
@@ -235,10 +261,13 @@ def _refine(branches, brackets, lip: float, slack: float) -> list[tuple[float, f
     no longer distinct floats (so also once c is an edge of [lo, hi], whose
     gap is then known), or once its model predicts no gain beyond the slack
     and r is within tol = sqrt(eps) + 4 eps |c| + slack / L, derived in
-    _certified_search. The searches run in lockstep: each round evaluates
-    the stencils of every search still running in one kernel call, and each
-    search stops on its own. Returns (lo, inf) for a bracket on which it
-    evaluates nothing.
+    _certified_search. ``known`` maps each time already evaluated, such as
+    a bracket's knots, to its branches: a stencil reads those, and the
+    kernel evaluates only its new times, which ``known`` then gains, so no
+    time is evaluated twice. The searches run in lockstep: each round
+    evaluates the new times of the stencils of every search still running in
+    one kernel call (none if all are known), and each search stops on its
+    own. Returns (lo, inf) for a bracket on which it reads nothing.
     """
     atol = math.sqrt(_EPS) + slack / lip if lip > 0.0 else math.inf
     best = [(lo, math.inf) for lo, _ in brackets]
@@ -253,10 +282,13 @@ def _refine(branches, brackets, lip: float, slack: float) -> list[tuple[float, f
                 batch.append((k, ts, r))
         if not batch:
             return best
-        low, high = (y.tolist() for y in branches(np.array([t for _, ts, _ in batch for t in ts])))
+        new = list(dict.fromkeys(t for _, ts, _ in batch for t in ts if t not in known))
+        if new:
+            low, high = branches(np.array(new))
+            known.update(zip(new, zip(low.tolist(), high.tolist())))
         running = []
-        for j, (k, ts, r) in enumerate(batch):
-            ys = low[3 * j : 3 * j + 3], high[3 * j : 3 * j + 3]
+        for k, ts, r in batch:
+            ys = tuple(zip(*map(known.__getitem__, ts)))  # (-λ_min, λ_max) at each of ts
             for t, gap in zip(ts, map(max, *ys)):
                 if gap < best[k][1]:
                     best[k] = (t, gap)
@@ -298,7 +330,7 @@ def _model_step(ts: list[float], branch_values) -> tuple[float, float]:
     return step, model(step)
 
 
-def _curvature(frames: tuple[EigenFrame, EigenFrame]) -> float:
+def _curvature(frames: EigenFrame) -> float:
     """K >= ||M''(t)||_2 at every t, for M(t) = a[t]b - b[t]a: the gap plus K t^2 / 2 is convex.
 
     d^2/dt^2 of a frame's value is V((-freq^2) ⊙ E_t ⊙ X)V†, and E_t ⊙ Y is
@@ -307,8 +339,8 @@ def _curvature(frames: tuple[EigenFrame, EigenFrame]) -> float:
     eigenvalues within a small multiple of d eps times that norm, which the
     factor 1 + _SLACK_UNITS d eps covers.
     """
-    dim = frames[0].x.shape[-1]
-    norms = sum(linalg.operator_norms(np.array([f.freq**2 * f.x for f in frames])).tolist())
+    dim = frames.x.shape[-1]
+    norms = sum(linalg.operator_norms(frames.freq**2 * frames.x).tolist())
     return (1.0 + _SLACK_UNITS * dim * _EPS) * norms
 
 
@@ -337,10 +369,14 @@ def _interval_bound(ts: list, gs: list, i: int, lip: float, curv: float, slack: 
     most a quarter of e_left + e_right. Where the secant bound is not finite
     (huge h, or a neighbour far narrower than I), the interval keeps its cone.
 
-    The arithmetic is that of numpy's elementwise rules, on Python floats:
-    maxima and minima propagate NaN except the one fmax, which skips it; a
-    division by zero gives NaN or a signed infinity instead of raising; and
-    nothing is raised to a power, which can raise OverflowError.
+    The knots must be strictly increasing, as a search's are: they start as
+    distinct floats and each midpoint is a new float, so every width h' a
+    neighbour's secant divides by is positive. The arithmetic is that of
+    numpy's elementwise rules, on Python floats: maxima and minima propagate
+    NaN except the one fmax, which skips it, and nothing is raised to a
+    power, which can raise OverflowError. Where dl + dr = 0, numpy's weight
+    dr / 0 is NaN or infinite, which gives the same bound as w = 0: a mix at
+    a weight of 0 or 1 is that line less at least its own allowance.
     """
     t0, t1, g0, g1 = ts[i], ts[i + 1], gs[i], gs[i + 1]
     h = t1 - t0
@@ -348,18 +384,21 @@ def _interval_bound(ts: list, gs: list, i: int, lip: float, curv: float, slack: 
     dl, el, dr, er = 0.0, _INF, 0.0, _INF  # an edge's missing line has allowance inf
     if i:  # the secant of interval i - 1, continued over i
         near = t0 - ts[i - 1]
-        run = h * _divide(g0 - gs[i - 1], near)
+        run = h * ((g0 - gs[i - 1]) / near)
         bend = (near + h) * h * half
         dl = run - bend
-        el = slack + _divide(2.0 * slack * h, near) + 8.0 * _EPS * (g0 + abs(run) + bend)
+        el = slack + 2.0 * slack * h / near + 8.0 * _EPS * (g0 + abs(run) + bend)
     if i + 2 < len(ts):  # that of interval i + 1, continued back over i
         near = ts[i + 2] - t1
-        run = h * -_divide(gs[i + 2] - g1, near)
+        run = h * -((gs[i + 2] - g1) / near)
         bend = (near + h) * h * half
         dr = run - bend
-        er = slack + _divide(2.0 * slack * h, near) + 8.0 * _EPS * (g1 + abs(run) + bend)
-    # the weight at which the mix w * left + (1 - w) * right is flat
-    w = _divide(dr, dl + dr)
+        er = slack + 2.0 * slack * h / near + 8.0 * _EPS * (g1 + abs(run) + bend)
+    # the weight at which the mix w * left + (1 - w) * right is flat; with
+    # dl + dr = 0 there is none, and w = 0 makes the mix one line less more
+    # than its allowance, never above ``single``, as numpy's NaN or inf would
+    total = dl + dr
+    w = dr / total if total else 0.0
     if w < 0.0:
         w = 0.0
     elif w > 1.0:
@@ -377,26 +416,17 @@ def _interval_bound(ts: list, gs: list, i: int, lip: float, curv: float, slack: 
     return lower if lower > cone else cone
 
 
-def _divide(x: float, y: float) -> float:
-    """x / y; at y = 0, numpy's NaN for x = 0 or NaN, else a signed inf."""
-    if y:
-        return x / y
-    return _NAN if x == 0.0 or x != x else math.copysign(_INF, x) * math.copysign(1.0, y)
-
-
-def _lipschitz(frames: tuple[EigenFrame, EigenFrame]) -> float:
+def _lipschitz(frames: EigenFrame) -> float:
     """L = ||freq ⊙ X||_F of a[t]b plus that of b[t]a: the gap moves at most L per unit t.
 
     d/dt M(t) = V((-i freq) ⊙ E_t ⊙ X)V† and every phase in E_t has modulus
     1, so ||d/dt M(t)||_2 <= ||freq ⊙ X||_F at every t; the gap is a norm of
     the difference of the two products.
     """
-    return float(sum(np.linalg.norm(f.freq * f.x) for f in frames))
+    return float(sum(map(np.linalg.norm, frames.freq * frames.x)))
 
 
-def _certified_search(
-    frames: tuple[EigenFrame, EigenFrame], cfg: ScanConfig
-) -> _WindowMinimum:
+def _certified_search(frames: EigenFrame, cfg: ScanConfig) -> _WindowMinimum:
     """Gap minimum and certified lower bound over the config window.
 
     Knots start as INITIAL_KNOTS evenly spaced times, each distinct float
@@ -436,7 +466,10 @@ def _certified_search(
     search that would hold more than MAX_KNOTS knots raises EffectdynError,
     before any gap is evaluated when the window alone implies it (below).
     The minimum is then refined between the neighbors of the best knot
-    (_refine), on a stencil of radius r that shrinks every round. It stops
+    (_refine), on a stencil of radius r that shrinks every round. The search
+    keeps both branches, -λ_min and λ_max, of every knot, and the
+    refinement reads those of its bracket's three knots, evaluating only new
+    times; its first stencil is often exactly those knots. It stops
     under the same rule as the splitting, once L r is within twice the
     slack, so a constant gap is not evaluated again, or once its model
     predicts no gain beyond the slack and r is within the absolute
@@ -451,7 +484,7 @@ def _certified_search(
     error d costs about |slope| d; there the model's minimum is the crossing
     of its two parabolas, each within O(r^3) of its branch. The search keeps
     its best knot if the refinement ends above it. Knots, midpoints and
-    refinement points all go through one kernel, _gap_kernel.
+    refinement points all go through one kernel, _gap_kernel, each time once.
 
     What is certified is the gap as the frames compute it. The frames hold
     the eigenvalues of a and b as computed in float64; at an eigenvalue
@@ -491,7 +524,7 @@ def _certified_search(
     """
     lo, hi = cfg.t_window
     lip, curv = _lipschitz(frames), _curvature(frames)
-    scale = float(sum(np.linalg.norm(f.x) for f in frames))
+    scale = float(sum(map(np.linalg.norm, frames.x)))
     top = max(abs(lo), abs(hi))
     slack = _SLACK_UNITS * _EPS * scale + _EPS * top * lip / 2.0
     ulp = top - math.nextafter(top, 0.0)
@@ -501,11 +534,12 @@ def _certified_search(
         and hi - lo > MAX_KNOTS * 2.0 * ulp
     ):
         raise _too_wide(lo, hi)
-    ts = np.unique(np.linspace(lo, hi, INITIAL_KNOTS))  # linspace repeats floats on a narrow window
-    for f in frames:
-        f.check_phases(top)
+    # linspace repeats floats on a narrow window
+    ts = np.unique(np.linspace(lo, hi, INITIAL_KNOTS)).tolist()
+    frames.check_phases(top)
     branches = _gap_kernel(frames)
-    gs, ts = _profile(branches, ts).tolist(), ts.tolist()
+    known: dict = {}  # t -> (-λ_min, λ_max) at every time evaluated
+    gs = _gaps(branches, ts, known)
     best = min(gs)
     bounds = [_interval_bound(ts, gs, i, lip, curv, slack) for i in range(len(ts) - 1)]
     touched = range(len(bounds))
@@ -525,7 +559,7 @@ def _certified_search(
             break
         if len(ts) + len(split) > MAX_KNOTS:
             raise _too_wide(lo, hi)
-        gaps = _profile(branches, mids).tolist()
+        gaps = _gaps(branches, mids, known)
         for i, t, g in zip(reversed(split), reversed(mids), reversed(gaps)):
             ts.insert(i + 1, t)
             gs.insert(i + 1, g)
@@ -540,7 +574,7 @@ def _certified_search(
 
     k = gs.index(best)
     bracket = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
-    [(t_ref, gap_ref)] = _refine(branches, [bracket], lip, slack)
+    [(t_ref, gap_ref)] = _refine(branches, [bracket], known, lip, slack)
     if gap_ref > gs[k]:
         t_ref, gap_ref = ts[k], gs[k]
     return _WindowMinimum(t_ref, gap_ref, max(0.0, min(bounds)))
@@ -578,8 +612,7 @@ def commutator_norm(a: Effect, b: Effect) -> float:
 def _draw_pair(cfg: ScanConfig, trial: int) -> tuple[Effect, Effect, float] | None:
     rng = np.random.default_rng([cfg.seed, trial])
     for _ in range(_REDRAW_LIMIT):
-        a = random_effect(cfg.dim, rng)
-        b = random_effect(cfg.dim, rng)
+        a, b = _random_effects(cfg.dim, 2, rng)
         norm = commutator_norm(a, b)
         if norm >= cfg.commutator_floor:
             return a, b, norm

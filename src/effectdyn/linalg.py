@@ -144,8 +144,11 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value; valid for arbitrary (non-Hermitian) matrices."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+    """Largest singular value; valid for arbitrary (non-Hermitian) matrices.
+
+    The value np.linalg.norm(m, 2) takes, without its axis handling.
+    """
+    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max())
 
 
 def projection_defect(m: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from effectdyn import (
     verify_coexistence_witness,
     zero_effect,
 )
-from effectdyn.effects import SQRT_ZERO_CUTOFF, product_tol
+from effectdyn.effects import SQRT_ZERO_CUTOFF, product_tol, stacked_roots
 from effectdyn.errors import (
     DimensionMismatchError,
     NonHermitianError,
@@ -109,6 +109,48 @@ def test_decomposition_eigensolves_the_stored_matrix_as_is(monkeypatch, dim):
         w = np.clip(d.eigenvalues, 0.0, None)
         w[w <= SQRT_ZERO_CUTOFF * max(1.0, e.eig_max)] = 0.0
         assert np.array_equal(roots, np.sqrt(w))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_stacked_roots_decompose_fresh_effects_in_one_stacked_eigh(monkeypatch, dim):
+    # effects without a cached decomposition get theirs, and their square
+    # roots, from one eigh of their stack, bit for bit what each computes
+    # alone; an effect listed twice is solved once, a cached one is not
+    # solved again, and a cached square root is kept
+    rng = np.random.default_rng(dim)
+    cached, a, b, c = (random_effect(dim, rng) for _ in range(4))
+    cached.decomposition
+    kept = vars(c)["sqrt"] = np.eye(dim)
+    alone = [validate_effect(e.matrix) for e in (cached, a, b, c)]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(np.shape(m)) or eigh(m))
+    for e in alone:  # each alone, through its properties
+        e.sqrt
+    calls.clear()
+    d, root, s = stacked_roots([a, cached, b, a, c])
+    assert calls == [(3, dim, dim)]
+    for e, want in zip((cached, a, b, c), alone):
+        for name in ("eigenvalues", "vectors"):
+            got = getattr(e.decomposition, name)
+            assert got.tobytes() == getattr(want.decomposition, name).tobytes()
+            assert not got.flags.writeable
+        assert e.sqrt_eigenvalues.tobytes() == want.sqrt_eigenvalues.tobytes()
+        assert not e.sqrt_eigenvalues.flags.writeable
+    for e, want in zip((cached, a, b), alone):
+        assert e.sqrt.tobytes() == want.sqrt.tobytes()
+    assert c.sqrt is kept
+    order = (a, cached, b, a, c)
+    assert np.array_equal(d.vectors, [e.decomposition.vectors for e in order])
+    assert np.array_equal(root, [e.sqrt_eigenvalues for e in order])
+    assert np.array_equal(s, [e.sqrt for e in order])
+    # every effect fresh, each once: the stacks of the one pass themselves
+    d, root, s = stacked_roots([validate_effect(e.matrix) for e in (a, b)])
+    for k, want in enumerate(alone[1:3]):
+        assert d.eigenvalues[k].tobytes() == want.decomposition.eigenvalues.tobytes()
+        assert d.vectors[k].tobytes() == want.decomposition.vectors.tobytes()
+        assert root[k].tobytes() == want.sqrt_eigenvalues.tobytes()
+        assert s[k].tobytes() == want.sqrt.tobytes()
 
 
 def test_effect_norm():

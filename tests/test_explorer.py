@@ -8,6 +8,7 @@ from effectdyn import (
     ScanConfig,
     evolution,
     explorer,
+    linalg,
     closed_forms,
     conjecture_scan,
     minimize_gap,
@@ -60,6 +61,43 @@ def test_random_effect_deterministic_per_state():
     first = random_effect(3, np.random.default_rng(99)).matrix
     second = random_effect(3, np.random.default_rng(99)).matrix
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_drawn_pair_is_two_random_effects_bit_for_bit(dim):
+    # the (seed, trial) contract: a trial's pair, drawn, normed and admitted
+    # as one stack, is what two random_effect calls on the same generator
+    # give, down to the admission's extremal eigenvalues
+    for seed in range(3):
+        for trial in range(4):
+            cfg = ScanConfig(dim=dim, seed=seed)
+            a, b, norm = explorer._draw_pair(cfg, trial)
+            rng = np.random.default_rng([seed, trial])
+            for got, want in zip((a, b), (random_effect(dim, rng), random_effect(dim, rng))):
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+                assert (got.eig_min, got.eig_max, got.tol) == (want.eig_min, want.eig_max, want.tol)
+                assert not got.matrix.flags.writeable
+            assert norm == explorer.commutator_norm(a, b)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_pair_frames_match_products_of_fresh_effects_bit_for_bit(dim):
+    # a trial's stacked frames, built on one stacked pass of decompositions
+    # and square roots, against EigenFrame.products on the same matrices
+    # admitted afresh, each decomposed and rooted alone by its properties
+    for trial in range(4):
+        a, b, _ = explorer._draw_pair(ScanConfig(dim=dim, seed=7), trial)
+        frames = explorer._frames(a, b)
+        fa, fb = validate_effect(a.matrix), validate_effect(b.matrix)
+        for stacked, alone in ((a, fa), (b, fb)):
+            want = linalg.hermitian_eigh(alone.matrix)
+            assert stacked.decomposition.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert stacked.decomposition.vectors.tobytes() == want.vectors.tobytes()
+            assert stacked.sqrt_eigenvalues.tobytes() == alone.sqrt_eigenvalues.tobytes()
+            assert stacked.sqrt.tobytes() == alone.sqrt.tobytes()
+        for k, single in enumerate(EigenFrame.products((fa, fb), (fb, fa))):
+            for field in ("vectors", "freq", "x"):
+                assert getattr(frames, field)[k].tobytes() == getattr(single, field).tobytes()
 
 
 def test_random_pairs_rarely_commute():
@@ -129,13 +167,13 @@ def test_conjecture_scan_uses_only_eigenframes(monkeypatch):
     monkeypatch.setattr(explorer, "time_seq_product", forbidden)
     monkeypatch.setattr(evolution, "time_seq_product", forbidden)
     built = []
-    products = EigenFrame.products.__func__
+    products = EigenFrame.stacked_products.__func__
 
     def counting_products(cls, lefts, rights):
         built.append(list(zip(lefts, rights)))
         return products(cls, lefts, rights)
 
-    monkeypatch.setattr(EigenFrame, "products", classmethod(counting_products))
+    monkeypatch.setattr(EigenFrame, "stacked_products", classmethod(counting_products))
     result = conjecture_scan(ScanConfig(dim=3, trials=2, seed=4))
     assert len(result.records) == 2
     assert sum(map(len, built)) == 4  # (a, b) and (b, a) once per trial
@@ -321,12 +359,15 @@ def _dense_minimum(a, b, ts):
 
 
 def test_certified_lower_bounds_hold_against_dense_minima():
-    # 54 pairs at dims 2-8 on the default window and 54 on one far from t = 0,
-    # where the phases t*freq round by about eps |t|; h is the initial knot spacing
+    # 85 pairs at dims 2-8 on the default window and 85 on one far from t = 0,
+    # where the phases t*freq round by about eps |t|; h is the initial knot
+    # spacing, and few pairs at dims 3-8 have a minimum above L h, so dim 2,
+    # the cheapest to scan densely, brings most of the exercised pairs
     exercised = 0
     for window in ((-4.0 * math.pi, 4.0 * math.pi), (1e4, 1e4 + 8.0 * math.pi)):
         for dim in range(2, 9):
-            cfg = ScanConfig(dim=dim, trials=10 - dim // 2, seed=dim, t_window=window)
+            trials = 40 if dim == 2 else 10 - dim // 2
+            cfg = ScanConfig(dim=dim, trials=trials, seed=dim, t_window=window)
             lo, hi = cfg.t_window
             h = (hi - lo) / (explorer.INITIAL_KNOTS - 1)
             for r in conjecture_scan(cfg).records:
@@ -349,7 +390,7 @@ def test_secant_bound_is_exact_on_a_concave_cap(monkeypatch):
     a = random_effect(3, np.random.default_rng(5))
     b = random_effect(3, np.random.default_rng(6))
     frames = explorer._frames(a, b)
-    curv = sum(np.linalg.norm(f.freq**2 * f.x, 2) for f in frames)
+    curv = sum(np.linalg.norm(m, 2) for m in frames.freq**2 * frames.x)
     hi = explorer._lipschitz(frames) / curv
     mid, top = 0.6 * hi, 0.05 + curv * (0.6 * hi) ** 2 / 2.0
 
@@ -399,7 +440,7 @@ def test_final_intervals_fit_the_up_front_refusal(monkeypatch):
             rng = np.random.default_rng(seed)
             frames = explorer._frames(random_effect(dim, rng), random_effect(dim, rng))
             lip, curv = explorer._lipschitz(frames), explorer._curvature(frames)
-            scale = sum(np.linalg.norm(f.x) for f in frames)
+            scale = sum(np.linalg.norm(x) for x in frames.x)
             widest = max(2.0 * scale / lip, (lip + math.sqrt(lip**2 + 4.0 * curv * scale)) / curv)
             batches.clear()
             hi = 2.0 * (explorer.INITIAL_KNOTS - 1) * widest
@@ -412,7 +453,7 @@ def test_final_intervals_fit_the_up_front_refusal(monkeypatch):
 def _search_slack(frames, window) -> float:
     """The search's slack on ``window`` (_certified_search)."""
     eps = np.finfo(float).eps
-    scale = sum(np.linalg.norm(f.x) for f in frames)
+    scale = sum(np.linalg.norm(x) for x in frames.x)
     top = max(abs(x) for x in window)
     return explorer._SLACK_UNITS * eps * scale + eps * top * explorer._lipschitz(frames) / 2.0
 
@@ -433,7 +474,7 @@ def test_finished_search_is_a_fixed_point_of_the_full_rule(monkeypatch, dim, win
         batches.clear()
         found = explorer._certified_search(frames, cfg)
         ts = np.sort(np.concatenate(batches))
-        gs = profile(explorer._gap_kernel(frames), ts)
+        gs = np.maximum(*profile(explorer._gap_kernel(frames), ts))
         lip, slack = explorer._lipschitz(frames), _search_slack(frames, window)
         bounds = reference_bounds(ts, gs, lip, explorer._curvature(frames), slack)
         assert found.lower == max(0.0, float(np.min(bounds)))
@@ -459,9 +500,9 @@ def _degenerate_stencils():
     narrow = np.array([0.0, 1.0, 1.0 + 1e-6, 2.0 + 1e-6, 3.0, 3.0 + 1e-6, 4.0])
     yield narrow, rng.uniform(0.0, 1.0, 7), 1.5, 2.0, 1e-16  # neighbours 10^6 times narrower
     yield narrow, np.full(7, 0.5), 1.5, 0.0, 0.0
-    repeated = np.array([5.0, 5.0, 5.0, 6.0, 6.0, 7.0])  # zero-width intervals
-    yield repeated, np.array([0.3, 0.3, 0.3, 0.2, 0.2, 0.4]), 1.0, 1.0, 1e-16
-    yield repeated, np.array([0.3, 0.3, 0.4, 0.2, 0.25, 0.4]), 1.0, 0.0, 0.0
+    even = np.arange(6.0)  # dl + dr = 0 on interval 2 with dl != 0, where numpy's weight is inf
+    yield even, np.array([1.0, 0.75, 0.5, 0.625, 0.375, 1.0]), 1.0, 0.0, 1e-16
+    yield even, np.array([3.0, 2.75, 2.5, 2.625, 0.375, 1.0]), 1.0, 1.0, 1e-16
     for curv in (0.0, 1e-300, 1.0):
         for gs in (np.full(4, 0.5), rng.uniform(0.0, 2.0, 4)):
             for lip, slack in ((0.5, 0.0), (0.5, 1e-16), (4.0, 1e-16)):
@@ -472,8 +513,9 @@ def _degenerate_stencils():
 
 def test_interval_bound_matches_the_vectorized_reference():
     # the scalar bound reproduces numpy's arithmetic: NaN-propagating maxima
-    # and minima, fmax, and x / 0, which Python would raise on; zeros are
-    # compared as values, since numpy itself signs them by the array's length
+    # and minima, fmax, and the weight dr / (dl + dr) at dl + dr = 0, which
+    # Python would raise on; zeros are compared as values, since numpy itself
+    # signs them by the array's length
     rng = np.random.default_rng(1)
     cases = list(_degenerate_stencils())
     for _ in range(300):
@@ -531,10 +573,15 @@ class _Refinement:
     calls: list
 
 
-def _refine_recorded(branches, brackets, lip, slack) -> _Refinement:
+def _refine_recorded(branches, brackets, known, lip, slack) -> _Refinement:
     """_refine on the brackets, with the times of each of its gap kernel calls recorded."""
     calls = []
-    result = _REFINE(lambda t: calls.append(np.array(t)) or branches(t), brackets, lip, slack)
+
+    def recording(t):
+        calls.append(np.array(t))
+        return branches(t)
+
+    result = _REFINE(recording, brackets, known, lip, slack)
     return _Refinement(branches, list(brackets), lip, slack, result, calls)
 
 
@@ -600,9 +647,11 @@ def test_refinement_needs_few_evaluations(monkeypatch, dim):
 
 def test_refine_steps_its_brackets_in_lockstep():
     # two brackets are refined in lockstep: round i makes one kernel call, on
-    # the stencils of round i of each bracket's search run alone, and each
-    # search stops on its own; the brackets are the neighbours of the lowest
-    # inner knot of each half of a 64-knot profile
+    # the times of round i of each bracket's search run alone that neither
+    # search has evaluated yet, and each search stops on its own; the brackets
+    # are the neighbours of the lowest inner knot of each half of an
+    # INITIAL_KNOTS profile (adjacent ones share times), and no time is known
+    # to the searches beforehand
     window = (-4.0 * math.pi, 4.0 * math.pi)
     ts = np.linspace(*window, explorer.INITIAL_KNOTS)
     uneven = 0
@@ -611,18 +660,21 @@ def test_refine_steps_its_brackets_in_lockstep():
             rng = np.random.default_rng([dim, seed])
             frames = explorer._frames(random_effect(dim, rng), random_effect(dim, rng))
             branches = explorer._gap_kernel(frames)
-            gs = explorer._profile(branches, ts)
+            gs = np.maximum(*explorer._profile(branches, ts))
             half = ts.size // 2
             lows = 1 + np.argmin(gs[1:half]), half + np.argmin(gs[half:-1])
             brackets = [(float(ts[i - 1]), float(ts[i + 1])) for i in lows]
             lip, slack = explorer._lipschitz(frames), _search_slack(frames, window)
-            both = _refine_recorded(branches, brackets, lip, slack)
-            alone = [_refine_recorded(branches, [b], lip, slack) for b in both.brackets]
+            both = _refine_recorded(branches, brackets, {}, lip, slack)
+            alone = [_refine_recorded(branches, [b], {}, lip, slack) for b in both.brackets]
             assert both.result == [s.result[0] for s in alone]
             assert len(both.calls) == max(len(s.calls) for s in alone)
+            seen = set()
             for i, times in enumerate(both.calls):
-                stencils = [s.calls[i] for s in alone if i < len(s.calls)]
-                assert np.array_equal(times, np.concatenate(stencils))
+                stencils = np.concatenate([s.calls[i] for s in alone if i < len(s.calls)])
+                new = [t for t in dict.fromkeys(stencils.tolist()) if t not in seen]
+                assert times.tolist() == new
+                seen.update(new)
             uneven += len(alone[0].calls) != len(alone[1].calls)
     assert uneven  # one search ran on after the other stopped
 
@@ -653,7 +705,7 @@ def test_refinement_finds_a_kink_between_unequal_slopes(monkeypatch):
     found, refinements = _search_fake_branches(
         monkeypatch, frames, lambda t: g0 + 0.3 * lip * (t0 - t), lambda t: g0 + 0.7 * lip * (t - t0)
     )
-    slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(f.x) for f in frames)
+    slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(x) for x in frames.x)
     slack += eps * 2.0 * lip / 2.0  # the phases' share at |t| <= 2
     assert g0 <= found.min_gap <= g0 + 2.0 * slack
     [refinement] = refinements
@@ -689,7 +741,7 @@ def _check_no_lower_gap_nearby(r, cfg):
     """
     eps = np.finfo(float).eps
     frames = explorer._frames(r.a, r.b)
-    slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(f.x) for f in frames)
+    slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(x) for x in frames.x)
     lip = explorer._lipschitz(frames)
     lo, hi = cfg.t_window
     ts = np.linspace(r.t_star - 1e-6, r.t_star + 1e-6, 2001)
@@ -777,10 +829,37 @@ def test_first_pass_evaluates_each_distinct_knot_once(monkeypatch):
     assert batches[0].tolist() == sorted(set(np.linspace(lo, LARGEST, explorer.INITIAL_KNOTS)))
     knots = np.concatenate(batches)
     assert np.unique(knots).size == knots.size
-    # a window wider than 63 float spacings keeps all INITIAL_KNOTS knots
+    # a window wider than INITIAL_KNOTS - 1 float spacings keeps all its knots
     batches.clear()
     explorer._certified_search(frames, ScanConfig(t_window=(-1.0, 1.0)))
     assert np.array_equal(batches[0], np.linspace(-1.0, 1.0, explorer.INITIAL_KNOTS))
+
+
+@pytest.mark.parametrize("window", [(-4.0 * math.pi, 4.0 * math.pi), (1e4, 1e4 + 8.0 * math.pi)])
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_search_evaluates_no_time_twice(monkeypatch, dim, window):
+    # every time the kernel receives in one search, knots, midpoints and
+    # refinement stencils, is new: the refinement reads its bracket's knots
+    # and its own earlier points instead of evaluating them again
+    times = []
+    kernel = explorer._gap_kernel
+
+    def recording_kernel(frames):
+        branches = kernel(frames)
+        return lambda t: times.append(np.array(t, dtype=float).ravel()) or branches(t)
+
+    monkeypatch.setattr(explorer, "_gap_kernel", recording_kernel)
+    cfg = ScanConfig(dim=dim, t_window=window)
+    refined = 0
+    for seed in range(10):
+        rng = np.random.default_rng([dim, seed])
+        frames = explorer._frames(random_effect(dim, rng), random_effect(dim, rng))
+        times.clear()
+        explorer._certified_search(frames, cfg)
+        ts = np.concatenate(times)
+        assert np.unique(ts).size == ts.size
+        refined += any(t.size <= 3 for t in times[1:])  # a stencil's new times
+    assert refined >= 5
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -815,10 +894,10 @@ def test_gap_search_checks_its_phases_once_before_any_gap(monkeypatch):
     with pytest.raises(EffectdynError, match="phase"):
         minimize_gap(a, b, ScanConfig(t_window=(1.7976931348623155e308, LARGEST)))
     assert times == []
-    # a search that runs checks each frame once, at the window's largest |t|
+    # a search that runs checks both frames, stacked, once, at the window's largest |t|
     checks.clear()
     minimize_gap(a, b, ScanConfig(t_window=(-3.0, 5.0)))
-    assert checks == [5.0, 5.0]
+    assert checks == [5.0]
     # the knots in one batch first; every later call is a batch of at most
     # three times, a refinement's stencil (a is nearly a projection, so its
     # near-constant gap may need none)

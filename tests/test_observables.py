@@ -361,7 +361,7 @@ def test_stacked_products_match_a_dense_reference(rng):
             if n > 1 and dim > 1:
                 assert np.linalg.matrix_rank(a_obs.effects[0].matrix, tol=1e-10) == dim - 1
             pairs = [(ax, by) for ax in a_obs.effects for by in b_obs.effects]
-            decomposition, _ = stacked_roots([ax for ax, _ in pairs])
+            decomposition, _, _ = stacked_roots([ax for ax, _ in pairs])
             stacked = EigenFrame._from_decomposition(
                 decomposition, np.array([by.matrix for _, by in pairs])
             )
