@@ -160,21 +160,29 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# Most time steps one evolve may take (rows = steps + 1). Its peak memory and
+# its output grow linearly with the steps, by about 11 KB and 2.6 KB per row
+# at dim 8, so a grid beyond it is refused before anything of its size is
+# allocated; a MemoryError below it is reported the same way.
+MAX_STEPS = 1 << 20
+
+
 def cmd_evolve(args) -> int:
-    if args.steps < 0:
-        raise EffectdynError(f"--steps must be nonnegative, got {args.steps}")
+    if not 0 <= args.steps <= MAX_STEPS:
+        raise EffectdynError(f"--steps must be in [0, {MAX_STEPS}], got {args.steps}")
     if not math.isfinite(args.t1 - args.t0):
         raise EffectdynError(f"time window must have finite width, got {(args.t0, args.t1)}")
     a = _load_effect(args.a_file, args.tol)
     b = _load_effect(args.b_file, args.tol)
-    times = np.linspace(args.t0, args.t1, args.steps + 1)
     if args.mode == "evolution":
         frame = evolution.EigenFrame.evolution(a, b)
     else:
         frame = evolution.EigenFrame.product(a, b)
-    csv = serialization.trajectory_csv(
-        times, frame.at(times), frame.deviation_norms(times), frame.derivative_norms(times)
-    )
+    try:
+        times = np.linspace(args.t0, args.t1, args.steps + 1)
+        csv = serialization.trajectory_csv(times, *frame.trajectory(times))
+    except MemoryError:
+        raise EffectdynError(f"--steps {args.steps}: the grid does not fit in memory") from None
     sys.stdout.write(csv)
     return EXIT_OK
 

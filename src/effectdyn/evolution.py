@@ -156,7 +156,7 @@ class EigenFrame:
         t is one time, for one frame or each frame of a stack, or an array
         of times for one frame, which gives one matrix per time, stacked.
         """
-        return self.vectors @ self._rotated(t, order) @ linalg.adjoint(self.vectors)
+        return self._in_basis(self._rotated(t, order))
 
     def check_phases(self, t_max: float) -> None:
         """Raise EffectdynError unless t * freq is finite for every |t| <= t_max.
@@ -177,8 +177,28 @@ class EigenFrame:
         i[M(t), a] = e^{-ita} i[M, a] e^{ita} is a unitary conjugate of its
         value at t = 0, so one eigensolve, of (-i freq) ⊙ X, serves every t.
         """
-        ts = self._checked(times)
-        return np.full(ts.shape, linalg.operator_norms(self.x * (-1j * self.freq)))
+        return np.full(self._checked(times).shape, self._derivative_norm())
+
+    def trajectory(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """at(times), deviation_norms(times) and derivative_norms(times), bit for bit.
+
+        The three readers each form E_t ⊙ X; this forms and checks it once
+        per time, for a grid read whole (cli evolve).
+        """
+        rotated = self._rotated(times)
+        return (
+            self._in_basis(rotated),
+            linalg.operator_norms(rotated - self.x),
+            np.full(rotated.shape[:-2], self._derivative_norm()),
+        )
+
+    def _in_basis(self, m: np.ndarray) -> np.ndarray:
+        """V m V†: from the frame's basis back to the standard one."""
+        return self.vectors @ m @ linalg.adjoint(self.vectors)
+
+    def _derivative_norm(self):
+        """||i[M, a]||, the norm of (-i freq) ⊙ X."""
+        return linalg.operator_norms(self.x * (-1j * self.freq))
 
     def _checked(self, t) -> np.ndarray:
         """t as an array of times; the one empty-grid check, then check_phases."""

@@ -5,8 +5,9 @@ canonical field order dim -> entries. Observable document:
 {"outcomes": [...], "effects": [operator documents]}. Trajectory CSV columns:
 t, e_00_re, e_00_im, ..., deviation, derivative_norm; each matrix is
 written as its Hermitian part (see trajectory_csv). Scan CSV columns:
-trial, commutator_norm, t_star, min_gap. All floats in CSV are written with
-17 significant digits so residuals survive a round trip; writers are
+trial, commutator_norm, t_star, min_gap. Every float in CSV is written as
+'%.17g' % x, 17 significant digits, so residuals survive a round trip (the
+trajectory's through fieldtext, the scan's through %); writers are
 deterministic byte-for-byte.
 
 Every JSON document is written by to_json, whose text is exactly that of
@@ -23,11 +24,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import operator
 from itertools import chain
 
 import numpy as np
 
+from . import fieldtext
 from .effects import Effect
 from .errors import SchemaError
 from .explorer import ScanConfig, ScanResult
@@ -239,60 +240,82 @@ def _csv(header: list[str], table) -> str:
     return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows.tolist())
 
 
+# Fields formatted per fieldtext.records call, which bounds the writer's
+# memory, and record bytes joined per translate: buffers below glibc
+# malloc's default mmap threshold (128 KiB) are reused from call to call
+# instead of being mapped, and faulted in, afresh each time.
+_BLOCK_FIELDS = 1 << 14
+_TEXT_BYTES = 1 << 16
+
+
 def trajectory_csv(times, matrices, deviations, derivative_norms) -> str:
-    """Render evolution samples as CSV, one row per time, 17-digit floats.
+    """Render evolution samples as CSV, one row per time, each field '%.17g' % x.
 
     Each matrix M is written as the Hermitian matrix H whose upper triangle,
     diagonal included, is that of (M + M†)/2 (the normalization every
     Effect gets) and whose lower triangle is the conjugate of that upper
     triangle. Only t, the upper triangle, deviation and derivative_norm are
-    formatted, in one % pass: a strict-lower real part reuses the text of
-    its upper mirror, and a strict-lower imaginary part is that text with
-    its sign flipped (a leading '-' toggled, 'nan' kept). The lower triangle
-    of (M + M†)/2 itself would not match those texts: where Im M_ij equals
-    Im M_ji, both (x - y)/2 and (y - x)/2 are +0, while the conjugate of +0
-    is -0.
+    formatted, by fieldtext.records in blocks of at most _BLOCK_FIELDS: a
+    strict-lower real part reuses the record of its upper mirror, and a
+    strict-lower imaginary part is that record with its sign toggled (nan
+    kept unsigned), the text of -x. The lower triangle of (M + M†)/2 itself
+    would not match those texts: where Im M_ij equals Im M_ji, both
+    (x - y)/2 and (y - x)/2 are +0, while the conjugate of +0 is -0.
     """
     times = np.asarray(times, dtype=float).ravel()
     if not times.size:
         raise SchemaError("trajectory needs at least one sample")
     m = np.asarray(matrices, dtype=complex)
-    rows, cols, width, flipped, order = _hermitian_layout(m.shape[1])
+    header, rows, cols, order, flipped, heads = _hermitian_layout(m.shape[1])
     upper = (m[:, rows, cols] + m[:, cols, rows].conj()) / 2.0
-    entries = np.stack([upper.real, upper.imag], axis=-1).reshape(times.size, -1)
+    entries = np.ascontiguousarray(upper).view(float)  # re, im of each entry
     table = np.column_stack([times, entries, deviations, derivative_norms])
-    texts = (",".join(["%" + _FLOAT_FMT] * table.size) % tuple(table.ravel().tolist())).split(",")
-    lines = []
-    for k in range(0, len(texts), width):
-        row = texts[k : k + width]
-        upper_imag = map(row.__getitem__, flipped)
-        row += [x[1:] if x[0] == "-" else x if x == "nan" else "-" + x for x in upper_imag]
-        lines.append(",".join(order(row)))
-    return ",".join(trajectory_header(m.shape[1])) + "\n" + "\n".join(lines) + "\n"
+    step = max(1, _BLOCK_FIELDS // table.shape[1])
+    lines = max(1, _TEXT_BYTES // (8 * fieldtext.WORDS * len(order)))
+    parts = [header]
+    for start in range(0, len(table), step):
+        block = table[start : start + step]
+        words = fieldtext.records(block)
+        nan = np.isnan(block[:, order[flipped]])  # '%' never signs nan: undo its toggle
+        has_nan = nan.any()
+        for k in range(0, len(block), lines):
+            text = words[k : k + lines].take(order, axis=1)
+            text[..., 0] ^= heads
+            if has_nan:
+                text[:, flipped, 0] ^= nan[k : k + lines] * fieldtext.SIGN
+            parts.append(text.tobytes().translate(None, b"\0").decode("ascii"))
+    parts.append("\n")
+    return "".join(parts)
 
 
 @functools.lru_cache(maxsize=16)
 def _hermitian_layout(dim: int):
     """How trajectory_csv lays out a row of a dim×dim matrix from its upper triangle.
 
-    Returns the upper triangle's row and column indices, the number of
-    formatted fields per row (t, re and im of each upper entry, deviation,
-    derivative_norm), the fields of the strict-upper imaginary parts, whose
-    flipped texts follow the formatted ones in a row's list, and a getter
-    that picks a full row, in header order, from that list.
+    Returns the header line, without its newline; the upper triangle's row
+    and column indices; the formatted field (t, re and im of each upper
+    entry, deviation, derivative_norm) of each column in header order; the
+    columns that are strict-lower imaginary parts, written as their mirror's
+    text negated; and what word 0 of each column's record is XOR-ed with:
+    the separator before it ('\\n' before t, so each line ends the one
+    before it, else ','), and for those columns the sign.
     """
     rows, cols = np.triu_indices(dim)
     upper = {(i, j): 1 + 2 * p for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
     width = 2 * len(upper) + 3
-    flipped = [f + 1 for (i, j), f in upper.items() if i != j]
-    after = {f: width + q for q, f in enumerate(flipped)}
-    order = [0]
+    order, flipped = [0], []
     for i in range(dim):
         for j in range(dim):
             f = upper[min(i, j), max(i, j)]
-            order += [f, f + 1 if i <= j else after[f + 1]]
+            if i > j:
+                flipped.append(len(order) + 1)
+            order += [f, f + 1]
     order += [width - 2, width - 1]
-    return rows, cols, width, flipped, operator.itemgetter(*order)
+    heads = np.full(len(order), ord(","), dtype=np.uint64)
+    heads[0] = ord("\n")
+    heads[flipped] |= fieldtext.SIGN
+    header = ",".join(trajectory_header(dim))
+    return header, rows, cols, np.array(order), np.array(flipped, dtype=int), heads
 
 
 def scan_csv(result: ScanResult) -> str:

@@ -394,6 +394,44 @@ def test_evolve_negative_steps_is_invalid_input(files, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("steps", ["1000000000000", "100000000000000000000", str(cli.MAX_STEPS + 1)])
+def test_evolve_too_many_steps_is_refused_before_any_grid(files, capsys, monkeypatch, steps):
+    # refused up front, whatever the machine's memory: no grid is formed
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was formed")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    code, out, err = run(capsys, ["evolve", files["a"], files["b"], "--steps", steps])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "--steps" in err
+
+
+def test_evolve_out_of_memory_is_invalid_input(files, capsys, monkeypatch):
+    # a grid within MAX_STEPS that still does not fit is reported, not a traceback
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(serialization, "trajectory_csv", exhausted)
+    code, out, err = run(capsys, ["evolve", files["a"], files["b"], "--steps", "64"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "--steps 64" in err
+
+
+def test_evolve_rotates_each_time_once(files, capsys, monkeypatch):
+    rotated = evolution.EigenFrame._rotated
+    calls = []
+
+    def counting(self, t, order=0):
+        calls.append(np.size(t))
+        return rotated(self, t, order)
+
+    monkeypatch.setattr(evolution.EigenFrame, "_rotated", counting)
+    for mode in ("evolution", "seqprod"):
+        calls.clear()
+        code, _, _ = run(capsys, ["evolve", files["a"], files["b"], "--steps", "8", "--mode", mode])
+        assert code == 0 and calls == [9]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

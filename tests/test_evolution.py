@@ -496,6 +496,30 @@ def test_derivative_norms_take_one_eigensolve_for_a_grid(rng, monkeypatch):
         edge.derivative_norms([0.0, 1.7976931348623157e308])
 
 
+def test_trajectory_rotates_each_time_once_and_matches_the_readers(rng, monkeypatch):
+    # at, deviation_norms and derivative_norms, bit for bit, from one E_t ⊙ X
+    # per time: each reader alone forms it again
+    times = np.linspace(-3.0, 25.0, 65)
+    rotated = EigenFrame._rotated
+    calls = []
+
+    def counting(self, t, order=0):
+        calls.append(order)
+        return rotated(self, t, order)
+
+    for a, b in _frame_cases(rng):
+        for frame in (EigenFrame.evolution(a, b), EigenFrame.product(a, b)):
+            want = (frame.at(times), frame.deviation_norms(times), frame.derivative_norms(times))
+            with monkeypatch.context() as m:
+                m.setattr(EigenFrame, "_rotated", counting)
+                calls.clear()
+                got = frame.trajectory(times)
+                assert calls == [0]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    with pytest.raises(EmptyGridError):
+        frame.trajectory([])
+
+
 def test_eigen_frame_rejects_empty_grid(rng):
     frame = EigenFrame.evolution(random_effect(2, rng), random_effect(2, rng))
     for empty in ([], np.empty((0,))):

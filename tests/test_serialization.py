@@ -181,6 +181,26 @@ def test_trajectory_csv_writes_the_hermitian_part_of_each_matrix(rng):
         assert text == serialization._csv(serialization.trajectory_header(dim), table)
 
 
+def test_trajectory_csv_rows_spanning_several_blocks(rng):
+    # 600 dim-8 rows hold 45,000 formatted fields: three fieldtext blocks of
+    # at most _BLOCK_FIELDS, each joined in several pieces of _TEXT_BYTES;
+    # the bytes are the generic writer's, nan in a late mirrored entry included
+    n, dim = 600, 8
+    assert n * (dim * (dim + 1) + 3) > 2 * serialization._BLOCK_FIELDS
+    m = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    m[-1, 0, 1] = complex(0.5, np.nan)
+    times, deviations, norms = (rng.standard_normal(n) for _ in range(3))
+    with np.errstate(invalid="ignore"):
+        text = serialization.trajectory_csv(times, m, deviations, norms)
+        h = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    lower = np.tril_indices(dim, -1)
+    h[:, lower[0], lower[1]] = h[:, lower[1], lower[0]].conj()
+    entries = np.stack([h.real, h.imag], axis=-1).reshape(n, -1)
+    table = np.column_stack([times, entries, deviations, norms])
+    assert text == serialization._csv(serialization.trajectory_header(dim), table)
+    assert ",nan," in text.splitlines()[-1]
+
+
 def test_trajectory_csv_rejects_empty():
     with pytest.raises(SchemaError):
         serialization.trajectory_csv([], [], [], [])
