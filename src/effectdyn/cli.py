@@ -160,14 +160,23 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-# Most time steps one evolve may take (rows = steps + 1). Its peak memory and
-# its output grow linearly with the steps, by about 11 KB and 2.6 KB per row
-# at dim 8, so a grid beyond it is refused before anything of its size is
-# allocated; a MemoryError below it is reported the same way.
+# Most time steps one evolve may take (rows = steps + 1), refused before any
+# grid is formed. Its output grows by about 2.6 KB per row at dim 8; its
+# memory does not: evolve forms and writes the grid in blocks of BLOCK_ROWS
+# rows, about 11 KB per row at dim 8, so only the time grid itself (8 bytes
+# per row) grows with the steps. A MemoryError is reported as refused input.
 MAX_STEPS = 1 << 20
+BLOCK_ROWS = 1024
 
 
 def cmd_evolve(args) -> int:
+    """Write the trajectory CSV block by block, byte-identical to one trajectory_csv call.
+
+    Every phase of the whole window is checked before the first byte, and the
+    first block is formed before it too, so refused input leaves stdout empty.
+    A later block that does not fit in memory still exits 2, after the rows
+    before it.
+    """
     if not 0 <= args.steps <= MAX_STEPS:
         raise EffectdynError(f"--steps must be in [0, {MAX_STEPS}], got {args.steps}")
     if not math.isfinite(args.t1 - args.t0):
@@ -180,10 +189,13 @@ def cmd_evolve(args) -> int:
         frame = evolution.EigenFrame.product(a, b)
     try:
         times = np.linspace(args.t0, args.t1, args.steps + 1)
-        csv = serialization.trajectory_csv(times, *frame.trajectory(times))
+        frame.check_phases(float(np.abs(times).max()))
+        for start in range(0, len(times), BLOCK_ROWS):
+            block = times[start : start + BLOCK_ROWS]
+            csv = serialization.trajectory_csv(block, *frame.trajectory(block))
+            sys.stdout.write(csv if start == 0 else csv.partition("\n")[2])  # one header
     except MemoryError:
         raise EffectdynError(f"--steps {args.steps}: the grid does not fit in memory") from None
-    sys.stdout.write(csv)
     return EXIT_OK
 
 

@@ -12,11 +12,17 @@ deterministic byte-for-byte.
 
 Every JSON document is written by to_json, whose text is exactly that of
 json.dumps(doc, indent=2) with each operator as its operator document:
-floats through float.__repr__ (NaN and ±Infinity as json spells them),
-strings with json's ASCII escaping. Documents hold operators as their
-matrices, and to_json writes each matrix, the bulk of every document, by
-filling a layout cached per (dim, depth) with its entries; the stdlib's
-pure-Python indented encoder would spend a Python call per value.
+floats as float.__repr__ writes them (NaN and ±Infinity as json spells
+them), strings with json's ASCII escaping. Documents hold operators as their
+matrices, the bulk of every document. to_json writes the rest as json's
+encoder does and gathers the matrices, whose entries then fill a layout
+cached per (dim, depth). Below KERNEL_FLOATS floats in all, float.__repr__
+writes them one by one. From there up, fieldtext.repr_records writes them
+all, repr's exact text from one numpy pass (with float.__repr__ itself for
+the few values it leaves undecided), each number after a one-byte code for
+the layout piece before it, and the codes are then replaced by the pieces.
+The stdlib's pure-Python indented encoder would spend a Python call per
+value.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import dataclasses
 import functools
 import json
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,15 +119,72 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def to_json(doc) -> str:
     """json.dumps(doc, indent=2), byte for byte, each complex ndarray as its operator document.
 
-    Dict keys must be strings; an ndarray must be a square complex matrix.
+    Dict keys must be strings; an ndarray must be a square matrix (SchemaError
+    otherwise, as in operator_to_document).
     """
     out: list[str] = []
-    _encode(doc, 0, out)
+    matrices: list[tuple[int, np.ndarray, int]] = []
+    _encode(doc, 0, out, matrices)
+    if matrices:
+        _write_matrices(out, matrices)
     return "".join(out)
 
 
-def _encode(o, depth: int, out: list[str]) -> None:
-    """Append the text of o at nesting depth ``depth``, dispatching as json's encoder does."""
+# A document whose matrices hold at least this many floats has them all
+# formatted by fieldtext.repr_records, one call per _BLOCK_FIELDS of them
+# (one call for every document the commands write but the largest scan
+# reports). That path costs about 70 µs more than the per-float one however
+# few the floats are, and then about 0.15 µs a float against about 0.7 µs
+# for float.__repr__, so the two break even at about 200 to 290 floats,
+# depending on the document. At 256 floats, a one-trial dim-8 scan report,
+# the kernel measured 0-12 % faster (medians of paired runs), about 15 µs:
+# too little to pay for building its tables in a scan process (about 0.7 MB
+# of peak RSS), so one-trial scan reports (16, 64 and 256 floats) stay on
+# the per-float path.
+KERNEL_FLOATS = 288
+
+
+def _write_matrices(out: list[str], matrices: list[tuple[int, np.ndarray, int]]) -> None:
+    """Fill each (slot, matrix, depth) into out[slot]: its operator document at that depth.
+
+    Per float, each matrix's texts fill its layout (_operator_pieces). With
+    the kernel, every number is written once, after the code of the layout
+    piece before it; the text is then cut at the codes that start a matrix,
+    and each matrix's codes are replaced by its pieces.
+    """
+    values = np.concatenate([m.ravel() for _, m, _ in matrices]).view(float)  # re, im, ...
+    pieces = [_operator_pieces(len(m), depth) for _, m, depth in matrices]
+    finite = np.isfinite(values).all()
+    if values.size < KERNEL_FLOATS:
+        texts = list(map(float.__repr__, values.tolist()))
+        if not finite:
+            texts = [_NON_FINITE.get(x, x) for x in texts]
+        start = 0
+        for (slot, m, _), p in zip(matrices, pieces):
+            out[slot] = p.layout % tuple(texts[start : start + 2 * m.size])
+            start += 2 * m.size
+        return
+    codes = np.concatenate([p.codes for p in pieces])
+    blocks = []
+    for start in range(0, values.size, _BLOCK_FIELDS):
+        words = fieldtext.repr_records(values[start : start + _BLOCK_FIELDS])
+        words[:, 0] |= codes[start : start + _BLOCK_FIELDS]  # the separator slot
+        blocks.append(words.tobytes().translate(None, b"\0"))
+    text = b"".join(blocks)
+    if not finite:
+        text = text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")  # -inf: -Infinity
+    for (slot, _, _), p, entries in zip(matrices, pieces, text.split(_START)[1:]):
+        for code, separator in p.separators:
+            entries = entries.replace(code, separator)
+        out[slot] = p.head + entries.decode("ascii") + p.tail
+
+
+def _encode(o, depth: int, out: list[str], matrices: list) -> None:
+    """Append the text of o at nesting depth ``depth``, dispatching as json's encoder does.
+
+    A matrix with entries gets an empty slot in out, and (slot, matrix,
+    depth) in matrices, for _write_matrices to fill.
+    """
     if isinstance(o, str):
         out.append(_ESCAPE(o))
     elif o is None:
@@ -135,10 +199,12 @@ def _encode(o, depth: int, out: list[str]) -> None:
         text = float.__repr__(o)
         out.append(_NON_FINITE.get(text, text))
     elif isinstance(o, np.ndarray):
-        texts = list(map(float.__repr__, _interleaved(o).ravel().tolist()))
-        if not _NON_FINITE.keys().isdisjoint(texts):
-            texts = [_NON_FINITE.get(x, x) for x in texts]
-        out.append(_operator_layout(len(o), depth) % tuple(texts))
+        m = _square(o)
+        if m.size:
+            matrices.append((len(out), m, depth))
+            out.append("")
+        else:  # no numbers to write
+            out.append(_operator_pieces(0, depth).layout)
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -146,7 +212,7 @@ def _encode(o, depth: int, out: list[str]) -> None:
         indent = "\n" + "  " * (depth + 1)
         for i, item in enumerate(o):
             out.append(("[" if i == 0 else ",") + indent)
-            _encode(item, depth + 1, out)
+            _encode(item, depth + 1, out, matrices)
         out.append("\n" + "  " * depth + "]")
     elif isinstance(o, dict):
         if not o:
@@ -157,18 +223,39 @@ def _encode(o, depth: int, out: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {key.__class__.__name__}")
             out.append(("{" if i == 0 else ",") + indent + _ESCAPE(key) + ": ")
-            _encode(value, depth + 1, out)
+            _encode(value, depth + 1, out, matrices)
         out.append("\n" + "  " * depth + "}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
+# Codes, written before each number of a matrix, for the layout piece that
+# goes there: _START before its first number, _CODES[k] before the others.
+# No float's text holds one.
+_START, _CODES = b"\x04", (b"\x01", b"\x02", b"\x03")
+
+
+class _Pieces(NamedTuple):
+    layout: str  # a matrix's operator document with %s for each number
+    head: str  # the layout up to its first number
+    tail: str  # and after its last
+    separators: tuple[tuple[bytes, bytes], ...]  # (code, the piece between two numbers)
+    codes: np.ndarray  # the code before each number, as a record's first word
+
+
 @functools.lru_cache(maxsize=64)
-def _operator_layout(dim: int, depth: int) -> str:
-    """The text of a dim×dim operator document at ``depth``, with %s for each number."""
+def _operator_pieces(dim: int, depth: int) -> _Pieces:
+    """The layout of a dim×dim operator document at ``depth``, and the same cut at its numbers."""
     slots = {"dim": dim, "entries": [[["%s", "%s"]] * dim] * dim}
-    text = json.dumps(slots, indent=2).replace('"%s"', "%s")
-    return text.replace("\n", "\n" + "  " * depth)
+    layout = json.dumps(slots, indent=2).replace("\n", "\n" + "  " * depth).replace('"%s"', "%s")
+    head, *between = layout.split("%s")
+    tail = between.pop() if between else ""  # dim 0: all head
+    distinct = list(dict.fromkeys(between))  # within a pair, between pairs, between rows
+    code_bytes = _START + b"".join(_CODES[distinct.index(b)] for b in between)
+    codes = np.frombuffer(code_bytes, np.uint8).astype(np.uint64)
+    codes.flags.writeable = False
+    separators = tuple((code, b.encode("ascii")) for code, b in zip(_CODES, distinct))
+    return _Pieces(layout, head, tail, separators, codes)
 
 
 def _decode(text: str):
@@ -240,9 +327,9 @@ def _csv(header: list[str], table) -> str:
     return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows.tolist())
 
 
-# Fields formatted per fieldtext.records call, which bounds the writer's
-# memory, and record bytes joined per translate: buffers below glibc
-# malloc's default mmap threshold (128 KiB) are reused from call to call
+# Fields formatted per fieldtext.records or repr_records call, which bounds
+# the writers' memory, and record bytes joined per translate: buffers below
+# glibc malloc's default mmap threshold (128 KiB) are reused from call to call
 # instead of being mapped, and faulted in, afresh each time.
 _BLOCK_FIELDS = 1 << 14
 _TEXT_BYTES = 1 << 16

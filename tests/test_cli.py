@@ -1,7 +1,11 @@
 import collections
+import contextlib
+import hashlib
 import json
 import math
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +419,64 @@ def test_evolve_out_of_memory_is_invalid_input(files, capsys, monkeypatch):
     code, out, err = run(capsys, ["evolve", files["a"], files["b"], "--steps", "64"])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and "--steps 64" in err
+
+
+def _evolve_pair(tmp_path, dim, rng):
+    return [write_op(tmp_path / f"{name}.json", random_effect(dim, rng).matrix) for name in "ab"]
+
+
+def _one_shot_csv(paths, mode, times):
+    """trajectory_csv of the whole grid in one call, as evolve wrote it before it wrote blocks."""
+    a, b = (validate_effect(serialization.parse_operator_json(open(p).read())) for p in paths)
+    frame = (evolution.EigenFrame.evolution if mode == "evolution" else evolution.EigenFrame.product)(a, b)
+    return serialization.trajectory_csv(times, *frame.trajectory(times))
+
+
+@pytest.mark.parametrize("steps", [0, 5, 6, 13, 40])
+def test_evolve_in_blocks_matches_one_trajectory_csv(tmp_path, capsys, monkeypatch, rng, steps):
+    # 1 to 6 blocks of 7 rows, the last one full or not: one header, every row once
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    paths = _evolve_pair(tmp_path, 3, rng)
+    for mode in ("evolution", "seqprod"):
+        argv = ["evolve", *paths, "--t0", "-0.3", "--t1", "2.9", "--steps", str(steps), "--mode", mode]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == _one_shot_csv(paths, mode, np.linspace(-0.3, 2.9, steps + 1))
+
+
+class _HashingSink:
+    """A stdout that keeps only a digest of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("ascii"))
+        return len(text)
+
+
+def test_evolve_memory_is_bounded_by_the_block(tmp_path, monkeypatch, rng):
+    # the peak of 16 blocks is that of 4: the grid is formed and written
+    # block by block, and the bytes are those of the one-shot text
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 64)
+    paths = _evolve_pair(tmp_path, 8, rng)
+    with contextlib.redirect_stdout(_HashingSink()):  # build the cached tables first
+        cli.main(["evolve", *paths, "--steps", "1"])
+    peaks = []
+    for blocks in (4, 16):
+        steps = 64 * blocks - 1
+        sink = _HashingSink()
+        stdout, sys.stdout = sys.stdout, sink
+        tracemalloc.start()
+        try:
+            assert cli.main(["evolve", *paths, "--steps", str(steps)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            sys.stdout = stdout
+        text = _one_shot_csv(paths, "evolution", np.linspace(0.0, 2.0 * math.pi, steps + 1))
+        assert sink.digest.hexdigest() == hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 def test_evolve_rotates_each_time_once(files, capsys, monkeypatch):

@@ -123,6 +123,19 @@ def test_non_square_matrix_rejected():
         serialization.operator_to_document(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (4,), (), (0, 1)])
+def test_writer_rejects_an_array_that_is_not_a_square_matrix(shape):
+    # the writer raises what operator_to_document raises for the same array,
+    # wherever the array sits in the document
+    array = np.zeros(shape)
+    with pytest.raises(SchemaError) as expected:
+        serialization.operator_to_document(array)
+    for doc in (array, {"effects": [np.eye(2), array]}, [array, np.eye(9)]):
+        with pytest.raises(SchemaError) as raised:
+            serialization.to_json(doc)
+        assert str(raised.value) == str(expected.value)
+
+
 def test_observable_roundtrip():
     obs = validate_observable(
         [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ["up", "down"]
@@ -348,6 +361,7 @@ def test_writer_pins_matrices_to_their_operator_documents(rng):
         for doc in (
             m,
             [m, 0.5, m],
+            [np.zeros((0, 0)), m, {"empty": np.zeros((0, 0))}],
             {"a": m, "b": None},
             {"observable": {"outcomes": LABELS[:2], "effects": [m, m]}, "distribution": dist},
         ):
@@ -393,3 +407,35 @@ def test_writer_matches_json_dumps_on_every_output(rng, monkeypatch, tmp_path, c
     texts.append(capsys.readouterr().out)
     for doc, text in zip(documents, texts, strict=True):
         assert text == json.dumps(_plain(doc), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+def test_writer_matches_json_dumps_around_the_kernel_crossover(rng, monkeypatch, offset):
+    # documents whose matrices hold just below, at and just above KERNEL_FLOATS
+    # floats, formatted per float and by fieldtext.repr_records respectively,
+    # with special values, matrices of several sizes and at several depths
+    calls = []
+    records = serialization.fieldtext.repr_records
+    monkeypatch.setattr(
+        serialization.fieldtext, "repr_records", lambda v: calls.append(v.size) or records(v)
+    )
+    floats = serialization.KERNEL_FLOATS + offset
+    for _ in range(8):
+        dims = [3, 2, 1]  # 18 + 8 + 2 floats, then 2 per 1×1 matrix
+        dims += [1] * ((floats - 28) // 2)
+        matrices = [_special_matrix(rng, dim) for dim in dims]
+        nested = {"first": matrices[0], "rest": [{"m": m, "x": float(rng.random())} for m in matrices[1:]]}
+        for doc in (matrices, nested):
+            calls.clear()
+            assert serialization.to_json(doc) == json.dumps(_plain(doc), indent=2)
+            assert calls == ([floats] if offset >= 0 else [])
+
+
+def test_writer_in_several_kernel_blocks_matches_json_dumps(rng, monkeypatch):
+    # blocks that cut matrices, and entries, anywhere: the text is that of one block
+    monkeypatch.setattr(serialization, "_BLOCK_FIELDS", 37)
+    for _ in range(8):
+        matrices = [_special_matrix(rng, dim) for dim in rng.integers(1, 9, 12)]
+        doc = {"effects": matrices, "more": [{"m": m} for m in matrices[:3]]}
+        assert 2 * sum(m.size for m in matrices) >= serialization.KERNEL_FLOATS
+        assert serialization.to_json(doc) == json.dumps(_plain(doc), indent=2)
