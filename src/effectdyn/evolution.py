@@ -14,10 +14,11 @@ e^{-ita} m e^{ita} = V (E_t ⊙ V†mV) V† with E_t(j,k) = e^{-it(w_j - w_k)},
 so a frame is built once per pair, from a's cached Effect.decomposition,
 and each t costs only the phases. In V, [·, a] scales entry jk by
 -(w_j - w_k), so time derivatives and deviations are frame reads as well.
-One reader, EigenFrame.at(t, order), serves one time or a grid of times,
-and every phase it forms passes EigenFrame.check_phases. A frame of a[t]b
-validates a∘b and cross-checks its two routes once, when it is built; the
-public time_seq_product checks its one t against the dense form. Only
+A frame has three readers: EigenFrame.at(t, order), at one time or on a
+grid of times, and deviation_norms and trajectory (evolve's columns), on a
+grid; every phase they form passes EigenFrame.check_phases. A frame of
+a[t]b validates a∘b and cross-checks its two routes once, when it is built;
+the public time_seq_product checks its one t against the dense form. Only
 classify_scaled_projection groups coincident eigenvalues. Derived effects
 and decisions use the loosest operand's admission tolerance, Effect.tol;
 products compound it (product_tol).
@@ -119,29 +120,23 @@ class EigenFrame:
     def product(cls, a: Effect, b: Effect) -> EigenFrame:
         """Frame of a[t]b, that is m = a∘b (validated), cross-checked once.
 
-        The one-pair case of products.
+        The one-pair case of stacked_products: its slice 0.
         """
-        return cls.products([a], [b])[0]
-
-    @classmethod
-    def products(cls, lefts, rights) -> tuple[EigenFrame, ...]:
-        """The frame of a[t]b for every aligned pair (lefts[k], rights[k]) of one dimension.
-
-        One frame per pair, the slices of stacked_products.
-        """
-        frame = cls.stacked_products(lefts, rights)
-        return tuple(map(cls, frame.vectors, frame.freq, frame.x))
+        frame = cls.stacked_products([a], [b])
+        return cls(frame.vectors[0], frame.freq[0], frame.x[0])
 
     @classmethod
     def stacked_products(cls, lefts, rights) -> EigenFrame:
-        """The frames of products as one frame with each field stacked along a leading axis.
+        """The frames of a[t]b for every aligned pair (lefts[k], rights[k]) of one dimension.
 
-        One stacked pass: a∘b of every pair admitted at its product_tol, with
-        the lefts' roots stacked once (products_and_roots), then one stacked
-        cross-check. a^{1/2} is diag(√w) in V, so the second
-        route a^{1/2} b(t|a) a^{1/2} is V (E_t ⊙ (√w_j B_jk √w_k)) V† with
-        B = V†bV: comparing X with √w_j B_jk √w_k covers every t. The first
-        pair beyond CROSS_CHECK_TOL raises ConsistencyError.
+        One frame with each field stacked along a leading axis, slice k pair
+        k's frame, built in one stacked pass: a∘b of every pair admitted at
+        its product_tol, with the lefts' roots stacked once
+        (products_and_roots), then one stacked cross-check. a^{1/2} is
+        diag(√w) in V, so the second route a^{1/2} b(t|a) a^{1/2} is
+        V (E_t ⊙ (√w_j B_jk √w_k)) V† with B = V†bV: comparing X with
+        √w_j B_jk √w_k covers every t. The first pair beyond CROSS_CHECK_TOL
+        raises ConsistencyError.
         """
         ab, (d, root, _) = products_and_roots(lefts, rights)
         v, vh = d.vectors, linalg.adjoint(d.vectors)
@@ -171,18 +166,10 @@ class EigenFrame:
         """||M(t) - M(0)|| for every t in ``times``."""
         return linalg.operator_norms(self._rotated(times) - self.x)
 
-    def derivative_norms(self, times) -> np.ndarray:
-        """||d/dt M(t)|| = ||i[M(t), a]|| for every t in ``times``, the same at every t.
-
-        i[M(t), a] = e^{-ita} i[M, a] e^{ita} is a unitary conjugate of its
-        value at t = 0, so one eigensolve, of (-i freq) ⊙ X, serves every t.
-        """
-        return np.full(self._checked(times).shape, self._derivative_norm())
-
     def trajectory(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """at(times), deviation_norms(times) and derivative_norms(times), bit for bit.
+        """at(times) and deviation_norms(times), bit for bit, and ||d/dt M(t)|| at each time.
 
-        The three readers each form E_t ⊙ X; this forms and checks it once
+        Those two readers each form E_t ⊙ X; this forms and checks it once
         per time, for a grid read whole (cli evolve).
         """
         rotated = self._rotated(times)
@@ -197,28 +184,28 @@ class EigenFrame:
         return self.vectors @ m @ linalg.adjoint(self.vectors)
 
     def _derivative_norm(self):
-        """||i[M, a]||, the norm of (-i freq) ⊙ X."""
+        """||i[M(t), a]|| = ||d/dt M(t)||, the norm of (-i freq) ⊙ X, the same at every t.
+
+        i[M(t), a] = e^{-ita} i[M, a] e^{ita} is a unitary conjugate of its
+        value at t = 0, so one eigensolve serves every t.
+        """
         return linalg.operator_norms(self.x * (-1j * self.freq))
 
-    def _checked(self, t) -> np.ndarray:
-        """t as an array of times; the one empty-grid check, then check_phases."""
-        ts = np.asarray(t, dtype=float)
-        if ts.size == 0:
-            raise EmptyGridError("time grid is empty")
-        self.check_phases(float(np.abs(ts).max()))
-        return ts
-
     def _rotated(self, t, order: int = 0) -> np.ndarray:
-        """(-i freq)^order ⊙ E_t ⊙ X at t, with E_t = exp(-it freq), after _checked.
+        """(-i freq)^order ⊙ E_t ⊙ X at t, with E_t = exp(-it freq).
 
         In V, [., a] scales entry jk by -freq_jk, so this is the order-th
         derivative i^order [...[M(t), a]..., a] in the frame's basis. An
         array of times gives one slice per time. E_t is formed as e ⊗ ē with
         e_j = exp(-it freq_j0), so E_t ⊙ X = D X D† for the diagonal unitary
         D = diag(e) even where the phases t freq_j0 round: the spectrum of X
-        is kept at every t. E_t is exactly 1 where freq is 0.
+        is kept at every t. E_t is exactly 1 where freq is 0. t passes the
+        one empty-grid check, then check_phases.
         """
-        ts = self._checked(t)
+        ts = np.asarray(t, dtype=float)
+        if ts.size == 0:
+            raise EmptyGridError("time grid is empty")
+        self.check_phases(float(np.abs(ts).max()))
         e = np.exp(-1j * ts[..., None] * self.freq[..., :, 0])
         rotated = e[..., :, None] * self.x * e.conj()[..., None, :]
         rotated = np.where(self.freq == 0.0, self.x, rotated)

@@ -450,7 +450,7 @@ def test_eigen_frame_matches_dense_reference(rng):
                 np.max(np.abs(np.linalg.eigvalsh(1j * (w @ a.matrix - a.matrix @ w))))
                 for w in want
             ]
-            assert np.max(np.abs(frame.derivative_norms(times) - derivative)) < 1e-12
+            assert np.max(np.abs(frame.trajectory(times)[2] - derivative)) < 1e-12
             nested = want
             for n in (1, 2, 3):
                 nested = 1j * (nested @ a.matrix - a.matrix @ nested)
@@ -463,8 +463,9 @@ def test_eigen_frame_matches_dense_reference(rng):
 
 
 def test_derivative_norms_take_one_eigensolve_for_a_grid(rng, monkeypatch):
-    # ||i[M(t), a]|| is the norm of a unitary conjugate of i[M, a], so a
-    # 129-point grid costs one eigensolve and the value holds at every t
+    # ||i[M(t), a]|| is the norm of a unitary conjugate of i[M, a], so on a
+    # 129-point grid the trajectory's derivative column costs one eigensolve
+    # (after the deviation column's stacked one) and its value holds at every t
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -482,23 +483,23 @@ def test_derivative_norms_take_one_eigensolve_for_a_grid(rng, monkeypatch):
             (EigenFrame.product(a, b), s @ b.matrix @ s),
         ):
             solved.clear()
-            norms = frame.derivative_norms(times)
-            assert sum(solved) == 1 and norms.shape == times.shape
+            norms = frame.trajectory(times)[2]
+            assert solved == [times.size, 1] and norms.shape == times.shape
             for t, value in zip(times, norms):
                 w = _dense_conjugation(a.matrix, m, t)
                 dense = np.linalg.norm(1j * (w @ a.matrix - a.matrix @ w), 2)
                 assert value == pytest.approx(dense, abs=1e-12)
     with pytest.raises(EmptyGridError):
-        frame.derivative_norms([])
+        frame.trajectory([])
     # a reaches 1 + 5e-10 (admitted at the default tol), so t * freq overflows
     edge = EigenFrame.evolution(validate_effect(np.diag([1.0 + 5e-10, 0.0])), random_effect(2, rng))
     with pytest.raises(EffectdynError, match="phase"):
-        edge.derivative_norms([0.0, 1.7976931348623157e308])
+        edge.trajectory([0.0, 1.7976931348623157e308])
 
 
 def test_trajectory_rotates_each_time_once_and_matches_the_readers(rng, monkeypatch):
-    # at, deviation_norms and derivative_norms, bit for bit, from one E_t ⊙ X
-    # per time: each reader alone forms it again
+    # at, deviation_norms and the one-eigensolve derivative norm, bit for bit,
+    # from one E_t ⊙ X per time: each reader alone forms it again
     times = np.linspace(-3.0, 25.0, 65)
     rotated = EigenFrame._rotated
     calls = []
@@ -509,7 +510,8 @@ def test_trajectory_rotates_each_time_once_and_matches_the_readers(rng, monkeypa
 
     for a, b in _frame_cases(rng):
         for frame in (EigenFrame.evolution(a, b), EigenFrame.product(a, b)):
-            want = (frame.at(times), frame.deviation_norms(times), frame.derivative_norms(times))
+            derivative = np.full(times.shape, frame._derivative_norm())
+            want = (frame.at(times), frame.deviation_norms(times), derivative)
             with monkeypatch.context() as m:
                 m.setattr(EigenFrame, "_rotated", counting)
                 calls.clear()
@@ -572,25 +574,25 @@ def test_eigen_frame_products_stack_product_bit_for_bit(rng):
         deficient = validate_effect((u * w) @ u.conj().T)
         a, b = random_effect(dim, rng), random_effect(dim, rng)
         lefts, rights = [a, b, deficient], [b, a, random_effect(dim, rng)]
-        frames = EigenFrame.products(lefts, rights)
-        assert len(frames) == 3
-        for frame, left, right in zip(frames, lefts, rights):
+        frames = EigenFrame.stacked_products(lefts, rights)
+        assert all(len(getattr(frames, field)) == 3 for field in ("vectors", "freq", "x"))
+        for k, (left, right) in enumerate(zip(lefts, rights)):
             for single in (
                 EigenFrame.product(left, right),
                 EigenFrame.evolution(left, sequential_product(left, right)),
             ):
                 for field in ("vectors", "freq", "x"):
-                    assert np.array_equal(getattr(frame, field), getattr(single, field)), field
+                    assert np.array_equal(getattr(frames, field)[k], getattr(single, field)), field
 
 
 def test_eigen_frame_products_check_every_slice(rng):
     # one corrupted pair anywhere in the stack fails the one stacked cross-check
     a, b, c = (random_effect(3, rng) for _ in range(3))
     broken = _with_broken_sqrt(a, rng)
-    EigenFrame.products([a, b, c], [b, c, a])
+    EigenFrame.stacked_products([a, b, c], [b, c, a])
     for lefts in ([broken, b, c], [a, b, broken]):
         with pytest.raises(ConsistencyError):
-            EigenFrame.products(lefts, [b, c, a])
+            EigenFrame.stacked_products(lefts, [b, c, a])
 
 
 def test_consistency_error_at_the_public_boundary(rng, monkeypatch):

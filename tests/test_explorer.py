@@ -83,7 +83,7 @@ def test_drawn_pair_is_two_random_effects_bit_for_bit(dim):
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_pair_frames_match_products_of_fresh_effects_bit_for_bit(dim):
     # a trial's stacked frames, built on one stacked pass of decompositions
-    # and square roots, against EigenFrame.products on the same matrices
+    # and square roots, against EigenFrame.stacked_products on the same matrices
     # admitted afresh, each decomposed and rooted alone by its properties
     for trial in range(4):
         a, b, _ = explorer._draw_pair(ScanConfig(dim=dim, seed=7), trial)
@@ -95,9 +95,9 @@ def test_pair_frames_match_products_of_fresh_effects_bit_for_bit(dim):
             assert stacked.decomposition.vectors.tobytes() == want.vectors.tobytes()
             assert stacked.sqrt_eigenvalues.tobytes() == alone.sqrt_eigenvalues.tobytes()
             assert stacked.sqrt.tobytes() == alone.sqrt.tobytes()
-        for k, single in enumerate(EigenFrame.products((fa, fb), (fb, fa))):
-            for field in ("vectors", "freq", "x"):
-                assert getattr(frames, field)[k].tobytes() == getattr(single, field).tobytes()
+        fresh = EigenFrame.stacked_products((fa, fb), (fb, fa))
+        for field in ("vectors", "freq", "x"):
+            assert getattr(frames, field).tobytes() == getattr(fresh, field).tobytes()
 
 
 def test_random_pairs_rarely_commute():
