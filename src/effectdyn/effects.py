@@ -101,22 +101,21 @@ def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np
     ``sqrt_eigenvalues`` and their ``sqrt`` from one stacked pass: one eigh
     of their matrices, which numpy solves slice by slice with the LAPACK call
     it makes for one matrix, and the same elementwise steps and matrix
-    products as each property, slice by slice, so to the same bits. A value
-    an effect has cached already is kept.
+    products as each property, slice by slice, so to the same bits. Such an
+    effect has cached none of the three, since each property reads
+    ``decomposition`` first.
     """
     fresh = list({id(e): e for e in effects if "decomposition" not in vars(e)}.values())
     if fresh:
         d = linalg.hermitian_eigh(np.array([e.matrix for e in fresh]))
         root = _sqrt_eigenvalues(d.eigenvalues, np.array([e.eig_max for e in fresh]))
         sqrt = (d.vectors * root[:, None, :]) @ linalg.adjoint(d.vectors)
-        whole = len(fresh) == len(effects)  # the stacks are the effects', in order
         for e, w, v, r, s in zip(fresh, d.eigenvalues, d.vectors, root, sqrt):
-            cache = vars(e)  # where each cached_property keeps its value
-            whole &= "sqrt_eigenvalues" not in cache and "sqrt" not in cache
-            cache["decomposition"] = linalg.SpectralDecomposition(w, v)
-            cache.setdefault("sqrt_eigenvalues", r)
-            cache.setdefault("sqrt", s)
-        if whole:
+            # vars(e) is where each cached_property keeps its value
+            vars(e).update(
+                decomposition=linalg.SpectralDecomposition(w, v), sqrt_eigenvalues=r, sqrt=s
+            )
+        if len(fresh) == len(effects):  # the stacks are the effects', in order
             return d, root, sqrt
     d = [e.decomposition for e in effects]
     decomposition = linalg.SpectralDecomposition(
@@ -199,7 +198,8 @@ def validate_state(matrix, tol: float = DECISION_TOL) -> State:
     lo = float(w[0])
     if lo < -tol:
         raise SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
-    tr = float(np.trace(h).real)
+    with np.errstate(over="ignore"):  # a diagonal near the float limit sums to inf, not 1
+        tr = float(np.trace(h).real)
     if abs(tr - 1.0) > STATE_TRACE_TOL:
         raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {STATE_TRACE_TOL}")
     h.setflags(write=False)

@@ -246,58 +246,47 @@ def _gaps(branches, times: list, known: dict) -> list:
     return np.maximum(low, high).tolist()
 
 
-def _refine(branches, brackets, known: dict, lip: float, slack: float) -> list[tuple[float, float]]:
-    """The lowest gap on each bracket [lo, hi] that a two-branch model search reads, and its t.
+def _refine(branches, bracket, known: dict, lip: float, slack: float) -> tuple[float, float]:
+    """The lowest gap on the bracket [lo, hi] that a two-branch model search reads, and its t.
 
-    Each bracket's search keeps a stencil c - r, c, c + r, clipped to
-    [lo, hi], and fits a parabola through it to each branch, -λ_min and
-    λ_max of a[t]b - b[t]a. The gap is the larger branch, so the model's
-    minimum on the stencil lies at one of its points, at a convex branch's
-    vertex or where the branches cross (a kink): c moves to the one of them
-    with the lowest model maximum, and r to min(r / 2, max(|step|, r / 64)).
-    The model is never extrapolated: at small r its curvature is mostly
-    rounding. A search stops once L r <= 2 slack, the search's split rule
+    The search keeps a stencil c - r, c, c + r, clipped to [lo, hi], and
+    fits a parabola through it to each branch, -λ_min and λ_max of
+    a[t]b - b[t]a. The gap is the larger branch, so the model's minimum on
+    the stencil lies at one of its points, at a convex branch's vertex or
+    where the branches cross (a kink): c moves to the one of them with the
+    lowest model maximum, and r to min(r / 2, max(|step|, r / 64)). The
+    model is never extrapolated: at small r its curvature is mostly
+    rounding. The search stops once L r <= 2 slack, the search's split rule
     (so a constant gap costs no evaluation), once its stencil's points are
     no longer distinct floats (so also once c is an edge of [lo, hi], whose
     gap is then known), or once its model predicts no gain beyond the slack
     and r is within tol = sqrt(eps) + 4 eps |c| + slack / L, derived in
     _certified_search. ``known`` maps each time already evaluated, such as
-    a bracket's knots, to its branches: a stencil reads those, and the
-    kernel evaluates only its new times, which ``known`` then gains, so no
-    time is evaluated twice. The searches run in lockstep: each round
-    evaluates the new times of the stencils of every search still running in
-    one kernel call (none if all are known), and each search stops on its
-    own. Returns (lo, inf) for a bracket on which it reads nothing.
+    the bracket's knots, to its branches: a stencil reads those, and each
+    round evaluates its new times (none if all are known) in one kernel
+    call, which ``known`` then gains, so no time is evaluated twice.
+    Returns (lo, inf) for a bracket on which it reads nothing.
     """
+    lo, hi = bracket
     atol = math.sqrt(_EPS) + slack / lip if lip > 0.0 else math.inf
-    best = [(lo, math.inf) for lo, _ in brackets]
-    stencils = [(lo / 2.0 + hi / 2.0, hi / 2.0 - lo / 2.0) for lo, hi in brackets]  # (c, r)
-    running = range(len(brackets))
+    best = (lo, math.inf)
+    c, r = lo / 2.0 + hi / 2.0, hi / 2.0 - lo / 2.0
     while True:
-        batch = []
-        for k in running:
-            (lo, hi), (c, r) = brackets[k], stencils[k]
-            ts = [max(lo, c - r), c, min(hi, c + r)]
-            if lip * r > 2.0 * slack and ts[0] < c < ts[2]:
-                batch.append((k, ts, r))
-        if not batch:
+        ts = [max(lo, c - r), c, min(hi, c + r)]
+        if not (lip * r > 2.0 * slack and ts[0] < c < ts[2]):
             return best
-        new = list(dict.fromkeys(t for _, ts, _ in batch for t in ts if t not in known))
+        new = [t for t in ts if t not in known]
         if new:
             low, high = branches(np.array(new))
             known.update(zip(new, zip(low.tolist(), high.tolist())))
-        running = []
-        for k, ts, r in batch:
-            ys = tuple(zip(*map(known.__getitem__, ts)))  # (-λ_min, λ_max) at each of ts
-            for t, gap in zip(ts, map(max, *ys)):
-                if gap < best[k][1]:
-                    best[k] = (t, gap)
-            step, predicted = _model_step(ts, ys)
-            c, (lo, hi) = ts[1], brackets[k]
-            if predicted >= best[k][1] - slack and r <= atol + 4.0 * _EPS * abs(c):
-                continue
-            stencils[k] = min(max(c + step, lo), hi), min(r / 2.0, max(abs(step), r / 64.0))
-            running.append(k)
+        ys = tuple(zip(*map(known.__getitem__, ts)))  # (-λ_min, λ_max) at each of ts
+        for t, gap in zip(ts, map(max, *ys)):
+            if gap < best[1]:
+                best = (t, gap)
+        step, predicted = _model_step(ts, ys)
+        if predicted >= best[1] - slack and r <= atol + 4.0 * _EPS * abs(c):
+            return best
+        c, r = min(max(c + step, lo), hi), min(r / 2.0, max(abs(step), r / 64.0))
 
 
 def _model_step(ts: list[float], branch_values) -> tuple[float, float]:
@@ -465,9 +454,9 @@ def _certified_search(frames: EigenFrame, cfg: ScanConfig) -> _WindowMinimum:
     bounds and results are those of bounding every interval every round. A
     search that would hold more than MAX_KNOTS knots raises EffectdynError,
     before any gap is evaluated when the window alone implies it (below).
-    The minimum is then refined between the neighbors of the best knot
-    (_refine), on a stencil of radius r that shrinks every round. The search
-    keeps both branches, -λ_min and λ_max, of every knot, and the
+    The minimum is then refined on one bracket, between the neighbors of the
+    best knot (_refine), on a stencil of radius r that shrinks every round.
+    The search keeps both branches, -λ_min and λ_max, of every knot, and the
     refinement reads those of its bracket's three knots, evaluating only new
     times; its first stencil is often exactly those knots. It stops
     under the same rule as the splitting, once L r is within twice the
@@ -574,7 +563,7 @@ def _certified_search(frames: EigenFrame, cfg: ScanConfig) -> _WindowMinimum:
 
     k = gs.index(best)
     bracket = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
-    [(t_ref, gap_ref)] = _refine(branches, [bracket], known, lip, slack)
+    t_ref, gap_ref = _refine(branches, bracket, known, lip, slack)
     if gap_ref > gs[k]:
         t_ref, gap_ref = ts[k], gs[k]
     return _WindowMinimum(t_ref, gap_ref, max(0.0, min(bounds)))

@@ -34,18 +34,29 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2).conj()
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M†)/2 of a matrix or a stack, as M/2 + M†/2, which no finite entry overflows.
+
+    The halves of entries of magnitude at least 2**-1021 are exact, so the sum
+    has the bits of (M + M†)/2; subnormal entries and a zero's sign may differ.
+    """
+    h = m * 0.5
+    h += adjoint(h)
+    return h
+
+
 def hermitian_parts(stack: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
     """Check every slice of a (k, d, d) stack for Hermiticity, without raising.
 
-    Returns the symmetrized slices (M + M†)/2, each slice's defect
-    max|M - M†| and the bound it must not exceed, HERMITICITY_RTOL times
+    Returns the symmetrized slices (M + M†)/2 (hermitian_part), each slice's
+    defect max|M - M†| and the bound it must not exceed, HERMITICITY_RTOL times
     max(1, max|M|). Symmetrizing removes round-off asymmetry before any
     eigendecomposition.
     """
     adj = adjoint(stack)
     defect = np.maximum.reduce(np.abs(stack - adj), axis=(-2, -1), initial=0.0).tolist()
     scale = np.maximum.reduce(np.abs(stack), axis=(-2, -1), initial=0.0).tolist()
-    return (stack + adj) / 2.0, defect, [HERMITICITY_RTOL * max(1.0, x) for x in scale]
+    return hermitian_part(stack), defect, [HERMITICITY_RTOL * max(1.0, x) for x in scale]
 
 
 def non_hermitian_error(defect: float, bound: float) -> NonHermitianError:
@@ -139,8 +150,7 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     The slices are Hermitian up to round-off from batched arithmetic; each is
     symmetrized, without a Hermiticity check, before its eigensolve.
     """
-    h = (stack + adjoint(stack)) / 2.0
-    return np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    return np.max(np.abs(np.linalg.eigvalsh(hermitian_part(stack))), axis=-1)
 
 
 def spectral_norm(m) -> float:

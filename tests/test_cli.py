@@ -765,6 +765,45 @@ def test_observable_file_of_mixed_dimensions_is_invalid_input(files, capsys):
     assert (code, err) == (2, "error: eigenvalue 2.0 above 1 + 1e-09\n")
 
 
+# Finite entries whose M + M† overflows: each admission must still see the
+# spectrum (eigenvalues of +-1e308 or inf) and refuse it, not a NaN one, and
+# a state's diagonal may sum to inf, with no RuntimeWarning on the way.
+HUGE = np.full((2, 2), 1e308)
+HUGE_STATE = np.array([[0.5, 1e308], [1e308, 0.5]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{huge}"],
+        ["validate", "--kind", "state", "{huge_state}"],
+        ["validate", "--kind", "state", "{huge}"],
+        ["validate", "--kind", "observable", "{huge_obs}"],
+        ["classify", "{huge}", "{b}"],
+        ["observable", "dist", "{obs_b}", "--state", "{huge_state}"],
+        ["observable", "dist", "{obs_b}", "--state", "{huge}"],
+        ["observable", "tseq", "{huge_obs}", "{obs_b}", "--t", "0.5"],
+        ["observable", "cond", "{huge_obs}", "{obs_b}"],
+    ],
+)
+def test_huge_finite_entries_are_refused(files, capsys, argv):
+    root = files["root"]
+    paths = {
+        "huge": write_op(root / "huge.json", HUGE),
+        "huge_state": write_op(root / "huge_state.json", HUGE_STATE),
+        "huge_obs": _write_raw_observable(root / "huge_obs.json", [HUGE, np.eye(2)], ["x", "y"]),
+        **files,
+    }
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert "nan" not in out.lower()
+    if argv[0] == "validate":
+        assert out.startswith("valid: false\n") and err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -548,8 +548,13 @@ def test_eigen_frame_reads_a_grid_as_its_times_one_by_one(rng):
 
 
 def _with_broken_sqrt(a, rng):
-    """A copy of a whose cached square root is off by a non-commuting 1e-6."""
+    """A copy of a whose cached square root is off by a non-commuting 1e-6.
+
+    Its decomposition is cached first, as each property caches it before the
+    square root, so the one-pass fill of stacked_roots leaves the copy as it is.
+    """
     copy = validate_effect(a.matrix)
+    copy.decomposition
     g = rng.standard_normal(a.matrix.shape)
     vars(copy)["sqrt"] = a.sqrt + 1e-6 * (g + g.T)
     return copy

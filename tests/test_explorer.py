@@ -563,26 +563,21 @@ _REFINE = explorer._refine
 
 @dataclass
 class _Refinement:
-    """One call of _refine: its arguments, its result and the times of each of its kernel calls."""
+    """One call of _refine: its result and the times of each of its kernel calls."""
 
-    branches: object
-    brackets: list
-    lip: float
-    slack: float
-    result: list
+    result: tuple
     calls: list
 
 
-def _refine_recorded(branches, brackets, known, lip, slack) -> _Refinement:
-    """_refine on the brackets, with the times of each of its gap kernel calls recorded."""
+def _refine_recorded(branches, bracket, known, lip, slack) -> _Refinement:
+    """_refine on the bracket, with the times of each of its gap kernel calls recorded."""
     calls = []
 
     def recording(t):
         calls.append(np.array(t))
         return branches(t)
 
-    result = _REFINE(recording, brackets, known, lip, slack)
-    return _Refinement(branches, list(brackets), lip, slack, result, calls)
+    return _Refinement(_REFINE(recording, bracket, known, lip, slack), calls)
 
 
 def _record_refinements(monkeypatch) -> list:
@@ -612,8 +607,7 @@ def test_constant_gap_bound_stays_below_minimum(monkeypatch):
             refinements.clear()
             found = explorer._certified_search(frames, ScanConfig(dim=dim))
             assert 0.0 < found.lower <= found.min_gap
-            [refinement] = refinements  # one per search, of one bracket
-            assert len(refinement.brackets) == 1
+            [refinement] = refinements  # one per search
             assert len(refinement.calls) <= 1
 
 
@@ -633,7 +627,7 @@ def test_constant_gap_is_certified_on_a_huge_window():
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
 def test_refinement_needs_few_evaluations(monkeypatch, dim):
-    # each round evaluates a stencil of three times per bracket in one batch;
+    # each round evaluates a stencil of three times in one batch;
     # Brent's method with a kink polish, one time per call, made 15-43 calls
     # per trial on these scans, and golden section alone 73-105
     refinements = _record_refinements(monkeypatch)
@@ -643,40 +637,6 @@ def test_refinement_needs_few_evaluations(monkeypatch, dim):
     assert all(np.ndim(t) == 1 for t in calls)
     assert len(calls) / 30 <= 12
     assert sum(t.size for t in calls) / 30 <= 45
-
-
-def test_refine_steps_its_brackets_in_lockstep():
-    # two brackets are refined in lockstep: round i makes one kernel call, on
-    # the times of round i of each bracket's search run alone that neither
-    # search has evaluated yet, and each search stops on its own; the brackets
-    # are the neighbours of the lowest inner knot of each half of an
-    # INITIAL_KNOTS profile (adjacent ones share times), and no time is known
-    # to the searches beforehand
-    window = (-4.0 * math.pi, 4.0 * math.pi)
-    ts = np.linspace(*window, explorer.INITIAL_KNOTS)
-    uneven = 0
-    for dim in (2, 3, 4, 8):
-        for seed in range(3):
-            rng = np.random.default_rng([dim, seed])
-            frames = explorer._frames(random_effect(dim, rng), random_effect(dim, rng))
-            branches = explorer._gap_kernel(frames)
-            gs = np.maximum(*explorer._profile(branches, ts))
-            half = ts.size // 2
-            lows = 1 + np.argmin(gs[1:half]), half + np.argmin(gs[half:-1])
-            brackets = [(float(ts[i - 1]), float(ts[i + 1])) for i in lows]
-            lip, slack = explorer._lipschitz(frames), _search_slack(frames, window)
-            both = _refine_recorded(branches, brackets, {}, lip, slack)
-            alone = [_refine_recorded(branches, [b], {}, lip, slack) for b in both.brackets]
-            assert both.result == [s.result[0] for s in alone]
-            assert len(both.calls) == max(len(s.calls) for s in alone)
-            seen = set()
-            for i, times in enumerate(both.calls):
-                stencils = np.concatenate([s.calls[i] for s in alone if i < len(s.calls)])
-                new = [t for t in dict.fromkeys(stencils.tolist()) if t not in seen]
-                assert times.tolist() == new
-                seen.update(new)
-            uneven += len(alone[0].calls) != len(alone[1].calls)
-    assert uneven  # one search ran on after the other stopped
 
 
 def _search_fake_branches(monkeypatch, frames, low, high):

@@ -93,6 +93,39 @@ def test_norms_agree_on_hermitian(rng):
     assert linalg.operator_norm(m) == pytest.approx(linalg.spectral_norm(m), abs=1e-12)
 
 
+def test_operator_norm_of_huge_entries_is_finite():
+    # M + M† of these overflows, though every entry is finite; halving first does not
+    assert linalg.operator_norm(np.diag([1e308, -1e308])) == 1e308
+    assert linalg.operator_norm(np.array([[0.0, 1e308], [1e308, 0.0]])) == 1e308
+    stack = np.array([np.full((2, 2), 8e307), 1e308 * np.eye(2)])
+    assert linalg.operator_norms(stack).tolist() == pytest.approx([1.6e308, 1e308], rel=1e-15)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dim=st.integers(1, 6),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+    skew=st.booleans(),
+)
+def test_hermitian_part_is_the_half_sum_bit_for_bit(dim, count, seed, exponent, skew):
+    # M/2 + M†/2 rounds to the bits of (M + M†)/2 for every entry of
+    # magnitude at least 2**-1021, whose halves are exact; a skew stack makes
+    # the sums cancel. Parts below 2**-1021, zeros included, are raised to it:
+    # subnormal entries, and the sign of a zero, may differ.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, count, dim, dim)) * 10.0**exponent
+    m = x[0] + 1j * x[1]
+    if skew:
+        m = m - linalg.adjoint(m) * (1.0 + np.finfo(float).eps * rng.integers(-4, 5, m.shape))
+    parts = np.stack([m.real, m.imag])
+    small = np.abs(parts) < 2.0**-1021
+    parts[small] = np.copysign(2.0**-1021, parts[small])
+    m = parts[0] + 1j * parts[1]
+    assert linalg.hermitian_part(m).tobytes() == ((m + linalg.adjoint(m)) / 2.0).tobytes()
+
+
 def test_trace_inner():
     a = np.diag([1.0, 0.0])
     b = np.diag([1.0, 0.5])
