@@ -7,6 +7,15 @@ symmetry-gap search with certified lower bounds). Data goes to stdout (or to
 files for scan); all diagnostics go to stderr. Exit codes: 0 success,
 1 examples failure, 2 invalid inputs or flags, 3 parse failure.
 
+A command's operand files (classify, evolve, observable) go through one
+loader, _load: each file is read with one unbuffered binary read and parsed,
+then every effect matrix they hold is eigensolved in one stacked pass per
+shape, and then each file's checks run in file order, its members' and then
+its sum check. The first admission error wins, and only then a read or
+parse error, which stops the reading at its file; so the error is the one
+reading and admitting the files one by one would give, though a later file
+is read even when an earlier one fails its checks.
+
 ``main(argv)`` may be called repeatedly in one process (from scripts,
 notebooks or tests): the parser is built on the first call and reused, and
 each call parses its argv into a fresh namespace. A word that is a negative
@@ -33,11 +42,17 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_forms, evolution, linalg, serialization
-from .effects import DECISION_TOL, Effect, State, validate_effect, validate_effects, validate_state
+from .effects import (
+    DECISION_TOL,
+    Admission,
+    Effect,
+    validate_effect,
+    validate_effects,
+    validate_state,
+)
 from .errors import EffectdynError, SchemaError
 from .explorer import ScanConfig, conjecture_scan, random_effect
 from .observables import (
-    Observable,
     conditioned_observable,
     convex_combination,
     distribution,
@@ -102,23 +117,78 @@ def _rewrite(path: Path, text: str) -> None:
 
 
 def _read_text(path: str) -> str:
+    """The text of Path(path).read_text(encoding="utf-8"), from one unbuffered binary read.
+
+    The bytes are decoded as a whole, and text mode's newline translation
+    (CRLF and a lone CR to LF) is applied only where a CR occurs. A missing
+    file or a directory raises the OSError of that call; bytes that are not
+    UTF-8 raise SchemaError.
+    """
+    with open(path, "rb", buffering=0) as f:
+        data = f.readall()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
-def _load_effect(path: str, tol: float) -> Effect:
-    return validate_effect(serialization.parse_operator_json(_read_text(path)), tol)
+def _parse(kind: str, text: str):
+    if kind == "observable":
+        return serialization.parse_observable_json(text)
+    return serialization.parse_operator_json(text)
 
 
-def _load_state(path: str, tol: float) -> State:
-    return validate_state(serialization.parse_operator_json(_read_text(path)), tol)
+def _load(files, tol: float) -> list:
+    """The value of each of a command's operand files, given as (kind, path), admitted at tol.
 
+    kind is "effect", "observable" or "state". Every file is read and
+    parsed first, in order, up to the first one that fails. Then the effect
+    matrices of the parsed files (an effect's, each member of an
+    observable) are eigensolved together, one Admission pass per shape.
+    Then each file's checks run, file by file: an effect's, an observable's
+    members' and then its sum check (validate_observable), a state's
+    (validate_state). The first failing check raises; if none fails, the
+    error that stopped the reading does. So the first error is the one that
+    reading and admitting the files one after another would raise.
+    """
+    parsed, failure = [], None
+    for kind, path in files:
+        try:
+            parsed.append((kind, _parse(kind, _read_text(path))))
+        except (SchemaError, OSError) as exc:
+            failure = exc
+            break
+    matrices = [
+        m for kind, doc in parsed if kind != "state"
+        for m in (doc[1] if kind == "observable" else [doc])
+    ]
+    slots = [None] * len(matrices)  # each matrix's (Admission, slice index)
+    for shape in dict.fromkeys(m.shape for m in matrices):
+        group = [k for k, m in enumerate(matrices) if m.shape == shape]
+        admission = Admission.of(np.array([matrices[k] for k in group]))
+        for i, k in enumerate(group):
+            slots[k] = (admission, i)
+    pending = iter(slots)  # consumed in file order
 
-def _load_observable(path: str, tol: float) -> Observable:
-    outcomes, matrices = serialization.parse_observable_json(_read_text(path))
-    return validate_observable(validate_effects(matrices, tol), outcomes)
+    def admit() -> Effect:
+        admission, i = next(pending)
+        return admission.admit(i, tol)
+
+    values = []
+    for kind, doc in parsed:
+        if kind == "state":
+            values.append(validate_state(doc, tol))
+        elif kind == "effect":
+            values.append(admit())
+        else:
+            outcomes, members = doc
+            values.append(validate_observable([admit() for _ in members], outcomes))
+    if failure is not None:
+        raise failure
+    return values
 
 
 def _fmt_eigs(values) -> str:
@@ -135,10 +205,9 @@ def cmd_validate(args) -> int:
             print("valid: false")
             print(f"reason: {exc}")
             return EXIT_INVALID
-        total = sum(e.matrix for e in obs.effects)
         print("valid: true")
         print(f"outcomes: {list(obs.outcomes)}")
-        print(f"sum_residual: {linalg.operator_norm(total - np.eye(obs.dim)):.3e}")
+        print(f"sum_residual: {obs.sum_residual:.3e}")
         return EXIT_OK
     matrix = serialization.parse_operator_json(text)
     residual = linalg.hermitian_parts(matrix[None])[1][0]
@@ -181,8 +250,7 @@ def cmd_evolve(args) -> int:
         raise EffectdynError(f"--steps must be in [0, {MAX_STEPS}], got {args.steps}")
     if not math.isfinite(args.t1 - args.t0):
         raise EffectdynError(f"time window must have finite width, got {(args.t0, args.t1)}")
-    a = _load_effect(args.a_file, args.tol)
-    b = _load_effect(args.b_file, args.tol)
+    a, b = _load([("effect", args.a_file), ("effect", args.b_file)], args.tol)
     if args.mode == "evolution":
         frame = evolution.EigenFrame.evolution(a, b)
     else:
@@ -200,8 +268,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    a = _load_effect(args.a_file, args.tol)
-    b = _load_effect(args.b_file, args.tol)
+    a, b = _load([("effect", args.a_file), ("effect", args.b_file)], args.tol)
     report = evolution.constancy_classifier(a, b)
     print(f"constant: {'true' if report.constant else 'false'}")
     print(f"reason: {report.reason}")
@@ -216,7 +283,7 @@ def cmd_classify(args) -> int:
 
 
 # Each observable subcommand, declared once for the parser and the dispatch:
-# its help, its operands (see _OPERAND_FLAGS and _load_operand) in the order
+# its help, its operands (see _OPERAND_FLAGS and _operands) in the order
 # its library call takes them, and that call. The calls are lambdas, so each
 # library name is looked up in this module when the command runs and sees any
 # rebinding of it (such as a tracing wrapper). Only "dist" emits a distribution.
@@ -250,26 +317,44 @@ _OPERAND_FLAGS = {
 }
 
 
-def _load_operand(args, name: str):
-    """The value of one operand: flags as parsed, files loaded and admitted at --tol."""
-    value, tol = getattr(args, name), args.tol
-    if name in ("t", "weights"):
-        return value
-    if name == "files":
-        return [_load_observable(f, tol) for f in value]
-    return {"state": _load_state, "effect": _load_effect}.get(name, _load_observable)(value, tol)
+# The kind of file (see _load) each operand names; the other operands are flags.
+_FILE_KINDS = {
+    "a_file": "observable",
+    "b_file": "observable",
+    "observable": "observable",
+    "files": "observable",
+    "effect": "effect",
+    "state": "state",
+}
+
+
+def _operands(args, names) -> list:
+    """The value of each named operand: flags as parsed, every file loaded by one _load."""
+    paths = {name: getattr(args, name) for name in names if name in _FILE_KINDS}
+    files = [
+        (_FILE_KINDS[name], path)
+        for name, value in paths.items()
+        for path in (value if name == "files" else [value])
+    ]
+    loaded = iter(_load(files, args.tol))
+    return [
+        getattr(args, name) if name not in paths
+        else [next(loaded) for _ in paths[name]] if name == "files"
+        else next(loaded)
+        for name in names
+    ]
 
 
 def cmd_observable(args) -> int:
     _, operands, call = OBSERVABLE_COMMANDS[args.obs_cmd]
-    result = call(*[_load_operand(args, name) for name in operands])
+    result = call(*_operands(args, operands))
     if args.obs_cmd == "dist":
         sys.stdout.write(serialization.distribution_json(result))
         return EXIT_OK
     doc = serialization.observable_to_document(result)
     if args.state is not None:
-        dist = distribution(result, _load_state(args.state, args.tol))
-        doc = {"observable": doc, "distribution": dist.as_dict()}
+        (rho,) = _load([("state", args.state)], args.tol)
+        doc = {"observable": doc, "distribution": distribution(result, rho).as_dict()}
     sys.stdout.write(serialization.to_json(doc) + "\n")
     return EXIT_OK
 

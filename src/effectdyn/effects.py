@@ -8,6 +8,7 @@ and then b immediately afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,27 +126,67 @@ def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np
     return decomposition, root, np.array([e.sqrt for e in effects])
 
 
-def admit_effects(stack: np.ndarray, tols) -> tuple[Effect, ...]:
-    """The checks of validate_effect on every slice of a (k, d, d) stack, slice i at tols[i].
+@dataclass(frozen=True, eq=False)
+class Admission:
+    """The stacked pass of admit_effects over a (k, d, d) stack, and its per-slice checks.
 
-    One Hermiticity pass and one eigensolve cover the whole stack. Each check
-    runs over the whole stack before the next; its first failing pair raises.
-    Here admission is that one check: the first failing slice raises what
-    validate_effect would, its Hermiticity checked before its lowest and then
-    its highest eigenvalue. Returns one Effect per slice.
+    ``of`` takes one Hermiticity pass and one eigensolve of the whole stack:
+    ``matrices`` are the symmetrized slices (read-only), ``defects`` and
+    ``bounds`` each slice's Hermiticity defect and the bound it must not
+    exceed, ``lows`` and ``highs`` its extremal eigenvalues. ``admit`` then
+    checks one slice, so a caller holding slices from several sources (the
+    operand files of one command) eigensolves them together and still
+    checks them source by source.
     """
-    h, defect, bound = linalg.hermitian_parts(stack)
-    w = np.linalg.eigvalsh(h)
-    lo, hi = w[:, 0].tolist(), w[:, -1].tolist()
-    for d, b, low, high, tol in zip(defect, bound, lo, hi, tols):
-        if d > b:
-            raise linalg.non_hermitian_error(d, b)
+
+    matrices: np.ndarray
+    defects: list[float]
+    bounds: list[float]
+    lows: list[float]
+    highs: list[float]
+
+    @classmethod
+    def of(cls, stack: np.ndarray) -> Admission:
+        h, defects, bounds = linalg.hermitian_parts(stack)
+        w = np.linalg.eigvalsh(h)
+        h.setflags(write=False)
+        return cls(h, defects, bounds, w[:, 0].tolist(), w[:, -1].tolist())
+
+    def admit(self, i: int, tol: float) -> Effect:
+        """Slice i as an Effect admitted at tol, or the error validate_effect raises for it.
+
+        Its Hermiticity is checked before its lowest and then its highest
+        eigenvalue. A spectrum those range tests pass but that is not finite
+        is refused last: NaN eigenvalues, which an eigensolve returns when an
+        entry's modulus exceeds the float range, compare false with any bound.
+        """
+        low, high = self.lows[i], self.highs[i]
+        if self.defects[i] > self.bounds[i]:
+            raise linalg.non_hermitian_error(self.defects[i], self.bounds[i])
         if low < -tol:
             raise SpectrumOutOfRangeError(f"eigenvalue {low!r} below -{tol!r}", low)
         if high > 1.0 + tol:
             raise SpectrumOutOfRangeError(f"eigenvalue {high!r} above 1 + {tol!r}", high)
-    h.setflags(write=False)
-    return tuple(map(Effect, h, lo, hi, tols))
+        if math.isnan(low) or math.isnan(high):
+            raise _non_finite_spectrum(low)
+        return Effect(self.matrices[i], low, high, tol)
+
+
+def _non_finite_spectrum(eigenvalue: float) -> SpectrumOutOfRangeError:
+    return SpectrumOutOfRangeError(
+        "eigenvalues are not finite: the matrix's norm exceeds the float range", eigenvalue
+    )
+
+
+def admit_effects(stack: np.ndarray, tols) -> tuple[Effect, ...]:
+    """The checks of validate_effect on every slice of a (k, d, d) stack, slice i at tols[i].
+
+    One Admission pass covers the whole stack; then the slices are admitted
+    in order, and the first failing slice raises what validate_effect would.
+    Returns one Effect per slice.
+    """
+    admission = Admission.of(stack)
+    return tuple(map(admission.admit, range(len(tols)), tols))
 
 
 def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
@@ -153,7 +194,7 @@ def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
 
     The one-matrix case of admit_effects. Raises NonHermitianError when M is
     not Hermitian and SpectrumOutOfRangeError (carrying the offending
-    eigenvalue) when the spectrum leaves [-tol, 1 + tol].
+    eigenvalue) when the spectrum leaves [-tol, 1 + tol] or is not finite.
     """
     return admit_effects(linalg.as_complex_matrix(matrix)[None], (tol,))[0]
 
@@ -161,14 +202,16 @@ def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
 def validate_effects(matrices, tol: float = DECISION_TOL) -> tuple[Effect, ...]:
     """validate_effect on each matrix, as one stacked pass when they share a shape.
 
-    Raises what validate_effect raises for the first failing matrix. Matrices
-    of mixed dimensions are admitted one at a time, so that each one's
-    checks still run before a caller such as validate_observable rejects the mix.
+    Raises what validate_effect raises for the first failing matrix; matrices
+    of one shape are checked for shape and finiteness once, as one stack.
+    Matrices of mixed dimensions are admitted one at a time, so that each
+    one's checks still run before a caller such as validate_observable
+    rejects the mix.
     """
-    ms = [linalg.as_complex_matrix(m) for m in matrices]
+    ms = [np.asarray(m, dtype=complex) for m in matrices]
     if len({m.shape for m in ms}) != 1:
         return tuple(validate_effect(m, tol) for m in ms)
-    return admit_effects(np.array(ms), (tol,) * len(ms))
+    return admit_effects(linalg.as_complex_stack(ms), (tol,) * len(ms))
 
 
 def identity_effect(dim: int) -> Effect:
@@ -192,7 +235,11 @@ class State:
 
 
 def validate_state(matrix, tol: float = DECISION_TOL) -> State:
-    """Validate positivity and unit trace and build a :class:`State` that keeps ``tol``."""
+    """Validate positivity and unit trace and build a :class:`State` that keeps ``tol``.
+
+    Raises SpectrumOutOfRangeError when the lowest eigenvalue is below -tol
+    or the spectrum is not finite, and TraceNotOneError.
+    """
     h = linalg.require_hermitian(matrix)
     w = np.linalg.eigvalsh(h)
     lo = float(w[0])
@@ -202,6 +249,8 @@ def validate_state(matrix, tol: float = DECISION_TOL) -> State:
         tr = float(np.trace(h).real)
     if abs(tr - 1.0) > STATE_TRACE_TOL:
         raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {STATE_TRACE_TOL}")
+    if not np.isfinite(w).all():  # NaN eigenvalues pass the tests above
+        raise _non_finite_spectrum(lo)
     h.setflags(write=False)
     return State(h, tol)
 

@@ -72,11 +72,14 @@ class Observable:
 
     ``outcomes`` are unique string labels parallel to ``effects``; both are
     stored in declaration order and all iteration is order-stable. ``tol``
-    is the loosest admission tolerance among the members.
+    is the loosest admission tolerance among the members. ``sum_residual``
+    is ||sum_x A_x - I||, the residual of the sum check that admitted it
+    (validate_observable).
     """
 
     outcomes: tuple[str, ...]
     effects: tuple[Effect, ...]
+    sum_residual: float
 
     @property
     def dim(self) -> int:
@@ -112,8 +115,9 @@ def validate_observable(effects, outcomes=None, *, rounding: float = 0.0) -> Obs
     validated at the default tolerance (MemberNotEffectError on failure).
     The sum must be I within the loosest member's tolerance plus
     ``rounding``, the allowance for the rounding of computed members
-    (SumNotIdentityError, carrying the residual, on failure). Labels default
-    to "0", "1", ...; duplicates are rejected.
+    (SumNotIdentityError, carrying the residual, on failure, also when the
+    residual is not a number); the observable keeps it as ``sum_residual``.
+    Labels default to "0", "1", ...; duplicates are rejected.
     """
     members: list[Effect] = []
     for i, m in enumerate(effects):
@@ -140,14 +144,14 @@ def validate_observable(effects, outcomes=None, *, rounding: float = 0.0) -> Obs
     total = np.zeros((dim, dim), dtype=complex)
     for m in members:
         total += m.matrix
-    residual = linalg.operator_norm(total - np.eye(dim))
-    obs = Observable(labels, tuple(members))
-    bound = obs.tol + rounding
-    if residual > bound:
+    # every admitted member is Hermitian bit for bit, and so is their sum
+    residual = float(linalg.operator_norms(total - np.eye(dim)))
+    bound = max(m.tol for m in members) + rounding
+    if not residual <= bound:
         raise SumNotIdentityError(
             f"effects sum to I only within {residual:.3g} (> {bound!r})", residual
         )
-    return obs
+    return Observable(labels, tuple(members), residual)
 
 
 def distribution(a: Observable, rho: State) -> OutcomeDistribution:

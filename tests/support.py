@@ -6,9 +6,13 @@ reproducible from the seed in the test.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from effectdyn import Effect, State, validate_effect, validate_state
+from effectdyn import Effect, State, serialization, validate_effect, validate_state
+from effectdyn.effects import validate_effects
+from effectdyn.errors import EffectdynError, SchemaError
 from effectdyn.observables import Observable, validate_observable
 
 
@@ -111,3 +115,35 @@ def reference_bounds(ts, gs, lip: float, curv: float, slack: float) -> np.ndarra
             mixed - (np.maximum(el, er) + (el + er) / 4.0),
         )
     return np.maximum(cone, np.where(np.isfinite(lower), lower, -np.inf))
+
+
+def reference_load(kind: str, path: str, tol: float):
+    """One operand file read, parsed and admitted on its own: the reference for cli._load.
+
+    kind is "effect", "observable" or "state", as in cli._load.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    if kind == "observable":
+        outcomes, matrices = serialization.parse_observable_json(text)
+        return validate_observable(validate_effects(matrices, tol), outcomes)
+    matrix = serialization.parse_operator_json(text)
+    return (validate_state if kind == "state" else validate_effect)(matrix, tol)
+
+
+def reference_load_error(files, tol: float) -> tuple[int, str] | None:
+    """The exit code and stderr of the first file of (kind, path) pairs that fails to load.
+
+    The files are loaded one after another with reference_load, and the
+    first error is reported as cli.main reports it; None if every file loads.
+    """
+    for kind, path in files:
+        try:
+            reference_load(kind, path, tol)
+        except SchemaError as exc:
+            return 3, f"error: {exc}\n"
+        except (EffectdynError, OSError) as exc:
+            return 2, f"error: {exc}\n"
+    return None

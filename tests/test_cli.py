@@ -19,10 +19,11 @@ from effectdyn import (
     serialization,
     validate_effect,
 )
+from effectdyn.errors import SchemaError
 from effectdyn.serialization import operator_to_document
 from effectdyn.observables import validate_observable
 
-from support import random_effect
+from support import random_effect, reference_load, reference_load_error
 
 
 def write_op(path, matrix):
@@ -765,6 +766,128 @@ def test_observable_file_of_mixed_dimensions_is_invalid_input(files, capsys):
     assert (code, err) == (2, "error: eigenvalue 2.0 above 1 + 1e-09\n")
 
 
+# Hermitian, with every part of every entry finite, but |z| of its
+# off-diagonal entries passes the float range, so its eigenvalues are NaN.
+OVERFLOW = np.array([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]])
+
+
+def _operand_faults(root, kind):
+    """One file per fault of an operand of ``kind``, "effect" or "observable", by fault name."""
+    root.mkdir()
+    paths = {"missing": str(root / "missing.json")}
+    for fault, data in (("non_utf8", b"\xff\xfe"), ("malformed", b"{not json")):
+        (root / f"{fault}.json").write_bytes(data)
+        paths[fault] = str(root / f"{fault}.json")
+    members = {
+        "none": np.diag([1.0, 0.5]),
+        "non_hermitian": np.array([[0.5, 1.0], [0.0, 0.5]]),
+        "out_of_range": np.diag([2.0, 0.0]),
+        "non_finite": OVERFLOW,
+    }
+    for fault, m in members.items():
+        if kind == "effect":
+            paths[fault] = write_op(root / f"{fault}.json", m)
+        else:
+            paths[fault] = _write_raw_observable(root / f"{fault}.json", [m, np.eye(2) - m], ["x", "y"])
+    if kind == "observable":
+        half = np.eye(2) / 2
+        paths["bad_sum"] = _write_raw_observable(root / "bad_sum.json", [half, half / 2], ["x", "y"])
+        paths["mixed_dims"] = _write_raw_observable(
+            root / "mixed_dims.json", [np.eye(2) / 2, np.eye(3) / 2], ["x", "y"]
+        )
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["classify"], "effect"),
+        (["evolve", "--steps", "2"], "effect"),
+        (["observable", "tseq", "--t", "0.5"], "observable"),
+        (["observable", "cond"], "observable"),
+    ],
+    ids=["classify", "evolve", "tseq", "cond"],
+)
+def test_operand_errors_are_those_of_loading_file_by_file(tmp_path, capsys, argv, kind):
+    # every pair of faults across the two operand files gives the exit code and
+    # stderr of reading and admitting the files one after another
+    faults = _operand_faults(tmp_path / kind, kind)
+    for first, a in faults.items():
+        for second, b in faults.items():
+            code, out, err = run(capsys, [*argv, a, b])
+            expected = reference_load_error([(kind, a), (kind, b)], 1e-9)
+            if expected is None:
+                assert (code, err) == (0, ""), (first, second)
+            else:
+                assert (code, out, err) == (expected[0], "", expected[1]), (first, second)
+
+
+def test_one_eigensolve_admits_every_operand_file(files, monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    effects = [("effect", files["a"]), ("effect", files["b"])]
+    loaded = cli._load(effects, 1e-9)
+    assert shapes == [(2, 2, 2)]  # both files of classify, in one call
+    observables = [("observable", files["obs_a"]), ("observable", files["obs_b"])]
+    shapes.clear()
+    observed = cli._load(observables, 1e-9)
+    assert shapes == [(4, 2, 2), (2, 2), (2, 2)]  # both observables, then each sum check
+    monkeypatch.undo()
+    pairs = list(zip(loaded, [reference_load(*f, 1e-9) for f in effects]))
+    for obs, ref in zip(observed, [reference_load(*f, 1e-9) for f in observables]):
+        assert (obs.outcomes, obs.sum_residual) == (ref.outcomes, ref.sum_residual)
+        pairs += zip(obs.effects, ref.effects)
+    for got, ref in pairs:
+        assert got.matrix.tobytes() == ref.matrix.tobytes()
+        assert (got.eig_min, got.eig_max, got.tol) == (ref.eig_min, ref.eig_max, ref.tol)
+
+
+def test_every_operand_file_is_read_before_any_is_admitted(files, capsys, monkeypatch):
+    read, read_text = [], cli._read_text
+    monkeypatch.setattr(cli, "_read_text", lambda path: read.append(path) or read_text(path))
+    code, _, err = run(capsys, ["classify", files["bad_entry"], files["b"]])
+    assert (code, err) == (2, "error: eigenvalue 2.0 above 1 + 1e-09\n")
+    assert read == [files["bad_entry"], files["b"]]
+    # a file that fails to parse stops the reading there
+    read.clear()
+    code, _, err = run(capsys, ["observable", "tseq", files["bad_json"], files["obs_b"]])
+    assert code == 3 and read == [files["bad_json"]]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"dim": 1}\n', b"a\r\nb\r\n", b"a\rb\r", b"a\r\r\nb\rc\n\r", "\ufeff{}".encode(), b"", "é\r\n".encode()],
+    ids=["lf", "crlf", "lone_cr", "mixed", "bom", "empty", "non_ascii"],
+)
+def test_read_text_is_path_read_text(tmp_path, data):
+    path = tmp_path / "file.json"
+    path.write_bytes(data)
+    assert cli._read_text(str(path)) == path.read_text(encoding="utf-8")
+
+
+def test_read_text_raises_what_path_read_text_raises(tmp_path):
+    for name, data in [("start", b"\xff\xfe"), ("late", b" " * 20000 + b"\xc3("), ("cut", b"{\xe2\x82")]:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as ref:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(SchemaError) as got:
+            cli._read_text(str(path))
+        assert str(got.value) == f"{path} is not UTF-8 text: {ref.value}"
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(OSError) as ref:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(OSError) as got:
+            cli._read_text(str(path))
+        assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
+
+
 # Finite entries whose M + M† overflows: each admission must still see the
 # spectrum (eigenvalues of +-1e308 or inf) and refuse it, not a NaN one, and
 # a state's diagonal may sum to inf, with no RuntimeWarning on the way.
@@ -785,6 +908,14 @@ HUGE_STATE = np.array([[0.5, 1e308], [1e308, 0.5]])
         ["observable", "dist", "{obs_b}", "--state", "{huge}"],
         ["observable", "tseq", "{huge_obs}", "{obs_b}", "--t", "0.5"],
         ["observable", "cond", "{huge_obs}", "{obs_b}"],
+        # entries whose modulus passes the float range: a NaN spectrum
+        ["validate", "{overflow}"],
+        ["validate", "--kind", "state", "{overflow}"],
+        ["validate", "--kind", "observable", "{overflow_obs}"],
+        ["classify", "{overflow}", "{b}"],
+        ["classify", "{b}", "{overflow}"],
+        ["observable", "dist", "{obs_b}", "--state", "{overflow}"],
+        ["observable", "tseq", "{obs_b}", "{overflow_obs}", "--t", "0.5"],
     ],
 )
 def test_huge_finite_entries_are_refused(files, capsys, argv):
@@ -793,11 +924,17 @@ def test_huge_finite_entries_are_refused(files, capsys, argv):
         "huge": write_op(root / "huge.json", HUGE),
         "huge_state": write_op(root / "huge_state.json", HUGE_STATE),
         "huge_obs": _write_raw_observable(root / "huge_obs.json", [HUGE, np.eye(2)], ["x", "y"]),
+        "overflow": write_op(root / "overflow.json", OVERFLOW),
+        "overflow_obs": _write_raw_observable(
+            root / "overflow_obs.json", [OVERFLOW, np.eye(2) - OVERFLOW], ["x", "y"]
+        ),
         **files,
     }
     code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert code == 2
-    assert "nan" not in out.lower()
+    assert "nan" not in (out + err).lower()
+    if any("overflow" in arg for arg in argv):
+        assert "eigenvalues are not finite" in out + err
     if argv[0] == "validate":
         assert out.startswith("valid: false\n") and err == ""
     else:

@@ -18,7 +18,14 @@ from effectdyn import (
     verify_coexistence_witness,
     zero_effect,
 )
-from effectdyn.effects import SQRT_ZERO_CUTOFF, product_tol, stacked_roots
+from effectdyn.effects import (
+    SQRT_ZERO_CUTOFF,
+    Admission,
+    admit_effects,
+    product_tol,
+    stacked_roots,
+    validate_effects,
+)
 from effectdyn.errors import (
     DimensionMismatchError,
     NonHermitianError,
@@ -65,6 +72,40 @@ def test_validate_effect_spectrum_bounds_carry_eigenvalue():
     with pytest.raises(SpectrumOutOfRangeError) as info:
         validate_effect(np.diag([-0.01, 0.5]))
     assert info.value.eigenvalue == pytest.approx(-0.01)
+
+
+# Hermitian, each part of each entry finite, but |z| of the off-diagonal
+# entries passes the float range: an eigensolve returns NaN eigenvalues.
+OVERFLOW = np.array([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_spectrum_that_is_not_finite_is_refused():
+    for validate in (validate_effect, validate_state):
+        with pytest.raises(SpectrumOutOfRangeError, match="eigenvalues are not finite"):
+            validate(OVERFLOW)
+    # in a stack, only its own slice is refused, in its turn
+    stack = np.array([np.eye(2) / 2, OVERFLOW, np.diag([2.0, 0.0])])
+    admission = Admission.of(stack)
+    assert admission.admit(0, 1e-9).eig_max == 0.5
+    with pytest.raises(SpectrumOutOfRangeError, match="not finite"):
+        admission.admit(1, 1e-9)
+    with pytest.raises(SpectrumOutOfRangeError, match="not finite"):
+        admit_effects(stack, (1e-9,) * 3)
+    # an infinite eigenvalue is out of range, as before
+    with pytest.raises(SpectrumOutOfRangeError, match="eigenvalue inf above"):
+        validate_effect(np.full((2, 2), 1e308))
+
+
+def test_validate_effects_checks_shape_and_finiteness_as_validate_effect_does():
+    for matrices in ([np.ones((2, 3))] * 2, [np.zeros((0, 0))] * 2, [np.ones(3)] * 2):
+        with pytest.raises(DimensionMismatchError) as one:
+            validate_effect(matrices[0])
+        with pytest.raises(DimensionMismatchError) as stacked:
+            validate_effects(matrices)
+        assert str(stacked.value) == str(one.value)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        validate_effects([np.eye(2) / 2, np.full((2, 2), np.inf)])
 
 
 def test_validate_effect_tolerates_roundoff_overshoot():

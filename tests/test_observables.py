@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from effectdyn import (
+    Effect,
     conditioned_observable,
     convex_combination,
     distribution,
     effect_evolution,
     evolve_state,
     identity_effect,
+    linalg,
     maximally_mixed_state,
     obs_evolution,
     obs_seq_product,
@@ -54,6 +56,28 @@ def test_validate_observable_sum_failure_carries_residual():
     with pytest.raises(SumNotIdentityError) as info:
         validate_observable([m, m])
     assert info.value.residual == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_sum_check_residual_is_the_operator_norm_of_the_sum_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    for n in (1, 2, 3, 5):
+        obs = random_observable(dim, n, rng)
+        total = np.zeros((dim, dim), dtype=complex)
+        for e in obs.effects:
+            total += e.matrix
+        assert obs.sum_residual == linalg.operator_norm(total - np.eye(dim))
+        # a product observable keeps the residual of its own sum check
+        product = obs_seq_product(obs, obs)
+        total = sum((e.matrix for e in product.effects), np.zeros((dim, dim), dtype=complex))
+        assert product.sum_residual == linalg.operator_norm(total - np.eye(dim))
+
+
+def test_sum_check_refuses_a_residual_that_is_not_a_number():
+    (member,) = validate_effects([np.eye(2)])
+    broken = Effect(np.full((2, 2), np.nan), member.eig_min, member.eig_max, member.tol)
+    with pytest.raises(SumNotIdentityError):
+        validate_observable([broken])
 
 
 def test_validate_observable_member_failure():
