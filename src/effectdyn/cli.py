@@ -7,14 +7,17 @@ symmetry-gap search with certified lower bounds). Data goes to stdout (or to
 files for scan); all diagnostics go to stderr. Exit codes: 0 success,
 1 examples failure, 2 invalid inputs or flags, 3 parse failure.
 
-A command's operand files (classify, evolve, observable) go through one
-loader, _load: each file is read with one unbuffered binary read and parsed,
-then every effect matrix they hold is eigensolved in one stacked pass per
-shape, and then each file's checks run in file order, its members' and then
+A command's operand files (classify, evolve, observable, an optional --state
+included) go through one loader, _load: each file is read with one
+unbuffered binary read and parsed, then every matrix they hold, effect or
+state, is eigensolved in one stacked pass per shape (effects.Admission), and
+then each file's checks run in file order, an observable's members' and then
 its sum check. The first admission error wins, and only then a read or
 parse error, which stops the reading at its file; so the error is the one
 reading and admitting the files one by one would give, though a later file
-is read even when an earlier one fails its checks.
+is read even when an earlier one fails its checks, and a faulty --state is
+reported before an error of the computation itself. validate prints what
+one Admission of its file records.
 
 ``main(argv)`` may be called repeatedly in one process (from scripts,
 notebooks or tests): the parser is built on the first call and reused, and
@@ -45,10 +48,8 @@ from . import closed_forms, evolution, linalg, serialization
 from .effects import (
     DECISION_TOL,
     Admission,
-    Effect,
     validate_effect,
     validate_effects,
-    validate_state,
 )
 from .errors import EffectdynError, SchemaError
 from .explorer import ScanConfig, conjecture_scan, random_effect
@@ -145,14 +146,15 @@ def _load(files, tol: float) -> list:
     """The value of each of a command's operand files, given as (kind, path), admitted at tol.
 
     kind is "effect", "observable" or "state". Every file is read and
-    parsed first, in order, up to the first one that fails. Then the effect
-    matrices of the parsed files (an effect's, each member of an
-    observable) are eigensolved together, one Admission pass per shape.
-    Then each file's checks run, file by file: an effect's, an observable's
-    members' and then its sum check (validate_observable), a state's
-    (validate_state). The first failing check raises; if none fails, the
-    error that stopped the reading does. So the first error is the one that
-    reading and admitting the files one after another would raise.
+    parsed first, in order, up to the first one that fails. Then every
+    matrix of the parsed files (an effect's, each member of an observable,
+    a state's) is eigensolved together, one Admission pass per shape. Then
+    each file's checks run, file by file: an effect's (Admission.admit), an
+    observable's members' and then its sum check (validate_observable), a
+    state's (Admission.admit_state). The first failing check raises; if none
+    fails, the error that stopped the reading does. So the first error is the
+    one that reading and admitting the files one after another would raise;
+    an optional --state is one of the files, checked before any computation.
     """
     parsed, failure = [], None
     for kind, path in files:
@@ -161,10 +163,7 @@ def _load(files, tol: float) -> list:
         except (SchemaError, OSError) as exc:
             failure = exc
             break
-    matrices = [
-        m for kind, doc in parsed if kind != "state"
-        for m in (doc[1] if kind == "observable" else [doc])
-    ]
+    matrices = [m for kind, doc in parsed for m in (doc[1] if kind == "observable" else [doc])]
     slots = [None] * len(matrices)  # each matrix's (Admission, slice index)
     for shape in dict.fromkeys(m.shape for m in matrices):
         group = [k for k, m in enumerate(matrices) if m.shape == shape]
@@ -172,20 +171,15 @@ def _load(files, tol: float) -> list:
         for i, k in enumerate(group):
             slots[k] = (admission, i)
     pending = iter(slots)  # consumed in file order
-
-    def admit() -> Effect:
-        admission, i = next(pending)
-        return admission.admit(i, tol)
-
     values = []
     for kind, doc in parsed:
-        if kind == "state":
-            values.append(validate_state(doc, tol))
-        elif kind == "effect":
-            values.append(admit())
-        else:
+        if kind == "observable":
             outcomes, members = doc
-            values.append(validate_observable([admit() for _ in members], outcomes))
+            effects = [Admission.admit(*next(pending), tol) for _ in members]
+            values.append(validate_observable(effects, outcomes))
+        else:
+            check = Admission.admit_state if kind == "state" else Admission.admit
+            values.append(check(*next(pending), tol))
     if failure is not None:
         raise failure
     return values
@@ -209,13 +203,10 @@ def cmd_validate(args) -> int:
         print(f"outcomes: {list(obs.outcomes)}")
         print(f"sum_residual: {obs.sum_residual:.3e}")
         return EXIT_OK
-    matrix = serialization.parse_operator_json(text)
-    residual = linalg.hermitian_parts(matrix[None])[1][0]
+    admission = Admission.of(serialization.parse_operator_json(text)[None])
+    residual = admission.defects[0]
     try:
-        if args.kind == "state":
-            obj = validate_state(matrix, args.tol)
-        else:
-            obj = validate_effect(matrix, args.tol)
+        obj = (admission.admit_state if args.kind == "state" else admission.admit)(0, args.tol)
     except EffectdynError as exc:
         print("valid: false")
         print(f"hermiticity_residual: {residual:.3e}")
@@ -223,7 +214,7 @@ def cmd_validate(args) -> int:
         return EXIT_INVALID
     print("valid: true")
     print(f"hermiticity_residual: {residual:.3e}")
-    print(f"eigenvalues: {_fmt_eigs(np.linalg.eigvalsh(obj.matrix))}")
+    print(f"eigenvalues: {_fmt_eigs(admission.spectra[0])}")
     if args.kind == "state":
         print(f"trace: {float(np.trace(obj.matrix).real):.17g}")
     return EXIT_OK
@@ -329,8 +320,11 @@ _FILE_KINDS = {
 
 
 def _operands(args, names) -> list:
-    """The value of each named operand: flags as parsed, every file loaded by one _load."""
-    paths = {name: getattr(args, name) for name in names if name in _FILE_KINDS}
+    """The value of each named operand: flags as parsed, every file given loaded by one _load.
+
+    A file flag left unset (an optional --state) is None.
+    """
+    paths = {n: p for n in names if n in _FILE_KINDS and (p := getattr(args, n)) is not None}
     files = [
         (_FILE_KINDS[name], path)
         for name, value in paths.items()
@@ -347,13 +341,13 @@ def _operands(args, names) -> list:
 
 def cmd_observable(args) -> int:
     _, operands, call = OBSERVABLE_COMMANDS[args.obs_cmd]
-    result = call(*_operands(args, operands))
     if args.obs_cmd == "dist":
-        sys.stdout.write(serialization.distribution_json(result))
+        sys.stdout.write(serialization.distribution_json(call(*_operands(args, operands))))
         return EXIT_OK
+    *values, rho = _operands(args, (*operands, "state"))  # the optional --state, in the same pass
+    result = call(*values)
     doc = serialization.observable_to_document(result)
-    if args.state is not None:
-        (rho,) = _load([("state", args.state)], args.tol)
+    if rho is not None:
         doc = {"observable": doc, "distribution": distribution(result, rho).as_dict()}
     sys.stdout.write(serialization.to_json(doc) + "\n")
     return EXIT_OK

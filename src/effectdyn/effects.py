@@ -128,20 +128,22 @@ def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np
 
 @dataclass(frozen=True, eq=False)
 class Admission:
-    """The stacked pass of admit_effects over a (k, d, d) stack, and its per-slice checks.
+    """The stacked pass that admits every input matrix, effect or state, and its per-slice checks.
 
-    ``of`` takes one Hermiticity pass and one eigensolve of the whole stack:
-    ``matrices`` are the symmetrized slices (read-only), ``defects`` and
-    ``bounds`` each slice's Hermiticity defect and the bound it must not
-    exceed, ``lows`` and ``highs`` its extremal eigenvalues. ``admit`` then
-    checks one slice, so a caller holding slices from several sources (the
-    operand files of one command) eigensolves them together and still
-    checks them source by source.
+    ``of`` takes one Hermiticity pass and one eigensolve of a (k, d, d) stack:
+    ``matrices`` are the symmetrized slices and ``spectra`` their ascending
+    eigenvalues (both read-only), ``defects`` and ``bounds`` each slice's
+    Hermiticity defect and the bound it must not exceed, ``lows`` and ``highs``
+    its extremal eigenvalues. ``admit`` checks one slice as an effect and
+    ``admit_state`` as a state, so a caller holding slices from several
+    sources (the operand files of one command) eigensolves them together and
+    still checks them source by source.
     """
 
     matrices: np.ndarray
     defects: list[float]
     bounds: list[float]
+    spectra: np.ndarray
     lows: list[float]
     highs: list[float]
 
@@ -149,8 +151,9 @@ class Admission:
     def of(cls, stack: np.ndarray) -> Admission:
         h, defects, bounds = linalg.hermitian_parts(stack)
         w = np.linalg.eigvalsh(h)
-        h.setflags(write=False)
-        return cls(h, defects, bounds, w[:, 0].tolist(), w[:, -1].tolist())
+        for a in (h, w):
+            a.setflags(write=False)
+        return cls(h, defects, bounds, w, w[:, 0].tolist(), w[:, -1].tolist())
 
     def admit(self, i: int, tol: float) -> Effect:
         """Slice i as an Effect admitted at tol, or the error validate_effect raises for it.
@@ -170,6 +173,21 @@ class Admission:
         if math.isnan(low) or math.isnan(high):
             raise _non_finite_spectrum(low)
         return Effect(self.matrices[i], low, high, tol)
+
+    def admit_state(self, i: int, tol: float) -> State:
+        """Slice i as a State admitted at tol, or the error validate_state raises for it."""
+        low, h = self.lows[i], self.matrices[i]
+        if self.defects[i] > self.bounds[i]:
+            raise linalg.non_hermitian_error(self.defects[i], self.bounds[i])
+        if low < -tol:
+            raise SpectrumOutOfRangeError(f"eigenvalue {low!r} below -{tol!r}", low)
+        with np.errstate(over="ignore"):  # a diagonal near the float limit sums to inf, not 1
+            tr = float(np.trace(h).real)
+        if abs(tr - 1.0) > STATE_TRACE_TOL:
+            raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {STATE_TRACE_TOL}")
+        if not np.isfinite(self.spectra[i]).all():  # NaN eigenvalues pass the tests above
+            raise _non_finite_spectrum(low)
+        return State(h, tol)
 
 
 def _non_finite_spectrum(eigenvalue: float) -> SpectrumOutOfRangeError:
@@ -237,22 +255,10 @@ class State:
 def validate_state(matrix, tol: float = DECISION_TOL) -> State:
     """Validate positivity and unit trace and build a :class:`State` that keeps ``tol``.
 
-    Raises SpectrumOutOfRangeError when the lowest eigenvalue is below -tol
-    or the spectrum is not finite, and TraceNotOneError.
+    The one-matrix case of Admission.admit_state. Raises NonHermitianError,
+    SpectrumOutOfRangeError (an eigenvalue below -tol or not finite) and TraceNotOneError.
     """
-    h = linalg.require_hermitian(matrix)
-    w = np.linalg.eigvalsh(h)
-    lo = float(w[0])
-    if lo < -tol:
-        raise SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
-    with np.errstate(over="ignore"):  # a diagonal near the float limit sums to inf, not 1
-        tr = float(np.trace(h).real)
-    if abs(tr - 1.0) > STATE_TRACE_TOL:
-        raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {STATE_TRACE_TOL}")
-    if not np.isfinite(w).all():  # NaN eigenvalues pass the tests above
-        raise _non_finite_spectrum(lo)
-    h.setflags(write=False)
-    return State(h, tol)
+    return Admission.of(linalg.as_complex_matrix(matrix)[None]).admit_state(0, tol)
 
 
 def maximally_mixed_state(dim: int) -> State:

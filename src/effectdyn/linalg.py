@@ -56,12 +56,22 @@ def hermitian_parts(stack: np.ndarray) -> tuple[np.ndarray, list[float], list[fl
     Returns the symmetrized slices (M + M†)/2 (hermitian_part), each slice's
     defect max|M - M†| and the bound it must not exceed, HERMITICITY_RTOL times
     max(1, max|M|). Symmetrizing removes round-off asymmetry before any
-    eigendecomposition.
+    eigendecomposition. The moduli are taken over M/2 and, in a stack with an
+    entry of modulus 2**1022 or more, over (M - M†)/4, so none overflows: a
+    defect beyond the float range is inf, its bound finite. Scaled back, both
+    keep the unscaled bits where each part of M is 0 or at least 2**-1021 in
+    magnitude, but for a subnormal defect in such a stack.
     """
-    adj = adjoint(stack)
-    defect = np.maximum.reduce(np.abs(stack - adj), axis=(-2, -1), initial=0.0).tolist()
-    scale = np.maximum.reduce(np.abs(stack), axis=(-2, -1), initial=0.0).tolist()
-    return hermitian_part(stack), defect, [HERMITICITY_RTOL * max(1.0, x) for x in scale]
+    h = stack * 0.5
+    h_adj = adjoint(h)
+    d = h - h_adj  # (M - M†)/2
+    scale = np.maximum.reduce(np.abs(h), axis=(-2, -1), initial=0.0).tolist()
+    h += h_adj
+    huge = max(scale, default=0.0) >= 2.0**1021
+    d *= 0.5 if huge else 2.0
+    defect = np.maximum.reduce(np.abs(d), axis=(-2, -1), initial=0.0).tolist()
+    bounds = [max(HERMITICITY_RTOL, 2.0 * HERMITICITY_RTOL * x) for x in scale]
+    return h, [4.0 * x for x in defect] if huge else defect, bounds
 
 
 def non_hermitian_error(defect: float, bound: float) -> NonHermitianError:

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from effectdyn import Effect, State, serialization, validate_effect, validate_state
-from effectdyn.effects import validate_effects
-from effectdyn.errors import EffectdynError, SchemaError
+from effectdyn import Effect, State, linalg, serialization, validate_effect, validate_state
+from effectdyn.effects import STATE_TRACE_TOL, validate_effects
+from effectdyn.errors import EffectdynError, SchemaError, SpectrumOutOfRangeError, TraceNotOneError
 from effectdyn.observables import Observable, validate_observable
 
 
@@ -117,6 +117,69 @@ def reference_bounds(ts, gs, lip: float, curv: float, slack: float) -> np.ndarra
     return np.maximum(cone, np.where(np.isfinite(lower), lower, -np.inf))
 
 
+def state_faults(dim: int, rng: np.random.Generator) -> dict:
+    """A valid random state of dim and one matrix per fault validate_state refuses, by name.
+
+    The faults that need two diagonal entries are left out at dim 1.
+    """
+    rho = random_state(dim, rng).matrix
+    skew = rho.copy()
+    skew[0, -1] += 0.5j
+    faults = {
+        "valid": rho,
+        "non_hermitian": skew,
+        "below": np.diag([-0.2] + [1.2 / (dim - 1)] * (dim - 1)) if dim > 1 else -rho,
+        "trace": rho * 0.9,
+        "non_square": np.ones((dim, dim + 1)) / dim,
+        "non_finite_entry": np.where(np.eye(dim) == 1, np.nan, rho),
+        "empty": np.zeros((0, 0)),
+    }
+    if dim > 1:
+        faults["trace_overflow"] = np.diag([1.7e308] * dim)  # finite entries, sum inf
+        z = 1.5e308 + 1.5e308j
+        spread = np.zeros((dim, dim), dtype=complex)
+        spread[0, 0] = spread[1, 1] = 0.5
+        spread[0, 1], spread[1, 0] = z, np.conj(z)
+        faults["non_finite_spectrum"] = spread
+    return faults
+
+
+def reference_state(matrix, tol: float) -> State:
+    """validate_state as a sequence of its own: the reference for Admission.admit_state.
+
+    The matrix gets a Hermiticity check and an eigensolve by itself; then the
+    lowest eigenvalue, the trace (summed with overflow ignored) and last the
+    finiteness of the spectrum are checked, in validate_state's order.
+    """
+    h = linalg.require_hermitian(matrix)
+    w = np.linalg.eigvalsh(h)
+    lo = float(w[0])
+    if lo < -tol:
+        raise SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
+    with np.errstate(over="ignore"):
+        tr = float(np.trace(h).real)
+    if abs(tr - 1.0) > STATE_TRACE_TOL:
+        raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {STATE_TRACE_TOL}")
+    if not np.isfinite(w).all():
+        raise SpectrumOutOfRangeError(
+            "eigenvalues are not finite: the matrix's norm exceeds the float range", lo
+        )
+    h.setflags(write=False)
+    return State(h, tol)
+
+
+def state_outcome(check, *args) -> tuple:
+    """check(*args) as a value: the state's bits, tol and write flag, or the error's type and text.
+
+    A SpectrumOutOfRangeError's eigenvalue is part of the value.
+    """
+    try:
+        rho = check(*args)
+    except (EffectdynError, ValueError) as exc:
+        return type(exc), str(exc), repr(getattr(exc, "eigenvalue", None))
+    return rho.matrix.tobytes(), rho.tol, rho.matrix.flags.writeable
+
+
 def reference_load(kind: str, path: str, tol: float):
     """One operand file read, parsed and admitted on its own: the reference for cli._load.
 
@@ -130,7 +193,7 @@ def reference_load(kind: str, path: str, tol: float):
         outcomes, matrices = serialization.parse_observable_json(text)
         return validate_observable(validate_effects(matrices, tol), outcomes)
     matrix = serialization.parse_operator_json(text)
-    return (validate_state if kind == "state" else validate_effect)(matrix, tol)
+    return (reference_state if kind == "state" else validate_effect)(matrix, tol)
 
 
 def reference_load_error(files, tol: float) -> tuple[int, str] | None:

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,13 @@ from effectdyn.errors import SchemaError
 from effectdyn.serialization import operator_to_document
 from effectdyn.observables import validate_observable
 
-from support import random_effect, reference_load, reference_load_error
+from support import (
+    random_effect,
+    reference_load,
+    reference_load_error,
+    state_faults,
+    state_outcome,
+)
 
 
 def write_op(path, matrix):
@@ -771,8 +778,12 @@ def test_observable_file_of_mixed_dimensions_is_invalid_input(files, capsys):
 OVERFLOW = np.array([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]])
 
 
+# 0.5 I plus an anti-Hermitian part: |M - M†| and max|M| both pass the float range.
+ANTI = np.array([[0.5, 1.5e308 + 1.5e308j], [-1.5e308 + 1.5e308j, 0.5]])
+
+
 def _operand_faults(root, kind):
-    """One file per fault of an operand of ``kind``, "effect" or "observable", by fault name."""
+    """One file per fault of an operand of ``kind``, "effect", "observable" or "state", by name."""
     root.mkdir()
     paths = {"missing": str(root / "missing.json")}
     for fault, data in (("non_utf8", b"\xff\xfe"), ("malformed", b"{not json")):
@@ -783,9 +794,13 @@ def _operand_faults(root, kind):
         "non_hermitian": np.array([[0.5, 1.0], [0.0, 0.5]]),
         "out_of_range": np.diag([2.0, 0.0]),
         "non_finite": OVERFLOW,
+        "anti_hermitian_overflow": ANTI,
     }
+    if kind == "state":
+        members.update(none=np.diag([0.75, 0.25]), out_of_range=np.diag([1.5, -0.5]))
+        members.update(trace=np.diag([0.3, 0.3]), trace_overflow=np.diag([1.7e308, 1.7e308]))
     for fault, m in members.items():
-        if kind == "effect":
+        if kind != "observable":
             paths[fault] = write_op(root / f"{fault}.json", m)
         else:
             paths[fault] = _write_raw_observable(root / f"{fault}.json", [m, np.eye(2) - m], ["x", "y"])
@@ -798,28 +813,35 @@ def _operand_faults(root, kind):
     return paths
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "argv, kind",
+    "argv, kinds",
     [
-        (["classify"], "effect"),
-        (["evolve", "--steps", "2"], "effect"),
-        (["observable", "tseq", "--t", "0.5"], "observable"),
-        (["observable", "cond"], "observable"),
+        (["classify", "{}", "{}"], ("effect", "effect")),
+        (["evolve", "--steps", "2", "{}", "{}"], ("effect", "effect")),
+        (["observable", "tseq", "--t", "0.5", "{}", "{}"], ("observable", "observable")),
+        (["observable", "cond", "{}", "{}"], ("observable", "observable")),
+        (["observable", "dist", "{}", "--state", "{}"], ("observable", "state")),
+        (
+            ["observable", "tcond", "{}", "{}", "--t", "0.3", "--state", "{}"],
+            ("observable", "observable", "state"),
+        ),
     ],
-    ids=["classify", "evolve", "tseq", "cond"],
+    ids=["classify", "evolve", "tseq", "cond", "dist", "tcond_state"],
 )
-def test_operand_errors_are_those_of_loading_file_by_file(tmp_path, capsys, argv, kind):
-    # every pair of faults across the two operand files gives the exit code and
-    # stderr of reading and admitting the files one after another
-    faults = _operand_faults(tmp_path / kind, kind)
-    for first, a in faults.items():
-        for second, b in faults.items():
-            code, out, err = run(capsys, [*argv, a, b])
-            expected = reference_load_error([(kind, a), (kind, b)], 1e-9)
-            if expected is None:
-                assert (code, err) == (0, ""), (first, second)
-            else:
-                assert (code, out, err) == (expected[0], "", expected[1]), (first, second)
+def test_operand_errors_are_those_of_loading_file_by_file(tmp_path, capsys, argv, kinds):
+    # every combination of faults across the operand files gives the exit code
+    # and stderr of reading and admitting the files one after another
+    faults = {kind: _operand_faults(tmp_path / kind, kind) for kind in set(kinds)}
+    for names in itertools.product(*(faults[kind] for kind in kinds)):
+        paths = [faults[kind][name] for kind, name in zip(kinds, names)]
+        slots = iter(paths)
+        code, out, err = run(capsys, [next(slots) if arg == "{}" else arg for arg in argv])
+        expected = reference_load_error(list(zip(kinds, paths)), 1e-9)
+        if expected is None:
+            assert (code, err) == (0, ""), names
+        else:
+            assert (code, out, err) == (expected[0], "", expected[1]), names
 
 
 def test_one_eigensolve_admits_every_operand_file(files, monkeypatch):
@@ -838,7 +860,13 @@ def test_one_eigensolve_admits_every_operand_file(files, monkeypatch):
     shapes.clear()
     observed = cli._load(observables, 1e-9)
     assert shapes == [(4, 2, 2), (2, 2), (2, 2)]  # both observables, then each sum check
+    with_state = [("observable", files["obs_a"]), ("state", files["rho"])]
+    shapes.clear()
+    obs_a, rho = cli._load(with_state, 1e-9)
+    assert shapes == [(3, 2, 2), (2, 2)]  # the members and the state, then the sum check
     monkeypatch.undo()
+    ref = reference_load(*with_state[1], 1e-9)
+    assert (rho.matrix.tobytes(), rho.tol) == (ref.matrix.tobytes(), ref.tol)
     pairs = list(zip(loaded, [reference_load(*f, 1e-9) for f in effects]))
     for obs, ref in zip(observed, [reference_load(*f, 1e-9) for f in observables]):
         assert (obs.outcomes, obs.sum_residual) == (ref.outcomes, ref.sum_residual)
@@ -846,6 +874,90 @@ def test_one_eigensolve_admits_every_operand_file(files, monkeypatch):
     for got, ref in pairs:
         assert got.matrix.tobytes() == ref.matrix.tobytes()
         assert (got.eig_min, got.eig_max, got.tol) == (ref.eig_min, ref.eig_max, ref.tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_a_state_file_is_admitted_as_the_reference_admits_it(tmp_path, dim):
+    # every fault an operator document can carry; the others fail to parse
+    for fault, m in state_faults(dim, np.random.default_rng(dim)).items():
+        if m.ndim == 2 and 0 < m.shape[0] == m.shape[1] and np.isfinite(m).all():
+            path = write_op(tmp_path / f"{fault}.json", m)
+            got = state_outcome(lambda: cli._load([("state", path)], 1e-9)[0])
+            assert got == state_outcome(reference_load, "state", path, 1e-9), fault
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["validate", "{a}"], [(1, 2, 2)]),
+        (["validate", "--kind", "state", "{rho}"], [(1, 2, 2)]),
+        (["validate", "--kind", "observable", "{obs_a}"], [(2, 2, 2), (2, 2)]),
+        (["classify", "{a}", "{b}"], [(2, 2, 2), (1, 2, 2)]),
+        (["observable", "dist", "{obs_a}", "--state", "{rho}"], [(3, 2, 2), (2, 2)]),
+        (["observable", "tcond", "{obs_a}", "{obs_a}", "--t", "0.3", "--state", "{rho}"], None),
+    ],
+    ids=["validate", "validate_state", "validate_observable", "classify", "dist", "tcond"],
+)
+def test_each_matrix_a_command_reads_is_eigensolved_once(files, capsys, monkeypatch, argv, calls):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert run(capsys, [arg.format(**files) for arg in argv])[0] == 0
+    if calls is None:  # the state joins both observables' members in the first call
+        assert len(shapes) == 7 and shapes[0] == (5, 2, 2)
+    else:
+        assert shapes == calls
+
+
+def test_a_faulty_state_is_reported_before_an_error_of_the_computation(files, capsys):
+    # both observables load, but their product labels collide: a⊗ ⊗ b = a ⊗ ⊗b
+    p = np.diag([1.0, 0.0])
+    a = write_obs(files["root"] / "collide_left.json", [p, np.eye(2) - p], ["a⊗", "a"])
+    b = write_obs(files["root"] / "collide_right.json", [p, np.eye(2) - p], ["b", "⊗b"])
+    tseq = ["observable", "tseq", a, b, "--t", "0.5"]
+    code, _, err = run(capsys, tseq)
+    assert (code, err) == (2, "error: outcome pairs ('a⊗', 'b') and ('a', '⊗b') both give the "
+                              "product label 'a⊗⊗b'\n")
+    code, out, err = run(capsys, [*tseq, "--state", files["a"]])
+    assert (code, out, err) == (2, "", "error: trace 1.5 differs from 1 beyond 1e-10\n")
+    code, out, err = run(capsys, [*tseq, "--state", files["bad_json"]])
+    assert code == 3 and out == "" and err.startswith("error: invalid JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{anti}"],
+        ["validate", "--kind", "state", "{anti}"],
+        ["validate", "--kind", "observable", "{anti_obs}"],
+        ["classify", "{anti}", "{b}"],
+        ["classify", "{b}", "{anti}"],
+        ["observable", "dist", "{obs_b}", "--state", "{anti}"],
+    ],
+)
+def test_a_defect_beyond_the_float_range_is_non_hermitian(files, capsys, argv):
+    root = files["root"]
+    paths = {
+        "anti": write_op(root / "anti.json", ANTI),
+        "anti_obs": _write_raw_observable(
+            root / "anti_obs.json", [ANTI, np.eye(2) - ANTI], ["x", "y"]
+        ),
+        **files,
+    }
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    message = "hermiticity defect inf exceeds tolerance 2.121e+298\n"
+    assert code == 2
+    if argv[0] == "validate":
+        assert out.startswith("valid: false\n") and out.endswith(f"reason: {message}") and err == ""
+    else:
+        assert (out, err) == ("", f"error: {message}")
 
 
 def test_every_operand_file_is_read_before_any_is_admitted(files, capsys, monkeypatch):

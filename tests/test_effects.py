@@ -34,7 +34,7 @@ from effectdyn.errors import (
     TraceNotOneError,
 )
 
-from support import random_effect, random_state
+from support import random_effect, random_state, reference_state, state_faults, state_outcome
 
 
 @pytest.mark.parametrize(
@@ -203,6 +203,17 @@ def test_validate_state():
     with pytest.raises(SpectrumOutOfRangeError):
         validate_state(np.diag([1.5, -0.5]))
     assert np.allclose(maximally_mixed_state(4).matrix, np.eye(4) / 4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_validate_state_is_the_reference_sequence(dim):
+    faults = state_faults(dim, np.random.default_rng(dim))
+    for fault, m in faults.items():
+        for tol in (1e-9, 1e-3):
+            got = state_outcome(validate_state, m, tol)
+            assert got == state_outcome(reference_state, m, tol), (fault, tol)
+            assert isinstance(got[0], bytes) == (fault == "valid"), (fault, tol)
 
 
 def test_probability_known_and_clamped():

@@ -126,6 +126,65 @@ def test_hermitian_part_is_the_half_sum_bit_for_bit(dim, count, seed, exponent, 
     assert linalg.hermitian_part(m).tobytes() == ((m + linalg.adjoint(m)) / 2.0).tobytes()
 
 
+def _reference_hermitian_parts(stack):
+    """Each slice's defect max|M - M†| and bound HERMITICITY_RTOL * max(1, max|M|), unscaled."""
+    with np.errstate(over="ignore"):
+        defect = np.max(np.abs(stack - linalg.adjoint(stack)), axis=(-2, -1)).tolist()
+        scale = np.max(np.abs(stack), axis=(-2, -1)).tolist()
+    return defect, [linalg.HERMITICITY_RTOL * max(1.0, x) for x in scale]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    dim=st.integers(1, 8),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+    skew=st.sampled_from([0.0, 1e-13, 1.0]),
+)
+def test_hermiticity_defects_and_bounds_are_those_of_the_unscaled_entries(
+    dim, count, seed, exponent, skew
+):
+    # taken from M/2 and (M - M†)/2 and scaled back, they have the bits of the
+    # maxima over M for parts of magnitude at least 2**-1021, subnormal defects
+    # included (a skew of 1e-13 at exponent -300 makes them); smaller parts,
+    # zeros included, are raised to it
+    rng = np.random.default_rng(seed)
+    shape = (2, count, dim, dim)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+    m = (x[0] + 1j * x[1]) * 10.0**exponent
+    m = linalg.hermitian_part(m) + skew * m
+    parts = np.stack([m.real, m.imag])
+    small = np.abs(parts) < 2.0**-1021
+    parts[small] = np.copysign(2.0**-1021, parts[small])
+    m = parts[0] + 1j * parts[1]
+    assert linalg.hermitian_parts(m)[1:] == _reference_hermitian_parts(m)
+
+
+def test_a_subnormal_defect_keeps_the_bits_of_the_unscaled_one():
+    # |M - M†| = sqrt(2) * 2**-1072 rounds to 6 * 2**-1074; taken over
+    # (M - M†)/4 and scaled back it would round to 4 * 2**-1074
+    a = 2.0**-1020
+    b = a + 2.0**-1072
+    m = np.array([[a, complex(a, a)], [complex(b, -b), a]])[None]
+    assert linalg.hermitian_parts(m)[1] == _reference_hermitian_parts(m)[0] == [6 * 2.0**-1074]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_defect_beyond_the_float_range_is_refused_at_a_finite_bound():
+    # 0.5 I plus an anti-Hermitian part: |M - M†| and max|M| both pass the float range
+    z = 1.5e308 + 1.5e308j
+    anti = np.array([[0.5, z], [-np.conj(z), 0.5]])
+    _, defects, bounds = linalg.hermitian_parts(anti[None])
+    assert defects == [math.inf] and math.isfinite(bounds[0])
+    with pytest.raises(NonHermitianError, match=r"defect inf exceeds tolerance 2\.121e\+298"):
+        linalg.require_hermitian(anti)
+    # below the float range, a stack with an entry of modulus 2**1022 or more
+    # takes its defects from (M - M†)/4, scaled back: the same as unscaled here
+    big = np.array([[4.5e307, 0.25 + 3e300j], [0.5 - 1e300j, 1.0]])[None]
+    assert linalg.hermitian_parts(big)[1:] == _reference_hermitian_parts(big)
+
+
 def test_trace_inner():
     a = np.diag([1.0, 0.0])
     b = np.diag([1.0, 0.5])
