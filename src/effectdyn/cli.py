@@ -16,8 +16,8 @@ its sum check. The first admission error wins, and only then a read or
 parse error, which stops the reading at its file; so the error is the one
 reading and admitting the files one by one would give, though a later file
 is read even when an earlier one fails its checks, and a faulty --state is
-reported before an error of the computation itself. validate prints what
-one Admission of its file records.
+reported before an error of the computation itself. validate prints what one
+Admission of its file records, or, for an observable, admits it as _load does.
 
 ``main(argv)`` may be called repeatedly in one process (from scripts,
 notebooks or tests): the parser is built on the first call and reused, and
@@ -45,12 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_forms, evolution, linalg, serialization
-from .effects import (
-    DECISION_TOL,
-    Admission,
-    validate_effect,
-    validate_effects,
-)
+from .effects import DECISION_TOL, Admission, admit_in_order, validate_effect
 from .errors import EffectdynError, SchemaError
 from .explorer import ScanConfig, conjecture_scan, random_effect
 from .observables import (
@@ -146,10 +141,10 @@ def _load(files, tol: float) -> list:
     """The value of each of a command's operand files, given as (kind, path), admitted at tol.
 
     kind is "effect", "observable" or "state". Every file is read and
-    parsed first, in order, up to the first one that fails. Then every
-    matrix of the parsed files (an effect's, each member of an observable,
-    a state's) is eigensolved together, one Admission pass per shape. Then
-    each file's checks run, file by file: an effect's (Admission.admit), an
+    parsed first, in order, up to the first one that fails. Then _admit
+    eigensolves every matrix of the parsed files (an effect's, each member of
+    an observable, a state's) together, one Admission pass per shape, and
+    runs each file's checks, file by file: an effect's (Admission.admit), an
     observable's members' and then its sum check (validate_observable), a
     state's (Admission.admit_state). The first failing check raises; if none
     fails, the error that stopped the reading does. So the first error is the
@@ -163,26 +158,25 @@ def _load(files, tol: float) -> list:
         except (SchemaError, OSError) as exc:
             failure = exc
             break
-    matrices = [m for kind, doc in parsed for m in (doc[1] if kind == "observable" else [doc])]
-    slots = [None] * len(matrices)  # each matrix's (Admission, slice index)
-    for shape in dict.fromkeys(m.shape for m in matrices):
-        group = [k for k, m in enumerate(matrices) if m.shape == shape]
-        admission = Admission.of(np.array([matrices[k] for k in group]))
-        for i, k in enumerate(group):
-            slots[k] = (admission, i)
-    pending = iter(slots)  # consumed in file order
-    values = []
-    for kind, doc in parsed:
-        if kind == "observable":
-            outcomes, members = doc
-            effects = [Admission.admit(*next(pending), tol) for _ in members]
-            values.append(validate_observable(effects, outcomes))
-        else:
-            check = Admission.admit_state if kind == "state" else Admission.admit
-            values.append(check(*next(pending), tol))
+    values = _admit(parsed, tol)
     if failure is not None:
         raise failure
     return values
+
+
+def _admit(parsed, tol: float) -> list:
+    """The value of each parsed (kind, document), admitted at tol in one pass, as _load says."""
+    matrices, states = [], set()
+    for kind, doc in parsed:
+        if kind == "state":
+            states.add(len(matrices))
+        matrices += doc[1] if kind == "observable" else [doc]
+    admitted = admit_in_order(matrices, tol, states)
+    return [
+        validate_observable([next(admitted) for _ in doc[1]], doc[0]) if kind == "observable"
+        else next(admitted)
+        for kind, doc in parsed
+    ]
 
 
 def _fmt_eigs(values) -> str:
@@ -192,9 +186,9 @@ def _fmt_eigs(values) -> str:
 def cmd_validate(args) -> int:
     text = _read_text(args.file)
     if args.kind == "observable":
-        outcomes, matrices = serialization.parse_observable_json(text)
+        doc = serialization.parse_observable_json(text)
         try:
-            obs = validate_observable(validate_effects(matrices, args.tol), outcomes)
+            (obs,) = _admit([("observable", doc)], args.tol)
         except EffectdynError as exc:
             print("valid: false")
             print(f"reason: {exc}")

@@ -207,6 +207,26 @@ def admit_effects(stack: np.ndarray, tols) -> tuple[Effect, ...]:
     return tuple(map(admission.admit, range(len(tols)), tols))
 
 
+def admit_in_order(matrices, tol: float, states):
+    """Each of ``matrices``, square of any sizes, admitted at tol in input order, when asked for.
+
+    Matrix k is admitted as a State if k is in ``states``, else as an Effect.
+    Before the first is yielded, every matrix is eigensolved with the others
+    of its shape, one Admission pass per shape; then each is checked when the
+    caller asks for it, so a caller may run checks of its own in between (an
+    observable's sum check before the next file's matrices). The first failing
+    matrix raises what validate_effect or validate_state raises for it.
+    """
+    slots = [None] * len(matrices)  # each matrix's (Admission, slice index)
+    for shape in dict.fromkeys(m.shape for m in matrices):
+        group = [k for k, m in enumerate(matrices) if m.shape == shape]
+        admission = Admission.of(np.array([matrices[k] for k in group]))
+        for i, k in enumerate(group):
+            slots[k] = (admission, i)
+    for k, (admission, i) in enumerate(slots):
+        yield (admission.admit_state if k in states else admission.admit)(i, tol)
+
+
 def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
     """Validate 0 <= M <= I and build an :class:`Effect` that keeps ``tol``.
 
@@ -215,21 +235,6 @@ def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
     eigenvalue) when the spectrum leaves [-tol, 1 + tol] or is not finite.
     """
     return admit_effects(linalg.as_complex_matrix(matrix)[None], (tol,))[0]
-
-
-def validate_effects(matrices, tol: float = DECISION_TOL) -> tuple[Effect, ...]:
-    """validate_effect on each matrix, as one stacked pass when they share a shape.
-
-    Raises what validate_effect raises for the first failing matrix; matrices
-    of one shape are checked for shape and finiteness once, as one stack.
-    Matrices of mixed dimensions are admitted one at a time, so that each
-    one's checks still run before a caller such as validate_observable
-    rejects the mix.
-    """
-    ms = [np.asarray(m, dtype=complex) for m in matrices]
-    if len({m.shape for m in ms}) != 1:
-        return tuple(validate_effect(m, tol) for m in ms)
-    return admit_effects(linalg.as_complex_stack(ms), (tol,) * len(ms))
 
 
 def identity_effect(dim: int) -> Effect:

@@ -26,7 +26,7 @@ costs about g'' d^2 / 2, which is at rounding level once d is about
 sqrt(eps), whatever |t| is, so the tolerance is sqrt(eps) plus the float
 spacing 4 eps |t|, not the usual sqrt(eps) |t|. One kernel, in the
 eigenbasis of a, evaluates every gap of the search; its reference is
-symmetry_gap, through the dense cross-checked time_seq_product. A positive
+symmetry_gap, through the dense cross-checked time_seq_products. A positive
 ``min_gap_lower`` proves a[t]b != b[t]a for every t in the window, and only
 there: the gap is almost periodic in t, so the window says nothing about t
 outside it. What exactly is certified, and to what rounding, is stated in
@@ -54,7 +54,8 @@ import numpy as np
 from . import linalg
 from .effects import DECISION_TOL, Effect, admit_effects
 from .errors import CommutingPairError, EffectdynError, EmptyGridError
-from .evolution import EigenFrame, time_seq_product
+# time_seq_product stays importable here: bench/tracer.py wraps each import site of it
+from .evolution import EigenFrame, time_seq_product, time_seq_products  # noqa: F401
 
 # Pairs with ||[a,b]|| below the floor are uninformative (near-commuting
 # pairs have near-zero gap for trivial reasons) and are redrawn.
@@ -187,8 +188,8 @@ def _random_effects(dim: int, count: int, rng: np.random.Generator) -> tuple[Eff
 
 def symmetry_gap(a: Effect, b: Effect, t: float) -> float:
     """||a[t]b - b[t]a||; zero for commuting pairs at every t."""
-    delta = time_seq_product(a, b, t).matrix - time_seq_product(b, a, t).matrix
-    return linalg.operator_norm(delta)
+    ab, ba = time_seq_products((a, b), (b, a), t)
+    return linalg.operator_norm(ab.matrix - ba.matrix)
 
 
 def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:

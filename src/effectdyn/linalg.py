@@ -21,17 +21,12 @@ HERMITICITY_RTOL = 1e-10
 
 def as_complex_matrix(entries) -> np.ndarray:
     """Coerce input to a nonempty square complex matrix with finite entries."""
-    return as_complex_stack(np.asarray(entries, dtype=complex)[None])[0]
-
-
-def as_complex_stack(matrices) -> np.ndarray:
-    """as_complex_matrix on each of a sequence of matrices of one shape, checked once as a stack."""
-    s = np.asarray(matrices, dtype=complex)
-    if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] == 0:
-        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {s.shape[1:]}")
-    if not np.isfinite(s).all():
+    m = np.asarray(entries, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    return s
+    return m
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from effectdyn import Effect, State, linalg, serialization, validate_effect, validate_state
-from effectdyn.effects import STATE_TRACE_TOL, validate_effects
+from effectdyn.effects import STATE_TRACE_TOL
 from effectdyn.errors import EffectdynError, SchemaError, SpectrumOutOfRangeError, TraceNotOneError
 from effectdyn.observables import Observable, validate_observable
 
@@ -191,7 +191,7 @@ def reference_load(kind: str, path: str, tol: float):
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
     if kind == "observable":
         outcomes, matrices = serialization.parse_observable_json(text)
-        return validate_observable(validate_effects(matrices, tol), outcomes)
+        return validate_observable([validate_effect(m, tol) for m in matrices], outcomes)
     matrix = serialization.parse_operator_json(text)
     return (reference_state if kind == "state" else validate_effect)(matrix, tol)
 

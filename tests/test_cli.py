@@ -234,6 +234,35 @@ def test_unreadable_json_is_parse_failure(files, capsys, name, data, command):
         assert str(path) in err
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("[]", "observable document must be an object"),
+        ('"yes"', "observable document must be an object"),
+        ('{"effects": []}', "observable document missing fields: ['outcomes']"),
+        ('{"outcomes": []}', "observable document missing fields: ['effects']"),
+        ("{}", "observable document missing fields: ['effects', 'outcomes']"),
+    ],
+    ids=["array", "string", "no_outcomes", "no_effects", "empty_object"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--kind", "observable", "{path}"],
+        ["observable", "dist", "{path}", "--state", "{rho}"],
+        ["observable", "tseq", "{path}", "{obs_a}", "--t", "0.5"],
+    ],
+    ids=["validate", "dist", "tseq"],
+)
+def test_observable_document_of_the_wrong_form_is_parse_failure(
+    files, capsys, document, message, argv
+):
+    path = files["root"] / "wrong_form.json"
+    path.write_text(document, encoding="utf-8")
+    code, out, err = run(capsys, [arg.format(path=path, **files) for arg in argv])
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_missing_file_is_invalid_input(files, capsys):
     code, _, err = run(capsys, ["validate", str(files["root"] / "nope.json")])
     assert code == 2
@@ -1180,7 +1209,7 @@ def test_scan_stderr_names_the_smallest_record_gap(tmp_path, capsys):
 
 def test_scan_window_beyond_the_knot_cap_is_invalid_input(tmp_path, capsys):
     # the search's work grows with the window's width: at this one it would
-    # need about 10^10 knots, so it stops at MAX_KNOTS and names the width
+    # need about 10^10 knots, so it is refused at once and names the width
     argv = ["scan", "--trials", "1", "--tmin", "0", "--tmax", "1e9", "--out", str(tmp_path / "x")]
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")

@@ -22,12 +22,13 @@ from effectdyn.effects import (
     SQRT_ZERO_CUTOFF,
     Admission,
     admit_effects,
+    admit_in_order,
     product_tol,
     stacked_roots,
-    validate_effects,
 )
 from effectdyn.errors import (
     DimensionMismatchError,
+    EffectdynError,
     NonHermitianError,
     NotCommutingError,
     SpectrumOutOfRangeError,
@@ -97,15 +98,84 @@ def test_a_spectrum_that_is_not_finite_is_refused():
         validate_effect(np.full((2, 2), 1e308))
 
 
-def test_validate_effects_checks_shape_and_finiteness_as_validate_effect_does():
-    for matrices in ([np.ones((2, 3))] * 2, [np.zeros((0, 0))] * 2, [np.ones(3)] * 2):
-        with pytest.raises(DimensionMismatchError) as one:
-            validate_effect(matrices[0])
-        with pytest.raises(DimensionMismatchError) as stacked:
-            validate_effects(matrices)
-        assert str(stacked.value) == str(one.value)
+def test_validate_effect_checks_shape_and_finiteness():
+    for m in (np.ones((2, 3)), np.zeros((0, 0)), np.ones(3)):
+        with pytest.raises(DimensionMismatchError) as info:
+            validate_effect(m)
+        assert str(info.value) == f"expected a nonempty square matrix, got shape {m.shape}"
     with pytest.raises(ValueError, match="matrix entries must be finite"):
-        validate_effects([np.eye(2) / 2, np.full((2, 2), np.inf)])
+        validate_effect(np.full((2, 2), np.inf))
+
+
+def _until_error(takes) -> list:
+    """Each take() in turn as a value, up to and including the first that raises.
+
+    A value is its type, matrix bits, tol and, for an Effect, eig_min and
+    eig_max; an error is its type, text and eigenvalue.
+    """
+    outcomes = []
+    for take in takes:
+        try:
+            x = take()
+        except EffectdynError as exc:
+            return [*outcomes, (type(exc), str(exc), repr(getattr(exc, "eigenvalue", None)))]
+        extremes = (x.eig_min, x.eig_max) if isinstance(x, Effect) else None
+        outcomes.append((type(x), x.matrix.tobytes(), x.tol, extremes))
+    return outcomes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_admit_in_order_admits_as_one_matrix_at_a_time(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    z = 1.5e308 + 1.5e308j
+    spread = np.eye(dim, dtype=complex) / 2
+    if dim > 1:
+        spread[0, 1], spread[1, 0] = z, np.conj(z)
+    skew = np.eye(dim, dtype=complex) / 2
+    skew[0, -1] += 0.5j
+    effect_faults = {
+        "valid": random_effect(dim, rng).matrix,
+        "non_hermitian": skew,
+        "below": np.eye(dim) * -0.1,
+        "above": np.eye(dim) * 1.1,
+        "huge": np.full((dim, dim), 1e308),
+        "non_finite_spectrum": spread,
+    }
+    state_cases = {
+        fault: m
+        for fault, m in state_faults(dim, rng).items()
+        if m.ndim == 2 and 0 < m.shape[0] == m.shape[1] and np.isfinite(m).all()
+    }
+    wider, one = random_effect(dim + 1, rng).matrix, random_effect(1, rng).matrix
+    rho = random_state(dim, rng).matrix
+    for tol in (1e-9, 1e-3):
+        for as_state, faults in ((False, effect_faults), (True, state_cases)):
+            for fault, m in faults.items():
+                # shapes interleaved; the state slots are 1 or 3
+                matrices = [wider, m, one, rho]
+                states = {1, 3} if as_state else {3}
+                checks = [reference_state if k in states else validate_effect for k in range(4)]
+                ref = _until_error([lambda c=c, x=x: c(x, tol) for c, x in zip(checks, matrices)])
+                admitted = admit_in_order(matrices, tol, states)
+                got = _until_error([lambda: next(admitted)] * 4)
+                assert got == ref, (fault, as_state, tol)
+    # one eigensolve per shape, all before the first matrix is admitted
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    admitted = admit_in_order([wider, rho, one, effect_faults["valid"]], 1e-9, {1})
+    groups = [(1, 2, 2), (3, 1, 1)]  # at dim 1, one and the valid effect join rho
+    if dim > 1:
+        groups = [(1, dim + 1, dim + 1), (2, dim, dim), (1, 1, 1)]
+    next(admitted)
+    assert shapes == groups
+    assert len(list(admitted)) == 3 and shapes == groups
 
 
 def test_validate_effect_tolerates_roundoff_overshoot():

@@ -130,6 +130,22 @@ def test_symmetry_gap_at_zero_is_product_asymmetry():
     assert symmetry_gap(a, b, 0.0) > 0.01
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_symmetry_gap_is_that_of_two_one_pair_products_bit_for_bit(dim):
+    def pair(k):
+        rng = np.random.default_rng([dim, k])
+        return random_effect(dim, rng), random_effect(dim, rng)
+
+    for k, t in enumerate((0.0, 1.7, -1.7, 1e4)):
+        a, b = pair(k)
+        ref_a, ref_b = pair(k)
+        ab = evolution.time_seq_product(ref_a, ref_b, t).matrix
+        ba = evolution.time_seq_product(ref_b, ref_a, t).matrix
+        expected = linalg.operator_norm(ab - ba)
+        assert symmetry_gap(a, b, t) == expected, t  # neither effect decomposed yet
+        assert symmetry_gap(a, b, t) == expected, t  # both cached
+
+
 def test_symmetry_gap_profile_matches_pointwise(rng):
     # the search's kernel, batched and at one time, against the dense
     # cross-checked route; the last a of each dim has a zero eigenvalue
@@ -150,6 +166,22 @@ def test_symmetry_gap_profile_matches_pointwise(rng):
         symmetry_gap_profile(a, random_effect(2, np.random.default_rng(7)), ts)
 
 
+def test_a_search_that_reaches_max_knots_midway_is_refused(monkeypatch):
+    # a cap of 20 knots is too low for the up-front refusal to prove, so the
+    # search evaluates its 16 initial knots and stops at its first split round
+    rng = np.random.default_rng(0)
+    a, b = random_effect(3, rng), random_effect(3, rng)
+    evaluated = []
+    gaps = explorer._gaps
+    monkeypatch.setattr(
+        explorer, "_gaps", lambda br, ts, known: evaluated.append(len(ts)) or gaps(br, ts, known)
+    )
+    monkeypatch.setattr(explorer, "MAX_KNOTS", 20)
+    with pytest.raises(EffectdynError, match="needs more than 20 knots"):
+        minimize_gap(a, b, ScanConfig(dim=3))
+    assert evaluated == [explorer.INITIAL_KNOTS]
+
+
 def test_gap_profiles_reject_empty_grid():
     a = random_effect(2, np.random.default_rng(5))
     b = random_effect(2, np.random.default_rng(6))
@@ -165,6 +197,7 @@ def test_conjecture_scan_uses_only_eigenframes(monkeypatch):
 
     monkeypatch.setattr(explorer, "symmetry_gap", forbidden)
     monkeypatch.setattr(explorer, "time_seq_product", forbidden)
+    monkeypatch.setattr(explorer, "time_seq_products", forbidden)
     monkeypatch.setattr(evolution, "time_seq_product", forbidden)
     built = []
     products = EigenFrame.stacked_products.__func__

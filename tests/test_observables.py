@@ -23,8 +23,9 @@ from effectdyn import (
     validate_observable,
     validate_state,
 )
-from effectdyn.effects import stacked_roots, validate_effects
+from effectdyn.effects import stacked_roots
 from effectdyn.errors import (
+    ConsistencyError,
     DimensionMismatchError,
     MemberNotEffectError,
     OutcomeSetMismatchError,
@@ -34,6 +35,7 @@ from effectdyn.errors import (
 )
 
 from effectdyn.evolution import EigenFrame
+from effectdyn.observables import Observable
 
 from support import random_effect, random_observable, random_state
 
@@ -74,7 +76,7 @@ def test_sum_check_residual_is_the_operator_norm_of_the_sum_bit_for_bit(dim):
 
 
 def test_sum_check_refuses_a_residual_that_is_not_a_number():
-    (member,) = validate_effects([np.eye(2)])
+    member = validate_effect(np.eye(2))
     broken = Effect(np.full((2, 2), np.nan), member.eig_min, member.eig_max, member.tol)
     with pytest.raises(SumNotIdentityError):
         validate_observable([broken])
@@ -148,6 +150,16 @@ def test_distribution_checks_the_raw_sum_then_clamps():
     spread = validate_observable([np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 0.0])])
     dist = distribution(spread, validate_state(np.diag([1.0 + 1.6e-9, -0.8e-9, -0.8e-9])))
     assert dist.probabilities == (0.0, 1.0)
+    # an Observable built without its sum check: a raw sum off 1 by more than
+    # the observable's tol plus STATE_TRACE_TOL, 1.1e-9 here, is refused
+    rho = validate_state(np.diag([1.0, 0.0]))
+    for off, refused in ((1.0e-9, False), (1.2e-9, True)):
+        short = Observable(("x",), (validate_effect(np.diag([1.0 - off, 1.0])),), 0.0)
+        if refused:
+            with pytest.raises(ConsistencyError, match="distribution sums to 0.99999999"):
+                distribution(short, rho)
+        else:
+            assert distribution(short, rho).probabilities == (1.0 - off,)
 
 
 def test_obs_seq_product_labels_and_identity_cases(rng):
@@ -433,7 +445,6 @@ def test_stacked_products_admit_each_pair_at_its_own_tolerance(rng):
 
 def test_consistency_error_names_the_first_pair(rng, monkeypatch):
     from effectdyn import evolution
-    from effectdyn.errors import ConsistencyError
 
     a_obs = random_observable(3, 3, rng)
     b_obs = random_observable(3, 2, rng)
@@ -477,7 +488,9 @@ def test_products_admitted_near_eps_allow_for_their_rounding():
         t = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
         try:
             a, b = (
-                validate_observable(validate_effects(gram_observable(2, n, rng), 1e-15))
+                validate_observable(
+                    [validate_effect(m, 1e-15) for m in gram_observable(2, n, rng)]
+                )
                 for _ in range(2)
             )
         except SumNotIdentityError:
@@ -492,9 +505,9 @@ def test_products_admitted_near_eps_allow_for_their_rounding():
 def test_product_sum_off_by_1e_12_still_raises(monkeypatch, op):
     from effectdyn import observables
 
-    a = validate_observable(validate_effects([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 1e-15))
+    a = validate_observable([validate_effect(np.diag([x, 1.0 - x]), 1e-15) for x in (1.0, 0.0)])
     half = np.full((2, 2), 0.5)
-    b = validate_observable(validate_effects([half, np.eye(2) - half], 1e-15))
+    b = validate_observable([validate_effect(m, 1e-15) for m in (half, np.eye(2) - half)])
     exact = observables.time_seq_products
 
     def skewed(lefts, rights, t):
@@ -518,7 +531,7 @@ def test_evolution_admitted_near_eps_allows_for_its_rounding():
             rng = np.random.default_rng([6, dim, i])
             members = gram_observable(dim, 2 + i % 3, rng)
             try:
-                b = validate_observable(validate_effects(members, 1e-15))
+                b = validate_observable([validate_effect(m, 1e-15) for m in members])
             except SumNotIdentityError:
                 continue  # an input whose own sum is off by more than 1e-15
             for _ in range(4):
@@ -533,7 +546,7 @@ def test_evolution_sum_off_by_1e_12_still_raises(monkeypatch):
     from effectdyn import observables
 
     m = np.array([[0.5, 0.2], [0.2, 0.3]])
-    b = validate_observable(validate_effects([m, np.eye(2) - m], 1e-15))
+    b = validate_observable([validate_effect(x, 1e-15) for x in (m, np.eye(2) - m)])
     a = validate_effect(np.diag([0.9, 0.2]), 1e-15)
     exact = observables.effect_evolution
 

@@ -136,6 +136,13 @@ def test_writer_rejects_an_array_that_is_not_a_square_matrix(shape):
         assert str(raised.value) == str(expected.value)
 
 
+def test_writer_rejects_what_json_dumps_cannot_write():
+    with pytest.raises(TypeError, match="^keys must be str, not int$"):
+        serialization.to_json({"effects": {1: 2}})
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        serialization.to_json([1.5, object()])
+
+
 def test_observable_roundtrip():
     obs = validate_observable(
         [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ["up", "down"]
