@@ -18,6 +18,9 @@ reading and admitting the files one by one would give, though a later file
 is read even when an earlier one fails its checks, and a faulty --state is
 reported before an error of the computation itself. validate prints what one
 Admission of its file records, or, for an observable, admits it as _load does.
+Each observable subcommand names its operands in OBSERVABLE_COMMANDS, and
+one table, _OPERANDS, declares each operand once: its argparse flag and the
+kind of file it names, which _operands hands to _load.
 
 ``main(argv)`` may be called repeatedly in one process (from scripts,
 notebooks or tests): the parser is built on the first call and reused, and
@@ -90,7 +93,7 @@ def _finite(text: str) -> float:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(w) for w in text.split(",") if w != ""]
+    return [float(w) for w in text.split(",")]
 
 
 def _rewrite(path: Path, text: str) -> None:
@@ -268,7 +271,7 @@ def cmd_classify(args) -> int:
 
 
 # Each observable subcommand, declared once for the parser and the dispatch:
-# its help, its operands (see _OPERAND_FLAGS and _operands) in the order
+# its help, its operands (see _OPERANDS and _operands) in the order
 # its library call takes them, and that call. The calls are lambdas, so each
 # library name is looked up in this module when the command runs and sees any
 # rebinding of it (such as a tracing wrapper). Only "dist" emits a distribution.
@@ -288,28 +291,20 @@ OBSERVABLE_COMMANDS = {
     "convex": ("convex combination of observables", ("weights", "files"),
                lambda weights, files: convex_combination(weights, files)),
 }
-# How each operand is declared to argparse; any other name is a positional file.
-_OPERAND_FLAGS = {
-    "t": ("--t", {"type": _finite, "default": 0.0}),
-    "weights": (
-        "--weights", {"type": _floats, "required": True, "help": "comma-separated, summing to 1"}
-    ),
-    "state": ("--state", {"required": True}),
-    "files": ("files", {"nargs": "+"}),
-    "a_file": ("a_file", {"help": "observable A (the conditioning one in cond and tcond)"}),
-    "b_file": ("b_file", {"help": "observable B (the conditioned one in cond and tcond)"}),
-    "effect": ("effect", {"help": "operator file for the evolving effect a"}),
-}
-
-
-# The kind of file (see _load) each operand names; the other operands are flags.
-_FILE_KINDS = {
-    "a_file": "observable",
-    "b_file": "observable",
-    "observable": "observable",
-    "files": "observable",
-    "effect": "effect",
-    "state": "state",
+# Each operand's argparse flag, the kind of file it names (see _load; None
+# for a value flag) and its argparse spec.
+_OPERANDS = {
+    "t": ("--t", None, {"type": _finite, "default": 0.0}),
+    "weights": ("--weights", None, {"type": _floats, "required": True,
+                                    "help": "comma-separated, summing to 1"}),
+    "state": ("--state", "state", {"required": True}),
+    "files": ("files", "observable", {"nargs": "+"}),
+    "observable": ("observable", "observable", {}),
+    "a_file": ("a_file", "observable",
+               {"help": "observable A (the conditioning one in cond and tcond)"}),
+    "b_file": ("b_file", "observable",
+               {"help": "observable B (the conditioned one in cond and tcond)"}),
+    "effect": ("effect", "effect", {"help": "operator file for the evolving effect a"}),
 }
 
 
@@ -318,9 +313,9 @@ def _operands(args, names) -> list:
 
     A file flag left unset (an optional --state) is None.
     """
-    paths = {n: p for n in names if n in _FILE_KINDS and (p := getattr(args, n)) is not None}
+    paths = {n: p for n in names if _OPERANDS[n][1] and (p := getattr(args, n)) is not None}
     files = [
-        (_FILE_KINDS[name], path)
+        (_OPERANDS[name][1], path)
         for name, value in paths.items()
         for path in (value if name == "files" else [value])
     ]
@@ -512,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, operands, _) in OBSERVABLE_COMMANDS.items():
         q = obs_sub.add_parser(name, help=help_text)
         for operand in operands:
-            flag, spec = _OPERAND_FLAGS.get(operand, (operand, {}))
+            flag, _, spec = _OPERANDS[operand]
             q.add_argument(flag, **spec)
         if "state" not in operands:
             q.add_argument("--state", default=None, help="also emit the distribution in this state")

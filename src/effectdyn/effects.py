@@ -72,9 +72,9 @@ class Effect:
 
     @cached_property
     def sqrt(self) -> np.ndarray:
-        """The unique positive square root, diagonal in ``decomposition``."""
+        """The unique positive square root, diagonal in ``decomposition``; read-only."""
         v = self.decomposition.vectors
-        return (v * self.sqrt_eigenvalues) @ linalg.adjoint(v)
+        return linalg.readonly((v * self.sqrt_eigenvalues) @ linalg.adjoint(v))
 
 
 def clamp_unit(value: float, tol: float) -> float:
@@ -90,9 +90,7 @@ def _sqrt_eigenvalues(w: np.ndarray, eig_max: np.ndarray) -> np.ndarray:
     """Effect.sqrt_eigenvalues from an effect's eigenvalues w and eig_max, or stacks of them."""
     w = np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) computes
     w[w <= SQRT_ZERO_CUTOFF * np.maximum(1.0, eig_max)[..., None]] = 0.0
-    root = np.sqrt(w)
-    root.setflags(write=False)
-    return root
+    return linalg.readonly(np.sqrt(w))
 
 
 def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np.ndarray]:
@@ -110,7 +108,7 @@ def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np
     if fresh:
         d = linalg.hermitian_eigh(np.array([e.matrix for e in fresh]))
         root = _sqrt_eigenvalues(d.eigenvalues, np.array([e.eig_max for e in fresh]))
-        sqrt = (d.vectors * root[:, None, :]) @ linalg.adjoint(d.vectors)
+        sqrt = linalg.readonly((d.vectors * root[:, None, :]) @ linalg.adjoint(d.vectors))
         for e, w, v, r, s in zip(fresh, d.eigenvalues, d.vectors, root, sqrt):
             # vars(e) is where each cached_property keeps its value
             vars(e).update(
@@ -150,50 +148,55 @@ class Admission:
     @classmethod
     def of(cls, stack: np.ndarray) -> Admission:
         h, defects, bounds = linalg.hermitian_parts(stack)
-        w = np.linalg.eigvalsh(h)
-        for a in (h, w):
-            a.setflags(write=False)
-        return cls(h, defects, bounds, w, w[:, 0].tolist(), w[:, -1].tolist())
+        w = linalg.readonly(np.linalg.eigvalsh(h))
+        return cls(linalg.readonly(h), defects, bounds, w, w[:, 0].tolist(), w[:, -1].tolist())
 
     def admit(self, i: int, tol: float) -> Effect:
         """Slice i as an Effect admitted at tol, or the error validate_effect raises for it.
 
         Its Hermiticity is checked before its lowest and then its highest
-        eigenvalue. A spectrum those range tests pass but that is not finite
-        is refused last: NaN eigenvalues, which an eigensolve returns when an
-        entry's modulus exceeds the float range, compare false with any bound.
+        eigenvalue, and its spectrum's finiteness last.
         """
-        low, high = self.lows[i], self.highs[i]
-        if self.defects[i] > self.bounds[i]:
-            raise linalg.non_hermitian_error(self.defects[i], self.bounds[i])
-        if low < -tol:
-            raise SpectrumOutOfRangeError(f"eigenvalue {low!r} below -{tol!r}", low)
+        low, high = self._checked_extremes(i, tol)
         if high > 1.0 + tol:
             raise SpectrumOutOfRangeError(f"eigenvalue {high!r} above 1 + {tol!r}", high)
-        if math.isnan(low) or math.isnan(high):
-            raise _non_finite_spectrum(low)
-        return Effect(self.matrices[i], low, high, tol)
+        return Effect(self._finite_matrix(i), low, high, tol)
 
     def admit_state(self, i: int, tol: float) -> State:
-        """Slice i as a State admitted at tol, or the error validate_state raises for it."""
-        low, h = self.lows[i], self.matrices[i]
+        """Slice i as a State admitted at tol, or the error validate_state raises for it.
+
+        Its Hermiticity is checked before its lowest eigenvalue and then its
+        trace, and its spectrum's finiteness last.
+        """
+        self._checked_extremes(i, tol)
+        with np.errstate(over="ignore"):  # a diagonal near the float limit sums to inf, not 1
+            tr = float(np.trace(self.matrices[i]).real)
+        if abs(tr - 1.0) > STATE_TRACE_TOL:
+            raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {STATE_TRACE_TOL}")
+        return State(self._finite_matrix(i), tol)
+
+    def _checked_extremes(self, i: int, tol: float) -> tuple[float, float]:
+        """Slice i's extremal eigenvalues, once its Hermiticity and then its lowest one pass."""
+        low = self.lows[i]
         if self.defects[i] > self.bounds[i]:
             raise linalg.non_hermitian_error(self.defects[i], self.bounds[i])
         if low < -tol:
             raise SpectrumOutOfRangeError(f"eigenvalue {low!r} below -{tol!r}", low)
-        with np.errstate(over="ignore"):  # a diagonal near the float limit sums to inf, not 1
-            tr = float(np.trace(h).real)
-        if abs(tr - 1.0) > STATE_TRACE_TOL:
-            raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {STATE_TRACE_TOL}")
-        if not np.isfinite(self.spectra[i]).all():  # NaN eigenvalues pass the tests above
-            raise _non_finite_spectrum(low)
-        return State(h, tol)
+        return low, self.highs[i]
 
+    def _finite_matrix(self, i: int) -> np.ndarray:
+        """Slice i's matrix, once its spectrum is finite: the check each admission runs last.
 
-def _non_finite_spectrum(eigenvalue: float) -> SpectrumOutOfRangeError:
-    return SpectrumOutOfRangeError(
-        "eigenvalues are not finite: the matrix's norm exceeds the float range", eigenvalue
-    )
+        NaN eigenvalues, which an eigensolve returns when an entry's modulus
+        exceeds the float range, compare false with any bound, so they pass
+        every check before this one.
+        """
+        low, high = self.lows[i], self.highs[i]
+        if math.isnan(low) or math.isnan(high):
+            raise SpectrumOutOfRangeError(
+                "eigenvalues are not finite: the matrix's norm exceeds the float range", low
+            )
+        return self.matrices[i]
 
 
 def admit_effects(stack: np.ndarray, tols) -> tuple[Effect, ...]:
@@ -388,8 +391,7 @@ def commuting_witness(a: Effect, b: Effect) -> CoexistenceWitness:
     """
     if not commutes(a, b):
         raise NotCommutingError("commuting_witness requires a commuting pair")
-    prod = a.matrix @ b.matrix
-    prod = (prod + prod.conj().T) / 2.0  # exact product is Hermitian; drop round-off skew
+    prod = linalg.hermitian_part(a.matrix @ b.matrix)  # exact ab is Hermitian; drop round-off skew
     tol = product_tol(a.tol, b.tol)
     return CoexistenceWitness(
         a1=validate_effect(a.matrix - prod, tol),

@@ -261,8 +261,7 @@ def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarr
 
 
 def _hermitian_derivative(frame: EigenFrame, t: float, n: int) -> np.ndarray:
-    m = frame.at(t, n)
-    return (m + m.conj().T) / 2.0
+    return linalg.hermitian_part(frame.at(t, n))
 
 
 def deviation_norm(b: Effect, a: Effect, t: float) -> float:

@@ -180,7 +180,7 @@ def _random_effects(dim: int, count: int, rng: np.random.Generator) -> tuple[Eff
         linalg.as_complex_matrix(np.zeros((dim, dim)))  # refuses dim 0 as validate_effect does
     x = rng.standard_normal((count, 2, dim, dim))
     g = x[:, 0] + 1j * x[:, 1]
-    h = (g + linalg.adjoint(g)) / 2.0  # Hermitian exactly: entry kj is the conjugate of entry jk
+    h = linalg.hermitian_part(g)  # Hermitian exactly: entry kj is the conjugate of entry jk
     norms = linalg.operator_norms(h)
     norms[norms == 0.0] = math.inf  # then H = 0 and H / inf = 0
     return admit_effects((np.eye(dim) + h / norms[:, None, None]) / 2.0, (DECISION_TOL,) * count)
@@ -610,16 +610,12 @@ def _draw_pair(cfg: ScanConfig, trial: int) -> tuple[Effect, Effect, float] | No
 
 
 def _histogram(gaps: list[float]) -> dict:
-    """Counts of ``gaps`` per bin of _HISTOGRAM_EDGES, as np.histogram counts them.
+    """Counts of ``gaps`` per bin of _HISTOGRAM_EDGES.
 
     The bins are half-open but the last, [1, inf], which is closed; a value
     outside [0, inf] (or NaN) counts nowhere.
     """
-    edges = _HISTOGRAM_EDGES
-    x = np.asarray(gaps, dtype=float)
-    slot = np.searchsorted(edges, x, side="right")  # bin j holds slot j + 1
-    slot[x == edges[-1]] = len(edges) - 1
-    counts = np.bincount(slot, minlength=len(edges) + 1)[1 : len(edges)].tolist()
+    counts = np.histogram(gaps, bins=_HISTOGRAM_EDGES)[0].tolist()
     return {"bins": list(_HISTOGRAM_LABELS), "counts": counts}
 
 

@@ -25,7 +25,7 @@ def as_complex_matrix(entries) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+        raise EffectdynError("matrix entries must be finite")
     return m
 
 
@@ -84,7 +84,8 @@ def require_hermitian(m) -> np.ndarray:
     return h[0]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only: how every cached or admitted array is stored."""
     a.setflags(write=False)
     return a
 
@@ -122,7 +123,7 @@ def hermitian_eigh(h: np.ndarray) -> SpectralDecomposition:
     repeat work. The arrays returned are read-only.
     """
     w, v = np.linalg.eigh(h)
-    return SpectralDecomposition(_readonly(w), _readonly(v))
+    return SpectralDecomposition(readonly(w), readonly(v))
 
 
 def unitary_from_decomposition(d: SpectralDecomposition, t: float) -> np.ndarray:

@@ -1086,6 +1086,8 @@ def test_huge_finite_entries_are_refused(files, capsys, argv):
     "argv",
     [
         ["observable", "convex", "--weights", "x,1", "@obs_a", "@obs_a"],
+        ["observable", "convex", "--weights", "0.5,,0.5", "@obs_a", "@obs_a"],
+        ["observable", "convex", "--weights", "1,", "@obs_a"],
         ["observable", "convex", "--weights", "nan,1", "@obs_a", "@obs_a"],
         ["observable", "tseq", "@obs_a", "@obs_a", "--t", "nan"],
         ["observable", "tcond", "@obs_a", "@obs_a", "--t", "inf"],

@@ -103,7 +103,7 @@ def test_validate_effect_checks_shape_and_finiteness():
         with pytest.raises(DimensionMismatchError) as info:
             validate_effect(m)
         assert str(info.value) == f"expected a nonempty square matrix, got shape {m.shape}"
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
+    with pytest.raises(EffectdynError, match="matrix entries must be finite"):
         validate_effect(np.full((2, 2), np.inf))
 
 
@@ -220,6 +220,7 @@ def test_decomposition_eigensolves_the_stored_matrix_as_is(monkeypatch, dim):
         w = np.clip(d.eigenvalues, 0.0, None)
         w[w <= SQRT_ZERO_CUTOFF * max(1.0, e.eig_max)] = 0.0
         assert np.array_equal(roots, np.sqrt(w))
+        assert not e.sqrt.flags.writeable
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -248,6 +249,7 @@ def test_stacked_roots_decompose_fresh_effects_in_one_stacked_eigh(monkeypatch, 
         assert e.sqrt_eigenvalues.tobytes() == want.sqrt_eigenvalues.tobytes()
         assert not e.sqrt_eigenvalues.flags.writeable
         assert e.sqrt.tobytes() == want.sqrt.tobytes()
+        assert not e.sqrt.flags.writeable
     order = (a, cached, b, a, c)
     assert np.array_equal(d.vectors, [e.decomposition.vectors for e in order])
     assert np.array_equal(root, [e.sqrt_eigenvalues for e in order])
