@@ -86,14 +86,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
 def _floats(text: str) -> list[float]:
-    return [float(w) for w in text.split(",")]
+    try:
+        return [float(w) for w in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
 
 
 def _rewrite(path: Path, text: str) -> None:
@@ -239,10 +245,8 @@ def cmd_evolve(args) -> int:
     if not math.isfinite(args.t1 - args.t0):
         raise EffectdynError(f"time window must have finite width, got {(args.t0, args.t1)}")
     a, b = _load([("effect", args.a_file), ("effect", args.b_file)], args.tol)
-    if args.mode == "evolution":
-        frame = evolution.EigenFrame.evolution(a, b)
-    else:
-        frame = evolution.EigenFrame.product(a, b)
+    frames = evolution.EigenFrame
+    frame = (frames.evolution if args.mode == "evolution" else frames.product)(a, b)
     try:
         times = np.linspace(args.t0, args.t1, args.steps + 1)
         frame.check_phases(float(np.abs(times).max()))

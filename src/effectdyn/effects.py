@@ -63,18 +63,18 @@ class Effect:
 
     @cached_property
     def decomposition(self) -> linalg.SpectralDecomposition:
-        return linalg.hermitian_eigh(self.matrix)
+        """Ascending eigenvalues and eigenvectors of ``matrix``, read-only; see stacked_roots."""
+        return _roots(self)["decomposition"]
 
     @cached_property
     def sqrt_eigenvalues(self) -> np.ndarray:
         """Square roots of ``decomposition.eigenvalues``, noise-level ones zeroed; read-only."""
-        return _sqrt_eigenvalues(self.decomposition.eigenvalues, np.array(self.eig_max))
+        return _roots(self)["sqrt_eigenvalues"]
 
     @cached_property
     def sqrt(self) -> np.ndarray:
         """The unique positive square root, diagonal in ``decomposition``; read-only."""
-        v = self.decomposition.vectors
-        return linalg.readonly((v * self.sqrt_eigenvalues) @ linalg.adjoint(v))
+        return _roots(self)["sqrt"]
 
 
 def clamp_unit(value: float, tol: float) -> float:
@@ -86,42 +86,39 @@ def clamp_unit(value: float, tol: float) -> float:
     return value
 
 
-def _sqrt_eigenvalues(w: np.ndarray, eig_max: np.ndarray) -> np.ndarray:
-    """Effect.sqrt_eigenvalues from an effect's eigenvalues w and eig_max, or stacks of them."""
-    w = np.maximum(w, 0.0)  # what np.clip(w, 0.0, None) computes
-    w[w <= SQRT_ZERO_CUTOFF * np.maximum(1.0, eig_max)[..., None]] = 0.0
-    return linalg.readonly(np.sqrt(w))
+def _roots(e: Effect) -> dict:
+    """The instance dict of e, once stacked_roots has cached e's three spectral values in it."""
+    stacked_roots((e,))
+    return vars(e)  # where each cached_property keeps its value
 
 
 def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np.ndarray]:
     """Each effect's cached ``decomposition``, ``sqrt_eigenvalues`` and ``sqrt``, stacked.
 
-    The effects that have not cached their decomposition yet get it, their
-    ``sqrt_eigenvalues`` and their ``sqrt`` from one stacked pass: one eigh
+    The one place that eigensolves an effect and takes its root: the effects
+    that have not cached their decomposition yet get it, their
+    ``sqrt_eigenvalues`` and their ``sqrt`` from one stacked pass, one eigh
     of their matrices, which numpy solves slice by slice with the LAPACK call
-    it makes for one matrix, and the same elementwise steps and matrix
-    products as each property, slice by slice, so to the same bits. Such an
-    effect has cached none of the three, since each property reads
-    ``decomposition`` first.
+    it makes for one matrix. The three are always cached together, so an
+    effect without a cached decomposition has cached none of them. The
+    square roots are those of the eigenvalues clipped at 0, with those at or
+    below SQRT_ZERO_CUTOFF * max(1, eig_max) taken as exact zeros.
     """
     fresh = list({id(e): e for e in effects if "decomposition" not in vars(e)}.values())
     if fresh:
         d = linalg.hermitian_eigh(np.array([e.matrix for e in fresh]))
-        root = _sqrt_eigenvalues(d.eigenvalues, np.array([e.eig_max for e in fresh]))
+        clipped = np.maximum(d.eigenvalues, 0.0)  # what np.clip(w, 0.0, None) computes
+        clipped[clipped <= SQRT_ZERO_CUTOFF * np.maximum(1.0, [[e.eig_max] for e in fresh])] = 0.0
+        root = linalg.readonly(np.sqrt(clipped))
         sqrt = linalg.readonly((d.vectors * root[:, None, :]) @ linalg.adjoint(d.vectors))
         for e, w, v, r, s in zip(fresh, d.eigenvalues, d.vectors, root, sqrt):
-            # vars(e) is where each cached_property keeps its value
             vars(e).update(
                 decomposition=linalg.SpectralDecomposition(w, v), sqrt_eigenvalues=r, sqrt=s
             )
-        if len(fresh) == len(effects):  # the stacks are the effects', in order
-            return d, root, sqrt
     d = [e.decomposition for e in effects]
-    decomposition = linalg.SpectralDecomposition(
-        np.array([x.eigenvalues for x in d]), np.array([x.vectors for x in d])
-    )
-    root = np.array([e.sqrt_eigenvalues for e in effects])
-    return decomposition, root, np.array([e.sqrt for e in effects])
+    w, v = np.array([x.eigenvalues for x in d]), np.array([x.vectors for x in d])
+    root, sqrt = np.array([e.sqrt_eigenvalues for e in effects]), np.array([e.sqrt for e in effects])
+    return linalg.SpectralDecomposition(w, v), root, sqrt
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,14 +275,26 @@ def _check_dims(*dims: int) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
 
 
+def clamp_probability(p: float, rho: State, tol: float) -> float:
+    """p = tr(rho x), x admitted at tol, clamped onto [0, 1] within what the operands allow.
+
+    The bound: rho = rho+ - rho- with rho+, rho- >= 0; at most d - 1 eigenvalues of
+    rho are negative, each >= -t_rho, so tr(rho-) <= n = (d - 1) t_rho and
+    tr(rho+) <= 1 + tau + n (tau = STATE_TRACE_TOL). As -t <= x <= 1 + t,
+    -(n + e) <= tr(rho x) <= 1 + n + tau + e, e = t (1 + tau + 2n).
+    """
+    n = (rho.dim - 1) * rho.tol
+    return clamp_unit(p, n + STATE_TRACE_TOL + tol * (1.0 + STATE_TRACE_TOL + 2.0 * n))
+
+
 def probability(rho: State, a: Effect) -> float:
     """tr(rho a): probability that the effect occurs in the given state.
 
-    Values within the operands' tolerance of 0 or 1 are clamped onto the boundary.
+    Clamped onto [0, 1] within the bound clamp_probability derives, as
+    observables.distribution clamps each outcome's.
     """
     _check_dims(rho.dim, a.dim)
-    p = float(linalg.trace_inner(rho.matrix, a.matrix).real)
-    return clamp_unit(p, max(rho.tol, a.tol))
+    return clamp_probability(float(linalg.trace_inner(rho.matrix, a.matrix).real), rho, a.tol)
 
 
 def product_tol(tol_a: float, tol_b: float) -> float:
@@ -363,13 +372,14 @@ def verify_coexistence_witness(a: Effect, b: Effect, witness: CoexistenceWitness
     """Check that a witness actually decomposes the pair (a, b).
 
     True iff all three members are valid effects, a1 + b1 + c <= I, and
-    a = a1 + c, b = b1 + c, all within the loosest operand's tolerance.
+    a = a1 + c, b = b1 + c, all within the loosest operand's tolerance. The
+    members are admitted together, in one admit_effects pass.
     """
-    _check_dims(a.dim, b.dim, witness.a1.dim, witness.b1.dim, witness.c.dim)
-    tol = max(x.tol for x in (a, b, witness.a1, witness.b1, witness.c))
-    try:
-        for member in (witness.a1, witness.b1, witness.c):
-            validate_effect(member.matrix, tol)
+    members = (witness.a1, witness.b1, witness.c)
+    _check_dims(a.dim, b.dim, *(m.dim for m in members))
+    tol = max(x.tol for x in (a, b, *members))
+    try:  # one admission, as validate_effect would admit each member
+        admit_effects(np.array([linalg.as_complex_matrix(m.matrix) for m in members]), (tol,) * 3)
     except (SpectrumOutOfRangeError, ValueError):
         return False
     total = witness.a1.matrix + witness.b1.matrix + witness.c.matrix
@@ -386,18 +396,15 @@ def commuting_witness(a: Effect, b: Effect) -> CoexistenceWitness:
     All three are admitted at product_tol: in a joint eigenbasis their
     eigenvalues are x*y, x*(1 - y) and (1 - x)*y with x and 1 - x in
     [-t_a, 1 + t_a] and y and 1 - y in [-t_b, 1 + t_b], so each lies in
-    [-max(t_a(1 + t_b), t_b(1 + t_a)), (1 + t_a)(1 + t_b)].
-    Raises NotCommutingError when the pair does not commute.
+    [-max(t_a(1 + t_b), t_b(1 + t_a)), (1 + t_a)(1 + t_b)]; one admit_effects
+    pass admits all three. Raises NotCommutingError when the pair does not
+    commute.
     """
     if not commutes(a, b):
         raise NotCommutingError("commuting_witness requires a commuting pair")
     prod = linalg.hermitian_part(a.matrix @ b.matrix)  # exact ab is Hermitian; drop round-off skew
-    tol = product_tol(a.tol, b.tol)
-    return CoexistenceWitness(
-        a1=validate_effect(a.matrix - prod, tol),
-        b1=validate_effect(b.matrix - prod, tol),
-        c=validate_effect(prod, tol),
-    )
+    members = np.array([a.matrix - prod, b.matrix - prod, prod])
+    return CoexistenceWitness(*admit_effects(members, (product_tol(a.tol, b.tol),) * 3))
 
 
 def evolve_state(rho: State, a: Effect, t: float) -> State:

@@ -12,11 +12,14 @@ this algebraically and the bruteforce grid check is its independent oracle.
 Both go through one kernel, :class:`EigenFrame`: in the eigenbasis V of a,
 e^{-ita} m e^{ita} = V (E_t ⊙ V†mV) V† with E_t(j,k) = e^{-it(w_j - w_k)},
 so a frame is built once per pair, from a's cached Effect.decomposition,
-and each t costs only the phases. In V, [·, a] scales entry jk by
--(w_j - w_k), so time derivatives and deviations are frame reads as well.
-A frame has three readers: EigenFrame.at(t, order), at one time or on a
-grid of times, and deviation_norms and trajectory (evolve's columns), on a
-grid; every phase they form passes EigenFrame.check_phases. A frame of
+and each t costs only the phases. A family of effects evolved by one a,
+B(t|a) of an observable, shares one frame of a whose m is their stack
+(effect_evolutions; effect_evolution is its one-effect case). In V,
+[·, a] scales entry jk by -(w_j - w_k), so time derivatives and deviations
+are frame reads as well. A frame has three readers: EigenFrame.at(t,
+order), at one time or on a grid of times, and deviation_norms and
+trajectory (evolve's columns), on a grid; every phase they form passes
+EigenFrame.check_phases. A frame of
 a[t]b validates a∘b and cross-checks its two routes once, when it is built;
 the public time_seq_product checks its one t against the dense form. Only
 classify_scaled_projection groups coincident eigenvalues. Derived effects
@@ -106,8 +109,7 @@ class EigenFrame:
     @classmethod
     def evolution(cls, a: Effect, b: Effect) -> EigenFrame:
         """Frame of b(t|a), that is m = b."""
-        if a.dim != b.dim:
-            raise DimensionMismatchError(f"dimensions {a.dim} and {b.dim} differ")
+        _check_dims(a, b)
         return cls._from_decomposition(a.decomposition, b.matrix)
 
     @classmethod
@@ -212,6 +214,11 @@ class EigenFrame:
         return rotated * (-1j * self.freq) ** order if order else rotated
 
 
+def _check_dims(a: Effect, b: Effect) -> None:
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimensions {a.dim} and {b.dim} differ")
+
+
 def _frequencies(w: np.ndarray) -> np.ndarray:
     """w_j - w_k for the eigenvalues w of a, or of each slice of a stack."""
     return w[..., :, None] - w[..., None, :]
@@ -243,9 +250,24 @@ def _cross_check(value: np.ndarray, second_route: np.ndarray, allowance=0.0) -> 
 def effect_evolution(b: Effect, a: Effect, t: float) -> Effect:
     """b(t|a) = e^{-ita} b e^{ita}, the a-evolution of b.
 
-    Unitary conjugation, so the spectrum (and trace) of b is preserved.
+    Unitary conjugation, so the spectrum (and trace) of b is preserved. The
+    one-effect case of effect_evolutions.
     """
-    return validate_effect(EigenFrame.evolution(a, b).at(t), max(a.tol, b.tol))
+    return effect_evolutions([b], a, t)[0]
+
+
+def effect_evolutions(rights, a: Effect, t: float) -> tuple[Effect, ...]:
+    """b(t|a) for every b in ``rights``, of a's dimension, in one stacked pass.
+
+    The dimensions are checked first (DimensionMismatchError names the first
+    b that differs), then one frame of the stack of every b, from a's cached
+    decomposition, is read at t once, and b(t|a) is admitted at
+    max(a.tol, b.tol) in one admit_effects pass; its first failing b raises.
+    """
+    for b in rights:
+        _check_dims(a, b)
+    frame = EigenFrame._from_decomposition(a.decomposition, np.array([b.matrix for b in rights]))
+    return admit_effects(frame.at(t), [max(a.tol, b.tol) for b in rights])
 
 
 def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarray:

@@ -265,7 +265,8 @@ def _refine(branches, bracket, known: dict, lip: float, slack: float) -> tuple[f
     _certified_search. ``known`` maps each time already evaluated, such as
     the bracket's knots, to its branches: a stencil reads those, and each
     round evaluates its new times (none if all are known) in one kernel
-    call, which ``known`` then gains, so no time is evaluated twice.
+    call, through _gaps, which adds them to ``known``, so no time is
+    evaluated twice.
     Returns (lo, inf) for a bracket on which it reads nothing.
     """
     lo, hi = bracket
@@ -278,8 +279,7 @@ def _refine(branches, bracket, known: dict, lip: float, slack: float) -> tuple[f
             return best
         new = [t for t in ts if t not in known]
         if new:
-            low, high = branches(np.array(new))
-            known.update(zip(new, zip(low.tolist(), high.tolist())))
+            _gaps(branches, new, known)
         ys = tuple(zip(*map(known.__getitem__, ts)))  # (-λ_min, λ_max) at each of ts
         for t, gap in zip(ts, map(max, *ys)):
             if gap < best[1]:

@@ -47,6 +47,8 @@ import functools
 
 import numpy as np
 
+from .linalg import readonly
+
 WORDS = 4  # uint64 words per record (32 bytes)
 SIGN = np.uint64(ord("-") << 8)  # the sign's bits in word 0
 
@@ -227,7 +229,7 @@ def _powers() -> np.ndarray:
     mant, exp = np.frexp(hi)
     c = mant * _SPLIT
     hi_h = np.ldexp(c - (c - mant), exp)
-    return _frozen(np.stack([hi, lo, hi_h, hi - hi_h]))
+    return readonly(np.stack([hi, lo, hi_h, hi - hi_h]))
 
 
 @functools.cache
@@ -238,7 +240,7 @@ def _rests() -> np.ndarray:
     """
     q = np.arange(1000.0)
     rest = np.fmod(q, _MODULI)
-    return _frozen(np.concatenate([rest, q - rest]))
+    return readonly(np.concatenate([rest, q - rest]))
 
 
 @functools.cache
@@ -253,7 +255,7 @@ def _digits() -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, 4):  # append a digit on the right, in byte k, along a new last axis
         ascii4 = ascii4[..., None] | (ord("0") + digit) << np.uint32(8 * k)
         zeros = (digit == 0) * (zeros[..., None] + 1)
-    return _frozen(ascii4.ravel()), _frozen(zeros.ravel())
+    return readonly(ascii4.ravel()), readonly(zeros.ravel())
 
 
 @functools.cache
@@ -287,7 +289,7 @@ def _layouts(shortest: bool) -> np.ndarray:
 
     dot = 8 * point - first
     dots = np.where((dot >= 0) & (dot < 64), np.uint64(ord(".")) << (dot % 64).astype(np.uint64), 0)
-    return _frozen(np.concatenate([word0[None], below(point), below(size), dots]))
+    return readonly(np.concatenate([word0[None], below(point), below(size), dots]))
 
 
 @functools.cache
@@ -302,10 +304,4 @@ def _exponents(shortest: bool) -> tuple[np.ndarray, np.ndarray]:
     fixed = [-4 <= x <= 16 - shortest for x in xs]
     forms = [18 * (x + 5 if f else 0) + 17 for x, f in zip(xs, fixed)]
     exps = [0 if f else int.from_bytes(b"e%+03d" % x, "little") << 16 for x, f in zip(xs, fixed)]
-    return _frozen(np.array(forms)), _frozen(np.array(exps, dtype=np.uint64))
-
-
-def _frozen(table: np.ndarray) -> np.ndarray:
-    """table, made read-only: each cached table is shared by every call."""
-    table.flags.writeable = False
-    return table
+    return readonly(np.array(forms)), readonly(np.array(exps, dtype=np.uint64))

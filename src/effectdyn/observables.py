@@ -10,16 +10,18 @@ the sum check of a product observable or an evolved one adds an allowance
 for the rounding of its computed terms, the n·m products or the n evolved
 members (_rounding).
 
-A o B, A[t]B, (B|A) and (B|A)(t|A) each run their n·m pairs (A_x, B_y) as
-one stacked pass of the pair kernels (effects.sequential_products,
-evolution.time_seq_products): a fixed number of numpy calls on (n·m, d, d)
-stacks, whatever n and m, with every per-pair step and check of the
-one-pair sequential_product and time_seq_product kept. Where numpy's stacked
-calls equal its per-matrix ones bit for bit (they do in numpy 2.4.6), so do
-the results; the outcome sums add in x order from zero, as a loop would.
-Each check runs over the whole stack before the next; its first failing
-pair raises. The pairs run x-major, (A_0, B_0), (A_0, B_1), ..., in every
-operation.
+Every operation is one stacked pass. A o B, A[t]B, (B|A) and (B|A)(t|A)
+each run their n·m pairs (A_x, B_y) through the pair kernels
+(effects.sequential_products, evolution.time_seq_products), and B(t|a) its
+n members through one frame of a (evolution.effect_evolutions): a fixed
+number of numpy calls on (n·m, d, d) or (n, d, d) stacks, whatever n and m,
+with every step and check of the one-pair sequential_product and
+time_seq_product, or the one-effect effect_evolution, kept. Where numpy's
+stacked calls equal its per-matrix ones bit for bit (they do in numpy
+2.4.6), so do the results; the outcome sums add in x order from zero, as a
+loop would. Each check runs over the whole stack before the next; its first
+failing pair or member raises. The pairs run x-major, (A_0, B_0),
+(A_0, B_1), ..., in every operation.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .effects import (
     Effect,
     State,
     admit_effects,
-    clamp_unit,
+    clamp_probability,
     product_tol,
     sequential_products,
     validate_effect,
@@ -53,7 +55,7 @@ from .errors import (
 # time_seq_product (the one-pair case of time_seq_products) is not called here
 # but stays importable from this module: bench/tracer.py wraps every import
 # site of it, and the tracer's self-test names this one.
-from .evolution import effect_evolution, time_seq_product, time_seq_products  # noqa: F401
+from .evolution import effect_evolutions, time_seq_product, time_seq_products  # noqa: F401
 
 # Convex weights must sum to 1 this closely; a fixed bound that does not follow --tol.
 WEIGHT_SUM_TOL = 1e-12
@@ -159,12 +161,8 @@ def distribution(a: Observable, rho: State) -> OutcomeDistribution:
 
     The raw sum must be 1 within what the inputs allow, the observable's
     tolerance plus STATE_TRACE_TOL (ConsistencyError beyond it); then each
-    probability is clamped onto [0, 1] within the bound its operands allow.
-
-    The bound: rho = rho+ - rho- with rho+, rho- >= 0; at most d - 1 eigenvalues of
-    rho are negative, each >= -t_rho, so tr(rho-) <= n = (d - 1) t_rho and
-    tr(rho+) <= 1 + tau + n (tau = STATE_TRACE_TOL). As -t_A <= A_x <= 1 + t_A,
-    -(n + e) <= tr(rho A_x) <= 1 + n + tau + e, e = t_A (1 + tau + 2n).
+    probability is clamped onto [0, 1] within the bound its operands allow
+    (effects.clamp_probability, at the observable's tolerance).
     """
     if rho.dim != a.dim:
         raise DimensionMismatchError(
@@ -174,9 +172,7 @@ def distribution(a: Observable, rho: State) -> OutcomeDistribution:
     bound = a.tol + STATE_TRACE_TOL
     if abs(sum(raw) - 1.0) > bound:
         raise ConsistencyError(f"distribution sums to {sum(raw)!r}, off 1 beyond {bound!r}")
-    n = (rho.dim - 1) * rho.tol
-    tol = n + STATE_TRACE_TOL + a.tol * (1.0 + STATE_TRACE_TOL + 2.0 * n)
-    return OutcomeDistribution(a.outcomes, tuple(clamp_unit(p, tol) for p in raw))
+    return OutcomeDistribution(a.outcomes, tuple(clamp_probability(p, rho, a.tol) for p in raw))
 
 
 def product_label(x: str, y: str) -> str:
@@ -269,11 +265,11 @@ def conditioned_observable(b: Observable, a: Observable) -> Observable:
 
 
 def obs_evolution(b: Observable, a: Effect, t: float) -> Observable:
-    """B(t|a): each member evolved, e^{-ita} B_y e^{ita}; outcomes unchanged.
+    """B(t|a): each member evolved, e^{-ita} B_y e^{ita}, in one stacked pass; outcomes unchanged.
 
     The sum check allows for the rounding of the n evolved members (_rounding).
     """
-    members = [effect_evolution(by, a, t) for by in b.effects]
+    members = effect_evolutions(b.effects, a, t)
     return validate_observable(members, b.outcomes, rounding=_rounding(len(b), b.dim))
 
 

@@ -1086,6 +1086,9 @@ def test_huge_finite_entries_are_refused(files, capsys, argv):
     "argv",
     [
         ["observable", "convex", "--weights", "x,1", "@obs_a", "@obs_a"],
+        ["observable", "convex", "--weights", "0.5,x", "@obs_a", "@obs_a"],
+        ["observable", "tseq", "@obs_a", "@obs_a", "--t", "abc"],
+        ["scan", "--trials", "1", "--tmin", "abc", "--out", "@root"],
         ["observable", "convex", "--weights", "0.5,,0.5", "@obs_a", "@obs_a"],
         ["observable", "convex", "--weights", "1,", "@obs_a"],
         ["observable", "convex", "--weights", "nan,1", "@obs_a", "@obs_a"],
@@ -1108,6 +1111,8 @@ def test_non_finite_or_malformed_flags_are_invalid_input(files, capsys, argv):
     code, err = exit_code(capsys, [str(files[x[1:]]) if x[0] == "@" else x for x in argv])
     assert code == 2
     assert "error:" in err
+    # the message names the flag's format, not the function that parses it
+    assert "_finite" not in err and "_floats" not in err
 
 
 @pytest.mark.parametrize(

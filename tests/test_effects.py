@@ -6,6 +6,7 @@ from effectdyn import (
     Effect,
     commutes,
     commuting_witness,
+    distribution,
     evolve_state,
     explorer,
     identity_effect,
@@ -14,6 +15,7 @@ from effectdyn import (
     probability,
     sequential_product,
     validate_effect,
+    validate_observable,
     validate_state,
     verify_coexistence_witness,
     zero_effect,
@@ -295,6 +297,16 @@ def test_probability_known_and_clamped():
     assert probability(maximally_mixed_state(2), validate_effect(np.diag([1.0, 0.5]))) == pytest.approx(0.75)
     with pytest.raises(DimensionMismatchError):
         probability(rho, identity_effect(3))
+    # two eigenvalues of rho at -0.9e-9 put tr(rho a) at -1.8e-9, beyond the
+    # operands' tolerance but within the bound (d - 1) t_rho + t_a + ... that a
+    # distribution allows: each probability is clamped as the distribution of
+    # {a, I - a} clamps it
+    rho = validate_state(np.diag([1.0 + 1.8e-9, -0.9e-9, -0.9e-9]))
+    a = validate_effect(np.diag([0.0, 1.0, 1.0]))
+    not_a = validate_effect(np.eye(3) - a.matrix)
+    dist = distribution(validate_observable([a, not_a]), rho)
+    assert dist.probabilities == (0.0, 1.0)
+    assert (probability(rho, a), probability(rho, not_a)) == dist.probabilities
 
 
 def test_sequential_product_frozen_value():
@@ -390,6 +402,65 @@ def test_verify_witness_rejects_sum_above_identity():
     assert not verify_coexistence_witness(
         validate_effect(0.75 * np.eye(2)), validate_effect(0.75 * np.eye(2)), w
     )
+
+
+def _verify_member_by_member(a, b, witness):
+    """verify_coexistence_witness with each member checked by its own validate_effect."""
+    members = (witness.a1, witness.b1, witness.c)
+    tol = max(x.tol for x in (a, b, *members))
+    try:
+        for member in members:
+            validate_effect(member.matrix, tol)
+    except (SpectrumOutOfRangeError, ValueError):
+        return False
+    if float(np.max(np.linalg.eigvalsh(sum(m.matrix for m in members)))) > 1.0 + tol:
+        return False
+    res_a = linalg.operator_norm(a.matrix - witness.a1.matrix - witness.c.matrix)
+    res_b = linalg.operator_norm(b.matrix - witness.b1.matrix - witness.c.matrix)
+    return res_a <= tol and res_b <= tol
+
+
+def test_witnesses_admit_members_as_validate_effect_does(rng):
+    # commuting_witness admits its three members in one pass: each is what
+    # validate_effect gives for it at product_tol, bit for bit; and
+    # verify_coexistence_witness, admitting its members in one pass, decides
+    # as checking each with validate_effect does, also for members that are
+    # out of range, not Hermitian or not finite, or that a tolerance admits
+    from support import random_commuting_pair, random_unitary
+
+    def fields(e):
+        return e.matrix.tobytes(), e.eig_min, e.eig_max, e.tol
+
+    bogus = {
+        "above": lambda d: np.diag([2.0] + [0.0] * (d - 1)),
+        "below": lambda d: np.diag([-1e-6] + [0.0] * (d - 1)),
+        "skew": lambda d: np.triu(np.full((d, d), 0.3)),
+        "nan": lambda d: np.full((d, d), np.nan),
+        "inf": lambda d: np.diag([np.inf] + [0.0] * (d - 1)),
+    }
+    for dim in range(1, 9):
+        # each of the last pair overshoots 1 by 6e-7 within its tolerance
+        # 1e-6, so its witness's c does beyond 1e-6: only the loosest
+        # tolerance, c's own, admits it
+        u = random_unitary(dim, rng)
+        over = [validate_effect((u * (1.0 + 6e-7)) @ u.conj().T, 1e-6)] * 2
+        pairs = [random_commuting_pair(dim, rng) for _ in range(3)] + [over]
+        for pair, tols in zip(pairs, ((1e-9, 1e-9), (1e-6, 1e-9), (1e-9, 1e-5), (1e-6, 1e-6))):
+            a, b = (validate_effect(e.matrix, tol) for e, tol in zip(pair, tols))
+            w = commuting_witness(a, b)
+            prod = linalg.hermitian_part(a.matrix @ b.matrix)
+            tol = product_tol(a.tol, b.tol)
+            want = [validate_effect(m, tol) for m in (a.matrix - prod, b.matrix - prod, prod)]
+            assert [fields(m) for m in (w.a1, w.b1, w.c)] == [fields(m) for m in want]
+            witnesses = [w, CoexistenceWitness(w.b1, w.a1, w.c)]
+            members = [w.a1, w.b1, w.c]
+            for make in bogus.values():
+                odd = Effect(make(dim), 0.0, 1.0, 1e-6)  # in each place in turn
+                witnesses += [CoexistenceWitness(*members[:k], odd, *members[k + 1 :]) for k in range(3)]
+            for witness in witnesses:
+                got = verify_coexistence_witness(a, b, witness)
+                assert got == _verify_member_by_member(a, b, witness)
+            assert verify_coexistence_witness(a, b, w)
 
 
 def test_verify_witness_rejects_invalid_member():

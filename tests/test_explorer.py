@@ -438,15 +438,28 @@ def test_secant_bound_is_exact_on_a_concave_cap(monkeypatch):
 
 
 def _record_knots(monkeypatch) -> list:
-    """Record every batch of knots that the search hands to _profile."""
-    batches = []
-    profile = explorer._profile
+    """Record every batch of knots that the search hands to _profile.
+
+    _refine's stencil times reach _profile too, through _gaps; they are not
+    knots, so the batches handed over while _refine runs are left out.
+    """
+    batches, refining = [], []
+    profile, refine = explorer._profile, explorer._refine
 
     def recording_profile(branches, times):
-        batches.append(np.array(times))
+        if not refining:
+            batches.append(np.array(times))
         return profile(branches, times)
 
+    def marked_refine(*args):
+        refining.append(True)
+        try:
+            return refine(*args)
+        finally:
+            refining.pop()
+
     monkeypatch.setattr(explorer, "_profile", recording_profile)
+    monkeypatch.setattr(explorer, "_refine", marked_refine)
     return batches
 
 

@@ -425,6 +425,26 @@ def test_stacked_products_match_a_dense_reference(rng):
                         assert np.max(np.abs(member.matrix - total)) < 1e-12
 
 
+def test_stacked_evolution_matches_each_members_frame(rng):
+    # every member of B(t|a), read from one frame of a, is the member's own
+    # frame EigenFrame.evolution(a, B_y) read at t and admitted at
+    # max(a.tol, B_y.tol), bit for bit: dims 1-8, 1-4 outcomes with a
+    # rank-deficient member, a generic a and a rank-deficient one
+    for dim in range(1, 9):
+        for n in range(1, 5):
+            b_obs = _observable_with_rank_deficient_member(dim, n, rng)
+            deficient = _observable_with_rank_deficient_member(dim, 2, rng).effects[0]
+            for a in (random_effect(dim, rng), validate_effect(deficient.matrix, 3e-9)):
+                for t in (0.0, 1.3, -40.0, 1e4):
+                    got = obs_evolution(b_obs, a, t)
+                    assert got.outcomes == b_obs.outcomes
+                    for member, by in zip(got.effects, b_obs.effects, strict=True):
+                        want = validate_effect(EigenFrame.evolution(a, by).at(t), max(a.tol, by.tol))
+                        assert member.matrix.tobytes() == want.matrix.tobytes()
+                        assert (member.eig_min, member.eig_max) == (want.eig_min, want.eig_max)
+                        assert member.tol == want.tol
+
+
 def test_stacked_products_admit_each_pair_at_its_own_tolerance(rng):
     from effectdyn.effects import product_tol
 
@@ -548,15 +568,13 @@ def test_evolution_sum_off_by_1e_12_still_raises(monkeypatch):
     m = np.array([[0.5, 0.2], [0.2, 0.3]])
     b = validate_observable([validate_effect(x, 1e-15) for x in (m, np.eye(2) - m)])
     a = validate_effect(np.diag([0.9, 0.2]), 1e-15)
-    exact = observables.effect_evolution
+    exact = observables.effect_evolutions
 
-    def skewed(by, a, t):
-        moved = exact(by, a, t)
-        if by is not b.effects[0]:
-            return moved
-        return validate_effect(moved.matrix + 1e-12 * np.eye(2), moved.tol)
+    def skewed(rights, a, t):
+        first, *rest = exact(rights, a, t)  # B_0(t|a) first
+        return (validate_effect(first.matrix + 1e-12 * np.eye(2), first.tol), *rest)
 
-    monkeypatch.setattr(observables, "effect_evolution", skewed)
+    monkeypatch.setattr(observables, "effect_evolutions", skewed)
     with pytest.raises(SumNotIdentityError) as info:
         obs_evolution(b, a, 0.7)
     assert info.value.residual == pytest.approx(1e-12, rel=1e-3)
