@@ -63,7 +63,7 @@ class Effect:
 
     @cached_property
     def decomposition(self) -> linalg.SpectralDecomposition:
-        """Ascending eigenvalues and eigenvectors of ``matrix``, read-only; see stacked_roots."""
+        """Ascending eigenvalues and eigenvectors of ``matrix``, read-only; see _decompose."""
         return _roots(self)["decomposition"]
 
     @cached_property
@@ -87,22 +87,22 @@ def clamp_unit(value: float, tol: float) -> float:
 
 
 def _roots(e: Effect) -> dict:
-    """The instance dict of e, once stacked_roots has cached e's three spectral values in it."""
-    stacked_roots((e,))
+    """The instance dict of e, once _decompose has cached e's three spectral values in it."""
+    _decompose((e,))
     return vars(e)  # where each cached_property keeps its value
 
 
-def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np.ndarray]:
-    """Each effect's cached ``decomposition``, ``sqrt_eigenvalues`` and ``sqrt``, stacked.
+def _decompose(effects) -> None:
+    """Cache ``decomposition``, ``sqrt_eigenvalues`` and ``sqrt`` of each effect not yet decomposed.
 
     The one place that eigensolves an effect and takes its root: the effects
-    that have not cached their decomposition yet get it, their
-    ``sqrt_eigenvalues`` and their ``sqrt`` from one stacked pass, one eigh
-    of their matrices, which numpy solves slice by slice with the LAPACK call
-    it makes for one matrix. The three are always cached together, so an
-    effect without a cached decomposition has cached none of them. The
-    square roots are those of the eigenvalues clipped at 0, with those at or
-    below SQRT_ZERO_CUTOFF * max(1, eig_max) taken as exact zeros.
+    that have not cached their decomposition yet get all three from one
+    stacked pass, one eigh of their matrices, which numpy solves slice by
+    slice with the LAPACK call it makes for one matrix. The three are always
+    cached together, so an effect without a cached decomposition has cached
+    none of them. The square roots are those of the eigenvalues clipped at
+    0, with those at or below SQRT_ZERO_CUTOFF * max(1, eig_max) taken as
+    exact zeros.
     """
     fresh = list({id(e): e for e in effects if "decomposition" not in vars(e)}.values())
     if fresh:
@@ -115,6 +115,15 @@ def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np
             vars(e).update(
                 decomposition=linalg.SpectralDecomposition(w, v), sqrt_eigenvalues=r, sqrt=s
             )
+
+
+def stacked_roots(effects) -> tuple[linalg.SpectralDecomposition, np.ndarray, np.ndarray]:
+    """Each effect's cached ``decomposition``, ``sqrt_eigenvalues`` and ``sqrt``, stacked.
+
+    The fill of _decompose, which eigensolves the effects not yet
+    decomposed in one pass, then the gather of every effect's three values.
+    """
+    _decompose(effects)
     d = [e.decomposition for e in effects]
     w, v = np.array([x.eigenvalues for x in d]), np.array([x.vectors for x in d])
     root, sqrt = np.array([e.sqrt_eigenvalues for e in effects]), np.array([e.sqrt for e in effects])
@@ -322,9 +331,9 @@ def sequential_products(lefts, rights) -> tuple[Effect, ...]:
     """a o b for every aligned pair (lefts[k], rights[k]) of one dimension, in one stacked pass.
 
     Pair k is admitted at product_tol of its own operands' tolerances, after
-    DimensionMismatchError is checked pair by pair.
+    DimensionMismatchError is checked pair by pair. No pairs give ().
     """
-    return products_and_roots(lefts, rights)[0]
+    return products_and_roots(lefts, rights)[0] if lefts else ()
 
 
 def products_and_roots(lefts, rights):
@@ -337,11 +346,15 @@ def products_and_roots(lefts, rights):
     return admit_effects(stack, tols), roots
 
 
+def commutator_norm(a: Effect, b: Effect) -> float:
+    """||ab - ba|| (spectral norm) of two effects of one dimension."""
+    _check_dims(a.dim, b.dim)
+    return linalg.spectral_norm(linalg.commutator(a.matrix, b.matrix))
+
+
 def commutes(a: Effect, b: Effect) -> bool:
     """True iff ||ab - ba|| <= tol * max(1, ||a|| ||b||), tol the operands'."""
-    _check_dims(a.dim, b.dim)
-    c = linalg.commutator(a.matrix, b.matrix)
-    return linalg.spectral_norm(c) <= max(a.tol, b.tol) * max(1.0, a.norm * b.norm)
+    return commutator_norm(a, b) <= max(a.tol, b.tol) * max(1.0, a.norm * b.norm)
 
 
 @dataclass(frozen=True, eq=False)

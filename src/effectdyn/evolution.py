@@ -39,7 +39,9 @@ import numpy as np
 from . import linalg
 from .effects import (
     Effect,
+    _check_dims,
     admit_effects,
+    commutator_norm,
     commutes,
     products_and_roots,
     sequential_product,
@@ -47,7 +49,6 @@ from .effects import (
 )
 from .errors import (
     ConsistencyError,
-    DimensionMismatchError,
     EffectdynError,
     EmptyGridError,
     InvalidOrderError,
@@ -109,7 +110,7 @@ class EigenFrame:
     @classmethod
     def evolution(cls, a: Effect, b: Effect) -> EigenFrame:
         """Frame of b(t|a), that is m = b."""
-        _check_dims(a, b)
+        _check_dims(a.dim, b.dim)
         return cls._from_decomposition(a.decomposition, b.matrix)
 
     @classmethod
@@ -138,8 +139,11 @@ class EigenFrame:
         diag(√w) in V, so the second route a^{1/2} b(t|a) a^{1/2} is
         V (E_t ⊙ (√w_j B_jk √w_k)) V† with B = V†bV: comparing X with
         √w_j B_jk √w_k covers every t. The first pair beyond CROSS_CHECK_TOL
-        raises ConsistencyError.
+        raises ConsistencyError. No pairs raise EffectdynError: there is no
+        dimension to build a frame from.
         """
+        if not lefts:
+            raise EffectdynError("no pairs to build a frame from: an empty family has no dimension")
         ab, (d, root, _) = products_and_roots(lefts, rights)
         v, vh = d.vectors, linalg.adjoint(d.vectors)
         x = vh @ np.array([e.matrix for e in ab]) @ v
@@ -214,11 +218,6 @@ class EigenFrame:
         return rotated * (-1j * self.freq) ** order if order else rotated
 
 
-def _check_dims(a: Effect, b: Effect) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions {a.dim} and {b.dim} differ")
-
-
 def _frequencies(w: np.ndarray) -> np.ndarray:
     """w_j - w_k for the eigenvalues w of a, or of each slice of a stack."""
     return w[..., :, None] - w[..., None, :]
@@ -237,7 +236,7 @@ def _cross_check(value: np.ndarray, second_route: np.ndarray, allowance=0.0) -> 
     bounds = CROSS_CHECK_TOL + allowance
     if math.sqrt(np.vdot(diff, diff).real) <= np.asarray(bounds).min():
         return
-    residuals = np.atleast_1d(np.linalg.norm(diff, 2, axis=(-2, -1)))
+    residuals = np.atleast_1d(linalg.spectral_norm(diff))
     for residual, bound in zip(*np.broadcast_arrays(residuals, bounds)):
         if residual > bound:
             raise ConsistencyError(
@@ -263,9 +262,12 @@ def effect_evolutions(rights, a: Effect, t: float) -> tuple[Effect, ...]:
     b that differs), then one frame of the stack of every b, from a's cached
     decomposition, is read at t once, and b(t|a) is admitted at
     max(a.tol, b.tol) in one admit_effects pass; its first failing b raises.
+    No effects give ().
     """
+    if not rights:
+        return ()
     for b in rights:
-        _check_dims(a, b)
+        _check_dims(a.dim, b.dim)
     frame = EigenFrame._from_decomposition(a.decomposition, np.array([b.matrix for b in rights]))
     return admit_effects(frame.at(t), [max(a.tol, b.tol) for b in rights])
 
@@ -312,7 +314,7 @@ def time_seq_products(lefts, rights, t: float) -> tuple[Effect, ...]:
     a o b, the dense cross-check against a^{1/2} (u b u†) a^{1/2} with
     u = e^{-ita} (exactly I at t = 0), and the value's admission at that
     product_tol. Each check runs over the whole stack before the next; its
-    first failing pair raises.
+    first failing pair raises. No pairs give ().
 
     The cross-check allows CROSS_CHECK_TOL plus the rounding of the phases,
     which grows with |t|. In a's eigenbasis both routes are D X D† up to
@@ -326,6 +328,8 @@ def time_seq_products(lefts, rights, t: float) -> tuple[Effect, ...]:
     eps |t| (2 (w_max - w_min) + max|w|) ||X||_F beyond the rest of their
     rounding, at most 3 eps |t| max|w| ||X||_F for a spectrum >= 0.
     """
+    if not lefts:
+        return ()
     ab, (d, _, s) = products_and_roots(lefts, rights)
     m = np.array([e.matrix for e in ab])
     value = EigenFrame._from_decomposition(d, m).at(t)
@@ -423,11 +427,7 @@ def constancy_classifier(a: Effect, b: Effect) -> ConstancyReport:
     for the support projection P of a singular a with two or more distinct
     nonzero eigenvalues.
     """
-    residual = float(
-        linalg.spectral_norm(
-            linalg.commutator(sequential_product(a, b).matrix, a.matrix)
-        )
-    )
+    residual = commutator_norm(sequential_product(a, b), a)
     if residual > max(a.tol, b.tol):
         return ConstancyReport(False, REASON_NEITHER, residual)
     if commutes(a, b):

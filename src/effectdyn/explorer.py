@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .effects import DECISION_TOL, Effect, admit_effects
+from .effects import DECISION_TOL, Effect, admit_effects, commutator_norm
 from .errors import CommutingPairError, EffectdynError, EmptyGridError
 # time_seq_product stays importable here: bench/tracer.py wraps each import site of it
 from .evolution import EigenFrame, time_seq_product, time_seq_products  # noqa: F401
@@ -524,8 +524,8 @@ def _certified_search(frames: EigenFrame, cfg: ScanConfig) -> _WindowMinimum:
         and hi - lo > MAX_KNOTS * 2.0 * ulp
     ):
         raise _too_wide(lo, hi)
-    # linspace repeats floats on a narrow window
-    ts = np.unique(np.linspace(lo, hi, INITIAL_KNOTS)).tolist()
+    # linspace repeats floats, next to each other, on a narrow window
+    ts = list(dict.fromkeys(np.linspace(lo, hi, INITIAL_KNOTS).tolist()))
     frames.check_phases(top)
     branches = _gap_kernel(frames)
     known: dict = {}  # t -> (-λ_min, λ_max) at every time evaluated
@@ -592,11 +592,6 @@ def minimize_gap(a: Effect, b: Effect, cfg: ScanConfig) -> tuple[float, float]:
         )
     found = _certified_search(_frames(a, b), cfg)
     return found.t_star, found.min_gap
-
-
-def commutator_norm(a: Effect, b: Effect) -> float:
-    """||ab - ba|| (spectral norm)."""
-    return linalg.spectral_norm(linalg.commutator(a.matrix, b.matrix))
 
 
 def _draw_pair(cfg: ScanConfig, trial: int) -> tuple[Effect, Effect, float] | None:

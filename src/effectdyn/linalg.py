@@ -164,12 +164,14 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(hermitian_part(stack))), axis=-1)
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value; valid for arbitrary (non-Hermitian) matrices.
+def spectral_norm(m) -> float | np.ndarray:
+    """Largest singular value of a matrix, or of each matrix in a stack; any matrices.
 
-    The value np.linalg.norm(m, 2) takes, without its axis handling.
+    The value np.linalg.norm(m, 2, axis=(-2, -1)) takes, without its axis
+    handling; one matrix gives a float.
     """
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max())
+    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def projection_defect(m: np.ndarray) -> float:

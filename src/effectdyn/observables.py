@@ -35,6 +35,7 @@ from .effects import (
     STATE_TRACE_TOL,
     Effect,
     State,
+    _check_dims,
     admit_effects,
     clamp_probability,
     product_tol,
@@ -164,10 +165,7 @@ def distribution(a: Observable, rho: State) -> OutcomeDistribution:
     probability is clamped onto [0, 1] within the bound its operands allow
     (effects.clamp_probability, at the observable's tolerance).
     """
-    if rho.dim != a.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho.dim} vs observable dimension {a.dim}"
-        )
+    _check_dims(rho.dim, a.dim)
     raw = [float(linalg.trace_inner(rho.matrix, m.matrix).real) for m in a.effects]
     bound = a.tol + STATE_TRACE_TOL
     if abs(sum(raw) - 1.0) > bound:

@@ -65,6 +65,31 @@ def random_scaled_projection(dim: int, rng: np.random.Generator) -> tuple[float,
     return scale, p, validate_effect(scale * p.matrix)
 
 
+def random_support_commuting_pair(dim: int, rng: np.random.Generator) -> tuple[Effect, Effect]:
+    """A pair (a, b), dim >= 3, whose a[t]b is constant only because [a, PbP] = 0.
+
+    a = V diag(0, ..., 0, w) with at least two distinct w in [0.1, 0.9], so a
+    is singular and no scaled projection. In a's eigenbasis, kernel first,
+    b = [[E, C†], [C, D]] with D diagonal and positive on the support, so it
+    commutes there with a, C free, so [a, b] != 0, and E = C†D⁻¹C + F with
+    F ⪰ 0, so b ⪰ 0 (its Schur complement is F); b is scaled to top eigenvalue 0.95.
+    """
+    kernel = int(rng.integers(1, dim - 1))
+    support = dim - kernel
+    w = rng.uniform(0.1, 0.9, support)
+    w[:2] = rng.uniform(0.1, 0.45), rng.uniform(0.55, 0.9)
+    d = rng.uniform(0.1, 1.0, support)
+    c = rng.standard_normal((support, kernel)) + 1j * rng.standard_normal((support, kernel))
+    g = rng.standard_normal((kernel, kernel)) + 1j * rng.standard_normal((kernel, kernel))
+    e = c.conj().T @ (c / d[:, None]) + g @ g.conj().T
+    b = np.block([[e, c.conj().T], [c, np.diag(d)]])
+    b = (b + b.conj().T) / 2.0
+    b *= 0.95 / np.linalg.eigvalsh(b)[-1]
+    v = random_unitary(dim, rng)
+    a = (v * np.concatenate([np.zeros(kernel), w])) @ v.conj().T
+    return validate_effect(a), validate_effect(v @ b @ v.conj().T)
+
+
 def random_observable(dim: int, n_outcomes: int, rng: np.random.Generator) -> Observable:
     """Random POVM: normalize positive blocks G_i G_i† by the inverse root of their sum."""
     blocks = []

@@ -429,6 +429,29 @@ def test_evolve_dimension_mismatch_is_invalid_input(files, capsys, tmp_path):
         assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, dims",
+    [
+        (["evolve", "a", "third", "--mode", "evolution"], (2, 3)),
+        (["evolve", "a", "third", "--mode", "seqprod"], (2, 3)),
+        (["classify", "a", "third"], (2, 3)),
+        (["observable", "evolve", "obs_a", "third", "--t", "0.9"], (3, 2)),
+        (["observable", "tseq", "obs_a", "obs_third", "--t", "0.9"], (2, 3)),
+        (["observable", "dist", "obs_a", "--state", "rho_third"], (3, 2)),
+    ],
+    ids=["evolve", "evolve-seqprod", "classify", "observable-evolve", "observable-tseq", "dist"],
+)
+def test_operands_of_two_dimensions_give_one_mismatch_line(files, capsys, tmp_path, argv, dims):
+    third = np.full((3, 3), 1.0 / 3.0)
+    paths = {
+        **files,
+        "obs_third": write_obs(tmp_path / "obs3.json", [third, np.eye(3) - third], ["x", "y"]),
+        "rho_third": write_op(tmp_path / "rho3.json", np.eye(3) / 3.0),
+    }
+    code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: dimension mismatch: {dims}\n")
+
+
 def test_evolve_negative_steps_is_invalid_input(files, capsys):
     code, _, err = run(capsys, ["evolve", files["a"], files["b"], "--steps", "-3"])
     assert code == 2

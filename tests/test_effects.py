@@ -265,6 +265,29 @@ def test_stacked_roots_decompose_fresh_effects_in_one_stacked_eigh(monkeypatch, 
         assert s[k].tobytes() == want.sqrt.tobytes()
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_effect_properties_fill_their_cache_without_the_stacked_gather(monkeypatch, dim):
+    # a fresh effect's first property read runs the fill alone, bit for bit
+    # the stacked values, and never stacked_roots, which would also gather
+    # the cached arrays into new stacks
+    rng = np.random.default_rng(dim)
+    stacked = [random_effect(dim, rng) for _ in range(3)]
+    d, root, s = stacked_roots(stacked)
+
+    def no_gather(effects):
+        raise AssertionError("stacked_roots was called")
+
+    monkeypatch.setattr("effectdyn.effects.stacked_roots", no_gather)
+    for k, e in enumerate(stacked):
+        for first in ("decomposition", "sqrt_eigenvalues", "sqrt"):
+            fresh = validate_effect(e.matrix)
+            getattr(fresh, first)
+            assert fresh.decomposition.eigenvalues.tobytes() == d.eigenvalues[k].tobytes()
+            assert fresh.decomposition.vectors.tobytes() == d.vectors[k].tobytes()
+            assert fresh.sqrt_eigenvalues.tobytes() == root[k].tobytes()
+            assert fresh.sqrt.tobytes() == s[k].tobytes()
+
+
 def test_effect_norm():
     assert validate_effect(np.diag([0.25, 0.75])).norm == pytest.approx(0.75)
 

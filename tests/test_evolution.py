@@ -29,14 +29,16 @@ from effectdyn import (
     verify_coexistence_witness,
     zero_effect,
 )
+from effectdyn.effects import sequential_products
 from effectdyn.errors import EffectdynError, EmptyGridError, InvalidOrderError, NotAProjectionError
-from effectdyn.evolution import EigenFrame
+from effectdyn.evolution import EigenFrame, effect_evolutions, time_seq_products
 
 from support import (
     random_commuting_pair,
     random_effect,
     random_projection,
     random_scaled_projection,
+    random_support_commuting_pair,
     random_unitary,
 )
 
@@ -262,6 +264,20 @@ def test_classifier_constant_on_support_of_singular_a():
     assert report.constant and report.reason == "CommutingOnSupport"
     assert report.residual == 0.0 and max_seq_deviation(a, b, GRID) == 0.0
     assert constancy_bruteforce(a, b, GRID)
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_classifier_constant_on_support_of_random_singular_a(dim):
+    # a singular, with two or more distinct nonzero eigenvalues, and b whose
+    # compression to a's support commutes with a there while [a, b] != 0:
+    # the classifier answers CommutingOnSupport and the grid agrees
+    rng = np.random.default_rng(dim)
+    for _ in range(25):
+        a, b = random_support_commuting_pair(dim, rng)
+        report = constancy_classifier(a, b)
+        assert (report.constant, report.reason) == (True, "CommutingOnSupport")
+        assert report.residual <= max(a.tol, b.tol)
+        assert constancy_bruteforce(a, b, GRID)
 
 
 @settings(deadline=None, max_examples=150)
@@ -558,6 +574,26 @@ def _with_broken_sqrt(a, rng):
     g = rng.standard_normal(a.matrix.shape)
     vars(copy)["sqrt"] = a.sqrt + 1e-6 * (g + g.T)
     return copy
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda a: effect_evolutions([], a, 0.5), ()),
+        (lambda a: sequential_products([], []), ()),
+        (lambda a: time_seq_products([], [], 0.5), ()),
+        (lambda a: EigenFrame.stacked_products([], []), "no dimension"),
+    ],
+    ids=["effect_evolutions", "sequential_products", "time_seq_products", "stacked_products"],
+)
+def test_empty_families(call, want):
+    # no member gives no results, and a frame of no pairs has no dimension to build from
+    a = validate_effect(np.diag([0.25, 0.75]))
+    if want == ():
+        assert call(a) == ()
+    else:
+        with pytest.raises(EffectdynError, match=want):
+            call(a)
 
 
 def test_consistency_error_when_routes_disagree_at_construction(rng):

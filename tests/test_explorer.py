@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -820,6 +824,23 @@ def test_certified_bound_allows_for_phase_rounding(monkeypatch):
 
 
 LARGEST = 1.7976931348623157e308
+
+
+def test_scan_trial_imports_no_masked_arrays():
+    # the start knots are deduplicated in place, with no sort; np.unique's
+    # first call would also import numpy.ma (about 10 ms)
+    code = (
+        "import sys\n"
+        "from effectdyn import explorer\n"
+        "explorer.conjecture_scan(explorer.ScanConfig(dim=3, trials=1, seed=5))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    # the child imports the effectdyn this test imported
+    src = str(Path(explorer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_first_pass_evaluates_each_distinct_knot_once(monkeypatch):

@@ -73,6 +73,18 @@ def test_unitary_exp_is_unitary(rng):
     assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-13
 
 
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_spectral_norm_of_a_stack_is_each_matrix_s(dim):
+    # one SVD maximum per slice, bit for bit its own call and np.linalg.norm(·, 2)'s
+    rng = np.random.default_rng(dim)
+    stack = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+    norms = linalg.spectral_norm(stack)
+    assert norms.shape == (5,)
+    assert norms.tolist() == [linalg.spectral_norm(m) for m in stack]
+    assert norms.tobytes() == np.linalg.norm(stack, 2, axis=(-2, -1)).tobytes()
+    assert type(linalg.spectral_norm(stack[0])) is float
+
+
 def test_unitary_exp_rejects_a_phase_that_overflows():
     # an eigenvalue admitted just above 1 times the largest float is not finite
     d = linalg.eigh(np.diag([-0.9e-9, 1.0 + 0.9e-9]))
