@@ -277,9 +277,10 @@ def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarr
 
     Each bracket is [x, y] = xy - yx; read from the frame of b(t|a). The
     result is Hermitian for every n (round-off skew is symmetrized away).
-    Raises InvalidOrderError for n < 1.
+    Raises InvalidOrderError for an n that is not a positive integer: n < 1,
+    a fraction, or a non-finite n.
     """
-    if int(n) != n or n < 1:
+    if not math.isfinite(n) or int(n) != n or n < 1:
         raise InvalidOrderError(f"derivative order must be a positive integer, got {n!r}")
     return _hermitian_derivative(EigenFrame.evolution(a, b), t, int(n))
 
@@ -358,8 +359,12 @@ def projection_evolution_closed_form(
           + (e^{i lambda t} - 1) bp.
 
     Serves as the module's cross-check against effect_evolution(b, scale*p, t).
-    Raises NotAProjectionError when p fails p^2 = p or p = 0 within p.tol.
+    Raises EffectdynError where the phase scale * t is not finite, and
+    NotAProjectionError when p fails p^2 = p or p = 0 within p.tol.
     """
+    scale, t = float(scale), float(t)
+    if not math.isfinite(scale * t):
+        raise EffectdynError(f"phase scale*t must be finite, got scale = {scale!r}, t = {t!r}")
     pm = p.matrix
     if linalg.projection_defect(pm) > p.tol or p.norm <= p.tol:
         raise NotAProjectionError("closed form requires a nonzero projection")

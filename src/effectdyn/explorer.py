@@ -189,7 +189,7 @@ def _random_effects(dim: int, count: int, rng: np.random.Generator) -> tuple[Eff
 def symmetry_gap(a: Effect, b: Effect, t: float) -> float:
     """||a[t]b - b[t]a||; zero for commuting pairs at every t."""
     ab, ba = time_seq_products((a, b), (b, a), t)
-    return linalg.operator_norm(ab.matrix - ba.matrix)
+    return float(linalg.operator_norms(ab.matrix - ba.matrix))
 
 
 def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:

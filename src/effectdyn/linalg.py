@@ -3,7 +3,10 @@
 Spectral decompositions, unitary propagators, commutators and norms on
 small dense matrices; the Hermiticity check, adjoints, unitaries and norms
 also take (k, d, d) stacks. Everything here is pure and operates on
-immutable inputs; returned arrays are new allocations.
+immutable inputs; returned arrays are new allocations. The checked entry
+points (as_complex_matrix, require_hermitian, eigh, operator_norm) serve
+outside callers; the package reads matrices it has admitted through the
+unchecked ones (hermitian_eigh, operator_norms, commutator).
 """
 
 from __future__ import annotations
@@ -141,12 +144,8 @@ def unitary_from_decomposition(d: SpectralDecomposition, t: float) -> np.ndarray
     return (d.vectors * phase[..., None, :]) @ adjoint(d.vectors)
 
 
-def commutator(a, b) -> np.ndarray:
-    """[A, B] = AB - BA."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] = AB - BA of two matrices of one shape, unchecked (callers check the dimensions)."""
     return a @ b - b @ a
 
 

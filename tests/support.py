@@ -142,6 +142,45 @@ def reference_bounds(ts, gs, lip: float, curv: float, slack: float) -> np.ndarra
     return np.maximum(cone, np.where(np.isfinite(lower), lower, -np.inf))
 
 
+# The package's zero rule for roots (effects.SQRT_ZERO_CUTOFF), written out again for gap_polar.
+ROOT_ZERO_CUTOFF = 1e-13
+
+
+def _own_root(matrix: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix from one eigh of its own.
+
+    The eigenvalues are clipped at 0, and those at or below
+    ROOT_ZERO_CUTOFF * max(1, top eigenvalue) taken as exact zeros, as the
+    package's roots are, but by code that shares nothing with effects or linalg.
+    """
+    w, v = np.linalg.eigh(matrix)
+    r = np.maximum(w, 0.0)
+    r[r <= ROOT_ZERO_CUTOFF * max(1.0, w[-1])] = 0.0
+    return (v * np.sqrt(r)) @ v.conj().T
+
+
+def _own_exp(matrix: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t m) of a Hermitian m, densely from one eigh of its own."""
+    w, v = np.linalg.eigh(matrix)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def gap_polar(a: Effect, b: Effect, t: float) -> float:
+    """||a[t]b - b[t]a|| by the polar route, which shares no code with EigenFrame or linalg.
+
+    With X = a^{1/2} b^{1/2} = U|X| (U = P Q† from one SVD X = P S Q†),
+    a o b = X X† = U (b o a) U†, so with V_t = e^{itb} e^{-ita} U and
+    a[t]b = e^{-ita} (a o b) e^{ita}, the gap is
+    ||V_t (b o a) V_t† - b o a|| = ||[V_t, b o a]||, b o a = X† X. It holds
+    for any polar factor, so a singular X needs no care.
+    """
+    x = _own_root(a.matrix) @ _own_root(b.matrix)
+    p, _, qh = np.linalg.svd(x)
+    v_t = _own_exp(b.matrix, -t) @ _own_exp(a.matrix, t) @ (p @ qh)
+    c = x.conj().T @ x
+    return float(np.linalg.norm(v_t @ c - c @ v_t, 2))
+
+
 def state_faults(dim: int, rng: np.random.Generator) -> dict:
     """A valid random state of dim and one matrix per fault validate_state refuses, by name.
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ def test_derivative_rejects_bad_order():
     for n in (0, -1, 1.5):
         with pytest.raises(InvalidOrderError):
             evolution_derivative(b, a, 0.0, n)
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+def test_derivative_rejects_non_finite_order(n):
+    a, b = example1()
+    with pytest.raises(InvalidOrderError, match="positive integer"):
+        evolution_derivative(b, a, 0.0, n)
+
+
+def test_derivative_accepts_integral_orders():
+    a, b = example1()
+    first = evolution_derivative(b, a, 0.4, 1)
+    second = evolution_derivative(b, a, 0.4, 2)
+    assert np.array_equal(evolution_derivative(b, a, 0.4, 2.0), second)
+    assert not np.array_equal(first, second)
 
 
 def test_derivative_zero_for_commuting(rng):
@@ -357,6 +373,38 @@ def test_projection_closed_form_period_and_zero(rng):
     assert np.max(np.abs(projection_evolution_closed_form(b, 0.5, p, 0.0).matrix - b.matrix)) < 1e-14
     full_period = projection_evolution_closed_form(b, 0.5, p, 4 * math.pi).matrix
     assert np.max(np.abs(full_period - b.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "scale, t",
+    [(0.5, math.inf), (0.5, -math.inf), (0.5, math.nan), (math.inf, 1.0), (-math.inf, 1.0),
+     (0.0, math.inf), (1e200, 1e200)],
+)
+def test_projection_closed_form_refuses_a_non_finite_phase(rng, scale, t):
+    p = random_projection(3, 1, rng)
+    b = random_effect(3, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EffectdynError, match=r"^phase scale\*t must be finite"):
+            projection_evolution_closed_form(b, scale, p, t)
+
+
+def test_projection_closed_form_keeps_finite_phases(rng):
+    p = random_projection(2, 1, rng)
+    b = random_effect(2, rng)
+    pm, bm = p.matrix, b.matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e308, -1e308, 3.5e15, 0.9):
+            phase = np.exp(-1j * 0.5 * t)
+            expected = (
+                bm
+                + 2.0 * (1.0 - np.cos(0.5 * t)) * (pm @ (bm @ pm))
+                + (phase - 1.0) * (pm @ bm)
+                + (np.conj(phase) - 1.0) * (bm @ pm)
+            )
+            got = projection_evolution_closed_form(b, 0.5, p, t).matrix
+            assert np.array_equal(got, validate_effect(expected).matrix)
 
 
 def test_projection_closed_form_rejects_non_projection(rng):

@@ -36,7 +36,13 @@ from effectdyn.explorer import (
     random_effect,
 )
 
-from support import random_commuting_pair, reference_bounds
+from support import (
+    ROOT_ZERO_CUTOFF,
+    gap_polar,
+    random_commuting_pair,
+    reference_bounds,
+)
+from support import random_effect as random_uniform_effect
 
 # frozen at first build: random_effect(2, default_rng(42))
 SEED42_DIM2 = np.array(
@@ -168,6 +174,64 @@ def test_symmetry_gap_profile_matches_pointwise(rng):
     a = random_effect(3, np.random.default_rng(5))
     with pytest.raises(DimensionMismatchError):
         symmetry_gap_profile(a, random_effect(2, np.random.default_rng(7)), ts)
+
+
+_EPS = float(np.finfo(float).eps)
+_POLAR_TIMES = (0.0, 0.7, -3.1, 25.0, 1e4)
+
+
+def _polar_tolerance(a, b, t: float) -> float:
+    """How far gap_polar and the frames' gap may part at t, from their error terms.
+
+    - Rounding: each route eigensolves, roots, multiplies and takes a norm of
+      matrices of norm <= 1, a few d eps per step: 16 d eps in all.
+    - Phases: per side, the frame's phases and the dense ones part by
+      eps |t| (2 (w_max - w_min) + max|w|) ||X||_F (evolution.time_seq_products),
+      ||X||_F <= sqrt(d), for the spectrum w of a and of b.
+    - Roots: one eigensolve moves an eigenvalue w by at most
+      err = 8 d eps max(1, w_max), so two routes' roots of it part by
+      err / sqrt(w - err) above the zero rule's cutoff and by up to
+      sqrt(cutoff + err) within err of it; a root enters the gap up to four
+      times. The polar route also reads each effect as its root squared,
+      which drops each eigenvalue below the cutoff (twice per side).
+    """
+    d = a.dim
+    total = 16.0 * d * _EPS
+    for e in (a, b):
+        w = np.linalg.eigvalsh(e.matrix)
+        total += _EPS * abs(t) * math.sqrt(d) * (2.0 * (w[-1] - w[0]) + np.abs(w).max())
+        err = 8.0 * d * _EPS * max(1.0, w[-1])
+        cut = ROOT_ZERO_CUTOFF * max(1.0, w[-1])
+        above = w[w >= cut + err]
+        near = w[(w > cut - err) & (w < cut + err)]
+        root = (err / np.sqrt(above - err)).max(initial=0.0)
+        if near.size:
+            root = max(root, math.sqrt(cut + err))
+        total += 4.0 * root + 2.0 * np.abs(w[w < cut + err]).max(initial=0.0)
+    return total
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_gap_agrees_with_the_frame_free_polar_route(dim):
+    # boundary spectra (explorer draws: an eigenvalue at 0 or 1) and interior
+    # ones (Haar eigenvectors, eigenvalues uniform on [0, 1])
+    rng = np.random.default_rng([12, dim])
+    pairs = [explorer._random_effects(dim, 2, rng) for _ in range(20)]
+    pairs += [(random_uniform_effect(dim, rng), random_uniform_effect(dim, rng)) for _ in range(20)]
+    for a, b in pairs:
+        profile = symmetry_gap_profile(a, b, _POLAR_TIMES)
+        for t, value in zip(_POLAR_TIMES, profile):
+            polar, tol = gap_polar(a, b, t), _polar_tolerance(a, b, t)
+            assert abs(symmetry_gap(a, b, t) - polar) <= tol, (t, polar)
+            assert abs(value - polar) <= tol, (t, polar)
+
+
+@pytest.mark.parametrize("window", [(-4.0 * math.pi, 4.0 * math.pi), (1e4, 1e4 + 8.0 * math.pi)])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_scan_min_gap_agrees_with_the_polar_route(dim, window):
+    for r in conjecture_scan(ScanConfig(dim=dim, trials=6, t_window=window, seed=5)).records:
+        polar = gap_polar(r.a, r.b, r.t_star)
+        assert abs(r.min_gap - polar) <= _polar_tolerance(r.a, r.b, r.t_star), (r.trial, polar)
 
 
 def test_a_search_that_reaches_max_knots_midway_is_refused(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectdyn import classify_scaled_projection, linalg, validate_effect
+from effectdyn import classify_scaled_projection, commutator_norm, linalg, validate_effect
 from effectdyn.errors import DimensionMismatchError, EffectdynError, NonHermitianError
 
 from support import random_hermitian
@@ -96,8 +96,9 @@ def test_commutator_convention_and_dimension_check():
     x = np.array([[0.0, 1.0], [0.0, 0.0]])
     y = np.diag([1.0, 0.0])
     assert np.array_equal(linalg.commutator(x, y), x @ y - y @ x)
-    with pytest.raises(DimensionMismatchError):
-        linalg.commutator(x, np.eye(3))
+    # linalg.commutator takes checked operands; commutator_norm checks their dimensions.
+    with pytest.raises(DimensionMismatchError, match=r"^dimension mismatch: \(2, 3\)$"):
+        commutator_norm(validate_effect(np.diag([1.0, 0.0])), validate_effect(np.eye(3) / 2.0))
 
 
 def test_norms_agree_on_hermitian(rng):
