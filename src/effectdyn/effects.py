@@ -280,6 +280,11 @@ def maximally_mixed_state(dim: int) -> State:
 
 
 def _check_dims(*dims: int) -> None:
+    """Raise DimensionMismatchError, "dimension mismatch: (...)", unless all dims are equal.
+
+    The one dimension check of two or more operands, for every command and
+    kernel: products, evolutions, frames, probabilities, distributions.
+    """
     if len(set(dims)) > 1:
         raise DimensionMismatchError(f"dimension mismatch: {dims}")
 
@@ -347,7 +352,11 @@ def products_and_roots(lefts, rights):
 
 
 def commutator_norm(a: Effect, b: Effect) -> float:
-    """||ab - ba|| (spectral norm) of two effects of one dimension."""
+    """||ab - ba|| (spectral norm) of two effects of one dimension.
+
+    The package's one commutator norm: commutes, constancy_classifier and the
+    scan's draws read it.
+    """
     _check_dims(a.dim, b.dim)
     return linalg.spectral_norm(linalg.commutator(a.matrix, b.matrix))
 

@@ -32,6 +32,7 @@ Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ BRUTEFORCE_TOL = 1e-8
 # check of time_seq_products adds the rounding of its phases t*w.
 CROSS_CHECK_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+_FLOAT_MAX = float(np.finfo(float).max)
+# Largest order evolution_derivative takes: numpy's power takes the order as
+# a float, which holds every integer only up to 2^53.
+MAX_DERIVATIVE_ORDER = 2**53
 
 REASON_COMMUTING = "Commuting"
 REASON_SCALED_PROJECTION = "ScaledProjection"
@@ -278,11 +283,26 @@ def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarr
     Each bracket is [x, y] = xy - yx; read from the frame of b(t|a). The
     result is Hermitian for every n (round-off skew is symmetrized away).
     Raises InvalidOrderError for an n that is not a positive integer: n < 1,
-    a fraction, or a non-finite n.
+    a fraction, or a non-finite n; an integer n is compared, never converted
+    to float. It raises InvalidOrderError too for an n too large to compute:
+    above MAX_DERIVATIVE_ORDER, or one at which f^n ||X||_F, f the largest
+    |w_j - w_k|, would pass half the float range. Every entry of the result,
+    and every partial sum forming one, is at most f^n ||X||_F, so an order
+    that passes never overflows; f exceeds 1 only for an a admitted beyond
+    [0, 1].
     """
-    if not math.isfinite(n) or int(n) != n or n < 1:
+    if not (isinstance(n, numbers.Integral) or math.isfinite(n) and int(n) == n) or n < 1:
         raise InvalidOrderError(f"derivative order must be a positive integer, got {n!r}")
-    return _hermitian_derivative(EigenFrame.evolution(a, b), t, int(n))
+    if n > MAX_DERIVATIVE_ORDER:
+        raise InvalidOrderError(f"derivative order must be at most 2**53, got {n!r}")
+    frame = EigenFrame.evolution(a, b)
+    f = float(np.abs(frame.freq).max())
+    budget = math.log(_FLOAT_MAX / 2.0 / max(1.0, float(np.linalg.norm(frame.x))))
+    if f > 1.0 and n > budget / math.log(f):
+        raise InvalidOrderError(
+            f"derivative order {n!r} is too large: |w_j - w_k|^n overflows at |w_j - w_k| = {f!r}"
+        )
+    return _hermitian_derivative(frame, t, int(n))
 
 
 def _hermitian_derivative(frame: EigenFrame, t: float, n: int) -> np.ndarray:

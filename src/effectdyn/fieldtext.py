@@ -28,7 +28,9 @@ decade); when |x| lies outside [1e_X_MIN, 1e(_X_MAX+1)), subnormals among
 them; and for inf and nan. repr also leaves to itself a power of two, whose
 interval is narrower below it, and a value whose interval holds a multiple
 of 1000 (14 digits or fewer), which is about 0.6 % of an observable's
-entries. Zero is written as '0' by records and as '0.0' by repr_records.
+entries. Zero is written as '0' by records and as '0.0' by repr_records;
+±0 was 8 % of the entries of the calculus benchmark's outputs. '%' wrote
+3 of the 2.2 million fields of one benchmark run's evolve trajectories.
 
 Text: the digits come from a table of 4-digit ASCII words, and one layout
 table, keyed by the exponent's form and the number of significant digits,

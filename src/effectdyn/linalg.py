@@ -42,6 +42,9 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
     The halves of entries of magnitude at least 2**-1021 are exact, so the sum
     has the bits of (M + M†)/2; subnormal entries and a zero's sign may differ.
+    The package's one copy of it, but for hermitian_parts, which shares the
+    halves with the Hermiticity defect, and serialization.trajectory_csv,
+    which forms only the upper triangle.
     """
     h = m * 0.5
     h += adjoint(h)
@@ -167,7 +170,8 @@ def spectral_norm(m) -> float | np.ndarray:
     """Largest singular value of a matrix, or of each matrix in a stack; any matrices.
 
     The value np.linalg.norm(m, 2, axis=(-2, -1)) takes, without its axis
-    handling; one matrix gives a float.
+    handling; one matrix gives a float. The package's one route to the
+    spectral norm, but for the closed_forms oracles, which keep their own.
     """
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).max(axis=-1)
     return float(s) if s.ndim == 0 else s

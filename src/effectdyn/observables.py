@@ -120,6 +120,8 @@ def validate_observable(effects, outcomes=None, *, rounding: float = 0.0) -> Obs
     ``rounding``, the allowance for the rounding of computed members
     (SumNotIdentityError, carrying the residual, on failure, also when the
     residual is not a number); the observable keeps it as ``sum_residual``.
+    The residual is ||sum_x A_x - I|| with no second Hermiticity check: the
+    admitted members, and so their sum, are Hermitian bit for bit.
     Labels default to "0", "1", ...; duplicates are rejected.
     """
     members: list[Effect] = []

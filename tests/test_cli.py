@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import hashlib
@@ -5,6 +6,8 @@ import itertools
 import json
 import math
 import os
+import pathlib
+import re
 import sys
 import tracemalloc
 
@@ -135,6 +138,137 @@ def test_argparse_exits_do_not_break_the_cached_parser(files, capsys):
         assert excinfo.value.code == status, interruption
         capsys.readouterr()
         assert run(capsys, argv) == before, interruption
+
+
+# -- the README's CLI synopsis ----------------------------------------------
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+# One synopsis token: a flag, bracketed when optional, with its value (the
+# default of an optional one), or a positional placeholder.
+TOKEN = re.compile(r"(\[)?(--[a-z0-9-]+)(?: ([^\s\]]+))?\]?|(\S+)")
+
+
+def subcommands(parser) -> dict:
+    """The name -> parser map of a parser's subcommands, empty for a leaf."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def command_tree(parser, path=()):
+    """(path, parser) of every command, the top level's path ()."""
+    yield path, parser
+    for name, sub in subcommands(parser).items():
+        yield from command_tree(sub, (*path, name))
+
+
+def long_flags(parser) -> dict:
+    """Each --flag of a parser but --help, mapped to its action."""
+    return {
+        flag: action
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+
+
+def readme_cli() -> tuple[str, list[str]]:
+    """The README's CLI section, and the lines of its synopsis, its first text block."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return section, section.split("```text\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def readme_value(text: str):
+    """A default as the synopsis writes it: a number, a multiple of π, or a word."""
+    if text.endswith("π"):
+        return float(text[:-1]) * math.pi
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def synopsis(line: str):
+    """One synopsis line's command path, flags as {flag: (optional, value)} and positionals."""
+    words = line.split()
+    assert words[0] == "effectdyn", line
+    parser, path = cli.build_parser(), []
+    while len(words) > len(path) + 1 and words[len(path) + 1] in subcommands(parser):
+        path.append(words[len(path) + 1])
+        parser = subcommands(parser)[path[-1]]
+    flags, positionals = {}, []
+    for bracket, flag, value, positional in TOKEN.findall(" ".join(words[len(path) + 1 :])):
+        if flag:
+            assert flag not in flags, line
+            flags[flag] = (bool(bracket), value or None)
+        else:
+            positionals.append(positional)
+    return tuple(path), flags, positionals
+
+
+def test_readme_synopsis_matches_the_parser():
+    lines = readme_cli()[1]
+    documented = {}
+    for line in lines:
+        path, flags, positionals = synopsis(line)
+        assert path not in documented, f"two synopsis lines for {path}"
+        documented[path] = flags, positionals
+    for path, parser in command_tree(cli.build_parser()):
+        declared = long_flags(parser)
+        if subcommands(parser) and not declared:
+            continue  # a group such as `observable`, documented by its subcommands' lines
+        assert path in documented, f"effectdyn {' '.join(path)} has no synopsis line"
+        flags, positionals = documented.pop(path)
+        assert set(flags) - {"--help"} == set(declared), path
+        for flag, action in declared.items():
+            optional, value = flags[flag]
+            assert optional == (not action.required), (path, flag)
+            if not optional:
+                continue
+            assert value is not None, (path, flag)
+            if action.default is None:  # no default: a placeholder in capitals
+                assert value.isupper(), (path, flag, value)
+            elif action.choices:  # the first choice listed is the default
+                assert value.split("|") == list(action.choices), (path, flag)
+                assert action.default == action.choices[0], (path, flag)
+            else:
+                assert readme_value(value) == action.default, (path, flag, value)
+        if not subcommands(parser):
+            arguments = [a for a in parser._actions if not a.option_strings]
+            assert len(positionals) == len(arguments), path
+    assert not documented, f"synopsis lines for commands the parser lacks: {list(documented)}"
+    assert any("[--help]" in line for line in lines)
+
+
+def test_readme_cli_section_names_only_parser_flags():
+    section, lines = readme_cli()
+    known = {flag for _, parser in command_tree(cli.build_parser()) for flag in long_flags(parser)}
+    shown = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    assert shown - {"--help"} <= known, shown - known
+    # the defaults a user reads first
+    assert "[--tol 1e-9]" in lines[0]
+    evolve, scan = synopsis(next(x for x in lines if " evolve A B" in x))[1], synopsis(lines[-1])[1]
+    assert evolve["--steps"] == (True, "64")
+    assert {f: scan[f][1] for f in ("--dim", "--trials", "--tmin", "--tmax", "--floor")} == {
+        "--dim": "2", "--trials": "100", "--tmin": "-4π", "--tmax": "4π", "--floor": "1e-3"
+    }
+
+
+def test_every_command_has_help(capsys):
+    helps = {}
+    for path, _ in command_tree(cli.build_parser()):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*path, "--help"])
+        assert excinfo.value.code == 0, path
+        out = capsys.readouterr().out
+        assert out.startswith(" ".join(["usage: effectdyn", *path])), path
+        helps[path] = " ".join(out.split())
+    # the help holds the per-flag and per-column detail the README leaves to it
+    for column in ("t;", "e_ij_re", "e_ij_im", "deviation", "derivative_norm"):
+        assert column in helps["evolve",], column
+    assert "rewritten in place" in helps["scan",]
+    assert "exit codes: 0 success" in helps[()]
 
 
 # -- validate ---------------------------------------------------------------

@@ -99,6 +99,22 @@ def test_derivative_rejects_non_finite_order(n):
         evolution_derivative(b, a, 0.0, n)
 
 
+def test_derivative_refuses_orders_too_large_to_compute():
+    # an integer order beyond the float range, and an order whose power of
+    # the largest |w_j - w_k| = 1.001 overflows for a admitted beyond [0, 1]
+    a, b = example1()
+    over = validate_effect(np.diag([-5e-4, 1.0005]), 1e-3)
+    half = validate_effect(np.full((2, 2), 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidOrderError, match="at most 2"):
+            evolution_derivative(b, a, 0.3, 10**400)
+        with pytest.raises(InvalidOrderError, match="too large"):
+            evolution_derivative(half, over, 0.3, 10**6)
+        # the same a keeps its moderate orders
+        assert np.isfinite(evolution_derivative(half, over, 0.3, 1500)).all()
+
+
 def test_derivative_accepts_integral_orders():
     a, b = example1()
     first = evolution_derivative(b, a, 0.4, 1)
