@@ -261,8 +261,7 @@ def cmd_evolve(args) -> int:
     frames = evolution.EigenFrame
     frame = (frames.evolution if args.mode == "evolution" else frames.product)(a, b)
     try:
-        times = np.linspace(args.t0, args.t1, args.steps + 1)
-        frame.check_phases(float(np.abs(times).max()))
+        times = frame.check_phases(np.linspace(args.t0, args.t1, args.steps + 1))
         for start in range(0, len(times), BLOCK_ROWS):
             block = times[start : start + BLOCK_ROWS]
             csv = serialization.trajectory_csv(block, *frame.trajectory(block))

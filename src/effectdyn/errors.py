@@ -30,7 +30,7 @@ class NotCommutingError(EffectdynError):
 
 
 class InvalidOrderError(EffectdynError):
-    """Derivative order must be a positive integer."""
+    """A derivative order that is not an integer a frame can compute (see EigenFrame.at)."""
 
 
 class ConsistencyError(EffectdynError):

@@ -18,8 +18,8 @@ B(t|a) of an observable, shares one frame of a whose m is their stack
 [·, a] scales entry jk by -(w_j - w_k), so time derivatives and deviations
 are frame reads as well. A frame has three readers: EigenFrame.at(t,
 order), at one time or on a grid of times, and deviation_norms and
-trajectory (evolve's columns), on a grid; every phase they form passes
-EigenFrame.check_phases. A frame of
+trajectory (evolve's columns), on a grid. Every time they take passes one
+rule, EigenFrame.check_phases, and every order one rule, in at. A frame of
 a[t]b validates a∘b and cross-checks its two routes once, when it is built;
 the public time_seq_product checks its one t against the dense form. Only
 classify_scaled_projection groups coincident eigenvalues. Derived effects
@@ -65,8 +65,8 @@ BRUTEFORCE_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 _FLOAT_MAX = float(np.finfo(float).max)
-# Largest order evolution_derivative takes: numpy's power takes the order as
-# a float, which holds every integer only up to 2^53.
+# Largest derivative order a frame takes: numpy's power takes the order as a
+# float, which holds every integer only up to 2^53.
 MAX_DERIVATIVE_ORDER = 2**53
 
 REASON_COMMUTING = "Commuting"
@@ -157,21 +157,48 @@ class EigenFrame:
         return cls(v, _frequencies(d.eigenvalues), x)
 
     def at(self, t, order: int = 0) -> np.ndarray:
-        """The order-th time derivative (order 0: the operator) at t.
+        """The order-th time derivative i^order [...[M(t), a]..., a] (order 0: M(t)) at t.
 
         t is one time, for one frame or each frame of a stack, or an array
         of times for one frame, which gives one matrix per time, stacked.
+        The frames' one order rule runs first, but at order 0: InvalidOrderError
+        refuses an order that is not an integer (an integer is compared, never
+        converted to float), one below 0 or above MAX_DERIVATIVE_ORDER, and
+        one at which f^order ||X||_F, f the largest |w_j - w_k|, would pass
+        half the float range. No entry, or partial sum forming one, exceeds
+        that, so an order that passes never overflows; f exceeds 1 only for an
+        a admitted beyond [0, 1]. The factor's phase is exact (_rotated).
         """
-        return self._in_basis(self._rotated(t, order))
+        if not order:
+            return self._in_basis(self._rotated(t))
+        integral = isinstance(order, numbers.Integral) or math.isfinite(order) and int(order) == order
+        if not integral or order < 0:
+            raise InvalidOrderError(f"derivative order must be 0 or a positive integer, got {order!r}")
+        if order > MAX_DERIVATIVE_ORDER:
+            raise InvalidOrderError(f"derivative order must be at most 2**53, got {order!r}")
+        f = float(np.abs(self.freq).max())
+        budget = math.log(_FLOAT_MAX / 2.0 / max(1.0, float(np.linalg.norm(self.x))))
+        if f > 1.0 and order > budget / math.log(f):
+            raise InvalidOrderError(
+                f"derivative order {order!r} is too large: |w_j - w_k|^n overflows at |w_j - w_k| = {f!r}"
+            )
+        return self._in_basis(self._rotated(t, int(order)))
 
-    def check_phases(self, t_max: float) -> None:
-        """Raise EffectdynError unless t * freq is finite for every |t| <= t_max.
+    def check_phases(self, times) -> np.ndarray:
+        """The frames' one time rule: ``times``, one or a grid, as a float array of its shape.
 
-        An admitted effect may reach 1 + tol, so a finite t can overflow a
-        phase into NaN. The largest |t * freq| is t_max times the largest |freq|.
+        An empty grid raises EmptyGridError, and a phase t * freq that is not
+        finite EffectdynError: an admitted effect may reach 1 + tol, so a finite
+        t can overflow a phase into NaN. The largest |t * freq| is max |t| times
+        the largest |freq|, so a window's largest |t| stands for the window.
         """
+        ts = np.asarray(times, dtype=float)
+        if ts.size == 0:
+            raise EmptyGridError("time grid is empty")
+        t_max = float(np.abs(ts).max())
         if not math.isfinite(t_max * float(np.abs(self.freq).max())):
             raise EffectdynError(f"phase t*(w_j - w_k) must be finite, got |t| = {t_max!r}")
+        return ts
 
     def deviation_norms(self, times) -> np.ndarray:
         """||M(t) - M(0)|| for every t in ``times``."""
@@ -203,24 +230,20 @@ class EigenFrame:
         return linalg.operator_norms(self.x * (-1j * self.freq))
 
     def _rotated(self, t, order: int = 0) -> np.ndarray:
-        """(-i freq)^order ⊙ E_t ⊙ X at t, with E_t = exp(-it freq).
+        """(-i freq)^order ⊙ E_t ⊙ X, E_t = exp(-it freq): at(t, order) in the frame's basis.
 
-        In V, [., a] scales entry jk by -freq_jk, so this is the order-th
-        derivative i^order [...[M(t), a]..., a] in the frame's basis. An
-        array of times gives one slice per time. E_t is formed as e ⊗ ē with
-        e_j = exp(-it freq_j0), so E_t ⊙ X = D X D† for the diagonal unitary
+        t passes check_phases, an array of times giving one slice per time;
+        the order is one that at admitted, its factor (-i)^(order mod 4),
+        exactly, times freq^order. E_t is formed as e ⊗ ē with e_j =
+        exp(-it freq_j0), so E_t ⊙ X = D X D† for the diagonal unitary
         D = diag(e) even where the phases t freq_j0 round: the spectrum of X
-        is kept at every t. E_t is exactly 1 where freq is 0. t passes the
-        one empty-grid check, then check_phases.
+        is kept at every t. E_t is exactly 1 where freq is 0.
         """
-        ts = np.asarray(t, dtype=float)
-        if ts.size == 0:
-            raise EmptyGridError("time grid is empty")
-        self.check_phases(float(np.abs(ts).max()))
+        ts = self.check_phases(t)
         e = np.exp(-1j * ts[..., None] * self.freq[..., :, 0])
         rotated = e[..., :, None] * self.x * e.conj()[..., None, :]
         rotated = np.where(self.freq == 0.0, self.x, rotated)
-        return rotated * (-1j * self.freq) ** order if order else rotated
+        return rotated * ((1, -1j, -1, 1j)[order % 4] * self.freq**order) if order else rotated
 
 
 def _frequencies(w: np.ndarray) -> np.ndarray:
@@ -282,31 +305,12 @@ def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarr
 
     Each bracket is [x, y] = xy - yx; read from the frame of b(t|a). The
     result is Hermitian for every n (round-off skew is symmetrized away).
-    Raises InvalidOrderError for an n that is not a positive integer: n < 1,
-    a fraction, or a non-finite n; an integer n is compared, never converted
-    to float. It raises InvalidOrderError too for an n too large to compute:
-    above MAX_DERIVATIVE_ORDER, or one at which f^n ||X||_F, f the largest
-    |w_j - w_k|, would pass half the float range. Every entry of the result,
-    and every partial sum forming one, is at most f^n ||X||_F, so an order
-    that passes never overflows; f exceeds 1 only for an a admitted beyond
-    [0, 1].
+    InvalidOrderError refuses an n below 1 here, and every n that
+    EigenFrame.at's order rule refuses.
     """
-    if not (isinstance(n, numbers.Integral) or math.isfinite(n) and int(n) == n) or n < 1:
+    if not n >= 1:
         raise InvalidOrderError(f"derivative order must be a positive integer, got {n!r}")
-    if n > MAX_DERIVATIVE_ORDER:
-        raise InvalidOrderError(f"derivative order must be at most 2**53, got {n!r}")
-    frame = EigenFrame.evolution(a, b)
-    f = float(np.abs(frame.freq).max())
-    budget = math.log(_FLOAT_MAX / 2.0 / max(1.0, float(np.linalg.norm(frame.x))))
-    if f > 1.0 and n > budget / math.log(f):
-        raise InvalidOrderError(
-            f"derivative order {n!r} is too large: |w_j - w_k|^n overflows at |w_j - w_k| = {f!r}"
-        )
-    return _hermitian_derivative(frame, t, int(n))
-
-
-def _hermitian_derivative(frame: EigenFrame, t: float, n: int) -> np.ndarray:
-    return linalg.hermitian_part(frame.at(t, n))
+    return linalg.hermitian_part(EigenFrame.evolution(a, b).at(t, n))
 
 
 def deviation_norm(b: Effect, a: Effect, t: float) -> float:
@@ -365,7 +369,7 @@ def time_seq_products(lefts, rights, t: float) -> tuple[Effect, ...]:
 
 def seq_product_derivative(a: Effect, b: Effect, t: float) -> np.ndarray:
     """d/dt a[t]b = i[a[t]b, a] from its checked frame; Hermitian, zero for all t iff constant."""
-    return _hermitian_derivative(EigenFrame.product(a, b), t, 1)
+    return linalg.hermitian_part(EigenFrame.product(a, b).at(t, 1))
 
 
 def projection_evolution_closed_form(

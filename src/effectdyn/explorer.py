@@ -53,7 +53,7 @@ import numpy as np
 
 from . import linalg
 from .effects import DECISION_TOL, Effect, admit_effects, commutator_norm
-from .errors import CommutingPairError, EffectdynError, EmptyGridError
+from .errors import CommutingPairError, DimensionMismatchError, EffectdynError
 # time_seq_product stays importable here: bench/tracer.py wraps each import site of it
 from .evolution import EigenFrame, time_seq_product, time_seq_products  # noqa: F401
 
@@ -183,8 +183,8 @@ def _random_effects(dim: int, count: int, rng: np.random.Generator) -> tuple[Eff
     of those calls, and numpy solves a stack of eigenproblems slice by slice
     with the LAPACK call it makes for one matrix. An H of norm 0 gives I/2.
     """
-    if dim < 1:
-        linalg.as_complex_matrix(np.zeros((dim, dim)))  # refuses dim 0 as validate_effect does
+    if dim < 1:  # refused as validate_effect refuses an empty matrix
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {(dim, dim)}")
     x = rng.standard_normal((count, 2, dim, dim))
     g = x[:, 0] + 1j * x[:, 1]
     h = linalg.hermitian_part(g)  # Hermitian exactly: entry kj is the conjugate of entry jk
@@ -202,9 +202,7 @@ def symmetry_gap(a: Effect, b: Effect, t: float) -> float:
 def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:
     """``symmetry_gap`` over a whole grid, through the pair's two eigenframes."""
     frames = _frames(a, b)
-    ts = np.asarray(times, dtype=float).ravel()
-    frames.check_phases(float(np.max(np.abs(ts), initial=0.0)))  # an empty grid raises in _profile
-    return np.maximum(*_profile(_gap_kernel(frames), ts))
+    return np.maximum(*_profile(_gap_kernel(frames), frames.check_phases(times)))
 
 
 def _frames(a: Effect, b: Effect) -> EigenFrame:
@@ -220,7 +218,7 @@ def _gap_kernel(frames: EigenFrame):
     returns the branches (-λ_min, λ_max) of that Hermitian matrix: the gap
     is their maximum, and they cross where h = λ_max + λ_min changes sign.
     It does not check its phases: each caller runs EigenFrame.check_phases
-    on the stacked frames once, at the largest |t| it will ask for.
+    on the stacked frames once, on its grid or at its window's largest |t|.
     """
     (va, vb), (xa, xb) = frames.vectors, frames.x
     w = va.conj().T @ vb
@@ -239,8 +237,6 @@ def _gap_kernel(frames: EigenFrame):
 def _profile(branches, times) -> tuple[np.ndarray, np.ndarray]:
     """The two ``branches`` at every t of a nonempty grid, in chunks; the gap is their maximum."""
     ts = np.asarray(times, dtype=float).ravel()
-    if ts.size == 0:
-        raise EmptyGridError("time grid is empty")
     chunks = [branches(ts[i : i + _EVAL_CHUNK]) for i in range(0, ts.size, _EVAL_CHUNK)]
     if len(chunks) == 1:
         return chunks[0]

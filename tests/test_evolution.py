@@ -123,6 +123,57 @@ def test_derivative_accepts_integral_orders():
     assert not np.array_equal(first, second)
 
 
+def test_every_frame_refuses_orders_it_cannot_compute():
+    # EigenFrame.at is the one order rule, for both kinds of frame and a stack:
+    # an order whose power of |w_j - w_k| = 1.001 overflows, one past the float
+    # range, a negative one and a fraction are refused, never computed
+    over = validate_effect(np.diag([-5e-4, 1.0005]), 1e-3)
+    half = validate_effect(np.full((2, 2), 0.5))
+    frames = (
+        EigenFrame.evolution(over, half),
+        EigenFrame.product(over, half),
+        EigenFrame.stacked_products((over, half), (half, over)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for frame in frames:
+            for n in (10**6, 10**400, -1, 0.5):
+                with pytest.raises(InvalidOrderError):
+                    frame.at(0.3, n)
+            assert np.isfinite(frame.at(0.3, 1500)).all()
+
+
+def test_derivative_phase_is_exact_at_every_order():
+    # a = diag(0, 1): |w_j - w_k| is 0 or 1, so order n differs from order
+    # n mod 4 only in the phase (-i)^n, which must not drift as n grows; the
+    # reference is order 4, not b(t|a): every bracket removes its diagonal
+    a = validate_effect(np.diag([0.0, 1.0]))
+    b = validate_effect(np.full((2, 2), 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fourth = evolution_derivative(b, a, 0.3, 4)
+        for n in [1500] + [4 * 10**k for k in range(4, 11)] + [2**52]:
+            assert np.max(np.abs(evolution_derivative(b, a, 0.3, n) - fourth)) <= 1e-15
+        first = evolution_derivative(b, a, 0.3, 1)
+        assert np.max(np.abs(evolution_derivative(b, a, 0.3, 4 * 10**10 + 1) - first)) <= 1e-15
+        assert np.max(np.abs(fourth - effect_evolution(b, a, 0.3).matrix)) > 0.1
+
+
+def test_check_phases_admits_a_time_or_a_grid():
+    # the frames' one time rule returns the times as floats, of their shape
+    frame = EigenFrame.evolution(validate_effect(np.diag([0.0, 1.0])), identity_effect(2))
+    one = frame.check_phases(2)
+    assert one.dtype == float and one.shape == () and one == 2.0
+    grid = frame.check_phases([[0, -1.5], [3, 4]])
+    assert grid.dtype == float and np.array_equal(grid, [[0.0, -1.5], [3.0, 4.0]])
+    for empty in ([], np.empty((0, 3))):
+        with pytest.raises(EmptyGridError):
+            frame.check_phases(empty)
+    for bad in (math.nan, math.inf, [0.0, -math.inf]):
+        with pytest.raises(EffectdynError, match="phase"):
+            frame.check_phases(bad)
+
+
 def test_derivative_zero_for_commuting(rng):
     a, b = random_commuting_pair(3, rng)
     for n in (1, 2, 3):

@@ -250,6 +250,14 @@ def test_a_search_that_reaches_max_knots_midway_is_refused(monkeypatch):
     assert evaluated == [explorer.INITIAL_KNOTS]
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_random_effect_refuses_a_dimension_below_one(dim):
+    # as validate_effect refuses an empty matrix, not numpy's bare ValueError
+    shape = rf"expected a nonempty square matrix, got shape \({dim}, {dim}\)"
+    with pytest.raises(DimensionMismatchError, match=shape):
+        random_effect(dim, np.random.default_rng(0))
+
+
 def test_gap_profiles_reject_empty_grid():
     a = random_effect(2, np.random.default_rng(5))
     b = random_effect(2, np.random.default_rng(6))
