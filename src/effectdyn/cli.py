@@ -199,16 +199,17 @@ def cmd_validate(args) -> int:
 
     An effect or a state is one Admission of its matrix: its
     hermiticity_residual, eigenvalues and trace come from that record, with
-    no second eigensolve. An observable is parsed here, so a parse error
-    still exits 3, and then admitted by _admit, the loader's per-shape pass,
-    members of mixed dimensions included; any admission or sum-check error
-    prints valid: false and exits 2.
+    no second eigensolve. An observable is admitted by _admit, the loader's
+    per-shape pass. A SchemaError, from the parse or from an observable with
+    no effects or repeated labels, exits 3 through main, as in every command.
     """
     text = _read_text(args.file)
     if args.kind == "observable":
         doc = serialization.parse_observable_json(text)
         try:
             (obs,) = _admit([("observable", doc)], args.tol)
+        except SchemaError:
+            raise
         except EffectdynError as exc:
             print("valid: false")
             print(f"reason: {exc}")

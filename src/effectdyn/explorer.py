@@ -97,6 +97,11 @@ _HISTOGRAM_LABELS = tuple(
 )
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number, bool excluded (JSON would write it true/false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Parameters of a conjecture scan, validated at construction (EffectdynError).
@@ -121,12 +126,18 @@ class ScanConfig:
             raise EffectdynError(f"dim must be in [2, 8], got {self.dim}")
         if self.trials < 0:
             raise EffectdynError("trials must be nonnegative")
+        if not (
+            isinstance(self.t_window, (tuple, list))
+            and len(self.t_window) == 2
+            and all(map(_is_real, self.t_window))
+        ):
+            raise EffectdynError(f"t_window must be a pair of real numbers, got {self.t_window!r}")
         lo, hi = self.t_window
         if not (lo < hi and math.isfinite(hi - lo)):
             raise EffectdynError(f"t_window must be finite with t_min < t_max, got {self.t_window}")
         if not 0 <= self.seed < 2**64:
             raise EffectdynError("seed must fit in 64 unsigned bits")
-        if not 0.0 < self.commutator_floor < math.inf:
+        if not (_is_real(self.commutator_floor) and 0.0 < self.commutator_floor < math.inf):
             raise EffectdynError(
                 f"commutator_floor must be positive and finite, got {self.commutator_floor!r}"
             )

@@ -6,9 +6,9 @@ time-dependent conditional observable (B|A)(t|A), and convex combinations.
 Every operation funnels its output through validate_observable, so the
 normalization arguments behind each construction are re-checked numerically
 on every call, at the loosest admission tolerance of the members involved;
-the sum check of a product observable or an evolved one adds an allowance
-for the rounding of its computed terms, the n·m products or the n evolved
-members (_rounding).
+the sum check of a product observable, an evolved one or a convex combination
+adds an allowance for the rounding of its computed terms, the n·m products,
+the n evolved members or the k·m weighted members (_rounding).
 
 Every operation is one stacked pass. A o B, A[t]B, (B|A) and (B|A)(t|A)
 each run their n·m pairs (A_x, B_y) through the pair kernels
@@ -44,7 +44,6 @@ from .effects import (
 )
 from .errors import (
     ConsistencyError,
-    DimensionMismatchError,
     EffectdynError,
     LabelCollisionError,
     MemberNotEffectError,
@@ -135,9 +134,7 @@ def validate_observable(effects, outcomes=None, *, rounding: float = 0.0) -> Obs
                 raise MemberNotEffectError(f"member {i} is not an effect: {exc}") from exc
     if not members:
         raise SchemaError("an observable needs at least one effect")
-    dims = {m.dim for m in members}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"members have mixed dimensions: {sorted(dims)}")
+    _check_dims(*(m.dim for m in members))
     labels = _default_labels(len(members)) if outcomes is None else tuple(str(o) for o in outcomes)
     if len(labels) != len(members):
         raise SchemaError(
@@ -205,17 +202,21 @@ def _rounding(terms: int, dim: int) -> float:
     """Rounding allowance of a sum check over ``terms`` computed d×d terms: 4 terms d eps.
 
     The exact terms sum to I within the admission tolerance, but each
-    computed term, a product A_x o B_y or A_x[t]B_y or an evolved member
-    e^{-ita} B_y e^{ita} (matrix products after an eigendecomposition), is
-    off by a few d·eps, and the sum check adds up all of them. On about
-    1,400 random pairs of 2-4 outcome observables at dims 2, 4 and 8, the
-    computed sums of A o B, A[t]B, (B|A) and (B|A)(t|A) were off from I by
-    at most 2.06 n m d eps more than the operands' own sums; on 13,500
-    random 2-4 outcome observables B at dims 2, 4 and 8 and t in [-10, 10],
-    the sums of B(t|a) were off by at most 2.68 n d eps more than B's own.
-    So the allowance is ROUNDING_UNITS = 4 such units per term: 7.1e-15 for
-    two 2-outcome qubit observables, 1.1e-13 for two 4-outcome ones at dim
-    8, 3.6e-15 for one evolved 2-outcome qubit observable.
+    computed term, a product A_x o B_y or A_x[t]B_y, an evolved member
+    e^{-ita} B_y e^{ita} (matrix products after an eigendecomposition) or a
+    weighted member w_i B_iy, is off by a few d·eps, and the sum check adds
+    up all of them. On about 1,400 random pairs of 2-4 outcome observables
+    at dims 2, 4 and 8, the computed sums of A o B, A[t]B, (B|A) and
+    (B|A)(t|A) were off from I by at most 2.06 n m d eps more than the
+    operands' own sums; on 13,500 random 2-4 outcome observables B at dims
+    2, 4 and 8 and t in [-10, 10], the sums of B(t|a) were off by at most
+    2.68 n d eps more than B's own; on 6,006 convex combinations of k = 2-3
+    observables of 2-4 outcomes at dims 2-8, each admitted at its own sum
+    residual, the sums were off by at most 0.10 k m d eps more than the
+    operands' loosest tolerance. So the allowance is ROUNDING_UNITS = 4 such
+    units per term: 7.1e-15 for two 2-outcome qubit observables, 1.1e-13 for
+    two 4-outcome ones at dim 8, 3.6e-15 for one evolved 2-outcome qubit
+    observable.
     """
     return ROUNDING_UNITS * terms * dim * np.finfo(float).eps
 
@@ -232,26 +233,23 @@ def _pairwise(products, a: Observable, b: Observable, *args) -> Observable:
 
 
 def _conditioned(products, b: Observable, a: Observable, *args) -> Observable:
-    """Effect y is sum_x products(A_x, B_y, *args), summed once every pair is admitted.
-
-    The sum check allows for the products' rounding (_rounding).
-    """
+    """Effect y is sum_x products(A_x, B_y, *args), summed once every pair is admitted."""
     terms = np.array([e.matrix for e in _pairs(products, a, b, *args)])
     terms = terms.reshape(len(a), len(b), a.dim, a.dim)
-    tol = product_tol(a.tol, b.tol)
-    return _outcome_sums(b.outcomes, terms, tol, _rounding(len(a) * len(b), a.dim))
+    return _outcome_sums(b.outcomes, terms, product_tol(a.tol, b.tol))
 
 
-def _outcome_sums(outcomes, terms: np.ndarray, tol: float, rounding: float = 0.0) -> Observable:
+def _outcome_sums(outcomes, terms: np.ndarray, tol: float) -> Observable:
     """Effect y is the sum of terms[:, y], added in order from zero and admitted at tol.
 
-    ``rounding`` is the sum check's allowance (validate_observable).
+    The sum check allows for the rounding of the k·m computed d×d terms (_rounding).
     """
+    k, m, d, _ = terms.shape
     total = np.zeros(terms.shape[1:], dtype=complex)
     for term in terms:
         total = total + term
     members = admit_effects(total, (tol,) * len(total))
-    return validate_observable(members, outcomes, rounding=rounding)
+    return validate_observable(members, outcomes, rounding=_rounding(k * m, d))
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
@@ -304,8 +302,6 @@ def convex_combination(weights, observables) -> Observable:
             raise OutcomeSetMismatchError(
                 f"outcome sets differ: {first.outcomes} vs {o.outcomes}"
             )
-    dims = sorted({o.dim for o in obs})
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"summed effects have mixed dimensions: {dims}")
+    _check_dims(*(o.dim for o in obs))
     terms = [w * np.stack([e.matrix for e in o.effects]) for w, o in zip(ws, obs)]
     return _outcome_sums(first.outcomes, np.stack(terms), max(o.tol for o in obs))

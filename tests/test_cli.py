@@ -909,11 +909,12 @@ def test_colliding_product_labels_are_invalid_input(files, capsys):
     p = np.diag([1.0, 0.0])
     a = write_obs(files["root"] / "collide_a.json", [p, np.eye(2) - p], ["a⊗b", "a"])
     b = write_obs(files["root"] / "collide_b.json", [p, np.eye(2) - p], ["c", "b⊗c"])
+    message = (
+        "error: outcome pairs ('a⊗b', 'c') and ('a', 'b⊗c') both give the product "
+        "label 'a⊗b⊗c'\n"
+    )
     for argv in (["seqprod", a, b], ["tseq", a, b, "--t", "0.5"]):
-        code, out, err = run(capsys, ["observable", *argv])
-        assert code == 2, argv
-        assert out == ""
-        assert "'a⊗b⊗c'" in err
+        assert run(capsys, ["observable", *argv]) == (2, "", message), argv
     # (B|A) keeps B's labels, so the same files are fine there
     assert run(capsys, ["observable", "cond", a, b])[0] == 0
 
@@ -950,7 +951,7 @@ def test_observable_file_of_mixed_dimensions_is_invalid_input(files, capsys):
     root = files["root"]
     mixed = _write_raw_observable(root / "mixed.json", [np.eye(2) / 2, np.eye(3) / 2], ["x", "y"])
     code, _, err = run(capsys, ["observable", "tseq", mixed, mixed])
-    assert (code, err) == (2, "error: members have mixed dimensions: [2, 3]\n")
+    assert (code, err) == (2, "error: dimension mismatch: (2, 3)\n")
     # each member is admitted before the dimensions are compared
     bad = _write_raw_observable(root / "mixed_bad.json", [np.eye(2) / 2, 2 * np.eye(3)], ["x", "y"])
     code, _, err = run(capsys, ["validate", "--kind", "observable", bad])
@@ -966,6 +967,37 @@ OVERFLOW = np.array([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]])
 
 # 0.5 I plus an anti-Hermitian part: |M - M†| and max|M| both pass the float range.
 ANTI = np.array([[0.5, 1.5e308 + 1.5e308j], [-1.5e308 + 1.5e308j, 0.5]])
+
+
+def test_an_observable_file_gets_one_exit_code_from_every_command(files, capsys):
+    # a file that parses but is not an observable fails alike in validate and in
+    # every observable subcommand: repeated labels and no effects are malformed
+    # input (exit 3, one error line), members of two dimensions invalid input (exit 2)
+    root = files["root"]
+    half = np.eye(2) / 2
+    cases = [
+        ("dup", [half, half], ["x", "x"], 3, "outcome labels must be unique"),
+        ("empty", [], [], 3, "an observable needs at least one effect"),
+        ("mixed", [half, np.eye(3) / 2], ["x", "y"], 2, "dimension mismatch: (2, 3)"),
+    ]
+    for name, members, labels, expected, message in cases:
+        path = _write_raw_observable(root / f"one_code_{name}.json", members, labels)
+        code, out, err = run(capsys, ["validate", "--kind", "observable", path])
+        if expected == 2:
+            assert (code, out, err) == (2, f"valid: false\nreason: {message}\n", ""), name
+        else:
+            assert (code, out, err) == (3, "", f"error: {message}\n"), name
+        for argv in (
+            ["dist", path, "--state", files["rho"]],
+            ["seqprod", path, path],
+            ["tseq", path, path, "--t", "0.5"],
+            ["cond", path, path],
+            ["tcond", path, path, "--t", "0.5"],
+            ["evolve", path, files["a"], "--t", "0.5"],
+            ["convex", "--weights", "1", path],
+        ):
+            code, out, err = run(capsys, ["observable", *argv])
+            assert (code, out, err) == (expected, "", f"error: {message}\n"), (name, argv)
 
 
 def _operand_faults(root, kind):

@@ -311,6 +311,23 @@ def test_scan_config_validation():
             ScanConfig(commutator_floor=floor)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"t_window": (1.0,)},
+        {"t_window": None},
+        {"t_window": ("a", "b")},
+        {"t_window": (0.0, 1j)},
+        {"commutator_floor": "x"},
+        {"commutator_floor": None},
+    ],
+)
+def test_scan_config_refuses_a_window_or_floor_that_is_not_real(fields):
+    # checked before any comparison, which would raise Python's own error
+    with pytest.raises(EffectdynError):
+        ScanConfig(**fields)
+
+
 @pytest.mark.parametrize("field", ["dim", "trials", "seed"])
 def test_scan_config_rejects_non_integers(field):
     # a float count used to construct and then fail deep in the scan with TypeError

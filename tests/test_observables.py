@@ -27,6 +27,7 @@ from effectdyn.effects import stacked_roots
 from effectdyn.errors import (
     ConsistencyError,
     DimensionMismatchError,
+    LabelCollisionError,
     MemberNotEffectError,
     OutcomeSetMismatchError,
     SchemaError,
@@ -35,7 +36,7 @@ from effectdyn.errors import (
 )
 
 from effectdyn.evolution import EigenFrame
-from effectdyn.observables import Observable
+from effectdyn.observables import ROUNDING_UNITS, Observable
 
 from support import random_effect, random_observable, random_state
 
@@ -101,7 +102,7 @@ def test_validate_observable_label_rules():
 
 
 def test_validate_observable_mixed_dims():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"^dimension mismatch: \(2, 3\)$"):
         validate_observable([np.eye(2) / 2, np.eye(3) / 2])
 
 
@@ -333,8 +334,47 @@ def test_convex_combination_errors(rng):
     with pytest.raises(WeightsNotNormalizedError):
         convex_combination([0.5, 0.5], [b1])
     wider = validate_observable([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"^dimension mismatch: \(2, 3\)$"):
         convex_combination([0.5, 0.5], [b1, wider])
+
+
+def tight_observable(dim: int, n_outcomes: int, rng) -> Observable:
+    """A random POVM {S^-1/2 G_x S^-1/2} whose members are admitted at its own sum residual."""
+    x = rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal((n_outcomes, dim, dim))
+    g = x @ x.conj().swapaxes(1, 2)
+    w, v = np.linalg.eigh(g.sum(axis=0))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    members = [linalg.hermitian_part(inv_root @ gx @ inv_root) for gx in g]
+    tol = max(float(linalg.operator_norms(sum(members) - np.eye(dim))), 1e-300)
+    return validate_observable([validate_effect(m, tol) for m in members])
+
+
+def test_convex_combination_allows_for_the_rounding_of_its_weighted_members():
+    # each operand passes its own sum check with no slack, so the mixture's
+    # check must allow for the rounding of its k·m weighted members
+    rng = np.random.default_rng(1)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        a, b = tight_observable(2, 2, rng), tight_observable(2, 2, rng)
+        w = float(rng.uniform(0.05, 0.95))
+        mixed = convex_combination([w, 1.0 - w], [a, b])
+        # k·m·d = 2·2·2 units of eps
+        assert mixed.sum_residual <= max(a.tol, b.tol) + ROUNDING_UNITS * 8 * eps
+
+
+def test_product_labels_that_collide_are_refused(rng):
+    # the outcome pairs (a, b⊗c) and (a⊗b, c) both join to the label a⊗b⊗c
+    a = validate_observable([e.matrix for e in random_observable(2, 2, rng).effects], ["a", "a⊗b"])
+    b = validate_observable([e.matrix for e in random_observable(2, 2, rng).effects], ["b⊗c", "c"])
+    message = (
+        "outcome pairs ('a', 'b⊗c') and ('a⊗b', 'c') both give the product label 'a⊗b⊗c'"
+    )
+    with pytest.raises(LabelCollisionError) as info:
+        obs_seq_product(a, b)
+    assert str(info.value) == message
+    with pytest.raises(LabelCollisionError) as info:
+        obs_time_seq_product(a, b, 0.7)
+    assert str(info.value) == message
 
 
 def test_convex_linearity_under_time_seq_product(rng):
