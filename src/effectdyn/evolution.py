@@ -20,11 +20,11 @@ are frame reads as well. A frame has three readers: EigenFrame.at(t,
 order), at one time or on a grid of times, and deviation_norms and
 trajectory (evolve's columns), on a grid. Every time they take passes one
 rule, EigenFrame.check_phases, and every order one rule, in at. A frame of
-a[t]b validates a∘b and cross-checks its two routes once, when it is built;
-the public time_seq_product checks its one t against the dense form. Only
-classify_scaled_projection groups coincident eigenvalues. Derived effects
-and decisions use the loosest operand's admission tolerance, Effect.tol;
-products compound it (product_tol).
+a[t]b validates a∘b and cross-checks its two routes once, when it is built,
+which covers every t; every a[t]b, time_seq_product's included, is read
+from such a frame. Only classify_scaled_projection groups coincident
+eigenvalues. Derived effects and decisions use the loosest operand's
+admission tolerance, Effect.tol; products compound it (product_tol).
 
 Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 """
@@ -44,6 +44,7 @@ from .effects import (
     admit_effects,
     commutator_norm,
     commutes,
+    product_tol,
     products_and_roots,
     sequential_product,
     validate_effect,
@@ -60,10 +61,8 @@ from .errors import (
 # Grid-sampled constancy decisions (one order looser than the algebraic one:
 # the grid maximum underestimates the true supremum).
 BRUTEFORCE_TOL = 1e-8
-# Agreement required between the two computed forms of a[t]b; the one-time
-# check of time_seq_products adds the rounding of its phases t*w.
+# Agreement required between the two computed forms of a[t]b's frame.
 CROSS_CHECK_TOL = 1e-10
-_EPS = float(np.finfo(float).eps)
 _FLOAT_MAX = float(np.finfo(float).max)
 # Largest derivative order a frame takes: numpy's power takes the order as a
 # float, which holds every integer only up to 2^53.
@@ -251,25 +250,22 @@ def _frequencies(w: np.ndarray) -> np.ndarray:
     return w[..., :, None] - w[..., None, :]
 
 
-def _cross_check(value: np.ndarray, second_route: np.ndarray, allowance=0.0) -> None:
-    """Raise ConsistencyError where the two routes differ beyond CROSS_CHECK_TOL + allowance.
+def _cross_check(value: np.ndarray, second_route: np.ndarray) -> None:
+    """Raise ConsistencyError where the two routes differ beyond CROSS_CHECK_TOL.
 
-    Takes one matrix or a stack, and one allowance or one per slice; the first
-    failing slice raises. The residual is the spectral norm of each slice's
-    difference. No slice's exceeds the Frobenius norm of the whole stack's,
-    so a stack whose Frobenius norm is within every bound passes without
-    singular values.
+    Takes one matrix or a stack; the first failing slice raises. The residual
+    is the spectral norm of each slice's difference. No slice's exceeds the
+    Frobenius norm of the whole stack's, so a stack whose Frobenius norm is
+    within the bound passes without singular values.
     """
     diff = value - second_route
-    bounds = CROSS_CHECK_TOL + allowance
-    if math.sqrt(np.vdot(diff, diff).real) <= np.asarray(bounds).min():
+    if math.sqrt(np.vdot(diff, diff).real) <= CROSS_CHECK_TOL:
         return
-    residuals = np.atleast_1d(linalg.spectral_norm(diff))
-    for residual, bound in zip(*np.broadcast_arrays(residuals, bounds)):
-        if residual > bound:
+    for residual in np.atleast_1d(linalg.spectral_norm(diff)):
+        if residual > CROSS_CHECK_TOL:
             raise ConsistencyError(
                 f"the two forms of a[t]b disagree by {residual:.3e} (bound "
-                f"{bound:g}); this indicates a numerical defect, not a "
+                f"{CROSS_CHECK_TOL:g}); this indicates a numerical defect, not a "
                 "property of the inputs"
             )
 
@@ -321,12 +317,9 @@ def deviation_norm(b: Effect, a: Effect, t: float) -> float:
 def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
     """a[t]b = a o b(t|a): measure a, wait time t, then measure b.
 
-    Since e^{-ita} commutes with a^{1/2}, this is (a o b)(t|a), the value of
-    the frame of a o b. For one t, that value is checked directly against
-    the dense form a^{1/2} b(t|a) a^{1/2} (ConsistencyError beyond
-    CROSS_CHECK_TOL) instead of through EigenFrame.product's check for every
-    t, and returned validated at product_tol of the operands. The one-pair
-    case of time_seq_products.
+    Since e^{-ita} commutes with a^{1/2}, this is (a o b)(t|a), the value at t
+    of the checked frame of a o b (EigenFrame.product), returned validated at
+    product_tol of the operands. The one-pair case of time_seq_products.
     """
     return time_seq_products([a], [b], t)[0]
 
@@ -334,37 +327,15 @@ def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
 def time_seq_products(lefts, rights, t: float) -> tuple[Effect, ...]:
     """a[t]b for every aligned pair (lefts[k], rights[k]) of one dimension, in one stacked pass.
 
-    Pair k takes the steps of time_seq_product: a o b admitted at its
-    product_tol (sequential_products), its value from the stacked frame of
-    a o b, the dense cross-check against a^{1/2} (u b u†) a^{1/2} with
-    u = e^{-ita} (exactly I at t = 0), and the value's admission at that
-    product_tol. Each check runs over the whole stack before the next; its
-    first failing pair raises. No pairs give ().
-
-    The cross-check allows CROSS_CHECK_TOL plus the rounding of the phases,
-    which grows with |t|. In a's eigenbasis both routes are D X D† up to
-    rounding, X = V†(a o b)V and D = diag(exp(-it w_j)) (see
-    EigenFrame._rotated). The frame's phase t (w_j - w_0) of D_jj rounds
-    twice, by at most eps |t| (w_max - w_min) in all; the dense route's
-    t w_j rounds by at most eps |t| |w_j| / 2. So the routes' D differ by
-    phases r_j with |r_j| <= eps |t| (w_max - w_min + max|w| / 2), which
-    move entry jk by at most |r_j - r_k| |X_jk|, the whole by at most
-    2 max|r| ||X||_F in norm: the routes part by
-    eps |t| (2 (w_max - w_min) + max|w|) ||X||_F beyond the rest of their
-    rounding, at most 3 eps |t| max|w| ||X||_F for a spectrum >= 0.
+    Pair k takes the steps of time_seq_product: the frame of a o b, built and
+    cross-checked by EigenFrame.stacked_products, read at t, and the value
+    admitted at the pair's product_tol. Each check runs over the whole stack
+    before the next; its first failing pair raises. No pairs give ().
     """
     if not lefts:
         return ()
-    ab, (d, _, s) = products_and_roots(lefts, rights)
-    m = np.array([e.matrix for e in ab])
-    value = EigenFrame._from_decomposition(d, m).at(t)
-    u = linalg.unitary_from_decomposition(d, t)
-    b = np.array([e.matrix for e in rights])
-    w = d.eigenvalues  # ascending
-    spread = 2.0 * (w[..., -1] - w[..., 0]) + np.abs(w).max(axis=-1)
-    allowance = _EPS * abs(t) * spread * np.linalg.norm(m, axis=(-2, -1))
-    _cross_check(value, s @ (u @ b @ linalg.adjoint(u)) @ s, allowance)
-    return admit_effects(value, [e.tol for e in ab])
+    frame = EigenFrame.stacked_products(lefts, rights)
+    return admit_effects(frame.at(t), [product_tol(a.tol, b.tol) for a, b in zip(lefts, rights)])
 
 
 def seq_product_derivative(a: Effect, b: Effect, t: float) -> np.ndarray:

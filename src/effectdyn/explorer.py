@@ -26,7 +26,8 @@ costs about g'' d^2 / 2, which is at rounding level once d is about
 sqrt(eps), whatever |t| is, so the tolerance is sqrt(eps) plus the float
 spacing 4 eps |t|, not the usual sqrt(eps) |t|. One kernel, in the
 eigenbasis of a, evaluates every gap of the search; its reference is
-symmetry_gap, through the dense cross-checked time_seq_products. A positive
+symmetry_gap, which reads the pair's checked frames (time_seq_products), and
+tests/support.py's gap_polar is the frame-free one. A positive
 ``min_gap_lower`` proves a[t]b != b[t]a for every t in the window, and only
 there: the gap is almost periodic in t, so the window says nothing about t
 outside it. What exactly is certified, and to what rounding, is stated in

@@ -13,6 +13,7 @@ import numpy as np
 from effectdyn import Effect, State, linalg, serialization, validate_effect, validate_state
 from effectdyn.effects import STATE_TRACE_TOL
 from effectdyn.errors import EffectdynError, SchemaError, SpectrumOutOfRangeError, TraceNotOneError
+from effectdyn.evolution import CROSS_CHECK_TOL
 from effectdyn.observables import Observable, validate_observable
 
 
@@ -142,6 +143,8 @@ def reference_bounds(ts, gs, lip: float, curv: float, slack: float) -> np.ndarra
     return np.maximum(cone, np.where(np.isfinite(lower), lower, -np.inf))
 
 
+_EPS = float(np.finfo(float).eps)
+
 # The package's zero rule for roots (effects.SQRT_ZERO_CUTOFF), written out again for gap_polar.
 ROOT_ZERO_CUTOFF = 1e-13
 
@@ -179,6 +182,35 @@ def gap_polar(a: Effect, b: Effect, t: float) -> float:
     v_t = _own_exp(b.matrix, -t) @ _own_exp(a.matrix, t) @ (p @ qh)
     c = x.conj().T @ x
     return float(np.linalg.norm(v_t @ c - c @ v_t, 2))
+
+
+def dense_time_seq_product(a: Effect, b: Effect, t: float) -> np.ndarray:
+    """a[t]b by the dense route s (u b u†) s, s = a^{1/2} and u = e^{-ita}; it forms no EigenFrame.
+
+    u is linalg.unitary_from_decomposition of a's cached decomposition, so
+    the route shares only a's eigensolve and root with the frame's.
+    """
+    u = linalg.unitary_from_decomposition(a.decomposition, t)
+    return a.sqrt @ (u @ b.matrix @ u.conj().T) @ a.sqrt
+
+
+def dense_route_allowance(a: Effect, ab: Effect, t: float) -> float:
+    """How far the frame's a[t]b and dense_time_seq_product may part at t.
+
+    CROSS_CHECK_TOL plus the rounding of the phases, which grows with |t|. In
+    a's eigenbasis both routes are D X D† up to rounding, X = V†(a o b)V and
+    D = diag(exp(-it w_j)) (see EigenFrame._rotated). The frame's phase
+    t (w_j - w_0) of D_jj rounds twice, by at most eps |t| (w_max - w_min) in
+    all; the dense route's t w_j rounds by at most eps |t| |w_j| / 2. So the
+    routes' D differ by phases r_j with |r_j| <= eps |t| (w_max - w_min +
+    max|w| / 2), which move entry jk by at most |r_j - r_k| |X_jk|, the whole
+    by at most 2 max|r| ||X||_F in norm: the routes part by
+    eps |t| (2 (w_max - w_min) + max|w|) ||X||_F beyond the rest of their
+    rounding, at most 3 eps |t| max|w| ||X||_F for a spectrum >= 0.
+    """
+    w = a.decomposition.eigenvalues  # ascending
+    spread = 2.0 * (w[-1] - w[0]) + np.abs(w).max()
+    return CROSS_CHECK_TOL + _EPS * abs(t) * spread * float(np.linalg.norm(ab.matrix))
 
 
 def state_faults(dim: int, rng: np.random.Generator) -> dict:

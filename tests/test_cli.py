@@ -795,8 +795,8 @@ def test_observable_tseq_at_zero_matches_seqprod(files, capsys):
 
 @pytest.mark.parametrize("sub", ["tseq", "tcond"])
 def test_observable_products_at_large_t(sub, tmp_path, capsys):
-    # at t = 1e8 the rounding of the phases t*w parts the two forms of each
-    # a[t]b by about 1e-9, which the cross-check allows for
+    # at t = 1e8 the phases round by about 1e-8 rad; each a[t]b still passes,
+    # as its frame's cross-check, made when it is built, holds at every t
     rng = np.random.default_rng(3)
     paths = []
     for name in ("obs_a", "obs_b"):

@@ -33,8 +33,11 @@ from effectdyn import (
 from effectdyn.effects import sequential_products
 from effectdyn.errors import EffectdynError, EmptyGridError, InvalidOrderError, NotAProjectionError
 from effectdyn.evolution import EigenFrame, effect_evolutions, time_seq_products
+from effectdyn.observables import obs_time_seq_product, time_conditional_observable, validate_observable
 
 from support import (
+    dense_route_allowance,
+    dense_time_seq_product,
     random_commuting_pair,
     random_effect,
     random_projection,
@@ -712,12 +715,23 @@ def test_empty_families(call, want):
 
 
 def test_consistency_error_when_routes_disagree_at_construction(rng):
+    # a root off by 1e-6 shifts a∘b and with it a[t]b at every t; a check of
+    # one t's value against s (u b u†) s misses that near t = 0, where u is
+    # I or nearly so, but the frame's check at construction holds for every t
+    # (t = 0 is the CLI default)
     a, b = random_effect(3, rng), random_effect(3, rng)
     broken = _with_broken_sqrt(a, rng)
     with pytest.raises(ConsistencyError):
         EigenFrame.product(broken, b)
+    for t in (0.0, 1e-7, 1e-5, 1.0):
+        with pytest.raises(ConsistencyError):
+            time_seq_product(broken, b, t)
+    a_obs = validate_observable([broken, validate_effect(np.eye(3) - a.matrix)])
+    b_obs = validate_observable([b, validate_effect(np.eye(3) - b.matrix)])
     with pytest.raises(ConsistencyError):
-        time_seq_product(broken, b, 1.0)
+        obs_time_seq_product(a_obs, b_obs, 0.0)
+    with pytest.raises(ConsistencyError):
+        time_conditional_observable(b_obs, a_obs, 0.0)
 
 
 def test_eigen_frame_products_stack_product_bit_for_bit(rng):
@@ -751,29 +765,48 @@ def test_eigen_frame_products_check_every_slice(rng):
             EigenFrame.stacked_products(lefts, [b, c, a])
 
 
-def test_consistency_error_at_the_public_boundary(rng, monkeypatch):
-    a, b = random_effect(3, rng), random_effect(3, rng)
-    unitary = linalg.unitary_from_decomposition
-    monkeypatch.setattr(linalg, "unitary_from_decomposition", lambda d, t: unitary(d, 2.0 * t))
-    EigenFrame.product(a, b)  # the frame alone never forms the dense unitary
-    with pytest.raises(ConsistencyError):
-        time_seq_product(a, b, 1.0)
+_PARITY_TIMES = (0.0, 1e-3, -1e-3, 1.0, -1.0, 1e4, 1e8, -1e8, 1e10)
 
 
-@pytest.mark.parametrize("dim", range(2, 9))
-def test_cross_check_allows_for_phase_rounding_at_large_t(dim, monkeypatch):
-    # each route rounds its phases by about eps |t|, so at t = 1e8 the two
-    # forms of a[t]b part by about 1e-9 with neither at fault
-    rng = np.random.default_rng(3)
-    a, b = explorer.random_effect(dim, rng), explorer.random_effect(dim, rng)
-    for t in (1e7, 1e8, -1e8, 1e9, 1e10):
-        for x, y in ((a, b), (b, a)):
-            time_seq_product(x, y, t)
-    # the allowance still leaves a defect of the dense route in plain view
-    unitary = linalg.unitary_from_decomposition
-    monkeypatch.setattr(linalg, "unitary_from_decomposition", lambda d, t: unitary(d, t + 1e-6))
-    with pytest.raises(ConsistencyError):
-        time_seq_product(a, b, 1e8)
+def _dense_parity(seed: int):
+    """(residual, allowance) of time_seq_products against the dense route, per pair and time.
+
+    Dims 1-8, each with a generic pair both ways and a singular left operand.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for dim in range(1, 9):
+        u = random_unitary(dim, rng)
+        w = np.where(np.arange(dim) < (dim + 1) // 2, 0.0, rng.uniform(0.0, 1.0, dim))
+        singular = validate_effect((u * w) @ u.conj().T)
+        a, b = explorer.random_effect(dim, rng), explorer.random_effect(dim, rng)
+        lefts, rights = [a, b, singular], [b, a, a]
+        products = sequential_products(lefts, rights)
+        for t in _PARITY_TIMES:
+            values = time_seq_products(lefts, rights, t)
+            for left, right, ab, value in zip(lefts, rights, products, values):
+                residual = linalg.spectral_norm(value.matrix - dense_time_seq_product(left, right, t))
+                out.append((residual, dense_route_allowance(left, ab, t)))
+    return out
+
+
+def test_time_seq_products_match_the_dense_route():
+    # every a[t]b, read from its frame, is the dense s (u b u†) s to rounding
+    # and the rounding of the phases, at every listed t, also at |t| = 1e10
+    for residual, allowance in _dense_parity(3):
+        assert residual <= allowance
+
+
+def test_dense_parity_catches_a_doubled_phase(monkeypatch):
+    # a frame read at 2t instead of t passes the frame's own check, built at
+    # no t, but not the parity with the dense route
+    rotated = EigenFrame._rotated
+
+    def doubled(self, t, order=0):
+        return rotated(self, 2.0 * np.asarray(t), order)
+
+    monkeypatch.setattr(EigenFrame, "_rotated", doubled)
+    assert any(residual > allowance for residual, allowance in _dense_parity(3))
 
 
 def test_products_keep_their_spectrum_at_huge_t():

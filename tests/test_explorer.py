@@ -186,7 +186,7 @@ def _polar_tolerance(a, b, t: float) -> float:
     - Rounding: each route eigensolves, roots, multiplies and takes a norm of
       matrices of norm <= 1, a few d eps per step: 16 d eps in all.
     - Phases: per side, the frame's phases and the dense ones part by
-      eps |t| (2 (w_max - w_min) + max|w|) ||X||_F (evolution.time_seq_products),
+      eps |t| (2 (w_max - w_min) + max|w|) ||X||_F (support.dense_route_allowance),
       ||X||_F <= sqrt(d), for the spectrum w of a and of b.
     - Roots: one eigensolve moves an eigenvalue w by at most
       err = 8 d eps max(1, w_max), so two routes' roots of it part by

@@ -509,7 +509,6 @@ def test_consistency_error_names_the_first_pair(rng, monkeypatch):
     a_obs = random_observable(3, 3, rng)
     b_obs = random_observable(3, 2, rng)
     monkeypatch.setattr(evolution, "CROSS_CHECK_TOL", 0.0)
-    monkeypatch.setattr(evolution, "_EPS", 0.0)  # and so the phase allowance
     messages = []
     for ax in a_obs.effects:
         for by in b_obs.effects:
