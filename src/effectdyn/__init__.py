@@ -17,7 +17,6 @@ from .effects import (
     clamp_unit,
     commutes,
     commuting_witness,
-    evolve_state,
     identity_effect,
     maximally_mixed_state,
     probability,
@@ -55,6 +54,7 @@ from .evolution import (
     deviation_norm,
     effect_evolution,
     evolution_derivative,
+    evolve_state,
     max_seq_deviation,
     projection_evolution_closed_form,
     seq_deviation_profile,

@@ -428,9 +428,3 @@ def commuting_witness(a: Effect, b: Effect) -> CoexistenceWitness:
     members = np.array([a.matrix - prod, b.matrix - prod, prod])
     return CoexistenceWitness(*admit_effects(members, (product_tol(a.tol, b.tol),) * 3))
 
-
-def evolve_state(rho: State, a: Effect, t: float) -> State:
-    """exp(ita) rho exp(-ita): the state after the unitary a-channel runs for time t."""
-    _check_dims(rho.dim, a.dim)
-    u = linalg.unitary_from_decomposition(a.decomposition, t)
-    return validate_state(u.conj().T @ rho.matrix @ u, max(rho.tol, a.tol))

@@ -14,17 +14,19 @@ e^{-ita} m e^{ita} = V (E_t ⊙ V†mV) V† with E_t(j,k) = e^{-it(w_j - w_k)},
 so a frame is built once per pair, from a's cached Effect.decomposition,
 and each t costs only the phases. A family of effects evolved by one a,
 B(t|a) of an observable, shares one frame of a whose m is their stack
-(effect_evolutions; effect_evolution is its one-effect case). In V,
-[·, a] scales entry jk by -(w_j - w_k), so time derivatives and deviations
-are frame reads as well. A frame has three readers: EigenFrame.at(t,
-order), at one time or on a grid of times, and deviation_norms and
-trajectory (evolve's columns), on a grid. Every time they take passes one
-rule, EigenFrame.check_phases, and every order one rule, in at. A frame of
-a[t]b validates a∘b and cross-checks its two routes once, when it is built,
-which covers every t; every a[t]b, time_seq_product's included, is read
-from such a frame. Only classify_scaled_projection groups coincident
-eigenvalues. Derived effects and decisions use the loosest operand's
-admission tolerance, Effect.tol; products compound it (product_tol).
+(effect_evolutions; effect_evolution is its one-effect case). A state
+evolves by the dual rule, e^{ita} rho e^{-ita}: its frame read at -t
+(evolve_state). In V, [·, a] scales entry jk by -(w_j - w_k), so time
+derivatives and deviations are frame reads as well. A frame has three
+readers: EigenFrame.at(t, order), at one time or on a grid of times, and
+deviation_norms and trajectory (evolve's columns), on a grid. Every time
+they take passes one rule, EigenFrame.check_phases, and every order one
+rule, in at. A frame of a[t]b validates a∘b and cross-checks its two
+routes once, when it is built, which covers every t; every a[t]b,
+time_seq_product's included, is read from such a frame. Only
+classify_scaled_projection groups coincident eigenvalues. Derived effects
+and decisions use the loosest operand's admission tolerance, Effect.tol;
+products compound it (product_tol).
 
 Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 """
@@ -40,6 +42,7 @@ import numpy as np
 from . import linalg
 from .effects import (
     Effect,
+    State,
     _check_dims,
     admit_effects,
     commutator_norm,
@@ -48,6 +51,7 @@ from .effects import (
     products_and_roots,
     sequential_product,
     validate_effect,
+    validate_state,
 )
 from .errors import (
     ConsistencyError,
@@ -294,6 +298,20 @@ def effect_evolutions(rights, a: Effect, t: float) -> tuple[Effect, ...]:
         _check_dims(a.dim, b.dim)
     frame = EigenFrame._from_decomposition(a.decomposition, np.array([b.matrix for b in rights]))
     return admit_effects(frame.at(t), [max(a.tol, b.tol) for b in rights])
+
+
+def evolve_state(rho: State, a: Effect, t: float) -> State:
+    """e^{ita} rho e^{-ita}: the state after the unitary a-channel runs for time t.
+
+    The dual of b(t|a) (tr(rho(t) b) = tr(rho b(t|a))): the frame of rho
+    under a, from a's cached decomposition, read at -t, so its time rule is
+    EigenFrame.check_phases, as for every evolution; a phase t (w_j - w_k)
+    that is not finite raises EffectdynError. The value is admitted by
+    validate_state at max(rho.tol, a.tol).
+    """
+    _check_dims(rho.dim, a.dim)
+    frame = EigenFrame._from_decomposition(a.decomposition, rho.matrix)
+    return validate_state(frame.at(-t), max(rho.tol, a.tol))
 
 
 def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarray:

@@ -27,7 +27,7 @@ sqrt(eps), whatever |t| is, so the tolerance is sqrt(eps) plus the float
 spacing 4 eps |t|, not the usual sqrt(eps) |t|. One kernel, in the
 eigenbasis of a, evaluates every gap of the search; its reference is
 symmetry_gap, which reads the pair's checked frames (time_seq_products), and
-tests/support.py's gap_polar is the frame-free one. A positive
+tests/dense_reference.py's gap_polar is the frame-free one. A positive
 ``min_gap_lower`` proves a[t]b != b[t]a for every t in the window, and only
 there: the gap is almost periodic in t, so the window says nothing about t
 outside it. What exactly is certified, and to what rounding, is stated in

@@ -1,12 +1,14 @@
 """Dense complex linear algebra for Hermitian operators.
 
-Spectral decompositions, unitary propagators, commutators and norms on
-small dense matrices; the Hermiticity check, adjoints, unitaries and norms
-also take (k, d, d) stacks. Everything here is pure and operates on
-immutable inputs; returned arrays are new allocations. The checked entry
-points (as_complex_matrix, require_hermitian, eigh, operator_norm) serve
-outside callers; the package reads matrices it has admitted through the
-unchecked ones (hermitian_eigh, operator_norms, commutator).
+Spectral decompositions, commutators and norms on small dense matrices;
+the Hermiticity check, adjoints and norms also take (k, d, d) stacks.
+Everything here is pure and operates on immutable inputs; returned arrays
+are new allocations. The checked entry points (as_complex_matrix,
+require_hermitian, eigh, operator_norm) serve outside callers; the package
+reads matrices it has admitted through the unchecked ones (hermitian_eigh,
+operator_norms, commutator). unitary_from_decomposition has no caller in
+the package: every evolution is a read of evolution.EigenFrame. It stays
+while bench/tracer.py traces it, and leaves with that span.
 """
 
 from __future__ import annotations
@@ -137,7 +139,9 @@ def unitary_from_decomposition(d: SpectralDecomposition, t: float) -> np.ndarray
 
     Exact for Hermitian a; returns the identity exactly at t = 0. Raises
     EffectdynError where t * w is not finite (it overflows for an eigenvalue w
-    beyond 1 at a finite t near the float limit).
+    beyond 1 at a finite t near the float limit). No package code calls it:
+    evolutions read EigenFrame, whose time rule is EigenFrame.check_phases.
+    It is kept only because bench/tracer.py traces it, and goes with that span.
     """
     if t == 0:
         return np.broadcast_to(np.eye(d.dim, dtype=complex), d.vectors.shape).copy()

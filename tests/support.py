@@ -13,7 +13,6 @@ import numpy as np
 from effectdyn import Effect, State, linalg, serialization, validate_effect, validate_state
 from effectdyn.effects import STATE_TRACE_TOL
 from effectdyn.errors import EffectdynError, SchemaError, SpectrumOutOfRangeError, TraceNotOneError
-from effectdyn.evolution import CROSS_CHECK_TOL
 from effectdyn.observables import Observable, validate_observable
 
 
@@ -97,10 +96,14 @@ def random_observable(dim: int, n_outcomes: int, rng: np.random.Generator) -> Ob
     for _ in range(n_outcomes):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         blocks.append(g @ g.conj().T)
-    total = np.sum(blocks, axis=0)
-    w, v = np.linalg.eigh(total)
+    return validate_observable(normalized_members(blocks))
+
+
+def normalized_members(grams) -> list[np.ndarray]:
+    """S^{-1/2} G_x S^{-1/2} for positive G_x, S = sum G_x: members summing to I up to rounding."""
+    w, v = np.linalg.eigh(np.sum(grams, axis=0))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return validate_observable([inv_root @ blk @ inv_root for blk in blocks])
+    return [inv_root @ g @ inv_root for g in grams]
 
 
 def reference_bounds(ts, gs, lip: float, curv: float, slack: float) -> np.ndarray:
@@ -145,72 +148,26 @@ def reference_bounds(ts, gs, lip: float, curv: float, slack: float) -> np.ndarra
 
 _EPS = float(np.finfo(float).eps)
 
-# The package's zero rule for roots (effects.SQRT_ZERO_CUTOFF), written out again for gap_polar.
-ROOT_ZERO_CUTOFF = 1e-13
 
+def dense_route_allowance(a: np.ndarray, m: np.ndarray, t: float) -> float:
+    """How far a frame's e^{-ita} m e^{ita} and dense_reference's may part at t; a, m of norm <= 1.
 
-def _own_root(matrix: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix from one eigh of its own.
-
-    The eigenvalues are clipped at 0, and those at or below
-    ROOT_ZERO_CUTOFF * max(1, top eigenvalue) taken as exact zeros, as the
-    package's roots are, but by code that shares nothing with effects or linalg.
+    Rounding: each route eigensolves a (the same matrix) and multiplies
+    matrices of norm <= 1, a few d eps per step, 16 d eps in all. Phases, which
+    grow with |t|: in a's eigenbasis both routes are D X D† up to rounding,
+    X = V†mV and D = diag(exp(-it w_j)) (see EigenFrame._rotated); for a[t]b,
+    m = a o b, as the dense s (u b u†) s is u (a o b) u† with s diagonal in V.
+    The frame's phase t (w_j - w_0) of D_jj rounds twice, by at most
+    eps |t| (w_max - w_min) in all; the dense route's t w_j rounds by at most
+    eps |t| |w_j| / 2. So the routes' D differ by phases r_j with
+    |r_j| <= eps |t| (w_max - w_min + max|w| / 2), which move entry jk by at
+    most |r_j - r_k| |X_jk|, the whole by at most 2 max|r| ||X||_F in norm:
+    eps |t| (2 (w_max - w_min) + max|w|) ||m||_F, at most 3 eps |t| max|w| ||m||_F
+    for a spectrum >= 0.
     """
-    w, v = np.linalg.eigh(matrix)
-    r = np.maximum(w, 0.0)
-    r[r <= ROOT_ZERO_CUTOFF * max(1.0, w[-1])] = 0.0
-    return (v * np.sqrt(r)) @ v.conj().T
-
-
-def _own_exp(matrix: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t m) of a Hermitian m, densely from one eigh of its own."""
-    w, v = np.linalg.eigh(matrix)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
-
-
-def gap_polar(a: Effect, b: Effect, t: float) -> float:
-    """||a[t]b - b[t]a|| by the polar route, which shares no code with EigenFrame or linalg.
-
-    With X = a^{1/2} b^{1/2} = U|X| (U = P Q† from one SVD X = P S Q†),
-    a o b = X X† = U (b o a) U†, so with V_t = e^{itb} e^{-ita} U and
-    a[t]b = e^{-ita} (a o b) e^{ita}, the gap is
-    ||V_t (b o a) V_t† - b o a|| = ||[V_t, b o a]||, b o a = X† X. It holds
-    for any polar factor, so a singular X needs no care.
-    """
-    x = _own_root(a.matrix) @ _own_root(b.matrix)
-    p, _, qh = np.linalg.svd(x)
-    v_t = _own_exp(b.matrix, -t) @ _own_exp(a.matrix, t) @ (p @ qh)
-    c = x.conj().T @ x
-    return float(np.linalg.norm(v_t @ c - c @ v_t, 2))
-
-
-def dense_time_seq_product(a: Effect, b: Effect, t: float) -> np.ndarray:
-    """a[t]b by the dense route s (u b u†) s, s = a^{1/2} and u = e^{-ita}; it forms no EigenFrame.
-
-    u is linalg.unitary_from_decomposition of a's cached decomposition, so
-    the route shares only a's eigensolve and root with the frame's.
-    """
-    u = linalg.unitary_from_decomposition(a.decomposition, t)
-    return a.sqrt @ (u @ b.matrix @ u.conj().T) @ a.sqrt
-
-
-def dense_route_allowance(a: Effect, ab: Effect, t: float) -> float:
-    """How far the frame's a[t]b and dense_time_seq_product may part at t.
-
-    CROSS_CHECK_TOL plus the rounding of the phases, which grows with |t|. In
-    a's eigenbasis both routes are D X D† up to rounding, X = V†(a o b)V and
-    D = diag(exp(-it w_j)) (see EigenFrame._rotated). The frame's phase
-    t (w_j - w_0) of D_jj rounds twice, by at most eps |t| (w_max - w_min) in
-    all; the dense route's t w_j rounds by at most eps |t| |w_j| / 2. So the
-    routes' D differ by phases r_j with |r_j| <= eps |t| (w_max - w_min +
-    max|w| / 2), which move entry jk by at most |r_j - r_k| |X_jk|, the whole
-    by at most 2 max|r| ||X||_F in norm: the routes part by
-    eps |t| (2 (w_max - w_min) + max|w|) ||X||_F beyond the rest of their
-    rounding, at most 3 eps |t| max|w| ||X||_F for a spectrum >= 0.
-    """
-    w = a.decomposition.eigenvalues  # ascending
+    w = np.linalg.eigvalsh(a)  # ascending
     spread = 2.0 * (w[-1] - w[0]) + np.abs(w).max()
-    return CROSS_CHECK_TOL + _EPS * abs(t) * spread * float(np.linalg.norm(ab.matrix))
+    return _EPS * (16.0 * a.shape[0] + abs(t) * spread * float(np.linalg.norm(m)))
 
 
 def state_faults(dim: int, rng: np.random.Generator) -> dict:

@@ -7,6 +7,7 @@ from effectdyn import (
     commutes,
     commuting_witness,
     distribution,
+    effect_evolution,
     evolve_state,
     explorer,
     identity_effect,
@@ -37,7 +38,9 @@ from effectdyn.errors import (
     TraceNotOneError,
 )
 
-from support import random_effect, random_state, reference_state, state_faults, state_outcome
+import dense_reference
+from support import dense_route_allowance, random_effect, random_state, random_unitary
+from support import reference_state, state_faults, state_outcome
 
 
 @pytest.mark.parametrize(
@@ -496,8 +499,6 @@ def test_verify_witness_rejects_invalid_member():
 
 
 def test_evolve_state_preserves_spectrum_and_duality(rng):
-    from effectdyn import effect_evolution
-
     rho = random_state(3, rng)
     a = random_effect(3, rng)
     b = random_effect(3, rng)
@@ -510,3 +511,32 @@ def test_evolve_state_preserves_spectrum_and_duality(rng):
     lhs = np.trace(moved.matrix @ b.matrix).real
     rhs = np.trace(rho.matrix @ effect_evolution(b, a, t).matrix).real
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_evolve_state_takes_the_frames_time_rule():
+    # a reaches 1 + 0.9e-9, admitted at the default tol: at the largest float
+    # t w overflows but t (w_1 - w_0) does not, so rho evolves as b(t|a) does
+    t = np.finfo(float).max
+    rho = validate_state([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
+    a, b = validate_effect(np.diag([0.5, 1.0 + 0.9e-9])), validate_effect([[0.3, 0.1j], [-0.1j, 0.7]])
+    lhs = np.trace(evolve_state(rho, a, t).matrix @ b.matrix).real
+    assert lhs == pytest.approx(np.trace(rho.matrix @ effect_evolution(b, a, t).matrix).real, abs=1e-12)
+    # a spread of 1 + 1.8e-9 overflows t (w_1 - w_0) itself
+    with pytest.raises(EffectdynError, match=r"phase t\*\(w_j - w_k\) must be finite"):
+        evolve_state(rho, validate_effect(np.diag([-0.9e-9, 1.0 + 0.9e-9])), t)
+
+
+def test_evolve_state_matches_the_dense_reference():
+    # e^{ita} rho e^{-ita} against the dense unitary of dense_reference, to
+    # rounding and the rounding of the phases (dense_route_allowance): dims
+    # 1-8, a generic and a rank-deficient a, |t| up to 1e8
+    for seed in range(5):
+        for dim in range(1, 9):
+            rng = np.random.default_rng([seed, dim])
+            rho, u, w = random_state(dim, rng), random_unitary(dim, rng), rng.uniform(0.0, 1.0, dim)
+            for spectrum in (w, np.where(np.arange(dim) < dim // 2, 0.0, w)):
+                a = validate_effect((u * spectrum) @ u.conj().T)
+                for t in (0.0, 1e-9, 1.3, -2.1, 1e3, -1e8, 1e8):
+                    want = dense_reference.conjugation(a.matrix, rho.matrix, -t)
+                    residual = linalg.spectral_norm(evolve_state(rho, a, t).matrix - want)
+                    assert residual <= dense_route_allowance(a.matrix, rho.matrix, t), (dim, t)

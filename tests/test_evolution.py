@@ -1,6 +1,9 @@
+import ast
 import cmath
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +38,9 @@ from effectdyn.errors import EffectdynError, EmptyGridError, InvalidOrderError, 
 from effectdyn.evolution import EigenFrame, effect_evolutions, time_seq_products
 from effectdyn.observables import obs_time_seq_product, time_conditional_observable, validate_observable
 
+import dense_reference
 from support import (
     dense_route_allowance,
-    dense_time_seq_product,
     random_commuting_pair,
     random_effect,
     random_projection,
@@ -402,6 +405,12 @@ def test_bruteforce_grid_cases():
     assert constancy_bruteforce(a, b, [0.0])  # degenerate grid: documented pitfall
     with pytest.raises(EmptyGridError):
         constancy_bruteforce(a, b, [])
+    # a deviation of about 1e-7 is no constancy: in a's eigenbasis a[t]b - a∘b
+    # is [[0, z], [z̄, 0]] with z = c (e^{-0.4it} - 1), c = 1e-7 sqrt(0.21)
+    a, b = validate_effect(np.diag([0.3, 0.7])), validate_effect([[0.5, 1e-7], [1e-7, 0.5]])
+    want = 2e-7 * math.sqrt(0.21) * np.abs(np.sin(0.2 * GRID)).max()
+    assert max_seq_deviation(a, b, GRID) == pytest.approx(want, rel=1e-6)
+    assert not constancy_bruteforce(a, b, GRID)
 
 
 def test_bruteforce_constant_for_scaled_projection(rng):
@@ -537,19 +546,6 @@ def test_witness_transport_spot_check(rng):
 # -- EigenFrame ----------------------------------------------------------------
 
 
-def _dense_conjugation(a: np.ndarray, m: np.ndarray, t: float) -> np.ndarray:
-    """e^{-ita} m e^{ita} with the unitary formed explicitly from np.linalg.eigh."""
-    w, v = np.linalg.eigh(a)
-    u = (v * np.exp(-1j * t * w)) @ v.conj().T
-    return u @ m @ u.conj().T
-
-
-def _dense_sqrt(a: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(a)
-    w = np.where(w <= 1e-12, 0.0, w)  # rounding noise of an exact zero
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def _frame_cases(rng):
     """(a, b) pairs: generic and rank-deficient a at dims 2-8, plus a spectrum
     {0, .5, .5 + 1e-9} with a near-degenerate pair."""
@@ -569,12 +565,12 @@ def _frame_cases(rng):
 def test_eigen_frame_matches_dense_reference(rng):
     times = np.array([0.0, 0.7, -2.3, 25.0])
     for a, b in _frame_cases(rng):
-        s = _dense_sqrt(a.matrix)
+        s = dense_reference.root(a.matrix)
         for frame, m in (
             (EigenFrame.evolution(a, b), b.matrix),
             (EigenFrame.product(a, b), s @ b.matrix @ s),
         ):
-            want = np.array([_dense_conjugation(a.matrix, m, t) for t in times])
+            want = np.array([dense_reference.conjugation(a.matrix, m, t) for t in times])
             assert np.max(np.abs(frame.at(times) - want)) < 1e-12
             for t, w in zip(times, want):
                 assert np.max(np.abs(frame.at(t) - w)) < 1e-12
@@ -591,7 +587,7 @@ def test_eigen_frame_matches_dense_reference(rng):
                 assert np.max(np.abs(frame.at(times, n) - nested)) < 1e-12
         # d/dt a[t]b against the dense i[a[t]b, a] it replaced
         for t in times:
-            a_t_b = _dense_conjugation(a.matrix, s @ b.matrix @ s, t)
+            a_t_b = dense_reference.conjugation(a.matrix, s @ b.matrix @ s, t)
             dense = 1j * (a_t_b @ a.matrix - a.matrix @ a_t_b)
             assert np.max(np.abs(seq_product_derivative(a, b, t) - dense)) < 1e-12
 
@@ -611,7 +607,7 @@ def test_derivative_norms_take_one_eigensolve_for_a_grid(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     times = np.linspace(-3.0, 25.0, 129)
     for a, b in _frame_cases(rng):
-        s = _dense_sqrt(a.matrix)
+        s = dense_reference.root(a.matrix)
         for frame, m in (
             (EigenFrame.evolution(a, b), b.matrix),
             (EigenFrame.product(a, b), s @ b.matrix @ s),
@@ -620,7 +616,7 @@ def test_derivative_norms_take_one_eigensolve_for_a_grid(rng, monkeypatch):
             norms = frame.trajectory(times)[2]
             assert solved == [times.size, 1] and norms.shape == times.shape
             for t, value in zip(times, norms):
-                w = _dense_conjugation(a.matrix, m, t)
+                w = dense_reference.conjugation(a.matrix, m, t)
                 dense = np.linalg.norm(1j * (w @ a.matrix - a.matrix @ w), 2)
                 assert value == pytest.approx(dense, abs=1e-12)
     with pytest.raises(EmptyGridError):
@@ -681,8 +677,8 @@ def test_eigen_frame_reads_a_grid_as_its_times_one_by_one(rng):
                         assert np.array_equal(frame.at(t, order), m)
 
 
-def _with_broken_sqrt(a, rng):
-    """A copy of a whose cached square root is off by a non-commuting 1e-6.
+def _with_broken_sqrt(a, rng, size=1e-6):
+    """A copy of a whose cached square root is off by size (g + gᵀ), g standard normal.
 
     Its decomposition is cached first, as each property caches it before the
     square root, so the one-pass fill of stacked_roots leaves the copy as it is.
@@ -690,7 +686,7 @@ def _with_broken_sqrt(a, rng):
     copy = validate_effect(a.matrix)
     copy.decomposition
     g = rng.standard_normal(a.matrix.shape)
-    vars(copy)["sqrt"] = a.sqrt + 1e-6 * (g + g.T)
+    vars(copy)["sqrt"] = a.sqrt + size * (g + g.T)
     return copy
 
 
@@ -734,6 +730,17 @@ def test_consistency_error_when_routes_disagree_at_construction(rng):
         time_conditional_observable(b_obs, a_obs, 0.0)
 
 
+def test_a_root_fault_of_1e_8_is_caught():
+    # a fault of 1e-8 (g + gᵀ) in the cached root moves a∘b by about 1e-8 off
+    # the second route; a check of 1e-6 lets every such frame pass
+    for dim in (2, 3, 4, 8):
+        for seed in range(5):
+            rng = np.random.default_rng([dim, seed])
+            a, b = random_effect(dim, rng), random_effect(dim, rng)
+            with pytest.raises(ConsistencyError):
+                EigenFrame.product(_with_broken_sqrt(a, rng, 1e-8), b)
+
+
 def test_eigen_frame_products_stack_product_bit_for_bit(rng):
     # each frame of one stacked pass is the one-pair frame of its pair, and
     # the frame of a∘b built alone, every field bit for bit: dims 1-8, a
@@ -769,7 +776,7 @@ _PARITY_TIMES = (0.0, 1e-3, -1e-3, 1.0, -1.0, 1e4, 1e8, -1e8, 1e10)
 
 
 def _dense_parity(seed: int):
-    """(residual, allowance) of time_seq_products against the dense route, per pair and time.
+    """(residual, allowance) of time_seq_products against dense_reference, per pair and time.
 
     Dims 1-8, each with a generic pair both ways and a singular left operand.
     """
@@ -785,8 +792,9 @@ def _dense_parity(seed: int):
         for t in _PARITY_TIMES:
             values = time_seq_products(lefts, rights, t)
             for left, right, ab, value in zip(lefts, rights, products, values):
-                residual = linalg.spectral_norm(value.matrix - dense_time_seq_product(left, right, t))
-                out.append((residual, dense_route_allowance(left, ab, t)))
+                dense = dense_reference.time_seq_product(left.matrix, right.matrix, t)
+                residual = linalg.spectral_norm(value.matrix - dense)
+                out.append((residual, dense_route_allowance(left.matrix, ab.matrix, t)))
     return out
 
 
@@ -795,6 +803,29 @@ def test_time_seq_products_match_the_dense_route():
     # and the rounding of the phases, at every listed t, also at |t| = 1e10
     for residual, allowance in _dense_parity(3):
         assert residual <= allowance
+
+
+def test_dense_reference_imports_only_numpy():
+    # it takes plain arrays and imports no effectdyn code, so it shares no
+    # eigensolve, root or phase with what it checks
+    tree = ast.parse(Path(dense_reference.__file__).read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {name.partition(".")[0] for name in names} <= {"numpy", *sys.stdlib_module_names}
+
+
+def test_dense_parity_catches_a_shared_decomposition_fault(monkeypatch):
+    # every cached eigenvalue 1e-7 off moves the frame's roots and phases
+    # together, so the frame's own check passes; the dense reference, which
+    # eigensolves a itself, does not move with it
+    solve = linalg.hermitian_eigh
+
+    def shifted(h):
+        d = solve(h)
+        return linalg.SpectralDecomposition(d.eigenvalues * (1.0 + 1e-7), d.vectors)
+
+    monkeypatch.setattr(linalg, "hermitian_eigh", shifted)
+    assert any(residual > allowance for residual, allowance in _dense_parity(3))
 
 
 def test_dense_parity_catches_a_doubled_phase(monkeypatch):

@@ -36,12 +36,8 @@ from effectdyn.explorer import (
     random_effect,
 )
 
-from support import (
-    ROOT_ZERO_CUTOFF,
-    gap_polar,
-    random_commuting_pair,
-    reference_bounds,
-)
+from dense_reference import ROOT_ZERO_CUTOFF, gap_polar
+from support import random_commuting_pair, reference_bounds
 from support import random_effect as random_uniform_effect
 
 # frozen at first build: random_effect(2, default_rng(42))
@@ -221,7 +217,7 @@ def test_gap_agrees_with_the_frame_free_polar_route(dim):
     for a, b in pairs:
         profile = symmetry_gap_profile(a, b, _POLAR_TIMES)
         for t, value in zip(_POLAR_TIMES, profile):
-            polar, tol = gap_polar(a, b, t), _polar_tolerance(a, b, t)
+            polar, tol = gap_polar(a.matrix, b.matrix, t), _polar_tolerance(a, b, t)
             assert abs(symmetry_gap(a, b, t) - polar) <= tol, (t, polar)
             assert abs(value - polar) <= tol, (t, polar)
 
@@ -230,7 +226,7 @@ def test_gap_agrees_with_the_frame_free_polar_route(dim):
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_scan_min_gap_agrees_with_the_polar_route(dim, window):
     for r in conjecture_scan(ScanConfig(dim=dim, trials=6, t_window=window, seed=5)).records:
-        polar = gap_polar(r.a, r.b, r.t_star)
+        polar = gap_polar(r.a.matrix, r.b.matrix, r.t_star)
         assert abs(r.min_gap - polar) <= _polar_tolerance(r.a, r.b, r.t_star), (r.trial, polar)
 
 

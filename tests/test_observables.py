@@ -38,7 +38,8 @@ from effectdyn.errors import (
 from effectdyn.evolution import EigenFrame
 from effectdyn.observables import ROUNDING_UNITS, Observable
 
-from support import random_effect, random_observable, random_state
+import dense_reference
+from support import normalized_members, random_effect, random_observable, random_state
 
 
 def binary(a):
@@ -328,6 +329,8 @@ def test_convex_combination_errors(rng):
         convex_combination([0.7, 0.7], [b1, b2])
     with pytest.raises(WeightsNotNormalizedError):
         convex_combination([1.5, -0.5], [b1, b2])
+    with pytest.raises(WeightsNotNormalizedError):  # off by 1e-9, which is no rounding of two weights
+        convex_combination([0.5, 0.5 + 1e-9], [b1, b2])
     relabeled = validate_observable([e.matrix for e in b2.effects], ["x", "y"])
     with pytest.raises(OutcomeSetMismatchError):
         convex_combination([0.5, 0.5], [b1, relabeled])
@@ -342,9 +345,7 @@ def tight_observable(dim: int, n_outcomes: int, rng) -> Observable:
     """A random POVM {S^-1/2 G_x S^-1/2} whose members are admitted at its own sum residual."""
     x = rng.standard_normal((n_outcomes, dim, dim)) + 1j * rng.standard_normal((n_outcomes, dim, dim))
     g = x @ x.conj().swapaxes(1, 2)
-    w, v = np.linalg.eigh(g.sum(axis=0))
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    members = [linalg.hermitian_part(inv_root @ gx @ inv_root) for gx in g]
+    members = [linalg.hermitian_part(m) for m in normalized_members(g)]
     tol = max(float(linalg.operator_norms(sum(members) - np.eye(dim))), 1e-300)
     return validate_observable([validate_effect(m, tol) for m in members])
 
@@ -413,22 +414,12 @@ def _observable_with_rank_deficient_member(dim, n, rng):
         if x == 0 and n > 1 and dim > 1:
             g[:, 0] = 0.0
         grams.append(g @ g.conj().T)
-    w, v = np.linalg.eigh(sum(grams))
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return validate_observable([inv_root @ g @ inv_root for g in grams])
-
-
-def _dense_time_seq_product(a, b, t):
-    """a^{1/2} e^{-ita} b e^{ita} a^{1/2} from two eigendecompositions, eigenvalues below 1e-12 as 0."""
-    w, v = np.linalg.eigh(a)
-    root = (v * np.sqrt(np.where(w > 1e-12, w, 0.0))) @ v.conj().T
-    u = (v * np.exp(-1j * t * w)) @ v.conj().T
-    return root @ u @ b @ u.conj().T @ root
+    return validate_observable(normalized_members(grams))
 
 
 def test_stacked_products_match_a_dense_reference(rng):
-    # every member of A o B, A[t]B, (B|A) and (B|A)(t|A) against a per-pair
-    # dense reference written here, at dims 1-8 with 1-4 outcomes; and the
+    # every member of A o B, A[t]B, (B|A) and (B|A)(t|A) against the per-pair
+    # dense_reference.time_seq_product, at dims 1-8 with 1-4 outcomes; and the
     # frame of a stacked decomposition against each pair's own frame
     for dim in range(1, 9):
         for n in range(1, 5):
@@ -446,7 +437,7 @@ def test_stacked_products_match_a_dense_reference(rng):
                     one = EigenFrame.evolution(ax, by).at(t)
                     assert np.max(np.abs(slice_ - one)) < 1e-14
                 want = [
-                    [_dense_time_seq_product(ax.matrix, by.matrix, t) for by in b_obs.effects]
+                    [dense_reference.time_seq_product(ax.matrix, by.matrix, t) for by in b_obs.effects]
                     for ax in a_obs.effects
                 ]
                 got = [obs_time_seq_product(a_obs, b_obs, t)]
@@ -532,9 +523,7 @@ def gram_observable(dim, n, rng):
     for _ in range(n):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         grams.append(x @ x.conj().T)
-    w, v = np.linalg.eigh(sum(grams))
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return [(m + m.conj().T) / 2.0 for m in (inv_sqrt @ g @ inv_sqrt for g in grams)]
+    return [(m + m.conj().T) / 2.0 for m in normalized_members(grams)]
 
 
 def test_products_admitted_near_eps_allow_for_their_rounding():
