@@ -17,6 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    EffectdynError,
     NotCommutingError,
     SpectrumOutOfRangeError,
     TraceNotOneError,
@@ -195,10 +196,12 @@ class Admission:
 
         NaN eigenvalues, which an eigensolve returns when an entry's modulus
         exceeds the float range, compare false with any bound, so they pass
-        every check before this one.
+        every check before this one. So does the NaN Hermiticity defect of a
+        matrix with an entry that is not finite (a product that overflowed),
+        whose eigensolve may return finite values.
         """
         low, high = self.lows[i], self.highs[i]
-        if math.isnan(low) or math.isnan(high):
+        if math.isnan(low) or math.isnan(high) or math.isnan(self.defects[i]):
             raise SpectrumOutOfRangeError(
                 "eigenvalues are not finite: the matrix's norm exceeds the float range", low
             )
@@ -346,7 +349,8 @@ def products_and_roots(lefts, rights):
     for a, b in zip(lefts, rights):
         _check_dims(a.dim, b.dim)
     roots = stacked_roots(lefts)
-    stack = roots[2] @ np.array([e.matrix for e in rights]) @ roots[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # admission refuses a product that overflows
+        stack = roots[2] @ np.array([e.matrix for e in rights]) @ roots[2]
     tols = [product_tol(a.tol, b.tol) for a, b in zip(lefts, rights)]
     return admit_effects(stack, tols), roots
 
@@ -355,10 +359,18 @@ def commutator_norm(a: Effect, b: Effect) -> float:
     """||ab - ba|| (spectral norm) of two effects of one dimension.
 
     The package's one commutator norm: commutes, constancy_classifier and the
-    scan's draws read it.
+    scan's draws read it. It is taken on a and b scaled by powers of two to
+    norms below 2, so no product overflows, and scaled back: an operand of
+    norm below 2 is not scaled. A norm beyond the float range raises
+    EffectdynError.
     """
     _check_dims(a.dim, b.dim)
-    return linalg.spectral_norm(linalg.commutator(a.matrix, b.matrix))
+    ka, kb = (max(0, math.frexp(e.norm)[1] - 1) for e in (a, b))
+    c = linalg.commutator(a.matrix * 2.0**-ka, b.matrix * 2.0**-kb)
+    try:
+        return math.ldexp(linalg.spectral_norm(c), ka + kb)
+    except OverflowError:
+        raise EffectdynError("||ab - ba|| exceeds the float range") from None
 
 
 def commutes(a: Effect, b: Effect) -> bool:

@@ -88,7 +88,8 @@ _EPS = float(np.finfo(float).eps)
 _INF = math.inf
 # Rounding slack of one evaluated gap's arithmetic, in units of
 # eps * (||X_a||_F + ||X_b||_F); the search adds that of its phases (see
-# _certified_search).
+# _certified_search). The largest error measured is 3.0 units, so 8 is a
+# margin of 2.7 over it, and 4 would still cover it.
 _SLACK_UNITS = 8.0
 _EVAL_CHUNK = 16384
 
@@ -290,6 +291,16 @@ def _refine(branches, bracket, known: dict, lip: float, slack: float) -> tuple[f
     times on average; 17-22 % of its minima at dims 3, 4 and 8 were kinks.
     Brent's method with a kink polish, one time per call, made 15.4-42.5
     calls on average.
+
+    The 4 eps |c| in the stop rule saves evaluations far from t = 0, where
+    a stencil radius of a few ulps of c reads only the rounding of the
+    phases. Without it, over 60 searches per centre (dims 2, 3 and 8, seeds
+    0-19, 8π windows), windows centred at 0 and 1e4 were unchanged; centre
+    1e6 cost 4 more evaluations and 1e8-1e12 cost 12-29 more, and 1-4
+    minima per centre moved by up to 67 ulps in t and 9.6e-6 relative in
+    the gap, within its phase slack. No bound from the float spacing
+    separates the two rules: with the term, one refinement already
+    evaluates up to 9 new times within 8 ulps of a known time.
     """
     lo, hi = bracket
     atol = math.sqrt(_EPS) + slack / lip if lip > 0.0 else math.inf
@@ -349,11 +360,14 @@ def _curvature(frames: EigenFrame) -> float:
     a diagonal unitary conjugate of Y, so its norm is ||freq^2 ⊙ X||_2 at
     every t; freq^2 ⊙ X is Hermitian. eigvalsh returns each of its
     eigenvalues within a small multiple of d eps times that norm, which the
-    factor 1 + _SLACK_UNITS d eps covers.
+    factor 1 + 8 d eps covers, a rounding of its own, not the gap's
+    (_SLACK_UNITS): on 420 frames (dims 2-8, 30 pairs each), the float norm
+    was at most 1.09 d eps times the norm below a 40-digit mpmath eigensolve
+    of the same frames, so 8 is a margin of 7.3 over it.
     """
     dim = frames.x.shape[-1]
     norms = sum(linalg.operator_norms(frames.freq**2 * frames.x).tolist())
-    return (1.0 + _SLACK_UNITS * dim * _EPS) * norms
+    return (1.0 + 8.0 * dim * _EPS) * norms
 
 
 def _interval_bound(ts: list, gs: list, i: int, lip: float, curv: float, slack: float) -> float:

@@ -45,8 +45,8 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     The halves of entries of magnitude at least 2**-1021 are exact, so the sum
     has the bits of (M + M†)/2; subnormal entries and a zero's sign may differ.
     The package's one copy of it, but for hermitian_parts, which shares the
-    halves with the Hermiticity defect, and serialization.trajectory_csv,
-    which forms only the upper triangle.
+    halves with the Hermiticity defect; serialization.trajectory_csv writes
+    the upper triangle of this.
     """
     h = m * 0.5
     h += adjoint(h)

@@ -46,10 +46,18 @@ MUTANTS = [
     ("explorer.py", "_SLACK_UNITS = 8.0", "_SLACK_UNITS = 0.0"),
     ("explorer.py", "+ 8.0 * _EPS * (g", "+ 0.0 * _EPS * (g"),  # the secant bound's rounding term
     ("explorer.py", " + _EPS * top * lip / 2.0", ""),  # the scan slack's phase term
-    ("explorer.py", "(1.0 + _SLACK_UNITS * dim * _EPS) * norms", "norms"),  # _curvature's factor
+    ("explorer.py", "(1.0 + 8.0 * dim * _EPS) * norms", "norms"),  # _curvature's factor
     ("explorer.py", "r <= atol + 4.0 * _EPS * abs(c)", "r <= atol"),  # _refine's stop rule
-    # EigenFrame.at's order budget
-    ("evolution.py", "_FLOAT_MAX / 2.0 / max(", "_FLOAT_MAX / 1.0 / max("),
+    # the frames' order budget
+    ("evolution.py", "math.log(_FLOAT_MAX / 2.0)", "math.log(_FLOAT_MAX)"),
+    # one copy of each frame rule: the cross-check's scale, the order rule of
+    # derivative_norm and the writer's Hermitian part
+    ("evolution.py", "max(1.0, a.norm * b.norm)", "1.0"),
+    ("evolution.py", '        self._admitted_order(1, "the derivative_norm column (order 1)")\n', ""),
+    ("serialization.py", "linalg.hermitian_part(m)[:, rows, cols]", "(m[:, rows, cols] + m[:, cols, rows].conj()) / 2.0"),
+    # operands near the float limit: the commutator's scaling, the refusal of a non-finite product
+    ("effects.py", "max(0, math.frexp(e.norm)[1] - 1)", "0"),
+    ("effects.py", " or math.isnan(self.defects[i])", ""),
 ]
 
 

@@ -1271,6 +1271,65 @@ def test_huge_finite_entries_are_refused(files, capsys, argv):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def _in_rotated_basis(spectrum, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    r = np.array([[c, -s], [s, c]])
+    return r @ np.diag(spectrum) @ r.T
+
+
+HUGE_SPECTRA = ((0.5, 1e308), (0.2, 1e200), (0.3, 1e154), (0.3, 0.8))
+
+
+@pytest.mark.parametrize(
+    "command", [["classify"], ["evolve"], ["evolve", "--mode", "seqprod"]], ids=" ".join
+)
+def test_operands_near_the_float_limit_get_an_answer_or_one_error_line(tmp_path, capsys, command):
+    # at --tol 1e308, each ordered pair of four operands, eigenvalues up to 1e308,
+    # in a basis of their own: exit 0 with no nan or inf written, or exit 2
+    # with one error line, and no RuntimeWarning (tier-1 makes it an error)
+    paths = [
+        write_op(tmp_path / f"op{k}.json", _in_rotated_basis(w, 0.3 + 0.4 * k))
+        for k, w in enumerate(HUGE_SPECTRA)
+    ]
+    extra = ["--steps", "2"] if command[0] == "evolve" else []
+    for x, y in itertools.permutations(paths, 2):
+        code, out, err = run(capsys, ["--tol", "1e308", command[0], x, y, *command[1:], *extra])
+        if code == 0:
+            assert "nan" not in out and "inf" not in out and err == "", (x, y)
+        else:
+            assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, (x, y)
+
+
+def test_evolve_writes_the_hermitian_part_of_entries_near_the_float_limit(tmp_path, capsys):
+    # b = diag(1e308, 0.5): (M + M†)/2 overflows to inf, M/2 + M†/2 does not
+    a = write_op(tmp_path / "a.json", np.diag([0.0, 1.0]))
+    b = write_op(tmp_path / "b.json", np.diag([1e308, 0.5]))
+    code, out, err = run(capsys, ["--tol", "1e308", "evolve", a, b, "--steps", "1"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2 and all(row.split(",")[1:3] == ["1e+308", "0"] for row in rows)
+
+
+def test_evolve_seqprod_of_a_pair_at_scale_1e6_passes_its_cross_check(tmp_path, capsys):
+    # the routes of a pair of scale ||a|| ||b|| = 7e5 round apart by more than
+    # 1e-10, within the bound 1e-10 max(1, ||a|| ||b||)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    a = write_op(tmp_path / "a.json", [[0.5, 0.2], [0.2, 0.5]])
+    b = write_op(tmp_path / "b.json", h @ np.diag([0.5, 1e6]) @ h)
+    code, out, err = run(capsys, ["--tol", "1e6", "evolve", a, b, "--mode", "seqprod"])
+    assert (code, err) == (0, "") and len(out.splitlines()) == 66
+
+
+def test_evolve_refuses_a_derivative_norm_beyond_the_float_range(tmp_path, capsys):
+    # |w_j - w_k| = 1e200 times entries of 0.5e154 passes the float range:
+    # the derivative_norm column takes at's order rule at order 1
+    a = write_op(tmp_path / "a.json", np.diag([0.0, 1e200]))
+    b = write_op(tmp_path / "b.json", np.full((2, 2), 0.5e154))
+    code, out, err = run(capsys, ["--tol", "1e308", "evolve", a, b, "--steps", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the derivative_norm column") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

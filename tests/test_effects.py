@@ -4,6 +4,7 @@ import pytest
 from effectdyn import (
     CoexistenceWitness,
     Effect,
+    commutator_norm,
     commutes,
     commuting_witness,
     distribution,
@@ -101,6 +102,11 @@ def test_a_spectrum_that_is_not_finite_is_refused():
     # an infinite eigenvalue is out of range, as before
     with pytest.raises(SpectrumOutOfRangeError, match="eigenvalue inf above"):
         validate_effect(np.full((2, 2), 1e308))
+    # a product that overflows into NaN entries, whose eigensolve returns 0s
+    a = validate_effect(np.diag([0.0, 1e200]), 1e308)
+    b = validate_effect(np.full((2, 2), 0.5e154), 1e308)
+    with pytest.raises(SpectrumOutOfRangeError, match="not finite"):
+        sequential_product(a, b)
 
 
 def test_validate_effect_checks_shape_and_finiteness():
@@ -367,6 +373,25 @@ def test_commutes():
     b = validate_effect(np.full((2, 2), 0.5))
     assert commutes(a, validate_effect(np.diag([0.5, 0.5])))
     assert not commutes(a, b)
+
+
+def test_commutator_norm_of_operands_admitted_beyond_the_float_range_of_ab(rng):
+    # a and b scaled by 2^k and 2^j, admitted at a tol of their scale: the norm
+    # is that of the unit pair times 2^(k + j) exactly, even where ab overflows;
+    # a commuting pair whose ab overflows reads 0, and a norm beyond the float
+    # range is refused, with no RuntimeWarning on the way
+    x, y = random_effect(3, rng), random_effect(3, rng)
+    unit = commutator_norm(x, y)
+    for k, j in ((0, 0), (600, 0), (0, 600), (600, 400), (1000, 20)):
+        a = validate_effect(x.matrix * 2.0**k, 2.0**k)
+        b = validate_effect(y.matrix * 2.0**j, 2.0**j)
+        assert commutator_norm(a, b) == unit * 2.0 ** (k + j)
+    a = validate_effect(np.diag([0.5, 0.25]) * 2.0**600, 2.0**600)
+    b = validate_effect(np.diag([0.3, 0.7]) * 2.0**600, 2.0**600)
+    assert commutator_norm(a, b) == 0.0 and commutes(a, b)
+    big = validate_effect(x.matrix * 2.0**1000, 2.0**1000)
+    with pytest.raises(EffectdynError, match="float range"):
+        commutator_norm(big, validate_effect(y.matrix * 2.0**100, 2.0**100))
 
 
 def test_commuting_witness_frozen_value():

@@ -121,6 +121,24 @@ def test_derivative_refuses_orders_too_large_to_compute():
         assert np.isfinite(evolution_derivative(half, over, 0.3, 1500)).all()
 
 
+def test_both_derivative_reads_take_one_order_rule():
+    # a = diag(0, 1e200) and b = 0.5e154 [[1, 1], [1, 1]] at tol 1e308:
+    # |w_j - w_k| ||X||_F passes the float range at order 1, so at's order 1
+    # and evolve's derivative_norm column are refused alike, not NaN; a frame
+    # whose ||X||_F itself is beyond the float range leaves no order at all
+    a = validate_effect(np.diag([0.0, 1e200]), 1e308)
+    b = validate_effect(np.full((2, 2), 0.5e154), 1e308)
+    frame = EigenFrame.evolution(a, b)
+    with pytest.raises(InvalidOrderError, match="derivative order 1 is too large"):
+        frame.at(0.0, 1)
+    with pytest.raises(InvalidOrderError, match="derivative_norm"):
+        frame.trajectory([0.0, 1.0])
+    assert np.isfinite(frame.at(1.0)).all()
+    wide = validate_effect(np.full((2, 2), 0.8e308), 1.7e308)
+    with pytest.raises(InvalidOrderError, match="too large"):
+        evolution_derivative(wide, validate_effect(np.diag([0.0, 2.0]), 1.0), 0.0, 1)
+
+
 def test_derivative_accepts_integral_orders():
     a, b = example1()
     first = evolution_derivative(b, a, 0.4, 1)
@@ -293,6 +311,9 @@ def test_classify_scaled_projection_known_cases():
 
     assert classify_scaled_projection(validate_effect(np.diag([1.0, 0.5]))) is None
     assert classify_scaled_projection(zero_effect(3)) is None
+    # the nonzero eigenvalues may span 2 tol: 1.5 tol is one cluster, 3 tol is not
+    assert classify_scaled_projection(validate_effect(np.diag([0.0, 0.5, 0.5 + 1.5e-6]), 1e-6))
+    assert classify_scaled_projection(validate_effect(np.diag([0.0, 0.5, 0.5 + 3e-6]), 1e-6)) is None
 
     out = classify_scaled_projection(identity_effect(4))
     assert out is not None and out.scale == 1.0
@@ -353,6 +374,23 @@ def test_classifier_constant_on_support_of_singular_a():
     assert report.constant and report.reason == "CommutingOnSupport"
     assert report.residual == 0.0 and max_seq_deviation(a, b, GRID) == 0.0
     assert constancy_bruteforce(a, b, GRID)
+
+
+def test_an_eigenvalue_of_1e_11_keeps_its_root():
+    # a = diag(ε, .3, .6) with ε = 1e-11, and b coupling |0> and |1> by 0.2:
+    # a∘b couples them by c = 0.2 √(0.3 ε), so ||[a∘b, a]|| = c (0.3 - ε) and
+    # ||a[t]b - a∘b|| = 2c |sin(t (0.3 - ε) / 2)|. A root that drops √ε = 3.2e-6
+    # reads CommutingOnSupport and a deviation of 0
+    small = 1e-11
+    a = validate_effect(np.diag([small, 0.3, 0.6]))
+    b = validate_effect(np.array([[0.5, 0.2, 0.0], [0.2, 0.5, 0.0], [0.0, 0.0, 0.5]]))
+    c = 0.2 * math.sqrt(0.3 * small)
+    report = constancy_classifier(a, b)
+    assert (report.constant, report.reason) == (False, "Neither")
+    assert report.residual == pytest.approx(c * (0.3 - small), rel=1e-6)
+    times = np.linspace(0.0, 30.0, 301)
+    want = 2.0 * c * float(np.abs(np.sin(times * (0.3 - small) / 2.0)).max())
+    assert max_seq_deviation(a, b, times) == pytest.approx(want, rel=1e-6)
 
 
 @pytest.mark.parametrize("dim", range(3, 9))
@@ -739,6 +777,44 @@ def test_a_root_fault_of_1e_8_is_caught():
             a, b = random_effect(dim, rng), random_effect(dim, rng)
             with pytest.raises(ConsistencyError):
                 EigenFrame.product(_with_broken_sqrt(a, rng, 1e-8), b)
+
+
+def _item3_pair(tol=1e6):
+    """a = [[.5, .2], [.2, .5]] and b with eigenvalues 0.5 and 1e6 on (|0> ± |1>)/√2, admitted at tol."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    a = validate_effect(np.array([[0.5, 0.2], [0.2, 0.5]]), tol)
+    return a, validate_effect(h @ np.diag([0.5, 1e6]) @ h, tol)
+
+
+def test_the_cross_check_bound_scales_with_the_pair(rng):
+    # the routes of a pair of scale ||a|| ||b|| = 7e5 round apart by more than
+    # 1e-10; the bound 1e-10 max(1, ||a|| ||b||) admits that rounding, and
+    # still catches a root fault of 1e-8, which moves a∘b by about 1e-2
+    a, b = _item3_pair()
+    frame = EigenFrame.product(a, b)
+    assert np.array_equal(frame.x, EigenFrame.evolution(a, sequential_product(a, b)).x)
+    value = time_seq_product(a, b, 0.7).matrix
+    assert np.max(np.abs(np.linalg.eigvalsh(value) - np.linalg.eigvalsh(frame.x))) <= 1e-10 * b.norm
+    broken = _with_broken_sqrt(a, rng, 1e-8)
+    with pytest.raises(ConsistencyError, match=f"bound {1e-10 * a.norm * b.norm:.3e}"):
+        EigenFrame.product(broken, b)
+
+
+def test_admitted_pairs_up_to_tol_1e12_pass_the_cross_check():
+    # dims 2-8, tol 1 to 1e12, each operand at unit scale or scaled to its tol:
+    # no pair raises ConsistencyError, and each a[t]b keeps the spectrum of
+    # a∘b to the rounding of the pair's scale
+    for dim in range(2, 9):
+        for log_tol in range(0, 13, 3):
+            tol = 10.0**log_tol
+            rng = np.random.default_rng([dim, log_tol])
+            for scale_a, scale_b in ((1.0, 1.0), (1.0, tol), (tol, 1.0), (tol, tol)):
+                m_a, m_b = (random_effect(dim, rng).matrix for _ in range(2))
+                a, b = validate_effect(scale_a * m_a, tol), validate_effect(scale_b * m_b, tol)
+                frame = EigenFrame.product(a, b)
+                spectrum = np.linalg.eigvalsh(frame.x)
+                value = np.linalg.eigvalsh(time_seq_product(a, b, 0.7).matrix)
+                assert np.max(np.abs(value - spectrum)) <= 1e-12 * max(1.0, a.norm * b.norm)
 
 
 def test_eigen_frame_products_stack_product_bit_for_bit(rng):

@@ -177,8 +177,9 @@ def test_trajectory_csv_header_and_precision():
 
 def test_trajectory_csv_writes_the_hermitian_part_of_each_matrix(rng):
     # the bytes are pinned to the generic writer's %.17g of H: upper triangle
-    # that of (M + M†)/2, lower triangle its conjugate, signed zeros,
-    # subnormals, overflow and non-finite values included
+    # that of M/2 + (M/2)†, lower triangle its conjugate, signed zeros,
+    # subnormals, overflow and non-finite values included; a sum of finite
+    # entries does not overflow, as (M + M†)/2 would
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan])
 
     def sprinkle(x):
@@ -192,7 +193,8 @@ def test_trajectory_csv_writes_the_hermitian_part_of_each_matrix(rng):
         m.imag = sprinkle(rng.standard_normal((n, dim, dim)))
         times, deviations, norms = (sprinkle(rng.standard_normal(n)) for _ in range(3))
         with np.errstate(invalid="ignore", over="ignore"):
-            h = (m + m.conj().swapaxes(-1, -2)) / 2.0
+            half = m * 0.5
+            h = half + half.conj().swapaxes(-1, -2)
             text = serialization.trajectory_csv(times, m, deviations, norms)
         lower = np.tril_indices(dim, -1)
         h[:, lower[0], lower[1]] = h[:, lower[1], lower[0]].conj()
