@@ -25,10 +25,16 @@ from .errors import (
 
 # Default admission tolerance. Each Effect/State keeps the one it was admitted
 # at; derived values (compounded for products, see product_tol) and yes/no
-# decisions use the loosest operand's.
+# decisions use the loosest operand's, a decision on a pair no tighter than
+# its rounding (_pair_bound).
 DECISION_TOL = 1e-9
-# Fixed numerical bound, not a user decision: it does not follow --tol.
+# Fixed numerical bounds, not user decisions: neither follows --tol.
 STATE_TRACE_TOL = 1e-10
+# Rounding allowed a yes/no decision on a value bilinear in a pair (x, y), such
+# as ||xy - yx||, per unit of ||x|| ||y||. The residual of a commuting pair, and
+# ||[a o b, a]|| of a scaled projection a, measured at most 6 eps per unit on
+# dims 2-8 at scales 1 to 1e100, so this is about 750 times that.
+_PAIR_ROUNDING = 1e-12
 # Eigenvalues at or below this (relative) scale are treated as exact zeros
 # when taking the square root. sqrt is non-Lipschitz at 0: an exact zero the
 # eigensolver perturbs to ~1e-16 would otherwise contribute ~1e-8 to a^{1/2}
@@ -142,7 +148,10 @@ class Admission:
     its extremal eigenvalues. ``admit`` checks one slice as an effect and
     ``admit_state`` as a state, so a caller holding slices from several
     sources (the operand files of one command) eigensolves them together and
-    still checks them source by source.
+    still checks them source by source. A slice whose defect is not finite,
+    which is exactly a slice with an entry that is not finite (a product
+    that overflowed), is not eigensolved: its spectrum is NaN, which
+    _finite_matrix refuses, so no eigensolver sees a non-finite matrix.
     """
 
     matrices: np.ndarray
@@ -155,7 +164,10 @@ class Admission:
     @classmethod
     def of(cls, stack: np.ndarray) -> Admission:
         h, defects, bounds = linalg.hermitian_parts(stack)
-        w = linalg.readonly(np.linalg.eigvalsh(h))
+        finite = np.isfinite(defects)
+        w = np.full(h.shape[:-1], math.nan)
+        w[finite] = np.linalg.eigvalsh(h[finite])
+        w = linalg.readonly(w)
         return cls(linalg.readonly(h), defects, bounds, w, w[:, 0].tolist(), w[:, -1].tolist())
 
     def admit(self, i: int, tol: float) -> Effect:
@@ -194,14 +206,13 @@ class Admission:
     def _finite_matrix(self, i: int) -> np.ndarray:
         """Slice i's matrix, once its spectrum is finite: the check each admission runs last.
 
-        NaN eigenvalues, which an eigensolve returns when an entry's modulus
-        exceeds the float range, compare false with any bound, so they pass
-        every check before this one. So does the NaN Hermiticity defect of a
-        matrix with an entry that is not finite (a product that overflowed),
-        whose eigensolve may return finite values.
+        NaN eigenvalues compare false with any bound, so they pass every check
+        before this one. They come from an eigensolve of a matrix whose
+        entries' moduli exceed the float range, or from ``of``, which gives
+        them to a matrix with an entry that is not finite without solving it.
         """
         low, high = self.lows[i], self.highs[i]
-        if math.isnan(low) or math.isnan(high) or math.isnan(self.defects[i]):
+        if math.isnan(low) or math.isnan(high):
             raise SpectrumOutOfRangeError(
                 "eigenvalues are not finite: the matrix's norm exceeds the float range", low
             )
@@ -345,14 +356,21 @@ def sequential_products(lefts, rights) -> tuple[Effect, ...]:
 
 
 def products_and_roots(lefts, rights):
-    """sequential_products and the stacked_roots(lefts) it multiplied by, for callers using both."""
+    """sequential_products and the stacked_roots(lefts) it multiplied by, for callers using both.
+
+    A product that admission refuses for its spectrum raises
+    SpectrumOutOfRangeError, with its eigenvalue, under a message naming a∘b.
+    """
     for a, b in zip(lefts, rights):
         _check_dims(a.dim, b.dim)
     roots = stacked_roots(lefts)
     with np.errstate(over="ignore", invalid="ignore"):  # admission refuses a product that overflows
         stack = roots[2] @ np.array([e.matrix for e in rights]) @ roots[2]
     tols = [product_tol(a.tol, b.tol) for a, b in zip(lefts, rights)]
-    return admit_effects(stack, tols), roots
+    try:
+        return admit_effects(stack, tols), roots
+    except SpectrumOutOfRangeError as exc:  # name the matrix the user never wrote
+        raise SpectrumOutOfRangeError(f"a∘b is refused: {exc}", exc.eigenvalue) from None
 
 
 def commutator_norm(a: Effect, b: Effect) -> float:
@@ -373,9 +391,26 @@ def commutator_norm(a: Effect, b: Effect) -> float:
         raise EffectdynError("||ab - ba|| exceeds the float range") from None
 
 
+def _pair_bound(tol: float, x: Effect, y: Effect, per_unit: float = _PAIR_ROUNDING) -> float:
+    """max(tol, per_unit · ||x|| ||y||): the bound of every yes/no decision on the pair (x, y).
+
+    A value bilinear in x and y, such as xy - yx, rounds by a few eps per
+    unit of ||x|| ||y||, so a decision on it allows tol or that rounding at
+    per_unit, whichever is larger: commutes and the constancy test of
+    evolution.constancy_classifier (on the pair (a o b, a)) at the operands'
+    tol, the cross-check of a[t]b's frame and the grid oracle
+    evolution.constancy_bruteforce at their fixed bound, which is then also
+    per_unit. The scale never loosens tol itself: a residual of 2 ||x|| ||y||
+    bounds every commutator, so a bound of tol · ||x|| ||y|| at tol >= 2 would
+    pass any pair. Computed left to right, the product overflows only where
+    it exceeds every finite residual.
+    """
+    return max(tol, per_unit * x.norm * y.norm)
+
+
 def commutes(a: Effect, b: Effect) -> bool:
-    """True iff ||ab - ba|| <= tol * max(1, ||a|| ||b||), tol the operands'."""
-    return commutator_norm(a, b) <= max(a.tol, b.tol) * max(1.0, a.norm * b.norm)
+    """True iff ||ab - ba|| <= max(tol, _PAIR_ROUNDING · ||a|| ||b||), tol the operands' (_pair_bound)."""
+    return commutator_norm(a, b) <= _pair_bound(max(a.tol, b.tol), a, b)
 
 
 @dataclass(frozen=True, eq=False)

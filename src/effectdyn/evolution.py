@@ -45,6 +45,7 @@ from .effects import (
     Effect,
     State,
     _check_dims,
+    _pair_bound,
     admit_effects,
     commutator_norm,
     commutes,
@@ -63,8 +64,10 @@ from .errors import (
 )
 
 # Fixed numerical bounds, not user decisions: neither follows --tol.
-# Grid-sampled constancy decisions (one order looser than the algebraic one:
-# the grid maximum underestimates the true supremum).
+# Grid-sampled constancy decisions, per unit of max(1, ||a|| ||b||), the scale
+# of the pair (see constancy_bruteforce): a constant a[t]b still deviates by
+# rounding that grows with that scale. One order looser than the default
+# admission tolerance: the grid maximum underestimates the true supremum.
 BRUTEFORCE_TOL = 1e-8
 # Agreement required between the two computed forms of a[t]b's frame, per
 # unit of max(1, ||a|| ||b||), the scale of the pair (see _cross_check).
@@ -93,9 +96,11 @@ class ConstancyReport:
     """Outcome of the constancy decision for a pair (a, b).
 
     ``residual`` is ||[a o b, a]||; ``constant`` holds iff it is at most the
-    operands' tolerance. ``reason`` is "Commuting", "ScaledProjection",
-    "CommutingOnSupport" (see constancy_classifier) or "Neither"; the
-    decomposition is attached for the scaled-projection case.
+    operands' tolerance, or the rounding of the pair (a o b, a) where that
+    is larger (see constancy_classifier). ``reason`` is
+    "Commuting", "ScaledProjection", "CommutingOnSupport" (see
+    constancy_classifier) or "Neither"; the decomposition is attached for
+    the scaled-projection case.
     """
 
     constant: bool
@@ -158,7 +163,7 @@ class EigenFrame:
             raise EffectdynError("no pairs to build a frame from: an empty family has no dimension")
         ab, (d, root, _) = products_and_roots(lefts, rights)
         frame, b_frame = (cls._from_decomposition(d, np.array([e.matrix for e in m])) for m in (ab, rights))
-        bounds = [CROSS_CHECK_TOL * max(1.0, a.norm * b.norm) for a, b in zip(lefts, rights)]
+        bounds = [_pair_bound(CROSS_CHECK_TOL, a, b, CROSS_CHECK_TOL) for a, b in zip(lefts, rights)]
         _cross_check(frame.x, root[:, :, None] * b_frame.x * root[:, None, :], bounds)
         return frame
 
@@ -276,12 +281,12 @@ def _cross_check(value: np.ndarray, second_route: np.ndarray, bounds) -> None:
     """Raise ConsistencyError where slice k's two routes differ beyond bounds[k].
 
     Takes a stack; the first failing slice raises, with its bound. Pair k's
-    bound is CROSS_CHECK_TOL · max(1, ||a|| ||b||), the scale effects.commutes
-    takes (stacked_products): the rounding of both routes grows with the
-    operands. The residual is the spectral norm of each slice's difference.
-    No slice's exceeds the Frobenius norm of the whole stack's, so a stack
-    whose Frobenius norm is within the smallest bound passes without
-    singular values.
+    bound is CROSS_CHECK_TOL · max(1, ||a|| ||b||), the scale of the pair
+    (effects._pair_bound, in stacked_products): the rounding of both
+    routes grows with the operands. The residual is the spectral norm of
+    each slice's difference. No slice's exceeds the Frobenius norm of the
+    whole stack's, so a stack whose Frobenius norm is within the smallest
+    bound passes without singular values.
     """
     diff = value - second_route
     if math.sqrt(np.vdot(diff, diff).real) <= min(bounds):
@@ -429,13 +434,18 @@ def max_seq_deviation(a: Effect, b: Effect, times) -> float:
 
 
 def constancy_bruteforce(a: Effect, b: Effect, grid) -> bool:
-    """Grid-sampled constancy: true iff max_t ||a[t]b - a o b|| <= BRUTEFORCE_TOL.
+    """Grid-sampled constancy: max_t ||a[t]b - a o b|| <= BRUTEFORCE_TOL · max(1, ||a|| ||b||).
 
-    Independent oracle for the classifier. A degenerate grid such as {0}
-    trivially returns true — callers choose grids that actually probe the
-    dynamics. Raises EmptyGridError on an empty grid.
+    Independent oracle for the classifier. Its bound is at the scale of the
+    pair (effects._pair_bound), since the rounding of a constant a[t]b
+    grows with the operands: a = 0.7s·p against s·b reads constant at
+    s = 1e3 and 1e6. The rounding also grows with |t| ||a||, the phase
+    error of a's repeated eigenvalue, so at s = 1e8 it passes the bound on
+    a grid up to 4π. A degenerate grid such as {0} trivially returns true —
+    callers choose grids that actually probe the dynamics. Raises
+    EmptyGridError on an empty grid.
     """
-    return max_seq_deviation(a, b, grid) <= BRUTEFORCE_TOL
+    return max_seq_deviation(a, b, grid) <= _pair_bound(BRUTEFORCE_TOL, a, b, BRUTEFORCE_TOL)
 
 
 def classify_scaled_projection(a: Effect) -> ScaledProjectionDecomposition | None:
@@ -459,15 +469,20 @@ def classify_scaled_projection(a: Effect) -> ScaledProjectionDecomposition | Non
 def constancy_classifier(a: Effect, b: Effect) -> ConstancyReport:
     """Decide whether a[t]b is constant in t, and why.
 
-    Constancy is [a o b, a] = -a^{1/2}[a, b]a^{1/2} = 0 within the operands'
-    tolerance, decided algebraically (no time sampling). The reason is the
+    Constancy is [a o b, a] = -a^{1/2}[a, b]a^{1/2} = 0, decided algebraically
+    (no time sampling) by the rule of commutes for a o b against a: the
+    residual ||[a o b, a]|| is at most max(a.tol, b.tol), or the rounding of
+    the pair (a o b, a) where that is larger (effects._pair_bound); decisions
+    do not compound, so the tolerance is the operands', not a o b's
+    product_tol. The reason is the
     first that applies: Commuting, ScaledProjection (so a = lambda*I reports
     Commuting), else CommutingOnSupport; exactly, the last is [a, PbP] = 0
     for the support projection P of a singular a with two or more distinct
     nonzero eigenvalues.
     """
-    residual = commutator_norm(sequential_product(a, b), a)
-    if residual > max(a.tol, b.tol):
+    ab = sequential_product(a, b)
+    residual = commutator_norm(ab, a)
+    if residual > _pair_bound(max(a.tol, b.tol), ab, a):
         return ConstancyReport(False, REASON_NEITHER, residual)
     if commutes(a, b):
         return ConstancyReport(True, REASON_COMMUTING, residual)

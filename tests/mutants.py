@@ -52,12 +52,19 @@ MUTANTS = [
     ("evolution.py", "math.log(_FLOAT_MAX / 2.0)", "math.log(_FLOAT_MAX)"),
     # one copy of each frame rule: the cross-check's scale, the order rule of
     # derivative_norm and the writer's Hermitian part
-    ("evolution.py", "max(1.0, a.norm * b.norm)", "1.0"),
+    ("evolution.py", "_pair_bound(CROSS_CHECK_TOL, a, b, CROSS_CHECK_TOL)", "CROSS_CHECK_TOL"),
     ("evolution.py", '        self._admitted_order(1, "the derivative_norm column (order 1)")\n', ""),
     ("serialization.py", "linalg.hermitian_part(m)[:, rows, cols]", "(m[:, rows, cols] + m[:, cols, rows].conj()) / 2.0"),
-    # operands near the float limit: the commutator's scaling, the refusal of a non-finite product
+    # operands near the float limit: the commutator's scaling, and admission
+    # eigensolving every slice, a non-finite product's included
     ("effects.py", "max(0, math.frexp(e.norm)[1] - 1)", "0"),
-    ("effects.py", " or math.isnan(self.defects[i])", ""),
+    ("effects.py", "w[finite] = np.linalg.eigvalsh(h[finite])", "w = np.linalg.eigvalsh(h)"),
+    # one bound for every decision on a pair: the classifier's and the grid
+    # oracle's without the pair's rounding, and the pair's scale times tol,
+    # which passes every pair once tol >= 2
+    ("evolution.py", "_pair_bound(max(a.tol, b.tol), ab, a)", "max(a.tol, b.tol)"),
+    ("evolution.py", "_pair_bound(BRUTEFORCE_TOL, a, b, BRUTEFORCE_TOL)", "BRUTEFORCE_TOL"),
+    ("effects.py", "max(tol, per_unit * x.norm * y.norm)", "tol * max(1.0, x.norm * y.norm)"),
 ]
 
 

@@ -1280,24 +1280,83 @@ def _in_rotated_basis(spectrum, angle):
 HUGE_SPECTRA = ((0.5, 1e308), (0.2, 1e200), (0.3, 1e154), (0.3, 0.8))
 
 
+def _scaled_pairs():
+    """(s, x, y): a dim-3 and a dim-5 pair of effects times s, at s = 1e160, 1e250, 1e307."""
+    rng = np.random.default_rng(17)
+    for dim in (3, 5):
+        qx, qy = (np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2))
+        x, y = ((q * np.linspace(*ends, dim)) @ q.T for q, ends in ((qx, (0.1, 0.9)), (qy, (0.2, 0.7))))
+        for s in (1e160, 1e250, 1e307):
+            yield s, s * x, s * y
+
+
 @pytest.mark.parametrize(
-    "command", [["classify"], ["evolve"], ["evolve", "--mode", "seqprod"]], ids=" ".join
+    "command",
+    [["classify"], ["evolve"], ["evolve", "--mode", "seqprod"],
+     *(["observable", name] for name in ("seqprod", "tseq", "cond", "tcond"))],
+    ids=" ".join,
 )
 def test_operands_near_the_float_limit_get_an_answer_or_one_error_line(tmp_path, capsys, command):
     # at --tol 1e308, each ordered pair of four operands, eigenvalues up to 1e308,
-    # in a basis of their own: exit 0 with no nan or inf written, or exit 2
-    # with one error line, and no RuntimeWarning (tier-1 makes it an error)
-    paths = [
-        write_op(tmp_path / f"op{k}.json", _in_rotated_basis(w, 0.3 + 0.4 * k))
-        for k, w in enumerate(HUGE_SPECTRA)
-    ]
+    # in a basis of their own, and at --tol s, both orders of each pair of
+    # _scaled_pairs, whose a∘b overflows (an observable command takes the
+    # observables {x, s·I − x} of the pair): exit 0 with no nan or inf
+    # written, or exit 2 with one error line, and no RuntimeWarning (tier-1
+    # makes it an error) and no exception, such as an eigensolver's that
+    # does not converge on a matrix that is not finite
+    observable = command[0] == "observable"
+    runs = []
+    if not observable:
+        paths = [
+            write_op(tmp_path / f"op{k}.json", _in_rotated_basis(w, 0.3 + 0.4 * k))
+            for k, w in enumerate(HUGE_SPECTRA)
+        ]
+        runs += [("1e308", x, y) for x, y in itertools.permutations(paths, 2)]
+    for k, (s, *pair) in enumerate(_scaled_pairs()):
+        x, y = (
+            _write_raw_observable(tmp_path / f"obs{k}{n}.json", [m, s * np.eye(len(m)) - m], ["p", "q"])
+            if observable else write_op(tmp_path / f"op{k}{n}.json", m)
+            for n, m in enumerate(pair)
+        )
+        runs += [(repr(s), x, y), (repr(s), y, x)]
     extra = ["--steps", "2"] if command[0] == "evolve" else []
-    for x, y in itertools.permutations(paths, 2):
-        code, out, err = run(capsys, ["--tol", "1e308", command[0], x, y, *command[1:], *extra])
+    extra += ["--t", "0.7"] if command[-1] in ("tseq", "tcond") else []
+    for tol, x, y in runs:
+        code, out, err = run(capsys, ["--tol", tol, *command, x, y, *extra])
         if code == 0:
             assert "nan" not in out and "inf" not in out and err == "", (x, y)
         else:
             assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1, (x, y)
+
+
+def _large_scale_pair(tmp_path, a_spectrum):
+    """a = q·diag(a_spectrum)·q^T and b = 1e9·B, B of spectrum {.1, .5, .9}, both dim 3."""
+    q, r = (np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0] for seed in (1, 2))
+    a = write_op(tmp_path / "a.json", (q * a_spectrum) @ q.T)
+    return a, write_op(tmp_path / "b.json", 1e9 * (r * [0.1, 0.5, 0.9]) @ r.T)
+
+
+@pytest.mark.parametrize(
+    "tol, a_spectrum, lines",
+    [
+        # a = 0.7e9·P, P a rank-2 projection: at a --tol that admits b, each
+        # eigenvalue of a is within tol of 0, so no nonzero group makes it a
+        # scaled projection, and [a, PbP] = 0 on its support P is the reason
+        ("1e9", [0.7e9, 0.7e9, 0.0], ["constant: true", "reason: CommutingOnSupport"]),
+        ("1e12", [0.7e9, 0.7e9, 0.0], ["constant: true", "reason: CommutingOnSupport"]),
+        # a = 1e9·P at a tol just below 1e9: its nonzero group is a scaled projection
+        ("999999999.5", [1e9, 1e9, 0.0], ["constant: true", "reason: ScaledProjection"]),
+        # a generic a of the same scale neither commutes with b nor is a projection
+        ("1e9", [0.1e9, 0.5e9, 0.9e9], ["constant: false", "reason: Neither"]),
+        ("1e12", [0.1e9, 0.5e9, 0.9e9], ["constant: false", "reason: Neither"]),
+    ],
+    ids=["support-1e9", "support-1e12", "projection", "generic-1e9", "generic-1e12"],
+)
+def test_classify_at_large_scale_allows_rounding_but_not_scale_times_tol(tmp_path, capsys, tol, a_spectrum, lines):
+    # ||[a∘b, a]|| of a constant a[t]b rounds to about eps·||a∘b||·||a|| (6e10 and
+    # 1e11 here), beyond tol; a generic pair's (4.9e25) is within tol·||a∘b||·||a||
+    code, out, err = run(capsys, ["--tol", tol, "classify", *_large_scale_pair(tmp_path, a_spectrum)])
+    assert (code, err) == (0, "") and out.splitlines()[:2] == lines
 
 
 def test_evolve_writes_the_hermitian_part_of_entries_near_the_float_limit(tmp_path, capsys):

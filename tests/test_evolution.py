@@ -456,6 +456,19 @@ def test_bruteforce_constant_for_scaled_projection(rng):
     assert constancy_bruteforce(a, random_effect(3, rng), GRID)
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_bruteforce_constant_for_a_scaled_projection_of_large_scale(scale):
+    # a = 0.7 s·p, p a rank-2 projection, and b = s·B, both admitted at tol s:
+    # a[t]b is constant, and its deviation on the grid is rounding (5.8e-7 at
+    # s = 1e3 and 310 at s = 1e6 with numpy 2.4.6), within BRUTEFORCE_TOL at
+    # the scale of the pair, max(1, ||a|| ||b||), but not within it alone
+    rng = np.random.default_rng(2)
+    p = random_projection(3, 2, rng)
+    a = validate_effect(0.7 * scale * p.matrix, scale)
+    b = validate_effect(scale * random_effect(3, rng).matrix, scale)
+    assert constancy_bruteforce(a, b, np.linspace(0.0, 4.0 * math.pi, 33))
+
+
 def test_deviation_profile_matches_pointwise(rng):
     a, b = random_effect(3, rng), random_effect(3, rng)
     base = sequential_product(a, b).matrix
