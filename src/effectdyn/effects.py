@@ -151,7 +151,10 @@ class Admission:
     still checks them source by source. A slice whose defect is not finite,
     which is exactly a slice with an entry that is not finite (a product
     that overflowed), is not eigensolved: its spectrum is NaN, which
-    _finite_matrix refuses, so no eigensolver sees a non-finite matrix.
+    _finite_matrix refuses, so no eigensolver sees a non-finite matrix. A
+    slice with an eigenvalue that is not finite (a norm beyond the float
+    range) gets a NaN spectrum too: the rest of its eigenvalues are then
+    rounding of that overflow, not bounds to report.
     """
 
     matrices: np.ndarray
@@ -167,7 +170,7 @@ class Admission:
         finite = np.isfinite(defects)
         w = np.full(h.shape[:-1], math.nan)
         w[finite] = np.linalg.eigvalsh(h[finite])
-        w = linalg.readonly(w)
+        w = linalg.readonly(np.where(np.isfinite(w).all(axis=-1, keepdims=True), w, math.nan))
         return cls(linalg.readonly(h), defects, bounds, w, w[:, 0].tolist(), w[:, -1].tolist())
 
     def admit(self, i: int, tol: float) -> Effect:
@@ -209,7 +212,8 @@ class Admission:
         NaN eigenvalues compare false with any bound, so they pass every check
         before this one. They come from an eigensolve of a matrix whose
         entries' moduli exceed the float range, or from ``of``, which gives
-        them to a matrix with an entry that is not finite without solving it.
+        them to a matrix with an entry that is not finite without solving it,
+        and to one whose eigensolve returned an eigenvalue that is not finite.
         """
         low, high = self.lows[i], self.highs[i]
         if math.isnan(low) or math.isnan(high):

@@ -21,10 +21,13 @@ derivatives and deviations are frame reads as well. A frame has three
 readers: EigenFrame.at(t, order), at one time or on a grid of times, and
 deviation_norms and trajectory (evolve's columns), on a grid. Every time
 they take passes one rule, EigenFrame.check_phases, and every derivative
-order one rule, EigenFrame._admitted_order. A frame of a[t]b validates a∘b
-and cross-checks its two routes once, when it is built, at the scale of
-the pair, which covers every t; every a[t]b,
-time_seq_product's included, is read from such a frame. Only
+order one rule, EigenFrame._admitted_order. One method forms the phases,
+EigenFrame.phased, for those readers and for the scan's gap kernel
+(explorer._gap_kernel), so the scan's gap and symmetry_gap share one
+phase rule at every t. A frame of a[t]b validates a∘b and cross-checks its
+two routes once, when it is built, at the scale of the pair, which covers
+every t; every a[t]b, time_seq_product's included, is read from such a
+frame. Only
 classify_scaled_projection groups coincident eigenvalues. Derived effects
 and decisions use the loosest operand's admission tolerance, Effect.tol;
 products compound it (product_tol).
@@ -170,11 +173,12 @@ class EigenFrame:
     def at(self, t, order: int = 0) -> np.ndarray:
         """The order-th time derivative i^order [...[M(t), a]..., a] (order 0: M(t)) at t.
 
-        t is one time, for one frame or each frame of a stack, or an array
-        of times for one frame, which gives one matrix per time, stacked.
-        A nonzero order passes the frames' one order rule (_admitted_order)
-        first, which _derivative_norm runs at order 1. The factor's phase is
-        exact (_rotated).
+        t is one time or an array of times, for one frame or a stack of
+        frames: each time gives one matrix, or one stack, and the result has
+        the shape t.shape + x.shape. A nonzero order passes the frames' one
+        order rule (_admitted_order) first, which _derivative_norm runs at
+        order 1. The factor's phase is exact (_rotated), and the phases are
+        those of every frame read (phased).
         """
         order = self._admitted_order(order, f"derivative order {order!r}") if order else 0
         return self._in_basis(self._rotated(t, order))
@@ -256,20 +260,29 @@ class EigenFrame:
         return linalg.operator_norms(self.x * (-1j * self.freq))
 
     def _rotated(self, t, order: int = 0) -> np.ndarray:
-        """(-i freq)^order ⊙ E_t ⊙ X, E_t = exp(-it freq): at(t, order) in the frame's basis.
+        """(-i freq)^order ⊙ E_t ⊙ X: at(t, order) in the frame's basis.
 
-        t passes check_phases, an array of times giving one slice per time;
-        the order is one that at admitted, its factor (-i)^(order mod 4),
-        exactly, times freq^order. E_t is formed as e ⊗ ē with e_j =
-        exp(-it freq_j0), so E_t ⊙ X = D X D† for the diagonal unitary
-        D = diag(e) even where the phases t freq_j0 round: the spectrum of X
-        is kept at every t. E_t is exactly 1 where freq is 0.
+        t passes check_phases and is read by phased; the order is one that at
+        admitted, its factor (-i)^(order mod 4), exactly, times freq^order.
         """
-        ts = self.check_phases(t)
-        e = np.exp(-1j * ts[..., None] * self.freq[..., :, 0])
-        rotated = e[..., :, None] * self.x * e.conj()[..., None, :]
-        rotated = np.where(self.freq == 0.0, self.x, rotated)
+        rotated = self.phased(self.check_phases(t))
         return rotated * ((1, -1j, -1, 1j)[order % 4] * self.freq**order) if order else rotated
+
+    def phased(self, times) -> np.ndarray:
+        """E_t ⊙ X, E_t = exp(-it freq), at every t of ``times``: the one rule of a frame's phases.
+
+        Unchecked: a caller runs check_phases on the times, or on their
+        largest |t|, first. Each time gives one slice, of every frame of a
+        stack, so the result has the shape times.shape + x.shape. E_t is
+        formed as e ⊗ ē with e_j = exp(-it freq_j0), so E_t ⊙ X = D X D† for
+        the diagonal unitary D = diag(e) even where the phases t freq_j0
+        round: the spectrum of X is kept at every t. E_t is exactly 1 where
+        freq is 0. Each phase t freq_j0 rounds once, so entry jk's phase is
+        off by at most eps |t| (freq_j0 + freq_k0) / 2, where freq is not 0.
+        """
+        e = np.exp(-1j * np.multiply.outer(times, self.freq[..., :, 0]))
+        rotated = e[..., :, None] * self.x * e.conj()[..., None, :]
+        return np.where(self.freq == 0.0, self.x, rotated)
 
 
 def _frequencies(w: np.ndarray) -> np.ndarray:

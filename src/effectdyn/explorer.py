@@ -27,7 +27,9 @@ sqrt(eps), whatever |t| is, so the tolerance is sqrt(eps) plus the float
 spacing 4 eps |t|, not the usual sqrt(eps) |t|. One kernel, in the
 eigenbasis of a, evaluates every gap of the search; its reference is
 symmetry_gap, which reads the pair's checked frames (time_seq_products), and
-tests/dense_reference.py's gap_polar is the frame-free one. A positive
+tests/dense_reference.py's gap_polar is the frame-free one. The kernel and
+symmetry_gap share one phase rule, EigenFrame.phased, so they part by the
+rounding of their arithmetic alone, at any |t|. A positive
 ``min_gap_lower`` proves a[t]b != b[t]a for every t in the window, and only
 there: the gap is almost periodic in t, so the window says nothing about t
 outside it. What exactly is certified, and to what rounding, is stated in
@@ -88,8 +90,8 @@ _EPS = float(np.finfo(float).eps)
 _INF = math.inf
 # Rounding slack of one evaluated gap's arithmetic, in units of
 # eps * (||X_a||_F + ||X_b||_F); the search adds that of its phases (see
-# _certified_search). The largest error measured is 3.0 units, so 8 is a
-# margin of 2.7 over it, and 4 would still cover it.
+# _certified_search). The largest error measured is 1.8 units, so 8 is a
+# margin of 4.4 over it, and 4 would still cover it.
 _SLACK_UNITS = 8.0
 _EVAL_CHUNK = 16384
 
@@ -226,21 +228,22 @@ def _frames(a: Effect, b: Effect) -> EigenFrame:
 def _gap_kernel(frames: EigenFrame):
     """The gap's two branches at one t (a float) or at every t of an array, in the eigenbasis of a.
 
-    With W = V_a† V_b, V_a† (a[t]b - b[t]a) V_a = E^a_t ⊙ X_a - W (E^b_t ⊙ X_b) W†,
-    so each time costs two matrix products and one eigensolve. The kernel
+    With W = V_a† V_b, V_a† (a[t]b - b[t]a) V_a = R_a - W R_b W†, where
+    R = E_t ⊙ X of each frame is read by EigenFrame.phased, the phase rule of
+    every frame read, symmetry_gap's included; so each time costs two matrix
+    products and one eigensolve, and the kernel's gap at t is symmetry_gap's
+    to rounding of the arithmetic alone, at any |t|. The kernel
     returns the branches (-λ_min, λ_max) of that Hermitian matrix: the gap
     is their maximum, and they cross where h = λ_max + λ_min changes sign.
     It does not check its phases: each caller runs EigenFrame.check_phases
     on the stacked frames once, on its grid or at its window's largest |t|.
     """
-    (va, vb), (xa, xb) = frames.vectors, frames.x
-    w = va.conj().T @ vb
-    w_inv = w.conj().T
-    rate_a, rate_b = -1j * frames.freq
+    w = linalg.adjoint(frames.vectors[0]) @ frames.vectors[1]
+    w_inv = linalg.adjoint(w)
 
     def branches(t):
-        phase = np.asarray(t, dtype=float)[..., None, None]
-        m = np.exp(phase * rate_a) * xa - w @ (np.exp(phase * rate_b) * xb) @ w_inv
+        r = frames.phased(t)
+        m = r[..., 0, :, :] - w @ r[..., 1, :, :] @ w_inv
         e = np.linalg.eigvalsh(m).T  # eigenvalue index first: e[0], e[-1] per time
         return -e[0], e[-1]
 
@@ -463,13 +466,28 @@ def _certified_search(frames: EigenFrame, cfg: ScanConfig) -> _WindowMinimum:
 
         gap >= (g_i + g_{i+1} - L h)/2 - slack,   L = _lipschitz(frames),
 
-    slack = _SLACK_UNITS * eps * (||X_a||_F + ||X_b||_F) + eps T L / 2 covering
+    slack = _SLACK_UNITS * eps * (||X_a||_F + ||X_b||_F) + eps T P covering
     the rounding of each evaluated gap, T = max |t| over the window. The first
-    term covers the kernel's arithmetic (against a 34-digit evaluation of the
-    same frames, _gap_kernel was off by at most 3.0 such units on 170 pairs,
-    dims 2-8). The second covers its phases: t freq_jk rounds by at most
-    eps |t freq_jk| / 2, which moves E_t ⊙ X by at most eps |t| ||freq ⊙ X||_F / 2
-    in norm, so the gap by at most eps |t| L / 2 <= eps T L / 2.
+    term covers the kernel's arithmetic: against a 34-digit evaluation of the
+    same frames at the same rounded phases, _gap_kernel was off by at most
+    1.8 such units on 175 scan pairs, dims 2-8, at 12 times each on the
+    default window and 12 in [1e8, 1e8 + 8 pi] (1.72 there). The second
+    covers its phases, which EigenFrame.phased forms as e_j conj(e_k) with
+    e_j = exp(-it freq_j0). Their exact values, which define the frames'
+    gap, are t (freq_j0 - freq_k0): freq_j0 = w_j - w_0 as stored, so these
+    differ from t freq_jk by the rounding of the stored differences alone.
+    Each t freq_j0 rounds by at most eps |t freq_j0| / 2, and freq_j0 >= 0
+    (the eigenvalues ascend), so the phase of entry jk of E_t is off by at
+    most eps |t| G_jk, where G_jk = (freq_j0 + freq_k0) / 2 (``drift``), and
+    G_jk = 0 where freq_jk is 0 and E_t is exactly 1. A phase error d moves
+    a unit entry by at most |d|, so E_t ⊙ X moves by at most
+    eps |t| ||G ⊙ X||_F in norm, and the gap, the norm of a difference of the
+    two frames' values in which W is unitary, by at most eps |t| P <= eps T P,
+    P = ||G ⊙ X_a||_F + ||G ⊙ X_b||_F with each frame's own G. P >= L / 2,
+    since |freq_jk| <= freq_j0 + freq_k0: phases t freq_jk rounded entry by
+    entry would need only eps T L / 2, but would not be symmetry_gap's.
+    Against exact phases the kernel's gap on those pairs stayed within 0.18
+    of this slack on the default window, and within 0.52 of it near 1e8.
     Near a smooth minimum that cone is off by about L h / 2, so on its own it
     certifies only once h is about 2 CERTIFY_RTOL gap / L. The interval's
     bound (_interval_bound) is therefore the larger of the cone and a
@@ -563,7 +581,8 @@ def _certified_search(frames: EigenFrame, cfg: ScanConfig) -> _WindowMinimum:
     lip, curv = _lipschitz(frames), _curvature(frames)
     scale = float(sum(map(np.linalg.norm, frames.x)))
     top = max(abs(lo), abs(hi))
-    slack = _SLACK_UNITS * _EPS * scale + _EPS * top * lip / 2.0
+    drift = np.where(frames.freq == 0.0, 0.0, frames.freq[..., :, :1] - frames.freq[..., :1, :]) / 2.0
+    slack = _SLACK_UNITS * _EPS * scale + _EPS * top * float(sum(map(np.linalg.norm, drift * frames.x)))
     ulp = top - math.nextafter(top, 0.0)
     if (
         (hi - lo) * lip > MAX_KNOTS * 2.0 * scale

@@ -45,7 +45,9 @@ MUTANTS = [
     ("explorer.py", "_SLACK_UNITS = 8.0", "_SLACK_UNITS = 4.0"),
     ("explorer.py", "_SLACK_UNITS = 8.0", "_SLACK_UNITS = 0.0"),
     ("explorer.py", "+ 8.0 * _EPS * (g", "+ 0.0 * _EPS * (g"),  # the secant bound's rounding term
-    ("explorer.py", " + _EPS * top * lip / 2.0", ""),  # the scan slack's phase term
+    # the scan slack's phase term, and that term for phases rounded entry by entry
+    ("explorer.py", " + _EPS * top * float(sum(map(np.linalg.norm, drift * frames.x)))", ""),
+    ("explorer.py", "float(sum(map(np.linalg.norm, drift * frames.x)))", "lip / 2.0"),
     ("explorer.py", "(1.0 + 8.0 * dim * _EPS) * norms", "norms"),  # _curvature's factor
     ("explorer.py", "r <= atol + 4.0 * _EPS * abs(c)", "r <= atol"),  # _refine's stop rule
     # the frames' order budget

@@ -6,6 +6,7 @@ reproducible from the seed in the test.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,8 @@ def state_faults(dim: int, rng: np.random.Generator) -> dict:
     }
     if dim > 1:
         faults["trace_overflow"] = np.diag([1.7e308] * dim)  # finite entries, sum inf
+        # finite entries, eigenvalue inf: at dim 3 the others are +-5.6e292, rounding
+        faults["spectrum_overflow"] = np.full((dim, dim), 1e308)
         z = 1.5e308 + 1.5e308j
         spread = np.zeros((dim, dim), dtype=complex)
         spread[0, 0] = spread[1, 1] = 0.5
@@ -202,11 +205,13 @@ def reference_state(matrix, tol: float) -> State:
 
     The matrix gets a Hermiticity check and an eigensolve by itself; then the
     lowest eigenvalue, the trace (summed with overflow ignored) and last the
-    finiteness of the spectrum are checked, in validate_state's order.
+    finiteness of the spectrum are checked, in validate_state's order. A
+    spectrum with an eigenvalue that is not finite has no lowest eigenvalue
+    to check (NaN).
     """
     h = linalg.require_hermitian(matrix)
     w = np.linalg.eigvalsh(h)
-    lo = float(w[0])
+    lo = float(w[0]) if np.isfinite(w).all() else math.nan
     if lo < -tol:
         raise SpectrumOutOfRangeError(f"eigenvalue {lo!r} below -{tol!r}", lo)
     with np.errstate(over="ignore"):

@@ -1219,8 +1219,9 @@ def test_read_text_raises_what_path_read_text_raises(tmp_path):
 
 
 # Finite entries whose M + M† overflows: each admission must still see the
-# spectrum (eigenvalues of +-1e308 or inf) and refuse it, not a NaN one, and
-# a state's diagonal may sum to inf, with no RuntimeWarning on the way.
+# spectrum and refuse it, on an eigenvalue of +-1e308 or, where one
+# overflows to inf, as not finite, and a state's diagonal may sum to inf,
+# with no RuntimeWarning on the way.
 HUGE = np.full((2, 2), 1e308)
 HUGE_STATE = np.array([[0.5, 1e308], [1e308, 0.5]])
 

@@ -712,7 +712,8 @@ def test_eigen_frame_rejects_empty_grid(rng):
 
 def test_eigen_frame_reads_a_grid_as_its_times_one_by_one(rng):
     # at(times, order) stacks at(t, order) for each t, bit for bit: both kinds
-    # of frame, orders 0-2, dims 1-8, for a generic and a rank-deficient a
+    # of frame and a stack of two, orders 0-2, dims 1-8, for a generic and a
+    # rank-deficient a; a stack's slice k is its pair k's frame read alone
     times = np.array([0.0, 0.7, -2.3, 25.0, -1e3])
     for dim in range(1, 9):
         u = random_unitary(dim, rng)
@@ -720,12 +721,17 @@ def test_eigen_frame_reads_a_grid_as_its_times_one_by_one(rng):
         for w in (generic, np.where(np.arange(dim) < (dim + 1) // 2, 0.0, generic)):
             a = validate_effect((u * w) @ u.conj().T)
             b = random_effect(dim, rng)
-            for frame in (EigenFrame.evolution(a, b), EigenFrame.product(a, b)):
+            stack = EigenFrame.stacked_products([a, b], [b, a])
+            for frame in (EigenFrame.evolution(a, b), EigenFrame.product(a, b), stack):
                 for order in (0, 1, 2):
                     grid = frame.at(times, order)
-                    assert grid.shape == (times.size, dim, dim)
+                    assert grid.shape == (times.size, *frame.x.shape)
                     for t, m in zip(times.tolist(), grid):
                         assert np.array_equal(frame.at(t, order), m)
+            for k, pair in enumerate([(a, b), (b, a)]):
+                for order in (0, 1, 2):
+                    alone = EigenFrame.product(*pair).at(times, order)
+                    assert np.array_equal(stack.at(times, order)[:, k], alone)
 
 
 def _with_broken_sqrt(a, rng, size=1e-6):

@@ -481,12 +481,14 @@ def _dense_minimum(a, b, ts):
 
 
 def test_certified_lower_bounds_hold_against_dense_minima():
-    # 85 pairs at dims 2-8 on the default window and 85 on one far from t = 0,
-    # where the phases t*freq round by about eps |t|; h is the initial knot
-    # spacing, and few pairs at dims 3-8 have a minimum above L h, so dim 2,
-    # the cheapest to scan densely, brings most of the exercised pairs
+    # 85 pairs at dims 2-8 on the default window and 85 on each of two far
+    # from t = 0, where the phases t*freq_j0 round by about eps |t|, 2e-8 rad
+    # at 1e8; h is the initial knot spacing, and few pairs at dims 3-8 have a
+    # minimum above L h, so dim 2, the cheapest to scan densely, brings most
+    # of the exercised pairs
     exercised = 0
-    for window in ((-4.0 * math.pi, 4.0 * math.pi), (1e4, 1e4 + 8.0 * math.pi)):
+    windows = [(-4.0 * math.pi, 4.0 * math.pi)] + [(t, t + 8.0 * math.pi) for t in (1e4, 1e8)]
+    for window in windows:
         for dim in range(2, 9):
             trials = 40 if dim == 2 else 10 - dim // 2
             cfg = ScanConfig(dim=dim, trials=trials, seed=dim, t_window=window)
@@ -500,7 +502,7 @@ def test_certified_lower_bounds_hold_against_dense_minima():
                 if dense > explorer._lipschitz(explorer._frames(r.a, r.b)) * h:
                     exercised += 1
                     assert r.min_gap_lower > 0.0
-    assert exercised >= 20
+    assert exercised >= 35
 
 
 def test_secant_bound_is_exact_on_a_concave_cap(monkeypatch):
@@ -585,12 +587,26 @@ def test_final_intervals_fit_the_up_front_refusal(monkeypatch):
             assert np.diff(ts).max() <= (1.0 + 8.0 * eps) * widest
 
 
+def _phase_drift(frames) -> float:
+    """P of _certified_search: the sum over both frames of ||G ⊙ X||_F.
+
+    G_jk = (freq_j0 + freq_k0) / 2, the most that the phase of E_t's entry jk
+    can be off per unit of eps |t|, and 0 where freq_jk = 0, where E_t is 1.
+    """
+    total = 0.0
+    for freq, x in zip(frames.freq, frames.x):
+        g = np.add.outer(freq[:, 0], freq[:, 0]) / 2.0
+        g[freq == 0.0] = 0.0
+        total += float(np.linalg.norm(g * x))
+    return total
+
+
 def _search_slack(frames, window) -> float:
     """The search's slack on ``window`` (_certified_search)."""
     eps = np.finfo(float).eps
     scale = sum(np.linalg.norm(x) for x in frames.x)
     top = max(abs(x) for x in window)
-    return explorer._SLACK_UNITS * eps * scale + eps * top * explorer._lipschitz(frames) / 2.0
+    return explorer._SLACK_UNITS * eps * scale + eps * top * _phase_drift(frames)
 
 
 @pytest.mark.parametrize("window", [(-4.0 * math.pi, 4.0 * math.pi), (1e4, 1e4 + 8.0 * math.pi)])
@@ -801,7 +817,7 @@ def test_refinement_finds_a_kink_between_unequal_slopes(monkeypatch):
         monkeypatch, frames, lambda t: g0 + 0.3 * lip * (t0 - t), lambda t: g0 + 0.7 * lip * (t - t0)
     )
     slack = explorer._SLACK_UNITS * eps * sum(np.linalg.norm(x) for x in frames.x)
-    slack += eps * 2.0 * lip / 2.0  # the phases' share at |t| <= 2
+    slack += eps * 2.0 * _phase_drift(frames)  # the phases' share at |t| <= 2
     assert g0 <= found.min_gap <= g0 + 2.0 * slack
     [refinement] = refinements
     calls = refinement.calls
@@ -861,6 +877,22 @@ def test_refined_minima_are_local_minima_to_rounding(dim, window):
         _check_no_lower_gap_nearby(r, cfg)
 
 
+@pytest.mark.parametrize("start", [None, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_scan_minima_are_symmetry_gaps_at_any_distance_from_zero(dim, start):
+    # the kernel reads each frame's phases through EigenFrame.phased, as
+    # symmetry_gap's checked frames do, so a record's minimum is the gap at
+    # its t_star to the rounding of the arithmetic, however far the window
+    # lies from t = 0, where phases rounded another way would part by about
+    # eps |t|
+    window = {} if start is None else {"t_window": (start, start + 8.0 * math.pi)}
+    records = conjecture_scan(ScanConfig(dim=dim, trials=20, seed=7, **window)).records
+    assert len(records) == 20
+    for r in records:
+        assert abs(symmetry_gap(r.a, r.b, r.t_star) - r.min_gap) <= 1e-12, (r.trial, r.t_star)
+        assert 0.0 <= r.min_gap_lower <= r.min_gap
+
+
 def test_kink_polish_reaches_the_branch_crossing():
     # at dim 4 many window minima sit where λ_max and -λ_min of
     # a[t]b - b[t]a cross; the refinement's two fitted branches cross there too
@@ -886,19 +918,20 @@ def test_scan_reports_certified_brackets(monkeypatch):
 
 def test_certified_bound_allows_for_phase_rounding(monkeypatch):
     # a fake kernel whose true gap L |t - t0| reaches 0 at t0 and whose
-    # readings are high by eps |t| L / 2, as far as rounded phases t*freq
-    # can move a gap: the window's lower bound must not rise above 0
+    # readings are high by eps |t| P, as far as the frames' rounded phases
+    # t*freq_j0 can move a gap: the window's lower bound must not rise above 0
     eps = np.finfo(float).eps
     a = random_effect(3, np.random.default_rng(5))
     b = random_effect(3, np.random.default_rng(6))
     frames = explorer._frames(a, b)
-    lip = explorer._lipschitz(frames)
+    lip, drift = explorer._lipschitz(frames), _phase_drift(frames)
+    assert drift > lip / 2.0  # beyond the rounding of phases t*freq_jk
     t0 = 1e4 + 1.2345
 
     def fake_kernel(_frames):
         def branches(t):
             t = np.asarray(t, dtype=float)
-            reading = lip * np.abs(t - t0) + eps * np.abs(t) * lip / 2.0
+            reading = lip * np.abs(t - t0) + eps * np.abs(t) * drift
             return reading, reading
 
         return branches
