@@ -9,7 +9,7 @@ and then b immediately afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +52,9 @@ class Effect:
     ``decomposition`` eigensolves it as it is, with no second check.
     ``eig_min``/``eig_max`` are the raw extremal eigenvalues found at
     validation time, and ``tol`` is the tolerance they were admitted at.
+    Admitted once; a frame read keeps its source's spectrum: b(t|a) and
+    a[t]b, unitary conjugates of b and a∘b, are made by :func:`conjugates`
+    with the eig_min/eig_max of b and a∘b.
     """
 
     matrix: np.ndarray
@@ -234,6 +237,22 @@ def admit_effects(stack: np.ndarray, tols) -> tuple[Effect, ...]:
     return tuple(map(admission.admit, range(len(tols)), tols))
 
 
+def conjugates(stack: np.ndarray, sources, tols) -> tuple:
+    """Slice k of a (k, d, d) stack of conjugates U m U†, m the matrix of sources[k], as sources[k].
+
+    Admitted once; a frame read keeps its source's spectrum. U m U† has the
+    spectrum and trace of m for a unitary U, so slice k is not admitted
+    again: it becomes the source, an Effect or a State, with the slice's
+    Hermitian part (the bits Admission stores) as its matrix and tols[k] as
+    its tolerance; an Effect keeps the source's eig_min and eig_max. The
+    source's cached decomposition is not carried over, since it is not the
+    slice's. A second eigensolve would only refuse valid reads for its own
+    rounding: at a tol near eps, and at the float limit, where it overflows.
+    """
+    h = linalg.readonly(linalg.hermitian_part(stack))
+    return tuple(replace(s, matrix=m, tol=tol) for s, m, tol in zip(sources, h, tols))
+
+
 def admit_in_order(matrices, tol: float, states):
     """Each of ``matrices``, square of any sizes, admitted at tol in input order, when asked for.
 
@@ -274,7 +293,10 @@ def zero_effect(dim: int) -> Effect:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Positive unit-trace operator admitted at ``tol``; made by :func:`validate_state`."""
+    """Positive unit-trace operator admitted at ``tol``; made by :func:`validate_state`.
+
+    rho(t) of evolution.evolve_state is rho read from a frame (:func:`conjugates`).
+    """
 
     matrix: np.ndarray
     tol: float = DECISION_TOL

@@ -27,10 +27,12 @@ EigenFrame.phased, for those readers and for the scan's gap kernel
 phase rule at every t. A frame of a[t]b validates a∘b and cross-checks its
 two routes once, when it is built, at the scale of the pair, which covers
 every t; every a[t]b, time_seq_product's included, is read from such a
-frame. Only
-classify_scaled_projection groups coincident eigenvalues. Derived effects
-and decisions use the loosest operand's admission tolerance, Effect.tol;
-products compound it (product_tol).
+frame. Admitted once; a frame read keeps its source's spectrum: b(t|a),
+a[t]b and rho(t) are unitary conjugates of b, a∘b and rho, so each is its
+source with the read as its matrix (effects.conjugates), and no read is
+eigensolved again. Only classify_scaled_projection groups coincident
+eigenvalues. Derived effects and decisions use the loosest operand's
+admission tolerance, Effect.tol; products compound it (product_tol).
 
 Commutator convention: [x, y] = xy - yx, so d/dt b(t|a) = i[b(t|a), a].
 """
@@ -49,14 +51,12 @@ from .effects import (
     State,
     _check_dims,
     _pair_bound,
-    admit_effects,
     commutator_norm,
     commutes,
-    product_tol,
+    conjugates,
     products_and_roots,
     sequential_product,
     validate_effect,
-    validate_state,
 )
 from .errors import (
     ConsistencyError,
@@ -143,12 +143,12 @@ class EigenFrame:
 
         The one-pair case of stacked_products: its slice 0.
         """
-        frame = cls.stacked_products([a], [b])
+        frame = cls.stacked_products([a], [b])[0]
         return cls(frame.vectors[0], frame.freq[0], frame.x[0])
 
     @classmethod
-    def stacked_products(cls, lefts, rights) -> EigenFrame:
-        """The frames of a[t]b for every aligned pair (lefts[k], rights[k]) of one dimension.
+    def stacked_products(cls, lefts, rights) -> tuple[EigenFrame, tuple[Effect, ...]]:
+        """The frames of a[t]b, and each a∘b, for every aligned pair (lefts[k], rights[k]).
 
         One frame with each field stacked along a leading axis, slice k pair
         k's frame, built in one stacked pass: a∘b of every pair admitted at
@@ -160,7 +160,8 @@ class EigenFrame:
         stacked decomposition (_from_decomposition). The first pair whose
         routes differ beyond CROSS_CHECK_TOL · max(1, ||a|| ||b||) raises
         ConsistencyError (_cross_check). No pairs raise EffectdynError: there
-        is no dimension to build a frame from.
+        is no dimension to build a frame from. The admitted products come
+        back with the frame, as the sources of its reads (time_seq_products).
         """
         if not lefts:
             raise EffectdynError("no pairs to build a frame from: an empty family has no dimension")
@@ -168,7 +169,7 @@ class EigenFrame:
         frame, b_frame = (cls._from_decomposition(d, np.array([e.matrix for e in m])) for m in (ab, rights))
         bounds = [_pair_bound(CROSS_CHECK_TOL, a, b, CROSS_CHECK_TOL) for a, b in zip(lefts, rights)]
         _cross_check(frame.x, root[:, :, None] * b_frame.x * root[:, None, :], bounds)
-        return frame
+        return frame, ab
 
     def at(self, t, order: int = 0) -> np.ndarray:
         """The order-th time derivative i^order [...[M(t), a]..., a] (order 0: M(t)) at t.
@@ -327,16 +328,17 @@ def effect_evolutions(rights, a: Effect, t: float) -> tuple[Effect, ...]:
 
     The dimensions are checked first (DimensionMismatchError names the first
     b that differs), then one frame of the stack of every b, from a's cached
-    decomposition, is read at t once, and b(t|a) is admitted at
-    max(a.tol, b.tol) in one admit_effects pass; its first failing b raises.
-    No effects give ().
+    decomposition, is read at t once. Admitted once; a frame read keeps its
+    source's spectrum: b(t|a) is b at max(a.tol, b.tol) with the read as
+    its matrix (effects.conjugates), never eigensolved again. No effects
+    give ().
     """
     if not rights:
         return ()
     for b in rights:
         _check_dims(a.dim, b.dim)
     frame = EigenFrame._from_decomposition(a.decomposition, np.array([b.matrix for b in rights]))
-    return admit_effects(frame.at(t), [max(a.tol, b.tol) for b in rights])
+    return conjugates(frame.at(t), rights, [max(a.tol, b.tol) for b in rights])
 
 
 def evolve_state(rho: State, a: Effect, t: float) -> State:
@@ -345,12 +347,14 @@ def evolve_state(rho: State, a: Effect, t: float) -> State:
     The dual of b(t|a) (tr(rho(t) b) = tr(rho b(t|a))): the frame of rho
     under a, from a's cached decomposition, read at -t, so its time rule is
     EigenFrame.check_phases, as for every evolution; a phase t (w_j - w_k)
-    that is not finite raises EffectdynError. The value is admitted by
-    validate_state at max(rho.tol, a.tol).
+    that is not finite raises EffectdynError. Admitted once; a frame read
+    keeps its source's spectrum: rho(t) is rho at max(rho.tol, a.tol) with
+    the read as its matrix (effects.conjugates), so it keeps rho's spectrum
+    and trace without a second admission.
     """
     _check_dims(rho.dim, a.dim)
     frame = EigenFrame._from_decomposition(a.decomposition, rho.matrix)
-    return validate_state(frame.at(-t), max(rho.tol, a.tol))
+    return conjugates(frame.at(-t)[None], [rho], [max(rho.tol, a.tol)])[0]
 
 
 def evolution_derivative(b: Effect, a: Effect, t: float, n: int = 1) -> np.ndarray:
@@ -375,8 +379,8 @@ def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
     """a[t]b = a o b(t|a): measure a, wait time t, then measure b.
 
     Since e^{-ita} commutes with a^{1/2}, this is (a o b)(t|a), the value at t
-    of the checked frame of a o b (EigenFrame.product), returned validated at
-    product_tol of the operands. The one-pair case of time_seq_products.
+    of the checked frame of a o b (EigenFrame.product), which keeps the
+    spectrum a o b was admitted with. The one-pair case of time_seq_products.
     """
     return time_seq_products([a], [b], t)[0]
 
@@ -384,15 +388,18 @@ def time_seq_product(a: Effect, b: Effect, t: float) -> Effect:
 def time_seq_products(lefts, rights, t: float) -> tuple[Effect, ...]:
     """a[t]b for every aligned pair (lefts[k], rights[k]) of one dimension, in one stacked pass.
 
-    Pair k takes the steps of time_seq_product: the frame of a o b, built and
-    cross-checked by EigenFrame.stacked_products, read at t, and the value
-    admitted at the pair's product_tol. Each check runs over the whole stack
-    before the next; its first failing pair raises. No pairs give ().
+    Pair k takes the steps of time_seq_product: a o b admitted at the pair's
+    product_tol, its frame built and cross-checked by
+    EigenFrame.stacked_products, and read at t. Admitted once; a frame read
+    keeps its source's spectrum: a[t]b is a o b with the read as its matrix
+    (effects.conjugates), never eigensolved again. Each check runs over the
+    whole stack before the next; its first failing pair raises. No pairs
+    give ().
     """
     if not lefts:
         return ()
-    frame = EigenFrame.stacked_products(lefts, rights)
-    return admit_effects(frame.at(t), [product_tol(a.tol, b.tol) for a, b in zip(lefts, rights)])
+    frame, products = EigenFrame.stacked_products(lefts, rights)
+    return conjugates(frame.at(t), products, [p.tol for p in products])
 
 
 def seq_product_derivative(a: Effect, b: Effect, t: float) -> np.ndarray:

@@ -222,7 +222,7 @@ def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:
 
 def _frames(a: Effect, b: Effect) -> EigenFrame:
     """The frames of a[t]b and b[t]a, built in one stacked pass as slices 0 and 1 of one frame."""
-    return EigenFrame.stacked_products((a, b), (b, a))
+    return EigenFrame.stacked_products((a, b), (b, a))[0]
 
 
 def _gap_kernel(frames: EigenFrame):

@@ -67,6 +67,13 @@ MUTANTS = [
     ("evolution.py", "_pair_bound(max(a.tol, b.tol), ab, a)", "max(a.tol, b.tol)"),
     ("evolution.py", "_pair_bound(BRUTEFORCE_TOL, a, b, BRUTEFORCE_TOL)", "BRUTEFORCE_TOL"),
     ("effects.py", "max(tol, per_unit * x.norm * y.norm)", "tol * max(1.0, x.norm * y.norm)"),
+    # one admission per value: a frame read admitted a second time, and a read
+    # that carries its source's cached decomposition
+    ("effects.py", "h = linalg.readonly(linalg.hermitian_part(stack))",
+     "h = [e.matrix for e in admit_effects(stack, tols)]"),
+    ("effects.py", "replace(s, matrix=m, tol=tol) for",
+     "(lambda r: vars(r).update({k: v for k, v in vars(s).items() if k not in vars(r)}) or r)"
+     "(replace(s, matrix=m, tol=tol)) for"),
 ]
 
 

@@ -747,6 +747,29 @@ def test_classify_at_a_tolerance_below_eps(files, capsys):
     assert code == 0, err
 
 
+def test_a_product_below_eps_is_refused_for_its_own_rounding(files, capsys):
+    # a∘b is a new value, admitted at its compound tolerance: at --tol 1e-17
+    # (2e-17 for the product) the rounding of an interior a's root leaves an
+    # eigenvalue near -2.8e-17, an honest refusal with one error line
+    a = write_op(files["root"] / "interior_a.json", [[0.3, 0.4], [0.4, 0.6]])
+    p = write_op(files["root"] / "p10.json", np.diag([1.0, 0.0]))
+    code, out, err = run(capsys, ["--tol", "1e-17", "classify", a, p])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: a∘b is refused: eigenvalue \S+ below -\S+\n", err), err
+    assert run(capsys, ["--tol", "1e-16", "classify", a, p])[0] == 0
+
+
+def test_an_evolved_observable_is_not_admitted_again(files, capsys):
+    # each member of B(t|a) keeps the spectrum its source was admitted with:
+    # a second eigensolve of the read gives 1.0000000000000002, above 1 + 1e-16
+    root = files["root"]
+    obs = write_obs(root / "basis_obs.json", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ["x", "y"])
+    a = write_op(root / "evolve_a.json", [[0.6, 0.2], [0.2, 0.3]])
+    code, out, err = run(capsys, ["--tol", "1e-16", "observable", "evolve", obs, a, "--t", "2.9"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcomes"] == ["x", "y"]
+
+
 # -- observable -------------------------------------------------------------
 
 
@@ -1128,7 +1151,7 @@ def test_each_matrix_a_command_reads_is_eigensolved_once(files, capsys, monkeypa
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assert run(capsys, [arg.format(**files) for arg in argv])[0] == 0
     if calls is None:  # the state joins both observables' members in the first call
-        assert len(shapes) == 7 and shapes[0] == (5, 2, 2)
+        assert len(shapes) == 6 and shapes[0] == (5, 2, 2)
     else:
         assert shapes == calls
 

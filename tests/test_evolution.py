@@ -30,13 +30,25 @@ from effectdyn import (
     sequential_product,
     time_seq_product,
     validate_effect,
+    validate_state,
     verify_coexistence_witness,
     zero_effect,
 )
 from effectdyn.effects import sequential_products
-from effectdyn.errors import EffectdynError, EmptyGridError, InvalidOrderError, NotAProjectionError
-from effectdyn.evolution import EigenFrame, effect_evolutions, time_seq_products
-from effectdyn.observables import obs_time_seq_product, time_conditional_observable, validate_observable
+from effectdyn.errors import (
+    EffectdynError,
+    EmptyGridError,
+    InvalidOrderError,
+    NotAProjectionError,
+    SpectrumOutOfRangeError,
+)
+from effectdyn.evolution import EigenFrame, effect_evolutions, evolve_state, time_seq_products
+from effectdyn.observables import (
+    obs_evolution,
+    obs_time_seq_product,
+    time_conditional_observable,
+    validate_observable,
+)
 
 import dense_reference
 from support import (
@@ -156,7 +168,7 @@ def test_every_frame_refuses_orders_it_cannot_compute():
     frames = (
         EigenFrame.evolution(over, half),
         EigenFrame.product(over, half),
-        EigenFrame.stacked_products((over, half), (half, over)),
+        EigenFrame.stacked_products((over, half), (half, over))[0],
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -721,7 +733,7 @@ def test_eigen_frame_reads_a_grid_as_its_times_one_by_one(rng):
         for w in (generic, np.where(np.arange(dim) < (dim + 1) // 2, 0.0, generic)):
             a = validate_effect((u * w) @ u.conj().T)
             b = random_effect(dim, rng)
-            stack = EigenFrame.stacked_products([a, b], [b, a])
+            stack = EigenFrame.stacked_products([a, b], [b, a])[0]
             for frame in (EigenFrame.evolution(a, b), EigenFrame.product(a, b), stack):
                 for order in (0, 1, 2):
                     grid = frame.at(times, order)
@@ -838,21 +850,23 @@ def test_admitted_pairs_up_to_tol_1e12_pass_the_cross_check():
 
 def test_eigen_frame_products_stack_product_bit_for_bit(rng):
     # each frame of one stacked pass is the one-pair frame of its pair, and
-    # the frame of a∘b built alone, every field bit for bit: dims 1-8, a
-    # generic and a rank-deficient a, and the swapped pairs of a scan
+    # the frame of a∘b built alone, every field bit for bit, and the a∘b it
+    # hands back is sequential_product's: dims 1-8, a generic and a
+    # rank-deficient a, and the swapped pairs of a scan
     for dim in range(1, 9):
         u = random_unitary(dim, rng)
         w = np.where(np.arange(dim) < dim // 2, 0.0, rng.uniform(0.0, 1.0, dim))
         deficient = validate_effect((u * w) @ u.conj().T)
         a, b = random_effect(dim, rng), random_effect(dim, rng)
         lefts, rights = [a, b, deficient], [b, a, random_effect(dim, rng)]
-        frames = EigenFrame.stacked_products(lefts, rights)
+        frames, products = EigenFrame.stacked_products(lefts, rights)
         assert all(len(getattr(frames, field)) == 3 for field in ("vectors", "freq", "x"))
         for k, (left, right) in enumerate(zip(lefts, rights)):
-            for single in (
-                EigenFrame.product(left, right),
-                EigenFrame.evolution(left, sequential_product(left, right)),
-            ):
+            alone = sequential_product(left, right)
+            assert products[k].matrix.tobytes() == alone.matrix.tobytes()
+            assert (products[k].eig_min, products[k].eig_max) == (alone.eig_min, alone.eig_max)
+            assert products[k].tol == alone.tol
+            for single in (EigenFrame.product(left, right), EigenFrame.evolution(left, alone)):
                 for field in ("vectors", "freq", "x"):
                     assert np.array_equal(getattr(frames, field)[k], getattr(single, field)), field
 
@@ -949,3 +963,97 @@ def test_products_keep_their_spectrum_at_huge_t():
                 for t in np.geomspace(7.7e9, 1e12, 5):
                     value = time_seq_product(x, y, t).matrix
                     assert np.max(np.abs(np.linalg.eigvalsh(value) - spectrum)) < 1e-13
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _sweep(tol: float):
+    """(a, b, rho) at tol: an interior a, U diag(U(.05, .95)) U†, rho = |0><0|, dims 2, 3, 4, 8.
+
+    b is a diagonal 0/1 projection, or at the float limit diag(max, 0, ...)
+    and the matrix of entries max/d, each admitted at tol as well.
+    """
+    rng = np.random.default_rng(45)
+    for dim in (2, 3, 4, 8):
+        rho = validate_state(np.diag([1.0] + [0.0] * (dim - 1)), tol)
+        for _ in range(12):
+            u = random_unitary(dim, rng)
+            a = validate_effect((u * rng.uniform(0.05, 0.95, dim)) @ u.conj().T, tol)
+            if tol == _FLOAT_MAX:
+                bs = (np.diag([tol] + [0.0] * (dim - 1)), np.full((dim, dim), tol / dim))
+            else:
+                bs = (np.diag(rng.integers(0, 2, dim).astype(float)),)
+            for b in bs:
+                yield a, validate_effect(b, tol), rho
+
+
+def _products_or_none(lefts, rights):
+    """sequential_products of the pairs, or None where one is refused: a new value below eps may be."""
+    try:
+        return sequential_products(lefts, rights)
+    except SpectrumOutOfRangeError:
+        return None
+
+
+def _check_read(value, source, raw, admit):
+    """value is source read as raw: finite, its source's spectrum, and the bits a second admission stores.
+
+    The second admission (admit) is the reference only where it answers:
+    below eps its rounding, and at the float limit its overflow, refuse
+    valid reads.
+    """
+    assert np.isfinite(value.matrix).all()
+    assert value.matrix.tobytes() == linalg.hermitian_part(raw).tobytes()
+    if hasattr(source, "eig_min"):  # an Effect; a State keeps rho's spectrum unstored
+        assert (value.eig_min, value.eig_max) == (source.eig_min, source.eig_max)
+    try:
+        again = admit(raw, value.tol)
+    except EffectdynError:
+        return
+    assert value.matrix.tobytes() == again.matrix.tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-16, _FLOAT_MAX], ids=["1e-15", "1e-16", "float_max"])
+def test_frame_reads_keep_their_sources_admission(tol):
+    # b(t|a), a[t]b and rho(t) are unitary conjugates of b, a∘b and rho, so
+    # each is admitted once, as its source: a read is never refused where
+    # its source was admitted. A second eigensolve of the read would refuse
+    # valid reads for its rounding below eps, and for its overflow at the
+    # float limit
+    t = 2.9
+    for a, b, rho in _sweep(tol):
+        _check_read(effect_evolution(b, a, t), b, EigenFrame.evolution(a, b).at(t), validate_effect)
+        frame = EigenFrame._from_decomposition(a.decomposition, rho.matrix)
+        _check_read(evolve_state(rho, a, t), rho, frame.at(-t), validate_state)
+        products = _products_or_none([a], [b])
+        if products is not None:
+            raw = EigenFrame.product(a, b).at(t)
+            _check_read(time_seq_product(a, b, t), products[0], raw, validate_effect)
+        if tol == _FLOAT_MAX:
+            continue
+        b_obs = validate_observable([b, validate_effect(np.eye(b.dim) - b.matrix, tol)])
+        a_obs = validate_observable([a, validate_effect(np.eye(a.dim) - a.matrix, tol)])
+        evolved = obs_evolution(b_obs, a, t)
+        for member, by in zip(evolved.effects, b_obs.effects, strict=True):
+            assert (member.eig_min, member.eig_max) == (by.eig_min, by.eig_max)
+        pairs = [(x, y) for x in a_obs.effects for y in b_obs.effects]
+        products = _products_or_none(*zip(*pairs))
+        if products is not None:
+            timed = obs_time_seq_product(a_obs, b_obs, t)
+            for member, ab in zip(timed.effects, products, strict=True):
+                assert (member.eig_min, member.eig_max) == (ab.eig_min, ab.eig_max)
+
+
+def test_a_frame_read_is_decomposed_as_its_own_matrix(rng):
+    # a read keeps its source's spectrum, not its source's cached
+    # decomposition: the decomposition and root of b(t|a) are those of its
+    # own matrix, though b's were cached before the read
+    for dim in (2, 3, 4):
+        a, b = random_effect(dim, rng), random_effect(dim, rng)
+        b.sqrt  # the source's cache is filled
+        for value in (effect_evolution(b, a, 2.9), time_seq_product(a, b, 2.9)):
+            d = value.decomposition
+            rebuilt = (d.vectors * d.eigenvalues) @ d.vectors.conj().T
+            assert np.max(np.abs(rebuilt - value.matrix)) < 1e-14
+            assert np.max(np.abs(value.sqrt @ value.sqrt - value.matrix)) < 1e-14

@@ -101,7 +101,7 @@ def test_pair_frames_match_products_of_fresh_effects_bit_for_bit(dim):
             assert stacked.decomposition.vectors.tobytes() == want.vectors.tobytes()
             assert stacked.sqrt_eigenvalues.tobytes() == alone.sqrt_eigenvalues.tobytes()
             assert stacked.sqrt.tobytes() == alone.sqrt.tobytes()
-        fresh = EigenFrame.stacked_products((fa, fb), (fb, fa))
+        fresh = EigenFrame.stacked_products((fa, fb), (fb, fa))[0]
         for field in ("vectors", "freq", "x"):
             assert getattr(frames, field).tobytes() == getattr(fresh, field).tobytes()
 

@@ -458,9 +458,10 @@ def test_stacked_products_match_a_dense_reference(rng):
 
 def test_stacked_evolution_matches_each_members_frame(rng):
     # every member of B(t|a), read from one frame of a, is the member's own
-    # frame EigenFrame.evolution(a, B_y) read at t and admitted at
-    # max(a.tol, B_y.tol), bit for bit: dims 1-8, 1-4 outcomes with a
-    # rank-deficient member, a generic a and a rank-deficient one
+    # frame EigenFrame.evolution(a, B_y) read at t, bit for bit, at
+    # max(a.tol, B_y.tol), with the spectrum B_y was admitted with: dims
+    # 1-8, 1-4 outcomes with a rank-deficient member, a generic a and a
+    # rank-deficient one
     for dim in range(1, 9):
         for n in range(1, 5):
             b_obs = _observable_with_rank_deficient_member(dim, n, rng)
@@ -472,7 +473,7 @@ def test_stacked_evolution_matches_each_members_frame(rng):
                     for member, by in zip(got.effects, b_obs.effects, strict=True):
                         want = validate_effect(EigenFrame.evolution(a, by).at(t), max(a.tol, by.tol))
                         assert member.matrix.tobytes() == want.matrix.tobytes()
-                        assert (member.eig_min, member.eig_max) == (want.eig_min, want.eig_max)
+                        assert (member.eig_min, member.eig_max) == (by.eig_min, by.eig_max)
                         assert member.tol == want.tol
 
 
