@@ -11,6 +11,7 @@ for each minimum on its time window.
 from . import closed_forms, linalg, serialization
 from .effects import (
     DECISION_TOL,
+    TOL_MAX,
     CoexistenceWitness,
     Effect,
     State,

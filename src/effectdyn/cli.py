@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_forms, evolution, linalg, serialization
-from .effects import DECISION_TOL, Admission, admit_in_order, validate_effect
+from .effects import DECISION_TOL, TOL_MAX, Admission, admit_in_order, check_tol, validate_effect
 from .errors import EffectdynError, SchemaError
 from .explorer import ScanConfig, conjecture_scan, random_effect
 from .observables import (
@@ -493,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DECISION_TOL,
         help="admission tolerance of every input and everything derived from it, "
-        f"and of every yes/no decision (commutation, constancy; default {DECISION_TOL:g})",
+        "and of every yes/no decision (commutation, constancy), in "
+        f"(0, {TOL_MAX:g}] (default {DECISION_TOL:g})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -624,10 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print("error: --tol must be positive and finite", file=sys.stderr)
-        return EXIT_INVALID
     try:
+        check_tol(args.tol, "--tol")
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,12 +28,19 @@ from .errors import (
 # decisions use the loosest operand's, a decision on a pair no tighter than
 # its rounding (_pair_bound).
 DECISION_TOL = 1e-9
+# Largest admission tolerance (check_tol). An effect admitted at tol has norm at
+# most 1 + tol, and a∘b of two at most (1 + tol)^2, which is 1.21 < 2 here: so
+# no operand that commutator_norm or a product reads reaches norm 2, and no
+# product of admitted operands overflows. The paper's a^(1/2) and a∘b are
+# defined for 0 <= a <= I only; at tol 1 an "effect" could have eigenvalue -1.
+TOL_MAX = 0.1
 # Fixed numerical bounds, not user decisions: neither follows --tol.
 STATE_TRACE_TOL = 1e-10
 # Rounding allowed a yes/no decision on a value bilinear in a pair (x, y), such
 # as ||xy - yx||, per unit of ||x|| ||y||. The residual of a commuting pair, and
 # ||[a o b, a]|| of a scaled projection a, measured at most 6 eps per unit on
-# dims 2-8 at scales 1 to 1e100, so this is about 750 times that.
+# dims 2-8, so this is about 750 times that; it is what decides at a tol below
+# 1e-12.
 _PAIR_ROUNDING = 1e-12
 # Eigenvalues at or below this (relative) scale are treated as exact zeros
 # when taking the square root. sqrt is non-Lipschitz at 0: an exact zero the
@@ -151,13 +158,12 @@ class Admission:
     its extremal eigenvalues. ``admit`` checks one slice as an effect and
     ``admit_state`` as a state, so a caller holding slices from several
     sources (the operand files of one command) eigensolves them together and
-    still checks them source by source. A slice whose defect is not finite,
-    which is exactly a slice with an entry that is not finite (a product
-    that overflowed), is not eigensolved: its spectrum is NaN, which
-    _finite_matrix refuses, so no eigensolver sees a non-finite matrix. A
-    slice with an eigenvalue that is not finite (a norm beyond the float
-    range) gets a NaN spectrum too: the rest of its eigenvalues are then
-    rounding of that overflow, not bounds to report.
+    still checks them source by source. Every slice's symmetrized matrix is
+    finite, since its input is (linalg.hermitian_parts), and no product of
+    operands admitted within TOL_MAX overflows. A slice with an eigenvalue
+    that is not finite (an input file's norm beyond the float range) gets a
+    NaN spectrum, which _finite_matrix refuses: the rest of its eigenvalues
+    are then rounding of that overflow, not bounds to report.
     """
 
     matrices: np.ndarray
@@ -170,9 +176,7 @@ class Admission:
     @classmethod
     def of(cls, stack: np.ndarray) -> Admission:
         h, defects, bounds = linalg.hermitian_parts(stack)
-        finite = np.isfinite(defects)
-        w = np.full(h.shape[:-1], math.nan)
-        w[finite] = np.linalg.eigvalsh(h[finite])
+        w = np.linalg.eigvalsh(h)
         w = linalg.readonly(np.where(np.isfinite(w).all(axis=-1, keepdims=True), w, math.nan))
         return cls(linalg.readonly(h), defects, bounds, w, w[:, 0].tolist(), w[:, -1].tolist())
 
@@ -215,8 +219,8 @@ class Admission:
         NaN eigenvalues compare false with any bound, so they pass every check
         before this one. They come from an eigensolve of a matrix whose
         entries' moduli exceed the float range, or from ``of``, which gives
-        them to a matrix with an entry that is not finite without solving it,
-        and to one whose eigensolve returned an eigenvalue that is not finite.
+        them to a matrix whose eigensolve returned an eigenvalue that is not
+        finite.
         """
         low, high = self.lows[i], self.highs[i]
         if math.isnan(low) or math.isnan(high):
@@ -247,7 +251,7 @@ def conjugates(stack: np.ndarray, sources, tols) -> tuple:
     its tolerance; an Effect keeps the source's eig_min and eig_max. The
     source's cached decomposition is not carried over, since it is not the
     slice's. A second eigensolve would only refuse valid reads for its own
-    rounding: at a tol near eps, and at the float limit, where it overflows.
+    rounding at a tol near eps.
     """
     h = linalg.readonly(linalg.hermitian_part(stack))
     return tuple(replace(s, matrix=m, tol=tol) for s, m, tol in zip(sources, h, tols))
@@ -273,14 +277,28 @@ def admit_in_order(matrices, tol: float, states):
         yield (admission.admit_state if k in states else admission.admit)(i, tol)
 
 
+def check_tol(tol: float, name: str = "tol") -> float:
+    """``tol`` if 0 < tol <= TOL_MAX, the range of every admission tolerance a caller chooses.
+
+    Else EffectdynError naming ``name`` and the range; NaN is out of range.
+    validate_effect, validate_state and the CLI's --tol check it. A derived
+    value is admitted at its compounded product_tol, which may exceed
+    TOL_MAX, so Admission does not.
+    """
+    if not 0.0 < tol <= TOL_MAX:
+        raise EffectdynError(f"{name} must be in (0, {TOL_MAX!r}], got {tol!r}")
+    return tol
+
+
 def validate_effect(matrix, tol: float = DECISION_TOL) -> Effect:
     """Validate 0 <= M <= I and build an :class:`Effect` that keeps ``tol``.
 
-    The one-matrix case of admit_effects. Raises NonHermitianError when M is
-    not Hermitian and SpectrumOutOfRangeError (carrying the offending
+    The one-matrix case of admit_effects. Raises EffectdynError for a tol
+    outside (0, TOL_MAX] (check_tol), NonHermitianError when M is not
+    Hermitian and SpectrumOutOfRangeError (carrying the offending
     eigenvalue) when the spectrum leaves [-tol, 1 + tol] or is not finite.
     """
-    return admit_effects(linalg.as_complex_matrix(matrix)[None], (tol,))[0]
+    return admit_effects(linalg.as_complex_matrix(matrix)[None], (check_tol(tol),))[0]
 
 
 def identity_effect(dim: int) -> Effect:
@@ -309,10 +327,11 @@ class State:
 def validate_state(matrix, tol: float = DECISION_TOL) -> State:
     """Validate positivity and unit trace and build a :class:`State` that keeps ``tol``.
 
-    The one-matrix case of Admission.admit_state. Raises NonHermitianError,
+    The one-matrix case of Admission.admit_state. Raises EffectdynError for a
+    tol outside (0, TOL_MAX] (check_tol), NonHermitianError,
     SpectrumOutOfRangeError (an eigenvalue below -tol or not finite) and TraceNotOneError.
     """
-    return Admission.of(linalg.as_complex_matrix(matrix)[None]).admit_state(0, tol)
+    return Admission.of(linalg.as_complex_matrix(matrix)[None]).admit_state(0, check_tol(tol))
 
 
 def maximally_mixed_state(dim: int) -> State:
@@ -390,8 +409,7 @@ def products_and_roots(lefts, rights):
     for a, b in zip(lefts, rights):
         _check_dims(a.dim, b.dim)
     roots = stacked_roots(lefts)
-    with np.errstate(over="ignore", invalid="ignore"):  # admission refuses a product that overflows
-        stack = roots[2] @ np.array([e.matrix for e in rights]) @ roots[2]
+    stack = roots[2] @ np.array([e.matrix for e in rights]) @ roots[2]
     tols = [product_tol(a.tol, b.tol) for a, b in zip(lefts, rights)]
     try:
         return admit_effects(stack, tols), roots
@@ -403,35 +421,24 @@ def commutator_norm(a: Effect, b: Effect) -> float:
     """||ab - ba|| (spectral norm) of two effects of one dimension.
 
     The package's one commutator norm: commutes, constancy_classifier and the
-    scan's draws read it. It is taken on a and b scaled by powers of two to
-    norms below 2, so no product overflows, and scaled back: an operand of
-    norm below 2 is not scaled. A norm beyond the float range raises
-    EffectdynError.
+    scan's draws read it. Its operands, effects and products admitted within
+    TOL_MAX, have norms below 2, so no product in it overflows.
     """
     _check_dims(a.dim, b.dim)
-    ka, kb = (max(0, math.frexp(e.norm)[1] - 1) for e in (a, b))
-    c = linalg.commutator(a.matrix * 2.0**-ka, b.matrix * 2.0**-kb)
-    try:
-        return math.ldexp(linalg.spectral_norm(c), ka + kb)
-    except OverflowError:
-        raise EffectdynError("||ab - ba|| exceeds the float range") from None
+    return linalg.spectral_norm(linalg.commutator(a.matrix, b.matrix))
 
 
-def _pair_bound(tol: float, x: Effect, y: Effect, per_unit: float = _PAIR_ROUNDING) -> float:
-    """max(tol, per_unit · ||x|| ||y||): the bound of every yes/no decision on the pair (x, y).
+def _pair_bound(tol: float, x: Effect, y: Effect) -> float:
+    """max(tol, _PAIR_ROUNDING · ||x|| ||y||): the bound of a yes/no decision on the pair (x, y).
 
     A value bilinear in x and y, such as xy - yx, rounds by a few eps per
-    unit of ||x|| ||y||, so a decision on it allows tol or that rounding at
-    per_unit, whichever is larger: commutes and the constancy test of
-    evolution.constancy_classifier (on the pair (a o b, a)) at the operands'
-    tol, the cross-check of a[t]b's frame and the grid oracle
-    evolution.constancy_bruteforce at their fixed bound, which is then also
-    per_unit. The scale never loosens tol itself: a residual of 2 ||x|| ||y||
-    bounds every commutator, so a bound of tol · ||x|| ||y|| at tol >= 2 would
-    pass any pair. Computed left to right, the product overflows only where
-    it exceeds every finite residual.
+    unit of ||x|| ||y||, so a decision on it allows tol or that rounding,
+    whichever is larger: commutes, and the constancy test of
+    evolution.constancy_classifier (on the pair (a o b, a)), at the
+    operands' tol. The rounding decides at a tol below 1e-12. The scale
+    never multiplies tol itself.
     """
-    return max(tol, per_unit * x.norm * y.norm)
+    return max(tol, _PAIR_ROUNDING * x.norm * y.norm)
 
 
 def commutes(a: Effect, b: Effect) -> bool:
@@ -457,10 +464,8 @@ class CoexistenceWitness:
     def complement(self) -> Effect:
         """d = I - a1 - b1 - c, the fourth observable member."""
         dim = self.a1.dim
-        return validate_effect(
-            np.eye(dim) - self.a1.matrix - self.b1.matrix - self.c.matrix,
-            max(self.a1.tol, self.b1.tol, self.c.tol),
-        )
+        rest = np.eye(dim) - self.a1.matrix - self.b1.matrix - self.c.matrix
+        return admit_effects(rest[None], (max(self.a1.tol, self.b1.tol, self.c.tol),))[0]
 
 
 def verify_coexistence_witness(a: Effect, b: Effect, witness: CoexistenceWitness) -> bool:

@@ -25,12 +25,11 @@ order one rule, EigenFrame._admitted_order. One method forms the phases,
 EigenFrame.phased, for those readers and for the scan's gap kernel
 (explorer._gap_kernel), so the scan's gap and symmetry_gap share one
 phase rule at every t. A frame of a[t]b validates a∘b and cross-checks its
-two routes once, when it is built, at the scale of the pair, which covers
-every t; every a[t]b, time_seq_product's included, is read from such a
-frame. Admitted once; a frame read keeps its source's spectrum: b(t|a),
-a[t]b and rho(t) are unitary conjugates of b, a∘b and rho, so each is its
-source with the read as its matrix (effects.conjugates), and no read is
-eigensolved again. Only classify_scaled_projection groups coincident
+two routes once, when it is built, which covers every t; every a[t]b,
+time_seq_product's included, is read from such a frame. Admitted once; a
+frame read keeps its source's spectrum: b(t|a), a[t]b and rho(t) are
+unitary conjugates of b, a∘b and rho, so each is its source with the read
+as its matrix (effects.conjugates), and no read is eigensolved again. Only classify_scaled_projection groups coincident
 eigenvalues. Derived effects and decisions use the loosest operand's
 admission tolerance, Effect.tol; products compound it (product_tol).
 
@@ -51,12 +50,12 @@ from .effects import (
     State,
     _check_dims,
     _pair_bound,
+    admit_effects,
     commutator_norm,
     commutes,
     conjugates,
     products_and_roots,
     sequential_product,
-    validate_effect,
 )
 from .errors import (
     ConsistencyError,
@@ -67,13 +66,12 @@ from .errors import (
 )
 
 # Fixed numerical bounds, not user decisions: neither follows --tol.
-# Grid-sampled constancy decisions, per unit of max(1, ||a|| ||b||), the scale
-# of the pair (see constancy_bruteforce): a constant a[t]b still deviates by
-# rounding that grows with that scale. One order looser than the default
-# admission tolerance: the grid maximum underestimates the true supremum.
+# Grid-sampled constancy decisions (see constancy_bruteforce). One order looser
+# than the default admission tolerance: the grid maximum underestimates the
+# true supremum.
 BRUTEFORCE_TOL = 1e-8
-# Agreement required between the two computed forms of a[t]b's frame, per
-# unit of max(1, ||a|| ||b||), the scale of the pair (see _cross_check).
+# Agreement required between the two computed forms of a[t]b's frame (see
+# _cross_check).
 CROSS_CHECK_TOL = 1e-10
 _FLOAT_MAX = float(np.finfo(float).max)
 # Largest derivative order a frame takes: numpy's power takes the order as a
@@ -158,17 +156,16 @@ class EigenFrame:
         V (E_t ⊙ (√w_j B_jk √w_k)) V† with B = V†bV: comparing X with
         √w_j B_jk √w_k covers every t. Both X and B are frames of the lefts'
         stacked decomposition (_from_decomposition). The first pair whose
-        routes differ beyond CROSS_CHECK_TOL · max(1, ||a|| ||b||) raises
-        ConsistencyError (_cross_check). No pairs raise EffectdynError: there
-        is no dimension to build a frame from. The admitted products come
+        routes differ beyond CROSS_CHECK_TOL raises ConsistencyError
+        (_cross_check). No pairs raise EffectdynError: there is no dimension
+        to build a frame from. The admitted products come
         back with the frame, as the sources of its reads (time_seq_products).
         """
         if not lefts:
             raise EffectdynError("no pairs to build a frame from: an empty family has no dimension")
         ab, (d, root, _) = products_and_roots(lefts, rights)
         frame, b_frame = (cls._from_decomposition(d, np.array([e.matrix for e in m])) for m in (ab, rights))
-        bounds = [_pair_bound(CROSS_CHECK_TOL, a, b, CROSS_CHECK_TOL) for a, b in zip(lefts, rights)]
-        _cross_check(frame.x, root[:, :, None] * b_frame.x * root[:, None, :], bounds)
+        _cross_check(frame.x, root[:, :, None] * b_frame.x * root[:, None, :])
         return frame, ab
 
     def at(self, t, order: int = 0) -> np.ndarray:
@@ -177,26 +174,23 @@ class EigenFrame:
         t is one time or an array of times, for one frame or a stack of
         frames: each time gives one matrix, or one stack, and the result has
         the shape t.shape + x.shape. A nonzero order passes the frames' one
-        order rule (_admitted_order) first, which _derivative_norm runs at
-        order 1. The factor's phase is exact (_rotated), and the phases are
-        those of every frame read (phased).
+        order rule (_admitted_order) first. The factor's phase is exact
+        (_rotated), and the phases are those of every frame read (phased).
         """
-        order = self._admitted_order(order, f"derivative order {order!r}") if order else 0
+        order = self._admitted_order(order) if order else 0
         return self._in_basis(self._rotated(t, order))
 
-    def _admitted_order(self, order, subject: str) -> int:
-        """The frames' one order rule: ``order`` as an int, or InvalidOrderError naming ``subject``.
+    def _admitted_order(self, order) -> int:
+        """The frames' one order rule: ``order`` as an int, or InvalidOrderError.
 
         It refuses an order that is not an integer (an integer is compared,
         never converted to float), one below 0 or above MAX_DERIVATIVE_ORDER,
         and one at which f^order ||X||_F, f the largest |w_j - w_k|, would pass
-        half the float range; the budget is a difference of logarithms, so an
-        ||X||_F beyond the float range leaves no order. No entry, or partial
-        sum forming one, of V (f^order E ⊙ X) V† exceeds f^order ||X||_F
-        (Cauchy–Schwarz), so the half covers rounding only: the last two
-        orders within either budget, half or the whole range, overflowed in
-        none of 11,480 reads (1,500 pairs of dims 2-4 at tol 1 to 1e3, both
-        frames of each). f exceeds 1 only for an a admitted beyond [0, 1].
+        half the float range. No entry, or partial sum forming one, of
+        V (f^order E ⊙ X) V† exceeds f^order ||X||_F (Cauchy–Schwarz), so the
+        half covers rounding only. f exceeds 1 only for an a admitted beyond
+        [0, 1]; an input a reaches f = 1 + 2 TOL_MAX = 1.2, where an order
+        near 3,900 is refused.
         """
         integral = isinstance(order, numbers.Integral) or math.isfinite(order) and int(order) == order
         if not integral or order < 0:
@@ -205,11 +199,11 @@ class EigenFrame:
             raise InvalidOrderError(f"derivative order must be at most 2**53, got {order!r}")
         f = float(np.abs(self.freq).max())
         if f > 1.0:
-            with np.errstate(over="ignore"):  # an ||X||_F beyond the float range is inf
-                budget = math.log(_FLOAT_MAX / 2.0) - math.log(max(1.0, float(np.linalg.norm(self.x))))
+            budget = math.log(_FLOAT_MAX / 2.0) - math.log(max(1.0, float(np.linalg.norm(self.x))))
             if order > budget / math.log(f):
                 raise InvalidOrderError(
-                    f"{subject} is too large: |w_j - w_k|^n overflows at |w_j - w_k| = {f!r}"
+                    f"derivative order {order!r} is too large: |w_j - w_k|^n overflows at "
+                    f"|w_j - w_k| = {f!r}"
                 )
         return int(order)
 
@@ -254,10 +248,10 @@ class EigenFrame:
         """||i[M(t), a]|| = ||d/dt M(t)||, the norm of (-i freq) ⊙ X, the same at every t.
 
         i[M(t), a] = e^{-ita} i[M, a] e^{ita} is a unitary conjugate of its
-        value at t = 0, so one eigensolve serves every t. The second read of
-        a derivative besides at, under the same order rule at order 1.
+        value at t = 0, so one eigensolve serves every t. It needs no order
+        rule: f ||X||_F, f the largest |w_j - w_k|, stays near 1 for operands
+        admitted within TOL_MAX.
         """
-        self._admitted_order(1, "the derivative_norm column (order 1)")
         return linalg.operator_norms(self.x * (-1j * self.freq))
 
     def _rotated(self, t, order: int = 0) -> np.ndarray:
@@ -291,25 +285,22 @@ def _frequencies(w: np.ndarray) -> np.ndarray:
     return w[..., :, None] - w[..., None, :]
 
 
-def _cross_check(value: np.ndarray, second_route: np.ndarray, bounds) -> None:
-    """Raise ConsistencyError where slice k's two routes differ beyond bounds[k].
+def _cross_check(value: np.ndarray, second_route: np.ndarray) -> None:
+    """Raise ConsistencyError where a slice's two routes differ beyond CROSS_CHECK_TOL.
 
-    Takes a stack; the first failing slice raises, with its bound. Pair k's
-    bound is CROSS_CHECK_TOL · max(1, ||a|| ||b||), the scale of the pair
-    (effects._pair_bound, in stacked_products): the rounding of both
-    routes grows with the operands. The residual is the spectral norm of
-    each slice's difference. No slice's exceeds the Frobenius norm of the
-    whole stack's, so a stack whose Frobenius norm is within the smallest
-    bound passes without singular values.
+    Takes a stack; the first failing slice raises. The residual is the
+    spectral norm of each slice's difference. No slice's exceeds the
+    Frobenius norm of the whole stack's, so a stack whose Frobenius norm is
+    within the bound passes without singular values.
     """
     diff = value - second_route
-    if math.sqrt(np.vdot(diff, diff).real) <= min(bounds):
+    if math.sqrt(np.vdot(diff, diff).real) <= CROSS_CHECK_TOL:
         return
-    for residual, bound in zip(linalg.spectral_norm(diff), bounds):
-        if residual > bound:
+    for residual in linalg.spectral_norm(diff):
+        if residual > CROSS_CHECK_TOL:
             raise ConsistencyError(
                 f"the two forms of a[t]b disagree by {residual:.3e} (bound "
-                f"{bound:.3e}); this indicates a numerical defect, not a "
+                f"{CROSS_CHECK_TOL:.3e}); this indicates a numerical defect, not a "
                 "property of the inputs"
             )
 
@@ -436,7 +427,7 @@ def projection_evolution_closed_form(
         + (phase - 1.0) * pb
         + (np.conj(phase) - 1.0) * bp
     )
-    return validate_effect(out, max(b.tol, p.tol))
+    return admit_effects(out[None], (max(b.tol, p.tol),))[0]
 
 
 def seq_deviation_profile(a: Effect, b: Effect, times) -> np.ndarray:
@@ -454,18 +445,16 @@ def max_seq_deviation(a: Effect, b: Effect, times) -> float:
 
 
 def constancy_bruteforce(a: Effect, b: Effect, grid) -> bool:
-    """Grid-sampled constancy: max_t ||a[t]b - a o b|| <= BRUTEFORCE_TOL · max(1, ||a|| ||b||).
+    """Grid-sampled constancy: max_t ||a[t]b - a o b|| <= BRUTEFORCE_TOL.
 
-    Independent oracle for the classifier. Its bound is at the scale of the
-    pair (effects._pair_bound), since the rounding of a constant a[t]b
-    grows with the operands: a = 0.7s·p against s·b reads constant at
-    s = 1e3 and 1e6. The rounding also grows with |t| ||a||, the phase
-    error of a's repeated eigenvalue, so at s = 1e8 it passes the bound on
-    a grid up to 4π. A degenerate grid such as {0} trivially returns true —
-    callers choose grids that actually probe the dynamics. Raises
-    EmptyGridError on an empty grid.
+    Independent oracle for the classifier. A constant a[t]b deviates by
+    rounding that grows with ||a|| ||b|| and with |t| ||a||, the phase error
+    of a's repeated eigenvalue; operands admitted within TOL_MAX keep it far
+    below the bound on grids of moderate |t|. A degenerate grid such as {0}
+    trivially returns true — callers choose grids that actually probe the
+    dynamics. Raises EmptyGridError on an empty grid.
     """
-    return max_seq_deviation(a, b, grid) <= _pair_bound(BRUTEFORCE_TOL, a, b, BRUTEFORCE_TOL)
+    return max_seq_deviation(a, b, grid) <= BRUTEFORCE_TOL
 
 
 def classify_scaled_projection(a: Effect) -> ScaledProjectionDecomposition | None:
@@ -474,7 +463,10 @@ def classify_scaled_projection(a: Effect) -> ScaledProjectionDecomposition | Non
     This is the one place that groups eigenvalues: those with |w| <= a.tol
     count as zero, and the rest must exist and span at most 2 * a.tol. Then
     lambda is their midpoint (capped at 1) and p the projection onto their
-    eigenvectors, so ||a - lambda p|| <= a.tol. Returns None otherwise.
+    eigenvectors, so ||a - lambda p|| <= a.tol. Returns None otherwise. p is
+    the Hermitian part of V V†, V those eigenvectors, at a.tol; its spectrum
+    is {0, 1} ({1} at full rank) by construction, so it is not eigensolved
+    again, which would refuse it for its own rounding at a tol near eps.
     """
     d = a.decomposition
     nonzero = np.abs(d.eigenvalues) > a.tol
@@ -483,7 +475,8 @@ def classify_scaled_projection(a: Effect) -> ScaledProjectionDecomposition | Non
         return None
     cols = d.vectors[:, nonzero]
     scale = min(float(w[0] + w[-1]) / 2.0, 1.0)
-    return ScaledProjectionDecomposition(scale, validate_effect(cols @ cols.conj().T, a.tol))
+    p = linalg.readonly(linalg.hermitian_part(cols @ cols.conj().T))
+    return ScaledProjectionDecomposition(scale, Effect(p, 0.0 if w.size < a.dim else 1.0, 1.0, a.tol))
 
 
 def constancy_classifier(a: Effect, b: Effect) -> ConstancyReport:

@@ -415,6 +415,39 @@ def test_tol_must_be_positive(files, capsys):
     assert "--tol" in err
 
 
+def _range_error(tol: str) -> tuple:
+    """What every command gives for a --tol outside (0, TOL_MAX]: (exit code, stdout, stderr)."""
+    return 2, "", f"error: --tol must be in (0, 0.1], got {float(tol)!r}\n"
+
+
+def _one_of_each_command(files, prefix):
+    """One argv per subcommand, on the fixture's files; scan writes to prefix."""
+    a, b, obs_a, obs_b, rho = (files[k] for k in ("a", "b", "obs_a", "obs_b", "rho"))
+    return [
+        ["validate", a], ["evolve", a, b, "--steps", "2"], ["classify", a, b],
+        ["observable", "dist", obs_a, "--state", rho], ["observable", "seqprod", obs_a, obs_b],
+        ["observable", "tseq", obs_a, obs_b, "--t", "0.7"], ["observable", "cond", obs_a, obs_b],
+        ["observable", "tcond", obs_a, obs_b, "--t", "0.7"], ["observable", "evolve", obs_b, a],
+        ["observable", "convex", "--weights", "0.5,0.5", obs_a, obs_a], ["examples"],
+        ["scan", "--trials", "1", "--out", str(prefix)],
+    ]
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-400", "-1e-9", "nan", "inf", "0.10000000000000002", "1.0", "1e308"])
+def test_every_command_refuses_a_tol_outside_its_range(files, tmp_path, capsys, tol):
+    # --tol must be in (0, TOL_MAX]: outside it every command exits 2 with
+    # nothing on stdout, one error line naming the range, and no file written
+    for argv in _one_of_each_command(files, tmp_path / "scan"):
+        assert run(capsys, ["--tol", tol, *argv]) == _range_error(tol), argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_command_runs_at_the_largest_tol(files, tmp_path, capsys):
+    for argv in _one_of_each_command(files, tmp_path / "scan"):
+        code, _, err = run(capsys, ["--tol", "0.1", *argv])
+        assert code == 0 and "error" not in err, argv
+
+
 def test_tol_override_loosens_validation(files, capsys):
     code, out, _ = run(capsys, ["validate", files["hot"]])
     assert code == 2
@@ -733,9 +766,16 @@ def test_classify_scaled_projection(files, capsys):
 
 
 def test_classify_tol_override(files, capsys):
-    code, out, _ = run(capsys, ["--tol", "1.0", "classify", files["a"], files["b"]])
-    assert code == 0
-    assert "constant: true" in out
+    # a = diag(1, .5) and b = [[.5, .1], [.1, .5]]: ||[a, b]|| = 0.05, so a[t]b
+    # is not constant at the default tolerance, and constant, as a commuting
+    # pair, at TOL_MAX; a tolerance of 1.0 is refused at the flag
+    b = write_op(files["root"] / "near_diag.json", [[0.5, 0.1], [0.1, 0.5]])
+    argv = ["classify", files["a"], b]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.splitlines()[:2] == ["constant: false", "reason: Neither"]
+    code, out, _ = run(capsys, ["--tol", "0.1", *argv])
+    assert code == 0 and out.splitlines()[:2] == ["constant: true", "reason: Commuting"]
+    assert run(capsys, ["--tol", "1.0", *argv]) == _range_error("1.0")
 
 
 def test_classify_at_a_tolerance_below_eps(files, capsys):
@@ -745,6 +785,21 @@ def test_classify_at_a_tolerance_below_eps(files, capsys):
     assert run(capsys, ["--tol", "1e-16", "validate", third])[0] == 0
     code, _, err = run(capsys, ["--tol", "1e-16", "classify", third, third])
     assert code == 0, err
+
+
+@pytest.mark.parametrize("tol, seed, dim, rank", [("1e-15", 0, 5, 4), ("1e-16", 0, 4, 2)])
+def test_classify_a_scaled_projection_at_a_tolerance_near_eps(tmp_path, capsys, tol, seed, dim, rank):
+    # a = 0.7·P, P a rank-k projection of a seeded basis, and an interior b:
+    # P's spectrum is {0, 1} by construction, so P is not eigensolved again,
+    # which would refuse it for its rounding (an eigenvalue of
+    # 1.0000000000000013 above 1 + 1e-15, in a matrix the user never wrote)
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))[0]
+    a = write_op(tmp_path / "a.json", 0.7 * (q[:, :rank] @ q[:, :rank].T))
+    b = write_op(tmp_path / "b.json", np.full((dim, dim), 0.5 / dim) + 0.25 * np.eye(dim))
+    code, out, err = run(capsys, ["--tol", tol, "classify", a, b])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["constant: true", "reason: ScaledProjection"] and lines[-1] == f"projection_rank: {rank}"
 
 
 def test_a_product_below_eps_is_refused_for_its_own_rounding(files, capsys):
@@ -1321,13 +1376,14 @@ def _scaled_pairs():
     ids=" ".join,
 )
 def test_operands_near_the_float_limit_get_an_answer_or_one_error_line(tmp_path, capsys, command):
-    # at --tol 1e308, each ordered pair of four operands, eigenvalues up to 1e308,
-    # in a basis of their own, and at --tol s, both orders of each pair of
-    # _scaled_pairs, whose a∘b overflows (an observable command takes the
-    # observables {x, s·I − x} of the pair): exit 0 with no nan or inf
-    # written, or exit 2 with one error line, and no RuntimeWarning (tier-1
-    # makes it an error) and no exception, such as an eigensolver's that
-    # does not converge on a matrix that is not finite
+    # each ordered pair of four operands, eigenvalues up to 1e308, in a basis
+    # of their own, and both orders of each pair of _scaled_pairs, whose a∘b
+    # would overflow (an observable command takes the observables {x, s·I − x}
+    # of the pair). At the tolerance of their scale, 1e308 or s, each run is
+    # refused at the flag. At the default tolerance: exit 0 with no nan or
+    # inf written, or exit 2 with one error line, and no RuntimeWarning
+    # (tier-1 makes it an error) and no exception, such as an eigensolver's
+    # that does not converge on a matrix that is not finite
     observable = command[0] == "observable"
     runs = []
     if not observable:
@@ -1346,7 +1402,8 @@ def test_operands_near_the_float_limit_get_an_answer_or_one_error_line(tmp_path,
     extra = ["--steps", "2"] if command[0] == "evolve" else []
     extra += ["--t", "0.7"] if command[-1] in ("tseq", "tcond") else []
     for tol, x, y in runs:
-        code, out, err = run(capsys, ["--tol", tol, *command, x, y, *extra])
+        assert run(capsys, ["--tol", tol, *command, x, y, *extra]) == _range_error(tol), (x, y)
+        code, out, err = run(capsys, [*command, x, y, *extra])
         if code == 0:
             assert "nan" not in out and "inf" not in out and err == "", (x, y)
         else:
@@ -1361,56 +1418,45 @@ def _large_scale_pair(tmp_path, a_spectrum):
 
 
 @pytest.mark.parametrize(
-    "tol, a_spectrum, lines",
+    "tol, a_spectrum",
     [
-        # a = 0.7e9·P, P a rank-2 projection: at a --tol that admits b, each
-        # eigenvalue of a is within tol of 0, so no nonzero group makes it a
-        # scaled projection, and [a, PbP] = 0 on its support P is the reason
-        ("1e9", [0.7e9, 0.7e9, 0.0], ["constant: true", "reason: CommutingOnSupport"]),
-        ("1e12", [0.7e9, 0.7e9, 0.0], ["constant: true", "reason: CommutingOnSupport"]),
-        # a = 1e9·P at a tol just below 1e9: its nonzero group is a scaled projection
-        ("999999999.5", [1e9, 1e9, 0.0], ["constant: true", "reason: ScaledProjection"]),
-        # a generic a of the same scale neither commutes with b nor is a projection
-        ("1e9", [0.1e9, 0.5e9, 0.9e9], ["constant: false", "reason: Neither"]),
-        ("1e12", [0.1e9, 0.5e9, 0.9e9], ["constant: false", "reason: Neither"]),
+        ("1e9", [0.7e9, 0.7e9, 0.0]),  # a = 0.7e9·P, P a rank-2 projection
+        ("1e12", [0.7e9, 0.7e9, 0.0]),
+        ("999999999.5", [1e9, 1e9, 0.0]),  # a = 1e9·P
+        ("1e9", [0.1e9, 0.5e9, 0.9e9]),  # a generic a of the same scale
+        ("1e12", [0.1e9, 0.5e9, 0.9e9]),
     ],
     ids=["support-1e9", "support-1e12", "projection", "generic-1e9", "generic-1e12"],
 )
-def test_classify_at_large_scale_allows_rounding_but_not_scale_times_tol(tmp_path, capsys, tol, a_spectrum, lines):
-    # ||[a∘b, a]|| of a constant a[t]b rounds to about eps·||a∘b||·||a|| (6e10 and
-    # 1e11 here), beyond tol; a generic pair's (4.9e25) is within tol·||a∘b||·||a||
-    code, out, err = run(capsys, ["--tol", tol, "classify", *_large_scale_pair(tmp_path, a_spectrum)])
-    assert (code, err) == (0, "") and out.splitlines()[:2] == lines
+def test_classify_at_large_scale_allows_rounding_but_not_scale_times_tol(tmp_path, capsys, tol, a_spectrum):
+    # operands of scale 1e9 are admitted only at a --tol of their scale, which
+    # is outside (0, TOL_MAX]: refused at the flag, and at the default
+    # tolerance for a's spectrum (a rounding of 0 or a 1e9). The rounding allowance of a decision is
+    # pinned in range by test_classify_allows_the_rounding_of_a_commuting_pair
+    a, b = _large_scale_pair(tmp_path, a_spectrum)
+    assert run(capsys, ["--tol", tol, "classify", a, b]) == _range_error(tol)
+    code, out, err = run(capsys, ["classify", a, b])
+    assert (code, out) == (2, "") and re.fullmatch(r"error: eigenvalue \S+ (above 1 \+ |below -)1e-09\n", err), err
 
 
 def test_evolve_writes_the_hermitian_part_of_entries_near_the_float_limit(tmp_path, capsys):
-    # b = diag(1e308, 0.5): (M + M†)/2 overflows to inf, M/2 + M†/2 does not
+    # b = diag(1e308, 0.5) is an effect only at a --tol of 1e308, which is
+    # refused at the flag, and at the default tolerance b's spectrum is
     a = write_op(tmp_path / "a.json", np.diag([0.0, 1.0]))
     b = write_op(tmp_path / "b.json", np.diag([1e308, 0.5]))
-    code, out, err = run(capsys, ["--tol", "1e308", "evolve", a, b, "--steps", "1"])
-    assert (code, err) == (0, "")
-    rows = out.splitlines()[1:]
-    assert len(rows) == 2 and all(row.split(",")[1:3] == ["1e+308", "0"] for row in rows)
-
-
-def test_evolve_seqprod_of_a_pair_at_scale_1e6_passes_its_cross_check(tmp_path, capsys):
-    # the routes of a pair of scale ||a|| ||b|| = 7e5 round apart by more than
-    # 1e-10, within the bound 1e-10 max(1, ||a|| ||b||)
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    a = write_op(tmp_path / "a.json", [[0.5, 0.2], [0.2, 0.5]])
-    b = write_op(tmp_path / "b.json", h @ np.diag([0.5, 1e6]) @ h)
-    code, out, err = run(capsys, ["--tol", "1e6", "evolve", a, b, "--mode", "seqprod"])
-    assert (code, err) == (0, "") and len(out.splitlines()) == 66
+    assert run(capsys, ["--tol", "1e308", "evolve", a, b, "--steps", "1"]) == _range_error("1e308")
+    code, out, err = run(capsys, ["evolve", a, b, "--steps", "1"])
+    assert (code, out, err) == (2, "", "error: eigenvalue 1e+308 above 1 + 1e-09\n")
 
 
 def test_evolve_refuses_a_derivative_norm_beyond_the_float_range(tmp_path, capsys):
-    # |w_j - w_k| = 1e200 times entries of 0.5e154 passes the float range:
-    # the derivative_norm column takes at's order rule at order 1
+    # |w_j - w_k| = 1e200 times entries of 0.5e154 would pass the float range;
+    # such operands are admitted only at a --tol refused at the flag
     a = write_op(tmp_path / "a.json", np.diag([0.0, 1e200]))
     b = write_op(tmp_path / "b.json", np.full((2, 2), 0.5e154))
-    code, out, err = run(capsys, ["--tol", "1e308", "evolve", a, b, "--steps", "1"])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: the derivative_norm column") and err.count("\n") == 1
+    assert run(capsys, ["--tol", "1e308", "evolve", a, b, "--steps", "1"]) == _range_error("1e308")
+    code, out, err = run(capsys, ["evolve", a, b, "--steps", "1"])
+    assert (code, out, err) == (2, "", "error: eigenvalue 1e+200 above 1 + 1e-09\n")
 
 
 @pytest.mark.parametrize(

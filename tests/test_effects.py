@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from effectdyn import (
     linalg,
     maximally_mixed_state,
     probability,
+    projection_evolution_closed_form,
     sequential_product,
     validate_effect,
     validate_observable,
@@ -105,11 +108,39 @@ def test_a_spectrum_that_is_not_finite_is_refused():
     for dim in (2, 3):
         with pytest.raises(SpectrumOutOfRangeError, match="eigenvalues are not finite"):
             validate_effect(np.full((dim, dim), 1e308))
-    # a product that overflows into NaN entries, whose eigensolve returns 0s
-    a = validate_effect(np.diag([0.0, 1e200]), 1e308)
-    b = validate_effect(np.full((2, 2), 0.5e154), 1e308)
-    with pytest.raises(SpectrumOutOfRangeError, match="not finite"):
-        sequential_product(a, b)
+    # a product that would overflow needs operands admitted at a tol of their
+    # scale, which is out of range
+    with pytest.raises(EffectdynError, match=r"tol must be in \(0, 0\.1\], got 1e\+308"):
+        validate_effect(np.diag([0.0, 1e200]), 1e308)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, -5e-324, np.nan, np.inf, float(np.nextafter(0.1, 1.0)), 1.0, 1e308])
+def test_a_tol_outside_its_range_is_refused(tol):
+    # the paper's a^{1/2} and a∘b are defined for 0 <= a <= I: a caller's
+    # tolerance is in (0, TOL_MAX], so an effect's spectrum is in [-0.1, 1.1]
+    for validate in (validate_effect, validate_state):
+        with pytest.raises(EffectdynError, match=rf"^tol must be in \(0, 0\.1\], got {re.escape(repr(tol))}$"):
+            validate(np.eye(2) / 2, tol)
+
+
+def test_the_largest_and_the_smallest_tol_are_admitted():
+    a = validate_effect(np.diag([-0.1, 1.1]), 0.1)
+    assert (a.eig_min, a.eig_max, a.tol) == (-0.1, 1.1, 0.1)
+    assert validate_state(np.eye(2) / 2, 0.1).tol == 0.1
+    assert validate_effect(np.eye(2) / 2, 5e-324).tol == 5e-324
+
+
+def test_a_value_derived_beyond_tol_max_keeps_its_compound_tol():
+    # operands at TOL_MAX compound to product_tol(0.1, 0.1) = 0.21: the range is
+    # the caller's, so a witness's complement and the closed form of b(t|λp)
+    # for a derived b are admitted at their own tolerance, not refused by it
+    a = validate_effect(np.diag([1.05, 0.5]), 0.1)
+    b = validate_effect(np.diag([0.3, 1.05]), 0.1)
+    witness = commuting_witness(a, b)
+    assert witness.c.tol == product_tol(0.1, 0.1) == witness.complement().tol
+    ab = sequential_product(a, b)
+    p = validate_effect(np.diag([1.0, 0.0]))
+    assert projection_evolution_closed_form(ab, 0.7, p, 0.3).tol == ab.tol
 
 
 def test_validate_effect_checks_shape_and_finiteness():
@@ -379,22 +410,16 @@ def test_commutes():
 
 
 def test_commutator_norm_of_operands_admitted_beyond_the_float_range_of_ab(rng):
-    # a and b scaled by 2^k and 2^j, admitted at a tol of their scale: the norm
-    # is that of the unit pair times 2^(k + j) exactly, even where ab overflows;
-    # a commuting pair whose ab overflows reads 0, and a norm beyond the float
-    # range is refused, with no RuntimeWarning on the way
+    # operands scaled by 2^k are effects only at a tol of their scale, which
+    # is out of range, so no admitted pair's ab overflows; at TOL_MAX an
+    # operand's norm may pass 1, and the norm is ||xy - yx|| as it stands
     x, y = random_effect(3, rng), random_effect(3, rng)
-    unit = commutator_norm(x, y)
-    for k, j in ((0, 0), (600, 0), (0, 600), (600, 400), (1000, 20)):
-        a = validate_effect(x.matrix * 2.0**k, 2.0**k)
-        b = validate_effect(y.matrix * 2.0**j, 2.0**j)
-        assert commutator_norm(a, b) == unit * 2.0 ** (k + j)
-    a = validate_effect(np.diag([0.5, 0.25]) * 2.0**600, 2.0**600)
-    b = validate_effect(np.diag([0.3, 0.7]) * 2.0**600, 2.0**600)
-    assert commutator_norm(a, b) == 0.0 and commutes(a, b)
-    big = validate_effect(x.matrix * 2.0**1000, 2.0**1000)
-    with pytest.raises(EffectdynError, match="float range"):
-        commutator_norm(big, validate_effect(y.matrix * 2.0**100, 2.0**100))
+    for k in (0, 400, 600, 1000):
+        with pytest.raises(EffectdynError, match=r"tol must be in \(0, 0\.1\]"):
+            validate_effect(x.matrix * 2.0**k, 2.0**k)
+    a, b = (validate_effect(e.matrix * (1.09 / e.norm), 0.1) for e in (x, y))
+    assert a.norm > 1.0 and b.norm > 1.0
+    assert commutator_norm(a, b) == np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix, 2)
 
 
 def test_commuting_witness_frozen_value():

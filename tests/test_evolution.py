@@ -34,7 +34,7 @@ from effectdyn import (
     verify_coexistence_witness,
     zero_effect,
 )
-from effectdyn.effects import sequential_products
+from effectdyn.effects import TOL_MAX, admit_effects, sequential_products
 from effectdyn.errors import (
     EffectdynError,
     EmptyGridError,
@@ -134,21 +134,21 @@ def test_derivative_refuses_orders_too_large_to_compute():
 
 
 def test_both_derivative_reads_take_one_order_rule():
-    # a = diag(0, 1e200) and b = 0.5e154 [[1, 1], [1, 1]] at tol 1e308:
-    # |w_j - w_k| ||X||_F passes the float range at order 1, so at's order 1
-    # and evolve's derivative_norm column are refused alike, not NaN; a frame
-    # whose ||X||_F itself is beyond the float range leaves no order at all
-    a = validate_effect(np.diag([0.0, 1e200]), 1e308)
-    b = validate_effect(np.full((2, 2), 0.5e154), 1e308)
-    frame = EigenFrame.evolution(a, b)
-    with pytest.raises(InvalidOrderError, match="derivative order 1 is too large"):
-        frame.at(0.0, 1)
-    with pytest.raises(InvalidOrderError, match="derivative_norm"):
-        frame.trajectory([0.0, 1.0])
-    assert np.isfinite(frame.at(1.0)).all()
-    wide = validate_effect(np.full((2, 2), 0.8e308), 1.7e308)
-    with pytest.raises(InvalidOrderError, match="too large"):
-        evolution_derivative(wide, validate_effect(np.diag([0.0, 2.0]), 1.0), 0.0, 1)
+    # operands whose |w_j - w_k| ||X||_F passes the float range at order 1
+    # are effects only at a tol of their scale, which is out of range. In
+    # range |w_j - w_k| reaches 1.2: at refuses an order beyond its budget
+    # (3,889 here), and order 1, the order of evolve's derivative_norm
+    # column, is within every in-range budget, where the two reads agree
+    for m, tol in ((np.diag([0.0, 1e200]), 1e308), (np.full((2, 2), 0.8e308), 1.7e308)):
+        with pytest.raises(EffectdynError, match=r"tol must be in \(0, 0\.1\]"):
+            validate_effect(m, tol)
+    a = validate_effect(np.diag([-0.1, 1.1]), 0.1)
+    frame = EigenFrame.evolution(a, validate_effect(np.full((2, 2), 0.5)))
+    with pytest.raises(InvalidOrderError, match="derivative order 3890 is too large"):
+        frame.at(0.0, 3890)
+    assert np.isfinite(frame.at(0.0, 3889)).all()
+    derivative_norm = frame.trajectory([0.0, 1.0])[2]
+    assert np.allclose(derivative_norm, np.linalg.norm(frame.at(1.0, 1), 2), rtol=1e-15)
 
 
 def test_derivative_accepts_integral_orders():
@@ -371,10 +371,32 @@ def test_classifier_commuting_reason_and_precedence(rng):
 
 
 def test_classifier_tolerance_override():
-    a, b = (validate_effect(e.matrix, tol=1.0) for e in example1())
-    # residual 2^(-5/2) ~ 0.177 is below the absurdly loose tolerance both operands carry
-    report = constancy_classifier(a, b)
-    assert report.constant and report.reason == "Commuting"
+    # ||[a, b]|| = 0.05 for a = diag(1, .5) and b = [[.5, .1], [.1, .5]]: not
+    # constant at the default tolerance, constant and commuting at TOL_MAX,
+    # and a tolerance of 1.0 is refused
+    a, b = np.diag([1.0, 0.5]), np.array([[0.5, 0.1], [0.1, 0.5]])
+    assert constancy_classifier(validate_effect(a), validate_effect(b)).reason == "Neither"
+    report = constancy_classifier(validate_effect(a, 0.1), validate_effect(b, 0.1))
+    assert report.constant and report.reason == "Commuting" and 0.03 < report.residual < 0.1
+    with pytest.raises(EffectdynError, match=r"tol must be in \(0, 0\.1\], got 1\.0"):
+        validate_effect(a, tol=1.0)
+
+
+def test_classify_allows_the_rounding_of_a_commuting_pair():
+    # commuting pairs, diagonal in one random basis, dims 2-8, admitted at
+    # tol 1e-16: ||[a∘b, a]|| rounds to a few eps, above tol on most of them,
+    # so the rounding term of the pair's bound (effects._pair_bound), not
+    # tol, keeps each one constant
+    rng = np.random.default_rng(7)
+    above = 0
+    for k in range(200):
+        dim = 2 + k % 7
+        u = random_unitary(dim, rng)
+        a, b = (validate_effect((u * rng.uniform(0.05, 0.95, dim)) @ u.conj().T, 1e-16) for _ in range(2))
+        report = constancy_classifier(a, b)
+        assert report.constant and report.reason == "Commuting", (k, report.residual)
+        above += report.residual > 1e-16
+    assert above >= 100
 
 
 def test_classifier_constant_on_support_of_singular_a():
@@ -470,14 +492,16 @@ def test_bruteforce_constant_for_scaled_projection(rng):
 
 @pytest.mark.parametrize("scale", [1e3, 1e6])
 def test_bruteforce_constant_for_a_scaled_projection_of_large_scale(scale):
-    # a = 0.7 s·p, p a rank-2 projection, and b = s·B, both admitted at tol s:
-    # a[t]b is constant, and its deviation on the grid is rounding (5.8e-7 at
-    # s = 1e3 and 310 at s = 1e6 with numpy 2.4.6), within BRUTEFORCE_TOL at
-    # the scale of the pair, max(1, ||a|| ||b||), but not within it alone
+    # a = 0.7 s·p, p a rank-2 projection, and b = s·B are effects only at a
+    # tol of their scale s, which is out of range. At the largest scale in
+    # range, 1.09 at TOL_MAX, a[t]b is constant and reads so on the grid
     rng = np.random.default_rng(2)
     p = random_projection(3, 2, rng)
-    a = validate_effect(0.7 * scale * p.matrix, scale)
-    b = validate_effect(scale * random_effect(3, rng).matrix, scale)
+    with pytest.raises(EffectdynError, match=r"tol must be in \(0, 0\.1\]"):
+        validate_effect(0.7 * scale * p.matrix, scale)
+    m = random_effect(3, rng).matrix
+    a = validate_effect(0.7 * 1.09 * p.matrix, 0.1)
+    b = validate_effect(m * (1.09 / np.linalg.norm(m, 2)), 0.1)
     assert constancy_bruteforce(a, b, np.linspace(0.0, 4.0 * math.pi, 33))
 
 
@@ -810,42 +834,24 @@ def test_a_root_fault_of_1e_8_is_caught():
                 EigenFrame.product(_with_broken_sqrt(a, rng, 1e-8), b)
 
 
-def _item3_pair(tol=1e6):
-    """a = [[.5, .2], [.2, .5]] and b with eigenvalues 0.5 and 1e6 on (|0> ± |1>)/√2, admitted at tol."""
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    a = validate_effect(np.array([[0.5, 0.2], [0.2, 0.5]]), tol)
-    return a, validate_effect(h @ np.diag([0.5, 1e6]) @ h, tol)
-
-
-def test_the_cross_check_bound_scales_with_the_pair(rng):
-    # the routes of a pair of scale ||a|| ||b|| = 7e5 round apart by more than
-    # 1e-10; the bound 1e-10 max(1, ||a|| ||b||) admits that rounding, and
-    # still catches a root fault of 1e-8, which moves a∘b by about 1e-2
-    a, b = _item3_pair()
-    frame = EigenFrame.product(a, b)
-    assert np.array_equal(frame.x, EigenFrame.evolution(a, sequential_product(a, b)).x)
-    value = time_seq_product(a, b, 0.7).matrix
-    assert np.max(np.abs(np.linalg.eigvalsh(value) - np.linalg.eigvalsh(frame.x))) <= 1e-10 * b.norm
-    broken = _with_broken_sqrt(a, rng, 1e-8)
-    with pytest.raises(ConsistencyError, match=f"bound {1e-10 * a.norm * b.norm:.3e}"):
-        EigenFrame.product(broken, b)
-
-
 def test_admitted_pairs_up_to_tol_1e12_pass_the_cross_check():
-    # dims 2-8, tol 1 to 1e12, each operand at unit scale or scaled to its tol:
-    # no pair raises ConsistencyError, and each a[t]b keeps the spectrum of
-    # a∘b to the rounding of the pair's scale
+    # dims 2-8: a tol of 1 to 1e12 is out of range, so no operand is admitted
+    # at it; at tol 1e-9 to TOL_MAX, each operand at unit norm or at norm
+    # 1 + tol/2, no pair raises ConsistencyError, and each a[t]b keeps the
+    # spectrum of a∘b to rounding
     for dim in range(2, 9):
         for log_tol in range(0, 13, 3):
-            tol = 10.0**log_tol
-            rng = np.random.default_rng([dim, log_tol])
-            for scale_a, scale_b in ((1.0, 1.0), (1.0, tol), (tol, 1.0), (tol, tol)):
+            with pytest.raises(EffectdynError, match=r"tol must be in \(0, 0\.1\]"):
+                validate_effect(np.eye(dim) / 2, 10.0**log_tol)
+        for tol in (1e-9, 1e-3, 0.1):
+            rng = np.random.default_rng([dim, round(-math.log10(tol))])
+            for scale_a, scale_b in ((1.0, 1.0), (1.0, 1.0 + tol / 2), (1.0 + tol / 2, 1.0), (1.0 + tol / 2,) * 2):
                 m_a, m_b = (random_effect(dim, rng).matrix for _ in range(2))
-                a, b = validate_effect(scale_a * m_a, tol), validate_effect(scale_b * m_b, tol)
+                a, b = (validate_effect(s * m / np.linalg.norm(m, 2), tol) for s, m in ((scale_a, m_a), (scale_b, m_b)))
                 frame = EigenFrame.product(a, b)
                 spectrum = np.linalg.eigvalsh(frame.x)
                 value = np.linalg.eigvalsh(time_seq_product(a, b, 0.7).matrix)
-                assert np.max(np.abs(value - spectrum)) <= 1e-12 * max(1.0, a.norm * b.norm)
+                assert np.max(np.abs(value - spectrum)) <= 1e-12
 
 
 def test_eigen_frame_products_stack_product_bit_for_bit(rng):
@@ -971,8 +977,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def _sweep(tol: float):
     """(a, b, rho) at tol: an interior a, U diag(U(.05, .95)) U†, rho = |0><0|, dims 2, 3, 4, 8.
 
-    b is a diagonal 0/1 projection, or at the float limit diag(max, 0, ...)
-    and the matrix of entries max/d, each admitted at tol as well.
+    b is a diagonal 0/1 projection, admitted at tol as well.
     """
     rng = np.random.default_rng(45)
     for dim in (2, 3, 4, 8):
@@ -980,12 +985,7 @@ def _sweep(tol: float):
         for _ in range(12):
             u = random_unitary(dim, rng)
             a = validate_effect((u * rng.uniform(0.05, 0.95, dim)) @ u.conj().T, tol)
-            if tol == _FLOAT_MAX:
-                bs = (np.diag([tol] + [0.0] * (dim - 1)), np.full((dim, dim), tol / dim))
-            else:
-                bs = (np.diag(rng.integers(0, 2, dim).astype(float)),)
-            for b in bs:
-                yield a, validate_effect(b, tol), rho
+            yield a, validate_effect(np.diag(rng.integers(0, 2, dim).astype(float)), tol), rho
 
 
 def _products_or_none(lefts, rights):
@@ -996,12 +996,16 @@ def _products_or_none(lefts, rights):
         return None
 
 
+def _admit_derived(m, tol):
+    """m admitted as an Effect at tol, a derived value's tolerance, which may pass TOL_MAX."""
+    return admit_effects(m[None], (tol,))[0]
+
+
 def _check_read(value, source, raw, admit):
     """value is source read as raw: finite, its source's spectrum, and the bits a second admission stores.
 
     The second admission (admit) is the reference only where it answers:
-    below eps its rounding, and at the float limit its overflow, refuse
-    valid reads.
+    below eps its rounding refuses valid reads.
     """
     assert np.isfinite(value.matrix).all()
     assert value.matrix.tobytes() == linalg.hermitian_part(raw).tobytes()
@@ -1014,13 +1018,17 @@ def _check_read(value, source, raw, admit):
     assert value.matrix.tobytes() == again.matrix.tobytes()
 
 
-@pytest.mark.parametrize("tol", [1e-15, 1e-16, _FLOAT_MAX], ids=["1e-15", "1e-16", "float_max"])
+@pytest.mark.parametrize("tol", [1e-15, 1e-16, 0.1, _FLOAT_MAX], ids=["1e-15", "1e-16", "tol_max", "float_max"])
 def test_frame_reads_keep_their_sources_admission(tol):
     # b(t|a), a[t]b and rho(t) are unitary conjugates of b, a∘b and rho, so
     # each is admitted once, as its source: a read is never refused where
     # its source was admitted. A second eigensolve of the read would refuse
-    # valid reads for its rounding below eps, and for its overflow at the
-    # float limit
+    # valid reads for its rounding below eps. Operands at the float limit,
+    # where it overflowed, are admitted only at a tol out of range
+    if tol > TOL_MAX:
+        with pytest.raises(EffectdynError, match=r"tol must be in \(0, 0\.1\]"):
+            next(_sweep(tol))
+        return
     t = 2.9
     for a, b, rho in _sweep(tol):
         _check_read(effect_evolution(b, a, t), b, EigenFrame.evolution(a, b).at(t), validate_effect)
@@ -1029,9 +1037,7 @@ def test_frame_reads_keep_their_sources_admission(tol):
         products = _products_or_none([a], [b])
         if products is not None:
             raw = EigenFrame.product(a, b).at(t)
-            _check_read(time_seq_product(a, b, t), products[0], raw, validate_effect)
-        if tol == _FLOAT_MAX:
-            continue
+            _check_read(time_seq_product(a, b, t), products[0], raw, _admit_derived)
         b_obs = validate_observable([b, validate_effect(np.eye(b.dim) - b.matrix, tol)])
         a_obs = validate_observable([a, validate_effect(np.eye(a.dim) - a.matrix, tol)])
         evolved = obs_evolution(b_obs, a, t)
