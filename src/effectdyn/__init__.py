@@ -34,6 +34,7 @@ from .errors import (
     EffectdynError,
     EmptyGridError,
     InvalidOrderError,
+    LabelCollisionError,
     MemberNotEffectError,
     NonHermitianError,
     NotAProjectionError,

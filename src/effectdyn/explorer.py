@@ -58,7 +58,7 @@ from . import linalg
 from .effects import DECISION_TOL, Effect, admit_effects, commutator_norm
 from .errors import CommutingPairError, DimensionMismatchError, EffectdynError
 # time_seq_product stays importable here: bench/tracer.py wraps each import site of it
-from .evolution import EigenFrame, time_seq_product, time_seq_products  # noqa: F401
+from .evolution import EigenFrame, check_times, time_seq_product, time_seq_products  # noqa: F401
 
 # Pairs with ||[a,b]|| below the floor are uninformative (near-commuting
 # pairs have near-zero gap for trivial reasons) and are redrawn.
@@ -112,7 +112,9 @@ class ScanConfig:
 
     The defaults are those of the ``scan`` command. The certified search
     starts from INITIAL_KNOTS evenly spaced knots and places the rest itself
-    (_certified_search).
+    (_certified_search). The window passes the package's one time rule
+    (check_times), so -T_MAX <= t_min < t_max <= T_MAX, and the search
+    checks no time again.
     """
 
     dim: int = 2
@@ -136,9 +138,9 @@ class ScanConfig:
             and all(map(_is_real, self.t_window))
         ):
             raise EffectdynError(f"t_window must be a pair of real numbers, got {self.t_window!r}")
-        lo, hi = self.t_window
-        if not (lo < hi and math.isfinite(hi - lo)):
-            raise EffectdynError(f"t_window must be finite with t_min < t_max, got {self.t_window}")
+        check_times(self.t_window)
+        if not self.t_window[0] < self.t_window[1]:
+            raise EffectdynError(f"t_window must have t_min < t_max, got {self.t_window}")
         if not 0 <= self.seed < 2**64:
             raise EffectdynError("seed must fit in 64 unsigned bits")
         if not (_is_real(self.commutator_floor) and 0.0 < self.commutator_floor < math.inf):
@@ -216,8 +218,8 @@ def symmetry_gap(a: Effect, b: Effect, t: float) -> float:
 
 def symmetry_gap_profile(a: Effect, b: Effect, times) -> np.ndarray:
     """``symmetry_gap`` over a whole grid, through the pair's two eigenframes."""
-    frames = _frames(a, b)
-    return np.maximum(*_profile(_gap_kernel(frames), frames.check_phases(times)))
+    times = check_times(times)
+    return np.maximum(*_profile(_gap_kernel(_frames(a, b)), times))
 
 
 def _frames(a: Effect, b: Effect) -> EigenFrame:
@@ -235,8 +237,8 @@ def _gap_kernel(frames: EigenFrame):
     to rounding of the arithmetic alone, at any |t|. The kernel
     returns the branches (-λ_min, λ_max) of that Hermitian matrix: the gap
     is their maximum, and they cross where h = λ_max + λ_min changes sign.
-    It does not check its phases: each caller runs EigenFrame.check_phases
-    on the stacked frames once, on its grid or at its window's largest |t|.
+    It does not check its times: symmetry_gap_profile runs check_times on its
+    grid, and a search's window passed it in ScanConfig.
     """
     w = linalg.adjoint(frames.vectors[0]) @ frames.vectors[1]
     w_inv = linalg.adjoint(w)
@@ -395,18 +397,26 @@ def _interval_bound(ts: list, gs: list, i: int, lip: float, curv: float, slack: 
     at most eps / 2 each, by at most 8 eps (g + h |d| + K (h' + h) h / 2).
     Each line's allowance is their sum, e; a mix is off by at most the
     larger e, and its own rounding by 2 eps times the two lines' sizes, at
-    most a quarter of e_left + e_right. Where the secant bound is not finite
-    (huge h, or a neighbour far narrower than I), the interval keeps its cone.
+    most a quarter of e_left + e_right. An edge's missing line has
+    allowance inf: an edge interval is bounded by its one line, and an
+    interval with no neighbour at all by its cone alone.
 
     The knots must be strictly increasing, as a search's are: they start as
     distinct floats and each midpoint is a new float, so every width h' a
-    neighbour's secant divides by is positive. The arithmetic is that of
-    numpy's elementwise rules, on Python floats: maxima and minima propagate
-    NaN except the one fmax, which skips it, and nothing is raised to a
-    power, which can raise OverflowError. Where dl + dr = 0, numpy's weight
-    dr / 0 is NaN or infinite, which gives the same bound as w = 0: a mix at
-    a weight of 0 or 1 is that line less at least its own allowance. A call
-    costs about 1.1-2 us in process.
+    neighbour's secant divides by is positive. The bound is finite or -inf,
+    never NaN. Each gap is at most S + slack, K at most f^2 S (1 + 8 d eps)
+    (_curvature), with S = ||X_a||_F + ||X_b||_F and f <= 1.2 the largest
+    |w_j - w_k| (_certified_search), and h <= 2^53, as ScanConfig admits
+    windows within [-T_MAX, T_MAX] only. So a line is finite unless its
+    secant's slope overflows, at a neighbour narrower than about
+    (S + slack) / 1.8e308, which only a window a few subnormal floats wide
+    holds; that line's allowance is then inf as well, and the mix takes off
+    the larger allowance. So ``single`` is finite or -inf, the mix is finite
+    only where both lines are, and a NaN mix enters the bound through
+    ``mixed > single``, a comparison NaN loses.
+    Where dl + dr = 0 there is no flat mix, and w = 0 gives the right line
+    less at least its own allowance. Nothing is raised to a power, which can
+    raise OverflowError. A call costs about 1.1-2 us in process.
     """
     t0, t1, g0, g1 = ts[i], ts[i + 1], gs[i], gs[i + 1]
     h = t1 - t0
@@ -426,7 +436,7 @@ def _interval_bound(ts: list, gs: list, i: int, lip: float, curv: float, slack: 
         er = slack + 2.0 * slack * h / near + 8.0 * _EPS * (g1 + abs(run) + bend)
     # the weight at which the mix w * left + (1 - w) * right is flat; with
     # dl + dr = 0 there is none, and w = 0 makes the mix one line less more
-    # than its allowance, never above ``single``, as numpy's NaN or inf would
+    # than its allowance, never above ``single``
     total = dl + dr
     w = dr / total if total else 0.0
     if w < 0.0:
@@ -435,13 +445,11 @@ def _interval_bound(ts: list, gs: list, i: int, lip: float, curv: float, slack: 
         w = 1.0
     rise = g1 - g0
     x, y = g1 + dr - w * (rise + dr), g1 - w * (rise - dl)
-    mixed = y if y < x or y != y else x
+    mixed = y if y < x else x
     x, y = g0 + (0.0 if dl >= 0.0 else dl) - el, g1 + (0.0 if dr >= 0.0 else dr) - er
-    single = y if y > x or y != y else x
-    mixed -= (er if er > el or er != er else el) + (el + er) / 4.0
-    lower = mixed if mixed > single or single != single else single
-    if not -_INF < lower < _INF:
-        lower = -_INF
+    single = y if y > x else x
+    mixed -= (er if er > el else el) + (el + er) / 4.0
+    lower = mixed if mixed > single else single
     cone = (g0 + g1 - lip * h) / 2.0 - slack
     return lower if lower > cone else cone
 
@@ -493,8 +501,8 @@ def _certified_search(frames: EigenFrame, cfg: ScanConfig) -> _WindowMinimum:
     bound (_interval_bound) is therefore the larger of the cone and a
     second-order bound, which extends the secants of its neighbours over it
     and takes off K h^2 / 8 and a little more, K = _curvature(frames): its
-    error shrinks like K h^2 rather than L h. Where that bound is not finite
-    the cone stands alone.
+    error shrinks like K h^2 rather than L h. In a window of two knots,
+    where that bound is -inf, the cone stands alone.
     Each round evaluates, in one batch, the midpoints of every interval whose
     bound is below (1 - CERTIFY_RTOL) times the best knot gap, unless L h is
     already within twice the slack or the midpoint is no longer a new float.
@@ -548,24 +556,32 @@ def _certified_search(frames: EigenFrame, cfg: ScanConfig) -> _WindowMinimum:
     slope is at most L + 2 slack / h', which that allowance covers, so a
     bound >= 0 means K h^2 / 4 - L h / 2 <= S, that is h <= H with
     H = (L + sqrt(L^2 + 4 K S)) / K (no limit when K = 0): wider than
-    2 S / L for some pairs, so the cones' limit alone no longer holds. An
-    interval whose midpoint is no longer a new float has h <= u, with
-    u = T - nextafter(T, 0), since the floats in [-T, T] are at most u apart.
-    One left unsplit by the slack rule has L h <= 2 slack, so
-    h <= 8 eps (2 S / L) + eps T <= (1 + 8 eps) max(2 S / L, 2 u), as
-    u >= eps T / 2. (Midpoints are t_i/2 + t_{i+1}/2, which cannot
-    overflow, even for |t| >= 2^1023, where u = 2^971 and the rule refuses
-    any window wider than about 4e298.) Every final interval is at most
-    (1 + 8 eps) max(2 S / L, H, 2 u) wide, so a search that ends holds at
-    least 1 + width / ((1 + 8 eps) max(2 S / L, H, 2 u)) knots, more than
-    MAX_KNOTS whenever width / max(2 S / L, H, 2 u) exceeds MAX_KNOTS, and
-    then the window is refused at once: the refusal still never turns away a
-    window that a search could finish. It promises no more: the search may
-    still reach MAX_KNOTS on a narrower window and raise then. For the
-    default 8π window that count stayed below 6 on 800 random pairs at
-    dims 2, 3, 4 and 8. After that refusal, and still before any gap is
-    evaluated, the phases of both frames are checked at T
-    (EigenFrame.check_phases).
+    2 S / L for some pairs, so the cones' limit alone no longer holds. One
+    left unsplit by the slack rule has L h <= 2 slack, below 2 S wherever
+    slack < S. With T <= T_MAX = 1 / eps (ScanConfig), slack <= 8 eps S + P,
+    and P <= f sqrt(1 - 1/d) S: G is 0 on the diagonal and at most f off
+    it, and a positive semidefinite X (X_a and X_b are frames of a∘b and
+    b∘a) holds at least ||X||_F^2 / d on its diagonal. So slack < S for
+    f <= 1, as for every scan pair. Operands admitted up to TOL_MAX reach
+    f = 1.2, where that bound passes S at d >= 4; on 1,200 random such pairs
+    at dims 4 and 8, spectra in [-0.099, 1.099], the slack at T = T_MAX
+    stayed below 0.67 S. Where slack < S every final interval is at most
+    (1 + 8 eps) max(2 S / L, H) wide, the factor for the rounding of these
+    products, so a search that ends holds at least
+    1 + width / ((1 + 8 eps) max(2 S / L, H)) knots, more than MAX_KNOTS
+    whenever width / max(2 S / L, H) exceeds MAX_KNOTS, and then the window
+    is refused at once: the refusal never turns away a window that a search
+    could finish. It promises no more: the search may still reach MAX_KNOTS
+    on a narrower window and raise then. For the default 8π window that
+    count stayed below 6 on 800 random pairs at dims 2, 3, 4 and 8.
+
+    An interval whose midpoint is no longer a new float needs no term of
+    its own. It has h <= u = T - nextafter(T, 0), the float spacing below
+    T, and ScanConfig admits T <= T_MAX = 2^52 (check_times), so
+    2 u <= 1; an admitted operand has f <= 1 + 2 TOL_MAX = 1.2, f the
+    largest |w_j - w_k|, and L <= f S, so 2 u <= 1 < 2 / f <= 2 S / L. Nor
+    does the search check its times: the window passed check_times in
+    ScanConfig, and every knot, midpoint and stencil point lies in it.
 
     Cost, in process on a 2-vCPU machine: on the default window a later
     round re-bounds about 6 intervals at dims 3-8 (15 at dim 2), where one
@@ -583,16 +599,13 @@ def _certified_search(frames: EigenFrame, cfg: ScanConfig) -> _WindowMinimum:
     top = max(abs(lo), abs(hi))
     drift = np.where(frames.freq == 0.0, 0.0, frames.freq[..., :, :1] - frames.freq[..., :1, :]) / 2.0
     slack = _SLACK_UNITS * _EPS * scale + _EPS * top * float(sum(map(np.linalg.norm, drift * frames.x)))
-    ulp = top - math.nextafter(top, 0.0)
     if (
         (hi - lo) * lip > MAX_KNOTS * 2.0 * scale
         and (hi - lo) * curv > MAX_KNOTS * (lip + math.sqrt(lip * lip + 4.0 * curv * scale))
-        and hi - lo > MAX_KNOTS * 2.0 * ulp
     ):
         raise _too_wide(lo, hi)
     # linspace repeats floats, next to each other, on a narrow window
     ts = list(dict.fromkeys(np.linspace(lo, hi, INITIAL_KNOTS).tolist()))
-    frames.check_phases(top)
     branches = _gap_kernel(frames)
     known: dict = {}  # t -> (-λ_min, λ_max) at every time evaluated
     gs = _gaps(branches, ts, known)

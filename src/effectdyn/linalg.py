@@ -140,7 +140,7 @@ def unitary_from_decomposition(d: SpectralDecomposition, t: float) -> np.ndarray
     Exact for Hermitian a; returns the identity exactly at t = 0. Raises
     EffectdynError where t * w is not finite (it overflows for an eigenvalue w
     beyond 1 at a finite t near the float limit). No package code calls it:
-    evolutions read EigenFrame, whose time rule is EigenFrame.check_phases.
+    evolutions read EigenFrame, whose time rule is evolution.check_times.
     It is kept only because bench/tracer.py traces it, and goes with that span.
     """
     if t == 0:

@@ -50,6 +50,8 @@ MUTANTS = [
     ("explorer.py", "float(sum(map(np.linalg.norm, drift * frames.x)))", "lip / 2.0"),
     ("explorer.py", "(1.0 + 8.0 * dim * _EPS) * norms", "norms"),  # _curvature's factor
     ("explorer.py", "r <= atol + 4.0 * _EPS * abs(c)", "r <= atol"),  # _refine's stop rule
+    # the one time rule: a range one binade wider
+    ("evolution.py", "T_MAX = 2.0**52", "T_MAX = 2.0**53"),
     # the frames' order budget
     ("evolution.py", "math.log(_FLOAT_MAX / 2.0)", "math.log(_FLOAT_MAX)"),
     # one copy of each frame rule: the writer's Hermitian part

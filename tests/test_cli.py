@@ -48,10 +48,12 @@ def write_obs(path, matrices, outcomes):
     return str(path)
 
 
-# Admitted at the default --tol; its eigenvalue gap 1 + 1.8e-9 times the
-# largest float overflows, so every phase of a frame of it is out of range there.
+# Admitted at the default --tol, with the widest eigenvalue gap it admits,
+# 1 + 1.8e-9: every time flag still answers at |t| = 2^52.
 EDGE = np.diag([-0.9e-9, 1.0 + 0.9e-9])
-MAX_FLOAT = "1.7976931348623157e308"
+# The largest |t| every time flag takes (evolution.T_MAX), and the next float.
+T_MAX = "4503599627370496"
+BEYOND_T_MAX = repr(math.nextafter(2.0**52, math.inf))
 
 
 @pytest.fixture(scope="module")
@@ -724,17 +726,40 @@ def test_evolve_rotates_each_time_once(files, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["evolve", "@edge", "@b", "--t0", "0", "--t1", MAX_FLOAT, "--steps", "1"],
-        ["observable", "evolve", "@obs_b", "@edge", "--t", MAX_FLOAT],
-        ["observable", "tseq", "@obs_edge", "@obs_b", "--t", MAX_FLOAT],
-        ["observable", "tcond", "@obs_edge", "@obs_b", "--t", MAX_FLOAT],
+        ["evolve", "@edge", "@b", "--t0", "0", "--t1", "{t}", "--steps", "1"],
+        ["observable", "evolve", "@obs_b", "@edge", "--t", "{t}"],
+        ["observable", "tseq", "@obs_edge", "@obs_b", "--t", "{t}"],
+        ["observable", "tcond", "@obs_edge", "@obs_b", "--t", "{t}"],
     ],
     ids=["evolve", "observable evolve", "observable tseq", "observable tcond"],
 )
 def test_finite_time_whose_phase_overflows_is_invalid_input(files, capsys, argv):
+    # every time flag answers at |t| = 2^52, where a phase error of eps |t|
+    # is about one radian, and refuses the next float, with one error line
+    # that names the range
+    def at(t):
+        return [t if x == "{t}" else str(files[x[1:]]) if x[0] == "@" else x for x in argv]
+
+    code, out, err = run(capsys, at(BEYOND_T_MAX))
+    assert (code, out) == (2, "")
+    assert err == "error: time must be in [-2^52, 2^52], got 4503599627370497.0\n"
+    code, out, err = run(capsys, at(T_MAX))
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "@a", "@b", "--t0", "1e300", "--t1", "1e300", "--steps", "1"],
+        ["observable", "tseq", "@obs_a", "@obs_b", "--t", "1e300"],
+    ],
+    ids=["evolve", "observable tseq"],
+)
+def test_time_far_beyond_the_range_is_invalid_input(files, capsys, argv):
+    # at t = 1e300 a float read keeps no correct digit: one error line, no output
     code, out, err = run(capsys, [str(files[x[1:]]) if x[0] == "@" else x for x in argv])
     assert (code, out) == (2, "")
-    assert err == "error: phase t*(w_j - w_k) must be finite, got |t| = 1.7976931348623157e+308\n"
+    assert err == "error: time must be in [-2^52, 2^52], got 1e+300\n"
 
 
 # -- classify ---------------------------------------------------------------
@@ -1605,12 +1630,12 @@ def test_scan_window_beyond_the_knot_cap_is_invalid_input(tmp_path, capsys):
     "window",
     [
         ["--dim", "8", "--trials", "1", "--tmin", "0", "--tmax", "1e9"],
-        ["--trials", "3", "--tmin", "1e308", "--tmax", MAX_FLOAT],
+        ["--trials", "3", "--tmin=-" + T_MAX, "--tmax", T_MAX],
     ],
 )
 def test_hopeless_scan_window_is_refused_before_any_gap(window, monkeypatch, tmp_path, capsys):
     # the window alone proves the search would need more than MAX_KNOTS knots:
-    # by L·width at 1e9, by the spacing of the floats near the largest one
+    # by L·width at 1e9, and so at the widest window the time range admits
     times = []
     kernel = explorer._gap_kernel
 

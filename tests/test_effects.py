@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -567,16 +568,19 @@ def test_evolve_state_preserves_spectrum_and_duality(rng):
 
 
 def test_evolve_state_takes_the_frames_time_rule():
-    # a reaches 1 + 0.9e-9, admitted at the default tol: at the largest float
-    # t w overflows but t (w_1 - w_0) does not, so rho evolves as b(t|a) does
-    t = np.finfo(float).max
+    # a spans 1 + 1.8e-9, admitted at the default tol: at |t| = 2^52, the
+    # edge of the one time rule, rho evolves as b(t|a) does, and one float
+    # beyond it is refused as every evolution refuses it
     rho = validate_state([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
-    a, b = validate_effect(np.diag([0.5, 1.0 + 0.9e-9])), validate_effect([[0.3, 0.1j], [-0.1j, 0.7]])
-    lhs = np.trace(evolve_state(rho, a, t).matrix @ b.matrix).real
-    assert lhs == pytest.approx(np.trace(rho.matrix @ effect_evolution(b, a, t).matrix).real, abs=1e-12)
-    # a spread of 1 + 1.8e-9 overflows t (w_1 - w_0) itself
-    with pytest.raises(EffectdynError, match=r"phase t\*\(w_j - w_k\) must be finite"):
-        evolve_state(rho, validate_effect(np.diag([-0.9e-9, 1.0 + 0.9e-9])), t)
+    a, b = validate_effect(np.diag([-0.9e-9, 1.0 + 0.9e-9])), validate_effect([[0.3, 0.1j], [-0.1j, 0.7]])
+    for t in (2.0**52, -(2.0**52)):
+        lhs = np.trace(evolve_state(rho, a, t).matrix @ b.matrix).real
+        assert lhs == pytest.approx(np.trace(rho.matrix @ effect_evolution(b, a, t).matrix).real, abs=1e-12)
+    for t in (math.nextafter(2.0**52, math.inf), -math.nextafter(2.0**52, math.inf)):
+        with pytest.raises(EffectdynError, match=r"^time must be in \[-2\^52, 2\^52\]"):
+            evolve_state(rho, a, t)
+        with pytest.raises(EffectdynError, match=r"^time must be in \[-2\^52, 2\^52\]"):
+            effect_evolution(b, a, t)
 
 
 def test_evolve_state_matches_the_dense_reference():

@@ -42,7 +42,14 @@ from effectdyn.errors import (
     NotAProjectionError,
     SpectrumOutOfRangeError,
 )
-from effectdyn.evolution import EigenFrame, effect_evolutions, evolve_state, time_seq_products
+from effectdyn.evolution import (
+    T_MAX,
+    EigenFrame,
+    check_times,
+    effect_evolutions,
+    evolve_state,
+    time_seq_products,
+)
 from effectdyn.observables import (
     obs_evolution,
     obs_time_seq_product,
@@ -195,19 +202,26 @@ def test_derivative_phase_is_exact_at_every_order():
         assert np.max(np.abs(fourth - effect_evolution(b, a, 0.3).matrix)) > 0.1
 
 
-def test_check_phases_admits_a_time_or_a_grid():
-    # the frames' one time rule returns the times as floats, of their shape
-    frame = EigenFrame.evolution(validate_effect(np.diag([0.0, 1.0])), identity_effect(2))
-    one = frame.check_phases(2)
+def test_check_times_admits_a_time_or_a_grid():
+    # the package's one time rule returns the times as floats, of their
+    # shape, for every |t| up to T_MAX = 2^52 and nothing beyond
+    assert T_MAX == 2**52
+    one = check_times(2)
     assert one.dtype == float and one.shape == () and one == 2.0
-    grid = frame.check_phases([[0, -1.5], [3, 4]])
+    grid = check_times([[0, -1.5], [3, 4]])
     assert grid.dtype == float and np.array_equal(grid, [[0.0, -1.5], [3.0, 4.0]])
+    edge = check_times([-(2**52), 2**52])
+    assert np.array_equal(edge, [-T_MAX, T_MAX])
     for empty in ([], np.empty((0, 3))):
         with pytest.raises(EmptyGridError):
-            frame.check_phases(empty)
-    for bad in (math.nan, math.inf, [0.0, -math.inf]):
-        with pytest.raises(EffectdynError, match="phase"):
-            frame.check_phases(bad)
+            check_times(empty)
+    beyond = math.nextafter(T_MAX, math.inf)
+    for bad, named in (
+        (math.nan, "nan"), (math.inf, "inf"), ([0.0, -math.inf], "-inf"),
+        (beyond, "4503599627370497.0"), ([[0.0, 1.0], [-beyond, 2.0]], "-4503599627370497.0"),
+    ):
+        with pytest.raises(EffectdynError, match=rf"^time must be in \[-2\^52, 2\^52\], got {named}$"):
+            check_times(bad)
 
 
 def test_derivative_zero_for_commuting(rng):
@@ -708,10 +722,12 @@ def test_derivative_norms_take_one_eigensolve_for_a_grid(rng, monkeypatch):
                 assert value == pytest.approx(dense, abs=1e-12)
     with pytest.raises(EmptyGridError):
         frame.trajectory([])
-    # a reaches 1 + 5e-10 (admitted at the default tol), so t * freq overflows
+    # a reaches 1 + 5e-10 (admitted at the default tol): a grid read whole
+    # takes the one time rule, answering at 2^52 and refusing the next float
     edge = EigenFrame.evolution(validate_effect(np.diag([1.0 + 5e-10, 0.0])), random_effect(2, rng))
-    with pytest.raises(EffectdynError, match="phase"):
-        edge.trajectory([0.0, 1.7976931348623157e308])
+    assert all(np.isfinite(column).all() for column in edge.trajectory([0.0, 2.0**52]))
+    with pytest.raises(EffectdynError, match=r"^time must be in"):
+        edge.trajectory([0.0, math.nextafter(2.0**52, math.inf)])
 
 
 def test_trajectory_rotates_each_time_once_and_matches_the_readers(rng, monkeypatch):

@@ -941,7 +941,9 @@ def test_certified_bound_allows_for_phase_rounding(monkeypatch):
     assert explorer._certified_search(frames, cfg).lower == 0.0
 
 
-LARGEST = 1.7976931348623157e308
+# The largest |t| a window takes (evolution.T_MAX), and the next float.
+T_MAX = 2.0**52
+BEYOND_T_MAX = math.nextafter(T_MAX, math.inf)
 
 
 def test_scan_trial_imports_no_masked_arrays():
@@ -962,16 +964,16 @@ def test_scan_trial_imports_no_masked_arrays():
 
 
 def test_first_pass_evaluates_each_distinct_knot_once(monkeypatch):
-    # np.linspace(lo, hi, INITIAL_KNOTS) on a window 4 floats wide repeats
-    # its floats: the first pass evaluates each of the 5 once, and no later
-    # round evaluates a knot again
+    # np.linspace(lo, hi, INITIAL_KNOTS) on a window 4 floats wide, at the top
+    # of the time range, repeats its floats: the first pass evaluates each of
+    # the 5 once, and no later round evaluates a knot again
     batches = _record_knots(monkeypatch)
     rng = np.random.default_rng(0)
     frames = explorer._frames(random_effect(2, rng), random_effect(2, rng))
-    lo = 1.797693134862315e308
-    explorer._certified_search(frames, ScanConfig(t_window=(lo, LARGEST)))
+    lo = T_MAX - 2.0
+    explorer._certified_search(frames, ScanConfig(t_window=(lo, T_MAX)))
     assert len(batches[0]) == 5
-    assert batches[0].tolist() == sorted(set(np.linspace(lo, LARGEST, explorer.INITIAL_KNOTS)))
+    assert batches[0].tolist() == sorted(set(np.linspace(lo, T_MAX, explorer.INITIAL_KNOTS)))
     knots = np.concatenate(batches)
     assert np.unique(knots).size == knots.size
     # a window wider than INITIAL_KNOTS - 1 float spacings keeps all its knots
@@ -1009,40 +1011,50 @@ def test_search_evaluates_no_time_twice(monkeypatch, dim, window):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_midpoints_near_the_largest_float_do_not_overflow():
-    # knots a few floats below the largest one: each midpoint adds two
-    # halves, so no sum overflows and the scan warns of nothing
-    result = conjecture_scan(ScanConfig(trials=2, t_window=(1.797693134862315e308, LARGEST)))
-    assert len(result.records) == 2
-    assert all(0.0 <= r.min_gap_lower <= r.min_gap for r in result.records)
+    # knots a few floats below the largest time a window takes, 2^52: each
+    # midpoint is a new float or the interval is left, and the scan warns of
+    # nothing; a window one float beyond it is refused as the config is built
+    for window in ((T_MAX - 2.0, T_MAX), (-T_MAX, -T_MAX + 2.0)):
+        result = conjecture_scan(ScanConfig(trials=2, t_window=window))
+        assert len(result.records) == 2
+        assert all(0.0 <= r.min_gap_lower <= r.min_gap for r in result.records)
+    for window in ((T_MAX - 2.0, BEYOND_T_MAX), (-BEYOND_T_MAX, -T_MAX)):
+        with pytest.raises(EffectdynError, match=r"^time must be in \[-2\^52, 2\^52\]"):
+            ScanConfig(trials=2, t_window=window)
 
 
-def _overflowing_pair():
-    """a reaches 1 + 5e-10 (admitted at the default tol), so t * freq overflows near 1.8e308."""
+def _edge_pair():
+    """a reaches 1 + 5e-10, admitted at the default tol, so its frequencies pass 1."""
     return validate_effect(np.diag([1.0 + 5e-10, 0.0])), validate_effect(np.full((2, 2), 0.5))
 
 
 def test_gap_search_checks_its_phases_once_before_any_gap(monkeypatch):
+    # the window passes the one time rule once, as the config is built, and
+    # the search checks no time again: a window one float beyond 2^52 never
+    # reaches a gap, and one that ends at 2^52 is searched
     times, checks = [], []
-    kernel, check = explorer._gap_kernel, EigenFrame.check_phases
+    kernel, check = explorer._gap_kernel, explorer.check_times
 
     def counting_kernel(frames):
         gap = kernel(frames)
         return lambda t: times.append(t) or gap(t)
 
-    def counting_check(frame, t_max):
-        checks.append(t_max)
-        return check(frame, t_max)
+    def counting_check(window):
+        checks.append(tuple(window))
+        return check(window)
 
     monkeypatch.setattr(explorer, "_gap_kernel", counting_kernel)
-    monkeypatch.setattr(EigenFrame, "check_phases", counting_check)
-    a, b = _overflowing_pair()
-    with pytest.raises(EffectdynError, match="phase"):
-        minimize_gap(a, b, ScanConfig(t_window=(1.7976931348623155e308, LARGEST)))
-    assert times == []
-    # a search that runs checks both frames, stacked, once, at the window's largest |t|
-    checks.clear()
-    minimize_gap(a, b, ScanConfig(t_window=(-3.0, 5.0)))
-    assert checks == [5.0]
+    monkeypatch.setattr(explorer, "check_times", counting_check)
+    a, b = _edge_pair()
+    with pytest.raises(EffectdynError, match=r"^time must be in"):
+        minimize_gap(a, b, ScanConfig(t_window=(T_MAX - 8.0, BEYOND_T_MAX)))
+    assert times == [] and checks == [(T_MAX - 8.0, BEYOND_T_MAX)]
+    for window in ((T_MAX - 8.0, T_MAX), (-3.0, 5.0)):
+        checks.clear()
+        times.clear()
+        cfg = ScanConfig(t_window=window)
+        assert minimize_gap(a, b, cfg)[1] >= 0.0
+        assert checks == [window]
     # the knots in one batch first; every later call is a batch of at most
     # three times, a refinement's stencil (a is nearly a projection, so its
     # near-constant gap may need none)
@@ -1051,8 +1063,9 @@ def test_gap_search_checks_its_phases_once_before_any_gap(monkeypatch):
 
 
 def test_gap_profile_checks_its_phases():
-    a, b = _overflowing_pair()
-    for t in (math.nan, math.inf, -math.inf, LARGEST):
-        with pytest.raises(EffectdynError, match="phase"):
+    # the profile's grid takes the one time rule: up to 2^52 and no further
+    a, b = _edge_pair()
+    for t in (math.nan, math.inf, -math.inf, BEYOND_T_MAX, -BEYOND_T_MAX):
+        with pytest.raises(EffectdynError, match=r"^time must be in \[-2\^52, 2\^52\]"):
             symmetry_gap_profile(a, b, [0.0, t])
-    assert np.all(np.isfinite(symmetry_gap_profile(a, b, [0.0, 1e300])))
+    assert np.all(np.isfinite(symmetry_gap_profile(a, b, [-T_MAX, 0.0, T_MAX])))

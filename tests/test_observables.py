@@ -378,6 +378,16 @@ def test_product_labels_that_collide_are_refused(rng):
     assert str(info.value) == message
 
 
+def test_package_exports_every_error_class():
+    # every exception the package raises is importable from effectdyn itself
+    import effectdyn
+    from effectdyn import errors
+
+    classes = [v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)]
+    assert LabelCollisionError in classes
+    assert [c.__name__ for c in classes if getattr(effectdyn, c.__name__, None) is not c] == []
+
+
 def test_convex_linearity_under_time_seq_product(rng):
     # A[t](sum_i w_i B_i) = sum_i w_i (A[t]B_i)
     a_obs = random_observable(2, 2, rng)
